@@ -16,8 +16,8 @@ from .fields import (FieldEval, FieldParams, boundary_factor,
 from .gradients import (GradientBundle, fd_gradient, fd_hessian,
                         grad_constraint_follower, grad_goal_follower,
                         grad_navfunc_follower, grad_navfunc_leader)
-from .graph import (LaplacianSnapshot, Topology, build_topology,
-                    has_rooted_spanning_tree, laplacian, tree_edge_stress)
+from .graph import (Topology, build_topology, has_rooted_spanning_tree,
+                    laplacian, tree_edge_stress)
 from .model import (RegionFlag, RobotState, Role, ScenarioConfig,
                     ScenarioError, normalize_angle, validate_scenario)
 from .scenario_io import (emit_plot_script, export_trajectory,

@@ -7,11 +7,12 @@ Exit codes: 0 success, 1 parse/validation failure, 2 initial-graph
 import argparse
 import sys
 
-from .graph import build_topology, has_rooted_spanning_tree
+from .fields import FieldParams
 from .model import ScenarioError
 from .scenario_io import (emit_plot_script, export_trajectory,
                           load_trajectory, parse_scenario)
-from .sim import AssumptionError, MonitorViolation, compute_metrics, run
+from .sim import (AssumptionError, MonitorViolation, compute_metrics,
+                  initial_topology, run)
 
 
 def _print_metrics(metrics) -> None:
@@ -55,12 +56,10 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = parse_scenario(args.scenario)
-    topo = build_topology(cfg.initial_states, cfg.sensing_radius)
-    if not has_rooted_spanning_tree(topo, root=1):
-        raise AssumptionError(
-            "initial graph has no spanning tree rooted at the informed robot")
+    initial_topology(cfg)
+    switch = FieldParams.from_config(cfg).switch_distance
     print(f"scenario valid: {cfg.n_robots} robots, "
-          f"switch distance {cfg.switch_distance:.3f} m, "
+          f"switch distance {switch:.3f} m, "
           f"initial graph has a spanning tree rooted at robot 1")
     return 0
 

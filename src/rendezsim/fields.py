@@ -26,14 +26,19 @@ def _logistic(z: float) -> float:
     return ez / (1.0 + ez)
 
 
+def sigmoid_gain(width: float, eps: float) -> float:
+    """Logistic slope that takes a sigmoid from eps to 1 - eps across width."""
+    return (2.0 / width) * math.log((1.0 - eps) / eps)
+
+
 def sigmoid_connectivity(d: float, sensing_radius: float,
                          connectivity_buffer: float, eps: float) -> float:
     """Edge-keeping factor b(d): ~1 deep inside sensing range, eps at the rim.
 
     Decreasing in d; hits 0.5 at R - buffer/2, 1-eps at R - buffer, eps at R.
     """
-    gain = (2.0 / connectivity_buffer) * math.log((1.0 - eps) / eps)
-    return _logistic(gain * (sensing_radius - 0.5 * connectivity_buffer - d))
+    return _logistic(sigmoid_gain(connectivity_buffer, eps)
+                     * (sensing_radius - 0.5 * connectivity_buffer - d))
 
 
 def sigmoid_collision(d: float, collision_margin: float, eps: float) -> float:
@@ -41,19 +46,18 @@ def sigmoid_collision(d: float, collision_margin: float, eps: float) -> float:
 
     Increasing in d; hits 0.5 at margin/2, eps at 0, 1-eps at the margin.
     """
-    gain = (2.0 / collision_margin) * math.log((1.0 - eps) / eps)
-    return _logistic(gain * (d - 0.5 * collision_margin))
+    return _logistic(sigmoid_gain(collision_margin, eps)
+                     * (d - 0.5 * collision_margin))
 
 
 def boundary_factor(boundary_distance: float, collision_margin: float,
                     eps: float) -> float:
     """Workspace-rim factor for the informed robot.
 
-    Same shape as sigmoid_collision, applied to the robot's distance to the
-    workspace boundary, R_w - ||p||.
+    sigmoid_collision applied to the robot's distance to the workspace
+    boundary, R_w - ||p||.
     """
-    gain = (2.0 / collision_margin) * math.log((1.0 - eps) / eps)
-    return _logistic(gain * (boundary_distance - 0.5 * collision_margin))
+    return sigmoid_collision(boundary_distance, collision_margin, eps)
 
 
 def goal_leader(position: np.ndarray, goal: np.ndarray) -> float:

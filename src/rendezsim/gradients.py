@@ -20,7 +20,7 @@ import numpy as np
 
 from .fields import (FieldEval, FieldParams, boundary_factor, goal_follower,
                      navfunc_follower, navfunc_leader, sigmoid_collision,
-                     sigmoid_connectivity)
+                     sigmoid_connectivity, sigmoid_gain)
 from .model import RegionFlag
 
 ScalarField = Callable[[np.ndarray], float]
@@ -29,24 +29,14 @@ ScalarField = Callable[[np.ndarray], float]
 def connectivity_slope(d: float, sensing_radius: float,
                        connectivity_buffer: float, eps: float) -> float:
     """d/dd of the edge-keeping sigmoid; strictly negative."""
-    gain = (2.0 / connectivity_buffer) * math.log((1.0 - eps) / eps)
     b = sigmoid_connectivity(d, sensing_radius, connectivity_buffer, eps)
-    return -gain * b * (1.0 - b)
+    return -sigmoid_gain(connectivity_buffer, eps) * b * (1.0 - b)
 
 
 def collision_slope(d: float, collision_margin: float, eps: float) -> float:
     """d/dd of the separation sigmoid; strictly positive."""
-    gain = (2.0 / collision_margin) * math.log((1.0 - eps) / eps)
     s = sigmoid_collision(d, collision_margin, eps)
-    return gain * s * (1.0 - s)
-
-
-def boundary_slope(boundary_distance: float, collision_margin: float,
-                   eps: float) -> float:
-    """d/dd of the workspace-rim factor with respect to the rim distance."""
-    gain = (2.0 / collision_margin) * math.log((1.0 - eps) / eps)
-    s = boundary_factor(boundary_distance, collision_margin, eps)
-    return gain * s * (1.0 - s)
+    return sigmoid_gain(collision_margin, eps) * s * (1.0 - s)
 
 
 def fd_gradient(f: ScalarField, p: np.ndarray, h: float) -> np.ndarray:
@@ -227,8 +217,9 @@ def grad_navfunc_leader(position: np.ndarray,
     grad_gamma = 2.0 * rel
     grad_dip = 2.0 * proj * axis
     if norm > 0.0:
-        grad_bnd = boundary_slope(d0, params.collision_margin,
-                                  params.sigmoid_eps) * (-position / norm)
+        # the rim factor is the separation sigmoid of the rim distance
+        grad_bnd = collision_slope(d0, params.collision_margin,
+                                   params.sigmoid_eps) * (-position / norm)
     else:
         # rim direction undefined at the workspace center; the factor is
         # saturated there anyway

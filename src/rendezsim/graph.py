@@ -32,12 +32,6 @@ class Topology:
     monitored_edges: tuple[Edge, ...] = field(default_factory=tuple)
 
 
-@dataclass
-class LaplacianSnapshot:
-    matrix: np.ndarray  # (n, n)
-    timestamp: float = 0.0
-
-
 def build_topology(states: list[RobotState], sensing_radius: float) -> Topology:
     """Build the sensing graph: edge (i, j) iff ||p_i - p_j|| < radius, strictly.
 
@@ -87,9 +81,8 @@ def has_rooted_spanning_tree(topo: Topology, root: int) -> bool:
 
 
 def laplacian(topo: Topology, weights: dict[Edge, float],
-              linear_gains: list[float], informed: int = 1,
-              timestamp: float = 0.0) -> LaplacianSnapshot:
-    """Assemble the weighted graph Laplacian of the follower dynamics.
+              linear_gains: list[float], informed: int = 1) -> np.ndarray:
+    """Assemble the (n, n) weighted graph Laplacian of the follower dynamics.
 
     Row i (a follower) has diagonal sum(k_i * w_ij) over its neighbors and
     -k_i * w_ij off-diagonal; the informed robot's row is identically zero
@@ -108,14 +101,7 @@ def laplacian(topo: Topology, weights: dict[Edge, float],
                 raise GraphError(f"missing weight for edge ({i}, {j})") from None
             mat[i - 1, i - 1] += k * w
             mat[i - 1, j - 1] -= k * w
-    return LaplacianSnapshot(matrix=mat, timestamp=timestamp)
-
-
-def current_edge_distances(positions: dict[int, np.ndarray],
-                           edges: tuple[Edge, ...]) -> dict[Edge, float]:
-    """Recompute distances for a fixed edge set from fresh positions."""
-    return {(i, j): float(np.linalg.norm(positions[i] - positions[j]))
-            for i, j in edges}
+    return mat
 
 
 def tree_edge_stress(topo: Topology, sensing_radius: float,

@@ -101,12 +101,6 @@ class ScenarioConfig:
     position_tolerance: float = 0.05  # convergence: goal distance per robot
     heading_tolerance: float = 0.02   # convergence: |heading error| per robot
     collision_floor: float = 0.05     # monitor alarm distance while avoiding
-    integrator: str = "rk4"           # "rk4" or "euler"
-
-    @property
-    def switch_distance(self) -> float:
-        """Leader-to-goal distance at which collision avoidance is dropped."""
-        return self.rendezvous_radius - self.sensing_radius * (self.n_robots - 1)
 
     def __post_init__(self):
         self.goal_position = np.asarray(self.goal_position, dtype=float)
@@ -157,8 +151,6 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
             "gradient_mode must be 'full' or 'paper'")
     require(cfg.neighbor_mode in ("frozen", "accreting"),
             "neighbor_mode must be 'frozen' or 'accreting'")
-    require(cfg.integrator in ("rk4", "euler"),
-            "integrator must be 'rk4' or 'euler'")
     for name in ("gradient_floor", "distance_floor", "hessian_step",
                  "position_tolerance", "heading_tolerance", "collision_floor"):
         require(getattr(cfg, name) > 0.0, f"{name} must be > 0")

@@ -56,7 +56,6 @@ _CONFIG_KEYS = {
     "position_tolerance": ("float", False),
     "heading_tolerance": ("float", False),
     "collision_floor": ("float", False),
-    "integrator": ("str", False),
 }
 
 _DEPLOY_KEYS = {"mode", "seed", "center", "spread", "min_separation"}

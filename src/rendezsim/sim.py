@@ -12,6 +12,12 @@ from .model import (RegionFlag, RobotState, Role, ScenarioConfig,
                     normalize_angle, validate_scenario)
 
 
+# |heading error| of the informed robot below which compute_metrics treats
+# it as noise; far above the 9-decimal export precision, so metrics on an
+# export fit the same window as metrics on the live log
+HEADING_NOISE_FLOOR = 1e-4  # rad
+
+
 class AssumptionError(RuntimeError):
     """The initial graph lacks a spanning tree rooted at the informed robot."""
 
@@ -77,31 +83,26 @@ class Metrics:
     heading_decay_rate: float | None
 
 
-def integrate_pose(pose: np.ndarray, v: float, omega: float, dt: float,
-                   method: str = "rk4") -> np.ndarray:
+def integrate_pose(pose: np.ndarray, v: float, omega: float,
+                   dt: float) -> np.ndarray:
     """Advance one unicycle pose with the controls held constant over dt."""
     out = _integrate_all(np.asarray(pose, dtype=float).reshape(1, 3),
-                         np.array([v]), np.array([omega]), dt, method)
+                         np.array([v]), np.array([omega]), dt)
     return out[0]
 
 
-def _derivatives(poses, vs, ws):
-    th = poses[:, 2]
-    return np.stack([vs * np.cos(th), vs * np.sin(th), ws], axis=1)
+def _integrate_all(poses, vs, ws, dt):
+    """Exact step: with v and omega held over dt each path is a circular arc.
 
-
-def _integrate_all(poses, vs, ws, dt, method):
-    if method == "euler":
-        new = poses + dt * _derivatives(poses, vs, ws)
-    elif method == "rk4":
-        k1 = _derivatives(poses, vs, ws)
-        k2 = _derivatives(poses + 0.5 * dt * k1, vs, ws)
-        k3 = _derivatives(poses + 0.5 * dt * k2, vs, ws)
-        k4 = _derivatives(poses + dt * k3, vs, ws)
-        new = poses + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
-        raise ValueError(f"unknown integrator {method!r}")
-    new = new.copy()
+    The chord is v*dt*sinc(omega*dt/2) long and points along the mid-step
+    heading; np.sinc is exactly 1 at zero, so straight lines need no branch.
+    """
+    half = 0.5 * dt * ws
+    chord = dt * vs * np.sinc(half / np.pi)
+    mid = poses[:, 2] + half
+    new = np.stack([poses[:, 0] + chord * np.cos(mid),
+                    poses[:, 1] + chord * np.sin(mid),
+                    poses[:, 2] + dt * ws], axis=1)
     for r in range(new.shape[0]):
         new[r, 2] = normalize_angle(new[r, 2])
     return new
@@ -145,7 +146,7 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
                       for s in states])
     vs = np.array([c.v for c in controls])
     ws = np.array([c.omega for c in controls])
-    new_poses = _integrate_all(poses, vs, ws, cfg.time_step, cfg.integrator)
+    new_poses = _integrate_all(poses, vs, ws, cfg.time_step)
     if not np.all(np.isfinite(new_poses)):
         raise RuntimeError(f"non-finite state after integration:\n{new_poses}")
 
@@ -191,6 +192,19 @@ def monitor_invariants(states: list[RobotState], pair_distances: dict,
     return events
 
 
+def initial_topology(cfg: ScenarioConfig) -> Topology:
+    """Sensing graph of the initial poses.
+
+    Raises AssumptionError unless it has a spanning tree rooted at the
+    informed robot, which every claim of the closed loop assumes.
+    """
+    topo = build_topology(cfg.initial_states, cfg.sensing_radius)
+    if not has_rooted_spanning_tree(topo, root=1):
+        raise AssumptionError(
+            "initial graph has no spanning tree rooted at the informed robot")
+    return topo
+
+
 def _pair_list(n: int) -> tuple:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
@@ -208,11 +222,8 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     states = list(cfg.initial_states)
     n = cfg.n_robots
 
-    topo = build_topology(states, cfg.sensing_radius)
-    if not has_rooted_spanning_tree(topo, root=1):
-        raise AssumptionError(
-            "initial graph has no spanning tree rooted at the informed robot")
-    neighbors = dict(topo.neighbors)  # frozen sets; may grow when accreting
+    # neighbor sets stay frozen unless accretion grows them in place
+    topo = initial_topology(cfg)
     pairs = _pair_list(n)
     monitored_pairs = {(i, j) for i, j in pairs
                        if (i, j) in topo.distances}
@@ -239,11 +250,8 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     k = 0
     while True:
         t = k * cfg.time_step
-        run_topo = Topology(n=n, neighbors=neighbors,
-                            distances=topo.distances,
-                            monitored_edges=topo.monitored_edges)
         new_states, controls, new_region = step(
-            states, region, cfg, run_topo, prev_theta_d, params)
+            states, region, cfg, topo, prev_theta_d, params)
 
         times[k] = t
         regions[k] = 0 if region is RegionFlag.COLLISION_FREE else 1
@@ -283,7 +291,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
                                 "informed robot reached the switch distance"))
         region = new_region
         if cfg.neighbor_mode == "accreting":
-            _accrete_edges(neighbors, states, cfg)
+            _accrete_edges(topo.neighbors, states, cfg)
         k += 1
 
     log = TrajectoryLog(
@@ -313,13 +321,17 @@ def _accrete_edges(neighbors: dict, states: list[RobotState],
 
 def fit_decay_rate(times: np.ndarray, values: np.ndarray,
                    floor: float = 1e-12) -> float | None:
-    """Least-squares exponential rate of |values| over time (positive=decay)."""
+    """Least-squares exponential decay rate of |values| over time.
+
+    None when fewer than two samples exceed the floor or |values| does not
+    decay.
+    """
     mag = np.abs(values)
     keep = mag > floor
     if keep.sum() < 2:
         return None
-    slope = np.polyfit(times[keep], np.log(mag[keep]), 1)[0]
-    return -float(slope)
+    rate = -float(np.polyfit(times[keep], np.log(mag[keep]), 1)[0])
+    return rate if rate > 0.0 else None
 
 
 def compute_metrics(log: TrajectoryLog, cfg: ScenarioConfig | None = None) -> Metrics:
@@ -341,8 +353,12 @@ def compute_metrics(log: TrajectoryLog, cfg: ScenarioConfig | None = None) -> Me
                    if log.switch_step is not None
                    and log.switch_step < log.n_steps else None)
 
-    start = log.switch_step if log.switch_step is not None else 0
-    rate = fit_decay_rate(log.times[start:], log.controls[start:, 0, 3])
+    # fit the informed robot's leading steps, before its heading error first
+    # reaches the noise floor; after that it is noise, not decay
+    tilde = log.controls[:, 0, 3]
+    quiet = np.flatnonzero(np.abs(tilde) <= HEADING_NOISE_FLOOR)
+    end = quiet[0] if quiet.size else log.n_steps
+    rate = fit_decay_rate(log.times[:end], tilde[:end])
 
     return Metrics(final_position_errors=errs, final_heading_errors=head,
                    min_distance_collision_free=min_cf,

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from rendezsim import (RegionFlag, angular_velocity,
+from rendezsim import (RegionFlag, angular_velocity, compute_metrics,
                        export_trajectory, fd_gradient, grad_navfunc_follower,
                        grad_navfunc_leader, integrate_pose, laplacian,
                        navfunc_follower, navfunc_leader, normalize_angle,
@@ -147,9 +147,14 @@ def test_criterion_04_heading_error_decay(reference):
     tilde_1 = np.abs(log.controls[sw:, 0, 3])
     increments = np.diff(tilde_1)
     assert increments.max() <= HEADING_SLACK, increments.max()
+
+    # the reported decay rate of the closed loop matches the gain
+    fitted = compute_metrics(log).heading_decay_rate
+    assert fitted == pytest.approx(k_w, rel=0.05), fitted
     _report(4, f"frozen-field decay rate {rate:.4f} vs gain {k_w} "
                f"(within 1%); post-switch |heading error| increments "
-               f"at most {increments.max():.2e} rad")
+               f"at most {increments.max():.2e} rad; reported decay rate "
+               f"{fitted:.4f} 1/s (within 5%)")
 
 
 def test_criterion_05_gradient_oracle(reference_params):
@@ -226,11 +231,11 @@ def test_criterion_07_laplacian_structure(reference_params):
         gains = rng.uniform(0.5, 3.0, n).tolist()
         weights = {(i, j): float(rng.uniform(0.0, 4.0))
                    for i in range(2, n + 1) for j in nbrs[i]}
-        snap = laplacian(topo, weights, gains)
+        mat = laplacian(topo, weights, gains)
         worst_sum = max(worst_sum,
-                        float(np.abs(snap.matrix.sum(axis=1)).max()))
-        assert np.all(snap.matrix[~np.eye(n, dtype=bool)] <= 0.0)
-        assert np.all(snap.matrix[0] == 0.0)
+                        float(np.abs(mat.sum(axis=1)).max()))
+        assert np.all(mat[~np.eye(n, dtype=bool)] <= 0.0)
+        assert np.all(mat[0] == 0.0)
     assert worst_sum < ROWSUM_TOL, worst_sum
 
     params = reference_params

@@ -84,15 +84,15 @@ class TestSpanningTree:
 class TestLaplacian:
     def test_two_robot_example(self):
         topo = topo_from_neighbors(2, {2: (1,)})
-        snap = laplacian(topo, {(2, 1): 2.0}, [1.0, 1.0])
-        assert np.allclose(snap.matrix, [[0.0, 0.0], [-2.0, 2.0]])
+        mat = laplacian(topo, {(2, 1): 2.0}, [1.0, 1.0])
+        assert np.allclose(mat, [[0.0, 0.0], [-2.0, 2.0]])
 
     def test_zero_weights_give_zero_matrix(self):
         nbrs = {i: tuple(j for j in range(1, 5) if j != i) for i in range(1, 5)}
         topo = topo_from_neighbors(4, nbrs)
         weights = {(i, j): 0.0 for i in range(1, 5) for j in nbrs[i]}
-        snap = laplacian(topo, weights, [1.0] * 4)
-        assert np.all(snap.matrix == 0.0)
+        mat = laplacian(topo, weights, [1.0] * 4)
+        assert np.all(mat == 0.0)
 
     def test_missing_weight_rejected(self):
         topo = topo_from_neighbors(2, {2: (1,)})
@@ -115,19 +115,19 @@ class TestLaplacian:
             gains = rng.uniform(0.5, 3.0, n).tolist()
             weights = {(i, j): float(rng.uniform(0.0, 5.0))
                        for i in range(2, n + 1) for j in nbrs[i]}
-            snap = laplacian(topo, weights, gains)
+            mat = laplacian(topo, weights, gains)
 
             expected = np.zeros((n, n))
             for i in range(2, n + 1):
                 for j in nbrs[i]:
                     expected[i - 1, i - 1] += gains[i - 1] * weights[(i, j)]
                     expected[i - 1, j - 1] = -gains[i - 1] * weights[(i, j)]
-            assert np.allclose(snap.matrix, expected, atol=0.0)
+            assert np.allclose(mat, expected, atol=0.0)
 
-            assert np.all(np.abs(snap.matrix.sum(axis=1)) < 1e-12)
-            off = snap.matrix[~np.eye(n, dtype=bool)]
+            assert np.all(np.abs(mat.sum(axis=1)) < 1e-12)
+            off = mat[~np.eye(n, dtype=bool)]
             assert np.all(off <= 0.0)
-            assert np.all(snap.matrix[0] == 0.0)
+            assert np.all(mat[0] == 0.0)
 
 
 class TestTreeEdgeStress:

@@ -4,9 +4,9 @@ from dataclasses import fields as dc_fields
 import numpy as np
 import pytest
 
-from rendezsim import (ScenarioError, compute_metrics, emit_plot_script,
-                       export_trajectory, load_trajectory, parse_scenario,
-                       run, write_scenario)
+from rendezsim import (FieldParams, ScenarioError, compute_metrics,
+                       emit_plot_script, export_trajectory, load_trajectory,
+                       parse_scenario, run, write_scenario)
 from rendezsim.cli import main
 from rendezsim.scenario_io import ParseError
 
@@ -59,7 +59,7 @@ class TestParseScenario:
         assert cfg.connectivity_buffer == 0.4
         assert cfg.field_exponent == 1.2
         assert cfg.workspace_radius == 50.0
-        assert cfg.switch_distance == pytest.approx(1.5)
+        assert FieldParams.from_config(cfg).switch_distance == pytest.approx(1.5)
         assert len(cfg.initial_states) == 6
 
     def test_seeded_deployment_is_deterministic(self):
@@ -76,10 +76,12 @@ class TestParseScenario:
             parse_scenario(str(path))
 
     def test_unknown_key_rejected_with_line(self, tmp_path):
-        path = tmp_path / "bad.scn"
-        write_lines(path, ["bogus_knob = 3"] + minimal_lines())
-        with pytest.raises(ParseError, match=r"bad.scn:1.*bogus_knob"):
-            parse_scenario(str(path))
+        # integrator was a key once; old files must fail, not parse silently
+        for key in ("bogus_knob", "integrator"):
+            path = tmp_path / "bad.scn"
+            write_lines(path, [f"{key} = rk4"] + minimal_lines())
+            with pytest.raises(ParseError, match=rf"bad.scn:1.*{key}"):
+                parse_scenario(str(path))
 
     def test_bad_number_reported(self, tmp_path):
         path = tmp_path / "bad.scn"

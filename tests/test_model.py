@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rendezsim import (RobotState, Role, ScenarioError, normalize_angle,
-                       validate_scenario)
+from rendezsim import (FieldParams, RobotState, Role, ScenarioError,
+                       normalize_angle, validate_scenario)
 
 from conftest import make_states, small_config
 
@@ -62,7 +62,8 @@ class TestValidateScenario:
             linear_gains=[2.0] + [4.0] * 5, angular_gains=[8.0] * 6,
             initial_states=states)
         assert validate_scenario(cfg) is cfg
-        assert cfg.switch_distance == pytest.approx(1.5)
+        assert FieldParams.from_config(cfg).switch_distance == pytest.approx(
+            1.5)
 
     def test_collision_margin_must_be_below_sensing(self):
         cfg = small_config(collision_margin=2.0)

@@ -17,27 +17,19 @@ class TestIntegrator:
         out = integrate_pose(pose, 0.0, 0.0, 0.1)
         assert np.array_equal(out, pose)
 
-    def test_euler_straight_line(self):
-        out = integrate_pose(np.array([0.0, 0.0, 0.0]), 1.0, 0.0, 0.1,
-                             method="euler")
-        assert out[0] == pytest.approx(0.1)
-        assert out[1] == 0.0
-
-    def test_rk4_matches_unit_circle_arc(self):
+    def test_one_step_lands_on_unit_circle_arc(self):
         # constant v=1, omega=1 from the origin: exact pose at time t is
-        # (sin t, 1 - cos t, t)
-        t_end = math.pi / 2
-        n = 300
-        dt = t_end / n
-        pose = np.zeros(3)
-        for _ in range(n):
-            pose = integrate_pose(pose, 1.0, 1.0, dt)
-        exact = np.array([math.sin(t_end), 1.0 - math.cos(t_end), t_end])
-        assert np.allclose(pose, exact, atol=1e-6)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="integrator"):
-            integrate_pose(np.zeros(3), 1.0, 0.0, 0.1, method="verlet")
+        # (sin t, 1 - cos t, t), so a single quarter-turn step is exact
+        out = integrate_pose(np.zeros(3), 1.0, 1.0, math.pi / 2)
+        assert np.allclose(out, [1.0, 1.0, math.pi / 2], rtol=0.0, atol=1e-12)
+        # a vanishing turn rate meets the straight line without a branch
+        pose = np.array([1.0, -2.0, 0.7])
+        tiny = integrate_pose(pose, 1.5, 1e-12, 0.1)
+        straight = integrate_pose(pose, 1.5, 0.0, 0.1)
+        assert np.allclose(tiny, straight, rtol=0.0, atol=1e-12)
+        assert np.allclose(straight, [1.0 + 0.15 * math.cos(0.7),
+                                      -2.0 + 0.15 * math.sin(0.7), 0.7],
+                           rtol=0.0, atol=1e-12)
 
     def test_heading_normalized(self):
         out = integrate_pose(np.array([0.0, 0.0, 3.0]), 0.0, 2.0, 0.2)
@@ -207,6 +199,31 @@ class TestMetrics:
         log.distances = np.zeros((s, 1))
         m = compute_metrics(log)
         assert m.heading_decay_rate == pytest.approx(2.0, rel=0.01)
+
+    def test_decay_rate_ignores_noise_after_the_decay(self):
+        # a decay down to the noise floor, then jitter around 1e-6 rad, then
+        # a late switch: only the leading window carries the rate
+        log = self._stationary_log()
+        times = np.arange(2000) * 0.005
+        s = len(times)
+        tilde = 0.5 * np.exp(-2.0 * times)
+        jitter = 1e-6 * np.random.default_rng(5).uniform(0.5, 1.5, s)
+        log.times = times
+        log.poses = np.zeros((s, 2, 3))
+        log.controls = np.zeros((s, 2, 5))
+        log.controls[:, 0, 3] = np.where(tilde > 1e-6, tilde, jitter)
+        log.phi = np.zeros((s, 2))
+        log.region = (times > 9.0).astype(np.int8)
+        log.distances = np.zeros((s, 1))
+        log.switch_step = int(np.argmax(times > 9.0))
+        m = compute_metrics(log)
+        assert m.heading_decay_rate == pytest.approx(2.0, rel=0.01)
+
+    def test_noise_only_log_has_no_decay_rate(self):
+        log = self._stationary_log()
+        log.controls[:, 0, 3] = 1e-6 * np.random.default_rng(7).uniform(
+            -1.0, 1.0, log.n_steps)
+        assert compute_metrics(log).heading_decay_rate is None
 
     def test_decay_fit_needs_signal(self):
         assert fit_decay_rate(np.arange(5.0), np.zeros(5)) is None
