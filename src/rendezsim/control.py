@@ -53,8 +53,6 @@ def heading_feedforward(theta_d: float, hessian: np.ndarray, theta: float,
     Quadratic form of the potential's Hessian between the tangent of the
     desired heading and the current motion direction.
     """
-    if hessian is None:
-        return 0.0
     left = np.array([math.sin(theta_d), -math.cos(theta_d)])
     right = np.array([math.cos(theta), math.sin(theta)])
     return k_v * math.cos(theta_tilde) * float(left @ hessian @ right)
@@ -73,8 +71,7 @@ def compute_control(robot: RobotState,
                     prev_theta_d: float | None = None,
                     *, gradient_mode: str = "full",
                     gradient_floor: float = 1e-9,
-                    distance_floor: float = 1e-9,
-                    hessian_step: float = 1e-5) -> ControlOutput:
+                    distance_floor: float = 1e-9) -> ControlOutput:
     """Evaluate the robot's own potential and chain the four control laws.
 
     The informed robot uses the dipolar goal potential and needs no
@@ -83,13 +80,11 @@ def compute_control(robot: RobotState,
     """
     ev: FieldEval
     if robot.role is Role.INFORMED:
-        ev = leader_field_eval(robot.position, params, region,
-                               hessian_step=hessian_step)
+        ev = leader_field_eval(robot.position, params, region)
     else:
         ev = follower_field_eval(robot.position, neighbor_positions, region,
                                  params, gradient_mode=gradient_mode,
-                                 distance_floor=distance_floor,
-                                 hessian_step=hessian_step)
+                                 distance_floor=distance_floor)
     theta_d = desired_heading(ev.gradient, robot.heading, prev_theta_d,
                               gradient_floor)
     theta_tilde = normalize_angle(robot.heading - theta_d)

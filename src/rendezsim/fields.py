@@ -128,11 +128,6 @@ class FieldParams:
         )
 
     @property
-    def goal_axis(self) -> np.ndarray:
-        """Unit vector along the desired final heading."""
-        return np.array([math.cos(self.goal_heading), math.sin(self.goal_heading)])
-
-    @property
     def switch_distance(self) -> float:
         """Leader-to-goal distance below which collision avoidance is dropped.
 
@@ -149,7 +144,7 @@ class FieldEval:
 
     value: float
     gradient: np.ndarray        # shape (2,)
-    hessian: np.ndarray | None  # shape (2, 2), None when not requested
+    hessian: np.ndarray         # shape (2, 2)
     region: RegionFlag
 
 

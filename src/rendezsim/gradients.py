@@ -1,4 +1,4 @@
-"""Analytic gradients of the potentials, edge weights, and FD oracles.
+"""Analytic gradients, Hessians and edge weights of the potentials; FD oracles.
 
 Two gradient laws are provided for followers, selected by ``gradient_mode``:
 
@@ -24,19 +24,6 @@ from .fields import (FieldEval, FieldParams, boundary_factor, goal_follower,
 from .model import RegionFlag
 
 ScalarField = Callable[[np.ndarray], float]
-
-
-def connectivity_slope(d: float, sensing_radius: float,
-                       connectivity_buffer: float, eps: float) -> float:
-    """d/dd of the edge-keeping sigmoid; strictly negative."""
-    b = sigmoid_connectivity(d, sensing_radius, connectivity_buffer, eps)
-    return -sigmoid_gain(connectivity_buffer, eps) * b * (1.0 - b)
-
-
-def collision_slope(d: float, collision_margin: float, eps: float) -> float:
-    """d/dd of the separation sigmoid; strictly positive."""
-    s = sigmoid_collision(d, collision_margin, eps)
-    return sigmoid_gain(collision_margin, eps) * s * (1.0 - s)
 
 
 def fd_gradient(f: ScalarField, p: np.ndarray, h: float) -> np.ndarray:
@@ -94,57 +81,84 @@ def grad_goal_follower(position: np.ndarray,
     return np.array([2.0 * gx, 2.0 * gy])
 
 
-def _edge_factors(position, neighbor_positions, params):
-    """Distances and sigmoid factors for every neighbor edge, one pass."""
-    dists = []
-    bs = []
-    cs = []
+def _quotient_jet(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta):
+    """Gradient, Hessian and denominator e of gamma / (gamma^a + beta)^(1/a).
+
+    Gradients come as (x, y), the Hessian of beta as (xx, xy, yy); the
+    Hessian of gamma is lap_gamma * I for both potentials. With
+    e = a * (gamma^a + beta)^(1/a + 1) and N = a beta grad gamma - gamma
+    grad beta: grad phi = N / e, hess phi = (grad N - grad phi grad e^T) / e,
+    a symmetric matrix whose off-diagonal is averaged against rounding.
+    """
+    gx, gy = dgamma
+    bx, by = dbeta
+    bxx, bxy, byy = ddbeta
+    s = gamma ** alpha + beta
+    e = alpha * s ** (1.0 / alpha + 1.0)
+    ab = alpha * beta
+    fx = (ab * gx - gamma * bx) / e
+    fy = (ab * gy - gamma * by) / e
+    # d(gamma^a)/d(gamma) diverges at gamma = 0 for a < 1, where grad gamma
+    # vanishes and so does every term it multiplies
+    dpow = alpha * gamma ** (alpha - 1.0) if gamma > 0.0 else 0.0
+    c = (alpha + 1.0) * s ** (1.0 / alpha)
+    ex = c * (dpow * gx + bx)
+    ey = c * (dpow * gy + by)
+    a1 = alpha - 1.0
+    hxx = (a1 * gx * bx + ab * lap_gamma - gamma * bxx - fx * ex) / e
+    hyy = (a1 * gy * by + ab * lap_gamma - gamma * byy - fy * ey) / e
+    hxy = (0.5 * (a1 * (gx * by + gy * bx) - fx * ey - fy * ex)
+           - gamma * bxy) / e
+    return np.array([fx, fy]), np.array([[hxx, hxy], [hxy, hyy]]), e
+
+
+def _constraint_jet(position, neighbor_positions, region, params,
+                    gradient_mode, distance_floor):
+    """Constraint product beta of the mode, its derivatives, and edge slopes.
+
+    Each factor is logistic in d_j, so its log-derivatives are closed form in
+    the factor itself: (log b)' = -k_b (1 - b), (log b)'' = -k_b^2 b (1 - b),
+    and likewise for B. With l_j, l_j'' summed over edge j's factors,
+    u_j = (p - q_j) / d_j and g = sum l_j u_j: grad beta = beta g and
+    hess beta = beta (g g^T + sum l_j'' u_j u_j^T + l_j / d_j (I - u_j u_j^T)).
+    The slopes l_j / d_j give grad beta = beta * sum slope_j * (p - q_j);
+    edges closer than the distance floor (only met at consensus) add none.
+    """
+    avoid = region is RegionFlag.COLLISION_FREE and gradient_mode == "full"
+    eps = params.sigmoid_eps
+    k_b = sigmoid_gain(params.connectivity_buffer, eps)
+    k_c = sigmoid_gain(params.collision_margin, eps)
+    beta = 1.0
+    gx = gy = hxx = hxy = hyy = 0.0
+    slopes = []
     for q in neighbor_positions:
         dx = position[0] - q[0]
         dy = position[1] - q[1]
         d = math.sqrt(dx * dx + dy * dy)
-        dists.append(d)
-        bs.append(sigmoid_connectivity(d, params.sensing_radius,
-                                       params.connectivity_buffer,
-                                       params.sigmoid_eps))
-        cs.append(sigmoid_collision(d, params.collision_margin,
-                                    params.sigmoid_eps))
-    return dists, bs, cs
-
-
-def _constraint_edge_weights(position, neighbor_positions, region, params,
-                             gradient_mode, distance_floor):
-    """Per-edge scalars w_j with grad(beta) = sum w_j * (p - q_j).
-
-    Also returns the scalar constraint value beta consistent with the mode:
-    the regional product for "full", the connectivity-only product for
-    "paper". Edges closer than the distance floor contribute nothing (they
-    only occur at consensus, where the goal term vanishes as well).
-    """
-    dists, bs, cs = _edge_factors(position, neighbor_positions, params)
-    avoid = region is RegionFlag.COLLISION_FREE and gradient_mode == "full"
-    factors = [b * c for b, c in zip(bs, cs)] if avoid else bs
-    beta = 1.0
-    for f in factors:
-        beta *= f
-    weights = []
-    for j, d in enumerate(dists):
-        if d < distance_floor:
-            weights.append(0.0)
-            continue
-        rest = 1.0
-        for l, f in enumerate(factors):
-            if l != j:
-                rest *= f
-        db = connectivity_slope(d, params.sensing_radius,
-                                params.connectivity_buffer, params.sigmoid_eps)
+        b = sigmoid_connectivity(d, params.sensing_radius,
+                                 params.connectivity_buffer, eps)
+        beta *= b
+        l1 = -k_b * (1.0 - b)
+        l2 = -k_b * k_b * b * (1.0 - b)
         if avoid:
-            dc = collision_slope(d, params.collision_margin, params.sigmoid_eps)
-            dfac = db * cs[j] + bs[j] * dc
-        else:
-            dfac = db
-        weights.append(dfac * rest / d)
-    return beta, weights
+            c = sigmoid_collision(d, params.collision_margin, eps)
+            beta *= c
+            l1 += k_c * (1.0 - c)
+            l2 -= k_c * k_c * c * (1.0 - c)
+        if d < distance_floor:
+            slopes.append(0.0)
+            continue
+        t = l1 / d
+        w = (l2 - t) / (d * d)
+        slopes.append(t)
+        gx += t * dx
+        gy += t * dy
+        hxx += w * dx * dx + t
+        hxy += w * dx * dy
+        hyy += w * dy * dy + t
+    return (beta, (beta * gx, beta * gy),
+            (beta * (gx * gx + hxx), beta * (gx * gy + hxy),
+             beta * (gy * gy + hyy)), slopes)
 
 
 def grad_constraint_follower(position: np.ndarray,
@@ -153,14 +167,8 @@ def grad_constraint_follower(position: np.ndarray,
                              gradient_mode: str = "full",
                              distance_floor: float = 1e-9) -> np.ndarray:
     """Gradient of the constraint product for the selected mode."""
-    _, weights = _constraint_edge_weights(position, neighbor_positions, region,
-                                          params, gradient_mode, distance_floor)
-    gx = 0.0
-    gy = 0.0
-    for w, q in zip(weights, neighbor_positions):
-        gx += w * (position[0] - q[0])
-        gy += w * (position[1] - q[1])
-    return np.array([gx, gy])
+    return np.array(_constraint_jet(position, neighbor_positions, region,
+                                    params, gradient_mode, distance_floor)[1])
 
 
 @dataclass
@@ -169,7 +177,7 @@ class GradientBundle:
 
     gradient: np.ndarray
     edge_weights: tuple[float, ...]  # aligned with the neighbor sequence
-    method: str = "analytic"
+    hessian: np.ndarray              # shape (2, 2)
 
 
 def grad_navfunc_follower(position: np.ndarray,
@@ -177,58 +185,68 @@ def grad_navfunc_follower(position: np.ndarray,
                           region: RegionFlag, params: FieldParams,
                           gradient_mode: str = "full",
                           distance_floor: float = 1e-9) -> GradientBundle:
-    """Quotient-rule gradient of the follower potential with edge weights.
+    """Quotient-rule gradient and Hessian of the follower potential.
 
+    The potential is the one the selected gradient law descends (see
+    ``follower_potential``). Edge weights
     m_j = (2 * alpha * beta - gamma * w_j) / (alpha * (gamma^a + beta)^(1/a+1))
-    where w_j are the constraint edge weights; the two representations agree
-    by construction. With the collision factors absent, w_j <= 0 and every
-    m_j is nonnegative.
+    where w_j = beta * slope_j are the constraint edge weights; the two
+    representations agree by construction. With the collision factors absent,
+    w_j <= 0 and every m_j is nonnegative.
     """
     alpha = params.field_exponent
     gamma = goal_follower(position, neighbor_positions)
-    beta, weights = _constraint_edge_weights(position, neighbor_positions,
-                                             region, params, gradient_mode,
-                                             distance_floor)
-    denom = alpha * (gamma ** alpha + beta) ** (1.0 / alpha + 1.0)
-    ms = tuple((2.0 * alpha * beta - gamma * w) / denom for w in weights)
-    gx = 0.0
-    gy = 0.0
-    for m, q in zip(ms, neighbor_positions):
-        gx += m * (position[0] - q[0])
-        gy += m * (position[1] - q[1])
-    return GradientBundle(gradient=np.array([gx, gy]), edge_weights=ms)
+    beta, dbeta, ddbeta, slopes = _constraint_jet(
+        position, neighbor_positions, region, params, gradient_mode,
+        distance_floor)
+    grad, hess, e = _quotient_jet(
+        alpha, gamma, grad_goal_follower(position, neighbor_positions),
+        2.0 * len(neighbor_positions), beta, dbeta, ddbeta)
+    ms = tuple((2.0 * alpha * beta - gamma * beta * t) / e for t in slopes)
+    return GradientBundle(gradient=grad, edge_weights=ms, hessian=hess)
+
+
+def _leader_jet(position, params):
+    """Gradient and Hessian of the informed robot's dipolar potential."""
+    px, py = position[0], position[1]
+    goal = params.goal_position
+    rx, ry = px - goal[0], py - goal[1]
+    ax, ay = math.cos(params.goal_heading), math.sin(params.goal_heading)
+    proj = rx * ax + ry * ay
+    dip = params.dipolar_eps + proj * proj
+    # dip has gradient 2 proj a and Hessian 2 a a^T
+    dx, dy = 2.0 * proj * ax, 2.0 * proj * ay
+
+    norm = math.hypot(px, py)
+    bnd = boundary_factor(params.workspace_radius - norm,
+                          params.collision_margin, params.sigmoid_eps)
+    if norm > 0.0:
+        # the rim factor B(R_w - |p|) has gradient -B' u and Hessian
+        # B'' u u^T - B' (I - u u^T) / |p|, with u = p / |p|
+        k = sigmoid_gain(params.collision_margin, params.sigmoid_eps)
+        s1 = k * bnd * (1.0 - bnd)
+        t = s1 / norm
+        w = (k * s1 * (1.0 - 2.0 * bnd) + t) / (norm * norm)
+        nx, ny = -t * px, -t * py
+        nxx, nxy, nyy = w * px * px - t, w * px * py, w * py * py - t
+    else:
+        # rim direction undefined at the workspace center; the factor is
+        # saturated there anyway
+        nx = ny = nxx = nxy = nyy = 0.0
+
+    dbeta = (bnd * dx + dip * nx, bnd * dy + dip * ny)
+    ddbeta = (2.0 * bnd * ax * ax + 2.0 * dx * nx + dip * nxx,
+              2.0 * bnd * ax * ay + dx * ny + dy * nx + dip * nxy,
+              2.0 * bnd * ay * ay + 2.0 * dy * ny + dip * nyy)
+    return _quotient_jet(params.field_exponent, rx * rx + ry * ry,
+                         (2.0 * rx, 2.0 * ry), 2.0, dip * bnd, dbeta,
+                         ddbeta)[:2]
 
 
 def grad_navfunc_leader(position: np.ndarray,
                         params: FieldParams) -> np.ndarray:
     """Quotient-rule gradient of the informed robot's dipolar potential."""
-    alpha = params.field_exponent
-    goal = params.goal_position
-    rel = np.array([position[0] - goal[0], position[1] - goal[1]])
-    gamma = rel[0] * rel[0] + rel[1] * rel[1]
-    axis = params.goal_axis
-    proj = rel[0] * axis[0] + rel[1] * axis[1]
-    dip = params.dipolar_eps + proj * proj
-
-    norm = math.hypot(position[0], position[1])
-    d0 = params.workspace_radius - norm
-    bnd = boundary_factor(d0, params.collision_margin, params.sigmoid_eps)
-
-    grad_gamma = 2.0 * rel
-    grad_dip = 2.0 * proj * axis
-    if norm > 0.0:
-        # the rim factor is the separation sigmoid of the rim distance
-        grad_bnd = collision_slope(d0, params.collision_margin,
-                                   params.sigmoid_eps) * (-position / norm)
-    else:
-        # rim direction undefined at the workspace center; the factor is
-        # saturated there anyway
-        grad_bnd = np.zeros(2)
-
-    obstacle = dip * bnd
-    grad_obstacle = bnd * grad_dip + dip * grad_bnd
-    denom = alpha * (gamma ** alpha + obstacle) ** (1.0 / alpha + 1.0)
-    return (alpha * obstacle * grad_gamma - gamma * grad_obstacle) / denom
+    return _leader_jet(position, params)[0]
 
 
 def follower_potential(position: np.ndarray,
@@ -247,15 +265,10 @@ def follower_potential(position: np.ndarray,
 
 
 def leader_field_eval(position: np.ndarray, params: FieldParams,
-                      region: RegionFlag, hessian_step: float = 1e-5,
-                      want_hessian: bool = True) -> FieldEval:
-    """Bundle value, analytic gradient and FD Hessian for the informed robot."""
-    hess = None
-    if want_hessian:
-        hess = fd_hessian(lambda p: navfunc_leader(p, params), position,
-                          hessian_step)
-    return FieldEval(value=navfunc_leader(position, params),
-                     gradient=grad_navfunc_leader(position, params),
+                      region: RegionFlag) -> FieldEval:
+    """Bundle value, analytic gradient and Hessian for the informed robot."""
+    grad, hess = _leader_jet(position, params)
+    return FieldEval(value=navfunc_leader(position, params), gradient=grad,
                      hessian=hess, region=region)
 
 
@@ -263,22 +276,15 @@ def follower_field_eval(position: np.ndarray,
                         neighbor_positions: Sequence[np.ndarray],
                         region: RegionFlag, params: FieldParams,
                         gradient_mode: str = "full",
-                        distance_floor: float = 1e-9,
-                        hessian_step: float = 1e-5,
-                        want_hessian: bool = True) -> FieldEval:
-    """Bundle value, analytic gradient and FD Hessian for a follower.
+                        distance_floor: float = 1e-9) -> FieldEval:
+    """Bundle value, analytic gradient and Hessian for a follower.
 
     The reported value is always the regional potential; gradient and Hessian
     follow the selected gradient law.
     """
     bundle = grad_navfunc_follower(position, neighbor_positions, region,
                                    params, gradient_mode, distance_floor)
-    hess = None
-    if want_hessian:
-        hess = fd_hessian(
-            lambda p: follower_potential(p, neighbor_positions, region,
-                                         params, gradient_mode),
-            position, hessian_step)
     return FieldEval(value=navfunc_follower(position, neighbor_positions,
                                             region, params),
-                     gradient=bundle.gradient, hessian=hess, region=region)
+                     gradient=bundle.gradient, hessian=bundle.hessian,
+                     region=region)

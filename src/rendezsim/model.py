@@ -95,7 +95,6 @@ class ScenarioConfig:
     initial_states: list[RobotState] = field(default_factory=list)
     gradient_floor: float = 1e-9      # below this norm the heading is held
     distance_floor: float = 1e-9      # clamp for 1/d factors in gradients
-    hessian_step: float = 1e-5
     gradient_mode: str = "full"       # "full" or "paper"
     neighbor_mode: str = "frozen"     # "frozen" or "accreting"
     position_tolerance: float = 0.05  # convergence: goal distance per robot
@@ -151,8 +150,8 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
             "gradient_mode must be 'full' or 'paper'")
     require(cfg.neighbor_mode in ("frozen", "accreting"),
             "neighbor_mode must be 'frozen' or 'accreting'")
-    for name in ("gradient_floor", "distance_floor", "hessian_step",
-                 "position_tolerance", "heading_tolerance", "collision_floor"):
+    for name in ("gradient_floor", "distance_floor", "position_tolerance",
+                 "heading_tolerance", "collision_floor"):
         require(getattr(cfg, name) > 0.0, f"{name} must be > 0")
 
     require(len(cfg.initial_states) == cfg.n_robots,

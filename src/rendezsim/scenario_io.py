@@ -50,7 +50,6 @@ _CONFIG_KEYS = {
     "horizon": ("float", True),
     "gradient_floor": ("float", False),
     "distance_floor": ("float", False),
-    "hessian_step": ("float", False),
     "gradient_mode": ("str", False),
     "neighbor_mode": ("str", False),
     "position_tolerance": ("float", False),
@@ -374,7 +373,12 @@ import matplotlib.pyplot as plt
 TRAJ = {traj!r}
 DIST = {dist!r}
 
-rows = np.genfromtxt(TRAJ, delimiter=",", comments="#", skip_header=8)
+# both files open with the same `# key = value` header, then column names
+with open(TRAJ, encoding="utf-8") as fh:
+    head = [line[1:].split("=") for line in fh if line.startswith("#")]
+meta = {{key.strip(): value.strip() for key, value in head}}
+
+rows = np.genfromtxt(TRAJ, delimiter=",", skip_header=len(meta) + 1)
 n = int(rows[:, 1].max())
 rows = rows.reshape(-1, n, 12)
 t = rows[:, 0, 0]
@@ -388,13 +392,13 @@ for i in range(n):
     for k in (0, len(t) - 1):
         ax.annotate("", xy=(x[k] + 0.4 * np.cos(th[k]), y[k] + 0.4 * np.sin(th[k])),
                     xytext=(x[k], y[k]), arrowprops=dict(arrowstyle="->"))
-ax.plot(0, 0, "k*", markersize=12)
+ax.plot(*map(float, meta["goal_position"].split()), "k*", markersize=12)
 ax.set_xlabel("x [m]"); ax.set_ylabel("y [m]")
 ax.set_title("Robot trajectories (arrows: start/end headings)")
 ax.axis("equal"); ax.legend(fontsize=8)
 fig.savefig("trajectory.png", dpi=150)
 
-drows = np.genfromtxt(DIST, delimiter=",", comments="#", skip_header=8)
+drows = np.genfromtxt(DIST, delimiter=",", skip_header=len(meta) + 1)
 p = len(drows) // len(t)
 drows = drows.reshape(-1, p, 5)
 fig, ax = plt.subplots(figsize=(8, 5))
@@ -402,7 +406,7 @@ for c in range(p):
     i, j = int(drows[0, c, 1]), int(drows[0, c, 2])
     ax.plot(t, drows[:, c, 3], label=f"d({{i}},{{j}})",
             lw=1.5 if drows[0, c, 4] else 0.7)
-ax.axhline(float(open(DIST).readlines()[5].split("=")[1]), color="k", ls="--")
+ax.axhline(float(meta["sensing_radius"]), color="k", ls="--")
 ax.set_xlabel("t [s]"); ax.set_ylabel("inter-robot distance [m]")
 ax.set_title("Evolution of inter-robot distances")
 ax.legend(fontsize=7, ncol=3)

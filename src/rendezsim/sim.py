@@ -139,8 +139,7 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
             prev_theta_d=prev_theta_d[idx],
             gradient_mode=cfg.gradient_mode,
             gradient_floor=cfg.gradient_floor,
-            distance_floor=cfg.distance_floor,
-            hessian_step=cfg.hessian_step)
+            distance_floor=cfg.distance_floor)
 
     poses = np.array([[s.position[0], s.position[1], s.heading]
                       for s in states])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from rendezsim import (RegionFlag, fd_gradient, fd_hessian,
                        grad_constraint_follower, grad_goal_follower,
                        grad_navfunc_follower, grad_navfunc_leader,
                        navfunc_leader)
-from rendezsim.fields import constraint_follower, goal_follower
-from rendezsim.gradients import connectivity_slope, follower_potential
+from rendezsim.fields import (boundary_factor, constraint_follower,
+                             goal_follower)
+from rendezsim.gradients import (follower_field_eval, follower_potential,
+                                 leader_field_eval)
 
 
 def unit(rng):
@@ -103,8 +106,8 @@ class TestConstraintGradient:
         q = np.array([1.5, 0.0])  # midpoint of the connectivity sigmoid
         g = grad_constraint_follower(p, [q], RegionFlag.RENDEZVOUS,
                                      params_fig2)
-        slope = connectivity_slope(1.5, 2.0, 1.0, 0.01)
-        assert slope == pytest.approx(-math.log(99.0) / 2.0, rel=1e-12)
+        # b'(d) = -k b (1 - b) with k = 2 ln(99) / buffer and b = 1/2
+        slope = -math.log(99.0) / 2.0
         expected = slope * (p - q) / 1.5
         assert np.allclose(g, expected, rtol=1e-12)
         assert g[0] > 0  # attraction toward the neighbor at (1.5, 0)
@@ -213,3 +216,97 @@ class TestLeaderGradient:
         params = replace(params_s5, goal_position=np.array([3.0, 0.0]))
         g = grad_navfunc_leader(np.zeros(2), params)
         assert np.all(np.isfinite(g))
+
+
+def rel_error(h, fd):
+    return np.linalg.norm(h - fd) / max(np.linalg.norm(fd), 1e-9)
+
+
+class TestHessianOracle:
+    def test_leader_matches_fd_hessian(self, params_s5):
+        rng = np.random.default_rng(8)
+        worst = 0.0
+        for _ in range(100):
+            p = rng.uniform(-20, 20, 2)
+            h = leader_field_eval(p, params_s5,
+                                  RegionFlag.COLLISION_FREE).hessian
+            # second differences balance truncation against rounding near
+            # eps^(1/4) of the position scale
+            fd = fd_hessian(lambda x: navfunc_leader(x, params_s5), p,
+                            1e-4 * max(1.0, float(np.linalg.norm(p))))
+            worst = max(worst, rel_error(h, fd))
+        assert worst < 1e-5
+
+    def test_leader_near_rim_matches_fd_hessian(self, params_s5):
+        # inside the rim factor's band, where its curvature counts; phi is
+        # near 1 there, which limits second differences to about 1e-5
+        rng = np.random.default_rng(10)
+        worst = 0.0
+        for _ in range(100):
+            p = rng.uniform(49.5, 49.95) * unit(rng)
+            h = leader_field_eval(p, params_s5,
+                                  RegionFlag.COLLISION_FREE).hessian
+            fd = fd_hessian(lambda x: navfunc_leader(x, params_s5), p, 3e-4)
+            worst = max(worst, rel_error(h, fd))
+        assert worst < 1e-4
+
+    @pytest.mark.parametrize("mode", ["full", "paper"])
+    @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
+                                        RegionFlag.RENDEZVOUS])
+    def test_follower_matches_fd_hessian(self, params_s5, mode, region):
+        rng = np.random.default_rng(9)
+        worst = 0.0
+        for _ in range(100):
+            p, qs = random_follower_state(rng)
+            h = follower_field_eval(p, qs, region, params_s5,
+                                    gradient_mode=mode).hessian
+            fd = fd_hessian(
+                lambda x: follower_potential(x, qs, region, params_s5, mode),
+                p, 1e-4)  # the sigmoid widths, not |p|, set the scale
+            worst = max(worst, rel_error(h, fd))
+        assert worst < 1e-5
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.2])
+    def test_leader_at_goal(self, params_s5, alpha):
+        # gamma = 0 there, so hess phi = hess gamma / beta^(1/a)
+        params = replace(params_s5, field_exponent=alpha,
+                         goal_position=np.array([2.0, -1.0]))
+        h = leader_field_eval(params.goal_position.copy(), params,
+                              RegionFlag.RENDEZVOUS).hessian
+        beta = params.dipolar_eps * boundary_factor(
+            params.workspace_radius - math.hypot(2.0, -1.0),
+            params.collision_margin, params.sigmoid_eps)
+        assert np.allclose(h, 2.0 / beta ** (1.0 / alpha) * np.eye(2),
+                           rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.2])
+    def test_leader_at_workspace_center(self, params_s5, alpha):
+        params = replace(params_s5, field_exponent=alpha,
+                         goal_position=np.array([3.0, 0.0]))
+        h = leader_field_eval(np.zeros(2), params,
+                              RegionFlag.COLLISION_FREE).hessian
+        assert np.all(np.isfinite(h))
+        fd = fd_hessian(lambda x: navfunc_leader(x, params), np.zeros(2),
+                        1e-4)
+        assert rel_error(h, fd) < 1e-5
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.2])
+    @pytest.mark.parametrize("mode", ["full", "paper"])
+    @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
+                                        RegionFlag.RENDEZVOUS])
+    def test_follower_with_coincident_neighbor(self, params_s5, alpha, mode,
+                                               region):
+        params = replace(params_s5, field_exponent=alpha)
+        p = np.array([1.0, -2.0])
+        alone = follower_field_eval(p, [p.copy()], region, params,
+                                    gradient_mode=mode)
+        # consensus: gamma = 0 and the floored edge adds no slope; "paper"
+        # drops the collision factors in both regions
+        law_region = region if mode == "full" else RegionFlag.RENDEZVOUS
+        beta = constraint_follower(p, [p.copy()], law_region, params)
+        assert np.allclose(alone.hessian,
+                           2.0 / beta ** (1.0 / alpha) * np.eye(2),
+                           rtol=1e-12, atol=0.0)
+        mixed = follower_field_eval(p, [p.copy(), p + np.array([0.6, 0.8])],
+                                    region, params, gradient_mode=mode)
+        assert np.all(np.isfinite(mixed.hessian))

@@ -1,4 +1,7 @@
 import os
+import runpy
+import sys
+import types
 from dataclasses import fields as dc_fields
 
 import numpy as np
@@ -76,10 +79,12 @@ class TestParseScenario:
             parse_scenario(str(path))
 
     def test_unknown_key_rejected_with_line(self, tmp_path):
-        # integrator was a key once; old files must fail, not parse silently
-        for key in ("bogus_knob", "integrator"):
+        # integrator and hessian_step were keys once; old files must fail,
+        # not parse silently
+        for key, value in (("bogus_knob", "rk4"), ("integrator", "rk4"),
+                           ("hessian_step", "1e-5")):
             path = tmp_path / "bad.scn"
-            write_lines(path, [f"{key} = rk4"] + minimal_lines())
+            write_lines(path, [f"{key} = {value}"] + minimal_lines())
             with pytest.raises(ParseError, match=rf"bad.scn:1.*{key}"):
                 parse_scenario(str(path))
 
@@ -171,6 +176,36 @@ class TestPlotScript:
     def test_missing_exports_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             emit_plot_script(str(tmp_path))
+
+    def test_script_reads_goal_and_sensing_radius_from_header(
+            self, tmp_path, monkeypatch):
+        # matplotlib stand-in that records every drawing call
+        calls = []
+
+        class Recorder:
+            def __getattr__(self, name):
+                return lambda *args, **kwargs: calls.append((name, args))
+
+        pyplot = types.ModuleType("matplotlib.pyplot")
+        pyplot.subplots = lambda *args, **kwargs: (Recorder(), Recorder())
+        matplotlib = types.ModuleType("matplotlib")
+        matplotlib.use = lambda backend: None
+        matplotlib.pyplot = pyplot
+        monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+
+        cfg = small_config(horizon=0.01, sensing_radius=2.2,
+                           goal_position=np.array([1.5, -0.5]))
+        export_trajectory(run(cfg), str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        runpy.run_path(emit_plot_script(str(tmp_path)))
+
+        stars = [args for name, args in calls
+                 if name == "plot" and isinstance(args[-1], str)
+                 and args[-1] == "k*"]
+        assert stars == [(1.5, -0.5, "k*")]
+        lines = [args for name, args in calls if name == "axhline"]
+        assert lines == [(2.2,)]
 
 
 class TestCli:
