@@ -8,7 +8,7 @@ import numpy as np
 
 from .fields import FieldEval, FieldParams
 from .gradients import follower_field_eval, leader_field_eval
-from .model import RegionFlag, RobotState, Role, normalize_angle
+from .model import RegionFlag, RobotState, Role, normalize_angle, wrap_angles
 
 
 @dataclass
@@ -80,7 +80,7 @@ def compute_control(robot: RobotState,
     """
     ev: FieldEval
     if robot.role is Role.INFORMED:
-        ev = leader_field_eval(robot.position, params, region)
+        ev = leader_field_eval(robot.position, params)
     else:
         ev = follower_field_eval(robot.position, neighbor_positions, region,
                                  params, gradient_mode=gradient_mode,
@@ -96,3 +96,30 @@ def compute_control(robot: RobotState,
                          theta_tilde=theta_tilde, theta_d_dot=theta_d_dot,
                          phi=ev.value,
                          grad_norm=float(np.linalg.norm(ev.gradient)))
+
+
+def control_laws(grad, hess, theta: np.ndarray, fallback: np.ndarray,
+                 k_v: np.ndarray, k_w: np.ndarray,
+                 gradient_floor: float = 1e-9):
+    """The four laws above for many robots at once, elementwise.
+
+    grad is (x, y) and hess (xx, xy, yy), each component an array over the
+    robots. ``fallback`` is the desired heading held where the gradient is
+    below the floor: the previous one, or the current heading when there is
+    none. Returns (v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm).
+    """
+    gx, gy = grad
+    hxx, hxy, hyy = hess
+    grad_norm = np.hypot(gx, gy)
+    theta_d = np.where(grad_norm > gradient_floor, np.arctan2(-gy, -gx),
+                       fallback)
+    theta_tilde = wrap_angles(theta - theta_d)
+    cos_tilde = np.cos(theta_tilde)
+    v = k_v * grad_norm * cos_tilde
+    # left^T H right with left = (sin theta_d, -cos theta_d), right the
+    # motion direction (cos theta, sin theta)
+    lx, ly = np.sin(theta_d), -np.cos(theta_d)
+    theta_d_dot = k_v * cos_tilde * ((lx * hxx + ly * hxy) * np.cos(theta)
+                                     + (lx * hxy + ly * hyy) * np.sin(theta))
+    omega = -k_w * theta_tilde + theta_d_dot
+    return v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm

@@ -26,6 +26,12 @@ def _logistic(z: float) -> float:
     return ez / (1.0 + ez)
 
 
+def logistic_array(z: np.ndarray) -> np.ndarray:
+    """_logistic elementwise, overflow-safe the same way."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
 def sigmoid_gain(width: float, eps: float) -> float:
     """Logistic slope that takes a sigmoid from eps to 1 - eps across width."""
     return (2.0 / width) * math.log((1.0 - eps) / eps)
@@ -145,7 +151,6 @@ class FieldEval:
     value: float
     gradient: np.ndarray        # shape (2,)
     hessian: np.ndarray         # shape (2, 2)
-    region: RegionFlag
 
 
 def constraint_follower(position: np.ndarray,

@@ -19,8 +19,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fields import (FieldEval, FieldParams, boundary_factor, goal_follower,
-                     navfunc_follower, navfunc_leader, sigmoid_collision,
-                     sigmoid_connectivity, sigmoid_gain)
+                     logistic_array, navfunc_follower, navfunc_leader,
+                     sigmoid_collision, sigmoid_connectivity, sigmoid_gain)
 from .model import RegionFlag
 
 ScalarField = Callable[[np.ndarray], float]
@@ -84,8 +84,9 @@ def grad_goal_follower(position: np.ndarray,
 def _quotient_jet(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta):
     """Gradient, Hessian and denominator e of gamma / (gamma^a + beta)^(1/a).
 
-    Gradients come as (x, y), the Hessian of beta as (xx, xy, yy); the
-    Hessian of gamma is lap_gamma * I for both potentials. With
+    Gradients come and go as (x, y), Hessians as (xx, xy, yy); the Hessian of
+    gamma is lap_gamma * I for both potentials. Every input is a float, or an
+    array over robots taken elementwise. With
     e = a * (gamma^a + beta)^(1/a + 1) and N = a beta grad gamma - gamma
     grad beta: grad phi = N / e, hess phi = (grad N - grad phi grad e^T) / e,
     a symmetric matrix whose off-diagonal is averaged against rounding.
@@ -99,8 +100,10 @@ def _quotient_jet(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta):
     fx = (ab * gx - gamma * bx) / e
     fy = (ab * gy - gamma * by) / e
     # d(gamma^a)/d(gamma) diverges at gamma = 0 for a < 1, where grad gamma
-    # vanishes and so does every term it multiplies
-    dpow = alpha * gamma ** (alpha - 1.0) if gamma > 0.0 else 0.0
+    # vanishes and so does every term it multiplies: take it as 0 there
+    # (gamma >= 0; the comparisons act on floats and arrays alike)
+    dpow = (alpha * (gamma + (gamma <= 0.0)) ** (alpha - 1.0)
+            * (gamma > 0.0))
     c = (alpha + 1.0) * s ** (1.0 / alpha)
     ex = c * (dpow * gx + bx)
     ey = c * (dpow * gy + by)
@@ -109,7 +112,12 @@ def _quotient_jet(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta):
     hyy = (a1 * gy * by + ab * lap_gamma - gamma * byy - fy * ey) / e
     hxy = (0.5 * (a1 * (gx * by + gy * bx) - fx * ey - fy * ex)
            - gamma * bxy) / e
-    return np.array([fx, fy]), np.array([[hxx, hxy], [hxy, hyy]]), e
+    return (fx, fy), (hxx, hxy, hyy), e
+
+
+def _matrix(hess):
+    xx, xy, yy = hess
+    return np.array([[xx, xy], [xy, yy]])
 
 
 def _constraint_jet(position, neighbor_positions, region, params,
@@ -203,7 +211,8 @@ def grad_navfunc_follower(position: np.ndarray,
         alpha, gamma, grad_goal_follower(position, neighbor_positions),
         2.0 * len(neighbor_positions), beta, dbeta, ddbeta)
     ms = tuple((2.0 * alpha * beta - gamma * beta * t) / e for t in slopes)
-    return GradientBundle(gradient=grad, edge_weights=ms, hessian=hess)
+    return GradientBundle(gradient=np.array(grad), edge_weights=ms,
+                          hessian=_matrix(hess))
 
 
 def _leader_jet(position, params):
@@ -238,9 +247,10 @@ def _leader_jet(position, params):
     ddbeta = (2.0 * bnd * ax * ax + 2.0 * dx * nx + dip * nxx,
               2.0 * bnd * ax * ay + dx * ny + dy * nx + dip * nxy,
               2.0 * bnd * ay * ay + 2.0 * dy * ny + dip * nyy)
-    return _quotient_jet(params.field_exponent, rx * rx + ry * ry,
-                         (2.0 * rx, 2.0 * ry), 2.0, dip * bnd, dbeta,
-                         ddbeta)[:2]
+    grad, hess, _ = _quotient_jet(params.field_exponent, rx * rx + ry * ry,
+                                  (2.0 * rx, 2.0 * ry), 2.0, dip * bnd,
+                                  dbeta, ddbeta)
+    return np.array(grad), _matrix(hess)
 
 
 def grad_navfunc_leader(position: np.ndarray,
@@ -264,12 +274,12 @@ def follower_potential(position: np.ndarray,
     return navfunc_follower(position, neighbor_positions, region, params)
 
 
-def leader_field_eval(position: np.ndarray, params: FieldParams,
-                      region: RegionFlag) -> FieldEval:
+def leader_field_eval(position: np.ndarray,
+                      params: FieldParams) -> FieldEval:
     """Bundle value, analytic gradient and Hessian for the informed robot."""
     grad, hess = _leader_jet(position, params)
     return FieldEval(value=navfunc_leader(position, params), gradient=grad,
-                     hessian=hess, region=region)
+                     hessian=hess)
 
 
 def follower_field_eval(position: np.ndarray,
@@ -286,5 +296,61 @@ def follower_field_eval(position: np.ndarray,
                                    params, gradient_mode, distance_floor)
     return FieldEval(value=navfunc_follower(position, neighbor_positions,
                                             region, params),
-                     gradient=bundle.gradient, hessian=bundle.hessian,
-                     region=region)
+                     gradient=bundle.gradient, hessian=bundle.hessian)
+
+
+def follower_jets(dx: np.ndarray, dy: np.ndarray, dist: np.ndarray,
+                  mask: np.ndarray, region: RegionFlag, params: FieldParams,
+                  gradient_mode: str = "full",
+                  distance_floor: float = 1e-9):
+    """Value, gradient and Hessian of many followers' potentials at once.
+
+    Row i is one follower: dx, dy and dist hold its offsets p - q_j and
+    distances to every robot j, and mask row i marks the robots it senses.
+    Row i's results read nothing outside its mask row, which keeps the law
+    decentralized. Each edge's b(d) and B(d) are evaluated once and serve
+    both the reported value (the regional potential) and the derivatives of
+    the selected gradient law, by the formulas of ``_constraint_jet`` and
+    ``navfunc_follower``. Returns phi, the gradient as (x, y) and the
+    Hessian as (xx, xy, yy), each component an array over the rows.
+    """
+    degree = mask.sum(axis=1)
+    if not degree.all():
+        raise ValueError("follower has no neighbors; the initial graph must "
+                         "give every follower at least one parent")
+    eps = params.sigmoid_eps
+    k_b = sigmoid_gain(params.connectivity_buffer, eps)
+    b = logistic_array(k_b * (params.sensing_radius
+                              - 0.5 * params.connectivity_buffer - dist))
+    beta = value_beta = np.where(mask, b, 1.0).prod(axis=1)
+    l1 = -k_b * (1.0 - b)
+    l2 = -k_b * k_b * b * (1.0 - b)
+    if region is RegionFlag.COLLISION_FREE:
+        k_c = sigmoid_gain(params.collision_margin, eps)
+        c = logistic_array(k_c * (dist - 0.5 * params.collision_margin))
+        value_beta = beta * np.where(mask, c, 1.0).prod(axis=1)
+        if gradient_mode == "full":
+            beta = value_beta
+            l1 = l1 + k_c * (1.0 - c)
+            l2 = l2 - k_c * k_c * c * (1.0 - c)
+    # edge slopes l_j / d_j and curvatures; edges under the floor add none
+    live = mask & (dist >= distance_floor)
+    t = np.divide(l1, dist, out=np.zeros_like(dist), where=live)
+    w = np.divide(l2 - t, dist * dist, out=np.zeros_like(dist), where=live)
+    mx = np.where(mask, dx, 0.0)
+    my = np.where(mask, dy, 0.0)
+    gx = (t * mx).sum(axis=1)
+    gy = (t * my).sum(axis=1)
+    t_sum = t.sum(axis=1)
+    hxx = (w * mx * mx).sum(axis=1) + t_sum
+    hxy = (w * mx * my).sum(axis=1)
+    hyy = (w * my * my).sum(axis=1) + t_sum
+    alpha = params.field_exponent
+    gamma = (mx * mx + my * my).sum(axis=1)
+    grad, hess, _ = _quotient_jet(
+        alpha, gamma, (2.0 * mx.sum(axis=1), 2.0 * my.sum(axis=1)),
+        2.0 * degree, beta, (beta * gx, beta * gy),
+        (beta * (gx * gx + hxx), beta * (gx * gy + hxy),
+         beta * (gy * gy + hyy)))
+    phi = gamma / (gamma ** alpha + value_beta) ** (1.0 / alpha)
+    return phi, grad, hess

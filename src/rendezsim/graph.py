@@ -39,21 +39,18 @@ def build_topology(states: list[RobotState], sensing_radius: float) -> Topology:
     representation is kept so that hand-built asymmetric topologies can use the
     same algorithms.
     """
-    n = len(states)
-    neighbors: dict[int, tuple[int, ...]] = {}
-    distances: dict[Edge, float] = {}
-    for a in states:
-        near = []
-        for b in states:
-            if b.id == a.id:
-                continue
-            d = float(np.linalg.norm(a.position - b.position))
-            if d < sensing_radius:
-                near.append(b.id)
-                distances[(a.id, b.id)] = d
-        neighbors[a.id] = tuple(near)
+    ids = [s.id for s in states]
+    pos = np.array([s.position for s in states]).reshape(len(ids), 2)
+    gap = pos[:, None, :] - pos[None, :, :]
+    dist = np.sqrt((gap * gap).sum(axis=2))
+    near = dist < sensing_radius
+    np.fill_diagonal(near, False)
+    neighbors = {a: tuple(ids[j] for j in np.flatnonzero(row))
+                 for a, row in zip(ids, near)}
+    distances = {(ids[i], ids[j]): float(dist[i, j])
+                 for i, j in zip(*np.nonzero(near))}
     edges = tuple(sorted(distances))
-    return Topology(n=n, neighbors=neighbors, distances=distances,
+    return Topology(n=len(ids), neighbors=neighbors, distances=distances,
                     monitored_edges=edges)
 
 

@@ -46,6 +46,13 @@ def normalize_angle(theta: float) -> float:
     return wrapped
 
 
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """normalize_angle elementwise; a non-finite angle comes out NaN."""
+    wrapped = np.fmod(theta, TWO_PI)
+    return np.where(wrapped > math.pi, wrapped - TWO_PI,
+                    np.where(wrapped <= -math.pi, wrapped + TWO_PI, wrapped))
+
+
 @dataclass(frozen=True)
 class RobotState:
     """Pose and role of one robot. Ids are stable and 1-based."""

@@ -5,11 +5,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlOutput, compute_control
+from .control import ControlOutput, compute_control, control_laws
 from .fields import FieldParams, region_of
+from .gradients import follower_jets
 from .graph import Topology, build_topology, has_rooted_spanning_tree
 from .model import (RegionFlag, RobotState, Role, ScenarioConfig,
-                    normalize_angle, validate_scenario)
+                    validate_scenario, wrap_angles)
+# not called here: rendezbench/tracing.py counts calls under this name
+from .model import normalize_angle  # noqa: F401
 
 
 # |heading error| of the informed robot below which compute_metrics treats
@@ -100,92 +103,133 @@ def _integrate_all(poses, vs, ws, dt):
     half = 0.5 * dt * ws
     chord = dt * vs * np.sinc(half / np.pi)
     mid = poses[:, 2] + half
-    new = np.stack([poses[:, 0] + chord * np.cos(mid),
-                    poses[:, 1] + chord * np.sin(mid),
-                    poses[:, 2] + dt * ws], axis=1)
-    for r in range(new.shape[0]):
-        new[r, 2] = normalize_angle(new[r, 2])
-    return new
+    return np.stack([poses[:, 0] + chord * np.cos(mid),
+                     poses[:, 1] + chord * np.sin(mid),
+                     wrap_angles(poses[:, 2] + dt * ws)], axis=1)
+
+
+def _pose_array(states: list[RobotState]) -> np.ndarray:
+    return np.array([[s.position[0], s.position[1], s.heading]
+                     for s in states])
+
+
+def _offsets(poses: np.ndarray):
+    """dx[i, j] = x_i - x_j, dy likewise, and the pairwise distance matrix."""
+    dx = poses[:, 0, None] - poses[:, 0]
+    dy = poses[:, 1, None] - poses[:, 1]
+    return dx, dy, np.sqrt(dx * dx + dy * dy)
+
+
+def _neighbor_mask(topo: Topology) -> np.ndarray:
+    """mask[i - 1, j - 1] is True iff robot i senses robot j."""
+    mask = np.zeros((topo.n, topo.n), dtype=bool)
+    for i, near in topo.neighbors.items():
+        mask[i - 1, [j - 1 for j in near]] = True
+    return mask
+
+
+def _advance(poses, offsets, mask, region, leader, fallback, cfg, params):
+    """One synchronous update of every robot from one (N, 3) pose snapshot.
+
+    Row 0, the informed robot, descends its own potential through
+    compute_control. The followers go through one numpy pass in which
+    follower i reads only mask row i. ``fallback`` holds each robot's
+    previous desired heading, or its current heading when there is none.
+    Returns the new poses, the (N, 5) controls (v, omega, theta_d,
+    theta_tilde, theta_d_dot), phi and the gradient norms.
+    """
+    n = len(poses)
+    ctrl = np.empty((n, 5))
+    phi = np.empty(n)
+    grad_norm = np.empty(n)
+    lead = compute_control(leader, (), region, params,
+                           k_v=cfg.linear_gains[0], k_w=cfg.angular_gains[0],
+                           prev_theta_d=fallback[0],
+                           gradient_floor=cfg.gradient_floor)
+    ctrl[0] = (lead.v, lead.omega, lead.theta_d, lead.theta_tilde,
+               lead.theta_d_dot)
+    phi[0], grad_norm[0] = lead.phi, lead.grad_norm
+    if n > 1:
+        dx, dy, dist = (a[1:] for a in offsets)
+        phi[1:], grad, hess = follower_jets(
+            dx, dy, dist, mask[1:], region, params, cfg.gradient_mode,
+            cfg.distance_floor)
+        *laws, grad_norm[1:] = control_laws(
+            grad, hess, poses[1:, 2], fallback[1:],
+            np.asarray(cfg.linear_gains[1:]),
+            np.asarray(cfg.angular_gains[1:]), cfg.gradient_floor)
+        ctrl[1:] = np.column_stack(laws)
+    new = _integrate_all(poses, ctrl[:, 0], ctrl[:, 1], cfg.time_step)
+    if not np.all(np.isfinite(new)):
+        raise RuntimeError(f"non-finite state after integration:\n{new}")
+    return new, ctrl, phi, grad_norm
 
 
 def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
          topo: Topology | None = None,
          prev_theta_d: list | None = None,
-         params: FieldParams | None = None,
-         order: list | None = None):
+         params: FieldParams | None = None):
     """One synchronous update: controls from the snapshot, then integration.
 
-    All controls are computed from the pre-step states, so the result does
-    not depend on the robot evaluation order (``order`` exists to let tests
-    assert exactly that). Returns (new states, controls in id order, new
-    region); the region is re-latched from the new leader position.
+    An adapter from states to the array core that ``run`` drives; the first
+    state is the informed robot. Robot i's controls read only the robots it
+    senses, so moving any other robot leaves them unchanged bit for bit.
+    Returns (new states, controls in id order, new region); the region is
+    re-latched from the new leader position.
     """
-    n = len(states)
     if params is None:
         params = FieldParams.from_config(cfg)
     if topo is None:
         topo = build_topology(states, cfg.sensing_radius)
-    if prev_theta_d is None:
-        prev_theta_d = [None] * n
-    positions = {s.id: s.position for s in states}
-
-    controls: list[ControlOutput | None] = [None] * n
-    for idx in (order if order is not None else range(n)):
-        robot = states[idx]
-        neighbors = [positions[j] for j in topo.neighbors[robot.id]]
-        controls[idx] = compute_control(
-            robot, neighbors, region, params,
-            k_v=cfg.linear_gains[idx], k_w=cfg.angular_gains[idx],
-            prev_theta_d=prev_theta_d[idx],
-            gradient_mode=cfg.gradient_mode,
-            gradient_floor=cfg.gradient_floor,
-            distance_floor=cfg.distance_floor)
-
-    poses = np.array([[s.position[0], s.position[1], s.heading]
-                      for s in states])
-    vs = np.array([c.v for c in controls])
-    ws = np.array([c.omega for c in controls])
-    new_poses = _integrate_all(poses, vs, ws, cfg.time_step)
-    if not np.all(np.isfinite(new_poses)):
-        raise RuntimeError(f"non-finite state after integration:\n{new_poses}")
-
-    new_states = [s.with_pose(new_poses[i, :2], new_poses[i, 2])
+    poses = _pose_array(states)
+    fallback = poses[:, 2].copy()
+    for i, prev in enumerate(prev_theta_d or ()):
+        if prev is not None:
+            fallback[i] = prev
+    new, ctrl, phi, grad_norm = _advance(
+        poses, _offsets(poses), _neighbor_mask(topo), region, states[0],
+        fallback, cfg, params)
+    controls = [ControlOutput(*row, p, g) for row, p, g in
+                zip(ctrl.tolist(), phi.tolist(), grad_norm.tolist())]
+    new_states = [s.with_pose(new[i, :2], new[i, 2])
                   for i, s in enumerate(states)]
     new_region = region_of(new_states[0], params, previous=region)
     return new_states, controls, new_region
 
 
-def monitor_invariants(states: list[RobotState], pair_distances: dict,
-                       monitored_pairs: set, region: RegionFlag,
-                       cfg: ScenarioConfig, step_index: int,
-                       t: float) -> list[Event]:
+def monitor_invariants(positions: np.ndarray, pair_distances: np.ndarray,
+                       pairs: tuple, monitored: np.ndarray,
+                       region: RegionFlag, cfg: ScenarioConfig,
+                       step_index: int, t: float) -> list[Event]:
     """Check one logged step against the claimed safety properties.
 
-    Emits events for a monitored edge at or beyond sensing range, a pair at
-    or below the collision floor while avoidance is active, a robot outside
-    the workspace, and the informed robot leaving the band that keeps every
-    follower clear of the workspace rim while some follower is near it.
+    ``positions`` is (N, 2) with the informed robot first; ``pair_distances``
+    and the boolean ``monitored`` are aligned with ``pairs``, the log's
+    1-based pairs (i, j). Emits events for a monitored edge at or beyond
+    sensing range, a pair at or below the collision floor while avoidance is
+    active, a robot outside the workspace, and the informed robot leaving
+    the band that keeps every follower clear of the workspace rim while some
+    follower is near it.
     """
     events = []
-    for (i, j), d in pair_distances.items():
-        if (i, j) in monitored_pairs and d >= cfg.sensing_radius:
+    broken = monitored & (pair_distances >= cfg.sensing_radius)
+    touching = ((pair_distances <= cfg.collision_floor)
+                & (region is RegionFlag.COLLISION_FREE))
+    for col in np.flatnonzero(broken | touching):
+        (i, j), d = pairs[col], pair_distances[col]
+        if broken[col]:
             events.append(Event(step_index, t, "connectivity",
                                 f"edge ({i},{j}) at d={d:.6f}"))
-        if region is RegionFlag.COLLISION_FREE and d <= cfg.collision_floor:
+        if touching[col]:
             events.append(Event(step_index, t, "collision",
                                 f"pair ({i},{j}) at d={d:.6f}"))
-    rim = {s.id: cfg.workspace_radius - float(np.linalg.norm(s.position))
-           for s in states}
-    for s in states:
-        if rim[s.id] <= 0.0:
-            events.append(Event(step_index, t, "boundary",
-                                f"robot {s.id} outside the workspace"))
-    leader = states[0]
+    norms = np.hypot(positions[:, 0], positions[:, 1])
+    rim = cfg.workspace_radius - norms
+    for r in np.flatnonzero(rim <= 0.0):
+        events.append(Event(step_index, t, "boundary",
+                            f"robot {r + 1} outside the workspace"))
     leader_band = cfg.workspace_radius - cfg.sensing_radius * (cfg.n_robots - 1)
-    followers_near_rim = any(rim[s.id] < cfg.sensing_radius
-                             for s in states if s.role is Role.FOLLOWER)
-    if (float(np.linalg.norm(leader.position)) > leader_band
-            and followers_near_rim):
+    if norms[0] > leader_band and np.any(rim[1:] < cfg.sensing_radius):
         events.append(Event(step_index, t, "leader_range",
                             "informed robot beyond the follower-safe band"))
     return events
@@ -208,25 +252,38 @@ def _pair_list(n: int) -> tuple:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+def _accrete_edges(mask: np.ndarray, dist: np.ndarray,
+                   threshold: float) -> None:
+    """Add mutual edges, in place, for pairs closer than the threshold."""
+    near = dist < threshold
+    np.fill_diagonal(near, False)
+    mask |= near | near.T
+
+
 def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     """Simulate the whole scenario; stop early once every robot converged.
 
-    Raises AssumptionError when the initial graph has no spanning tree rooted
-    at the informed robot. Monitor violations are recorded as events and, in
-    strict mode, abort the run by raising MonitorViolation.
+    Each step advances one (N, 3) pose array: one distance matrix feeds the
+    neighbor mask's accretion, the log and the monitors, and the controls
+    come from ``_advance``. Raises AssumptionError when the initial graph
+    has no spanning tree rooted at the informed robot. Monitor violations
+    are recorded as events and, in strict mode, abort the run by raising
+    MonitorViolation.
     """
     started = _time.perf_counter()
     validate_scenario(cfg)
     params = FieldParams.from_config(cfg)
-    states = list(cfg.initial_states)
     n = cfg.n_robots
+    goal = cfg.goal_position
+    accreting = cfg.neighbor_mode == "accreting"
+    threshold = cfg.sensing_radius - cfg.connectivity_buffer
 
-    # neighbor sets stay frozen unless accretion grows them in place
-    topo = initial_topology(cfg)
+    # the mask stays frozen unless accretion grows it; the initial graph
+    # already holds every pair inside the threshold
+    mask = _neighbor_mask(initial_topology(cfg))
     pairs = _pair_list(n)
-    monitored_pairs = {(i, j) for i, j in pairs
-                       if (i, j) in topo.distances}
-    monitored_mask = np.array([p in monitored_pairs for p in pairs])
+    upper = np.triu_indices(n, 1)
+    monitored = mask[upper]
 
     max_steps = int(round(cfg.horizon / cfg.time_step))
     S = max_steps + 1
@@ -239,83 +296,65 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
 
     events: list[Event] = []
     switch_step = None
-    region = region_of(states[0], params)
+    leader = cfg.initial_states[0]
+    region = region_of(leader, params)
     if region is RegionFlag.RENDEZVOUS:
         switch_step = 0
         events.append(Event(0, 0.0, "switch",
                             "collision avoidance off from the start"))
-    prev_theta_d: list = [None] * n
+    pose = _pose_array(cfg.initial_states)
+    fallback = pose[:, 2]  # no desired heading yet: hold the current one
 
     k = 0
     while True:
         t = k * cfg.time_step
-        new_states, controls, new_region = step(
-            states, region, cfg, topo, prev_theta_d, params)
+        offsets = _offsets(pose)
+        if accreting:
+            _accrete_edges(mask, offsets[2], threshold)
+        new_pose, controls, phi[k], _ = _advance(
+            pose, offsets, mask, region, leader, fallback, cfg, params)
 
         times[k] = t
         regions[k] = 0 if region is RegionFlag.COLLISION_FREE else 1
-        for i, s in enumerate(states):
-            poses[k, i] = (s.position[0], s.position[1], s.heading)
-            c = controls[i]
-            ctrl[k, i] = (c.v, c.omega, c.theta_d, c.theta_tilde, c.theta_d_dot)
-            phi[k, i] = c.phi
-        pair_d = {}
-        for col, (i, j) in enumerate(pairs):
-            d = float(np.linalg.norm(states[i - 1].position
-                                     - states[j - 1].position))
-            dists[k, col] = d
-            pair_d[(i, j)] = d
+        poses[k] = pose
+        ctrl[k] = controls
+        dists[k] = offsets[2][upper]
 
-        step_events = monitor_invariants(states, pair_d, monitored_pairs,
-                                         region, cfg, k, t)
+        step_events = monitor_invariants(pose[:, :2], dists[k], pairs,
+                                         monitored, region, cfg, k, t)
         events.extend(step_events)
         if strict and step_events:
             raise MonitorViolation(
                 "; ".join(f"{e.kind}: {e.detail}" for e in step_events))
 
-        goal_err = max(float(np.linalg.norm(s.position - cfg.goal_position))
-                       for s in states)
-        head_err = max(abs(ctrl[k, i, 3]) for i in range(n))
+        goal_err = np.hypot(pose[:, 0] - goal[0], pose[:, 1] - goal[1]).max()
+        head_err = np.abs(controls[:, 3]).max()
         converged = (goal_err < cfg.position_tolerance
                      and head_err < cfg.heading_tolerance)
         if converged or k >= max_steps:
             k += 1
             break
 
-        prev_theta_d = [c.theta_d for c in controls]
-        states = new_states
+        fallback = controls[:, 2]
+        pose = new_pose
+        leader = RobotState(1, pose[0, :2], pose[0, 2], Role.INFORMED)
+        new_region = region_of(leader, params, previous=region)
         if new_region is not region and switch_step is None:
             switch_step = k + 1
             events.append(Event(k + 1, (k + 1) * cfg.time_step, "switch",
                                 "informed robot reached the switch distance"))
         region = new_region
-        if cfg.neighbor_mode == "accreting":
-            _accrete_edges(topo.neighbors, states, cfg)
         k += 1
 
     log = TrajectoryLog(
         times=times[:k], poses=poses[:k], controls=ctrl[:k], phi=phi[:k],
         region=regions[:k], pairs=pairs, distances=dists[:k],
-        monitored=monitored_mask, events=events, switch_step=switch_step,
+        monitored=monitored, events=events, switch_step=switch_step,
         goal_position=cfg.goal_position.copy(), goal_heading=cfg.goal_heading,
         time_step=cfg.time_step, sensing_radius=cfg.sensing_radius,
         roles=tuple(s.role.value for s in cfg.initial_states),
         wall_time=_time.perf_counter() - started)
     return log
-
-
-def _accrete_edges(neighbors: dict, states: list[RobotState],
-                   cfg: ScenarioConfig) -> None:
-    """Add new mutual edges once a pair comes well inside sensing range."""
-    threshold = cfg.sensing_radius - cfg.connectivity_buffer
-    for a in states:
-        for b in states:
-            if b.id <= a.id or b.id in neighbors[a.id]:
-                continue
-            d = float(np.linalg.norm(a.position - b.position))
-            if d < threshold:
-                neighbors[a.id] = neighbors[a.id] + (b.id,)
-                neighbors[b.id] = neighbors[b.id] + (a.id,)
 
 
 def fit_decay_rate(times: np.ndarray, values: np.ndarray,

@@ -70,8 +70,7 @@ class TestHeadingFeedforward:
         theta_d = desired_heading(grad, theta, None)
         theta_tilde = normalize_angle(theta - theta_d)
         v = linear_velocity(grad, theta_tilde, k_v)
-        hess = leader_field_eval(p, params_s5,
-                                 RegionFlag.COLLISION_FREE).hessian
+        hess = leader_field_eval(p, params_s5).hessian
         ff = heading_feedforward(theta_d, hess, theta, theta_tilde, k_v)
 
         h = 1e-4

@@ -228,8 +228,7 @@ class TestHessianOracle:
         worst = 0.0
         for _ in range(100):
             p = rng.uniform(-20, 20, 2)
-            h = leader_field_eval(p, params_s5,
-                                  RegionFlag.COLLISION_FREE).hessian
+            h = leader_field_eval(p, params_s5).hessian
             # second differences balance truncation against rounding near
             # eps^(1/4) of the position scale
             fd = fd_hessian(lambda x: navfunc_leader(x, params_s5), p,
@@ -244,8 +243,7 @@ class TestHessianOracle:
         worst = 0.0
         for _ in range(100):
             p = rng.uniform(49.5, 49.95) * unit(rng)
-            h = leader_field_eval(p, params_s5,
-                                  RegionFlag.COLLISION_FREE).hessian
+            h = leader_field_eval(p, params_s5).hessian
             fd = fd_hessian(lambda x: navfunc_leader(x, params_s5), p, 3e-4)
             worst = max(worst, rel_error(h, fd))
         assert worst < 1e-4
@@ -271,8 +269,7 @@ class TestHessianOracle:
         # gamma = 0 there, so hess phi = hess gamma / beta^(1/a)
         params = replace(params_s5, field_exponent=alpha,
                          goal_position=np.array([2.0, -1.0]))
-        h = leader_field_eval(params.goal_position.copy(), params,
-                              RegionFlag.RENDEZVOUS).hessian
+        h = leader_field_eval(params.goal_position.copy(), params).hessian
         beta = params.dipolar_eps * boundary_factor(
             params.workspace_radius - math.hypot(2.0, -1.0),
             params.collision_margin, params.sigmoid_eps)
@@ -283,8 +280,7 @@ class TestHessianOracle:
     def test_leader_at_workspace_center(self, params_s5, alpha):
         params = replace(params_s5, field_exponent=alpha,
                          goal_position=np.array([3.0, 0.0]))
-        h = leader_field_eval(np.zeros(2), params,
-                              RegionFlag.COLLISION_FREE).hessian
+        h = leader_field_eval(np.zeros(2), params).hessian
         assert np.all(np.isfinite(h))
         fd = fd_hessian(lambda x: navfunc_leader(x, params), np.zeros(2),
                         1e-4)

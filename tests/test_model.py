@@ -5,6 +5,7 @@ import pytest
 
 from rendezsim import (FieldParams, RobotState, Role, ScenarioError,
                        normalize_angle, validate_scenario)
+from rendezsim.model import wrap_angles
 
 from conftest import make_states, small_config
 
@@ -39,6 +40,26 @@ class TestNormalizeAngle:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError):
             normalize_angle(bad)
+
+
+class TestWrapAngles:
+    def test_matches_normalize_angle_elementwise(self):
+        pi = math.pi
+        edges = [pi, -pi, 3 * pi, -3 * pi,
+                 math.nextafter(pi, 0.0), math.nextafter(pi, 4.0),
+                 math.nextafter(-pi, 0.0), math.nextafter(-pi, -4.0),
+                 1e6, -1e6, 0.0, -0.0]
+        grid = np.linspace(-25.0, 25.0, 1001).tolist()
+        theta = np.array(edges + grid)
+        expected = [normalize_angle(t) for t in theta.tolist()]
+        out = wrap_angles(theta)
+        # bit for bit, signed zeros included
+        assert out.tobytes() == np.array(expected).tobytes()
+
+    def test_non_finite_comes_out_nan(self):
+        with np.errstate(invalid="ignore"):
+            out = wrap_angles(np.array([math.nan, math.inf, -math.inf, 1.0]))
+        assert np.isnan(out[:3]).all() and out[3] == 1.0
 
 
 class TestRobotState:

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rendezsim import (RegionFlag, RobotState, Role, ScenarioConfig,
-                       TrajectoryLog, build_topology, compute_metrics,
-                       integrate_pose, monitor_invariants, run, step)
+from rendezsim import (FieldParams, RegionFlag, RobotState, Role,
+                       ScenarioConfig, Topology, TrajectoryLog,
+                       compute_control, compute_metrics, integrate_pose,
+                       monitor_invariants, normalize_angle, run, sim, step)
 from rendezsim.sim import AssumptionError, MonitorViolation, fit_decay_rate
 
 from conftest import make_states, small_config
@@ -56,67 +57,239 @@ class TestStep:
         _, _, region = step(states, RegionFlag.COLLISION_FREE, cfg)
         assert region is RegionFlag.RENDEZVOUS
 
-    def test_evaluation_order_is_irrelevant(self):
-        cfg = small_config()
-        states = cfg.initial_states
-        topo = build_topology(states, cfg.sensing_radius)
-        a_states, a_controls, _ = step(states, RegionFlag.COLLISION_FREE,
-                                       cfg, topo, order=[0, 1, 2])
-        b_states, b_controls, _ = step(states, RegionFlag.COLLISION_FREE,
-                                       cfg, topo, order=[2, 0, 1])
-        for sa, sb in zip(a_states, b_states):
-            assert np.array_equal(sa.position, sb.position)
-            assert sa.heading == sb.heading
-        for ca, cb in zip(a_controls, b_controls):
-            assert ca.v == cb.v and ca.omega == cb.omega
+    def test_unsensed_robot_cannot_move_a_follower(self):
+        # row i of the array core reads only mask row i, so moving a robot
+        # that robot i does not sense leaves i's controls and new pose
+        # bit-identical; the informed robot reads no one
+        rng = np.random.default_rng(12)
+        checked = 0
+        for _ in range(50):
+            n = int(rng.integers(3, 10))
+            states = random_states(rng, n)
+            mask = ragged_mask(rng, n)
+            cfg = small_config(n_robots=n, linear_gains=[3.0] * n,
+                               angular_gains=[8.0] * n, initial_states=states)
+            i = int(rng.integers(1, n))
+            unsensed = [j for j in range(n) if j != i and not mask[i, j]]
+            if not unsensed:
+                continue
+            j = int(rng.choice(unsensed))
+            moved = list(states)
+            moved[j] = states[j].with_pose(
+                states[j].position + rng.uniform(-3.0, 3.0, 2),
+                states[j].heading + 1.0)
+            region = RegionFlag.COLLISION_FREE
+            before = step(states, region, cfg, topology_of(mask))
+            after = step(moved, region, cfg, topology_of(mask))
+            for k in (i, 0) if j else (i,):
+                assert before[1][k] == after[1][k]
+                assert np.array_equal(before[0][k].position,
+                                      after[0][k].position)
+                assert before[0][k].heading == after[0][k].heading
+            checked += 1
+        assert checked > 30
+
+    def test_non_finite_control_raises(self):
+        cfg = small_config(linear_gains=[2.0, math.inf, 4.0])
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(RuntimeError, match="non-finite state"):
+            step(cfg.initial_states, RegionFlag.COLLISION_FREE, cfg)
+
+
+def random_states(rng, n):
+    """n robots scattered around (-4, -2), the first one informed."""
+    return [RobotState(i + 1, np.array([-4.0, -2.0]) + rng.uniform(-1.2, 1.2, 2),
+                       rng.uniform(-math.pi, math.pi),
+                       Role.INFORMED if i == 0 else Role.FOLLOWER)
+            for i in range(n)]
+
+
+def ragged_mask(rng, n):
+    """Each robot senses a random set of 1..n-1 others; not symmetric."""
+    mask = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        k = int(rng.integers(1, n))
+        mask[i, rng.choice(others, size=k, replace=False)] = True
+    return mask
+
+
+def topology_of(mask):
+    n = len(mask)
+    return Topology(n=n, distances={}, neighbors={
+        i + 1: tuple(int(j) + 1 for j in np.flatnonzero(mask[i]))
+        for i in range(n)})
+
+
+def angle_gap(a, b):
+    return abs(normalize_angle(a - b))
+
+
+class TestArrayCore:
+    """step(), the array core run() drives, against the per-robot scalar
+    path: compute_control on the listed neighbors, then integrate_pose."""
+
+    @pytest.mark.parametrize("mode", ["full", "paper"])
+    @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
+                                        RegionFlag.RENDEZVOUS])
+    def test_matches_scalar_oracle(self, mode, region):
+        rng = np.random.default_rng(13)
+        held = {True: 0, False: 0}  # held headings, with / without previous
+        floored = 0
+        for trial in range(50):
+            n = int(rng.integers(2, 13))
+            states = random_states(rng, n)
+            mask = ragged_mask(rng, n)
+            if trial % 5 == 0:
+                # a neighbor closer than the distance floor
+                i = int(rng.integers(1, n))
+                j = int(rng.choice(np.flatnonzero(mask[i])))
+                states[i] = states[i].with_pose(
+                    states[j].position + 1e-10, states[i].heading)
+                floored += 1
+            # every gradient is below a huge floor: headings are held
+            floor = 1e6 if trial % 5 == 1 else 1e-6
+            prev = [None if rng.random() < 0.5 else rng.uniform(-3.0, 3.0)
+                    for _ in range(n)]
+            cfg = small_config(
+                n_robots=n, gradient_mode=mode, gradient_floor=floor,
+                linear_gains=rng.uniform(1.0, 5.0, n).tolist(),
+                angular_gains=rng.uniform(4.0, 10.0, n).tolist(),
+                initial_states=states)
+            params = FieldParams.from_config(cfg)
+            new_states, controls, _ = step(states, region, cfg,
+                                           topology_of(mask), prev)
+            for i, s in enumerate(states):
+                ref = compute_control(
+                    s, [states[j].position for j in np.flatnonzero(mask[i])],
+                    region, params, cfg.linear_gains[i],
+                    cfg.angular_gains[i], prev[i], gradient_mode=mode,
+                    gradient_floor=floor, distance_floor=cfg.distance_floor)
+                pose = integrate_pose(np.array([*s.position, s.heading]),
+                                      ref.v, ref.omega, cfg.time_step)
+                got = controls[i]
+                for name in ("v", "omega", "theta_d_dot", "phi",
+                             "grad_norm"):
+                    a, b = getattr(got, name), getattr(ref, name)
+                    assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), name
+                assert angle_gap(got.theta_d, ref.theta_d) <= 1e-12
+                assert angle_gap(got.theta_tilde, ref.theta_tilde) <= 1e-12
+                assert np.allclose(new_states[i].position, pose[:2],
+                                   rtol=0.0, atol=1e-12)
+                assert angle_gap(new_states[i].heading, pose[2]) <= 1e-12
+                if ref.grad_norm <= floor and i > 0:
+                    held[prev[i] is not None] += 1
+        assert held[True] and held[False] and floored == 10
+
+
+class TestAccretion:
+    """neighbor_mode = accreting: followers 2 and 3 start 2.4 m apart, out
+    of each other's sight, and close in on the informed robot between them."""
+
+    def _cfg(self, mode):
+        return small_config(
+            initial_states=make_states([(-4.0, -2.0, 0.0), (-4.0, -0.8, 0.0),
+                                        (-4.0, -3.2, 0.0)]),
+            horizon=1.0, neighbor_mode=mode)
+
+    def test_close_pair_gains_one_mutual_edge(self, monkeypatch):
+        grown = []
+        accrete = sim._accrete_edges
+
+        def record(mask, dist, threshold):
+            before = mask.copy()
+            accrete(mask, dist, threshold)
+            grown.append((mask & ~before, dist.copy()))
+        monkeypatch.setattr(sim, "_accrete_edges", record)
+        cfg = self._cfg("accreting")
+        log = run(cfg)
+
+        threshold = cfg.sensing_radius - cfg.connectivity_buffer
+        steps = [k for k, (added, _) in enumerate(grown) if added.any()]
+        assert len(steps) == 1
+        k = steps[0]
+        added, dist = grown[k]
+        assert {(int(a), int(b)) for a, b in zip(*np.nonzero(added))} == {
+            (1, 2), (2, 1)}
+        assert dist[1, 2] < threshold
+        d23 = log.distances[:, log.pairs.index((2, 3))]
+        assert k == int(np.argmax(d23 < threshold))
+        # before that the pair sat inside sensing range, above the threshold
+        assert np.any((d23[:k] < cfg.sensing_radius) & (d23[:k] >= threshold))
+
+    def test_frozen_run_differs_from_the_accretion_step_on(self):
+        cfg = self._cfg("accreting")
+        accreting, frozen = run(cfg), run(self._cfg("frozen"))
+        threshold = cfg.sensing_radius - cfg.connectivity_buffer
+        d23 = frozen.distances[:, frozen.pairs.index((2, 3))]
+        k = int(np.argmax(d23 < threshold))
+        assert 0 < k < frozen.n_steps - 1
+        assert np.array_equal(accreting.poses[:k + 1], frozen.poses[:k + 1])
+        assert np.array_equal(accreting.controls[:k], frozen.controls[:k])
+        assert not np.array_equal(accreting.controls[k], frozen.controls[k])
+        assert all(not np.array_equal(a, b) for a, b in
+                   zip(accreting.poses[k + 1:], frozen.poses[k + 1:]))
+
+
+def check(positions, dists, monitored, region, cfg, step_index=0, t=0.0):
+    """monitor_invariants on (x, y) rows and a {(i, j): d} table."""
+    pairs = tuple(sorted(dists))
+    return monitor_invariants(np.array(positions, dtype=float),
+                              np.array([dists[p] for p in pairs]), pairs,
+                              np.array([p in monitored for p in pairs]),
+                              region, cfg, step_index, t)
 
 
 class TestMonitors:
-    def _states(self, poses):
-        return make_states(poses)
-
     def test_healthy_step_is_quiet(self):
         cfg = small_config()
-        states = self._states([(-4.0, -2.0, 0.0), (-4.8, -2.5, 0.0),
-                               (-3.4, -2.9, 0.0)])
         dists = {(1, 2): 0.9, (1, 3): 1.0, (2, 3): 1.4}
-        events = monitor_invariants(states, dists, set(dists),
-                                    RegionFlag.COLLISION_FREE, cfg, 0, 0.0)
+        events = check([(-4.0, -2.0), (-4.8, -2.5), (-3.4, -2.9)], dists,
+                       set(dists), RegionFlag.COLLISION_FREE, cfg)
         assert events == []
 
     def test_broken_edge_flagged(self):
         cfg = small_config()
-        states = self._states([(-4.0, -2.0, 0.0), (-1.95, -2.0, 0.0),
-                               (-4.5, -2.5, 0.0)])
         dists = {(1, 2): 2.05, (1, 3): 0.7, (2, 3): 2.6}
-        events = monitor_invariants(states, dists, {(1, 2), (1, 3)},
-                                    RegionFlag.COLLISION_FREE, cfg, 3, 0.015)
+        events = check([(-4.0, -2.0), (-1.95, -2.0), (-4.5, -2.5)], dists,
+                       {(1, 2), (1, 3)}, RegionFlag.COLLISION_FREE, cfg, 3,
+                       0.015)
         kinds = [e.kind for e in events]
         assert kinds == ["connectivity"]
         assert "(1,2)" in events[0].detail
 
     def test_collision_flagged_only_while_avoiding(self):
         cfg = small_config()
-        states = self._states([(-4.0, -2.0, 0.0), (-4.01, -2.0, 0.0),
-                               (-4.5, -2.5, 0.0)])
+        positions = [(-4.0, -2.0), (-4.01, -2.0), (-4.5, -2.5)]
         dists = {(1, 2): 0.01, (1, 3): 0.7, (2, 3): 0.7}
-        hot = monitor_invariants(states, dists, set(),
-                                 RegionFlag.COLLISION_FREE, cfg, 0, 0.0)
+        hot = check(positions, dists, set(), RegionFlag.COLLISION_FREE, cfg)
         assert [e.kind for e in hot] == ["collision"]
-        cold = monitor_invariants(states, dists, set(),
-                                  RegionFlag.RENDEZVOUS, cfg, 0, 0.0)
+        cold = check(positions, dists, set(), RegionFlag.RENDEZVOUS, cfg)
         assert cold == []
 
     def test_outside_workspace_flagged(self):
         cfg = small_config()
-        states = [RobotState(1, np.array([-4.0, -2.0]), 0.0, Role.INFORMED),
-                  RobotState(2, np.array([-4.5, -2.0]), 0.0, Role.FOLLOWER),
-                  RobotState(3, np.array([-3.5, -2.0]), 0.0, Role.FOLLOWER)]
-        states[1] = RobotState(2, np.array([29.0, 8.0]), 0.0, Role.FOLLOWER)
         dists = {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0}
-        events = monitor_invariants(states, dists, set(),
-                                    RegionFlag.COLLISION_FREE, cfg, 0, 0.0)
+        events = check([(-4.0, -2.0), (29.0, 8.0), (-3.5, -2.0)], dists,
+                       set(), RegionFlag.COLLISION_FREE, cfg)
         assert "boundary" in [e.kind for e in events]
+
+    def test_events_keep_pair_order_and_text(self):
+        # per pair: connectivity before collision; pairs in log order, then
+        # robots outside the workspace, then the informed robot's band
+        cfg = small_config(collision_floor=2.5, workspace_radius=10.0)
+        dists = {(1, 2): 2.2, (1, 3): 0.3, (2, 3): 3.0}
+        events = check([(9.5, 0.0), (8.0, 6.5), (9.6, 0.2)], dists,
+                       {(1, 2), (2, 3)}, RegionFlag.COLLISION_FREE, cfg, 7,
+                       0.035)
+        assert [(e.step, e.time, e.kind, e.detail) for e in events] == [
+            (7, 0.035, "connectivity", "edge (1,2) at d=2.200000"),
+            (7, 0.035, "collision", "pair (1,2) at d=2.200000"),
+            (7, 0.035, "collision", "pair (1,3) at d=0.300000"),
+            (7, 0.035, "connectivity", "edge (2,3) at d=3.000000"),
+            (7, 0.035, "boundary", "robot 2 outside the workspace"),
+            (7, 0.035, "leader_range",
+             "informed robot beyond the follower-safe band")]
 
 
 class TestRun:
