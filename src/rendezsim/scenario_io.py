@@ -120,6 +120,7 @@ def seeded_deployment(seed: int, count: int, center: np.ndarray, spread: float,
     """
     rng = np.random.default_rng(seed)
     center = np.asarray(center, dtype=float)
+    upper = np.triu_indices(count, k=1)
     for _ in range(max_attempts):
         radii = spread * np.sqrt(rng.uniform(0.0, 1.0, count))
         angles = rng.uniform(-math.pi, math.pi, count)
@@ -128,15 +129,8 @@ def seeded_deployment(seed: int, count: int, center: np.ndarray, spread: float,
                                  radii * np.sin(angles)], axis=1)
         if np.any(np.linalg.norm(pts, axis=1) >= workspace_radius):
             continue
-        ok = True
-        for i in range(count):
-            for j in range(i + 1, count):
-                if float(np.linalg.norm(pts[i] - pts[j])) < min_separation:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if np.any(np.linalg.norm(pts[upper[0]] - pts[upper[1]], axis=1)
+                  < min_separation):
             continue
         states = [RobotState(i + 1, pts[i], float(headings[i]),
                              Role.INFORMED if i == 0 else Role.FOLLOWER)
@@ -273,6 +267,23 @@ def _meta_lines(log: TrajectoryLog) -> list[str]:
     ]
 
 
+# rows per formatting call: large enough that the per-call cost vanishes,
+# small enough that one block's Python floats and text stay near 1 MB
+_WRITE_BLOCK = 2048
+
+_TRAJ_ROW = "%.9f,%d," + "%.9f," * 9 + "%d\n"
+_DIST_ROW = "%.9f,%d,%d,%.9f,%d\n"
+
+
+def _write_table(path, meta, header, table, row_fmt):
+    """Write the metadata, the column names and one ``row_fmt`` line per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([*meta, header]) + "\n")
+        for start in range(0, len(table), _WRITE_BLOCK):
+            block = table[start:start + _WRITE_BLOCK]
+            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+
+
 def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
     """Write trajectory and pair-distance files; returns their paths.
 
@@ -285,30 +296,33 @@ def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     traj_path = os.path.join(out_dir, TRAJECTORY_FILE)
     dist_path = os.path.join(out_dir, DISTANCES_FILE)
-
     meta = _meta_lines(log)
-    rows = [*meta, _TRAJ_HEADER]
-    for k in range(log.n_steps):
-        t = log.times[k]
-        reg = int(log.region[k])
-        for i in range(log.n_robots):
-            x, y, th = log.poses[k, i]
-            v, om, td, tt, tdd = log.controls[k, i]
-            rows.append(
-                f"{t:.9f},{i + 1},{x:.9f},{y:.9f},{th:.9f},{v:.9f},{om:.9f},"
-                f"{td:.9f},{tt:.9f},{tdd:.9f},{log.phi[k, i]:.9f},{reg}")
-    with open(traj_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    steps, n, n_pairs = log.n_steps, log.n_robots, len(log.pairs)
 
-    rows = [*meta, _DIST_HEADER]
-    for k in range(log.n_steps):
-        t = log.times[k]
-        for col, (i, j) in enumerate(log.pairs):
-            rows.append(f"{t:.9f},{i},{j},{log.distances[k, col]:.9f},"
-                        f"{int(log.monitored[col])}")
-    with open(dist_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    traj = np.empty((steps, n, 12))
+    traj[:, :, 0] = log.times[:, None]
+    traj[:, :, 1] = np.arange(1, n + 1)
+    traj[:, :, 2:5] = log.poses
+    traj[:, :, 5:10] = log.controls
+    traj[:, :, 10] = log.phi
+    traj[:, :, 11] = log.region[:, None]
+    _write_table(traj_path, meta, _TRAJ_HEADER, traj.reshape(-1, 12),
+                 _TRAJ_ROW)
+
+    dist = np.empty((steps, n_pairs, 5))
+    dist[:, :, 0] = log.times[:, None]
+    dist[:, :, 1:3] = np.reshape(log.pairs, (n_pairs, 2))
+    dist[:, :, 3] = log.distances
+    dist[:, :, 4] = log.monitored
+    _write_table(dist_path, meta, _DIST_HEADER, dist.reshape(-1, 5),
+                 _DIST_ROW)
     return traj_path, dist_path
+
+
+def _read_table(path, n_meta):
+    """The numbers below a file's metadata and column names, one row each."""
+    return np.loadtxt(path, delimiter=",", comments="#",
+                      skiprows=n_meta + 1, ndmin=2)
 
 
 def load_trajectory(log_dir: str) -> TrajectoryLog:
@@ -324,21 +338,17 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
             meta[key.strip()] = raw.strip()
     n = int(meta["n_robots"])
 
-    data = np.genfromtxt(traj_path, delimiter=",", comments="#",
-                         skip_header=len(meta) + 1)
-    data = data.reshape(-1, n, 12)
+    data = _read_table(traj_path, len(meta)).reshape(-1, n, 12)
     times = data[:, 0, 0]
     poses = data[:, :, 2:5]
     controls = data[:, :, 5:10]
     phi = data[:, :, 10]
     region = data[:, 0, 11].astype(np.int8)
 
-    ddata = np.genfromtxt(dist_path, delimiter=",", comments="#",
-                          skip_header=len(meta) + 1)
-    ddata = np.atleast_2d(ddata)
     n_pairs = n * (n - 1) // 2
     if n_pairs:
-        ddata = ddata.reshape(len(times), n_pairs, 5)
+        ddata = _read_table(dist_path, len(meta)).reshape(
+            len(times), n_pairs, 5)
         pairs = tuple((int(i), int(j)) for i, j in ddata[0, :, 1:3])
         distances = ddata[:, :, 3]
         monitored = ddata[0, :, 4].astype(bool)
@@ -378,7 +388,7 @@ with open(TRAJ, encoding="utf-8") as fh:
     head = [line[1:].split("=") for line in fh if line.startswith("#")]
 meta = {{key.strip(): value.strip() for key, value in head}}
 
-rows = np.genfromtxt(TRAJ, delimiter=",", skip_header=len(meta) + 1)
+rows = np.loadtxt(TRAJ, delimiter=",", skiprows=len(meta) + 1, ndmin=2)
 n = int(rows[:, 1].max())
 rows = rows.reshape(-1, n, 12)
 t = rows[:, 0, 0]
@@ -398,7 +408,7 @@ ax.set_title("Robot trajectories (arrows: start/end headings)")
 ax.axis("equal"); ax.legend(fontsize=8)
 fig.savefig("trajectory.png", dpi=150)
 
-drows = np.genfromtxt(DIST, delimiter=",", skip_header=len(meta) + 1)
+drows = np.loadtxt(DIST, delimiter=",", skiprows=len(meta) + 1, ndmin=2)
 p = len(drows) // len(t)
 drows = drows.reshape(-1, p, 5)
 fig, ax = plt.subplots(figsize=(8, 5))

@@ -7,13 +7,14 @@ from dataclasses import fields as dc_fields
 import numpy as np
 import pytest
 
-from rendezsim import (FieldParams, ScenarioError, compute_metrics,
-                       emit_plot_script, export_trajectory, load_trajectory,
-                       parse_scenario, run, write_scenario)
+from rendezsim import (FieldParams, ScenarioError, TrajectoryLog,
+                       compute_metrics, emit_plot_script, export_trajectory,
+                       load_trajectory, parse_scenario, run, write_scenario)
+from rendezsim import scenario_io
 from rendezsim.cli import main
 from rendezsim.scenario_io import ParseError
 
-from conftest import small_config
+from conftest import make_states, small_config
 
 SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
                         "rendezvous_s5.scn")
@@ -161,6 +162,120 @@ class TestTrajectoryExport:
         with pytest.raises(ValueError, match="empty"):
             export_trajectory(log, str(tmp_path))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("overrides", [
+        # one robot: the distances file holds no rows
+        dict(n_robots=1, linear_gains=[2.0], angular_gains=[8.0],
+             initial_states=make_states([(-4.0, -2.0, 0.5)]), horizon=0.01),
+        # one step: one row per file, which must still read as a table
+        dict(horizon=0.001),
+    ], ids=["one_robot", "one_step"])
+    def test_roundtrip_of_small_logs(self, tmp_path, overrides):
+        log = run(small_config(**overrides))
+        export_trajectory(log, str(tmp_path))
+        loaded = load_trajectory(str(tmp_path))
+        assert loaded.poses.shape == log.poses.shape
+        assert loaded.distances.shape == log.distances.shape
+        assert loaded.pairs == log.pairs
+        assert np.array_equal(loaded.monitored, log.monitored)
+        assert np.array_equal(loaded.region, log.region)
+        for name in ("times", "poses", "controls", "phi", "distances"):
+            assert np.allclose(getattr(loaded, name), getattr(log, name),
+                               rtol=0.0, atol=5e-10), name
+
+
+def synthetic_log():
+    """Four robots, 700 steps: both files span more than one write block."""
+    steps, n = 700, 4
+    rng = np.random.default_rng(7)
+    pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    poses = rng.normal(scale=3.0, size=(steps, n, 3))
+    controls = rng.normal(size=(steps, n, 5))
+    phi = rng.uniform(size=(steps, n))
+    distances = rng.uniform(0.0, 4.0, size=(steps, len(pairs)))
+    # values that print as -0.000000000
+    poses[0, 0] = [-1e-12, -4.9e-10, -0.0]
+    distances[0, 0] = -3e-11
+    # negative and large values
+    controls[1, 1] = [1.5e6, -2.75e7, 123456789.125, -987654.5, -1e-9]
+    phi[2] = [-1e8, 7.5e9, -0.5, 1.0]
+    region = np.zeros(steps, dtype=np.int8)
+    region[steps // 2:] = 1
+    return TrajectoryLog(
+        times=np.arange(steps) * 0.005, poses=poses, controls=controls,
+        phi=phi, region=region, pairs=pairs, distances=distances,
+        monitored=np.array([True, False, True, False, False, True]),
+        switch_step=steps // 2, goal_position=np.array([1.5, -0.25]),
+        goal_heading=-0.75, time_step=0.005, sensing_radius=2.0,
+        roles=("informed",) + ("follower",) * (n - 1))
+
+
+def oracle_files(log):
+    """(trajectory, distances) text from one f-string per row."""
+    meta = scenario_io._meta_lines(log)
+    traj = [*meta, scenario_io._TRAJ_HEADER]
+    for k in range(log.n_steps):
+        t = log.times[k]
+        reg = int(log.region[k])
+        for i in range(log.n_robots):
+            x, y, th = log.poses[k, i]
+            v, om, td, tt, tdd = log.controls[k, i]
+            traj.append(
+                f"{t:.9f},{i + 1},{x:.9f},{y:.9f},{th:.9f},{v:.9f},{om:.9f},"
+                f"{td:.9f},{tt:.9f},{tdd:.9f},{log.phi[k, i]:.9f},{reg}")
+    dist = [*meta, scenario_io._DIST_HEADER]
+    for k in range(log.n_steps):
+        t = log.times[k]
+        for col, (i, j) in enumerate(log.pairs):
+            dist.append(f"{t:.9f},{i},{j},{log.distances[k, col]:.9f},"
+                        f"{int(log.monitored[col])}")
+    return "\n".join(traj) + "\n", "\n".join(dist) + "\n"
+
+
+def csv_fields(path):
+    """float() of every field below the header, one list per row."""
+    with open(path, encoding="utf-8") as fh:
+        body = [line for line in fh if not line.startswith("#")][1:]
+    return np.array([[float(f) for f in line.split(",")] for line in body])
+
+
+def assert_bits_equal(a, b):
+    a = np.ascontiguousarray(a, dtype=float)
+    b = np.ascontiguousarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestExportFormat:
+    def test_files_match_per_row_formatter(self, tmp_path):
+        log = synthetic_log()
+        assert log.n_steps * log.n_robots > scenario_io._WRITE_BLOCK
+        traj_path, dist_path = export_trajectory(log, str(tmp_path))
+        traj, dist = oracle_files(log)
+        assert "-0.000000000," in traj and ",-0.000000000," in dist
+        with open(traj_path, encoding="utf-8") as fh:
+            assert fh.read() == traj
+        with open(dist_path, encoding="utf-8") as fh:
+            assert fh.read() == dist
+
+    def test_reload_is_float_of_every_field(self, tmp_path):
+        log = synthetic_log()
+        export_trajectory(log, str(tmp_path))
+        loaded = load_trajectory(str(tmp_path))
+        steps, n, p = log.n_steps, log.n_robots, len(log.pairs)
+        traj = csv_fields(tmp_path / "trajectory.csv").reshape(steps, n, 12)
+        dist = csv_fields(tmp_path / "distances.csv").reshape(steps, p, 5)
+        assert_bits_equal(loaded.times, traj[:, 0, 0])
+        assert_bits_equal(loaded.poses, traj[:, :, 2:5])
+        assert_bits_equal(loaded.controls, traj[:, :, 5:10])
+        assert_bits_equal(loaded.phi, traj[:, :, 10])
+        assert np.array_equal(loaded.region, traj[:, 0, 11])
+        assert_bits_equal(loaded.distances, dist[:, :, 3])
+        assert loaded.pairs == tuple(map(tuple, dist[0, :, 1:3].astype(int)))
+        assert np.array_equal(loaded.monitored, dist[0, :, 4] == 1)
+        assert np.signbit(loaded.poses[0, 0]).all()
+        assert loaded.switch_step == log.switch_step
+
 
 class TestPlotScript:
     def test_emission(self, tmp_path):
@@ -236,6 +351,21 @@ class TestCli:
         assert "final goal distances" in capsys.readouterr().out
         assert main(["plots", str(out)]) == 0
         assert (out / "plots.py").exists()
+
+    def test_metrics_of_export_match_run(self, tmp_path, capsys):
+        # the goal is close enough that the region switch happens, so every
+        # metric line is printed
+        path = tmp_path / "near.scn"
+        write_lines(path, minimal_lines(horizon="0.5",
+                                        goal_position="-5.0 -1.0"))
+        out = tmp_path / "logs"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        ran = capsys.readouterr().out.splitlines()
+        assert main(["metrics", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == 6
+        assert any("dropped at" in line for line in printed)
+        assert ran[-1 - len(printed):-1] == printed
 
     def test_strict_violation_exit_code(self, tmp_path, capsys):
         # a collision floor above the robots' spacing trips the monitor
