@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import RegionFlag, RobotState, ScenarioConfig
+from .model import RegionFlag, ScenarioConfig
 
 
 def _logistic(z: float) -> float:
@@ -205,7 +205,7 @@ def navfunc_follower(position: np.ndarray,
     return gamma / (gamma ** alpha + beta) ** (1.0 / alpha)
 
 
-def region_of(leader_state: RobotState, params: FieldParams,
+def region_of(leader_position: np.ndarray, params: FieldParams,
               previous: RegionFlag = RegionFlag.COLLISION_FREE) -> RegionFlag:
     """Latched region switch driven by the informed robot's goal distance.
 
@@ -215,7 +215,7 @@ def region_of(leader_state: RobotState, params: FieldParams,
     """
     if previous is RegionFlag.RENDEZVOUS:
         return RegionFlag.RENDEZVOUS
-    gap = leader_state.position - params.goal_position
+    gap = leader_position - params.goal_position
     if math.hypot(gap[0], gap[1]) < params.switch_distance:
         return RegionFlag.RENDEZVOUS
     return RegionFlag.COLLISION_FREE

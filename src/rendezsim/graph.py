@@ -1,7 +1,7 @@
 """Directed proximity graph: construction, spanning-tree check, Laplacian."""
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,17 +19,11 @@ class Topology:
     """Snapshot of the sensing graph.
 
     ``neighbors[i]`` lists the robots that robot i can sense (its parents:
-    information flows from them to i). ``distances`` holds the distance for
-    every directed edge at construction time. ``monitored_edges`` is the set
-    of edges whose preservation the simulator watches; by default it is every
-    edge present at construction, since the connectivity claim covers all of
-    them.
+    information flows from them to i).
     """
 
     n: int
     neighbors: dict[int, tuple[int, ...]]
-    distances: dict[Edge, float]
-    monitored_edges: tuple[Edge, ...] = field(default_factory=tuple)
 
 
 def build_topology(states: list[RobotState], sensing_radius: float) -> Topology:
@@ -47,11 +41,7 @@ def build_topology(states: list[RobotState], sensing_radius: float) -> Topology:
     np.fill_diagonal(near, False)
     neighbors = {a: tuple(ids[j] for j in np.flatnonzero(row))
                  for a, row in zip(ids, near)}
-    distances = {(ids[i], ids[j]): float(dist[i, j])
-                 for i, j in zip(*np.nonzero(near))}
-    edges = tuple(sorted(distances))
-    return Topology(n=len(ids), neighbors=neighbors, distances=distances,
-                    monitored_edges=edges)
+    return Topology(n=len(ids), neighbors=neighbors)
 
 
 def has_rooted_spanning_tree(topo: Topology, root: int) -> bool:
@@ -100,16 +90,3 @@ def laplacian(topo: Topology, weights: dict[Edge, float],
             mat[i - 1, j - 1] -= k * w
     return mat
 
-
-def tree_edge_stress(topo: Topology, sensing_radius: float,
-                     connectivity_buffer: float) -> list[tuple[Edge, float]]:
-    """Margin to connectivity loss, R - d, for every monitored edge.
-
-    A margin <= 0 means the edge has broken; margins below
-    ``connectivity_buffer`` mean the edge sits inside the band where the
-    connectivity term of the potential actively pulls it back.
-    """
-    if not 0.0 < connectivity_buffer < sensing_radius:
-        raise GraphError("connectivity_buffer must be in (0, sensing_radius)")
-    return [(edge, sensing_radius - topo.distances[edge])
-            for edge in topo.monitored_edges]

@@ -407,20 +407,23 @@ ax.set_xlabel("x [m]"); ax.set_ylabel("y [m]")
 ax.set_title("Robot trajectories (arrows: start/end headings)")
 ax.axis("equal"); ax.legend(fontsize=8)
 fig.savefig("trajectory.png", dpi=150)
+written = ["trajectory.png"]
 
-drows = np.loadtxt(DIST, delimiter=",", skiprows=len(meta) + 1, ndmin=2)
-p = len(drows) // len(t)
-drows = drows.reshape(-1, p, 5)
-fig, ax = plt.subplots(figsize=(8, 5))
-for c in range(p):
-    i, j = int(drows[0, c, 1]), int(drows[0, c, 2])
-    ax.plot(t, drows[:, c, 3], label=f"d({{i}},{{j}})",
-            lw=1.5 if drows[0, c, 4] else 0.7)
-ax.axhline(float(meta["sensing_radius"]), color="k", ls="--")
-ax.set_xlabel("t [s]"); ax.set_ylabel("inter-robot distance [m]")
-ax.set_title("Evolution of inter-robot distances")
-ax.legend(fontsize=7, ncol=3)
-fig.savefig("distances.png", dpi=150)
+if n > 1:  # a lone robot has no pairs and {dist} has no rows
+    drows = np.loadtxt(DIST, delimiter=",", skiprows=len(meta) + 1, ndmin=2)
+    p = len(drows) // len(t)
+    drows = drows.reshape(-1, p, 5)
+    fig, ax = plt.subplots(figsize=(8, 5))
+    for c in range(p):
+        i, j = int(drows[0, c, 1]), int(drows[0, c, 2])
+        ax.plot(t, drows[:, c, 3], label=f"d({{i}},{{j}})",
+                lw=1.5 if drows[0, c, 4] else 0.7)
+    ax.axhline(float(meta["sensing_radius"]), color="k", ls="--")
+    ax.set_xlabel("t [s]"); ax.set_ylabel("inter-robot distance [m]")
+    ax.set_title("Evolution of inter-robot distances")
+    ax.legend(fontsize=7, ncol=3)
+    fig.savefig("distances.png", dpi=150)
+    written.append("distances.png")
 
 fig, ax = plt.subplots(figsize=(8, 5))
 for i in range(n):
@@ -430,7 +433,8 @@ ax.set_xlabel("t [s]"); ax.set_ylabel("|heading error| [rad]")
 ax.set_title("Heading tracking error")
 ax.legend(fontsize=8)
 fig.savefig("heading_decay.png", dpi=150)
-print("wrote trajectory.png, distances.png, heading_decay.png")
+written.append("heading_decay.png")
+print("wrote " + ", ".join(written))
 '''
 
 

@@ -5,13 +5,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlOutput, compute_control, control_laws
+from .control import ControlOutput, control_laws
 from .fields import FieldParams, region_of
-from .gradients import follower_jets
+from .gradients import follower_jets, leader_field_eval
 from .graph import Topology, build_topology, has_rooted_spanning_tree
-from .model import (RegionFlag, RobotState, Role, ScenarioConfig,
-                    validate_scenario, wrap_angles)
-# not called here: rendezbench/tracing.py counts calls under this name
+from .model import (RegionFlag, RobotState, ScenarioConfig, validate_scenario,
+                    wrap_angles)
+# not called here: rendezbench/tracing.py wraps these names
+from .control import compute_control  # noqa: F401
 from .model import normalize_angle  # noqa: F401
 
 
@@ -113,6 +114,10 @@ def _pose_array(states: list[RobotState]) -> np.ndarray:
                      for s in states])
 
 
+def _gains(cfg: ScenarioConfig):
+    return np.asarray(cfg.linear_gains), np.asarray(cfg.angular_gains)
+
+
 def _offsets(poses: np.ndarray):
     """dx[i, j] = x_i - x_j, dy likewise, and the pairwise distance matrix."""
     dx = poses[:, 0, None] - poses[:, 0]
@@ -128,37 +133,34 @@ def _neighbor_mask(topo: Topology) -> np.ndarray:
     return mask
 
 
-def _advance(poses, offsets, mask, region, leader, fallback, cfg, params):
+def _advance(poses, offsets, mask, region, fallback, gains, cfg, params):
     """One synchronous update of every robot from one (N, 3) pose snapshot.
 
-    Row 0, the informed robot, descends its own potential through
-    compute_control. The followers go through one numpy pass in which
-    follower i reads only mask row i. ``fallback`` holds each robot's
-    previous desired heading, or its current heading when there is none.
-    Returns the new poses, the (N, 5) controls (v, omega, theta_d,
-    theta_tilde, theta_d_dot), phi and the gradient norms.
+    Every robot is one row of one pass: row 0, the informed robot, takes its
+    potential's value and derivatives from the dipolar jet, the followers
+    from ``follower_jets`` (follower i reads only mask row i), and one
+    ``control_laws`` call applies the laws to all rows. ``fallback`` holds
+    each robot's previous desired heading, or its current heading when
+    there is none; ``gains`` is (k_v, k_w) over the rows. Returns the new
+    poses, the (N, 5) controls (v, omega, theta_d, theta_tilde,
+    theta_d_dot), phi and the gradient norms.
     """
     n = len(poses)
-    ctrl = np.empty((n, 5))
     phi = np.empty(n)
-    grad_norm = np.empty(n)
-    lead = compute_control(leader, (), region, params,
-                           k_v=cfg.linear_gains[0], k_w=cfg.angular_gains[0],
-                           prev_theta_d=fallback[0],
-                           gradient_floor=cfg.gradient_floor)
-    ctrl[0] = (lead.v, lead.omega, lead.theta_d, lead.theta_tilde,
-               lead.theta_d_dot)
-    phi[0], grad_norm[0] = lead.phi, lead.grad_norm
+    grad = np.empty((2, n))
+    hess = np.empty((3, n))
+    lead = leader_field_eval(poses[0, :2], params)
+    phi[0] = lead.value
+    grad[:, 0] = lead.gradient
+    hess[:, 0] = lead.hessian[(0, 0, 1), (0, 1, 1)]  # xx, xy, yy
     if n > 1:
         dx, dy, dist = (a[1:] for a in offsets)
-        phi[1:], grad, hess = follower_jets(
+        phi[1:], grad[:, 1:], hess[:, 1:] = follower_jets(
             dx, dy, dist, mask[1:], region, params, cfg.gradient_mode,
             cfg.distance_floor)
-        *laws, grad_norm[1:] = control_laws(
-            grad, hess, poses[1:, 2], fallback[1:],
-            np.asarray(cfg.linear_gains[1:]),
-            np.asarray(cfg.angular_gains[1:]), cfg.gradient_floor)
-        ctrl[1:] = np.column_stack(laws)
+    *laws, grad_norm = control_laws(grad, hess, poses[:, 2], fallback,
+                                    *gains, cfg.gradient_floor)
+    ctrl = np.column_stack(laws)
     new = _integrate_all(poses, ctrl[:, 0], ctrl[:, 1], cfg.time_step)
     if not np.all(np.isfinite(new)):
         raise RuntimeError(f"non-finite state after integration:\n{new}")
@@ -187,13 +189,13 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
         if prev is not None:
             fallback[i] = prev
     new, ctrl, phi, grad_norm = _advance(
-        poses, _offsets(poses), _neighbor_mask(topo), region, states[0],
-        fallback, cfg, params)
+        poses, _offsets(poses), _neighbor_mask(topo), region, fallback,
+        _gains(cfg), cfg, params)
     controls = [ControlOutput(*row, p, g) for row, p, g in
                 zip(ctrl.tolist(), phi.tolist(), grad_norm.tolist())]
     new_states = [s.with_pose(new[i, :2], new[i, 2])
                   for i, s in enumerate(states)]
-    new_region = region_of(new_states[0], params, previous=region)
+    new_region = region_of(new[0, :2], params, previous=region)
     return new_states, controls, new_region
 
 
@@ -296,13 +298,13 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
 
     events: list[Event] = []
     switch_step = None
-    leader = cfg.initial_states[0]
-    region = region_of(leader, params)
+    pose = _pose_array(cfg.initial_states)
+    region = region_of(pose[0, :2], params)
     if region is RegionFlag.RENDEZVOUS:
         switch_step = 0
         events.append(Event(0, 0.0, "switch",
                             "collision avoidance off from the start"))
-    pose = _pose_array(cfg.initial_states)
+    gains = _gains(cfg)
     fallback = pose[:, 2]  # no desired heading yet: hold the current one
 
     k = 0
@@ -312,7 +314,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
         if accreting:
             _accrete_edges(mask, offsets[2], threshold)
         new_pose, controls, phi[k], _ = _advance(
-            pose, offsets, mask, region, leader, fallback, cfg, params)
+            pose, offsets, mask, region, fallback, gains, cfg, params)
 
         times[k] = t
         regions[k] = 0 if region is RegionFlag.COLLISION_FREE else 1
@@ -337,8 +339,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
 
         fallback = controls[:, 2]
         pose = new_pose
-        leader = RobotState(1, pose[0, :2], pose[0, 2], Role.INFORMED)
-        new_region = region_of(leader, params, previous=region)
+        new_region = region_of(pose[0, :2], params, previous=region)
         if new_region is not region and switch_step is None:
             switch_step = k + 1
             events.append(Event(k + 1, (k + 1) * cfg.time_step, "switch",

@@ -226,8 +226,7 @@ def test_criterion_07_laplacian_structure(reference_params):
             extra = {j for j in range(1, n + 1)
                      if j != i and rng.random() < 0.4}
             nbrs[i] = tuple(sorted(base | extra))
-        topo = Topology(n=n, neighbors=nbrs, distances={},
-                        monitored_edges=())
+        topo = Topology(n=n, neighbors=nbrs)
         gains = rng.uniform(0.5, 3.0, n).tolist()
         weights = {(i, j): float(rng.uniform(0.0, 4.0))
                    for i in range(2, n + 1) for j in nbrs[i]}

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from rendezsim import (RegionFlag, RobotState, Role, boundary_factor,
-                       constraint_follower, dipolar_factor, goal_follower,
-                       goal_leader, navfunc_follower, navfunc_leader,
-                       region_of, sigmoid_collision, sigmoid_connectivity)
+from rendezsim import (RegionFlag, boundary_factor, constraint_follower,
+                       dipolar_factor, goal_follower, goal_leader,
+                       navfunc_follower, navfunc_leader, region_of,
+                       sigmoid_collision, sigmoid_connectivity)
 
 
 def reference_leader_value(p, goal, goal_heading, eps_nh, alpha, r_work,
@@ -259,20 +259,17 @@ class TestNavfuncFollower:
 
 
 class TestRegionSwitch:
-    def _leader(self, x, y):
-        return RobotState(1, np.array([x, y]), 0.0, Role.INFORMED)
-
     def test_inside_threshold_switches(self, params_s5):
-        assert region_of(self._leader(1.4, 0.0),
+        assert region_of(np.array([1.4, 0.0]),
                          params_s5) is RegionFlag.RENDEZVOUS
 
     def test_outside_threshold_stays(self, params_s5):
-        assert region_of(self._leader(1.6, 0.0),
+        assert region_of(np.array([1.6, 0.0]),
                          params_s5) is RegionFlag.COLLISION_FREE
 
     def test_latched_once_triggered(self, params_s5):
-        flag = region_of(self._leader(1.4, 0.0), params_s5)
-        flag = region_of(self._leader(1.6, 0.0), params_s5, previous=flag)
+        flag = region_of(np.array([1.4, 0.0]), params_s5)
+        flag = region_of(np.array([1.6, 0.0]), params_s5, previous=flag)
         assert flag is RegionFlag.RENDEZVOUS
 
     def test_threshold_value(self, params_s5):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rendezsim import (Topology, build_topology, has_rooted_spanning_tree,
-                       laplacian, tree_edge_stress)
+                       laplacian)
 from rendezsim.graph import GraphError
 
 from conftest import make_states
@@ -10,8 +10,7 @@ from conftest import make_states
 
 def topo_from_neighbors(n, neighbors):
     return Topology(n=n, neighbors={i: tuple(neighbors.get(i, ()))
-                                    for i in range(1, n + 1)},
-                    distances={}, monitored_edges=())
+                                    for i in range(1, n + 1)})
 
 
 class TestBuildTopology:
@@ -20,7 +19,6 @@ class TestBuildTopology:
         topo = build_topology(states, 2.0)
         assert topo.neighbors[1] == (2,)
         assert topo.neighbors[2] == (1,)
-        assert topo.distances[(1, 2)] == pytest.approx(1.9)
 
     def test_no_edge_above_radius(self):
         states = make_states([(0.0, 0.0, 0.0), (2.1, 0.0, 0.0)])
@@ -33,15 +31,15 @@ class TestBuildTopology:
         topo = build_topology(states, 2.0)
         assert topo.neighbors[1] == ()
 
-    def test_distances_symmetric(self):
+    def test_edges_are_mutual(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             pts = rng.uniform(-3, 3, (6, 2))
             states = make_states([(x, y, 0.0) for x, y in pts])
             topo = build_topology(states, 2.5)
-            for (i, j), d in topo.distances.items():
-                assert (j, i) in topo.distances
-                assert topo.distances[(j, i)] == pytest.approx(d, abs=1e-15)
+            for i, near in topo.neighbors.items():
+                for j in near:
+                    assert i in topo.neighbors[j]
 
 
 class TestSpanningTree:
@@ -129,22 +127,3 @@ class TestLaplacian:
             assert np.all(off <= 0.0)
             assert np.all(mat[0] == 0.0)
 
-
-class TestTreeEdgeStress:
-    def test_margin_arithmetic(self):
-        states = make_states([(0.0, 0.0, 0.0), (1.5, 0.0, 0.0)])
-        topo = build_topology(states, 2.0)
-        margins = dict(tree_edge_stress(topo, 2.0, 0.4))
-        assert margins[(1, 2)] == pytest.approx(0.5)
-
-    def test_zero_margin_is_violation(self):
-        topo = Topology(n=2, neighbors={1: (2,), 2: (1,)},
-                        distances={(1, 2): 2.0, (2, 1): 2.0},
-                        monitored_edges=((1, 2), (2, 1)))
-        margins = dict(tree_edge_stress(topo, 2.0, 0.4))
-        assert margins[(1, 2)] == 0.0
-
-    def test_buffer_must_be_sane(self):
-        topo = build_topology(make_states([(0, 0, 0), (1, 0, 0)]), 2.0)
-        with pytest.raises(GraphError):
-            tree_edge_stress(topo, 2.0, 2.5)

@@ -283,7 +283,8 @@ class TestPlotScript:
         log = run(cfg)
         export_trajectory(log, str(tmp_path))
         path = emit_plot_script(str(tmp_path))
-        content = open(path).read()
+        with open(path, encoding="utf-8") as fh:
+            content = fh.read()
         assert content.count("savefig") == 3
         assert str(tmp_path) not in content  # relative references only
         compile(content, path, "exec")  # syntactically valid
@@ -292,9 +293,10 @@ class TestPlotScript:
         with pytest.raises(FileNotFoundError):
             emit_plot_script(str(tmp_path))
 
-    def test_script_reads_goal_and_sensing_radius_from_header(
-            self, tmp_path, monkeypatch):
-        # matplotlib stand-in that records every drawing call
+    @staticmethod
+    def _run_script(log_dir, monkeypatch):
+        """Run the emitted script under a matplotlib stand-in; return every
+        (name, args) drawing call it made."""
         calls = []
 
         class Recorder:
@@ -308,12 +310,16 @@ class TestPlotScript:
         matplotlib.pyplot = pyplot
         monkeypatch.setitem(sys.modules, "matplotlib", matplotlib)
         monkeypatch.setitem(sys.modules, "matplotlib.pyplot", pyplot)
+        monkeypatch.chdir(log_dir)
+        runpy.run_path(emit_plot_script(str(log_dir)))
+        return calls
 
+    def test_script_reads_goal_and_sensing_radius_from_header(
+            self, tmp_path, monkeypatch):
         cfg = small_config(horizon=0.01, sensing_radius=2.2,
                            goal_position=np.array([1.5, -0.5]))
         export_trajectory(run(cfg), str(tmp_path))
-        monkeypatch.chdir(tmp_path)
-        runpy.run_path(emit_plot_script(str(tmp_path)))
+        calls = self._run_script(tmp_path, monkeypatch)
 
         stars = [args for name, args in calls
                  if name == "plot" and isinstance(args[-1], str)
@@ -321,6 +327,20 @@ class TestPlotScript:
         assert stars == [(1.5, -0.5, "k*")]
         lines = [args for name, args in calls if name == "axhline"]
         assert lines == [(2.2,)]
+
+    def test_one_robot_export_skips_the_distance_figure(
+            self, tmp_path, monkeypatch, capsys):
+        cfg = small_config(n_robots=1, horizon=0.01, linear_gains=[2.0],
+                           angular_gains=[8.0],
+                           initial_states=make_states([(-4.0, -2.0, 0.5)]))
+        export_trajectory(run(cfg), str(tmp_path))
+        calls = self._run_script(tmp_path, monkeypatch)
+
+        saved = [args[0] for name, args in calls if name == "savefig"]
+        assert saved == ["trajectory.png", "heading_decay.png"]
+        assert not any(name == "axhline" for name, _ in calls)
+        assert capsys.readouterr().out == (
+            "wrote trajectory.png, heading_decay.png\n")
 
 
 class TestCli:

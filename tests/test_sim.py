@@ -116,7 +116,7 @@ def ragged_mask(rng, n):
 
 def topology_of(mask):
     n = len(mask)
-    return Topology(n=n, distances={}, neighbors={
+    return Topology(n=n, neighbors={
         i + 1: tuple(int(j) + 1 for j in np.flatnonzero(mask[i]))
         for i in range(n)})
 
@@ -180,6 +180,32 @@ class TestArrayCore:
                 if ref.grad_norm <= floor and i > 0:
                     held[prev[i] is not None] += 1
         assert held[True] and held[False] and floored == 10
+
+    def test_run_is_one_array_pass_per_step(self, monkeypatch):
+        rows = []
+        laws = sim.control_laws
+
+        def count(grad, hess, theta, *rest):
+            rows.append(len(theta))
+            return laws(grad, hess, theta, *rest)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-robot control path called")
+
+        built = []
+        init = RobotState.__post_init__
+
+        def record(state):
+            built.append(state.id)
+            init(state)
+
+        cfg = small_config(horizon=0.05)
+        monkeypatch.setattr(sim, "control_laws", count)
+        monkeypatch.setattr(sim, "compute_control", refuse)
+        monkeypatch.setattr(RobotState, "__post_init__", record)
+        log = run(cfg)
+        assert rows == [cfg.n_robots] * log.n_steps
+        assert built == []
 
 
 class TestAccretion:
@@ -257,6 +283,28 @@ class TestMonitors:
         kinds = [e.kind for e in events]
         assert kinds == ["connectivity"]
         assert "(1,2)" in events[0].detail
+
+    def test_zero_margin_is_violation(self):
+        # a monitored edge exactly at the sensing radius has no margin left
+        cfg = small_config()
+        dists = {(1, 2): 2.0, (1, 3): 0.7, (2, 3): 2.6}
+        events = check([(-4.0, -2.0), (-2.0, -2.0), (-4.5, -2.5)], dists,
+                       {(1, 2), (1, 3)}, RegionFlag.COLLISION_FREE, cfg)
+        assert [(e.kind, e.detail) for e in events] == [
+            ("connectivity", "edge (1,2) at d=2.000000")]
+
+    def test_margin_arithmetic(self):
+        # robot 2 is 1.5 m and robot 3 1.2 m from the informed robot; the
+        # pair (2, 3) starts 2.7 m apart, out of range, so it is unmonitored
+        cfg = small_config(horizon=0.01, initial_states=make_states(
+            [(-4.0, -2.0, 0.5), (-2.5, -2.0, -1.0), (-5.2, -2.0, 2.0)]))
+        log = run(cfg)
+        assert log.pairs == ((1, 2), (1, 3), (2, 3))
+        assert log.monitored.tolist() == [True, True, False]
+        margins = log.edge_margins()
+        assert margins.shape == (log.n_steps, 2)
+        assert margins[0] == pytest.approx([0.5, 0.8], abs=1e-12)
+        assert np.array_equal(margins, 2.0 - log.distances[:, :2])
 
     def test_collision_flagged_only_while_avoiding(self):
         cfg = small_config()
