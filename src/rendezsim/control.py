@@ -70,8 +70,7 @@ def compute_control(robot: RobotState,
                     k_v: float, k_w: float,
                     prev_theta_d: float | None = None,
                     *, gradient_mode: str = "full",
-                    gradient_floor: float = 1e-9,
-                    distance_floor: float = 1e-9) -> ControlOutput:
+                    gradient_floor: float = 1e-9) -> ControlOutput:
     """Evaluate the robot's own potential and chain the four control laws.
 
     The informed robot uses the dipolar goal potential and needs no
@@ -83,8 +82,7 @@ def compute_control(robot: RobotState,
         ev = leader_field_eval(robot.position, params)
     else:
         ev = follower_field_eval(robot.position, neighbor_positions, region,
-                                 params, gradient_mode=gradient_mode,
-                                 distance_floor=distance_floor)
+                                 params, gradient_mode=gradient_mode)
     theta_d = desired_heading(ev.gradient, robot.heading, prev_theta_d,
                               gradient_floor)
     theta_tilde = normalize_angle(robot.heading - theta_d)

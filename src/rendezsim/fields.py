@@ -9,7 +9,7 @@ about to touch. All values live in [0, 1].
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -119,19 +119,8 @@ class FieldParams:
 
     @classmethod
     def from_config(cls, cfg: ScenarioConfig) -> "FieldParams":
-        return cls(
-            workspace_radius=cfg.workspace_radius,
-            sensing_radius=cfg.sensing_radius,
-            rendezvous_radius=cfg.rendezvous_radius,
-            collision_margin=cfg.collision_margin,
-            connectivity_buffer=cfg.connectivity_buffer,
-            sigmoid_eps=cfg.sigmoid_eps,
-            dipolar_eps=cfg.dipolar_eps,
-            field_exponent=cfg.field_exponent,
-            goal_position=np.asarray(cfg.goal_position, dtype=float),
-            goal_heading=cfg.goal_heading,
-            n_robots=cfg.n_robots,
-        )
+        """The config's values of the fields above, each under its own name."""
+        return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
 
     @property
     def switch_distance(self) -> float:

@@ -25,6 +25,10 @@ from .model import RegionFlag
 
 ScalarField = Callable[[np.ndarray], float]
 
+# an edge shorter than this adds no slope: its 1/d factors would overflow,
+# and it is only met at consensus, where p - q_j vanishes with it
+DISTANCE_FLOOR = 1e-9  # m
+
 
 def fd_gradient(f: ScalarField, p: np.ndarray, h: float) -> np.ndarray:
     """Central-difference gradient, one axis at a time."""
@@ -121,7 +125,7 @@ def _matrix(hess):
 
 
 def _constraint_jet(position, neighbor_positions, region, params,
-                    gradient_mode, distance_floor):
+                    gradient_mode):
     """Constraint product beta of the mode, its derivatives, and edge slopes.
 
     Each factor is logistic in d_j, so its log-derivatives are closed form in
@@ -130,7 +134,7 @@ def _constraint_jet(position, neighbor_positions, region, params,
     u_j = (p - q_j) / d_j and g = sum l_j u_j: grad beta = beta g and
     hess beta = beta (g g^T + sum l_j'' u_j u_j^T + l_j / d_j (I - u_j u_j^T)).
     The slopes l_j / d_j give grad beta = beta * sum slope_j * (p - q_j);
-    edges closer than the distance floor (only met at consensus) add none.
+    edges closer than DISTANCE_FLOOR add none.
     """
     avoid = region is RegionFlag.COLLISION_FREE and gradient_mode == "full"
     eps = params.sigmoid_eps
@@ -153,7 +157,7 @@ def _constraint_jet(position, neighbor_positions, region, params,
             beta *= c
             l1 += k_c * (1.0 - c)
             l2 -= k_c * k_c * c * (1.0 - c)
-        if d < distance_floor:
+        if d < DISTANCE_FLOOR:
             slopes.append(0.0)
             continue
         t = l1 / d
@@ -172,11 +176,10 @@ def _constraint_jet(position, neighbor_positions, region, params,
 def grad_constraint_follower(position: np.ndarray,
                              neighbor_positions: Sequence[np.ndarray],
                              region: RegionFlag, params: FieldParams,
-                             gradient_mode: str = "full",
-                             distance_floor: float = 1e-9) -> np.ndarray:
+                             gradient_mode: str = "full") -> np.ndarray:
     """Gradient of the constraint product for the selected mode."""
     return np.array(_constraint_jet(position, neighbor_positions, region,
-                                    params, gradient_mode, distance_floor)[1])
+                                    params, gradient_mode)[1])
 
 
 @dataclass
@@ -191,8 +194,7 @@ class GradientBundle:
 def grad_navfunc_follower(position: np.ndarray,
                           neighbor_positions: Sequence[np.ndarray],
                           region: RegionFlag, params: FieldParams,
-                          gradient_mode: str = "full",
-                          distance_floor: float = 1e-9) -> GradientBundle:
+                          gradient_mode: str = "full") -> GradientBundle:
     """Quotient-rule gradient and Hessian of the follower potential.
 
     The potential is the one the selected gradient law descends (see
@@ -205,8 +207,7 @@ def grad_navfunc_follower(position: np.ndarray,
     alpha = params.field_exponent
     gamma = goal_follower(position, neighbor_positions)
     beta, dbeta, ddbeta, slopes = _constraint_jet(
-        position, neighbor_positions, region, params, gradient_mode,
-        distance_floor)
+        position, neighbor_positions, region, params, gradient_mode)
     grad, hess, e = _quotient_jet(
         alpha, gamma, grad_goal_follower(position, neighbor_positions),
         2.0 * len(neighbor_positions), beta, dbeta, ddbeta)
@@ -285,15 +286,14 @@ def leader_field_eval(position: np.ndarray,
 def follower_field_eval(position: np.ndarray,
                         neighbor_positions: Sequence[np.ndarray],
                         region: RegionFlag, params: FieldParams,
-                        gradient_mode: str = "full",
-                        distance_floor: float = 1e-9) -> FieldEval:
+                        gradient_mode: str = "full") -> FieldEval:
     """Bundle value, analytic gradient and Hessian for a follower.
 
     The reported value is always the regional potential; gradient and Hessian
     follow the selected gradient law.
     """
     bundle = grad_navfunc_follower(position, neighbor_positions, region,
-                                   params, gradient_mode, distance_floor)
+                                   params, gradient_mode)
     return FieldEval(value=navfunc_follower(position, neighbor_positions,
                                             region, params),
                      gradient=bundle.gradient, hessian=bundle.hessian)
@@ -301,8 +301,7 @@ def follower_field_eval(position: np.ndarray,
 
 def follower_jets(dx: np.ndarray, dy: np.ndarray, dist: np.ndarray,
                   mask: np.ndarray, region: RegionFlag, params: FieldParams,
-                  gradient_mode: str = "full",
-                  distance_floor: float = 1e-9):
+                  gradient_mode: str = "full"):
     """Value, gradient and Hessian of many followers' potentials at once.
 
     Row i is one follower: dx, dy and dist hold its offsets p - q_j and
@@ -334,7 +333,7 @@ def follower_jets(dx: np.ndarray, dy: np.ndarray, dist: np.ndarray,
             l1 = l1 + k_c * (1.0 - c)
             l2 = l2 - k_c * k_c * c * (1.0 - c)
     # edge slopes l_j / d_j and curvatures; edges under the floor add none
-    live = mask & (dist >= distance_floor)
+    live = mask & (dist >= DISTANCE_FLOOR)
     t = np.divide(l1, dist, out=np.zeros_like(dist), where=live)
     w = np.divide(l2 - t, dist * dist, out=np.zeros_like(dist), where=live)
     mx = np.where(mask, dx, 0.0)

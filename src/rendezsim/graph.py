@@ -1,6 +1,5 @@
 """Directed proximity graph: construction, spanning-tree check, Laplacian."""
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,55 +15,54 @@ class GraphError(ValueError):
 
 @dataclass
 class Topology:
-    """Snapshot of the sensing graph.
+    """Snapshot of the sensing graph of robots 1..n.
 
-    ``neighbors[i]`` lists the robots that robot i can sense (its parents:
-    information flows from them to i).
+    ``adjacency[i - 1, j - 1]`` is True iff robot i senses robot j (j is a
+    parent of i: information flows from j to i). ``neighbors[i]`` lists
+    those j in order.
     """
 
-    n: int
-    neighbors: dict[int, tuple[int, ...]]
+    adjacency: np.ndarray  # (n, n) bool, False on the diagonal
+
+    @property
+    def n(self) -> int:
+        return len(self.adjacency)
+
+    @property
+    def neighbors(self) -> dict[int, tuple[int, ...]]:
+        return {i: tuple(int(j) + 1 for j in np.flatnonzero(row))
+                for i, row in enumerate(self.adjacency, start=1)}
 
 
 def build_topology(states: list[RobotState], sensing_radius: float) -> Topology:
     """Build the sensing graph: edge (i, j) iff ||p_i - p_j|| < radius, strictly.
 
-    Edges come in mutual pairs because sensing is distance-based; the directed
-    representation is kept so that hand-built asymmetric topologies can use the
-    same algorithms.
+    ``states`` are robots 1..n in order. Edges come in mutual pairs because
+    sensing is distance-based; the directed representation is kept so that
+    hand-built asymmetric topologies can use the same algorithms.
     """
-    ids = [s.id for s in states]
-    pos = np.array([s.position for s in states]).reshape(len(ids), 2)
+    pos = np.array([s.position for s in states]).reshape(len(states), 2)
     gap = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((gap * gap).sum(axis=2))
-    near = dist < sensing_radius
+    near = np.sqrt((gap * gap).sum(axis=2)) < sensing_radius
     np.fill_diagonal(near, False)
-    neighbors = {a: tuple(ids[j] for j in np.flatnonzero(row))
-                 for a, row in zip(ids, near)}
-    return Topology(n=len(ids), neighbors=neighbors)
+    return Topology(near)
 
 
 def has_rooted_spanning_tree(topo: Topology, root: int) -> bool:
     """True iff information from ``root`` can reach every node.
 
-    Edge (i, j) means i senses j, so information flows j -> i; we traverse
-    edges reversed and require every node reachable from the root.
+    Edge (i, j) means i senses j, so information flows j -> i: a robot is
+    reached once it senses a reached robot. Each pass reaches every robot
+    one hop further, so at most n passes decide.
     """
     if not 1 <= root <= topo.n:
         raise GraphError(f"root {root} outside 1..{topo.n}")
-    children: dict[int, list[int]] = {i: [] for i in range(1, topo.n + 1)}
-    for i, parents in topo.neighbors.items():
-        for j in parents:
-            children[j].append(i)
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        j = queue.popleft()
-        for i in children[j]:
-            if i not in seen:
-                seen.add(i)
-                queue.append(i)
-    return len(seen) == topo.n
+    reached = np.arange(1, topo.n + 1) == root
+    while True:
+        grown = reached | topo.adjacency @ reached
+        if np.array_equal(grown, reached):
+            return bool(reached.all())
+        reached = grown
 
 
 def laplacian(topo: Topology, weights: dict[Edge, float],
@@ -77,11 +75,11 @@ def laplacian(topo: Topology, weights: dict[Edge, float],
     """
     n = topo.n
     mat = np.zeros((n, n))
-    for i in range(1, n + 1):
+    for i, parents in topo.neighbors.items():
         if i == informed:
             continue
         k = linear_gains[i - 1]
-        for j in topo.neighbors[i]:
+        for j in parents:
             try:
                 w = weights[(i, j)]
             except KeyError:

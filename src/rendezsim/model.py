@@ -75,12 +75,14 @@ class RobotState:
         return RobotState(self.id, position, heading, self.role)
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ScenarioConfig:
-    """Full description of one simulation run.
+    """Full description of one simulation run, and the scenario file schema.
 
     Distances are in meters, angles in radians, times in seconds. Gains are
-    per robot, index-aligned with ``initial_states``.
+    per robot, index-aligned with ``initial_states``. Every field but
+    ``initial_states`` is one scenario key of the type annotated here, and
+    the fields with a default are the optional keys.
     """
 
     n_robots: int
@@ -91,7 +93,7 @@ class ScenarioConfig:
     collision_margin: float       # activation distance of pair repulsion
     connectivity_buffer: float    # width of the edge-preserving band
     sigmoid_eps: float            # sigmoid endpoint value, 0 < eps << 1
-    dipolar_eps: float            # regularizer of the heading-alignment factor
+    dipolar_eps: float = 0.01     # regularizer of the heading-alignment factor
     field_exponent: float         # navigation-function tuning exponent
     linear_gains: list[float]
     angular_gains: list[float]
@@ -101,7 +103,6 @@ class ScenarioConfig:
     horizon: float
     initial_states: list[RobotState] = field(default_factory=list)
     gradient_floor: float = 1e-9      # below this norm the heading is held
-    distance_floor: float = 1e-9      # clamp for 1/d factors in gradients
     gradient_mode: str = "full"       # "full" or "paper"
     neighbor_mode: str = "frozen"     # "frozen" or "accreting"
     position_tolerance: float = 0.05  # convergence: goal distance per robot
@@ -157,8 +158,8 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
             "gradient_mode must be 'full' or 'paper'")
     require(cfg.neighbor_mode in ("frozen", "accreting"),
             "neighbor_mode must be 'frozen' or 'accreting'")
-    for name in ("gradient_floor", "distance_floor", "position_tolerance",
-                 "heading_tolerance", "collision_floor"):
+    for name in ("gradient_floor", "position_tolerance", "heading_tolerance",
+                 "collision_floor"):
         require(getattr(cfg, name) > 0.0, f"{name} must be > 0")
 
     require(len(cfg.initial_states) == cfg.n_robots,

@@ -21,6 +21,7 @@ seed block. Exports are comma-separated text with a fixed header and fixed
 
 import math
 import os
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -31,53 +32,29 @@ from .sim import AssumptionError, TrajectoryLog
 
 FORMAT_VERSION = 1
 
-# name -> (kind, required); kinds: int, float, vec2, floats, str
-_CONFIG_KEYS = {
-    "n_robots": ("int", True),
-    "workspace_radius": ("float", True),
-    "sensing_radius": ("float", True),
-    "rendezvous_radius": ("float", True),
-    "collision_margin": ("float", True),
-    "connectivity_buffer": ("float", True),
-    "sigmoid_eps": ("float", True),
-    "dipolar_eps": ("float", False),  # defaults to 0.01 when omitted
-    "field_exponent": ("float", True),
-    "linear_gains": ("floats", True),
-    "angular_gains": ("floats", True),
-    "goal_position": ("vec2", True),
-    "goal_heading": ("float", True),
-    "time_step": ("float", True),
-    "horizon": ("float", True),
-    "gradient_floor": ("float", False),
-    "distance_floor": ("float", False),
-    "gradient_mode": ("str", False),
-    "neighbor_mode": ("str", False),
-    "position_tolerance": ("float", False),
-    "heading_tolerance": ("float", False),
-    "collision_floor": ("float", False),
-}
+# key -> (type, required), read off ScenarioConfig: a field without a default
+# is a required key; np.ndarray is a 2-vector, list[float] a list of numbers
+_CONFIG_KEYS = {f.name: (f.type, f.default is MISSING)
+                for f in fields(ScenarioConfig) if f.name != "initial_states"}
 
-_DEPLOY_KEYS = {"mode", "seed", "center", "spread", "min_separation"}
+_SEEDED_KEYS = {"seed": (int, True), "center": (np.ndarray, True),
+                "spread": (float, True), "min_separation": (float, True)}
 
 
 class ParseError(ScenarioError):
     """Scenario text could not be parsed; message carries file and line."""
 
 
-def _convert(kind, raw, path, lineno):
+def _convert(kind, raw, lineno, path):
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "vec2":
+        if kind is np.ndarray:
             parts = [float(x) for x in raw.split()]
             if len(parts) != 2:
                 raise ValueError("expected two numbers")
             return np.array(parts)
-        if kind == "floats":
+        if kind == list[float]:
             return [float(x) for x in raw.split()]
-        return raw
+        return kind(raw)
     except ValueError as exc:
         raise ParseError(f"{path}:{lineno}: bad value {raw!r} ({exc})") from None
 
@@ -104,6 +81,23 @@ def _read_sections(path):
                 raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
             section[key] = (raw, lineno)
     return main, deploy
+
+
+def _read_keys(section, keys, path, unknown="key", missing="required key"):
+    """Convert one section's values; ``keys`` maps name -> (type, required).
+
+    Rejects a key not in ``keys`` and names a required key that is absent.
+    """
+    for key, (_, lineno) in section.items():
+        if key not in keys:
+            raise ParseError(f"{path}:{lineno}: unknown {unknown} {key!r}")
+    values = {}
+    for key, (kind, required) in keys.items():
+        if key in section:
+            values[key] = _convert(kind, *section[key], path)
+        elif required:
+            raise ParseError(f"{path}: missing {missing} {key!r}")
+    return values
 
 
 def seeded_deployment(seed: int, count: int, center: np.ndarray, spread: float,
@@ -145,78 +139,46 @@ def seeded_deployment(seed: int, count: int, center: np.ndarray, spread: float,
 def parse_scenario(path: str) -> ScenarioConfig:
     """Parse and validate a scenario file, expanding its deployment block."""
     main, deploy = _read_sections(path)
-
-    for key in main:
-        if key not in _CONFIG_KEYS and key != "format_version":
-            raise ParseError(f"{path}:{main[key][1]}: unknown key {key!r}")
-    if "format_version" not in main:
-        raise ParseError(f"{path}: missing required key 'format_version'")
-    version = _convert("int", *_locate(main, "format_version", path))
+    values = _read_keys(main, {"format_version": (int, True), **_CONFIG_KEYS},
+                        path)
+    version = values.pop("format_version")
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported format_version {version}")
-
-    values = {}
-    for key, (kind, required) in _CONFIG_KEYS.items():
-        if key in main:
-            values[key] = _convert(kind, *_locate(main, key, path))
-        elif required:
-            raise ParseError(f"{path}: missing required key {key!r}")
-    values.setdefault("dipolar_eps", 0.01)
+    n = values["n_robots"]
+    if n < 1:  # before the deployment block lists or draws n poses
+        raise ScenarioError("n_robots must be >= 1")
 
     if not deploy:
         raise ParseError(f"{path}: missing [deployment] block")
-    mode_raw = deploy.get("mode")
-    if mode_raw is None:
+    if "mode" not in deploy:
         raise ParseError(f"{path}: missing deployment key 'mode'")
-    mode = mode_raw[0]
-    n = values["n_robots"]
-
-    if mode == "explicit":
-        states = []
-        for i in range(1, n + 1):
-            key = f"pose_{i}"
-            if key not in deploy:
-                raise ParseError(f"{path}: missing deployment key {key!r}")
-            raw, lineno = deploy[key]
-            parts = _convert("floats", raw, path, lineno)
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: pose needs 'x y theta'")
-            states.append(RobotState(i, np.array(parts[:2]), parts[2],
-                                     Role.INFORMED if i == 1 else Role.FOLLOWER))
-        extra = set(deploy) - {"mode"} - {f"pose_{i}" for i in range(1, n + 1)}
-        if extra:
-            key = sorted(extra)[0]
-            raise ParseError(
-                f"{path}:{deploy[key][1]}: unknown deployment key {key!r}")
-    elif mode == "seeded":
-        extra = set(deploy) - _DEPLOY_KEYS
-        if extra:
-            key = sorted(extra)[0]
-            raise ParseError(
-                f"{path}:{deploy[key][1]}: unknown deployment key {key!r}")
-        for key in ("seed", "center", "spread", "min_separation"):
-            if key not in deploy:
-                raise ParseError(f"{path}: missing deployment key {key!r}")
-        states = seeded_deployment(
-            seed=_convert("int", *_locate(deploy, "seed", path)),
-            count=n,
-            center=_convert("vec2", *_locate(deploy, "center", path)),
-            spread=_convert("float", *_locate(deploy, "spread", path)),
-            min_separation=_convert("float",
-                                    *_locate(deploy, "min_separation", path)),
-            sensing_radius=values["sensing_radius"],
-            workspace_radius=values["workspace_radius"])
+    mode = deploy["mode"][0]
+    if mode == "seeded":
+        keys = _SEEDED_KEYS
+    elif mode == "explicit":
+        keys = {f"pose_{i}": (list[float], True) for i in range(1, n + 1)}
     else:
         raise ParseError(f"{path}: deployment mode must be "
                          f"'seeded' or 'explicit', got {mode!r}")
+    placed = _read_keys(deploy, {"mode": (str, True), **keys}, path,
+                        "deployment key", "deployment key")
+    del placed["mode"]
+
+    if mode == "seeded":
+        states = seeded_deployment(
+            count=n, sensing_radius=values["sensing_radius"],
+            workspace_radius=values["workspace_radius"], **placed)
+    else:
+        states = []
+        for i, (key, pose) in enumerate(placed.items(), start=1):
+            if len(pose) != 3:
+                raise ParseError(
+                    f"{path}:{deploy[key][1]}: pose needs 'x y theta'")
+            states.append(RobotState(i, np.array(pose[:2]), pose[2],
+                                     Role.INFORMED if i == 1 else Role.FOLLOWER))
 
     cfg = ScenarioConfig(initial_states=states, **values)
     return validate_scenario(cfg)
-
-
-def _locate(section, key, path):
-    raw, lineno = section[key]
-    return raw, path, lineno
 
 
 def _fmt(value) -> str:

@@ -125,14 +125,6 @@ def _offsets(poses: np.ndarray):
     return dx, dy, np.sqrt(dx * dx + dy * dy)
 
 
-def _neighbor_mask(topo: Topology) -> np.ndarray:
-    """mask[i - 1, j - 1] is True iff robot i senses robot j."""
-    mask = np.zeros((topo.n, topo.n), dtype=bool)
-    for i, near in topo.neighbors.items():
-        mask[i - 1, [j - 1 for j in near]] = True
-    return mask
-
-
 def _advance(poses, offsets, mask, region, fallback, gains, cfg, params):
     """One synchronous update of every robot from one (N, 3) pose snapshot.
 
@@ -156,8 +148,7 @@ def _advance(poses, offsets, mask, region, fallback, gains, cfg, params):
     if n > 1:
         dx, dy, dist = (a[1:] for a in offsets)
         phi[1:], grad[:, 1:], hess[:, 1:] = follower_jets(
-            dx, dy, dist, mask[1:], region, params, cfg.gradient_mode,
-            cfg.distance_floor)
+            dx, dy, dist, mask[1:], region, params, cfg.gradient_mode)
     *laws, grad_norm = control_laws(grad, hess, poses[:, 2], fallback,
                                     *gains, cfg.gradient_floor)
     ctrl = np.column_stack(laws)
@@ -189,7 +180,7 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
         if prev is not None:
             fallback[i] = prev
     new, ctrl, phi, grad_norm = _advance(
-        poses, _offsets(poses), _neighbor_mask(topo), region, fallback,
+        poses, _offsets(poses), topo.adjacency, region, fallback,
         _gains(cfg), cfg, params)
     controls = [ControlOutput(*row, p, g) for row, p, g in
                 zip(ctrl.tolist(), phi.tolist(), grad_norm.tolist())]
@@ -282,7 +273,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
 
     # the mask stays frozen unless accretion grows it; the initial graph
     # already holds every pair inside the threshold
-    mask = _neighbor_mask(initial_topology(cfg))
+    mask = initial_topology(cfg).adjacency
     pairs = _pair_list(n)
     upper = np.triu_indices(n, 1)
     monitored = mask[upper]

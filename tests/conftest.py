@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rendezsim import FieldParams, RobotState, Role, ScenarioConfig
+from rendezsim import FieldParams, RobotState, Role, ScenarioConfig, Topology
 
 
 def make_states(poses, informed=1):
@@ -9,6 +9,14 @@ def make_states(poses, informed=1):
     return [RobotState(i + 1, np.array([x, y]), th,
                        Role.INFORMED if i + 1 == informed else Role.FOLLOWER)
             for i, (x, y, th) in enumerate(poses)]
+
+
+def topology(n, neighbors):
+    """Topology of robots 1..n from {robot: robots it senses}."""
+    adjacency = np.zeros((n, n), dtype=bool)
+    for i, near in neighbors.items():
+        adjacency[i - 1, [j - 1 for j in near]] = True
+    return Topology(adjacency)
 
 
 def small_config(**overrides):

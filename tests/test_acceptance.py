@@ -21,7 +21,8 @@ from rendezsim import (RegionFlag, angular_velocity, compute_metrics,
                        sigmoid_connectivity)
 from rendezsim.fields import FieldParams
 from rendezsim.gradients import follower_potential
-from rendezsim.graph import Topology
+
+from conftest import topology
 
 SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
                         "rendezvous_s5.scn")
@@ -226,7 +227,7 @@ def test_criterion_07_laplacian_structure(reference_params):
             extra = {j for j in range(1, n + 1)
                      if j != i and rng.random() < 0.4}
             nbrs[i] = tuple(sorted(base | extra))
-        topo = Topology(n=n, neighbors=nbrs)
+        topo = topology(n, nbrs)
         gains = rng.uniform(0.5, 3.0, n).tolist()
         weights = {(i, j): float(rng.uniform(0.0, 4.0))
                    for i in range(2, n + 1) for j in nbrs[i]}

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,30 @@ from rendezsim import (Topology, build_topology, has_rooted_spanning_tree,
                        laplacian)
 from rendezsim.graph import GraphError
 
-from conftest import make_states
+from conftest import make_states, topology as topo_from_neighbors
 
 
-def topo_from_neighbors(n, neighbors):
-    return Topology(n=n, neighbors={i: tuple(neighbors.get(i, ()))
-                                    for i in range(1, n + 1)})
+def bfs_has_rooted_spanning_tree(topo: Topology, root: int) -> bool:
+    """True iff information from ``root`` can reach every node.
+
+    Edge (i, j) means i senses j, so information flows j -> i; we traverse
+    edges reversed and require every node reachable from the root.
+    """
+    if not 1 <= root <= topo.n:
+        raise GraphError(f"root {root} outside 1..{topo.n}")
+    children: dict[int, list[int]] = {i: [] for i in range(1, topo.n + 1)}
+    for i, parents in topo.neighbors.items():
+        for j in parents:
+            children[j].append(i)
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        j = queue.popleft()
+        for i in children[j]:
+            if i not in seen:
+                seen.add(i)
+                queue.append(i)
+    return len(seen) == topo.n
 
 
 class TestBuildTopology:
@@ -77,6 +97,30 @@ class TestSpanningTree:
                                             for i, v in nbrs.items()})
             after = has_rooted_spanning_tree(topo2, root=1)
             assert after or not before  # adding never flips true -> false
+
+    def test_matches_breadth_first_search(self):
+        # the queue-based search over neighbor lists that the matrix
+        # reachability replaced, on directed graphs from every root
+        rng = np.random.default_rng(5)
+        seen = {"asymmetric": 0, "spanning": 0, "disconnected": 0, "n=1": 0}
+        for trial in range(200):
+            n = 1 if trial % 20 == 0 else int(rng.integers(2, 10))
+            adjacency = rng.random((n, n)) < rng.uniform(0.05, 0.6)
+            np.fill_diagonal(adjacency, False)
+            topo = Topology(adjacency)
+            seen["asymmetric"] += not np.array_equal(adjacency, adjacency.T)
+            seen["n=1"] += n == 1
+            for root in range(1, n + 1):
+                expected = bfs_has_rooted_spanning_tree(topo, root)
+                assert has_rooted_spanning_tree(topo, root) is expected
+                seen["spanning" if expected else "disconnected"] += 1
+        assert min(seen.values()) >= 10, seen
+
+    @pytest.mark.parametrize("root", [0, 4])
+    def test_root_outside_graph_rejected(self, root):
+        topo = topo_from_neighbors(3, {2: (1,), 3: (2,)})
+        with pytest.raises(GraphError, match="outside 1..3"):
+            has_rooted_spanning_tree(topo, root)
 
 
 class TestLaplacian:

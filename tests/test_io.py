@@ -2,12 +2,13 @@ import os
 import runpy
 import sys
 import types
-from dataclasses import fields as dc_fields
+from dataclasses import MISSING, fields as dc_fields
 
 import numpy as np
 import pytest
 
-from rendezsim import (FieldParams, ScenarioError, TrajectoryLog,
+from rendezsim import (FieldParams, ScenarioConfig, ScenarioError,
+                       TrajectoryLog,
                        compute_metrics, emit_plot_script, export_trajectory,
                        load_trajectory, parse_scenario, run, write_scenario)
 from rendezsim import scenario_io
@@ -25,8 +26,14 @@ def write_lines(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def minimal_lines(**overrides):
-    """A valid two-robot scenario as a dict of key -> text value."""
+EXPLICIT = ["[deployment]", "mode = explicit",
+            "pose_1 = -6.0 -1.0 0.5", "pose_2 = -6.8 -1.6 -1.0"]
+SEEDED = ["[deployment]", "mode = seeded", "seed = 3", "center = -6.0 -1.0",
+          "spread = 0.6", "min_separation = 0.3"]
+
+
+def minimal_lines(deployment=EXPLICIT, **overrides):
+    """A valid two-robot scenario: 17 main lines, then the deployment."""
     base = {
         "format_version": "1",
         "n_robots": "2",
@@ -48,9 +55,46 @@ def minimal_lines(**overrides):
     }
     base.update(overrides)
     lines = [f"{k} = {v}" for k, v in base.items() if v is not None]
-    lines += ["[deployment]", "mode = explicit",
-              "pose_1 = -6.0 -1.0 0.5", "pose_2 = -6.8 -1.6 -1.0"]
-    return lines
+    return lines + deployment
+
+
+def _without(lines, prefix):
+    return [line for line in lines if not line.startswith(prefix)]
+
+
+# (edited scenario lines, exact message with {path}); with the minimal
+# layout, line 18 is [deployment], 19 the mode and 20-21 the two poses
+PARSE_FAILURES = {
+    "duplicate_key": (minimal_lines()[:17] + ["horizon = 1.0"] + EXPLICIT,
+                      "{path}:18: duplicate key 'horizon'"),
+    "unknown_section": (minimal_lines() + ["[robots]"],
+                        "{path}:22: unknown section [robots]"),
+    "no_equals": (minimal_lines()[:17] + ["horizon 1.0"] + EXPLICIT,
+                  "{path}:18: expected 'key = value'"),
+    "no_format_version": (minimal_lines(format_version=None),
+                          "{path}: missing required key 'format_version'"),
+    "format_version_2": (minimal_lines(format_version="2"),
+                         "{path}: unsupported format_version 2"),
+    "no_deployment": (minimal_lines()[:17],
+                      "{path}: missing [deployment] block"),
+    "no_mode": (_without(minimal_lines(), "mode"),
+                "{path}: missing deployment key 'mode'"),
+    "unknown_mode": (minimal_lines([EXPLICIT[0], "mode = grid"]),
+                     "{path}: deployment mode must be 'seeded' or "
+                     "'explicit', got 'grid'"),
+    "no_pose": (minimal_lines()[:-1], "{path}: missing deployment key 'pose_2'"),
+    "short_pose": (minimal_lines()[:-1] + ["pose_2 = -6.8 -1.6"],
+                   "{path}:21: pose needs 'x y theta'"),
+    "explicit_unknown_key": (minimal_lines() + ["seed = 3"],
+                             "{path}:22: unknown deployment key 'seed'"),
+    "seeded_unknown_key": (minimal_lines(SEEDED) + ["pose_1 = 0 0 0"],
+                           "{path}:24: unknown deployment key 'pose_1'"),
+    "seeded_missing_key": (_without(minimal_lines(SEEDED), "spread"),
+                           "{path}: missing deployment key 'spread'"),
+}
+
+OPTIONAL_AND_REQUIRED = [f for f in dc_fields(ScenarioConfig)
+                         if f.name != "initial_states"]
 
 
 class TestParseScenario:
@@ -80,10 +124,11 @@ class TestParseScenario:
             parse_scenario(str(path))
 
     def test_unknown_key_rejected_with_line(self, tmp_path):
-        # integrator and hessian_step were keys once; old files must fail,
-        # not parse silently
+        # integrator, hessian_step and distance_floor were keys once; old
+        # files must fail, not parse silently
         for key, value in (("bogus_knob", "rk4"), ("integrator", "rk4"),
-                           ("hessian_step", "1e-5")):
+                           ("hessian_step", "1e-5"),
+                           ("distance_floor", "1e-9")):
             path = tmp_path / "bad.scn"
             write_lines(path, [f"{key} = {value}"] + minimal_lines())
             with pytest.raises(ParseError, match=rf"bad.scn:1.*{key}"):
@@ -100,6 +145,45 @@ class TestParseScenario:
         write_lines(path, minimal_lines(collision_margin="2.0"))
         with pytest.raises(ScenarioError, match="collision_margin"):
             parse_scenario(str(path))
+
+    @pytest.mark.parametrize("case", PARSE_FAILURES)
+    def test_parse_failure_message(self, tmp_path, case):
+        lines, message = PARSE_FAILURES[case]
+        path = tmp_path / "bad.scn"
+        write_lines(path, lines)
+        with pytest.raises(ParseError) as info:
+            parse_scenario(str(path))
+        assert str(info.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("field", OPTIONAL_AND_REQUIRED,
+                             ids=lambda f: f.name)
+    def test_dropped_key_is_default_or_named(self, tmp_path, field):
+        # every key written out, then one line dropped
+        path = tmp_path / "drop.scn"
+        write_scenario(small_config(), str(path))
+        with open(path, encoding="utf-8") as fh:
+            lines = [line for line in fh.read().splitlines()
+                     if line.split(" = ")[0] != field.name]
+        write_lines(path, lines)
+        if field.default is MISSING:
+            with pytest.raises(ParseError) as info:
+                parse_scenario(str(path))
+            assert str(info.value) == (
+                f"{path}: missing required key {field.name!r}")
+        else:
+            assert getattr(parse_scenario(str(path)), field.name) == (
+                field.default)
+
+    @pytest.mark.parametrize("n_robots", ["0", "-2"])
+    @pytest.mark.parametrize("deployment", [EXPLICIT, SEEDED],
+                             ids=["explicit", "seeded"])
+    def test_robot_count_checked_before_deployment(self, tmp_path,
+                                                   deployment, n_robots):
+        path = tmp_path / "bad.scn"
+        write_lines(path, minimal_lines(deployment, n_robots=n_robots))
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(str(path))
+        assert str(info.value) == "n_robots must be >= 1"
 
     def test_config_roundtrip_field_by_field(self, tmp_path):
         cfg = small_config()

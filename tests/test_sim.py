@@ -79,8 +79,8 @@ class TestStep:
                 states[j].position + rng.uniform(-3.0, 3.0, 2),
                 states[j].heading + 1.0)
             region = RegionFlag.COLLISION_FREE
-            before = step(states, region, cfg, topology_of(mask))
-            after = step(moved, region, cfg, topology_of(mask))
+            before = step(states, region, cfg, Topology(mask))
+            after = step(moved, region, cfg, Topology(mask))
             for k in (i, 0) if j else (i,):
                 assert before[1][k] == after[1][k]
                 assert np.array_equal(before[0][k].position,
@@ -112,13 +112,6 @@ def ragged_mask(rng, n):
         k = int(rng.integers(1, n))
         mask[i, rng.choice(others, size=k, replace=False)] = True
     return mask
-
-
-def topology_of(mask):
-    n = len(mask)
-    return Topology(n=n, neighbors={
-        i + 1: tuple(int(j) + 1 for j in np.flatnonzero(mask[i]))
-        for i in range(n)})
 
 
 def angle_gap(a, b):
@@ -158,13 +151,13 @@ class TestArrayCore:
                 initial_states=states)
             params = FieldParams.from_config(cfg)
             new_states, controls, _ = step(states, region, cfg,
-                                           topology_of(mask), prev)
+                                           Topology(mask), prev)
             for i, s in enumerate(states):
                 ref = compute_control(
                     s, [states[j].position for j in np.flatnonzero(mask[i])],
                     region, params, cfg.linear_gains[i],
                     cfg.angular_gains[i], prev[i], gradient_mode=mode,
-                    gradient_floor=floor, distance_floor=cfg.distance_floor)
+                    gradient_floor=floor)
                 pose = integrate_pose(np.array([*s.position, s.heading]),
                                       ref.v, ref.omega, cfg.time_step)
                 got = controls[i]
