@@ -21,6 +21,7 @@ seed block. Exports are comma-separated text with a fixed header and fixed
 
 import math
 import os
+import warnings
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -229,21 +230,29 @@ def _meta_lines(log: TrajectoryLog) -> list[str]:
     ]
 
 
-# rows per formatting call: large enough that the per-call cost vanishes,
-# small enough that one block's Python floats and text stay near 1 MB
+# rows per formatting call, in whole steps (at least one): enough that the
+# per-call cost vanishes, few enough that a block's floats stay near 1 MB
 _WRITE_BLOCK = 2048
 
-_TRAJ_ROW = "%.9f,%d," + "%.9f," * 9 + "%d\n"
-_DIST_ROW = "%.9f,%d,%d,%.9f,%d\n"
 
+def _write_steps(path, head, times, step_tails, columns):
+    """Write ``head``, then one row per tail of each step (none if no tails).
 
-def _write_table(path, meta, header, table, row_fmt):
-    """Write the metadata, the column names and one ``row_fmt`` line per row."""
+    Step k's time, formatted once, goes before each of ``step_tails[k]``:
+    constant columns as text, with one ``%.9f`` slot per column of
+    ``columns`` (each ``(steps, rows, c)``), filled a block per ``%`` call.
+    """
+    rows = len(step_tails[0])
+    per_block = max(1, _WRITE_BLOCK // max(rows, 1))
+    stamps = ["%.9f" % t for t in times.tolist()]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([*meta, header]) + "\n")
-        for start in range(0, len(table), _WRITE_BLOCK):
-            block = table[start:start + _WRITE_BLOCK]
-            fh.write((row_fmt * len(block)) % tuple(block.ravel().tolist()))
+        fh.write(head)
+        for start in range(0, len(stamps) if rows else 0, per_block):
+            stop = start + per_block
+            template = "".join(ts + ts.join(tails) for ts, tails in
+                               zip(stamps[start:stop], step_tails[start:stop]))
+            block = np.concatenate([c[start:stop] for c in columns], axis=2)
+            fh.write(template % tuple(block.ravel().tolist()))
 
 
 def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
@@ -251,40 +260,49 @@ def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
 
     One trajectory row per (step, robot) and one distance row per
     (step, pair). All numbers use fixed 9-decimal precision so repeated runs
-    diff cleanly.
+    diff cleanly. Only the floats are formatted per row; ids, pairs,
+    ``monitored`` and region are template text.
     """
     if log.n_steps == 0:
         raise ValueError("cannot export an empty log")
     os.makedirs(out_dir, exist_ok=True)
     traj_path = os.path.join(out_dir, TRAJECTORY_FILE)
     dist_path = os.path.join(out_dir, DISTANCES_FILE)
-    meta = _meta_lines(log)
-    steps, n, n_pairs = log.n_steps, log.n_robots, len(log.pairs)
+    meta = "\n".join(_meta_lines(log)) + "\n"
 
-    traj = np.empty((steps, n, 12))
-    traj[:, :, 0] = log.times[:, None]
-    traj[:, :, 1] = np.arange(1, n + 1)
-    traj[:, :, 2:5] = log.poses
-    traj[:, :, 5:10] = log.controls
-    traj[:, :, 10] = log.phi
-    traj[:, :, 11] = log.region[:, None]
-    _write_table(traj_path, meta, _TRAJ_HEADER, traj.reshape(-1, 12),
-                 _TRAJ_ROW)
+    by_region = {r: [f",{i},{'%.9f,' * 9}{r}\n"
+                     for i in range(1, log.n_robots + 1)]
+                 for r in set(log.region.tolist())}
+    _write_steps(traj_path, meta + _TRAJ_HEADER + "\n", log.times,
+                 [by_region[r] for r in log.region.tolist()],
+                 (log.poses, log.controls, log.phi[:, :, None]))
 
-    dist = np.empty((steps, n_pairs, 5))
-    dist[:, :, 0] = log.times[:, None]
-    dist[:, :, 1:3] = np.reshape(log.pairs, (n_pairs, 2))
-    dist[:, :, 3] = log.distances
-    dist[:, :, 4] = log.monitored
-    _write_table(dist_path, meta, _DIST_HEADER, dist.reshape(-1, 5),
-                 _DIST_ROW)
+    tails = [f",{i},{j},%.9f,{int(m)}\n"
+             for (i, j), m in zip(log.pairs, log.monitored.tolist())]
+    _write_steps(dist_path, meta + _DIST_HEADER + "\n", log.times,
+                 [tails] * log.n_steps, (log.distances[:, :, None],))
     return traj_path, dist_path
 
 
-def _read_table(path, n_meta):
-    """The numbers below a file's metadata and column names, one row each."""
-    return np.loadtxt(path, delimiter=",", comments="#",
-                      skiprows=n_meta + 1, ndmin=2)
+def _read_table(path, n_meta, per_step, unit, steps=None):
+    """The numbers below a file's metadata and column names, per step.
+
+    ``steps`` (default: as many as the rows begin) blocks of ``per_step``
+    rows; a ValueError names the file when it has no rows or another count.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, delimiter=",", comments="#",
+                          skiprows=n_meta + 1, ndmin=2)
+    if not len(data):
+        raise ValueError(f"{path}: no data rows")
+    if steps is None:
+        steps = -(-len(data) // per_step)
+    if len(data) != steps * per_step:
+        raise ValueError(f"{path}: {len(data)} data rows, expected "
+                         f"{steps * per_step} ({steps} steps x {per_step} "
+                         f"{unit})")
+    return data.reshape(steps, per_step, -1)
 
 
 def load_trajectory(log_dir: str) -> TrajectoryLog:
@@ -300,7 +318,7 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
             meta[key.strip()] = raw.strip()
     n = int(meta["n_robots"])
 
-    data = _read_table(traj_path, len(meta)).reshape(-1, n, 12)
+    data = _read_table(traj_path, len(meta), n, "robots")
     times = data[:, 0, 0]
     poses = data[:, :, 2:5]
     controls = data[:, :, 5:10]
@@ -309,8 +327,8 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
 
     n_pairs = n * (n - 1) // 2
     if n_pairs:
-        ddata = _read_table(dist_path, len(meta)).reshape(
-            len(times), n_pairs, 5)
+        ddata = _read_table(dist_path, len(meta), n_pairs, "pairs",
+                            len(times))
         pairs = tuple((int(i), int(j)) for i, j in ddata[0, :, 1:3])
         distances = ddata[:, :, 3]
         monitored = ddata[0, :, 4].astype(bool)

@@ -366,11 +366,8 @@ def fit_decay_rate(times: np.ndarray, values: np.ndarray,
 
 def compute_metrics(log: TrajectoryLog, cfg: ScenarioConfig | None = None) -> Metrics:
     """Summary quantities, derived from the log alone."""
-    last = log.n_steps - 1
-    errs = np.array([
-        float(np.linalg.norm(log.poses[last, i, :2] - log.goal_position))
-        for i in range(log.n_robots)])
-    head = np.abs(log.controls[last, :, 3])
+    errs = np.hypot(*(log.poses[-1, :, :2] - log.goal_position).T)
+    head = np.abs(log.controls[-1, :, 3])
 
     cf = log.region == 0
     min_cf = float(log.distances[cf].min()) if cf.any() and log.distances.shape[1] else None

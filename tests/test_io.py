@@ -294,6 +294,22 @@ def synthetic_log():
         roles=("informed",) + ("follower",) * (n - 1))
 
 
+def random_log(steps, n, switch_step):
+    """Random ``steps`` x ``n`` log whose region flips to 1 at ``switch_step``."""
+    rng = np.random.default_rng(11)
+    pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    region = np.zeros(steps, dtype=np.int8)
+    region[switch_step:] = 1
+    return TrajectoryLog(
+        times=np.arange(steps) * 0.01, poses=rng.normal(size=(steps, n, 3)),
+        controls=rng.normal(size=(steps, n, 5)), phi=rng.uniform(size=(steps, n)),
+        region=region, pairs=pairs,
+        distances=rng.uniform(0.0, 4.0, size=(steps, len(pairs))),
+        monitored=rng.uniform(size=len(pairs)) < 0.3, switch_step=switch_step,
+        goal_position=np.zeros(2), time_step=0.01, sensing_radius=2.0,
+        roles=("informed",) + ("follower",) * (n - 1))
+
+
 def oracle_files(log):
     """(trajectory, distances) text from one f-string per row."""
     meta = scenario_io._meta_lines(log)
@@ -342,6 +358,36 @@ class TestExportFormat:
         with open(dist_path, encoding="utf-8") as fh:
             assert fh.read() == dist
 
+    def assert_matches_oracle(self, log, out):
+        traj_path, dist_path = export_trajectory(log, str(out))
+        traj, dist = oracle_files(log)
+        with open(traj_path, encoding="utf-8") as fh:
+            assert fh.read() == traj
+        with open(dist_path, encoding="utf-8") as fh:
+            assert fh.read() == dist
+
+    def test_step_larger_than_a_block(self, tmp_path):
+        log = random_log(steps=3, n=72, switch_step=1)
+        assert len(log.pairs) > scenario_io._WRITE_BLOCK
+        self.assert_matches_oracle(log, tmp_path)
+
+    def test_region_flip_inside_a_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenario_io, "_WRITE_BLOCK", 50)  # 10 steps
+        log = random_log(steps=40, n=5, switch_step=13)
+        assert 0 < log.switch_step % (50 // log.n_robots)
+        self.assert_matches_oracle(log, tmp_path)
+
+    def test_one_robot_writes_no_distance_rows(self, tmp_path):
+        self.assert_matches_oracle(random_log(steps=5, n=1, switch_step=2),
+                                   tmp_path)
+
+    @pytest.mark.parametrize("block", [1, 10 ** 6], ids=["one_row", "whole_file"])
+    def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch,
+                                               block):
+        log = synthetic_log()
+        monkeypatch.setattr(scenario_io, "_WRITE_BLOCK", block)
+        self.assert_matches_oracle(log, tmp_path)
+
     def test_reload_is_float_of_every_field(self, tmp_path):
         log = synthetic_log()
         export_trajectory(log, str(tmp_path))
@@ -359,6 +405,45 @@ class TestExportFormat:
         assert np.array_equal(loaded.monitored, dist[0, :, 4] == 1)
         assert np.signbit(loaded.poses[0, 0]).all()
         assert loaded.switch_step == log.switch_step
+
+
+def drop_rows(path, count):
+    """Remove the last ``count`` lines of a file."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(lines[:len(lines) - count])
+
+
+@pytest.mark.filterwarnings("error")
+class TestLoadMismatch:
+    """A truncated or mismatched export fails with the file and row counts."""
+
+    @pytest.fixture
+    def exported(self, tmp_path):
+        log = random_log(steps=6, n=4, switch_step=3)  # 24 and 36 rows
+        export_trajectory(log, str(tmp_path))
+        return tmp_path
+
+    @pytest.mark.parametrize("name, dropped, message", [
+        ("trajectory.csv", 1, "23 data rows, expected 24 (6 steps x 4 robots)"),
+        ("distances.csv", 1, "35 data rows, expected 36 (6 steps x 6 pairs)"),
+        ("distances.csv", 6, "30 data rows, expected 36 (6 steps x 6 pairs)"),
+        ("trajectory.csv", 24, "no data rows"),
+    ], ids=["trajectory_row", "distances_row", "distances_step",
+            "header_only_trajectory"])
+    def test_message_names_file_and_counts(self, exported, name, dropped,
+                                           message):
+        path = exported / name
+        drop_rows(path, dropped)
+        with pytest.raises(ValueError) as info:
+            load_trajectory(str(exported))
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_cli_exits_1(self, exported, capsys):
+        drop_rows(exported / "trajectory.csv", 1)
+        assert main(["metrics", str(exported)]) == 1
+        assert "trajectory.csv: 23 data rows" in capsys.readouterr().err
 
 
 class TestPlotScript:
