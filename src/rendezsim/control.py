@@ -98,26 +98,34 @@ def compute_control(robot: RobotState,
 
 def control_laws(grad, hess, theta: np.ndarray, fallback: np.ndarray,
                  k_v: np.ndarray, k_w: np.ndarray,
-                 gradient_floor: float = 1e-9):
+                 gradient_floor: float = 1e-9, out: np.ndarray | None = None):
     """The four laws above for many robots at once, elementwise.
 
     grad is (x, y) and hess (xx, xy, yy), each component an array over the
     robots. ``fallback`` is the desired heading held where the gradient is
     below the floor: the previous one, or the current heading when there is
-    none. Returns (v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm).
+    none. ``out``, a (5, n) array or view, receives the first five results
+    when given. Returns (v, omega, theta_d, theta_tilde, theta_d_dot,
+    grad_norm).
     """
+    if out is None:
+        out = np.empty((5, len(theta)))
+    v, omega, theta_d, theta_tilde, theta_d_dot = out
     gx, gy = grad
     hxx, hxy, hyy = hess
     grad_norm = np.hypot(gx, gy)
-    theta_d = np.where(grad_norm > gradient_floor, np.arctan2(-gy, -gx),
-                       fallback)
-    theta_tilde = wrap_angles(theta - theta_d)
+    descent = np.negative(grad)
+    np.copyto(theta_d, fallback)
+    np.arctan2(descent[1], descent[0], out=theta_d,
+               where=grad_norm > gradient_floor)
+    wrap_angles(theta - theta_d, out=theta_tilde)
     cos_tilde = np.cos(theta_tilde)
-    v = k_v * grad_norm * cos_tilde
+    np.multiply(k_v * grad_norm, cos_tilde, out=v)
     # left^T H right with left = (sin theta_d, -cos theta_d), right the
     # motion direction (cos theta, sin theta)
-    lx, ly = np.sin(theta_d), -np.cos(theta_d)
-    theta_d_dot = k_v * cos_tilde * ((lx * hxx + ly * hxy) * np.cos(theta)
-                                     + (lx * hxy + ly * hyy) * np.sin(theta))
-    omega = -k_w * theta_tilde + theta_d_dot
+    sin_d, cos_d = np.sin(theta_d), np.cos(theta_d)
+    np.multiply(k_v * cos_tilde,
+                (sin_d * hxx - cos_d * hxy) * np.cos(theta)
+                + (sin_d * hxy - cos_d * hyy) * np.sin(theta), out=theta_d_dot)
+    np.subtract(theta_d_dot, k_w * theta_tilde, out=omega)
     return v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm

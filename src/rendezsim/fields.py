@@ -29,7 +29,7 @@ def _logistic(z: float) -> float:
 def logistic_array(z: np.ndarray) -> np.ndarray:
     """_logistic elementwise, overflow-safe the same way."""
     ez = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return np.where(z >= 0.0, 1.0, ez) / (1.0 + ez)
 
 
 def sigmoid_gain(width: float, eps: float) -> float:

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import (FieldEval, FieldParams, boundary_factor, goal_follower,
+from .fields import (FieldEval, FieldParams, _logistic, goal_follower,
                      logistic_array, navfunc_follower, navfunc_leader,
                      sigmoid_collision, sigmoid_connectivity, sigmoid_gain)
 from .model import RegionFlag
@@ -85,38 +85,42 @@ def grad_goal_follower(position: np.ndarray,
     return np.array([2.0 * gx, 2.0 * gy])
 
 
-def _quotient_jet(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta):
-    """Gradient, Hessian and denominator e of gamma / (gamma^a + beta)^(1/a).
+def _quotient_jet(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta,
+                  value_beta=None):
+    """Value, gradient, Hessian and e of phi = gamma / (gamma^a + beta)^(1/a).
 
-    Gradients come and go as (x, y), Hessians as (xx, xy, yy); the Hessian of
-    gamma is lap_gamma * I for both potentials. Every input is a float, or an
-    array over robots taken elementwise. With
+    Gradients come as (x, y) and Hessians as (xx, xy, yy) along the first
+    axis; the Hessian of gamma is lap_gamma * I for both potentials. Every
+    other input is a float, or an array over robots taken elementwise. With
     e = a * (gamma^a + beta)^(1/a + 1) and N = a beta grad gamma - gamma
     grad beta: grad phi = N / e, hess phi = (grad N - grad phi grad e^T) / e,
-    a symmetric matrix whose off-diagonal is averaged against rounding.
+    a symmetric matrix whose off-diagonal is averaged against rounding. The
+    value takes ``value_beta`` in place of beta when given.
     """
-    gx, gy = dgamma
-    bx, by = dbeta
-    bxx, bxy, byy = ddbeta
-    s = gamma ** alpha + beta
-    e = alpha * s ** (1.0 / alpha + 1.0)
+    dgamma, dbeta, ddbeta = (np.asarray(dgamma), np.asarray(dbeta),
+                             np.asarray(ddbeta))
+    inv_alpha = 1.0 / alpha
+    gamma_a = gamma ** alpha
+    s = gamma_a + beta
+    root = s ** inv_alpha
+    e = alpha * s ** (inv_alpha + 1.0)
     ab = alpha * beta
-    fx = (ab * gx - gamma * bx) / e
-    fy = (ab * gy - gamma * by) / e
+    f = (ab * dgamma - gamma * dbeta) / e
     # d(gamma^a)/d(gamma) diverges at gamma = 0 for a < 1, where grad gamma
     # vanishes and so does every term it multiplies: take it as 0 there
-    # (gamma >= 0; the comparisons act on floats and arrays alike)
-    dpow = (alpha * (gamma + (gamma <= 0.0)) ** (alpha - 1.0)
-            * (gamma > 0.0))
-    c = (alpha + 1.0) * s ** (1.0 / alpha)
-    ex = c * (dpow * gx + bx)
-    ey = c * (dpow * gy + by)
+    dpow = alpha * np.power(gamma, alpha - 1.0, out=np.zeros(np.shape(gamma)),
+                            where=gamma > 0.0)
+    de = (alpha + 1.0) * root * (dpow * dgamma + dbeta)
     a1 = alpha - 1.0
-    hxx = (a1 * gx * bx + ab * lap_gamma - gamma * bxx - fx * ex) / e
-    hyy = (a1 * gy * by + ab * lap_gamma - gamma * byy - fy * ey) / e
-    hxy = (0.5 * (a1 * (gx * by + gy * bx) - fx * ey - fy * ex)
-           - gamma * bxy) / e
-    return (fx, fy), (hxx, hxy, hyy), e
+    diag = (a1 * dgamma * dbeta + ab * lap_gamma - gamma * ddbeta[::2]
+            - f * de) / e
+    cross = dgamma * dbeta[::-1]  # gx by, gy bx
+    fe = f * de[::-1]  # fx ey, fy ex
+    hxy = (0.5 * (a1 * (cross[0] + cross[1]) - fe[0] - fe[1])
+           - gamma * ddbeta[1]) / e
+    if value_beta is not None:
+        root = (gamma_a + value_beta) ** inv_alpha
+    return gamma / root, f, (diag[0], hxy, diag[1]), e
 
 
 def _matrix(hess):
@@ -208,7 +212,7 @@ def grad_navfunc_follower(position: np.ndarray,
     gamma = goal_follower(position, neighbor_positions)
     beta, dbeta, ddbeta, slopes = _constraint_jet(
         position, neighbor_positions, region, params, gradient_mode)
-    grad, hess, e = _quotient_jet(
+    _, grad, hess, e = _quotient_jet(
         alpha, gamma, grad_goal_follower(position, neighbor_positions),
         2.0 * len(neighbor_positions), beta, dbeta, ddbeta)
     ms = tuple((2.0 * alpha * beta - gamma * beta * t) / e for t in slopes)
@@ -218,39 +222,8 @@ def grad_navfunc_follower(position: np.ndarray,
 
 def _leader_jet(position, params):
     """Gradient and Hessian of the informed robot's dipolar potential."""
-    px, py = position[0], position[1]
-    goal = params.goal_position
-    rx, ry = px - goal[0], py - goal[1]
-    ax, ay = math.cos(params.goal_heading), math.sin(params.goal_heading)
-    proj = rx * ax + ry * ay
-    dip = params.dipolar_eps + proj * proj
-    # dip has gradient 2 proj a and Hessian 2 a a^T
-    dx, dy = 2.0 * proj * ax, 2.0 * proj * ay
-
-    norm = math.hypot(px, py)
-    bnd = boundary_factor(params.workspace_radius - norm,
-                          params.collision_margin, params.sigmoid_eps)
-    if norm > 0.0:
-        # the rim factor B(R_w - |p|) has gradient -B' u and Hessian
-        # B'' u u^T - B' (I - u u^T) / |p|, with u = p / |p|
-        k = sigmoid_gain(params.collision_margin, params.sigmoid_eps)
-        s1 = k * bnd * (1.0 - bnd)
-        t = s1 / norm
-        w = (k * s1 * (1.0 - 2.0 * bnd) + t) / (norm * norm)
-        nx, ny = -t * px, -t * py
-        nxx, nxy, nyy = w * px * px - t, w * px * py, w * py * py - t
-    else:
-        # rim direction undefined at the workspace center; the factor is
-        # saturated there anyway
-        nx = ny = nxx = nxy = nyy = 0.0
-
-    dbeta = (bnd * dx + dip * nx, bnd * dy + dip * ny)
-    ddbeta = (2.0 * bnd * ax * ax + 2.0 * dx * nx + dip * nxx,
-              2.0 * bnd * ax * ay + dx * ny + dy * nx + dip * nxy,
-              2.0 * bnd * ay * ay + 2.0 * dy * ny + dip * nyy)
-    grad, hess, _ = _quotient_jet(params.field_exponent, rx * rx + ry * ry,
-                                  (2.0 * rx, 2.0 * ry), 2.0, dip * bnd,
-                                  dbeta, ddbeta)
+    _, grad, hess, _ = _quotient_jet(params.field_exponent,
+                                     *JetKernel(params).leader_terms(position))
     return np.array(grad), _matrix(hess)
 
 
@@ -299,57 +272,179 @@ def follower_field_eval(position: np.ndarray,
                      gradient=bundle.gradient, hessian=bundle.hessian)
 
 
-def follower_jets(dx: np.ndarray, dy: np.ndarray, dist: np.ndarray,
-                  mask: np.ndarray, region: RegionFlag, params: FieldParams,
-                  gradient_mode: str = "full"):
-    """Value, gradient and Hessian of many followers' potentials at once.
+class JetKernel:
+    """Value, gradient and Hessian of every robot's potential, one pass a step.
 
-    Row i is one follower: dx, dy and dist hold its offsets p - q_j and
-    distances to every robot j, and mask row i marks the robots it senses.
-    Row i's results read nothing outside its mask row, which keeps the law
-    decentralized. Each edge's b(d) and B(d) are evaluated once and serve
-    both the reported value (the regional potential) and the derivatives of
-    the selected gradient law, by the formulas of ``_constraint_jet`` and
-    ``navfunc_follower``. Returns phi, the gradient as (x, y) and the
-    Hessian as (xx, xy, yy), each component an array over the rows.
+    Built once per run: it holds the field constants (sigmoid gains and
+    shifts, the goal axis) and the followers' degrees, which only
+    ``set_mask`` changes. Row 0 is the informed robot: its quotient inputs
+    come from scalar math (``leader_terms``) and fill column 0 of the input
+    rows, the followers' fill the others, and one ``_quotient_jet`` call
+    covers all of them. Without a mask the kernel holds the informed robot
+    alone.
     """
-    degree = mask.sum(axis=1)
-    if not degree.all():
-        raise ValueError("follower has no neighbors; the initial graph must "
-                         "give every follower at least one parent")
-    eps = params.sigmoid_eps
-    k_b = sigmoid_gain(params.connectivity_buffer, eps)
-    b = logistic_array(k_b * (params.sensing_radius
-                              - 0.5 * params.connectivity_buffer - dist))
-    beta = value_beta = np.where(mask, b, 1.0).prod(axis=1)
-    l1 = -k_b * (1.0 - b)
-    l2 = -k_b * k_b * b * (1.0 - b)
-    if region is RegionFlag.COLLISION_FREE:
+
+    def __init__(self, params: FieldParams, mask: np.ndarray | None = None,
+                 gradient_mode: str = "full"):
+        self.params = params
+        self.full = gradient_mode == "full"
+        eps = params.sigmoid_eps
+        k_b = sigmoid_gain(params.connectivity_buffer, eps)
         k_c = sigmoid_gain(params.collision_margin, eps)
-        c = logistic_array(k_c * (dist - 0.5 * params.collision_margin))
-        value_beta = beta * np.where(mask, c, 1.0).prod(axis=1)
-        if gradient_mode == "full":
+        self.k_c = k_c
+        self.rim_shift = 0.5 * params.collision_margin
+        self.goal = tuple(params.goal_position.tolist())
+        self.axis = (math.cos(params.goal_heading),
+                     math.sin(params.goal_heading))
+        # layer 0 holds b(d) = logistic(k_b (R - buffer/2 - d)), layer 1
+        # B(d) = logistic(k_c (d - margin/2)), with log-derivatives
+        # l1 = c1 (1 - s) and l2 = c2 s (1 - s); (gain, c1, c2) of the first
+        # one or both layers
+        self.edge_center = (params.sensing_radius
+                            - 0.5 * params.connectivity_buffer)
+        per_layer = np.array([[k_b, -k_b, -k_b * k_b],
+                              [k_c, k_c, -(k_c * k_c)]])
+        self.layers = {m: tuple(per_layer[:m, c].reshape(m, 1, 1)
+                                for c in range(3)) for m in (1, 2)}
+        if mask is None:
+            mask = np.zeros((1, 1), dtype=bool)
+        n = len(mask)
+        # quotient inputs, one column per robot: gamma, grad gamma, beta,
+        # grad beta, hess beta (xx, xy, yy), and the value's beta
+        self.rows = np.empty((10, n))
+        # per follower and robot: the logistic's argument in each layer, and
+        # the edge terms whose row sums make the jet
+        self.z = np.empty((2, n - 1, n))
+        self.terms = np.empty((9, n - 1, n))
+        self.set_mask(mask)
+
+    def set_mask(self, mask: np.ndarray) -> None:
+        """Take the (n, n) sensing mask; read again by every call.
+
+        Raises ValueError when a follower senses no one.
+        """
+        degree = mask[1:].sum(axis=1)
+        if not degree.all():
+            raise ValueError("follower has no neighbors; the initial graph "
+                             "must give every follower at least one parent")
+        self.mask = mask
+        self.lap = 2.0 * np.concatenate(([1], degree))
+
+    def leader_terms(self, position):
+        """Row 0's quotient inputs: gamma = |p - goal|^2, its gradient and
+        Laplacian, and beta = dip * bnd with its gradient and Hessian."""
+        p = self.params
+        px, py = float(position[0]), float(position[1])
+        rx, ry = px - self.goal[0], py - self.goal[1]
+        ax, ay = self.axis
+        proj = rx * ax + ry * ay
+        dip = p.dipolar_eps + proj * proj
+        # dip has gradient 2 proj a and Hessian 2 a a^T
+        dx, dy = 2.0 * proj * ax, 2.0 * proj * ay
+
+        norm = math.hypot(px, py)
+        bnd = _logistic(self.k_c * (p.workspace_radius - norm
+                                    - self.rim_shift))
+        if norm > 0.0:
+            # the rim factor B(R_w - |p|) has gradient -B' u and Hessian
+            # B'' u u^T - B' (I - u u^T) / |p|, with u = p / |p|
+            k = self.k_c
+            s1 = k * bnd * (1.0 - bnd)
+            t = s1 / norm
+            w = (k * s1 * (1.0 - 2.0 * bnd) + t) / (norm * norm)
+            nx, ny = -t * px, -t * py
+            nxx, nxy, nyy = w * px * px - t, w * px * py, w * py * py - t
+        else:
+            # rim direction undefined at the workspace center; the factor is
+            # saturated there anyway
+            nx = ny = nxx = nxy = nyy = 0.0
+
+        dbeta = (bnd * dx + dip * nx, bnd * dy + dip * ny)
+        ddbeta = (2.0 * bnd * ax * ax + 2.0 * dx * nx + dip * nxx,
+                  2.0 * bnd * ax * ay + dx * ny + dy * nx + dip * nxy,
+                  2.0 * bnd * ay * ay + 2.0 * dy * ny + dip * nyy)
+        return (rx * rx + ry * ry, (2.0 * rx, 2.0 * ry), 2.0, dip * bnd,
+                dbeta, ddbeta)
+
+    def __call__(self, position: np.ndarray, offsets: np.ndarray,
+                 dist: np.ndarray, region: RegionFlag):
+        """phi, gradient (x, y) and Hessian (xx, xy, yy) of every robot.
+
+        ``position`` is the informed robot's, ``offsets[:, i, j]`` is
+        p_i - p_j and ``dist`` the (n, n) distance matrix. Follower row i
+        reads nothing outside mask row i, which keeps the law decentralized.
+        Each edge's b(d) and B(d) are evaluated once and serve both the
+        reported value (the regional potential) and the derivatives of the
+        selected gradient law, by the formulas of ``_constraint_jet`` and
+        ``navfunc_follower``.
+        """
+        rows = self.rows
+        gamma, dgamma, _, beta, dbeta, ddbeta = self.leader_terms(position)
+        rows[:, 0] = (gamma, *dgamma, beta, *dbeta, *ddbeta, beta)
+        avoid = region is RegionFlag.COLLISION_FREE
+        value_differs = avoid and not self.full
+        if rows.shape[1] > 1:
+            self._followers(offsets[:, 1:], dist[1:], self.mask[1:], avoid,
+                            value_differs)
+        phi, grad, hess, _ = _quotient_jet(
+            self.params.field_exponent, rows[0], rows[1:3], self.lap, rows[3],
+            rows[4:6], rows[6:9], rows[9] if value_differs else None)
+        # row 0 logs the scalar navigation function's value: the traced
+        # benchmark (rendezbench/run.py) divides by that function's calls
+        phi[0] = navfunc_leader(position, self.params)
+        return phi, grad, hess
+
+    def _followers(self, offsets, dist, mask, avoid, value_differs):
+        """Fill columns 1.. of the quotient inputs from the edge factors."""
+        gain, _, _ = self.layers[2 if avoid else 1]
+        z = self.z[:len(gain)]
+        np.subtract(self.edge_center, dist, out=z[0])
+        if avoid:
+            np.subtract(dist, self.rim_shift, out=z[1])
+        z *= gain
+        s = logistic_array(z)
+        factors = np.where(mask, s, 1.0).prod(axis=-1)
+        beta = value_beta = factors[0]
+        if avoid:
+            value_beta = factors[0] * factors[1]
+        if not value_differs:
             beta = value_beta
-            l1 = l1 + k_c * (1.0 - c)
-            l2 = l2 - k_c * k_c * c * (1.0 - c)
-    # edge slopes l_j / d_j and curvatures; edges under the floor add none
-    live = mask & (dist >= DISTANCE_FLOOR)
-    t = np.divide(l1, dist, out=np.zeros_like(dist), where=live)
-    w = np.divide(l2 - t, dist * dist, out=np.zeros_like(dist), where=live)
-    mx = np.where(mask, dx, 0.0)
-    my = np.where(mask, dy, 0.0)
-    gx = (t * mx).sum(axis=1)
-    gy = (t * my).sum(axis=1)
-    t_sum = t.sum(axis=1)
-    hxx = (w * mx * mx).sum(axis=1) + t_sum
-    hxy = (w * mx * my).sum(axis=1)
-    hyy = (w * my * my).sum(axis=1) + t_sum
-    alpha = params.field_exponent
-    gamma = (mx * mx + my * my).sum(axis=1)
-    grad, hess, _ = _quotient_jet(
-        alpha, gamma, (2.0 * mx.sum(axis=1), 2.0 * my.sum(axis=1)),
-        2.0 * degree, beta, (beta * gx, beta * gy),
-        (beta * (gx * gx + hxx), beta * (gx * gy + hxy),
-         beta * (gy * gy + hyy)))
-    phi = gamma / (gamma ** alpha + value_beta) ** (1.0 / alpha)
-    return phi, grad, hess
+        # the selected law differentiates b(d), and B(d) when beta holds it
+        live = 1 if value_differs else len(s)
+        _, c1, c2 = self.layers[live]
+        one_minus = 1.0 - s[:live]
+        l1 = c1 * one_minus
+        l2 = c2 * s[:live] * one_minus
+        l1, l2 = (l1[0], l2[0]) if live == 1 else (l1[0] + l1[1],
+                                                   l2[0] + l2[1])
+        # edge slopes l_j / d_j and curvatures; edges under the floor add none
+        near = mask & (dist >= DISTANCE_FLOOR)
+        t = np.divide(l1, dist, out=np.zeros(dist.shape), where=near)
+        w = np.divide(l2 - t, dist * dist, out=np.zeros(dist.shape),
+                      where=near)
+        m = np.where(mask, offsets, 0.0)
+        terms = self.terms
+        np.multiply(t, m, out=terms[0:2])
+        wm = w * m
+        np.multiply(wm[0], m, out=terms[2:4])
+        np.multiply(wm[1], m[1], out=terms[4])
+        terms[5] = t
+        square = m * m
+        np.add(square[0], square[1], out=terms[6])
+        terms[7:9] = m
+        # sum of slopes g = sum t_j (p - q_j), then the curvature sums
+        # (xx, xy, yy), sum t_j, gamma and sum (p - q_j)
+        sums = terms.sum(axis=-1)
+        g = sums[0:2]
+        sums[2:5:2] += sums[5]
+        rows = self.rows[:, 1:]
+        rows[0] = sums[6]
+        np.multiply(2.0, sums[7:9], out=rows[1:3])
+        rows[3] = beta
+        np.multiply(beta, g, out=rows[4:6])
+        hess = rows[6:9]
+        np.multiply(g[0], g, out=hess[0:2])
+        np.multiply(g[1], g[1], out=hess[2])
+        hess += sums[2:5]
+        hess *= beta
+        rows[9] = value_beta

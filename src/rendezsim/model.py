@@ -46,11 +46,16 @@ def normalize_angle(theta: float) -> float:
     return wrapped
 
 
-def wrap_angles(theta: np.ndarray) -> np.ndarray:
-    """normalize_angle elementwise; a non-finite angle comes out NaN."""
-    wrapped = np.fmod(theta, TWO_PI)
-    return np.where(wrapped > math.pi, wrapped - TWO_PI,
-                    np.where(wrapped <= -math.pi, wrapped + TWO_PI, wrapped))
+def wrap_angles(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """normalize_angle elementwise; a non-finite angle comes out NaN.
+
+    Writes into ``out`` when given.
+    """
+    wrapped = np.asarray(np.fmod(theta, TWO_PI, out=out))  # floats too
+    # |fmod| < 2 pi, so a value lowered from above pi is above -pi
+    np.subtract(wrapped, TWO_PI, out=wrapped, where=wrapped > math.pi)
+    np.add(wrapped, TWO_PI, out=wrapped, where=wrapped <= -math.pi)
+    return wrapped
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,9 @@ DISTANCES_FILE = "distances.csv"
 
 _TRAJ_HEADER = "t,id,x,y,theta,v,omega,theta_d,theta_tilde,theta_d_dot,phi,region"
 _DIST_HEADER = "t,i,j,d,monitored"
+# the metadata keys load_trajectory reads; roles may be absent
+_REQUIRED_META = ("n_robots", "goal_position", "goal_heading", "time_step",
+                  "sensing_radius")
 
 
 def _meta_lines(log: TrajectoryLog) -> list[str]:
@@ -284,18 +287,38 @@ def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
     return traj_path, dist_path
 
 
-def _read_table(path, n_meta, per_step, unit, steps=None):
+def _read_meta(path) -> dict:
+    """The ``# key = value`` lines that open an exported file."""
+    meta = {}
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.startswith("#"):
+                break
+            key, _, raw = line[1:].partition("=")
+            meta[key.strip()] = raw.strip()
+    return meta
+
+
+def _read_table(path, header, per_step, unit, steps=None):
     """The numbers below a file's metadata and column names, per step.
 
     ``steps`` (default: as many as the rows begin) blocks of ``per_step``
-    rows; a ValueError names the file when it has no rows or another count.
+    rows of the columns in ``header``; a ValueError names the file when it
+    has no rows, another row count or another column count.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        data = np.loadtxt(path, delimiter=",", comments="#",
-                          skiprows=n_meta + 1, ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", comments="#",
+                              skiprows=len(_read_meta(path)) + 1, ndmin=2)
+        except ValueError as exc:  # a malformed row: name the file
+            raise ValueError(f"{path}: {exc}") from None
     if not len(data):
         raise ValueError(f"{path}: no data rows")
+    columns = header.count(",") + 1
+    if data.shape[1] != columns:
+        raise ValueError(f"{path}: {data.shape[1]} columns, expected "
+                         f"{columns}")
     if steps is None:
         steps = -(-len(data) // per_step)
     if len(data) != steps * per_step:
@@ -309,16 +332,13 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
     """Rebuild a TrajectoryLog from exported files (events are not exported)."""
     traj_path = os.path.join(log_dir, TRAJECTORY_FILE)
     dist_path = os.path.join(log_dir, DISTANCES_FILE)
-    meta = {}
-    with open(traj_path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            key, _, raw = line[1:].partition("=")
-            meta[key.strip()] = raw.strip()
+    meta = _read_meta(traj_path)
+    for key in _REQUIRED_META:
+        if key not in meta:
+            raise ValueError(f"{traj_path}: missing metadata key '{key}'")
     n = int(meta["n_robots"])
 
-    data = _read_table(traj_path, len(meta), n, "robots")
+    data = _read_table(traj_path, _TRAJ_HEADER, n, "robots")
     times = data[:, 0, 0]
     poses = data[:, :, 2:5]
     controls = data[:, :, 5:10]
@@ -327,7 +347,7 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
 
     n_pairs = n * (n - 1) // 2
     if n_pairs:
-        ddata = _read_table(dist_path, len(meta), n_pairs, "pairs",
+        ddata = _read_table(dist_path, _DIST_HEADER, n_pairs, "pairs",
                             len(times))
         pairs = tuple((int(i), int(j)) for i, j in ddata[0, :, 1:3])
         distances = ddata[:, :, 3]

@@ -7,7 +7,7 @@ import numpy as np
 
 from .control import ControlOutput, control_laws
 from .fields import FieldParams, region_of
-from .gradients import follower_jets, leader_field_eval
+from .gradients import JetKernel
 from .graph import Topology, build_topology, has_rooted_spanning_tree
 from .model import (RegionFlag, RobotState, ScenarioConfig, validate_scenario,
                     wrap_angles)
@@ -95,18 +95,22 @@ def integrate_pose(pose: np.ndarray, v: float, omega: float,
     return out[0]
 
 
-def _integrate_all(poses, vs, ws, dt):
+def _integrate_all(poses, vs, ws, dt, out=None):
     """Exact step: with v and omega held over dt each path is a circular arc.
 
     The chord is v*dt*sinc(omega*dt/2) long and points along the mid-step
     heading; np.sinc is exactly 1 at zero, so straight lines need no branch.
+    Writes the new (N, 3) poses into ``out`` when given.
     """
     half = 0.5 * dt * ws
     chord = dt * vs * np.sinc(half / np.pi)
     mid = poses[:, 2] + half
-    return np.stack([poses[:, 0] + chord * np.cos(mid),
-                     poses[:, 1] + chord * np.sin(mid),
-                     wrap_angles(poses[:, 2] + dt * ws)], axis=1)
+    if out is None:
+        out = np.empty(poses.shape)
+    np.add(poses[:, 0], chord * np.cos(mid), out=out[:, 0])
+    np.add(poses[:, 1], chord * np.sin(mid), out=out[:, 1])
+    wrap_angles(poses[:, 2] + dt * ws, out=out[:, 2])
+    return out
 
 
 def _pose_array(states: list[RobotState]) -> np.ndarray:
@@ -114,48 +118,47 @@ def _pose_array(states: list[RobotState]) -> np.ndarray:
                      for s in states])
 
 
-def _gains(cfg: ScenarioConfig):
-    return np.asarray(cfg.linear_gains), np.asarray(cfg.angular_gains)
-
-
 def _offsets(poses: np.ndarray):
-    """dx[i, j] = x_i - x_j, dy likewise, and the pairwise distance matrix."""
-    dx = poses[:, 0, None] - poses[:, 0]
-    dy = poses[:, 1, None] - poses[:, 1]
-    return dx, dy, np.sqrt(dx * dx + dy * dy)
+    """offsets[:, i, j] = p_i - p_j, and the pairwise distance matrix."""
+    xy = poses[:, :2].T
+    offsets = xy[:, :, None] - xy[:, None, :]
+    square = offsets * offsets
+    return offsets, np.sqrt(square[0] + square[1])
 
 
-def _advance(poses, offsets, mask, region, fallback, gains, cfg, params):
+class StepKernel:
     """One synchronous update of every robot from one (N, 3) pose snapshot.
 
-    Every robot is one row of one pass: row 0, the informed robot, takes its
-    potential's value and derivatives from the dipolar jet, the followers
-    from ``follower_jets`` (follower i reads only mask row i), and one
-    ``control_laws`` call applies the laws to all rows. ``fallback`` holds
-    each robot's previous desired heading, or its current heading when
-    there is none; ``gains`` is (k_v, k_w) over the rows. Returns the new
-    poses, the (N, 5) controls (v, omega, theta_d, theta_tilde,
-    theta_d_dot), phi and the gradient norms.
+    Built once per run, it holds every per-run constant: the field jets
+    (gains, shifts and the followers' degrees, see ``JetKernel``), the gain
+    arrays, the time step and the gradient floor. A call makes one jet pass
+    over all rows, one ``control_laws`` call and one ``_integrate_all``
+    call. ``fallback`` holds each robot's previous desired heading, or its
+    current heading when there is none.
     """
-    n = len(poses)
-    phi = np.empty(n)
-    grad = np.empty((2, n))
-    hess = np.empty((3, n))
-    lead = leader_field_eval(poses[0, :2], params)
-    phi[0] = lead.value
-    grad[:, 0] = lead.gradient
-    hess[:, 0] = lead.hessian[(0, 0, 1), (0, 1, 1)]  # xx, xy, yy
-    if n > 1:
-        dx, dy, dist = (a[1:] for a in offsets)
-        phi[1:], grad[:, 1:], hess[:, 1:] = follower_jets(
-            dx, dy, dist, mask[1:], region, params, cfg.gradient_mode)
-    *laws, grad_norm = control_laws(grad, hess, poses[:, 2], fallback,
-                                    *gains, cfg.gradient_floor)
-    ctrl = np.column_stack(laws)
-    new = _integrate_all(poses, ctrl[:, 0], ctrl[:, 1], cfg.time_step)
-    if not np.all(np.isfinite(new)):
-        raise RuntimeError(f"non-finite state after integration:\n{new}")
-    return new, ctrl, phi, grad_norm
+
+    def __init__(self, cfg: ScenarioConfig, params: FieldParams,
+                 mask: np.ndarray):
+        self.jets = JetKernel(params, mask, cfg.gradient_mode)
+        self.gains = (np.asarray(cfg.linear_gains, dtype=float),
+                      np.asarray(cfg.angular_gains, dtype=float))
+        self.time_step = cfg.time_step
+        self.gradient_floor = cfg.gradient_floor
+
+    def __call__(self, poses, offsets, dist, region, fallback, controls,
+                 new_poses):
+        """Write the (N, 5) controls (v, omega, theta_d, theta_tilde,
+        theta_d_dot) and the new poses; return phi and the gradient norms."""
+        phi, grad, hess = self.jets(poses[0, :2], offsets, dist, region)
+        *_, grad_norm = control_laws(grad, hess, poses[:, 2], fallback,
+                                     *self.gains, self.gradient_floor,
+                                     controls.T)
+        _integrate_all(poses, controls[:, 0], controls[:, 1], self.time_step,
+                       new_poses)
+        if not np.isfinite(new_poses).all():
+            raise RuntimeError(
+                f"non-finite state after integration:\n{new_poses}")
+        return phi, grad_norm
 
 
 def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
@@ -164,7 +167,7 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
          params: FieldParams | None = None):
     """One synchronous update: controls from the snapshot, then integration.
 
-    An adapter from states to the array core that ``run`` drives; the first
+    An adapter from states to the step kernel that ``run`` drives; the first
     state is the informed robot. Robot i's controls read only the robots it
     senses, so moving any other robot leaves them unchanged bit for bit.
     Returns (new states, controls in id order, new region); the region is
@@ -179,9 +182,10 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
     for i, prev in enumerate(prev_theta_d or ()):
         if prev is not None:
             fallback[i] = prev
-    new, ctrl, phi, grad_norm = _advance(
-        poses, _offsets(poses), topo.adjacency, region, fallback,
-        _gains(cfg), cfg, params)
+    ctrl = np.empty((len(states), 5))
+    new = np.empty(poses.shape)
+    phi, grad_norm = StepKernel(cfg, params, topo.adjacency)(
+        poses, *_offsets(poses), region, fallback, ctrl, new)
     controls = [ControlOutput(*row, p, g) for row, p, g in
                 zip(ctrl.tolist(), phi.tolist(), grad_norm.tolist())]
     new_states = [s.with_pose(new[i, :2], new[i, 2])
@@ -253,12 +257,35 @@ def _accrete_edges(mask: np.ndarray, dist: np.ndarray,
     mask |= near | near.T
 
 
+def _monitor_bounds(cfg: ScenarioConfig, monitored: np.ndarray):
+    """Bounds that the step's pair distances, then robot norms, must reach
+    before ``monitor_invariants`` can emit anything: (high, low).
+
+    A value at or above its high bound or, while avoidance is active, at or
+    below its low bound can fire a monitor: a monitored edge at the sensing
+    radius, a pair at the collision floor, a robot at the workspace rim.
+    The informed robot's high bound is also the leader band, which is
+    necessary for ``leader_range`` though not sufficient.
+    """
+    n = cfg.n_robots
+    leader_band = cfg.workspace_radius - cfg.sensing_radius * (n - 1)
+    high = np.concatenate((np.where(monitored, cfg.sensing_radius, np.inf),
+                           [min(cfg.workspace_radius, leader_band)],
+                           np.full(n - 1, cfg.workspace_radius)))
+    low = np.concatenate((np.full(len(monitored), cfg.collision_floor),
+                          np.full(n, -np.inf)))
+    return high, low
+
+
 def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     """Simulate the whole scenario; stop early once every robot converged.
 
     Each step advances one (N, 3) pose array: one distance matrix feeds the
-    neighbor mask's accretion, the log and the monitors, and the controls
-    come from ``_advance``. Raises AssumptionError when the initial graph
+    neighbor mask's accretion, the log and the monitors, and one
+    ``StepKernel`` call, built once per run, makes the controls and the next
+    poses. ``monitor_invariants`` runs only on a step where some watched
+    value reaches its bound (``_monitor_bounds``), so it emits the same
+    events as on every step. Raises AssumptionError when the initial graph
     has no spanning tree rooted at the informed robot. Monitor violations
     are recorded as events and, in strict mode, abort the run by raising
     MonitorViolation.
@@ -267,70 +294,77 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     validate_scenario(cfg)
     params = FieldParams.from_config(cfg)
     n = cfg.n_robots
-    goal = cfg.goal_position
+    goal_x, goal_y = cfg.goal_position.tolist()
     accreting = cfg.neighbor_mode == "accreting"
     threshold = cfg.sensing_radius - cfg.connectivity_buffer
 
     # the mask stays frozen unless accretion grows it; the initial graph
     # already holds every pair inside the threshold
     mask = initial_topology(cfg).adjacency
+    kernel = StepKernel(cfg, params, mask)
     pairs = _pair_list(n)
     upper = np.triu_indices(n, 1)
     monitored = mask[upper]
+    n_pairs = len(pairs)
+    high, low = _monitor_bounds(cfg, monitored)
+    watched = np.empty(n_pairs + n)
 
     max_steps = int(round(cfg.horizon / cfg.time_step))
     S = max_steps + 1
     times = np.empty(S)
-    poses = np.empty((S, n, 3))
+    poses = np.empty((S + 1, n, 3))  # row k + 1 receives step k's update
     ctrl = np.empty((S, n, 5))
     phi = np.empty((S, n))
     regions = np.empty(S, dtype=np.int8)
-    dists = np.empty((S, len(pairs)))
+    dists = np.empty((S, n_pairs))
 
     events: list[Event] = []
     switch_step = None
-    pose = _pose_array(cfg.initial_states)
-    region = region_of(pose[0, :2], params)
+    poses[0] = _pose_array(cfg.initial_states)
+    region = region_of(poses[0, 0, :2], params)
     if region is RegionFlag.RENDEZVOUS:
         switch_step = 0
         events.append(Event(0, 0.0, "switch",
                             "collision avoidance off from the start"))
-    gains = _gains(cfg)
-    fallback = pose[:, 2]  # no desired heading yet: hold the current one
+    fallback = poses[0, :, 2]  # no desired heading yet: hold the current one
 
     k = 0
     while True:
         t = k * cfg.time_step
-        offsets = _offsets(pose)
+        pose = poses[k]
+        offsets, dist = _offsets(pose)
         if accreting:
-            _accrete_edges(mask, offsets[2], threshold)
-        new_pose, controls, phi[k], _ = _advance(
-            pose, offsets, mask, region, fallback, gains, cfg, params)
+            _accrete_edges(mask, dist, threshold)
+            kernel.jets.set_mask(mask)
+        phi[k], _ = kernel(pose, offsets, dist, region, fallback, ctrl[k],
+                           poses[k + 1])
 
+        avoiding = region is RegionFlag.COLLISION_FREE
         times[k] = t
-        regions[k] = 0 if region is RegionFlag.COLLISION_FREE else 1
-        poses[k] = pose
-        ctrl[k] = controls
-        dists[k] = offsets[2][upper]
+        regions[k] = 0 if avoiding else 1
+        dists[k] = watched[:n_pairs] = dist[upper]
+        np.hypot(pose[:, 0], pose[:, 1], out=watched[n_pairs:])
+        reached = watched >= high
+        if avoiding:
+            reached |= watched <= low
+        if reached.any():
+            step_events = monitor_invariants(pose[:, :2], dists[k], pairs,
+                                             monitored, region, cfg, k, t)
+            events.extend(step_events)
+            if strict and step_events:
+                raise MonitorViolation(
+                    "; ".join(f"{e.kind}: {e.detail}" for e in step_events))
 
-        step_events = monitor_invariants(pose[:, :2], dists[k], pairs,
-                                         monitored, region, cfg, k, t)
-        events.extend(step_events)
-        if strict and step_events:
-            raise MonitorViolation(
-                "; ".join(f"{e.kind}: {e.detail}" for e in step_events))
-
-        goal_err = np.hypot(pose[:, 0] - goal[0], pose[:, 1] - goal[1]).max()
-        head_err = np.abs(controls[:, 3]).max()
-        converged = (goal_err < cfg.position_tolerance
-                     and head_err < cfg.heading_tolerance)
+        converged = (
+            np.hypot(pose[:, 0] - goal_x, pose[:, 1] - goal_y).max()
+            < cfg.position_tolerance
+            and np.abs(ctrl[k, :, 3]).max() < cfg.heading_tolerance)
         if converged or k >= max_steps:
             k += 1
             break
 
-        fallback = controls[:, 2]
-        pose = new_pose
-        new_region = region_of(pose[0, :2], params, previous=region)
+        fallback = ctrl[k, :, 2]
+        new_region = region_of(poses[k + 1, 0, :2], params, previous=region)
         if new_region is not region and switch_step is None:
             switch_step = k + 1
             events.append(Event(k + 1, (k + 1) * cfg.time_step, "switch",

@@ -41,6 +41,10 @@ ROWSUM_TOL = 1e-12           # criterion 7
 EDGEWISE_TOL = 1e-10         # criterion 7
 LYAPUNOV_SLACK = 1e-6        # criterion 8
 
+# the reference run itself, pinned so that any behavioural drift fails
+REFERENCE_STEPS = 11414
+REFERENCE_SWITCH_STEP = 10853
+
 
 def _report(num, text):
     print(f"PASS criterion {num}: {text}")
@@ -76,6 +80,10 @@ def test_criterion_01_reference_run_converges(reference):
     head_err = np.abs(log.controls[-1, :, 3])
     assert np.all(goal_err < POSITION_TOL), goal_err
     assert np.all(head_err < HEADING_TOL), head_err
+    assert log.n_steps == REFERENCE_STEPS
+    assert log.switch_step == REFERENCE_SWITCH_STEP
+    assert [(e.step, e.kind) for e in log.events] == [
+        (REFERENCE_SWITCH_STEP, "switch")]
     _report(1, f"converged in {log.times[-1]:.1f} s simulated / "
                f"{wall:.1f} s wall; max goal error "
                f"{goal_err.max():.4f} m, max heading error "

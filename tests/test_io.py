@@ -445,6 +445,55 @@ class TestLoadMismatch:
         assert main(["metrics", str(exported)]) == 1
         assert "trajectory.csv: 23 data rows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["n_robots", "goal_position",
+                                     "goal_heading", "time_step",
+                                     "sensing_radius"])
+    def test_missing_metadata_key_is_named(self, exported, key, capsys):
+        path = exported / "trajectory.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in lines if not line.startswith(f"# {key} =")]
+        assert len(kept) == len(lines) - 1
+        path.write_text("".join(kept), encoding="utf-8")
+        assert main(["metrics", str(exported)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: missing metadata key '{key}'\n")
+
+    def test_optional_roles_line_may_be_absent(self, exported):
+        # each file is read past its own metadata lines
+        path = exported / "trajectory.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(line for line in lines
+                                if not line.startswith("# roles =")),
+                        encoding="utf-8")
+        loaded = load_trajectory(str(exported))
+        assert loaded.roles == ()
+        assert loaded.distances.shape == (6, 6)
+
+    def test_malformed_row_names_the_file(self, exported, capsys):
+        path = exported / "trajectory.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[10] = lines[10].rsplit(",", 1)[0]  # one short data row
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["metrics", str(exported)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("name, message", [
+        ("trajectory.csv", "11 columns, expected 12"),
+        ("distances.csv", "4 columns, expected 5"),
+    ])
+    def test_missing_column_is_counted(self, exported, name, message,
+                                       capsys):
+        # every data row loses its last field (region, monitored)
+        path = exported / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        data = 8  # 7 metadata lines and the column names come first
+        path.write_text("\n".join(lines[:data] + [
+            line.rsplit(",", 1)[0] for line in lines[data:]]) + "\n",
+            encoding="utf-8")
+        assert main(["metrics", str(exported)]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
 
 class TestPlotScript:
     def test_emission(self, tmp_path):

@@ -89,6 +89,14 @@ class TestStep:
             checked += 1
         assert checked > 30
 
+    def test_follower_without_neighbors_rejected(self):
+        cfg = small_config()
+        mask = np.array([[False, True, True], [True, False, False],
+                         [False, False, False]])
+        with pytest.raises(ValueError, match="follower has no neighbors"):
+            step(cfg.initial_states, RegionFlag.COLLISION_FREE, cfg,
+                 Topology(mask))
+
     def test_non_finite_control_raises(self):
         cfg = small_config(linear_gains=[2.0, math.inf, 4.0])
         with np.errstate(invalid="ignore"), \
@@ -199,6 +207,163 @@ class TestArrayCore:
         log = run(cfg)
         assert rows == [cfg.n_robots] * log.n_steps
         assert built == []
+
+
+def assert_controls_match(got, ref):
+    """got: (v, omega, theta_d, theta_tilde, theta_d_dot, phi) against a
+    ControlOutput, to 1e-12 (relative above 1; angles modulo 2 pi)."""
+    v, omega, theta_d, theta_tilde, theta_d_dot, phi = got
+    for name, a in (("v", v), ("omega", omega), ("theta_d_dot", theta_d_dot),
+                    ("phi", phi)):
+        b = getattr(ref, name)
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b)), name
+    assert angle_gap(theta_d, ref.theta_d) <= 1e-12
+    assert angle_gap(theta_tilde, ref.theta_tilde) <= 1e-12
+
+
+class TestKernelRowZero:
+    """Row 0 of the step kernel is the informed robot: its controls and next
+    pose match compute_control and integrate_pose on that robot alone."""
+
+    GOAL = np.array([1.5, -0.5])
+
+    @staticmethod
+    def _spot(rng, spot):
+        if spot == "goal":  # gamma = 0
+            return TestKernelRowZero.GOAL.copy()
+        if spot == "centre":  # the rim direction is undefined
+            return np.zeros(2)
+        # half of the draws inside the rim factor's band (margin 0.4 m)
+        r = rng.uniform(0.0, 29.0) if rng.random() < 0.5 else rng.uniform(
+            29.6, 29.95)
+        a = rng.uniform(-math.pi, math.pi)
+        return r * np.array([math.cos(a), math.sin(a)])
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("spot", ["random", "goal", "centre"])
+    @pytest.mark.parametrize("mode", ["full", "paper"])
+    @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
+                                        RegionFlag.RENDEZVOUS])
+    def test_matches_compute_control(self, region, mode, spot, n):
+        rng = np.random.default_rng(17)
+        for trial in range(10):
+            p = self._spot(rng, spot)
+            states = [RobotState(1, p, rng.uniform(-math.pi, math.pi),
+                                 Role.INFORMED)]
+            states += [RobotState(i, p + rng.uniform(-1.2, 1.2, 2),
+                                  rng.uniform(-math.pi, math.pi),
+                                  Role.FOLLOWER) for i in range(2, n + 1)]
+            prev = [None if trial % 2 else rng.uniform(-3.0, 3.0)]
+            cfg = small_config(
+                n_robots=n, goal_position=self.GOAL, gradient_mode=mode,
+                linear_gains=rng.uniform(1.0, 5.0, n).tolist(),
+                angular_gains=rng.uniform(4.0, 10.0, n).tolist(),
+                initial_states=states)
+            params = FieldParams.from_config(cfg)
+            new_states, controls, _ = step(states, region, cfg, None,
+                                           prev + [None] * (n - 1))
+            ref = compute_control(states[0], [], region, params,
+                                  cfg.linear_gains[0], cfg.angular_gains[0],
+                                  prev[0], gradient_mode=mode,
+                                  gradient_floor=cfg.gradient_floor)
+            got = controls[0]
+            assert_controls_match(
+                (got.v, got.omega, got.theta_d, got.theta_tilde,
+                 got.theta_d_dot, got.phi), ref)
+            assert abs(got.grad_norm - ref.grad_norm) <= 1e-12 * max(
+                1.0, ref.grad_norm)
+            pose = integrate_pose(np.array([*p, states[0].heading]), ref.v,
+                                  ref.omega, cfg.time_step)
+            assert np.allclose(new_states[0].position, pose[:2], rtol=0.0,
+                               atol=1e-12)
+            assert angle_gap(new_states[0].heading, pose[2]) <= 1e-12
+            if spot == "goal":
+                assert ref.grad_norm == 0.0 and got.phi == 0.0
+
+    def test_one_robot_run_matches_compute_control(self):
+        cfg = small_config(n_robots=1, linear_gains=[2.0],
+                           angular_gains=[8.0], goal_position=self.GOAL,
+                           horizon=0.5,
+                           initial_states=make_states([(-4.0, -2.0, 0.5)]))
+        params = FieldParams.from_config(cfg)
+        log = run(cfg)
+        assert log.n_steps == 101
+        prev = None
+        for k in range(log.n_steps):
+            x, y, theta = log.poses[k, 0]
+            region = (RegionFlag.COLLISION_FREE if log.region[k] == 0
+                      else RegionFlag.RENDEZVOUS)
+            ref = compute_control(
+                RobotState(1, np.array([x, y]), theta, Role.INFORMED), [],
+                region, params, 2.0, 8.0, prev,
+                gradient_floor=cfg.gradient_floor)
+            assert_controls_match((*log.controls[k, 0], log.phi[k, 0]), ref)
+            if k + 1 < log.n_steps:
+                pose = integrate_pose(log.poses[k, 0], ref.v, ref.omega,
+                                      cfg.time_step)
+                assert np.allclose(log.poses[k + 1, 0], pose, rtol=0.0,
+                                   atol=1e-12)
+            prev = log.controls[k, 0, 2]
+
+
+X_RIM = 30.0 - 1e-6  # just inside small_config's workspace
+
+
+class TestMonitorScreen:
+    """run() calls monitor_invariants only on steps where a watched value
+    reaches its bound; the events must be those of monitor_invariants
+    applied to every logged step."""
+
+    SCENARIOS = {
+        # a follower too slow to keep up with the informed robot
+        "connectivity": dict(horizon=2.0, linear_gains=[20.0, 0.01, 4.0]),
+        # two followers exactly at the collision floor at step 0
+        "collision": dict(horizon=2.0, collision_floor=0.375,
+                          initial_states=make_states(
+                              [(-4.0, -2.0, 0.5), (-4.75, -2.5, -1.0),
+                               (-4.75, -2.125, 2.0)])),
+        # a follower on the rim heading out of the workspace
+        "boundary": dict(horizon=1.0, initial_states=make_states(
+            [(X_RIM - 0.3, 1.2, 3.0), (X_RIM, 0.0, math.pi / 2 - 0.3),
+             (X_RIM - 1.0, 1.0, 0.0)])),
+        # the informed robot just beyond its band, a follower near the rim
+        "leader_range": dict(horizon=1.0, initial_states=make_states(
+            [(26.3, 0.3, 3.0), (28.2, 0.0, 3.0), (27.5, 1.2, 3.0)])),
+    }
+
+    @pytest.mark.parametrize("kind", list(SCENARIOS))
+    def test_events_match_every_step(self, kind):
+        cfg = small_config(**self.SCENARIOS[kind])
+        log = run(cfg)
+        expected = []
+        for k in range(log.n_steps):
+            region = (RegionFlag.COLLISION_FREE if log.region[k] == 0
+                      else RegionFlag.RENDEZVOUS)
+            expected += monitor_invariants(
+                log.poses[k, :, :2], log.distances[k], log.pairs,
+                log.monitored, region, cfg, k, log.times[k])
+        got = [e for e in log.events if e.kind != "switch"]
+        assert kind in {e.kind for e in got}
+        assert got == expected
+
+    @pytest.mark.parametrize("kind", list(SCENARIOS))
+    def test_strict_mode_raises_at_the_same_step(self, kind, monkeypatch):
+        cfg = small_config(**self.SCENARIOS[kind])
+        events = [e for e in run(cfg).events if e.kind != "switch"]
+        first = events[0].step
+        checked = []
+        monitor = sim.monitor_invariants
+
+        def record(*args):
+            checked.append(args[6])  # the step index
+            return monitor(*args)
+
+        monkeypatch.setattr(sim, "monitor_invariants", record)
+        with pytest.raises(MonitorViolation) as info:
+            run(cfg, strict=True)
+        assert checked[-1] == first
+        assert str(info.value) == "; ".join(
+            f"{e.kind}: {e.detail}" for e in events if e.step == first)
 
 
 class TestAccretion:
