@@ -276,12 +276,12 @@ class JetKernel:
     """Value, gradient and Hessian of every robot's potential, one pass a step.
 
     Built once per run: it holds the field constants (sigmoid gains and
-    shifts, the goal axis) and the followers' degrees, which only
+    shifts, the goal axis) and the followers' sensed edges, which only
     ``set_mask`` changes. Row 0 is the informed robot: its quotient inputs
     come from scalar math (``leader_terms``) and fill column 0 of the input
-    rows, the followers' fill the others, and one ``_quotient_jet`` call
-    covers all of them. Without a mask the kernel holds the informed robot
-    alone.
+    rows. The followers' fill the others, from one pass over the edge list,
+    and one ``_quotient_jet`` call covers all of them. Without a mask the
+    kernel holds the informed robot alone.
     """
 
     def __init__(self, params: FieldParams, mask: np.ndarray | None = None,
@@ -304,7 +304,7 @@ class JetKernel:
                             - 0.5 * params.connectivity_buffer)
         per_layer = np.array([[k_b, -k_b, -k_b * k_b],
                               [k_c, k_c, -(k_c * k_c)]])
-        self.layers = {m: tuple(per_layer[:m, c].reshape(m, 1, 1)
+        self.layers = {m: tuple(per_layer[:m, c].reshape(m, 1)
                                 for c in range(3)) for m in (1, 2)}
         if mask is None:
             mask = np.zeros((1, 1), dtype=bool)
@@ -312,23 +312,42 @@ class JetKernel:
         # quotient inputs, one column per robot: gamma, grad gamma, beta,
         # grad beta, hess beta (xx, xy, yy), and the value's beta
         self.rows = np.empty((10, n))
-        # per follower and robot: the logistic's argument in each layer, and
-        # the edge terms whose row sums make the jet
-        self.z = np.empty((2, n - 1, n))
-        self.terms = np.empty((9, n - 1, n))
+        # index of each robot pair {i, j} among the upper pairs (a, b), a < b,
+        # in np.triu_indices order: the order of a call's offsets and distances
+        upper = np.triu_indices(n, 1)
+        self.pair_index = np.zeros((n, n), dtype=np.intp)
+        self.pair_index[upper] = self.pair_index.T[upper] = np.arange(
+            len(upper[0]))
         self.set_mask(mask)
 
     def set_mask(self, mask: np.ndarray) -> None:
-        """Take the (n, n) sensing mask; read again by every call.
+        """Rebuild the edge list from the (n, n) sensing mask.
 
-        Raises ValueError when a follower senses no one.
+        The list holds every directed edge (i, j) with mask[i, j] and i >= 1
+        in row-major order, so follower i's edges are one segment starting
+        at ``starts[i - 1]``: the edge's upper pair, and the sign that turns
+        that pair's offset p_a - p_b into p_i - p_j. Raises ValueError when a
+        follower senses no one.
         """
         degree = mask[1:].sum(axis=1)
         if not degree.all():
             raise ValueError("follower has no neighbors; the initial graph "
                              "must give every follower at least one parent")
-        self.mask = mask
         self.lap = 2.0 * np.concatenate(([1], degree))
+        rows, cols = np.nonzero(mask[1:])
+        rows += 1
+        self.pair = self.pair_index[rows, cols]
+        self.sign = np.where(rows < cols, 1.0, -1.0)
+        self.starts = np.concatenate(([0], np.cumsum(degree)[:-1]))
+        # per edge: p_i - p_j and d_ij, the logistic's argument in each
+        # layer, the slope and curvature, and the edge terms whose segment
+        # sums make the jet
+        n_edges = len(rows)
+        self.m = np.empty((2, n_edges))
+        self.d = np.empty(n_edges)
+        self.z = np.empty((2, n_edges))
+        self.w = np.empty(n_edges)
+        self.terms = np.empty((9, n_edges))
 
     def leader_terms(self, position):
         """Row 0's quotient inputs: gamma = |p - goal|^2, its gradient and
@@ -370,12 +389,13 @@ class JetKernel:
                  dist: np.ndarray, region: RegionFlag):
         """phi, gradient (x, y) and Hessian (xx, xy, yy) of every robot.
 
-        ``position`` is the informed robot's, ``offsets[:, i, j]`` is
-        p_i - p_j and ``dist`` the (n, n) distance matrix. Follower row i
-        reads nothing outside mask row i, which keeps the law decentralized.
-        Each edge's b(d) and B(d) are evaluated once and serve both the
-        reported value (the regional potential) and the derivatives of the
-        selected gradient law, by the formulas of ``_constraint_jet`` and
+        ``position`` is the informed robot's; ``offsets`` (2, P) holds
+        p_a - p_b and ``dist`` (P,) the distance of each upper pair (a, b),
+        a < b, in the order of np.triu_indices. Follower i gathers only the
+        pairs of its own edges, which keeps the law decentralized. Each
+        edge's b(d) and B(d) are evaluated once and serve both the reported
+        value (the regional potential) and the derivatives of the selected
+        gradient law, by the formulas of ``_constraint_jet`` and
         ``navfunc_follower``.
         """
         rows = self.rows
@@ -384,8 +404,7 @@ class JetKernel:
         avoid = region is RegionFlag.COLLISION_FREE
         value_differs = avoid and not self.full
         if rows.shape[1] > 1:
-            self._followers(offsets[:, 1:], dist[1:], self.mask[1:], avoid,
-                            value_differs)
+            self._followers(offsets, dist, avoid, value_differs)
         phi, grad, hess, _ = _quotient_jet(
             self.params.field_exponent, rows[0], rows[1:3], self.lap, rows[3],
             rows[4:6], rows[6:9], rows[9] if value_differs else None)
@@ -394,16 +413,20 @@ class JetKernel:
         phi[0] = navfunc_leader(position, self.params)
         return phi, grad, hess
 
-    def _followers(self, offsets, dist, mask, avoid, value_differs):
+    def _followers(self, offsets, dist, avoid, value_differs):
         """Fill columns 1.. of the quotient inputs from the edge factors."""
+        m, d, starts = self.m, self.d, self.starts
+        offsets.take(self.pair, axis=1, out=m, mode="clip")
+        m *= self.sign
+        dist.take(self.pair, out=d, mode="clip")
         gain, _, _ = self.layers[2 if avoid else 1]
         z = self.z[:len(gain)]
-        np.subtract(self.edge_center, dist, out=z[0])
+        np.subtract(self.edge_center, d, out=z[0])
         if avoid:
-            np.subtract(dist, self.rim_shift, out=z[1])
+            np.subtract(d, self.rim_shift, out=z[1])
         z *= gain
         s = logistic_array(z)
-        factors = np.where(mask, s, 1.0).prod(axis=-1)
+        factors = np.multiply.reduceat(s, starts, axis=-1)
         beta = value_beta = factors[0]
         if avoid:
             value_beta = factors[0] * factors[1]
@@ -418,23 +441,24 @@ class JetKernel:
         l1, l2 = (l1[0], l2[0]) if live == 1 else (l1[0] + l1[1],
                                                    l2[0] + l2[1])
         # edge slopes l_j / d_j and curvatures; edges under the floor add none
-        near = mask & (dist >= DISTANCE_FLOOR)
-        t = np.divide(l1, dist, out=np.zeros(dist.shape), where=near)
-        w = np.divide(l2 - t, dist * dist, out=np.zeros(dist.shape),
-                      where=near)
-        m = np.where(mask, offsets, 0.0)
-        terms = self.terms
+        near = d >= DISTANCE_FLOOR
+        terms, w = self.terms, self.w
+        t = terms[5]
+        t.fill(0.0)
+        w.fill(0.0)
+        np.divide(l1, d, out=t, where=near)
+        np.divide(l2 - t, d * d, out=w, where=near)
         np.multiply(t, m, out=terms[0:2])
         wm = w * m
         np.multiply(wm[0], m, out=terms[2:4])
         np.multiply(wm[1], m[1], out=terms[4])
-        terms[5] = t
         square = m * m
         np.add(square[0], square[1], out=terms[6])
         terms[7:9] = m
         # sum of slopes g = sum t_j (p - q_j), then the curvature sums
-        # (xx, xy, yy), sum t_j, gamma and sum (p - q_j)
-        sums = terms.sum(axis=-1)
+        # (xx, xy, yy), sum t_j, gamma and sum (p - q_j), one segment per
+        # follower
+        sums = np.add.reduceat(terms, starts, axis=-1)
         g = sums[0:2]
         sums[2:5:2] += sums[5]
         rows = self.rows[:, 1:]

@@ -118,10 +118,12 @@ def _pose_array(states: list[RobotState]) -> np.ndarray:
                      for s in states])
 
 
-def _offsets(poses: np.ndarray):
-    """offsets[:, i, j] = p_i - p_j, and the pairwise distance matrix."""
+def _offsets(poses: np.ndarray, upper: tuple):
+    """Offsets p_a - p_b, (2, P), and distances, (P,), of the upper pairs
+    ``upper = np.triu_indices(N, 1)``, the log's pair order."""
+    a, b = upper
     xy = poses[:, :2].T
-    offsets = xy[:, :, None] - xy[:, None, :]
+    offsets = xy.take(a, axis=1) - xy.take(b, axis=1)
     square = offsets * offsets
     return offsets, np.sqrt(square[0] + square[1])
 
@@ -130,7 +132,7 @@ class StepKernel:
     """One synchronous update of every robot from one (N, 3) pose snapshot.
 
     Built once per run, it holds every per-run constant: the field jets
-    (gains, shifts and the followers' degrees, see ``JetKernel``), the gain
+    (gains, shifts and the followers' edge list, see ``JetKernel``), the gain
     arrays, the time step and the gradient floor. A call makes one jet pass
     over all rows, one ``control_laws`` call and one ``_integrate_all``
     call. ``fallback`` holds each robot's previous desired heading, or its
@@ -148,7 +150,9 @@ class StepKernel:
     def __call__(self, poses, offsets, dist, region, fallback, controls,
                  new_poses):
         """Write the (N, 5) controls (v, omega, theta_d, theta_tilde,
-        theta_d_dot) and the new poses; return phi and the gradient norms."""
+        theta_d_dot) and the new poses; return phi and the gradient norms.
+
+        ``offsets`` and ``dist`` are the upper pairs' (see ``_offsets``)."""
         phi, grad, hess = self.jets(poses[0, :2], offsets, dist, region)
         *_, grad_norm = control_laws(grad, hess, poses[:, 2], fallback,
                                      *self.gains, self.gradient_floor,
@@ -185,7 +189,8 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
     ctrl = np.empty((len(states), 5))
     new = np.empty(poses.shape)
     phi, grad_norm = StepKernel(cfg, params, topo.adjacency)(
-        poses, *_offsets(poses), region, fallback, ctrl, new)
+        poses, *_offsets(poses, np.triu_indices(len(poses), 1)), region,
+        fallback, ctrl, new)
     controls = [ControlOutput(*row, p, g) for row, p, g in
                 zip(ctrl.tolist(), phi.tolist(), grad_norm.tolist())]
     new_states = [s.with_pose(new[i, :2], new[i, 2])
@@ -249,12 +254,18 @@ def _pair_list(n: int) -> tuple:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
-def _accrete_edges(mask: np.ndarray, dist: np.ndarray,
-                   threshold: float) -> None:
-    """Add mutual edges, in place, for pairs closer than the threshold."""
+def _accrete_edges(mask: np.ndarray, dist: np.ndarray, upper: tuple,
+                   threshold: float) -> bool:
+    """Add mutual edges, in place, for pairs closer than the threshold.
+
+    ``dist`` holds the distances of the upper pairs ``upper``. Returns
+    whether the mask grew.
+    """
     near = dist < threshold
-    np.fill_diagonal(near, False)
-    mask |= near | near.T
+    a, b = upper[0][near], upper[1][near]
+    grew = not (mask[a, b].all() and mask[b, a].all())
+    mask[a, b] = mask[b, a] = True
+    return grew
 
 
 def _monitor_bounds(cfg: ScenarioConfig, monitored: np.ndarray):
@@ -280,12 +291,13 @@ def _monitor_bounds(cfg: ScenarioConfig, monitored: np.ndarray):
 def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     """Simulate the whole scenario; stop early once every robot converged.
 
-    Each step advances one (N, 3) pose array: one distance matrix feeds the
-    neighbor mask's accretion, the log and the monitors, and one
-    ``StepKernel`` call, built once per run, makes the controls and the next
-    poses. ``monitor_invariants`` runs only on a step where some watched
-    value reaches its bound (``_monitor_bounds``), so it emits the same
-    events as on every step. Raises AssumptionError when the initial graph
+    Each step advances one (N, 3) pose array: one vector of upper-pair
+    offsets and distances feeds the neighbor mask's accretion, the log, the
+    monitors and one ``StepKernel`` call, built once per run, which makes
+    the controls and the next poses from the followers' edge list.
+    ``monitor_invariants`` runs only on a step where some watched value
+    reaches its bound (``_monitor_bounds``), so it emits the same events as
+    on every step. Raises AssumptionError when the initial graph
     has no spanning tree rooted at the informed robot. Monitor violations
     are recorded as events and, in strict mode, abort the run by raising
     MonitorViolation.
@@ -332,9 +344,8 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     while True:
         t = k * cfg.time_step
         pose = poses[k]
-        offsets, dist = _offsets(pose)
-        if accreting:
-            _accrete_edges(mask, dist, threshold)
+        offsets, dist = _offsets(pose, upper)
+        if accreting and _accrete_edges(mask, dist, upper, threshold):
             kernel.jets.set_mask(mask)
         phi[k], _ = kernel(pose, offsets, dist, region, fallback, ctrl[k],
                            poses[k + 1])
@@ -342,7 +353,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
         avoiding = region is RegionFlag.COLLISION_FREE
         times[k] = t
         regions[k] = 0 if avoiding else 1
-        dists[k] = watched[:n_pairs] = dist[upper]
+        dists[k] = watched[:n_pairs] = dist
         np.hypot(pose[:, 0], pose[:, 1], out=watched[n_pairs:])
         reached = watched >= high
         if avoiding:

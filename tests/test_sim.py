@@ -6,7 +6,9 @@ import pytest
 from rendezsim import (FieldParams, RegionFlag, RobotState, Role,
                        ScenarioConfig, Topology, TrajectoryLog,
                        compute_control, compute_metrics, integrate_pose,
-                       monitor_invariants, normalize_angle, run, sim, step)
+                       monitor_invariants, normalize_angle, run,
+                       seeded_deployment, sim, step)
+from rendezsim.gradients import JetKernel
 from rendezsim.sim import AssumptionError, MonitorViolation, fit_decay_rate
 
 from conftest import make_states, small_config
@@ -58,15 +60,19 @@ class TestStep:
         assert region is RegionFlag.RENDEZVOUS
 
     def test_unsensed_robot_cannot_move_a_follower(self):
-        # row i of the array core reads only mask row i, so moving a robot
+        # follower i gathers only the pairs of its own edges, so moving a robot
         # that robot i does not sense leaves i's controls and new pose
         # bit-identical; the informed robot reads no one
         rng = np.random.default_rng(12)
         checked = 0
-        for _ in range(50):
-            n = int(rng.integers(3, 10))
+        sizes = []
+        for trial in range(51):
+            # the last trial is one 48-robot ragged mask, of degree 1-23 so
+            # that robot i surely leaves some robot unsensed
+            n = int(rng.integers(3, 10)) if trial < 50 else 48
             states = random_states(rng, n)
-            mask = ragged_mask(rng, n)
+            mask = ragged_mask(rng, n) if trial < 50 else ragged_mask(
+                rng, n, 1, 24)
             cfg = small_config(n_robots=n, linear_gains=[3.0] * n,
                                angular_gains=[8.0] * n, initial_states=states)
             i = int(rng.integers(1, n))
@@ -87,7 +93,8 @@ class TestStep:
                                       after[0][k].position)
                 assert before[0][k].heading == after[0][k].heading
             checked += 1
-        assert checked > 30
+            sizes.append(n)
+        assert checked > 30 and sizes[-1] == 48
 
     def test_follower_without_neighbors_rejected(self):
         cfg = small_config()
@@ -112,12 +119,13 @@ def random_states(rng, n):
             for i in range(n)]
 
 
-def ragged_mask(rng, n):
-    """Each robot senses a random set of 1..n-1 others; not symmetric."""
+def ragged_mask(rng, n, low=1, high=None):
+    """Each robot senses a random set of low..high-1 others (1..n-1 by
+    default); not symmetric."""
     mask = np.zeros((n, n), dtype=bool)
     for i in range(n):
         others = [j for j in range(n) if j != i]
-        k = int(rng.integers(1, n))
+        k = int(rng.integers(low, high or n))
         mask[i, rng.choice(others, size=k, replace=False)] = True
     return mask
 
@@ -137,10 +145,14 @@ class TestArrayCore:
         rng = np.random.default_rng(13)
         held = {True: 0, False: 0}  # held headings, with / without previous
         floored = 0
-        for trial in range(50):
-            n = int(rng.integers(2, 13))
+        # 50 small ragged masks, then 48 robots with a sparse mask (degree
+        # 1-3) and one with degree 8-20, where numpy's sums go pairwise
+        degrees = [(1, 4), (8, 21)]
+        for trial in range(54):
+            n = int(rng.integers(2, 13)) if trial < 50 else 48
             states = random_states(rng, n)
-            mask = ragged_mask(rng, n)
+            mask = ragged_mask(rng, n, *(degrees[trial % 2] if trial >= 50
+                                         else (1, None)))
             if trial % 5 == 0:
                 # a neighbor closer than the distance floor
                 i = int(rng.integers(1, n))
@@ -180,7 +192,7 @@ class TestArrayCore:
                 assert angle_gap(new_states[i].heading, pose[2]) <= 1e-12
                 if ref.grad_norm <= floor and i > 0:
                     held[prev[i] is not None] += 1
-        assert held[True] and held[False] and floored == 10
+        assert held[True] and held[False] and floored == 11
 
     def test_run_is_one_array_pass_per_step(self, monkeypatch):
         rows = []
@@ -207,6 +219,41 @@ class TestArrayCore:
         log = run(cfg)
         assert rows == [cfg.n_robots] * log.n_steps
         assert built == []
+
+
+class TestEdgeList:
+    """The followers' pass of the step kernel works on the sensed edges
+    alone: one column per directed edge (i, j), i >= 1, in row-major order,
+    gathered from the upper pairs' offsets and distances."""
+
+    def test_one_column_per_sensed_edge(self):
+        n = 48
+        states = seeded_deployment(1, n, np.array([-5.0, -3.0]), 6.0, 0.2,
+                                   2.0, 200.0)
+        cfg = small_config(
+            n_robots=n, workspace_radius=200.0,
+            rendezvous_radius=2.0 * (n - 1) + 1.5,
+            linear_gains=[2.0] + [4.0] * (n - 1), angular_gains=[8.0] * n,
+            initial_states=states)
+        mask = sim.initial_topology(cfg).adjacency
+        kernel = sim.StepKernel(cfg, FieldParams.from_config(cfg), mask)
+        jets = kernel.jets
+        edges = mask[1:].sum()
+        assert 0 < edges < n * (n - 1) / 4
+        assert jets.m.shape == jets.z.shape == (2, edges)
+        assert jets.terms.shape == (9, edges)
+        assert jets.d.shape == jets.w.shape == (edges,)
+
+        poses = np.array([[*s.position, s.heading] for s in states])
+        offsets, dist = sim._offsets(poses, np.triu_indices(n, 1))
+        assert offsets.shape == (2, n * (n - 1) // 2) == (2, len(dist))
+        kernel(poses, offsets, dist, RegionFlag.COLLISION_FREE,
+               poses[:, 2].copy(), np.empty((n, 5)), np.empty((n, 3)))
+        i, j = np.nonzero(mask[1:])
+        gap = poses[i + 1, :2] - poses[j, :2]
+        assert np.array_equal(jets.m, gap.T)
+        assert np.array_equal(jets.d, np.sqrt(gap[:, 0] * gap[:, 0]
+                                              + gap[:, 1] * gap[:, 1]))
 
 
 def assert_controls_match(got, ref):
@@ -380,11 +427,22 @@ class TestAccretion:
         grown = []
         accrete = sim._accrete_edges
 
-        def record(mask, dist, threshold):
+        def record(mask, dist, upper, threshold):
             before = mask.copy()
-            accrete(mask, dist, threshold)
+            grew = accrete(mask, dist, upper, threshold)
+            assert grew == (mask != before).any()
             grown.append((mask & ~before, dist.copy()))
+            return grew
+
+        # the edge list's width after construction, then after each rebuild
+        widths = []
+        set_mask = JetKernel.set_mask
+
+        def rebuild(kernel, mask):
+            set_mask(kernel, mask)
+            widths.append(kernel.terms.shape[1])
         monkeypatch.setattr(sim, "_accrete_edges", record)
+        monkeypatch.setattr(JetKernel, "set_mask", rebuild)
         cfg = self._cfg("accreting")
         log = run(cfg)
 
@@ -395,8 +453,13 @@ class TestAccretion:
         added, dist = grown[k]
         assert {(int(a), int(b)) for a, b in zip(*np.nonzero(added))} == {
             (1, 2), (2, 1)}
-        assert dist[1, 2] < threshold
-        d23 = log.distances[:, log.pairs.index((2, 3))]
+        pair = log.pairs.index((2, 3))
+        assert dist[pair] < threshold
+        # rebuilt once after construction, with the two new directed edges
+        assert len(widths) == 2
+        initial = sim.initial_topology(cfg).adjacency
+        assert widths == [initial[1:].sum(), initial[1:].sum() + 2]
+        d23 = log.distances[:, pair]
         assert k == int(np.argmax(d23 < threshold))
         # before that the pair sat inside sensing range, above the threshold
         assert np.any((d23[:k] < cfg.sensing_radius) & (d23[:k] >= threshold))
