@@ -115,9 +115,13 @@ def control_laws(grad, hess, theta: np.ndarray, fallback: np.ndarray,
     hxx, hxy, hyy = hess
     grad_norm = np.hypot(gx, gy)
     descent = np.negative(grad)
-    np.copyto(theta_d, fallback)
-    np.arctan2(descent[1], descent[0], out=theta_d,
-               where=grad_norm > gradient_floor)
+    # the fallback goes only where some norm is at or under the floor, or NaN
+    steep = grad_norm > gradient_floor
+    if np.count_nonzero(steep) == len(steep):
+        np.arctan2(descent[1], descent[0], out=theta_d)
+    else:
+        np.copyto(theta_d, fallback)
+        np.arctan2(descent[1], descent[0], out=theta_d, where=steep)
     wrap_angles(theta - theta_d, out=theta_tilde)
     cos_tilde = np.cos(theta_tilde)
     np.multiply(k_v * grad_norm, cos_tilde, out=v)

@@ -204,7 +204,8 @@ def region_of(leader_position: np.ndarray, params: FieldParams,
     """
     if previous is RegionFlag.RENDEZVOUS:
         return RegionFlag.RENDEZVOUS
-    gap = leader_position - params.goal_position
-    if math.hypot(gap[0], gap[1]) < params.switch_distance:
+    goal = params.goal_position
+    if (math.hypot(leader_position[0] - goal[0], leader_position[1] - goal[1])
+            < params.switch_distance):
         return RegionFlag.RENDEZVOUS
     return RegionFlag.COLLISION_FREE

@@ -95,10 +95,9 @@ def _quotient_jet(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta,
     e = a * (gamma^a + beta)^(1/a + 1) and N = a beta grad gamma - gamma
     grad beta: grad phi = N / e, hess phi = (grad N - grad phi grad e^T) / e,
     a symmetric matrix whose off-diagonal is averaged against rounding. The
-    value takes ``value_beta`` in place of beta when given.
+    value takes ``value_beta`` in place of beta when given. The gradients
+    and Hessians are arrays.
     """
-    dgamma, dbeta, ddbeta = (np.asarray(dgamma), np.asarray(dbeta),
-                             np.asarray(ddbeta))
     inv_alpha = 1.0 / alpha
     gamma_a = gamma ** alpha
     s = gamma_a + beta
@@ -107,17 +106,23 @@ def _quotient_jet(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta,
     ab = alpha * beta
     f = (ab * dgamma - gamma * dbeta) / e
     # d(gamma^a)/d(gamma) diverges at gamma = 0 for a < 1, where grad gamma
-    # vanishes and so does every term it multiplies: take it as 0 there
-    dpow = alpha * np.power(gamma, alpha - 1.0, out=np.zeros(np.shape(gamma)),
-                            where=gamma > 0.0)
+    # vanishes and so does every term it multiplies: take it as 0 there. For
+    # a >= 1 it is finite at 0, where it multiplies grad gamma = 0 all the same
+    if alpha >= 1.0:
+        dpow = alpha * np.power(gamma, alpha - 1.0)
+    else:
+        dpow = alpha * np.power(gamma, alpha - 1.0,
+                                out=np.zeros(np.shape(gamma)),
+                                where=gamma > 0.0)
     de = (alpha + 1.0) * root * (dpow * dgamma + dbeta)
     a1 = alpha - 1.0
-    diag = (a1 * dgamma * dbeta + ab * lap_gamma - gamma * ddbeta[::2]
+    gamma_ddbeta = gamma * ddbeta
+    diag = (a1 * dgamma * dbeta + ab * lap_gamma - gamma_ddbeta[::2]
             - f * de) / e
     cross = dgamma * dbeta[::-1]  # gx by, gy bx
     fe = f * de[::-1]  # fx ey, fy ex
     hxy = (0.5 * (a1 * (cross[0] + cross[1]) - fe[0] - fe[1])
-           - gamma * ddbeta[1]) / e
+           - gamma_ddbeta[1]) / e
     if value_beta is not None:
         root = (gamma_a + value_beta) ** inv_alpha
     return gamma / root, f, (diag[0], hxy, diag[1]), e
@@ -214,7 +219,8 @@ def grad_navfunc_follower(position: np.ndarray,
         position, neighbor_positions, region, params, gradient_mode)
     _, grad, hess, e = _quotient_jet(
         alpha, gamma, grad_goal_follower(position, neighbor_positions),
-        2.0 * len(neighbor_positions), beta, dbeta, ddbeta)
+        2.0 * len(neighbor_positions), beta, np.array(dbeta),
+        np.array(ddbeta))
     ms = tuple((2.0 * alpha * beta - gamma * beta * t) / e for t in slopes)
     return GradientBundle(gradient=np.array(grad), edge_weights=ms,
                           hessian=_matrix(hess))
@@ -222,8 +228,11 @@ def grad_navfunc_follower(position: np.ndarray,
 
 def _leader_jet(position, params):
     """Gradient and Hessian of the informed robot's dipolar potential."""
-    _, grad, hess, _ = _quotient_jet(params.field_exponent,
-                                     *JetKernel(params).leader_terms(position))
+    gamma, dgamma, lap, beta, dbeta, ddbeta = JetKernel(params).leader_terms(
+        position)
+    _, grad, hess, _ = _quotient_jet(params.field_exponent, gamma,
+                                     np.array(dgamma), lap, beta,
+                                     np.array(dbeta), np.array(ddbeta))
     return np.array(grad), _matrix(hess)
 
 
@@ -298,14 +307,14 @@ class JetKernel:
                      math.sin(params.goal_heading))
         # layer 0 holds b(d) = logistic(k_b (R - buffer/2 - d)), layer 1
         # B(d) = logistic(k_c (d - margin/2)), with log-derivatives
-        # l1 = c1 (1 - s) and l2 = c2 s (1 - s); (gain, c1, c2) of the first
-        # one or both layers
-        self.edge_center = (params.sensing_radius
-                            - 0.5 * params.connectivity_buffer)
-        per_layer = np.array([[k_b, -k_b, -k_b * k_b],
-                              [k_c, k_c, -(k_c * k_c)]])
-        self.layers = {m: tuple(per_layer[:m, c].reshape(m, 1)
-                                for c in range(3)) for m in (1, 2)}
+        # l1 = c1 (1 - s) and l2 = c2 s (1 - s). Both arguments take the form
+        # (center - d) gain: layer 1's as (margin/2 - d) (-k_c), the same
+        # number up to the sign of a zero, which the logistic ignores.
+        # (center, gain, c1, c2) of each layer
+        self.per_layer = np.array([
+            [params.sensing_radius - 0.5 * params.connectivity_buffer, k_b,
+             -k_b, -k_b * k_b],
+            [self.rim_shift, -k_c, k_c, -(k_c * k_c)]])
         if mask is None:
             mask = np.zeros((1, 1), dtype=bool)
         n = len(mask)
@@ -337,14 +346,23 @@ class JetKernel:
         rows, cols = np.nonzero(mask[1:])
         rows += 1
         self.pair = self.pair_index[rows, cols]
-        self.sign = np.where(rows < cols, 1.0, -1.0)
         self.starts = np.concatenate(([0], np.cumsum(degree)[:-1]))
-        # per edge: p_i - p_j and d_ij, the logistic's argument in each
-        # layer, the slope and curvature, and the edge terms whose segment
-        # sums make the jet
+        # per-edge constants as full (rows, E) arrays, since a ufunc call
+        # that broadcasts an operand costs about twice one that does not: the
+        # sign of both offset rows, (center, gain, c1, c2) of the first one
+        # or both layers, and the pair index once per layer
         n_edges = len(rows)
+        self.sign = np.tile(np.where(rows < cols, 1.0, -1.0), (2, 1))
+        self.layers = {m: tuple(np.tile(self.per_layer[:m, c:c + 1],
+                                        (1, n_edges)) for c in range(4))
+                       for m in (1, 2)}
+        self.pair2 = np.tile(self.pair, (2, 1))
+        # per edge: p_i - p_j and d_ij (per layer), the logistic's argument
+        # in each layer, the slope and curvature, and the edge terms whose
+        # segment sums make the jet
         self.m = np.empty((2, n_edges))
-        self.d = np.empty(n_edges)
+        self.d2 = np.empty((2, n_edges))
+        self.d = self.d2[0]
         self.z = np.empty((2, n_edges))
         self.w = np.empty(n_edges)
         self.terms = np.empty((9, n_edges))
@@ -400,7 +418,7 @@ class JetKernel:
         """
         rows = self.rows
         gamma, dgamma, _, beta, dbeta, ddbeta = self.leader_terms(position)
-        rows[:, 0] = (gamma, *dgamma, beta, *dbeta, *ddbeta, beta)
+        rows[:, 0] = [gamma, *dgamma, beta, *dbeta, *ddbeta, beta]
         avoid = region is RegionFlag.COLLISION_FREE
         value_differs = avoid and not self.full
         if rows.shape[1] > 1:
@@ -418,12 +436,10 @@ class JetKernel:
         m, d, starts = self.m, self.d, self.starts
         offsets.take(self.pair, axis=1, out=m, mode="clip")
         m *= self.sign
-        dist.take(self.pair, out=d, mode="clip")
-        gain, _, _ = self.layers[2 if avoid else 1]
+        dist.take(self.pair2, out=self.d2, mode="clip")
+        center, gain, _, _ = self.layers[2 if avoid else 1]
         z = self.z[:len(gain)]
-        np.subtract(self.edge_center, d, out=z[0])
-        if avoid:
-            np.subtract(d, self.rim_shift, out=z[1])
+        np.subtract(center, self.d2[:len(gain)], out=z)
         z *= gain
         s = logistic_array(z)
         factors = np.multiply.reduceat(s, starts, axis=-1)
@@ -434,20 +450,25 @@ class JetKernel:
             beta = value_beta
         # the selected law differentiates b(d), and B(d) when beta holds it
         live = 1 if value_differs else len(s)
-        _, c1, c2 = self.layers[live]
+        _, _, c1, c2 = self.layers[live]
         one_minus = 1.0 - s[:live]
         l1 = c1 * one_minus
         l2 = c2 * s[:live] * one_minus
         l1, l2 = (l1[0], l2[0]) if live == 1 else (l1[0] + l1[1],
                                                    l2[0] + l2[1])
-        # edge slopes l_j / d_j and curvatures; edges under the floor add none
-        near = d >= DISTANCE_FLOOR
+        # edge slopes l_j / d_j and curvatures; edges under the floor add
+        # none, and a NaN distance takes the masked divides too
         terms, w = self.terms, self.w
         t = terms[5]
-        t.fill(0.0)
-        w.fill(0.0)
-        np.divide(l1, d, out=t, where=near)
-        np.divide(l2 - t, d * d, out=w, where=near)
+        near = d >= DISTANCE_FLOOR
+        if np.count_nonzero(near) == len(d):
+            np.divide(l1, d, out=t)
+            np.divide(l2 - t, d * d, out=w)
+        else:
+            t.fill(0.0)
+            w.fill(0.0)
+            np.divide(l1, d, out=t, where=near)
+            np.divide(l2 - t, d * d, out=w, where=near)
         np.multiply(t, m, out=terms[0:2])
         wm = w * m
         np.multiply(wm[0], m, out=terms[2:4])

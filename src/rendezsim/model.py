@@ -49,13 +49,23 @@ def normalize_angle(theta: float) -> float:
 def wrap_angles(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """normalize_angle elementwise; a non-finite angle comes out NaN.
 
-    Writes into ``out`` when given.
+    Writes into ``out`` when given. Bit for bit normalize_angle, signed
+    zeros included, with plain ufunc calls only.
     """
-    wrapped = np.asarray(np.fmod(theta, TWO_PI, out=out))  # floats too
-    # |fmod| < 2 pi, so a value lowered from above pi is above -pi
-    np.subtract(wrapped, TWO_PI, out=wrapped, where=wrapped > math.pi)
-    np.add(wrapped, TWO_PI, out=wrapped, where=wrapped <= -math.pi)
-    return wrapped
+    inside = np.abs(theta) < math.pi
+    if np.count_nonzero(inside) == inside.size:
+        # fmod and the turns below leave every angle in (-pi, pi) as it is
+        if out is None:
+            return np.array(theta, dtype=float)
+        out[...] = theta
+        return out
+    wrapped = np.fmod(theta, TWO_PI, out=out)
+    # |fmod| < 2 pi, so at most one turn of 2 pi is due, and a value lowered
+    # from above pi is above -pi. Where none is due the turn is +0.0, and
+    # w - (+0.0) is w, -0.0 included; w - (-2 pi) is w + 2 pi exactly.
+    turns = np.subtract(wrapped > math.pi, wrapped <= -math.pi, dtype=float)
+    turns *= TWO_PI
+    return np.subtract(wrapped, turns, out=out)
 
 
 @dataclass(frozen=True)

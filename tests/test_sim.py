@@ -25,7 +25,7 @@ class TestIntegrator:
         # (sin t, 1 - cos t, t), so a single quarter-turn step is exact
         out = integrate_pose(np.zeros(3), 1.0, 1.0, math.pi / 2)
         assert np.allclose(out, [1.0, 1.0, math.pi / 2], rtol=0.0, atol=1e-12)
-        # a vanishing turn rate meets the straight line without a branch
+        # a vanishing turn rate meets the straight line
         pose = np.array([1.0, -2.0, 0.7])
         tiny = integrate_pose(pose, 1.5, 1e-12, 0.1)
         straight = integrate_pose(pose, 1.5, 0.0, 0.1)
@@ -37,6 +37,39 @@ class TestIntegrator:
     def test_heading_normalized(self):
         out = integrate_pose(np.array([0.0, 0.0, 3.0]), 0.0, 2.0, 0.2)
         assert -math.pi < out[2] <= math.pi
+
+    @staticmethod
+    def closed_form(pose, v, omega, dt):
+        """The arc of constant (v, omega) in its textbook form; a straight
+        line where the turn is too small for v / omega to be well rounded."""
+        x, y, theta = pose
+        if abs(omega) < 1e-6:
+            return (x + v * dt * math.cos(theta),
+                    y + v * dt * math.sin(theta), theta)
+        turned = theta + omega * dt
+        return (x + v / omega * (math.sin(turned) - math.sin(theta)),
+                y - v / omega * (math.cos(turned) - math.cos(theta)),
+                turned)
+
+    def test_many_rows_match_the_closed_form_arc(self):
+        rng = np.random.default_rng(21)
+        omegas = [0.0, -0.0, 1e-12, -1e-12, 0.7, -2.5, 9.0, -31.0, 120.0]
+        n = len(omegas)
+        poses = np.column_stack([rng.uniform(-10, 10, (n, 2)),
+                                 rng.uniform(-math.pi, math.pi, n)])
+        vs = rng.uniform(-3.0, 3.0, n)
+        ws = np.array(omegas)
+        for dt in (0.005, 0.05):
+            rows = sim._integrate_all(poses, vs, ws, dt)
+            for i in range(n):
+                x, y, theta = self.closed_form(poses[i], vs[i], ws[i], dt)
+                assert abs(rows[i, 0] - x) <= 1e-12
+                assert abs(rows[i, 1] - y) <= 1e-12
+                assert angle_gap(rows[i, 2], normalize_angle(theta)) <= 1e-12
+                # a row's result does not depend on the rows beside it
+                single = sim._integrate_all(poses[i:i + 1], vs[i:i + 1],
+                                            ws[i:i + 1], dt)
+                assert single.tobytes() == rows[i:i + 1].tobytes()
 
 
 class TestStep:
@@ -669,3 +702,28 @@ class TestMetrics:
 
     def test_decay_fit_needs_signal(self):
         assert fit_decay_rate(np.arange(5.0), np.zeros(5)) is None
+
+
+class TestDiscretisation:
+    """The zero-order hold of the controls is a first-order error in dt.
+
+    One informed robot turns toward the goal at dt, dt/2 and dt/4. The
+    fitted heading decay rate must converge at order 1, and the Richardson
+    value of the finest pair must land on k_w. Metrics that depend on when a
+    run stops are not extrapolated.
+    """
+
+    def test_heading_decay_rate_converges_to_k_w(self):
+        k_w = 8.0
+        rates = []
+        for halvings in range(3):
+            cfg = small_config(
+                n_robots=1, linear_gains=[2.0], angular_gains=[k_w],
+                initial_states=make_states([(-4.0, -2.0, 2.5)]),
+                horizon=3.0, time_step=0.005 / 2 ** halvings)
+            rates.append(compute_metrics(run(cfg), cfg).heading_decay_rate)
+        coarse, mid, fine = rates
+        order = math.log2((coarse - mid) / (mid - fine))
+        assert 0.8 <= order <= 1.2, rates
+        extrapolated = fine + (fine - mid) / (2.0 ** order - 1.0)
+        assert abs(extrapolated - k_w) <= 1e-2, (rates, extrapolated)
