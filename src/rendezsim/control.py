@@ -1,4 +1,8 @@
-"""Heading and velocity laws turning a field evaluation into control inputs."""
+"""Heading and velocity laws turning a field evaluation into control inputs.
+
+``control_laws`` is what ``run`` uses, for every robot at once. The
+per-robot laws serve ``compute_control``, their scalar reference.
+"""
 
 import math
 from dataclasses import dataclass
@@ -8,7 +12,7 @@ import numpy as np
 
 from .fields import FieldEval, FieldParams
 from .gradients import follower_field_eval, leader_field_eval
-from .model import RegionFlag, RobotState, Role, normalize_angle, wrap_angles
+from .model import RegionFlag, RobotState, normalize_angle, wrap_angles
 
 
 @dataclass
@@ -64,6 +68,7 @@ def angular_velocity(theta_tilde: float, theta_d_dot: float,
     return -k_w * theta_tilde + theta_d_dot
 
 
+# scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def compute_control(robot: RobotState,
                     neighbor_positions: Sequence[np.ndarray],
                     region: RegionFlag, params: FieldParams,
@@ -73,12 +78,12 @@ def compute_control(robot: RobotState,
                     gradient_floor: float = 1e-9) -> ControlOutput:
     """Evaluate the robot's own potential and chain the four control laws.
 
-    The informed robot uses the dipolar goal potential and needs no
+    The informed robot (id 1) uses the dipolar goal potential and needs no
     neighbors; followers use the consensus potential over the positions
     passed in.
     """
     ev: FieldEval
-    if robot.role is Role.INFORMED:
+    if robot.id == 1:
         ev = leader_field_eval(robot.position, params)
     else:
         ev = follower_field_eval(robot.position, neighbor_positions, region,

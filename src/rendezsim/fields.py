@@ -37,6 +37,7 @@ def sigmoid_gain(width: float, eps: float) -> float:
     return (2.0 / width) * math.log((1.0 - eps) / eps)
 
 
+# scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def sigmoid_connectivity(d: float, sensing_radius: float,
                          connectivity_buffer: float, eps: float) -> float:
     """Edge-keeping factor b(d): ~1 deep inside sensing range, eps at the rim.
@@ -184,6 +185,7 @@ def navfunc_leader(position: np.ndarray, params: FieldParams) -> float:
     return gamma / (gamma ** alpha + dip * beta) ** (1.0 / alpha)
 
 
+# scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def navfunc_follower(position: np.ndarray,
                      neighbor_positions: Sequence[np.ndarray],
                      region: RegionFlag, params: FieldParams) -> float:

@@ -1,4 +1,4 @@
-"""Analytic gradients, Hessians and edge weights of the potentials; FD oracles.
+"""Analytic gradients, Hessians and edge weights of the potentials.
 
 Two gradient laws are provided for followers, selected by ``gradient_mode``:
 
@@ -30,23 +30,7 @@ ScalarField = Callable[[np.ndarray], float]
 DISTANCE_FLOOR = 1e-9  # m
 
 
-def fd_gradient(f: ScalarField, p: np.ndarray, h: float) -> np.ndarray:
-    """Central-difference gradient, one axis at a time."""
-    if h <= 0.0:
-        raise ValueError("step h must be > 0")
-    p = np.asarray(p, dtype=float)
-    out = np.empty(2)
-    for k in range(2):
-        step = np.zeros(2)
-        step[k] = h
-        hi = f(p + step)
-        lo = f(p - step)
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise ValueError("field evaluated to a non-finite value")
-        out[k] = (hi - lo) / (2.0 * h)
-    return out
-
-
+# scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def fd_hessian(f: ScalarField, p: np.ndarray, h: float) -> np.ndarray:
     """Central second differences; off-diagonal averaged from both orderings."""
     if h <= 0.0:
@@ -182,15 +166,6 @@ def _constraint_jet(position, neighbor_positions, region, params,
              beta * (gy * gy + hyy)), slopes)
 
 
-def grad_constraint_follower(position: np.ndarray,
-                             neighbor_positions: Sequence[np.ndarray],
-                             region: RegionFlag, params: FieldParams,
-                             gradient_mode: str = "full") -> np.ndarray:
-    """Gradient of the constraint product for the selected mode."""
-    return np.array(_constraint_jet(position, neighbor_positions, region,
-                                    params, gradient_mode)[1])
-
-
 @dataclass
 class GradientBundle:
     """Gradient plus its edgewise decomposition sum m_j * (p - q_j)."""
@@ -200,14 +175,16 @@ class GradientBundle:
     hessian: np.ndarray              # shape (2, 2)
 
 
+# scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def grad_navfunc_follower(position: np.ndarray,
                           neighbor_positions: Sequence[np.ndarray],
                           region: RegionFlag, params: FieldParams,
                           gradient_mode: str = "full") -> GradientBundle:
     """Quotient-rule gradient and Hessian of the follower potential.
 
-    The potential is the one the selected gradient law descends (see
-    ``follower_potential``). Edge weights
+    The potential is the one the selected gradient law descends: the
+    regional potential in "full" mode, its connectivity-only form (that of
+    the rendezvous region) in "paper" mode. Edge weights
     m_j = (2 * alpha * beta - gamma * w_j) / (alpha * (gamma^a + beta)^(1/a+1))
     where w_j = beta * slope_j are the constraint edge weights; the two
     representations agree by construction. With the collision factors absent,
@@ -236,27 +213,7 @@ def _leader_jet(position, params):
     return np.array(grad), _matrix(hess)
 
 
-def grad_navfunc_leader(position: np.ndarray,
-                        params: FieldParams) -> np.ndarray:
-    """Quotient-rule gradient of the informed robot's dipolar potential."""
-    return _leader_jet(position, params)[0]
-
-
-def follower_potential(position: np.ndarray,
-                       neighbor_positions: Sequence[np.ndarray],
-                       region: RegionFlag, params: FieldParams,
-                       gradient_mode: str = "full") -> float:
-    """Scalar potential that the selected gradient law actually descends.
-
-    "full" is the regional potential itself; "paper" is the connectivity-only
-    form, independent of the region flag.
-    """
-    if gradient_mode == "paper":
-        return navfunc_follower(position, neighbor_positions,
-                                RegionFlag.RENDEZVOUS, params)
-    return navfunc_follower(position, neighbor_positions, region, params)
-
-
+# scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def leader_field_eval(position: np.ndarray,
                       params: FieldParams) -> FieldEval:
     """Bundle value, analytic gradient and Hessian for the informed robot."""
@@ -265,6 +222,7 @@ def leader_field_eval(position: np.ndarray,
                      hessian=hess)
 
 
+# scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def follower_field_eval(position: np.ndarray,
                         neighbor_positions: Sequence[np.ndarray],
                         region: RegionFlag, params: FieldParams,

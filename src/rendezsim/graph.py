@@ -1,4 +1,4 @@
-"""Directed proximity graph: construction, spanning-tree check, Laplacian."""
+"""Directed proximity graph: construction and the spanning-tree check."""
 
 from dataclasses import dataclass
 
@@ -6,11 +6,9 @@ import numpy as np
 
 from .model import RobotState
 
-Edge = tuple[int, int]
-
 
 class GraphError(ValueError):
-    """Raised for inconsistent topology inputs (e.g. missing edge weights)."""
+    """Raised for inconsistent topology inputs (e.g. a root outside 1..n)."""
 
 
 @dataclass
@@ -30,6 +28,7 @@ class Topology:
 
     @property
     def neighbors(self) -> dict[int, tuple[int, ...]]:
+        # not called by the pipeline: rendezbench/run.py reads it
         return {i: tuple(int(j) + 1 for j in np.flatnonzero(row))
                 for i, row in enumerate(self.adjacency, start=1)}
 
@@ -63,28 +62,3 @@ def has_rooted_spanning_tree(topo: Topology, root: int) -> bool:
         if np.array_equal(grown, reached):
             return bool(reached.all())
         reached = grown
-
-
-def laplacian(topo: Topology, weights: dict[Edge, float],
-              linear_gains: list[float], informed: int = 1) -> np.ndarray:
-    """Assemble the (n, n) weighted graph Laplacian of the follower dynamics.
-
-    Row i (a follower) has diagonal sum(k_i * w_ij) over its neighbors and
-    -k_i * w_ij off-diagonal; the informed robot's row is identically zero
-    because its motion does not depend on the followers.
-    """
-    n = topo.n
-    mat = np.zeros((n, n))
-    for i, parents in topo.neighbors.items():
-        if i == informed:
-            continue
-        k = linear_gains[i - 1]
-        for j in parents:
-            try:
-                w = weights[(i, j)]
-            except KeyError:
-                raise GraphError(f"missing weight for edge ({i}, {j})") from None
-            mat[i - 1, i - 1] += k * w
-            mat[i - 1, j - 1] -= k * w
-    return mat
-

@@ -1,4 +1,8 @@
-"""Core domain types: robot states, scenario configuration, region flag."""
+"""Core domain types: robot states, scenario configuration, region flag.
+
+Robots have ids 1..n. Robot 1 is the informed robot, the only one that
+knows the goal, and row 0 of every per-robot array; the others follow.
+"""
 
 import math
 from dataclasses import dataclass, field
@@ -11,11 +15,6 @@ TWO_PI = 2.0 * math.pi
 
 class ScenarioError(ValueError):
     """Raised when a scenario configuration violates a model invariant."""
-
-
-class Role(Enum):
-    INFORMED = "informed"
-    FOLLOWER = "follower"
 
 
 class RegionFlag(Enum):
@@ -70,12 +69,11 @@ def wrap_angles(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RobotState:
-    """Pose and role of one robot. Ids are stable and 1-based."""
+    """Pose of one robot. Ids are stable and 1-based."""
 
     id: int
     position: np.ndarray  # shape (2,), meters
     heading: float        # radians, (-pi, pi]
-    role: Role
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=float)
@@ -87,7 +85,7 @@ class RobotState:
         object.__setattr__(self, "heading", normalize_angle(self.heading))
 
     def with_pose(self, position: np.ndarray, heading: float) -> "RobotState":
-        return RobotState(self.id, position, heading, self.role)
+        return RobotState(self.id, position, heading)
 
 
 @dataclass(kw_only=True)
@@ -182,9 +180,6 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     ids = [s.id for s in cfg.initial_states]
     require(ids == list(range(1, cfg.n_robots + 1)),
             "robot ids must be 1..n_robots in order")
-    informed = [s.id for s in cfg.initial_states if s.role is Role.INFORMED]
-    require(len(informed) == 1, "exactly one informed robot is required")
-    require(informed[0] == 1, "the informed robot must have id 1")
     for s in cfg.initial_states:
         require(float(np.linalg.norm(s.position)) < cfg.workspace_radius,
                 f"robot {s.id} must start strictly inside the workspace")

@@ -27,7 +27,7 @@ from dataclasses import MISSING, fields
 import numpy as np
 
 from .graph import build_topology, has_rooted_spanning_tree
-from .model import (RobotState, Role, ScenarioConfig, ScenarioError,
+from .model import (RobotState, ScenarioConfig, ScenarioError,
                     validate_scenario)
 from .sim import AssumptionError, TrajectoryLog
 
@@ -127,8 +127,7 @@ def seeded_deployment(seed: int, count: int, center: np.ndarray, spread: float,
         if np.any(np.linalg.norm(pts[upper[0]] - pts[upper[1]], axis=1)
                   < min_separation):
             continue
-        states = [RobotState(i + 1, pts[i], float(headings[i]),
-                             Role.INFORMED if i == 0 else Role.FOLLOWER)
+        states = [RobotState(i + 1, pts[i], float(headings[i]))
                   for i in range(count)]
         topo = build_topology(states, sensing_radius)
         if has_rooted_spanning_tree(topo, root=1):
@@ -175,8 +174,7 @@ def parse_scenario(path: str) -> ScenarioConfig:
             if len(pose) != 3:
                 raise ParseError(
                     f"{path}:{deploy[key][1]}: pose needs 'x y theta'")
-            states.append(RobotState(i, np.array(pose[:2]), pose[2],
-                                     Role.INFORMED if i == 1 else Role.FOLLOWER))
+            states.append(RobotState(i, np.array(pose[:2]), pose[2]))
 
     cfg = ScenarioConfig(initial_states=states, **values)
     return validate_scenario(cfg)
@@ -215,12 +213,13 @@ DISTANCES_FILE = "distances.csv"
 
 _TRAJ_HEADER = "t,id,x,y,theta,v,omega,theta_d,theta_tilde,theta_d_dot,phi,region"
 _DIST_HEADER = "t,i,j,d,monitored"
-# the metadata keys load_trajectory reads; roles may be absent
+# the metadata keys load_trajectory reads; it ignores the roles line
 _REQUIRED_META = ("n_robots", "goal_position", "goal_heading", "time_step",
                   "sensing_radius")
 
 
 def _meta_lines(log: TrajectoryLog) -> list[str]:
+    roles = ["informed"] + ["follower"] * (log.n_robots - 1)  # robot 1 first
     return [
         f"# format_version = {FORMAT_VERSION}",
         f"# n_robots = {log.n_robots}",
@@ -229,7 +228,7 @@ def _meta_lines(log: TrajectoryLog) -> list[str]:
         f"# goal_heading = {log.goal_heading:.9f}",
         f"# time_step = {log.time_step:.9f}",
         f"# sensing_radius = {log.sensing_radius:.9f}",
-        f"# roles = {' '.join(log.roles)}",
+        f"# roles = {' '.join(roles)}",
     ]
 
 
@@ -366,8 +365,7 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
         events=[], switch_step=switch_step, goal_position=goal,
         goal_heading=float(meta["goal_heading"]),
         time_step=float(meta["time_step"]),
-        sensing_radius=float(meta["sensing_radius"]),
-        roles=tuple(meta.get("roles", "").split()))
+        sensing_radius=float(meta["sensing_radius"]))
 
 
 _PLOT_SCRIPT = '''\

@@ -61,7 +61,6 @@ class TrajectoryLog:
     goal_heading: float = 0.0
     time_step: float = 0.0
     sensing_radius: float = 0.0
-    roles: tuple = ()
     wall_time: float = 0.0
 
     @property
@@ -85,14 +84,6 @@ class Metrics:
     max_monitored_distance: float | None
     switch_time: float | None
     heading_decay_rate: float | None
-
-
-def integrate_pose(pose: np.ndarray, v: float, omega: float,
-                   dt: float) -> np.ndarray:
-    """Advance one unicycle pose with the controls held constant over dt."""
-    out = _integrate_all(np.asarray(pose, dtype=float).reshape(1, 3),
-                         np.array([v]), np.array([omega]), dt)
-    return out[0]
 
 
 def _integrate_all(poses, vs, ws, dt, out=None):
@@ -174,6 +165,7 @@ class StepKernel:
         return phi, grad_norm
 
 
+# scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
          topo: Topology | None = None,
          prev_theta_d: list | None = None,
@@ -208,6 +200,12 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
     return new_states, controls, new_region
 
 
+def _leader_band(cfg: ScenarioConfig) -> float:
+    """Norm of the informed robot beyond which a follower, within
+    sensing_radius * (n_robots - 1) of it, may be outside the workspace."""
+    return cfg.workspace_radius - cfg.sensing_radius * (cfg.n_robots - 1)
+
+
 def monitor_invariants(positions: np.ndarray, pair_distances: np.ndarray,
                        pairs: tuple, monitored: np.ndarray,
                        region: RegionFlag, cfg: ScenarioConfig,
@@ -239,8 +237,7 @@ def monitor_invariants(positions: np.ndarray, pair_distances: np.ndarray,
     for r in np.flatnonzero(rim <= 0.0):
         events.append(Event(step_index, t, "boundary",
                             f"robot {r + 1} outside the workspace"))
-    leader_band = cfg.workspace_radius - cfg.sensing_radius * (cfg.n_robots - 1)
-    if norms[0] > leader_band and np.any(rim[1:] < cfg.sensing_radius):
+    if norms[0] > _leader_band(cfg) and np.any(rim[1:] < cfg.sensing_radius):
         events.append(Event(step_index, t, "leader_range",
                             "informed robot beyond the follower-safe band"))
     return events
@@ -288,9 +285,8 @@ def _monitor_bounds(cfg: ScenarioConfig, monitored: np.ndarray):
     necessary for ``leader_range`` though not sufficient.
     """
     n = cfg.n_robots
-    leader_band = cfg.workspace_radius - cfg.sensing_radius * (n - 1)
     high = np.concatenate((np.where(monitored, cfg.sensing_radius, np.inf),
-                           [min(cfg.workspace_radius, leader_band)],
+                           [min(cfg.workspace_radius, _leader_band(cfg))],
                            np.full(n - 1, cfg.workspace_radius)))
     low = np.concatenate((np.full(len(monitored), cfg.collision_floor),
                           np.full(n, -np.inf)))
@@ -402,7 +398,6 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
         monitored=monitored, events=events, switch_step=switch_step,
         goal_position=cfg.goal_position.copy(), goal_heading=cfg.goal_heading,
         time_step=cfg.time_step, sensing_radius=cfg.sensing_radius,
-        roles=tuple(s.role.value for s in cfg.initial_states),
         wall_time=_time.perf_counter() - started)
     return log
 

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from rendezsim import FieldParams, RobotState, Role, ScenarioConfig, Topology
+from rendezsim import FieldParams, RobotState, ScenarioConfig, Topology
 
 
-def make_states(poses, informed=1):
-    """poses: list of (x, y, theta); ids assigned 1..n in order."""
-    return [RobotState(i + 1, np.array([x, y]), th,
-                       Role.INFORMED if i + 1 == informed else Role.FOLLOWER)
+def make_states(poses):
+    """poses: list of (x, y, theta); ids assigned 1..n in order, 1 informed."""
+    return [RobotState(i + 1, np.array([x, y]), th)
             for i, (x, y, th) in enumerate(poses)]
 
 

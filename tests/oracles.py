@@ -1,0 +1,101 @@
+"""Scalar references that only the tests use, kept apart from ``src/``.
+
+The simulator runs every robot through array kernels (``gradients.JetKernel``,
+``sim.StepKernel``). These per-robot functions are independent checks of
+them: a central-difference gradient, the scalar potential each gradient law
+descends, the constraint product's and the informed robot's gradients, the
+follower Laplacian of the consensus analysis, and the one-pose exact step.
+They moved here unchanged from ``gradients``, ``graph`` and ``sim``.
+"""
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from rendezsim.fields import FieldParams, navfunc_follower
+from rendezsim.gradients import ScalarField, _constraint_jet, _leader_jet
+from rendezsim.graph import GraphError, Topology
+from rendezsim.model import RegionFlag
+from rendezsim.sim import _integrate_all
+
+Edge = tuple[int, int]
+
+
+def fd_gradient(f: ScalarField, p: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference gradient, one axis at a time."""
+    if h <= 0.0:
+        raise ValueError("step h must be > 0")
+    p = np.asarray(p, dtype=float)
+    out = np.empty(2)
+    for k in range(2):
+        step = np.zeros(2)
+        step[k] = h
+        hi = f(p + step)
+        lo = f(p - step)
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise ValueError("field evaluated to a non-finite value")
+        out[k] = (hi - lo) / (2.0 * h)
+    return out
+
+
+def grad_constraint_follower(position: np.ndarray,
+                             neighbor_positions: Sequence[np.ndarray],
+                             region: RegionFlag, params: FieldParams,
+                             gradient_mode: str = "full") -> np.ndarray:
+    """Gradient of the constraint product for the selected mode."""
+    return np.array(_constraint_jet(position, neighbor_positions, region,
+                                    params, gradient_mode)[1])
+
+
+def grad_navfunc_leader(position: np.ndarray,
+                        params: FieldParams) -> np.ndarray:
+    """Quotient-rule gradient of the informed robot's dipolar potential."""
+    return _leader_jet(position, params)[0]
+
+
+def follower_potential(position: np.ndarray,
+                       neighbor_positions: Sequence[np.ndarray],
+                       region: RegionFlag, params: FieldParams,
+                       gradient_mode: str = "full") -> float:
+    """Scalar potential that the selected gradient law actually descends.
+
+    "full" is the regional potential itself; "paper" is the connectivity-only
+    form, independent of the region flag.
+    """
+    if gradient_mode == "paper":
+        return navfunc_follower(position, neighbor_positions,
+                                RegionFlag.RENDEZVOUS, params)
+    return navfunc_follower(position, neighbor_positions, region, params)
+
+
+def laplacian(topo: Topology, weights: dict[Edge, float],
+              linear_gains: list[float], informed: int = 1) -> np.ndarray:
+    """Assemble the (n, n) weighted graph Laplacian of the follower dynamics.
+
+    Row i (a follower) has diagonal sum(k_i * w_ij) over its neighbors and
+    -k_i * w_ij off-diagonal; the informed robot's row is identically zero
+    because its motion does not depend on the followers.
+    """
+    n = topo.n
+    mat = np.zeros((n, n))
+    for i, parents in topo.neighbors.items():
+        if i == informed:
+            continue
+        k = linear_gains[i - 1]
+        for j in parents:
+            try:
+                w = weights[(i, j)]
+            except KeyError:
+                raise GraphError(f"missing weight for edge ({i}, {j})") from None
+            mat[i - 1, i - 1] += k * w
+            mat[i - 1, j - 1] -= k * w
+    return mat
+
+
+def integrate_pose(pose: np.ndarray, v: float, omega: float,
+                   dt: float) -> np.ndarray:
+    """Advance one unicycle pose with the controls held constant over dt."""
+    out = _integrate_all(np.asarray(pose, dtype=float).reshape(1, 3),
+                         np.array([v]), np.array([omega]), dt)
+    return out[0]

@@ -13,16 +13,17 @@ import time
 import numpy as np
 import pytest
 
-from rendezsim import (RegionFlag, angular_velocity, compute_metrics,
-                       export_trajectory, fd_gradient, grad_navfunc_follower,
-                       grad_navfunc_leader, integrate_pose, laplacian,
-                       navfunc_follower, navfunc_leader, normalize_angle,
-                       parse_scenario, run, sigmoid_collision,
-                       sigmoid_connectivity)
-from rendezsim.fields import FieldParams
-from rendezsim.gradients import follower_potential
+from rendezsim import (FieldParams, RegionFlag, compute_metrics,
+                       export_trajectory, parse_scenario, run)
+from rendezsim.control import angular_velocity
+from rendezsim.fields import (navfunc_follower, navfunc_leader,
+                              sigmoid_collision, sigmoid_connectivity)
+from rendezsim.gradients import grad_navfunc_follower
+from rendezsim.model import normalize_angle
 
 from conftest import topology
+from oracles import (fd_gradient, follower_potential, grad_navfunc_leader,
+                     integrate_pose, laplacian)
 
 SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
                         "rendezvous_s5.scn")

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from rendezsim import (RegionFlag, RobotState, Role, angular_velocity,
-                       compute_control, desired_heading, grad_navfunc_leader,
-                       heading_feedforward, integrate_pose, linear_velocity,
-                       normalize_angle)
+from rendezsim import RegionFlag, RobotState
+from rendezsim.control import (angular_velocity, compute_control,
+                               desired_heading, heading_feedforward,
+                               linear_velocity)
 from rendezsim.gradients import leader_field_eval
+from rendezsim.model import normalize_angle
+
+from oracles import grad_navfunc_leader, integrate_pose
 
 
 class TestDesiredHeading:
@@ -84,11 +87,11 @@ class TestHeadingFeedforward:
 
 
 def leader(x, y, theta):
-    return RobotState(1, np.array([x, y]), theta, Role.INFORMED)
+    return RobotState(1, np.array([x, y]), theta)
 
 
 def follower(i, x, y, theta):
-    return RobotState(i, np.array([x, y]), theta, Role.FOLLOWER)
+    return RobotState(i, np.array([x, y]), theta)
 
 
 class TestComputeControl:

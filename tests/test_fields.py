@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rendezsim import (RegionFlag, boundary_factor, constraint_follower,
-                       dipolar_factor, goal_follower, goal_leader,
-                       navfunc_follower, navfunc_leader, region_of,
-                       sigmoid_collision, sigmoid_connectivity)
+from rendezsim import RegionFlag
+from rendezsim.fields import (boundary_factor, constraint_follower,
+                              dipolar_factor, goal_follower, goal_leader,
+                              navfunc_follower, navfunc_leader, region_of,
+                              sigmoid_collision, sigmoid_connectivity)
 
 
 def reference_leader_value(p, goal, goal_heading, eps_nh, alpha, r_work,

@@ -4,14 +4,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rendezsim import (RegionFlag, fd_gradient, fd_hessian,
-                       grad_constraint_follower, grad_goal_follower,
-                       grad_navfunc_follower, grad_navfunc_leader,
-                       navfunc_leader)
+from rendezsim import RegionFlag
 from rendezsim.fields import (boundary_factor, constraint_follower,
-                             goal_follower)
-from rendezsim.gradients import (follower_field_eval, follower_potential,
+                              goal_follower, navfunc_leader)
+from rendezsim.gradients import (fd_hessian, follower_field_eval,
+                                 grad_goal_follower, grad_navfunc_follower,
                                  leader_field_eval)
+
+from oracles import (fd_gradient, follower_potential,
+                     grad_constraint_follower, grad_navfunc_leader)
 
 
 def unit(rng):

@@ -3,11 +3,11 @@ from collections import deque
 import numpy as np
 import pytest
 
-from rendezsim import (Topology, build_topology, has_rooted_spanning_tree,
-                       laplacian)
+from rendezsim import Topology, build_topology, has_rooted_spanning_tree
 from rendezsim.graph import GraphError
 
 from conftest import make_states, topology as topo_from_neighbors
+from oracles import laplacian
 
 
 def bfs_has_rooted_spanning_tree(topo: Topology, root: int) -> bool:

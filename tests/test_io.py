@@ -196,7 +196,6 @@ class TestParseScenario:
                 for sa, sb in zip(a, b):
                     assert np.array_equal(sa.position, sb.position)
                     assert sa.heading == sb.heading
-                    assert sa.role == sb.role
             elif isinstance(a, np.ndarray):
                 assert np.array_equal(a, b)
             else:
@@ -290,8 +289,7 @@ def synthetic_log():
         phi=phi, region=region, pairs=pairs, distances=distances,
         monitored=np.array([True, False, True, False, False, True]),
         switch_step=steps // 2, goal_position=np.array([1.5, -0.25]),
-        goal_heading=-0.75, time_step=0.005, sensing_radius=2.0,
-        roles=("informed",) + ("follower",) * (n - 1))
+        goal_heading=-0.75, time_step=0.005, sensing_radius=2.0)
 
 
 def random_log(steps, n, switch_step):
@@ -306,8 +304,7 @@ def random_log(steps, n, switch_step):
         region=region, pairs=pairs,
         distances=rng.uniform(0.0, 4.0, size=(steps, len(pairs))),
         monitored=rng.uniform(size=len(pairs)) < 0.3, switch_step=switch_step,
-        goal_position=np.zeros(2), time_step=0.01, sensing_radius=2.0,
-        roles=("informed",) + ("follower",) * (n - 1))
+        goal_position=np.zeros(2), time_step=0.01, sensing_radius=2.0)
 
 
 def oracle_files(log):
@@ -365,6 +362,29 @@ class TestExportFormat:
             assert fh.read() == traj
         with open(dist_path, encoding="utf-8") as fh:
             assert fh.read() == dist
+
+    def test_small_run_header_is_pinned(self, tmp_path):
+        # literal text, not _meta_lines: the roles line names robot 1 as
+        # the informed one, and a reload re-exports the same bytes
+        log = run(small_config(horizon=0.01))
+        files = export_trajectory(log, str(tmp_path / "run"))
+        meta = ("# format_version = 1\n"
+                "# n_robots = 3\n"
+                "# goal_position = 0.000000000 0.000000000\n"
+                "# goal_heading = 0.000000000\n"
+                "# time_step = 0.005000000\n"
+                "# sensing_radius = 2.000000000\n"
+                "# roles = informed follower follower\n")
+        columns = ("t,id,x,y,theta,v,omega,theta_d,theta_tilde,theta_d_dot,"
+                   "phi,region\n", "t,i,j,d,monitored\n")
+        again = export_trajectory(load_trajectory(str(tmp_path / "run")),
+                                  str(tmp_path / "again"))
+        for path, header, copy in zip(files, columns, again):
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            assert text.startswith(meta + header)
+            with open(copy, encoding="utf-8") as fh:
+                assert fh.read() == text
 
     def test_step_larger_than_a_block(self, tmp_path):
         log = random_log(steps=3, n=72, switch_step=1)
@@ -466,7 +486,6 @@ class TestLoadMismatch:
                                 if not line.startswith("# roles =")),
                         encoding="utf-8")
         loaded = load_trajectory(str(exported))
-        assert loaded.roles == ()
         assert loaded.distances.shape == (6, 6)
 
     def test_malformed_row_names_the_file(self, exported, capsys):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rendezsim import (FieldParams, RobotState, Role, ScenarioError,
-                       normalize_angle, validate_scenario)
-from rendezsim.model import wrap_angles
+from rendezsim import (FieldParams, RobotState, ScenarioError,
+                       validate_scenario)
+from rendezsim.model import normalize_angle, wrap_angles
 
 from conftest import make_states, small_config
 
@@ -64,12 +64,12 @@ class TestWrapAngles:
 
 class TestRobotState:
     def test_heading_normalized_on_construction(self):
-        s = RobotState(1, np.array([1.0, 2.0]), 3 * math.pi, Role.FOLLOWER)
+        s = RobotState(1, np.array([1.0, 2.0]), 3 * math.pi)
         assert s.heading == pytest.approx(math.pi)
 
     def test_bad_position_shape(self):
         with pytest.raises(ScenarioError):
-            RobotState(1, np.array([1.0, 2.0, 3.0]), 0.0, Role.FOLLOWER)
+            RobotState(1, np.array([1.0, 2.0, 3.0]), 0.0)
 
 
 class TestValidateScenario:
@@ -91,20 +91,11 @@ class TestValidateScenario:
         with pytest.raises(ScenarioError, match="collision_margin"):
             validate_scenario(cfg)
 
-    def test_exactly_one_informed(self):
-        states = small_config().initial_states
-        doubled = [states[0],
-                   RobotState(2, states[1].position, 0.0, Role.INFORMED),
-                   states[2]]
-        cfg = small_config(initial_states=doubled)
-        with pytest.raises(ScenarioError, match="exactly one informed"):
-            validate_scenario(cfg)
-
-    def test_informed_must_be_robot_one(self):
-        cfg = small_config(initial_states=make_states(
-            [(-4.0, -2.0, 0.5), (-4.8, -2.5, -1.0), (-3.4, -2.9, 2.0)],
-            informed=2))
-        with pytest.raises(ScenarioError, match="id 1"):
+    def test_ids_run_one_to_n_in_order(self):
+        # robot 1, the informed robot, comes first
+        first, second, third = small_config().initial_states
+        cfg = small_config(initial_states=[second, first, third])
+        with pytest.raises(ScenarioError, match="robot ids"):
             validate_scenario(cfg)
 
     def test_rendezvous_radius_floor(self):

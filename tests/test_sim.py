@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from rendezsim import (FieldParams, RegionFlag, RobotState, Role,
-                       ScenarioConfig, Topology, TrajectoryLog,
-                       compute_control, compute_metrics, integrate_pose,
-                       monitor_invariants, normalize_angle, run,
-                       seeded_deployment, sim, step)
+from rendezsim import (FieldParams, RegionFlag, RobotState, ScenarioConfig,
+                       Topology, TrajectoryLog, compute_metrics,
+                       monitor_invariants, run, seeded_deployment, sim, step)
+from rendezsim.control import compute_control
 from rendezsim.gradients import JetKernel
+from rendezsim.model import normalize_angle
 from rendezsim.sim import AssumptionError, MonitorViolation, fit_decay_rate
 
 from conftest import make_states, small_config
+from oracles import integrate_pose
 
 
 class TestIntegrator:
@@ -147,8 +148,7 @@ class TestStep:
 def random_states(rng, n):
     """n robots scattered around (-4, -2), the first one informed."""
     return [RobotState(i + 1, np.array([-4.0, -2.0]) + rng.uniform(-1.2, 1.2, 2),
-                       rng.uniform(-math.pi, math.pi),
-                       Role.INFORMED if i == 0 else Role.FOLLOWER)
+                       rng.uniform(-math.pi, math.pi))
             for i in range(n)]
 
 
@@ -328,11 +328,10 @@ class TestKernelRowZero:
         rng = np.random.default_rng(17)
         for trial in range(10):
             p = self._spot(rng, spot)
-            states = [RobotState(1, p, rng.uniform(-math.pi, math.pi),
-                                 Role.INFORMED)]
+            states = [RobotState(1, p, rng.uniform(-math.pi, math.pi))]
             states += [RobotState(i, p + rng.uniform(-1.2, 1.2, 2),
-                                  rng.uniform(-math.pi, math.pi),
-                                  Role.FOLLOWER) for i in range(2, n + 1)]
+                                  rng.uniform(-math.pi, math.pi))
+                       for i in range(2, n + 1)]
             prev = [None if trial % 2 else rng.uniform(-3.0, 3.0)]
             cfg = small_config(
                 n_robots=n, goal_position=self.GOAL, gradient_mode=mode,
@@ -374,7 +373,7 @@ class TestKernelRowZero:
             region = (RegionFlag.COLLISION_FREE if log.region[k] == 0
                       else RegionFlag.RENDEZVOUS)
             ref = compute_control(
-                RobotState(1, np.array([x, y]), theta, Role.INFORMED), [],
+                RobotState(1, np.array([x, y]), theta), [],
                 region, params, 2.0, 8.0, prev,
                 gradient_floor=cfg.gradient_floor)
             assert_controls_match((*log.controls[k, 0], log.phi[k, 0]), ref)
@@ -521,6 +520,16 @@ def check(positions, dists, monitored, region, cfg, step_index=0, t=0.0):
 
 
 class TestMonitors:
+    def test_leader_band_is_workspace_minus_chain_length(self):
+        # 30 - 2 * (3 - 1) = 26 m, with follower 3 within R of the rim
+        cfg = small_config()
+        dists = {(1, 2): 1.0, (1, 3): 1.0, (2, 3): 1.0}
+        kinds = {x: [e.kind for e in check(
+                     [(x, 0.0), (27.0, 0.0), (28.5, 0.0)], dists, set(),
+                     RegionFlag.COLLISION_FREE, cfg)]
+                 for x in (25.99, 26.01)}
+        assert kinds == {25.99: [], 26.01: ["leader_range"]}
+
     def test_healthy_step_is_quiet(self):
         cfg = small_config()
         dists = {(1, 2): 0.9, (1, 3): 1.0, (2, 3): 1.4}
@@ -603,8 +612,7 @@ class TestRun:
             field_exponent=1.2, linear_gains=[20.0], angular_gains=[8.0],
             goal_position=np.zeros(2), goal_heading=0.0, time_step=0.005,
             horizon=150.0, gradient_floor=1e-6,
-            initial_states=[RobotState(1, np.array([10.0, 0.0]), math.pi,
-                                       Role.INFORMED)])
+            initial_states=[RobotState(1, np.array([10.0, 0.0]), math.pi)])
         log = run(cfg)
         m = compute_metrics(log, cfg)
         assert m.final_position_errors[0] < 0.05
@@ -653,7 +661,7 @@ class TestMetrics:
             region=region, pairs=pairs, distances=distances,
             monitored=np.array([True]), events=[], switch_step=0,
             goal_position=np.zeros(2), goal_heading=0.0, time_step=0.1,
-            sensing_radius=2.0, roles=("informed", "follower"))
+            sensing_radius=2.0)
 
     def test_stationary_converged_log(self):
         m = compute_metrics(self._stationary_log())
