@@ -232,29 +232,101 @@ def _meta_lines(log: TrajectoryLog) -> list[str]:
     ]
 
 
-# rows per formatting call, in whole steps (at least one): enough that the
-# per-call cost vanishes, few enough that a block's floats stay near 1 MB
+# rows per block: enough that numpy's per-call cost vanishes, few enough
+# that a block's working arrays stay near 1 MB
 _WRITE_BLOCK = 2048
 
 
-def _write_steps(path, head, times, step_tails, columns):
-    """Write ``head``, then one row per tail of each step (none if no tails).
+def _text(strings, width=None):
+    """One NUL-padded uint8 row per string, of ``width`` bytes (default:
+    the longest string's)."""
+    if width is None:
+        width = max([1, *map(len, strings)])
+    return np.array(strings, dtype=f"S{width}").view(np.uint8).reshape(
+        len(strings), width)
 
-    Step k's time, formatted once, goes before each of ``step_tails[k]``:
-    constant columns as text, with one ``%.9f`` slot per column of
-    ``columns`` (each ``(steps, rows, c)``), filled a block per ``%`` call.
+
+# '%.9f' from digit tables: the sign and the integer part in one NUL-padded
+# word, then '.ddd', 'dddd' and 'dd'
+_INT_LIMIT = 1000  # integer parts 0..999: '-999' fills the word
+_INT_WORDS = _text([f"{s}{k}" for s in ("", "-") for k in range(_INT_LIMIT)],
+                   4).view("u4").ravel()
+_MILLIS = _text([f".{k:03d}" for k in range(1000)]).view("u4").ravel()
+_TEN_THOUSANDS = _text([f"{k:04d}" for k in range(10000)]).view("u4").ravel()
+_HUNDREDS = _text([f"{k:02d}" for k in range(100)]).view("u2").ravel()
+# the table keeps y = |x| * 1e9 below 2**44, where y is within 2**-10 of
+# the exact product; rint(y) is then the rounding '%.9f' makes unless y
+# lies within 2**-9 of a half
+_TIE = 0.5 - 2.0 ** -9
+
+
+def _fixed9(x):
+    """``'%.9f,' % v`` for every value of ``x``, as NUL-padded bytes.
+
+    Returns a ``(x.size, width + 1)`` uint8 array, ``width`` the longest
+    entry and at least 14. A value that is not finite, whose integer part
+    rounds past the table or that lies near a rounding tie is formatted
+    with ``'%.9f'`` on its own.
     """
-    rows = len(step_tails[0])
-    per_block = max(1, _WRITE_BLOCK // max(rows, 1))
-    stamps = ["%.9f" % t for t in times.tolist()]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head)
-        for start in range(0, len(stamps) if rows else 0, per_block):
-            stop = start + per_block
-            template = "".join(ts + ts.join(tails) for ts, tails in
-                               zip(stamps[start:stop], step_tails[start:stop]))
-            block = np.concatenate([c[start:stop] for c in columns], axis=2)
-            fh.write(template % tuple(block.ravel().tolist()))
+    x = np.ravel(x)
+    y = np.minimum(np.abs(x), _INT_LIMIT) * 1e9  # nan stays nan
+    n = np.rint(y)
+    fast = np.abs(y - n) < _TIE
+    fast &= n < _INT_LIMIT * 1e9
+    slow = np.flatnonzero(~fast)
+    texts = ["%.9f" % v for v in x[slow].tolist()]
+    n[slow] = 0.0
+    n = n.astype(np.int64)
+    sign_int = n // 10 ** 9
+    n -= sign_int * 10 ** 9
+    sign_int += np.signbit(x) * _INT_LIMIT
+    millis = n // 10 ** 6
+    n -= millis * 10 ** 6
+    ten_thousands = n // 100
+    n -= ten_thousands * 100
+
+    width = max([14, *map(len, texts)])
+    field = np.zeros(x.size, np.dtype({
+        "names": ["int", "d3", "d4", "d2", "sep"],
+        "formats": ["u4", "u4", "u4", "u2", "u1"],
+        "offsets": [width - 14, width - 10, width - 6, width - 2, width],
+        "itemsize": width + 1}))
+    field["int"] = _INT_WORDS[sign_int]
+    field["d3"] = _MILLIS[millis]
+    field["d4"] = _TEN_THOUSANDS[ten_thousands]
+    field["d2"] = _HUNDREDS[n]
+    field["sep"] = ord(",")
+    raw = field.view(np.uint8).reshape(x.size, width + 1)
+    raw[slow, :width] = _text(texts, width)
+    return raw
+
+
+def _write_steps(path, head, before, columns, after):
+    """Write ``head``, then one row per (step, slot) of ``columns``.
+
+    A row is the text of ``before``, a ``'%.9f,'`` field per column of the
+    float arrays ``columns`` (each ``(steps, slots, c)``) and the text of
+    ``after``; text is NUL-padded uint8 that broadcasts to ``(steps,
+    slots, width)``. Each block of ``_WRITE_BLOCK`` rows is gathered from
+    slices of the arrays and written once, NUL bytes removed.
+    """
+    steps, slots = columns[0].shape[:2]
+    before = [np.broadcast_to(t, (steps, slots, t.shape[-1])) for t in before]
+    after = [np.broadcast_to(t, (steps, slots, t.shape[-1])) for t in after]
+    rows = steps * slots
+    with open(path, "wb") as fh:
+        fh.write(head.encode("ascii"))
+        for start in range(0, rows, _WRITE_BLOCK):
+            stop = min(start + _WRITE_BLOCK, rows)
+            k0, k1 = start // slots, -(-stop // slots)
+            cut = slice(start - k0 * slots, stop - k0 * slots)
+            values = np.concatenate([c[k0:k1] for c in columns], axis=2)
+            fields = _fixed9(values.reshape(-1, values.shape[2])[cut])
+            cells = [t[k0:k1].reshape(-1, t.shape[2])[cut] for t in before]
+            cells.append(fields.reshape(stop - start, -1))
+            cells += [t[k0:k1].reshape(-1, t.shape[2])[cut] for t in after]
+            fh.write(np.concatenate(cells, axis=1).tobytes()
+                     .translate(None, b"\0"))
 
 
 def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
@@ -262,8 +334,9 @@ def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
 
     One trajectory row per (step, robot) and one distance row per
     (step, pair). All numbers use fixed 9-decimal precision so repeated runs
-    diff cleanly. Only the floats are formatted per row; ids, pairs,
-    ``monitored`` and region are template text.
+    diff cleanly; the bytes are those of ``'%.9f'``. Ids, pairs,
+    ``monitored`` and region are template text, and each time is formatted
+    once per step.
     """
     if log.n_steps == 0:
         raise ValueError("cannot export an empty log")
@@ -271,30 +344,38 @@ def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
     traj_path = os.path.join(out_dir, TRAJECTORY_FILE)
     dist_path = os.path.join(out_dir, DISTANCES_FILE)
     meta = "\n".join(_meta_lines(log)) + "\n"
+    stamps = _fixed9(log.times).reshape(log.n_steps, 1, -1)
 
-    by_region = {r: [f",{i},{'%.9f,' * 9}{r}\n"
-                     for i in range(1, log.n_robots + 1)]
-                 for r in set(log.region.tolist())}
-    _write_steps(traj_path, meta + _TRAJ_HEADER + "\n", log.times,
-                 [by_region[r] for r in log.region.tolist()],
-                 (log.poses, log.controls, log.phi[:, :, None]))
+    ids = _text([f"{i}," for i in range(1, log.n_robots + 1)])
+    regions, of_step = np.unique(log.region, return_inverse=True)
+    region = _text([f"{r}\n" for r in regions.tolist()])[of_step]
+    _write_steps(traj_path, meta + _TRAJ_HEADER + "\n", [stamps, ids],
+                 (log.poses, log.controls, log.phi[:, :, None]),
+                 [region[:, None]])
 
-    tails = [f",{i},{j},%.9f,{int(m)}\n"
-             for (i, j), m in zip(log.pairs, log.monitored.tolist())]
-    _write_steps(dist_path, meta + _DIST_HEADER + "\n", log.times,
-                 [tails] * log.n_steps, (log.distances[:, :, None],))
+    _write_steps(dist_path, meta + _DIST_HEADER + "\n",
+                 [stamps, _text([f"{i},{j}," for i, j in log.pairs])],
+                 (log.distances[:, :, None],),
+                 [_text([f"{int(m)}\n" for m in log.monitored.tolist()])])
     return traj_path, dist_path
 
 
 def _read_meta(path) -> dict:
-    """The ``# key = value`` lines that open an exported file."""
+    """The ``# key = value`` lines that open an exported file.
+
+    A repeated key is a ValueError naming the file: the data rows start
+    one line per key below the top.
+    """
     meta = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.startswith("#"):
                 break
             key, _, raw = line[1:].partition("=")
-            meta[key.strip()] = raw.strip()
+            key = key.strip()
+            if key in meta:
+                raise ValueError(f"{path}: repeated metadata key '{key}'")
+            meta[key] = raw.strip()
     return meta
 
 
@@ -305,11 +386,12 @@ def _read_table(path, header, per_step, unit, steps=None):
     rows of the columns in ``header``; a ValueError names the file when it
     has no rows, another row count or another column count.
     """
+    skip = len(_read_meta(path)) + 1
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             data = np.loadtxt(path, delimiter=",", comments="#",
-                              skiprows=len(_read_meta(path)) + 1, ndmin=2)
+                              skiprows=skip, ndmin=2)
         except ValueError as exc:  # a malformed row: name the file
             raise ValueError(f"{path}: {exc}") from None
     if not len(data):
@@ -386,7 +468,7 @@ with open(TRAJ, encoding="utf-8") as fh:
     head = [line[1:].split("=") for line in fh if line.startswith("#")]
 meta = {{key.strip(): value.strip() for key, value in head}}
 
-rows = np.loadtxt(TRAJ, delimiter=",", skiprows=len(meta) + 1, ndmin=2)
+rows = np.loadtxt(TRAJ, delimiter=",", skiprows=len(head) + 1, ndmin=2)
 n = int(rows[:, 1].max())
 rows = rows.reshape(-1, n, 12)
 t = rows[:, 0, 0]
@@ -408,7 +490,7 @@ fig.savefig("trajectory.png", dpi=150)
 written = ["trajectory.png"]
 
 if n > 1:  # a lone robot has no pairs and {dist} has no rows
-    drows = np.loadtxt(DIST, delimiter=",", skiprows=len(meta) + 1, ndmin=2)
+    drows = np.loadtxt(DIST, delimiter=",", skiprows=len(head) + 1, ndmin=2)
     p = len(drows) // len(t)
     drows = drows.reshape(-1, p, 5)
     fig, ax = plt.subplots(figsize=(8, 5))

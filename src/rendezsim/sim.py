@@ -71,10 +71,6 @@ class TrajectoryLog:
     def n_robots(self) -> int:
         return self.poses.shape[1]
 
-    def edge_margins(self) -> np.ndarray:
-        """Sensing radius minus distance for every monitored pair, per step."""
-        return self.sensing_radius - self.distances[:, self.monitored]
-
 
 @dataclass
 class Metrics:

@@ -24,6 +24,7 @@ from rendezsim.model import normalize_angle
 from conftest import topology
 from oracles import (fd_gradient, follower_potential, grad_navfunc_leader,
                      integrate_pose, laplacian)
+from test_io import oracle_files
 
 SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
                         "rendezvous_s5.scn")
@@ -311,3 +312,12 @@ def test_criterion_10_determinism(reference, tmp_path):
                            shallow=False), name
     _report(10, "two runs produced byte-identical trajectory and "
                 "distance exports")
+
+
+def test_reference_export_matches_per_row_oracle(reference):
+    # the exported bytes are those of one f-string per row
+    _, log, _, out = reference
+    for name, text in zip(("trajectory.csv", "distances.csv"),
+                          oracle_files(log)):
+        with open(os.path.join(str(out), name), encoding="utf-8") as fh:
+            assert fh.read() == text, name

@@ -10,7 +10,8 @@ import pytest
 from rendezsim import (FieldParams, ScenarioConfig, ScenarioError,
                        TrajectoryLog,
                        compute_metrics, emit_plot_script, export_trajectory,
-                       load_trajectory, parse_scenario, run, write_scenario)
+                       load_trajectory, parse_scenario, run, seeded_deployment,
+                       write_scenario)
 from rendezsim import scenario_io
 from rendezsim.cli import main
 from rendezsim.scenario_io import ParseError
@@ -408,6 +409,18 @@ class TestExportFormat:
         monkeypatch.setattr(scenario_io, "_WRITE_BLOCK", block)
         self.assert_matches_oracle(log, tmp_path)
 
+    def test_sparse_48_robot_run_matches_oracle(self, tmp_path):
+        # the sparse48 benchmark deployment: 48 seeded robots, 1,128 pairs
+        n = 48
+        log = run(small_config(
+            n_robots=n, workspace_radius=200.0,
+            rendezvous_radius=2.0 * (n - 1) + 1.5,
+            linear_gains=[2.0] + [4.0] * (n - 1), angular_gains=[8.0] * n,
+            horizon=1.0, initial_states=seeded_deployment(
+                1, n, np.array([-5.0, -3.0]), 6.0, 0.2, 2.0, 200.0)))
+        assert log.n_steps == 201 and len(log.pairs) == 1128
+        self.assert_matches_oracle(log, tmp_path)
+
     def test_reload_is_float_of_every_field(self, tmp_path):
         log = synthetic_log()
         export_trajectory(log, str(tmp_path))
@@ -425,6 +438,60 @@ class TestExportFormat:
         assert np.array_equal(loaded.monitored, dist[0, :, 4] == 1)
         assert np.signbit(loaded.poses[0, 0]).all()
         assert loaded.switch_step == log.switch_step
+
+
+def near_ties(rng, count, top):
+    """(m + 0.5) 1e-9 for random m below ``top`` 1e9, with both neighbours."""
+    ties = (rng.integers(0, int(top * 1e9), count) + 0.5) * 1e-9
+    return np.concatenate([ties, np.nextafter(ties, 0.0),
+                           np.nextafter(ties, np.inf)])
+
+
+LIMIT = float(scenario_io._INT_LIMIT)  # the integer parts in the table
+RNG = np.random.default_rng(2024)
+# each case: values that '%.9f' prints; both signs of every case are checked
+SWEEP = {
+    "magnitudes": 10.0 ** RNG.uniform(-12.0, 12.0, 120_000),
+    # negated, these print as -0.000000000
+    "zeros_and_tiny": np.array([0.0, 1e-12, 4.9e-10, 5e-324, 1e-300]),
+    "near_ties": np.concatenate([near_ties(RNG, 20_000, 1.0),
+                                 near_ties(RNG, 20_000, LIMIT)]),
+    "binary_ties": np.concatenate([np.arange(2 ** 13) / 1024,
+                                   RNG.integers(0, 2 ** 21, 5_000) / 1024,
+                                   np.arange(2 ** 13) / 2 ** 20,
+                                   RNG.integers(0, 2 ** 31, 5_000) / 2 ** 20]),
+    "carries": np.array([0.9999999996, 9.9999999995, 99.99999999951,
+                         LIMIT - 1 + 0.9999999996, LIMIT - 4e-10,
+                         0.0000000005, 0.0000000015]),
+    "fast_path_limit": np.concatenate([
+        np.nextafter(LIMIT, 0.0) - np.arange(4) * 1e-10,
+        [LIMIT, np.nextafter(LIMIT, np.inf), LIMIT + 1e-9, 2 ** 44 / 1e9,
+         2 ** 53 / 1e9, 1e15, 1e22, 1e300, np.finfo(float).max]]),
+    "not_finite": np.array([np.nan, np.inf]),
+}
+
+
+class TestFixedPointFormatter:
+    """``scenario_io._fixed9`` prints every value as ``'%.9f'`` does."""
+
+    @pytest.mark.parametrize("case", SWEEP)
+    def test_prints_as_printf(self, case):
+        values = np.concatenate([SWEEP[case], -SWEEP[case]])
+        got = scenario_io._fixed9(values).tobytes().translate(None, b"\0")
+        want = "".join("%.9f," % v for v in values.tolist()).encode("ascii")
+        if got != want:
+            bad = [(v, a, b) for v, a, b in zip(values.tolist(),
+                                                 got.split(b","),
+                                                 want.split(b",")) if a != b]
+            pytest.fail(f"{len(bad)} values differ, first {bad[:3]}")
+
+    def test_one_long_entry_widens_only_its_call(self):
+        # fields are NUL-padded to the longest entry, at least 14 bytes
+        assert scenario_io._fixed9(np.array([1.0, -999.5])).shape == (2, 15)
+        wide = scenario_io._fixed9(np.array([1.0, 1.5e6]))
+        assert wide.shape == (2, 18)
+        assert wide.tobytes().translate(None, b"\0") == (
+            b"1.000000000,1500000.000000000,")
 
 
 def drop_rows(path, count):
@@ -477,6 +544,18 @@ class TestLoadMismatch:
         assert main(["metrics", str(exported)]) == 1
         assert capsys.readouterr().err == (
             f"error: {path}: missing metadata key '{key}'\n")
+
+    @pytest.mark.parametrize("name", ["trajectory.csv", "distances.csv"])
+    def test_repeated_metadata_key_is_named(self, exported, name, capsys):
+        # the rows start one line per key below the top, so a repeated key
+        # would shift the table onto the column names
+        path = exported / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = [line.startswith("# time_step =") for line in lines].index(True)
+        path.write_text("".join(lines[:at + 1] + lines[at:]), encoding="utf-8")
+        assert main(["metrics", str(exported)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: repeated metadata key 'time_step'\n")
 
     def test_optional_roles_line_may_be_absent(self, exported):
         # each file is read past its own metadata lines
@@ -564,6 +643,18 @@ class TestPlotScript:
         assert stars == [(1.5, -0.5, "k*")]
         lines = [args for name, args in calls if name == "axhline"]
         assert lines == [(2.2,)]
+
+    def test_rows_start_below_every_metadata_line(self, tmp_path,
+                                                  monkeypatch):
+        # a repeated '# key = value' line is one more line to skip
+        export_trajectory(run(small_config(horizon=0.01)), str(tmp_path))
+        for name in ("trajectory.csv", "distances.csv"):
+            path = tmp_path / name
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text("".join(lines[:1] + lines), encoding="utf-8")
+        calls = self._run_script(tmp_path, monkeypatch)
+        assert [args[0] for name, args in calls if name == "savefig"] == [
+            "trajectory.png", "distances.png", "heading_decay.png"]
 
     def test_one_robot_export_skips_the_distance_figure(
             self, tmp_path, monkeypatch, capsys):

@@ -564,7 +564,7 @@ class TestMonitors:
         log = run(cfg)
         assert log.pairs == ((1, 2), (1, 3), (2, 3))
         assert log.monitored.tolist() == [True, True, False]
-        margins = log.edge_margins()
+        margins = log.sensing_radius - log.distances[:, log.monitored]
         assert margins.shape == (log.n_steps, 2)
         assert margins[0] == pytest.approx([0.5, 0.8], abs=1e-12)
         assert np.array_equal(margins, 2.0 - log.distances[:, :2])
