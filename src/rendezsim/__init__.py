@@ -7,12 +7,11 @@ initial sensing graph connected and the robots collision-free until the
 group is near the goal.
 
 The package exports the pipeline: scenario types and validation, the sensing
-graph, the field constants, parse, deploy, export and load, and ``run``,
-``step``, the monitors and the metrics. The per-robot scalar references are
-reached through their modules.
+graph, parse, deploy, export and load, and ``run``, ``step``, the monitors
+and the metrics. The per-robot scalar references are reached through their
+modules.
 """
 
-from .fields import FieldParams
 from .graph import Topology, build_topology, has_rooted_spanning_tree
 from .model import (RegionFlag, RobotState, ScenarioConfig, ScenarioError,
                     validate_scenario)

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 parse/validation failure, 2 initial-graph
 import argparse
 import sys
 
-from .fields import FieldParams
 from .model import ScenarioError
 from .scenario_io import (emit_plot_script, export_trajectory,
                           load_trajectory, parse_scenario)
@@ -57,9 +56,8 @@ def cmd_run(args) -> int:
 def cmd_check(args) -> int:
     cfg = parse_scenario(args.scenario)
     initial_topology(cfg)
-    switch = FieldParams.from_config(cfg).switch_distance
     print(f"scenario valid: {cfg.n_robots} robots, "
-          f"switch distance {switch:.3f} m, "
+          f"switch distance {cfg.switch_distance:.3f} m, "
           f"initial graph has a spanning tree rooted at robot 1")
     return 0
 

@@ -10,9 +10,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .fields import FieldEval, FieldParams
+from .fields import FieldEval
 from .gradients import follower_field_eval, leader_field_eval
-from .model import RegionFlag, RobotState, normalize_angle, wrap_angles
+from .model import (RegionFlag, RobotState, ScenarioConfig, normalize_angle,
+                    wrap_angles)
 
 
 @dataclass
@@ -71,7 +72,7 @@ def angular_velocity(theta_tilde: float, theta_d_dot: float,
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def compute_control(robot: RobotState,
                     neighbor_positions: Sequence[np.ndarray],
-                    region: RegionFlag, params: FieldParams,
+                    region: RegionFlag, cfg: ScenarioConfig,
                     k_v: float, k_w: float,
                     prev_theta_d: float | None = None,
                     *, gradient_mode: str = "full",
@@ -84,10 +85,10 @@ def compute_control(robot: RobotState,
     """
     ev: FieldEval
     if robot.id == 1:
-        ev = leader_field_eval(robot.position, params)
+        ev = leader_field_eval(robot.position, cfg)
     else:
         ev = follower_field_eval(robot.position, neighbor_positions, region,
-                                 params, gradient_mode=gradient_mode)
+                                 cfg, gradient_mode=gradient_mode)
     theta_d = desired_heading(ev.gradient, robot.heading, prev_theta_d,
                               gradient_floor)
     theta_tilde = normalize_angle(robot.heading - theta_d)

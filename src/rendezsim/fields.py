@@ -9,7 +9,7 @@ about to touch. All values live in [0, 1].
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -102,38 +102,6 @@ def goal_follower(position: np.ndarray,
     return total
 
 
-@dataclass(frozen=True)
-class FieldParams:
-    """Immutable bundle of every constant the potentials depend on."""
-
-    workspace_radius: float
-    sensing_radius: float
-    rendezvous_radius: float
-    collision_margin: float
-    connectivity_buffer: float
-    sigmoid_eps: float
-    dipolar_eps: float
-    field_exponent: float
-    goal_position: np.ndarray
-    goal_heading: float
-    n_robots: int
-
-    @classmethod
-    def from_config(cls, cfg: ScenarioConfig) -> "FieldParams":
-        """The config's values of the fields above, each under its own name."""
-        return cls(**{f.name: getattr(cfg, f.name) for f in fields(cls)})
-
-    @property
-    def switch_distance(self) -> float:
-        """Leader-to-goal distance below which collision avoidance is dropped.
-
-        Chosen so that when the leader is this close, every follower is
-        guaranteed to sit inside the rendezvous disk: connectivity bounds any
-        robot's distance to the leader by R * (N - 1).
-        """
-        return self.rendezvous_radius - self.sensing_radius * (self.n_robots - 1)
-
-
 @dataclass
 class FieldEval:
     """Value, own-position gradient and Hessian of one robot's potential."""
@@ -145,7 +113,7 @@ class FieldEval:
 
 def constraint_follower(position: np.ndarray,
                         neighbor_positions: Sequence[np.ndarray],
-                        region: RegionFlag, params: FieldParams) -> float:
+                        region: RegionFlag, cfg: ScenarioConfig) -> float:
     """Product of constraint sigmoids over the sensed neighbors.
 
     While collision avoidance is active each neighbor contributes
@@ -160,43 +128,41 @@ def constraint_follower(position: np.ndarray,
         dx = position[0] - q[0]
         dy = position[1] - q[1]
         d = math.sqrt(dx * dx + dy * dy)
-        out *= sigmoid_connectivity(d, params.sensing_radius,
-                                    params.connectivity_buffer,
-                                    params.sigmoid_eps)
+        out *= sigmoid_connectivity(d, cfg.sensing_radius,
+                                    cfg.connectivity_buffer, cfg.sigmoid_eps)
         if avoid:
-            out *= sigmoid_collision(d, params.collision_margin,
-                                     params.sigmoid_eps)
+            out *= sigmoid_collision(d, cfg.collision_margin, cfg.sigmoid_eps)
     return out
 
 
-def navfunc_leader(position: np.ndarray, params: FieldParams) -> float:
+def navfunc_leader(position: np.ndarray, cfg: ScenarioConfig) -> float:
     """Dipolar navigation function of the informed robot.
 
     zero exactly at the goal, 1 where the boundary factor vanishes. The goal
     and the workspace rim never coincide, so numerator and denominator cannot
     vanish together.
     """
-    alpha = params.field_exponent
-    gamma = goal_leader(position, params.goal_position)
-    dip = dipolar_factor(position, params.goal_position,
-                         params.goal_heading, params.dipolar_eps)
-    d0 = params.workspace_radius - math.hypot(position[0], position[1])
-    beta = boundary_factor(d0, params.collision_margin, params.sigmoid_eps)
+    alpha = cfg.field_exponent
+    gamma = goal_leader(position, cfg.goal_position)
+    dip = dipolar_factor(position, cfg.goal_position,
+                         cfg.goal_heading, cfg.dipolar_eps)
+    d0 = cfg.workspace_radius - math.hypot(position[0], position[1])
+    beta = boundary_factor(d0, cfg.collision_margin, cfg.sigmoid_eps)
     return gamma / (gamma ** alpha + dip * beta) ** (1.0 / alpha)
 
 
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def navfunc_follower(position: np.ndarray,
                      neighbor_positions: Sequence[np.ndarray],
-                     region: RegionFlag, params: FieldParams) -> float:
+                     region: RegionFlag, cfg: ScenarioConfig) -> float:
     """Follower potential: zero at consensus, 1 where a constraint is met."""
-    alpha = params.field_exponent
+    alpha = cfg.field_exponent
     gamma = goal_follower(position, neighbor_positions)
-    beta = constraint_follower(position, neighbor_positions, region, params)
+    beta = constraint_follower(position, neighbor_positions, region, cfg)
     return gamma / (gamma ** alpha + beta) ** (1.0 / alpha)
 
 
-def region_of(leader_position: np.ndarray, params: FieldParams,
+def region_of(leader_position: np.ndarray, cfg: ScenarioConfig,
               previous: RegionFlag = RegionFlag.COLLISION_FREE) -> RegionFlag:
     """Latched region switch driven by the informed robot's goal distance.
 
@@ -206,8 +172,8 @@ def region_of(leader_position: np.ndarray, params: FieldParams,
     """
     if previous is RegionFlag.RENDEZVOUS:
         return RegionFlag.RENDEZVOUS
-    goal = params.goal_position
+    goal = cfg.goal_position
     if (math.hypot(leader_position[0] - goal[0], leader_position[1] - goal[1])
-            < params.switch_distance):
+            < cfg.switch_distance):
         return RegionFlag.RENDEZVOUS
     return RegionFlag.COLLISION_FREE

@@ -18,10 +18,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import (FieldEval, FieldParams, _logistic, goal_follower,
-                     logistic_array, navfunc_follower, navfunc_leader,
-                     sigmoid_collision, sigmoid_connectivity, sigmoid_gain)
-from .model import RegionFlag
+from .fields import (FieldEval, _logistic, goal_follower, logistic_array,
+                     navfunc_follower, navfunc_leader, sigmoid_collision,
+                     sigmoid_connectivity, sigmoid_gain)
+from .model import RegionFlag, ScenarioConfig
 
 ScalarField = Callable[[np.ndarray], float]
 
@@ -117,8 +117,7 @@ def _matrix(hess):
     return np.array([[xx, xy], [xy, yy]])
 
 
-def _constraint_jet(position, neighbor_positions, region, params,
-                    gradient_mode):
+def _constraint_jet(position, neighbor_positions, region, cfg, gradient_mode):
     """Constraint product beta of the mode, its derivatives, and edge slopes.
 
     Each factor is logistic in d_j, so its log-derivatives are closed form in
@@ -130,9 +129,9 @@ def _constraint_jet(position, neighbor_positions, region, params,
     edges closer than DISTANCE_FLOOR add none.
     """
     avoid = region is RegionFlag.COLLISION_FREE and gradient_mode == "full"
-    eps = params.sigmoid_eps
-    k_b = sigmoid_gain(params.connectivity_buffer, eps)
-    k_c = sigmoid_gain(params.collision_margin, eps)
+    eps = cfg.sigmoid_eps
+    k_b = sigmoid_gain(cfg.connectivity_buffer, eps)
+    k_c = sigmoid_gain(cfg.collision_margin, eps)
     beta = 1.0
     gx = gy = hxx = hxy = hyy = 0.0
     slopes = []
@@ -140,13 +139,13 @@ def _constraint_jet(position, neighbor_positions, region, params,
         dx = position[0] - q[0]
         dy = position[1] - q[1]
         d = math.sqrt(dx * dx + dy * dy)
-        b = sigmoid_connectivity(d, params.sensing_radius,
-                                 params.connectivity_buffer, eps)
+        b = sigmoid_connectivity(d, cfg.sensing_radius,
+                                 cfg.connectivity_buffer, eps)
         beta *= b
         l1 = -k_b * (1.0 - b)
         l2 = -k_b * k_b * b * (1.0 - b)
         if avoid:
-            c = sigmoid_collision(d, params.collision_margin, eps)
+            c = sigmoid_collision(d, cfg.collision_margin, eps)
             beta *= c
             l1 += k_c * (1.0 - c)
             l2 -= k_c * k_c * c * (1.0 - c)
@@ -178,7 +177,7 @@ class GradientBundle:
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def grad_navfunc_follower(position: np.ndarray,
                           neighbor_positions: Sequence[np.ndarray],
-                          region: RegionFlag, params: FieldParams,
+                          region: RegionFlag, cfg: ScenarioConfig,
                           gradient_mode: str = "full") -> GradientBundle:
     """Quotient-rule gradient and Hessian of the follower potential.
 
@@ -190,10 +189,10 @@ def grad_navfunc_follower(position: np.ndarray,
     representations agree by construction. With the collision factors absent,
     w_j <= 0 and every m_j is nonnegative.
     """
-    alpha = params.field_exponent
+    alpha = cfg.field_exponent
     gamma = goal_follower(position, neighbor_positions)
     beta, dbeta, ddbeta, slopes = _constraint_jet(
-        position, neighbor_positions, region, params, gradient_mode)
+        position, neighbor_positions, region, cfg, gradient_mode)
     _, grad, hess, e = _quotient_jet(
         alpha, gamma, grad_goal_follower(position, neighbor_positions),
         2.0 * len(neighbor_positions), beta, np.array(dbeta),
@@ -203,29 +202,28 @@ def grad_navfunc_follower(position: np.ndarray,
                           hessian=_matrix(hess))
 
 
-def _leader_jet(position, params):
+def _leader_jet(position, cfg):
     """Gradient and Hessian of the informed robot's dipolar potential."""
-    gamma, dgamma, lap, beta, dbeta, ddbeta = JetKernel(params).leader_terms(
+    gamma, dgamma, lap, beta, dbeta, ddbeta = JetKernel(cfg).leader_terms(
         position)
-    _, grad, hess, _ = _quotient_jet(params.field_exponent, gamma,
+    _, grad, hess, _ = _quotient_jet(cfg.field_exponent, gamma,
                                      np.array(dgamma), lap, beta,
                                      np.array(dbeta), np.array(ddbeta))
     return np.array(grad), _matrix(hess)
 
 
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
-def leader_field_eval(position: np.ndarray,
-                      params: FieldParams) -> FieldEval:
+def leader_field_eval(position: np.ndarray, cfg: ScenarioConfig) -> FieldEval:
     """Bundle value, analytic gradient and Hessian for the informed robot."""
-    grad, hess = _leader_jet(position, params)
-    return FieldEval(value=navfunc_leader(position, params), gradient=grad,
+    grad, hess = _leader_jet(position, cfg)
+    return FieldEval(value=navfunc_leader(position, cfg), gradient=grad,
                      hessian=hess)
 
 
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def follower_field_eval(position: np.ndarray,
                         neighbor_positions: Sequence[np.ndarray],
-                        region: RegionFlag, params: FieldParams,
+                        region: RegionFlag, cfg: ScenarioConfig,
                         gradient_mode: str = "full") -> FieldEval:
     """Bundle value, analytic gradient and Hessian for a follower.
 
@@ -233,17 +231,18 @@ def follower_field_eval(position: np.ndarray,
     follow the selected gradient law.
     """
     bundle = grad_navfunc_follower(position, neighbor_positions, region,
-                                   params, gradient_mode)
+                                   cfg, gradient_mode)
     return FieldEval(value=navfunc_follower(position, neighbor_positions,
-                                            region, params),
+                                            region, cfg),
                      gradient=bundle.gradient, hessian=bundle.hessian)
 
 
 class JetKernel:
     """Value, gradient and Hessian of every robot's potential, one pass a step.
 
-    Built once per run: it holds the field constants (sigmoid gains and
-    shifts, the goal axis) and the followers' sensed edges, which only
+    Built once per run from the scenario: it holds the field constants
+    (sigmoid gains and shifts, the goal axis), the gradient law of
+    ``cfg.gradient_mode`` and the followers' sensed edges, which only
     ``set_mask`` changes. Row 0 is the informed robot: its quotient inputs
     come from scalar math (``leader_terms``) and fill column 0 of the input
     rows. The followers' fill the others, from one pass over the edge list,
@@ -251,18 +250,16 @@ class JetKernel:
     kernel holds the informed robot alone.
     """
 
-    def __init__(self, params: FieldParams, mask: np.ndarray | None = None,
-                 gradient_mode: str = "full"):
-        self.params = params
-        self.full = gradient_mode == "full"
-        eps = params.sigmoid_eps
-        k_b = sigmoid_gain(params.connectivity_buffer, eps)
-        k_c = sigmoid_gain(params.collision_margin, eps)
+    def __init__(self, cfg: ScenarioConfig, mask: np.ndarray | None = None):
+        self.cfg = cfg
+        self.full = cfg.gradient_mode == "full"
+        eps = cfg.sigmoid_eps
+        k_b = sigmoid_gain(cfg.connectivity_buffer, eps)
+        k_c = sigmoid_gain(cfg.collision_margin, eps)
         self.k_c = k_c
-        self.rim_shift = 0.5 * params.collision_margin
-        self.goal = tuple(params.goal_position.tolist())
-        self.axis = (math.cos(params.goal_heading),
-                     math.sin(params.goal_heading))
+        self.rim_shift = 0.5 * cfg.collision_margin
+        self.goal = tuple(cfg.goal_position.tolist())
+        self.axis = (math.cos(cfg.goal_heading), math.sin(cfg.goal_heading))
         # layer 0 holds b(d) = logistic(k_b (R - buffer/2 - d)), layer 1
         # B(d) = logistic(k_c (d - margin/2)), with log-derivatives
         # l1 = c1 (1 - s) and l2 = c2 s (1 - s). Both arguments take the form
@@ -270,7 +267,7 @@ class JetKernel:
         # number up to the sign of a zero, which the logistic ignores.
         # (center, gain, c1, c2) of each layer
         self.per_layer = np.array([
-            [params.sensing_radius - 0.5 * params.connectivity_buffer, k_b,
+            [cfg.sensing_radius - 0.5 * cfg.connectivity_buffer, k_b,
              -k_b, -k_b * k_b],
             [self.rim_shift, -k_c, k_c, -(k_c * k_c)]])
         if mask is None:
@@ -328,7 +325,7 @@ class JetKernel:
     def leader_terms(self, position):
         """Row 0's quotient inputs: gamma = |p - goal|^2, its gradient and
         Laplacian, and beta = dip * bnd with its gradient and Hessian."""
-        p = self.params
+        p = self.cfg
         px, py = float(position[0]), float(position[1])
         rx, ry = px - self.goal[0], py - self.goal[1]
         ax, ay = self.axis
@@ -382,11 +379,11 @@ class JetKernel:
         if rows.shape[1] > 1:
             self._followers(offsets, dist, avoid, value_differs)
         phi, grad, hess, _ = _quotient_jet(
-            self.params.field_exponent, rows[0], rows[1:3], self.lap, rows[3],
+            self.cfg.field_exponent, rows[0], rows[1:3], self.lap, rows[3],
             rows[4:6], rows[6:9], rows[9] if value_differs else None)
         # row 0 logs the scalar navigation function's value: the traced
         # benchmark (rendezbench/run.py) divides by that function's calls
-        phi[0] = navfunc_leader(position, self.params)
+        phi[0] = navfunc_leader(position, self.cfg)
         return phi, grad, hess
 
     def _followers(self, offsets, dist, avoid, value_differs):

@@ -125,6 +125,27 @@ class ScenarioConfig:
     def __post_init__(self):
         self.goal_position = np.asarray(self.goal_position, dtype=float)
 
+    @property
+    def _chain_reach(self) -> float:
+        """R * (N - 1): connectivity bounds any robot's distance to the
+        informed robot by this, a chain of N - 1 sensed edges."""
+        return self.sensing_radius * (self.n_robots - 1)
+
+    @property
+    def switch_distance(self) -> float:
+        """Leader-to-goal distance below which collision avoidance is dropped.
+
+        Chosen so that when the leader is this close, every follower is
+        guaranteed to sit inside the rendezvous disk.
+        """
+        return self.rendezvous_radius - self._chain_reach
+
+    @property
+    def leader_band(self) -> float:
+        """Norm of the informed robot beyond which a follower may be outside
+        the workspace."""
+        return self.workspace_radius - self._chain_reach
+
 
 def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     """Check every configuration invariant; return cfg unchanged if valid.
@@ -147,7 +168,7 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
             "collision_margin must be < sensing_radius")
     require(cfg.connectivity_buffer < cfg.sensing_radius,
             "connectivity_buffer must be < sensing_radius")
-    require(cfg.rendezvous_radius > cfg.sensing_radius * (cfg.n_robots - 1),
+    require(cfg.switch_distance > 0.0,
             "rendezvous_radius must exceed sensing_radius * (n_robots - 1)")
     require(cfg.workspace_radius >= 2.0 * cfg.rendezvous_radius,
             "workspace_radius must be at least twice rendezvous_radius")

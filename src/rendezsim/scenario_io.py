@@ -254,10 +254,6 @@ _INT_WORDS = _text([f"{s}{k}" for s in ("", "-") for k in range(_INT_LIMIT)],
 _MILLIS = _text([f".{k:03d}" for k in range(1000)]).view("u4").ravel()
 _TEN_THOUSANDS = _text([f"{k:04d}" for k in range(10000)]).view("u4").ravel()
 _HUNDREDS = _text([f"{k:02d}" for k in range(100)]).view("u2").ravel()
-# the table keeps y = |x| * 1e9 below 2**44, where y is within 2**-10 of
-# the exact product; rint(y) is then the rounding '%.9f' makes unless y
-# lies within 2**-9 of a half
-_TIE = 0.5 - 2.0 ** -9
 
 
 def _fixed9(x):
@@ -265,13 +261,17 @@ def _fixed9(x):
 
     Returns a ``(x.size, width + 1)`` uint8 array, ``width`` the longest
     entry and at least 14. A value that is not finite, whose integer part
-    rounds past the table or that lies near a rounding tie is formatted
-    with ``'%.9f'`` on its own.
+    rounds past the table or whose y = |x| * 1e9 is exactly a half-integer
+    is formatted with ``'%.9f'`` on its own.
     """
     x = np.ravel(x)
     y = np.minimum(np.abs(x), _INT_LIMIT) * 1e9  # nan stays nan
     n = np.rint(y)
-    fast = np.abs(y - n) < _TIE
+    # y < 2**52, where every half-integer is a double: the rounded product
+    # of a value that is no tie never crosses one, so rint(y) is the
+    # rounding '%.9f' makes unless y is exactly k + 1/2
+    fast = np.abs(y - n) != 0.5
+    # nan passes the test above; the limit sends nan and +-inf to '%.9f'
     fast &= n < _INT_LIMIT * 1e9
     slow = np.flatnonzero(~fast)
     texts = ["%.9f" % v for v in x[slow].tolist()]

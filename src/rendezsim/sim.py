@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import ControlOutput, control_laws
-from .fields import FieldParams, region_of
+from .fields import region_of
 from .gradients import JetKernel
 from .graph import Topology, build_topology, has_rooted_spanning_tree
 from .model import (RegionFlag, RobotState, ScenarioConfig, validate_scenario,
@@ -135,9 +135,8 @@ class StepKernel:
     current heading when there is none.
     """
 
-    def __init__(self, cfg: ScenarioConfig, params: FieldParams,
-                 mask: np.ndarray):
-        self.jets = JetKernel(params, mask, cfg.gradient_mode)
+    def __init__(self, cfg: ScenarioConfig, mask: np.ndarray):
+        self.jets = JetKernel(cfg, mask)
         self.gains = (np.asarray(cfg.linear_gains, dtype=float),
                       np.asarray(cfg.angular_gains, dtype=float))
         self.time_step = cfg.time_step
@@ -164,8 +163,7 @@ class StepKernel:
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
          topo: Topology | None = None,
-         prev_theta_d: list | None = None,
-         params: FieldParams | None = None):
+         prev_theta_d: list | None = None):
     """One synchronous update: controls from the snapshot, then integration.
 
     An adapter from states to the step kernel that ``run`` drives; the first
@@ -174,8 +172,6 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
     Returns (new states, controls in id order, new region); the region is
     re-latched from the new leader position.
     """
-    if params is None:
-        params = FieldParams.from_config(cfg)
     if topo is None:
         topo = build_topology(states, cfg.sensing_radius)
     poses = _pose_array(states)
@@ -185,21 +181,15 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
             fallback[i] = prev
     ctrl = np.empty((len(states), 5))
     new = np.empty(poses.shape)
-    phi, grad_norm = StepKernel(cfg, params, topo.adjacency)(
+    phi, grad_norm = StepKernel(cfg, topo.adjacency)(
         poses, *_offsets(poses, np.triu_indices(len(poses), 1)), region,
         fallback, ctrl, new)
     controls = [ControlOutput(*row, p, g) for row, p, g in
                 zip(ctrl.tolist(), phi.tolist(), grad_norm.tolist())]
     new_states = [s.with_pose(new[i, :2], new[i, 2])
                   for i, s in enumerate(states)]
-    new_region = region_of(new[0, :2], params, previous=region)
+    new_region = region_of(new[0, :2], cfg, previous=region)
     return new_states, controls, new_region
-
-
-def _leader_band(cfg: ScenarioConfig) -> float:
-    """Norm of the informed robot beyond which a follower, within
-    sensing_radius * (n_robots - 1) of it, may be outside the workspace."""
-    return cfg.workspace_radius - cfg.sensing_radius * (cfg.n_robots - 1)
 
 
 def monitor_invariants(positions: np.ndarray, pair_distances: np.ndarray,
@@ -233,7 +223,7 @@ def monitor_invariants(positions: np.ndarray, pair_distances: np.ndarray,
     for r in np.flatnonzero(rim <= 0.0):
         events.append(Event(step_index, t, "boundary",
                             f"robot {r + 1} outside the workspace"))
-    if norms[0] > _leader_band(cfg) and np.any(rim[1:] < cfg.sensing_radius):
+    if norms[0] > cfg.leader_band and np.any(rim[1:] < cfg.sensing_radius):
         events.append(Event(step_index, t, "leader_range",
                             "informed robot beyond the follower-safe band"))
     return events
@@ -282,7 +272,7 @@ def _monitor_bounds(cfg: ScenarioConfig, monitored: np.ndarray):
     """
     n = cfg.n_robots
     high = np.concatenate((np.where(monitored, cfg.sensing_radius, np.inf),
-                           [min(cfg.workspace_radius, _leader_band(cfg))],
+                           [min(cfg.workspace_radius, cfg.leader_band)],
                            np.full(n - 1, cfg.workspace_radius)))
     low = np.concatenate((np.full(len(monitored), cfg.collision_floor),
                           np.full(n, -np.inf)))
@@ -305,7 +295,6 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     """
     started = _time.perf_counter()
     validate_scenario(cfg)
-    params = FieldParams.from_config(cfg)
     n = cfg.n_robots
     goal_x, goal_y = cfg.goal_position.tolist()
     accreting = cfg.neighbor_mode == "accreting"
@@ -314,7 +303,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     # the mask stays frozen unless accretion grows it; the initial graph
     # already holds every pair inside the threshold
     mask = initial_topology(cfg).adjacency
-    kernel = StepKernel(cfg, params, mask)
+    kernel = StepKernel(cfg, mask)
     pairs = _pair_list(n)
     upper = np.triu_indices(n, 1)
     monitored = mask[upper]
@@ -334,7 +323,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     events: list[Event] = []
     switch_step = None
     poses[0] = _pose_array(cfg.initial_states)
-    region = region_of(poses[0, 0, :2], params)
+    region = region_of(poses[0, 0, :2], cfg)
     if region is RegionFlag.RENDEZVOUS:
         switch_step = 0
         events.append(Event(0, 0.0, "switch",
@@ -380,8 +369,8 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
             break
 
         fallback = ctrl[k, :, 2]
-        new_region = region_of(poses[k + 1, 0, :2], params, previous=region)
-        if new_region is not region and switch_step is None:
+        new_region = region_of(poses[k + 1, 0, :2], cfg, previous=region)
+        if new_region is not region:
             switch_step = k + 1
             events.append(Event(k + 1, (k + 1) * cfg.time_step, "switch",
                                 "informed robot reached the switch distance"))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rendezsim import FieldParams, RobotState, ScenarioConfig, Topology
+from rendezsim import RobotState, ScenarioConfig, Topology
 
 
 def make_states(poses):
@@ -35,21 +35,28 @@ def small_config(**overrides):
     return ScenarioConfig(**defaults)
 
 
+def field_config(**overrides):
+    """Six robots with the reference field constants and no poses; the
+    gains, time step and horizon are the reference scenario's."""
+    defaults = dict(
+        n_robots=6, workspace_radius=50.0, sensing_radius=2.0,
+        rendezvous_radius=11.5, collision_margin=0.4, connectivity_buffer=0.4,
+        sigmoid_eps=0.01, dipolar_eps=0.01, field_exponent=1.2,
+        linear_gains=[2.0] + [4.0] * 5, angular_gains=[8.0] * 6,
+        goal_position=np.zeros(2), goal_heading=0.0,
+        time_step=0.005, horizon=400.0,
+    )
+    defaults.update(overrides)
+    return ScenarioConfig(**defaults)
+
+
 @pytest.fixture
 def params_s5():
     """Field constants of the six-robot reference setup."""
-    return FieldParams(
-        workspace_radius=50.0, sensing_radius=2.0, rendezvous_radius=11.5,
-        collision_margin=0.4, connectivity_buffer=0.4, sigmoid_eps=0.01,
-        dipolar_eps=0.01, field_exponent=1.2, goal_position=np.zeros(2),
-        goal_heading=0.0, n_robots=6)
+    return field_config()
 
 
 @pytest.fixture
 def params_fig2():
     """Field constants matching the wider sigmoid illustration."""
-    return FieldParams(
-        workspace_radius=50.0, sensing_radius=2.0, rendezvous_radius=11.5,
-        collision_margin=0.5, connectivity_buffer=1.0, sigmoid_eps=0.01,
-        dipolar_eps=0.01, field_exponent=1.2, goal_position=np.zeros(2),
-        goal_heading=0.0, n_robots=6)
+    return field_config(collision_margin=0.5, connectivity_buffer=1.0)

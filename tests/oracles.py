@@ -5,7 +5,7 @@ The simulator runs every robot through array kernels (``gradients.JetKernel``,
 them: a central-difference gradient, the scalar potential each gradient law
 descends, the constraint product's and the informed robot's gradients, the
 follower Laplacian of the consensus analysis, and the one-pose exact step.
-They moved here unchanged from ``gradients``, ``graph`` and ``sim``.
+They moved here from ``gradients``, ``graph`` and ``sim``.
 """
 
 import math
@@ -13,10 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from rendezsim.fields import FieldParams, navfunc_follower
+from rendezsim.fields import navfunc_follower
 from rendezsim.gradients import ScalarField, _constraint_jet, _leader_jet
 from rendezsim.graph import GraphError, Topology
-from rendezsim.model import RegionFlag
+from rendezsim.model import RegionFlag, ScenarioConfig
 from rendezsim.sim import _integrate_all
 
 Edge = tuple[int, int]
@@ -41,22 +41,22 @@ def fd_gradient(f: ScalarField, p: np.ndarray, h: float) -> np.ndarray:
 
 def grad_constraint_follower(position: np.ndarray,
                              neighbor_positions: Sequence[np.ndarray],
-                             region: RegionFlag, params: FieldParams,
+                             region: RegionFlag, cfg: ScenarioConfig,
                              gradient_mode: str = "full") -> np.ndarray:
     """Gradient of the constraint product for the selected mode."""
     return np.array(_constraint_jet(position, neighbor_positions, region,
-                                    params, gradient_mode)[1])
+                                    cfg, gradient_mode)[1])
 
 
 def grad_navfunc_leader(position: np.ndarray,
-                        params: FieldParams) -> np.ndarray:
+                        cfg: ScenarioConfig) -> np.ndarray:
     """Quotient-rule gradient of the informed robot's dipolar potential."""
-    return _leader_jet(position, params)[0]
+    return _leader_jet(position, cfg)[0]
 
 
 def follower_potential(position: np.ndarray,
                        neighbor_positions: Sequence[np.ndarray],
-                       region: RegionFlag, params: FieldParams,
+                       region: RegionFlag, cfg: ScenarioConfig,
                        gradient_mode: str = "full") -> float:
     """Scalar potential that the selected gradient law actually descends.
 
@@ -65,8 +65,8 @@ def follower_potential(position: np.ndarray,
     """
     if gradient_mode == "paper":
         return navfunc_follower(position, neighbor_positions,
-                                RegionFlag.RENDEZVOUS, params)
-    return navfunc_follower(position, neighbor_positions, region, params)
+                                RegionFlag.RENDEZVOUS, cfg)
+    return navfunc_follower(position, neighbor_positions, region, cfg)
 
 
 def laplacian(topo: Topology, weights: dict[Edge, float],

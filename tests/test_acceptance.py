@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from rendezsim import (FieldParams, RegionFlag, compute_metrics,
-                       export_trajectory, parse_scenario, run)
+from rendezsim import (RegionFlag, compute_metrics, export_trajectory,
+                       parse_scenario, run)
 from rendezsim.control import angular_velocity
 from rendezsim.fields import (navfunc_follower, navfunc_leader,
                               sigmoid_collision, sigmoid_connectivity)
@@ -65,7 +65,7 @@ def reference(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def reference_params(reference):
-    return FieldParams.from_config(reference[0])
+    return reference[0]
 
 
 def _unit(rng):

@@ -7,8 +7,7 @@ from dataclasses import MISSING, fields as dc_fields
 import numpy as np
 import pytest
 
-from rendezsim import (FieldParams, ScenarioConfig, ScenarioError,
-                       TrajectoryLog,
+from rendezsim import (ScenarioConfig, ScenarioError, TrajectoryLog,
                        compute_metrics, emit_plot_script, export_trajectory,
                        load_trajectory, parse_scenario, run, seeded_deployment,
                        write_scenario)
@@ -108,7 +107,7 @@ class TestParseScenario:
         assert cfg.connectivity_buffer == 0.4
         assert cfg.field_exponent == 1.2
         assert cfg.workspace_radius == 50.0
-        assert FieldParams.from_config(cfg).switch_distance == pytest.approx(1.5)
+        assert cfg.switch_distance == pytest.approx(1.5)
         assert len(cfg.initial_states) == 6
 
     def test_seeded_deployment_is_deterministic(self):
@@ -674,7 +673,9 @@ class TestPlotScript:
 class TestCli:
     def test_check_ok(self, capsys):
         assert main(["check", SCENARIO]) == 0
-        assert "spanning tree" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "switch distance 1.500 m" in out
+        assert "spanning tree" in out
 
     def test_parse_failure_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.scn"

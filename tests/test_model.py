@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rendezsim import (FieldParams, RobotState, ScenarioError,
-                       validate_scenario)
+from rendezsim import RobotState, ScenarioError, validate_scenario
 from rendezsim.model import normalize_angle, wrap_angles
 
 from conftest import make_states, small_config
@@ -83,8 +82,7 @@ class TestValidateScenario:
             linear_gains=[2.0] + [4.0] * 5, angular_gains=[8.0] * 6,
             initial_states=states)
         assert validate_scenario(cfg) is cfg
-        assert FieldParams.from_config(cfg).switch_distance == pytest.approx(
-            1.5)
+        assert cfg.switch_distance == pytest.approx(1.5)
 
     def test_collision_margin_must_be_below_sensing(self):
         cfg = small_config(collision_margin=2.0)
@@ -99,9 +97,12 @@ class TestValidateScenario:
             validate_scenario(cfg)
 
     def test_rendezvous_radius_floor(self):
-        cfg = small_config(rendezvous_radius=3.9)  # needs > R*(N-1) = 4
-        with pytest.raises(ScenarioError, match="rendezvous_radius"):
-            validate_scenario(cfg)
+        # needs > R*(N-1) = 4: the bound itself is rejected
+        for radius in (3.9, 4.0):
+            with pytest.raises(ScenarioError, match="rendezvous_radius"):
+                validate_scenario(small_config(rendezvous_radius=radius))
+        cfg = small_config(rendezvous_radius=4.0 + 1e-9)
+        assert validate_scenario(cfg) is cfg
 
     def test_workspace_must_dominate_rendezvous_disk(self):
         cfg = small_config(workspace_radius=9.9, rendezvous_radius=5.0)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from rendezsim import FieldParams, RegionFlag, run, sim
+from rendezsim import RegionFlag, run, sim
 from rendezsim.control import control_laws
 from rendezsim.fields import region_of
 from rendezsim.gradients import DISTANCE_FLOOR, JetKernel, _quotient_jet
@@ -67,9 +67,9 @@ def desired_heading_before(grad, fallback, floor):
     return theta_d
 
 
-def region_of_before(leader_position, params):
-    gap = leader_position - params.goal_position
-    if math.hypot(gap[0], gap[1]) < params.switch_distance:
+def region_of_before(leader_position, cfg):
+    gap = leader_position - cfg.goal_position
+    if math.hypot(gap[0], gap[1]) < cfg.switch_distance:
         return RegionFlag.RENDEZVOUS
     return RegionFlag.COLLISION_FREE
 
@@ -175,19 +175,19 @@ class TestFollowerDivides:
         mask = rng.random((n, n)) < 0.6
         np.fill_diagonal(mask, False)
         mask[np.arange(1, n), np.arange(n - 1)] = True  # a parent each
-        params = FieldParams.from_config(small_config(
+        cfg = small_config(
             n_robots=n, linear_gains=[1.0] * n, angular_gains=[1.0] * n,
-            initial_states=make_states(poses.tolist())))
+            initial_states=make_states(poses.tolist()))
         upper = np.triu_indices(n, 1)
         offsets, dist = sim._offsets(poses, upper)
-        return params, mask, poses, offsets, dist, upper
+        return cfg, mask, poses, offsets, dist, upper
 
     @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
                                         RegionFlag.RENDEZVOUS])
     @pytest.mark.parametrize("bad", [1e-10, 0.0, math.nan])
     def test_unaffected_followers_match(self, region, bad):
-        params, mask, poses, offsets, dist, upper = self._kernel_inputs()
-        kernel = JetKernel(params, mask)
+        cfg, mask, poses, offsets, dist, upper = self._kernel_inputs()
+        kernel = JetKernel(cfg, mask)
         plain = [np.array(x, dtype=float) for x in
                  kernel(poses[0, :2], offsets, dist, region)]
         # pair (a, b) of one sensed edge gets the bad distance

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rendezsim import (FieldParams, RegionFlag, RobotState, ScenarioConfig,
-                       Topology, TrajectoryLog, compute_metrics,
-                       monitor_invariants, run, seeded_deployment, sim, step)
+from rendezsim import (RegionFlag, RobotState, ScenarioConfig, Topology,
+                       TrajectoryLog, compute_metrics, monitor_invariants,
+                       run, seeded_deployment, sim, step)
 from rendezsim.control import compute_control
 from rendezsim.gradients import JetKernel
 from rendezsim.model import normalize_angle
@@ -92,6 +92,15 @@ class TestStep:
                               (0.2, 0.8, 0.0)])
         _, _, region = step(states, RegionFlag.COLLISION_FREE, cfg)
         assert region is RegionFlag.RENDEZVOUS
+
+    def test_switch_from_the_start_is_logged_once(self):
+        # the informed robot starts inside the switch distance of 1 m
+        cfg = small_config(horizon=0.05, initial_states=make_states(
+            [(0.5, 0.0, 0.0), (1.0, 0.5, 0.0), (0.2, 0.8, 0.0)]))
+        log = run(cfg)
+        assert log.switch_step == 0
+        assert [(e.step, e.kind) for e in log.events] == [(0, "switch")]
+        assert (log.region == 1).all()
 
     def test_unsensed_robot_cannot_move_a_follower(self):
         # follower i gathers only the pairs of its own edges, so moving a robot
@@ -202,13 +211,12 @@ class TestArrayCore:
                 linear_gains=rng.uniform(1.0, 5.0, n).tolist(),
                 angular_gains=rng.uniform(4.0, 10.0, n).tolist(),
                 initial_states=states)
-            params = FieldParams.from_config(cfg)
             new_states, controls, _ = step(states, region, cfg,
                                            Topology(mask), prev)
             for i, s in enumerate(states):
                 ref = compute_control(
                     s, [states[j].position for j in np.flatnonzero(mask[i])],
-                    region, params, cfg.linear_gains[i],
+                    region, cfg, cfg.linear_gains[i],
                     cfg.angular_gains[i], prev[i], gradient_mode=mode,
                     gradient_floor=floor)
                 pose = integrate_pose(np.array([*s.position, s.heading]),
@@ -269,7 +277,7 @@ class TestEdgeList:
             linear_gains=[2.0] + [4.0] * (n - 1), angular_gains=[8.0] * n,
             initial_states=states)
         mask = sim.initial_topology(cfg).adjacency
-        kernel = sim.StepKernel(cfg, FieldParams.from_config(cfg), mask)
+        kernel = sim.StepKernel(cfg, mask)
         jets = kernel.jets
         edges = mask[1:].sum()
         assert 0 < edges < n * (n - 1) / 4
@@ -338,10 +346,9 @@ class TestKernelRowZero:
                 linear_gains=rng.uniform(1.0, 5.0, n).tolist(),
                 angular_gains=rng.uniform(4.0, 10.0, n).tolist(),
                 initial_states=states)
-            params = FieldParams.from_config(cfg)
             new_states, controls, _ = step(states, region, cfg, None,
                                            prev + [None] * (n - 1))
-            ref = compute_control(states[0], [], region, params,
+            ref = compute_control(states[0], [], region, cfg,
                                   cfg.linear_gains[0], cfg.angular_gains[0],
                                   prev[0], gradient_mode=mode,
                                   gradient_floor=cfg.gradient_floor)
@@ -364,7 +371,6 @@ class TestKernelRowZero:
                            angular_gains=[8.0], goal_position=self.GOAL,
                            horizon=0.5,
                            initial_states=make_states([(-4.0, -2.0, 0.5)]))
-        params = FieldParams.from_config(cfg)
         log = run(cfg)
         assert log.n_steps == 101
         prev = None
@@ -374,7 +380,7 @@ class TestKernelRowZero:
                       else RegionFlag.RENDEZVOUS)
             ref = compute_control(
                 RobotState(1, np.array([x, y]), theta), [],
-                region, params, 2.0, 8.0, prev,
+                region, cfg, 2.0, 8.0, prev,
                 gradient_floor=cfg.gradient_floor)
             assert_controls_match((*log.controls[k, 0], log.phi[k, 0]), ref)
             if k + 1 < log.n_steps:
