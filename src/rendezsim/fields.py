@@ -5,7 +5,8 @@ flow lines arrive at the goal tangent to the desired heading. Followers
 descend a consensus potential over their sensed neighbors, multiplied by
 sigmoid constraint factors that blow the potential up to 1 when an edge is
 about to break or (while collision avoidance is active) when two robots are
-about to touch. All values live in [0, 1].
+about to touch. All values live in [0, 1]. ``follower_terms`` gives a
+follower's factors and their derivatives in one pass over its neighbors.
 """
 
 import math
@@ -15,6 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .model import RegionFlag, ScenarioConfig
+
+# an edge shorter than this adds no slope: its 1/d factors would overflow,
+# and it is only met at consensus, where p - q_j vanishes with it
+DISTANCE_FLOOR = 1e-9  # m
 
 
 def _logistic(z: float) -> float:
@@ -57,16 +62,6 @@ def sigmoid_collision(d: float, collision_margin: float, eps: float) -> float:
                      * (d - 0.5 * collision_margin))
 
 
-def boundary_factor(boundary_distance: float, collision_margin: float,
-                    eps: float) -> float:
-    """Workspace-rim factor for the informed robot.
-
-    sigmoid_collision applied to the robot's distance to the workspace
-    boundary, R_w - ||p||.
-    """
-    return sigmoid_collision(boundary_distance, collision_margin, eps)
-
-
 def goal_leader(position: np.ndarray, goal: np.ndarray) -> float:
     """Squared distance from the informed robot to the goal."""
     dx = position[0] - goal[0]
@@ -88,20 +83,6 @@ def dipolar_factor(position: np.ndarray, goal: np.ndarray,
     return dipolar_eps + proj * proj
 
 
-def goal_follower(position: np.ndarray,
-                  neighbor_positions: Sequence[np.ndarray]) -> float:
-    """Consensus objective: sum of squared distances to sensed neighbors."""
-    if len(neighbor_positions) == 0:
-        raise ValueError("follower has no neighbors; the initial graph must "
-                         "give every follower at least one parent")
-    total = 0.0
-    for q in neighbor_positions:
-        dx = position[0] - q[0]
-        dy = position[1] - q[1]
-        total += dx * dx + dy * dy
-    return total
-
-
 @dataclass
 class FieldEval:
     """Value, own-position gradient and Hessian of one robot's potential."""
@@ -111,28 +92,66 @@ class FieldEval:
     hessian: np.ndarray         # shape (2, 2)
 
 
-def constraint_follower(position: np.ndarray,
-                        neighbor_positions: Sequence[np.ndarray],
-                        region: RegionFlag, cfg: ScenarioConfig) -> float:
-    """Product of constraint sigmoids over the sensed neighbors.
+def follower_terms(position: np.ndarray,
+                   neighbor_positions: Sequence[np.ndarray],
+                   region: RegionFlag, cfg: ScenarioConfig,
+                   gradient_mode: str = "full"):
+    """One follower's quotient inputs, from one pass over its neighbors.
 
-    While collision avoidance is active each neighbor contributes
-    b(d) * B(d); after the switch only the edge-keeping b(d) remains.
+    Returns gamma = sum |p - q_j|^2, its gradient, the product beta of the
+    gradient law's factors (b(d) B(d) in "full" mode while avoidance is on,
+    else b(d)), beta's gradient and Hessian (xx, xy, yy), and edge slopes,
+    as ``JetKernel.leader_terms`` does for the informed robot.
+
+    Each factor is logistic in d_j, so its log-derivatives are closed form in
+    the factor itself: (log b)' = -k_b (1 - b), (log b)'' = -k_b^2 b (1 - b),
+    and likewise for B. With l_j, l_j'' summed over edge j's factors,
+    u_j = (p - q_j) / d_j and g = sum l_j u_j: grad beta = beta g and
+    hess beta = beta (g g^T + sum l_j'' u_j u_j^T + l_j / d_j (I - u_j u_j^T)).
+    The slopes l_j / d_j give grad beta = beta * sum slope_j * (p - q_j);
+    edges closer than DISTANCE_FLOOR add none.
     """
     if len(neighbor_positions) == 0:
         raise ValueError("follower has no neighbors; the initial graph must "
                          "give every follower at least one parent")
-    avoid = region is RegionFlag.COLLISION_FREE
-    out = 1.0
+    avoid = region is RegionFlag.COLLISION_FREE and gradient_mode == "full"
+    eps = cfg.sigmoid_eps
+    k_b = sigmoid_gain(cfg.connectivity_buffer, eps)
+    k_c = sigmoid_gain(cfg.collision_margin, eps)
+    beta = 1.0
+    gamma = sx = sy = gx = gy = hxx = hxy = hyy = 0.0
+    slopes = []
     for q in neighbor_positions:
         dx = position[0] - q[0]
         dy = position[1] - q[1]
+        gamma += dx * dx + dy * dy
+        sx += dx
+        sy += dy
         d = math.sqrt(dx * dx + dy * dy)
-        out *= sigmoid_connectivity(d, cfg.sensing_radius,
-                                    cfg.connectivity_buffer, cfg.sigmoid_eps)
+        b = sigmoid_connectivity(d, cfg.sensing_radius,
+                                 cfg.connectivity_buffer, eps)
+        beta *= b
+        l1 = -k_b * (1.0 - b)
+        l2 = -k_b * k_b * b * (1.0 - b)
         if avoid:
-            out *= sigmoid_collision(d, cfg.collision_margin, cfg.sigmoid_eps)
-    return out
+            c = sigmoid_collision(d, cfg.collision_margin, eps)
+            beta *= c
+            l1 += k_c * (1.0 - c)
+            l2 -= k_c * k_c * c * (1.0 - c)
+        if d < DISTANCE_FLOOR:
+            slopes.append(0.0)
+            continue
+        t = l1 / d
+        w = (l2 - t) / (d * d)
+        slopes.append(t)
+        gx += t * dx
+        gy += t * dy
+        hxx += w * dx * dx + t
+        hxy += w * dx * dy
+        hyy += w * dy * dy + t
+    return (gamma, (2.0 * sx, 2.0 * sy), beta, (beta * gx, beta * gy),
+            (beta * (gx * gx + hxx), beta * (gx * gy + hxy),
+             beta * (gy * gy + hyy)), slopes)
 
 
 def navfunc_leader(position: np.ndarray, cfg: ScenarioConfig) -> float:
@@ -147,7 +166,7 @@ def navfunc_leader(position: np.ndarray, cfg: ScenarioConfig) -> float:
     dip = dipolar_factor(position, cfg.goal_position,
                          cfg.goal_heading, cfg.dipolar_eps)
     d0 = cfg.workspace_radius - math.hypot(position[0], position[1])
-    beta = boundary_factor(d0, cfg.collision_margin, cfg.sigmoid_eps)
+    beta = sigmoid_collision(d0, cfg.collision_margin, cfg.sigmoid_eps)
     return gamma / (gamma ** alpha + dip * beta) ** (1.0 / alpha)
 
 
@@ -157,8 +176,8 @@ def navfunc_follower(position: np.ndarray,
                      region: RegionFlag, cfg: ScenarioConfig) -> float:
     """Follower potential: zero at consensus, 1 where a constraint is met."""
     alpha = cfg.field_exponent
-    gamma = goal_follower(position, neighbor_positions)
-    beta = constraint_follower(position, neighbor_positions, region, cfg)
+    gamma, _, beta, _, _, _ = follower_terms(position, neighbor_positions,
+                                             region, cfg)
     return gamma / (gamma ** alpha + beta) ** (1.0 / alpha)
 
 

@@ -1,6 +1,7 @@
 """Analytic gradients, Hessians and edge weights of the potentials.
 
-Two gradient laws are provided for followers, selected by ``gradient_mode``:
+Two gradient laws are provided for followers, selected by ``gradient_mode``
+and stated for one follower by ``fields.follower_terms``:
 
 * ``"full"`` (default): exact gradient of the regional potential, including
   the collision factors while collision avoidance is active.
@@ -18,16 +19,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import (FieldEval, _logistic, goal_follower, logistic_array,
-                     navfunc_follower, navfunc_leader, sigmoid_collision,
-                     sigmoid_connectivity, sigmoid_gain)
+from .fields import (DISTANCE_FLOOR, FieldEval, _logistic, follower_terms,
+                     logistic_array, navfunc_follower, navfunc_leader,
+                     sigmoid_gain)
 from .model import RegionFlag, ScenarioConfig
+# not called here: rendezbench/tracing.py wraps these names
+from .fields import sigmoid_collision, sigmoid_connectivity  # noqa: F401
 
 ScalarField = Callable[[np.ndarray], float]
-
-# an edge shorter than this adds no slope: its 1/d factors would overflow,
-# and it is only met at consensus, where p - q_j vanishes with it
-DISTANCE_FLOOR = 1e-9  # m
 
 
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
@@ -54,19 +53,6 @@ def fd_hessian(f: ScalarField, p: np.ndarray, h: float) -> np.ndarray:
     d21 = ((fpp - fpm) - (fmp - fmm)) / (4.0 * h2)
     cross = 0.5 * (d12 + d21)
     return np.array([[d11, cross], [cross, d22]])
-
-
-def grad_goal_follower(position: np.ndarray,
-                       neighbor_positions: Sequence[np.ndarray]) -> np.ndarray:
-    """Gradient of the consensus objective: 2 * sum(p - q_j)."""
-    if len(neighbor_positions) == 0:
-        raise ValueError("follower has no neighbors")
-    gx = 0.0
-    gy = 0.0
-    for q in neighbor_positions:
-        gx += position[0] - q[0]
-        gy += position[1] - q[1]
-    return np.array([2.0 * gx, 2.0 * gy])
 
 
 def _quotient_jet(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta,
@@ -117,54 +103,6 @@ def _matrix(hess):
     return np.array([[xx, xy], [xy, yy]])
 
 
-def _constraint_jet(position, neighbor_positions, region, cfg, gradient_mode):
-    """Constraint product beta of the mode, its derivatives, and edge slopes.
-
-    Each factor is logistic in d_j, so its log-derivatives are closed form in
-    the factor itself: (log b)' = -k_b (1 - b), (log b)'' = -k_b^2 b (1 - b),
-    and likewise for B. With l_j, l_j'' summed over edge j's factors,
-    u_j = (p - q_j) / d_j and g = sum l_j u_j: grad beta = beta g and
-    hess beta = beta (g g^T + sum l_j'' u_j u_j^T + l_j / d_j (I - u_j u_j^T)).
-    The slopes l_j / d_j give grad beta = beta * sum slope_j * (p - q_j);
-    edges closer than DISTANCE_FLOOR add none.
-    """
-    avoid = region is RegionFlag.COLLISION_FREE and gradient_mode == "full"
-    eps = cfg.sigmoid_eps
-    k_b = sigmoid_gain(cfg.connectivity_buffer, eps)
-    k_c = sigmoid_gain(cfg.collision_margin, eps)
-    beta = 1.0
-    gx = gy = hxx = hxy = hyy = 0.0
-    slopes = []
-    for q in neighbor_positions:
-        dx = position[0] - q[0]
-        dy = position[1] - q[1]
-        d = math.sqrt(dx * dx + dy * dy)
-        b = sigmoid_connectivity(d, cfg.sensing_radius,
-                                 cfg.connectivity_buffer, eps)
-        beta *= b
-        l1 = -k_b * (1.0 - b)
-        l2 = -k_b * k_b * b * (1.0 - b)
-        if avoid:
-            c = sigmoid_collision(d, cfg.collision_margin, eps)
-            beta *= c
-            l1 += k_c * (1.0 - c)
-            l2 -= k_c * k_c * c * (1.0 - c)
-        if d < DISTANCE_FLOOR:
-            slopes.append(0.0)
-            continue
-        t = l1 / d
-        w = (l2 - t) / (d * d)
-        slopes.append(t)
-        gx += t * dx
-        gy += t * dy
-        hxx += w * dx * dx + t
-        hxy += w * dx * dy
-        hyy += w * dy * dy + t
-    return (beta, (beta * gx, beta * gy),
-            (beta * (gx * gx + hxx), beta * (gx * gy + hxy),
-             beta * (gy * gy + hyy)), slopes)
-
-
 @dataclass
 class GradientBundle:
     """Gradient plus its edgewise decomposition sum m_j * (p - q_j)."""
@@ -190,13 +128,11 @@ def grad_navfunc_follower(position: np.ndarray,
     w_j <= 0 and every m_j is nonnegative.
     """
     alpha = cfg.field_exponent
-    gamma = goal_follower(position, neighbor_positions)
-    beta, dbeta, ddbeta, slopes = _constraint_jet(
+    gamma, dgamma, beta, dbeta, ddbeta, slopes = follower_terms(
         position, neighbor_positions, region, cfg, gradient_mode)
     _, grad, hess, e = _quotient_jet(
-        alpha, gamma, grad_goal_follower(position, neighbor_positions),
-        2.0 * len(neighbor_positions), beta, np.array(dbeta),
-        np.array(ddbeta))
+        alpha, gamma, np.array(dgamma), 2.0 * len(neighbor_positions), beta,
+        np.array(dbeta), np.array(ddbeta))
     ms = tuple((2.0 * alpha * beta - gamma * beta * t) / e for t in slopes)
     return GradientBundle(gradient=np.array(grad), edge_weights=ms,
                           hessian=_matrix(hess))
@@ -368,8 +304,7 @@ class JetKernel:
         pairs of its own edges, which keeps the law decentralized. Each
         edge's b(d) and B(d) are evaluated once and serve both the reported
         value (the regional potential) and the derivatives of the selected
-        gradient law, by the formulas of ``_constraint_jet`` and
-        ``navfunc_follower``.
+        gradient law, by the formulas of ``fields.follower_terms``.
         """
         rows = self.rows
         gamma, dgamma, _, beta, dbeta, ddbeta = self.leader_terms(position)

@@ -360,38 +360,44 @@ def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
     return traj_path, dist_path
 
 
-def _read_meta(path) -> dict:
+def _read_meta(path, header) -> dict:
     """The ``# key = value`` lines that open an exported file.
 
-    A repeated key is a ValueError naming the file: the data rows start
-    one line per key below the top.
+    A repeated key, or a line below them other than the column names
+    ``header``, is a ValueError naming the file: the data rows start one
+    line per key below the top, in the columns of ``header``.
     """
     meta = {}
+    columns = None
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if not line.startswith("#"):
+                columns = line.rstrip("\r\n")
                 break
             key, _, raw = line[1:].partition("=")
             key = key.strip()
             if key in meta:
                 raise ValueError(f"{path}: repeated metadata key '{key}'")
             meta[key] = raw.strip()
+    if columns != header:
+        raise ValueError(f"{path}: column names {columns!r}, expected "
+                         f"{header!r}")
     return meta
 
 
 def _read_table(path, header, per_step, unit, steps=None):
-    """The numbers below a file's metadata and column names, per step.
+    """A file's metadata, and the numbers below its column names per step.
 
     ``steps`` (default: as many as the rows begin) blocks of ``per_step``
     rows of the columns in ``header``; a ValueError names the file when it
     has no rows, another row count or another column count.
     """
-    skip = len(_read_meta(path)) + 1
+    meta = _read_meta(path, header)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             data = np.loadtxt(path, delimiter=",", comments="#",
-                              skiprows=skip, ndmin=2)
+                              skiprows=len(meta) + 1, ndmin=2)
         except ValueError as exc:  # a malformed row: name the file
             raise ValueError(f"{path}: {exc}") from None
     if not len(data):
@@ -406,20 +412,20 @@ def _read_table(path, header, per_step, unit, steps=None):
         raise ValueError(f"{path}: {len(data)} data rows, expected "
                          f"{steps * per_step} ({steps} steps x {per_step} "
                          f"{unit})")
-    return data.reshape(steps, per_step, -1)
+    return meta, data.reshape(steps, per_step, -1)
 
 
 def load_trajectory(log_dir: str) -> TrajectoryLog:
     """Rebuild a TrajectoryLog from exported files (events are not exported)."""
     traj_path = os.path.join(log_dir, TRAJECTORY_FILE)
     dist_path = os.path.join(log_dir, DISTANCES_FILE)
-    meta = _read_meta(traj_path)
+    meta = _read_meta(traj_path, _TRAJ_HEADER)
     for key in _REQUIRED_META:
         if key not in meta:
             raise ValueError(f"{traj_path}: missing metadata key '{key}'")
     n = int(meta["n_robots"])
 
-    data = _read_table(traj_path, _TRAJ_HEADER, n, "robots")
+    _, data = _read_table(traj_path, _TRAJ_HEADER, n, "robots")
     times = data[:, 0, 0]
     poses = data[:, :, 2:5]
     controls = data[:, :, 5:10]
@@ -428,8 +434,13 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
 
     n_pairs = n * (n - 1) // 2
     if n_pairs:
-        ddata = _read_table(dist_path, _DIST_HEADER, n_pairs, "pairs",
-                            len(times))
+        dmeta, ddata = _read_table(dist_path, _DIST_HEADER, n_pairs,
+                                   "pairs", len(times))
+        for key in _REQUIRED_META:
+            if dmeta.get(key) != meta[key]:
+                raise ValueError(f"{dist_path}: metadata '{key}' is "
+                                 f"{dmeta.get(key)!r}, {TRAJECTORY_FILE} "
+                                 f"has {meta[key]!r}")
         pairs = tuple((int(i), int(j)) for i, j in ddata[0, :, 1:3])
         distances = ddata[:, :, 3]
         monitored = ddata[0, :, 4].astype(bool)

@@ -3,9 +3,10 @@
 The simulator runs every robot through array kernels (``gradients.JetKernel``,
 ``sim.StepKernel``). These per-robot functions are independent checks of
 them: a central-difference gradient, the scalar potential each gradient law
-descends, the constraint product's and the informed robot's gradients, the
-follower Laplacian of the consensus analysis, and the one-pose exact step.
-They moved here from ``gradients``, ``graph`` and ``sim``.
+descends, the constraint product's gradient (read off
+``fields.follower_terms``), the informed robot's gradient, the follower
+Laplacian of the consensus analysis, and the one-pose exact step. They moved
+here from ``gradients``, ``graph`` and ``sim``.
 """
 
 import math
@@ -13,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from rendezsim.fields import navfunc_follower
-from rendezsim.gradients import ScalarField, _constraint_jet, _leader_jet
+from rendezsim.fields import follower_terms, navfunc_follower
+from rendezsim.gradients import ScalarField, _leader_jet
 from rendezsim.graph import GraphError, Topology
 from rendezsim.model import RegionFlag, ScenarioConfig
 from rendezsim.sim import _integrate_all
@@ -44,8 +45,8 @@ def grad_constraint_follower(position: np.ndarray,
                              region: RegionFlag, cfg: ScenarioConfig,
                              gradient_mode: str = "full") -> np.ndarray:
     """Gradient of the constraint product for the selected mode."""
-    return np.array(_constraint_jet(position, neighbor_positions, region,
-                                    cfg, gradient_mode)[1])
+    return np.array(follower_terms(position, neighbor_positions, region,
+                                   cfg, gradient_mode)[3])
 
 
 def grad_navfunc_leader(position: np.ndarray,

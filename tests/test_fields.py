@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from rendezsim import RegionFlag
-from rendezsim.fields import (boundary_factor, constraint_follower,
-                              dipolar_factor, goal_follower, goal_leader,
+from rendezsim.fields import (dipolar_factor, follower_terms, goal_leader,
                               navfunc_follower, navfunc_leader, region_of,
                               sigmoid_collision, sigmoid_connectivity)
 
@@ -61,11 +60,12 @@ class TestSigmoids:
                                                                   abs=1e-12)
 
     def test_boundary_factor_shape(self):
-        assert boundary_factor(0.25, 0.5, 0.01) == pytest.approx(0.5,
-                                                                 abs=1e-12)
-        assert boundary_factor(0.0, 0.5, 0.01) == pytest.approx(0.01,
-                                                                abs=1e-12)
-        assert boundary_factor(10.0, 0.5, 0.01) > 1.0 - 1e-12
+        # the informed robot's rim factor, at distances R_w - |p|
+        assert sigmoid_collision(0.25, 0.5, 0.01) == pytest.approx(0.5,
+                                                                   abs=1e-12)
+        assert sigmoid_collision(0.0, 0.5, 0.01) == pytest.approx(0.01,
+                                                                  abs=1e-12)
+        assert sigmoid_collision(10.0, 0.5, 0.01) > 1.0 - 1e-12
 
     def test_monotonicity(self):
         # grids stay inside the band where the tails are still resolvable
@@ -76,7 +76,7 @@ class TestSigmoids:
         grid = np.linspace(0.0, 1.5, 400)
         c = [sigmoid_collision(d, 0.5, 0.01) for d in grid]
         assert all(x < y for x, y in zip(c, c[1:]))  # increasing in d
-        w = [boundary_factor(d, 0.5, 0.01) for d in grid]
+        w = [sigmoid_collision(d, 0.5, 0.01) for d in grid]
         assert all(x < y for x, y in zip(w, w[1:]))
 
 
@@ -105,30 +105,33 @@ class TestScalarParts:
     def test_dipolar_floor_at_goal(self):
         assert dipolar_factor(np.zeros(2), np.zeros(2), 0.0, 0.01) == 0.01
 
-    def test_goal_follower_consensus(self):
+    def test_goal_follower_consensus(self, params_s5):
         p = np.array([1.0, 1.0])
-        assert goal_follower(p, [p.copy(), p.copy()]) == 0.0
+        assert follower_terms(p, [p.copy(), p.copy()], RegionFlag.RENDEZVOUS,
+                              params_s5)[0] == 0.0
 
-    def test_goal_follower_two_neighbors(self):
+    def test_goal_follower_two_neighbors(self, params_s5):
         p = np.zeros(2)
         nbrs = [np.array([1.0, 0.0]), np.array([0.0, 2.0])]
-        assert goal_follower(p, nbrs) == pytest.approx(5.0)
+        assert follower_terms(p, nbrs, RegionFlag.RENDEZVOUS,
+                              params_s5)[0] == pytest.approx(5.0)
 
-    def test_goal_follower_single_matches_leader_form(self):
+    def test_goal_follower_single_matches_leader_form(self, params_s5):
         p = np.array([0.3, -0.7])
         q = np.array([2.0, 1.0])
-        assert goal_follower(p, [q]) == pytest.approx(goal_leader(p, q))
+        assert follower_terms(p, [q], RegionFlag.RENDEZVOUS,
+                              params_s5)[0] == pytest.approx(goal_leader(p, q))
 
-    def test_goal_follower_requires_neighbors(self):
+    def test_goal_follower_requires_neighbors(self, params_s5):
         with pytest.raises(ValueError, match="no neighbors"):
-            goal_follower(np.zeros(2), [])
+            follower_terms(np.zeros(2), [], RegionFlag.RENDEZVOUS, params_s5)
 
 
 class TestConstraintFollower:
     def test_single_neighbor_midpoint_rendezvous(self, params_fig2):
         p = np.zeros(2)
         q = np.array([1.5, 0.0])  # R - buffer/2
-        val = constraint_follower(p, [q], RegionFlag.RENDEZVOUS, params_fig2)
+        val = follower_terms(p, [q], RegionFlag.RENDEZVOUS, params_fig2)[2]
         assert val == pytest.approx(0.5, abs=1e-12)
 
     def test_single_neighbor_collision_midpoint(self, params_fig2):
@@ -137,8 +140,8 @@ class TestConstraintFollower:
         q = np.array([0.25, 0.0])
         expected = (sigmoid_connectivity(0.25, 2.0, 1.0, 0.01)
                     * sigmoid_collision(0.25, 0.5, 0.01))
-        val = constraint_follower(p, [q], RegionFlag.COLLISION_FREE,
-                                  params_fig2)
+        val = follower_terms(p, [q], RegionFlag.COLLISION_FREE,
+                             params_fig2)[2]
         assert val == pytest.approx(expected, rel=1e-12)
         assert val == pytest.approx(0.5 * 0.999, rel=1e-2)
 
@@ -150,8 +153,8 @@ class TestConstraintFollower:
             d = float(np.linalg.norm(p - q))
             expected *= (sigmoid_connectivity(d, 2.0, 1.0, 0.01)
                          * sigmoid_collision(d, 0.5, 0.01))
-        val = constraint_follower(p, qs, RegionFlag.COLLISION_FREE,
-                                  params_fig2)
+        val = follower_terms(p, qs, RegionFlag.COLLISION_FREE,
+                             params_fig2)[2]
         assert val == pytest.approx(expected, rel=1e-12)
 
     def test_dropping_collision_terms_never_decreases(self, params_s5):
@@ -160,8 +163,8 @@ class TestConstraintFollower:
             p = rng.uniform(-10, 10, 2)
             m = int(rng.integers(1, 5))
             qs = [p + rng.uniform(0.05, 1.95) * _unit(rng) for _ in range(m)]
-            c = constraint_follower(p, qs, RegionFlag.COLLISION_FREE, params_s5)
-            r = constraint_follower(p, qs, RegionFlag.RENDEZVOUS, params_s5)
+            c = follower_terms(p, qs, RegionFlag.COLLISION_FREE, params_s5)[2]
+            r = follower_terms(p, qs, RegionFlag.RENDEZVOUS, params_s5)[2]
             assert r >= c
 
 

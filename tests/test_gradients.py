@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from rendezsim import RegionFlag
-from rendezsim.fields import (boundary_factor, constraint_follower,
-                              goal_follower, navfunc_leader)
+from rendezsim.fields import (follower_terms, navfunc_leader,
+                              sigmoid_collision)
 from rendezsim.gradients import (fd_hessian, follower_field_eval,
-                                 grad_goal_follower, grad_navfunc_follower,
-                                 leader_field_eval)
+                                 grad_navfunc_follower, leader_field_eval)
 
 from oracles import (fd_gradient, follower_potential,
                      grad_constraint_follower, grad_navfunc_leader)
@@ -82,22 +81,29 @@ class TestFdOracles:
             assert abs(d12 - d21) < 1e-6
 
 
+def goal_terms(p, qs, params):
+    """gamma and its gradient, which depend on neither region nor mode."""
+    gamma, dgamma, *_ = follower_terms(p, qs, RegionFlag.RENDEZVOUS, params)
+    return gamma, np.array(dgamma)
+
+
 class TestGoalGradient:
-    def test_zero_at_consensus(self):
+    def test_zero_at_consensus(self, params_s5):
         p = np.array([2.0, -1.0])
-        g = grad_goal_follower(p, [p.copy(), p.copy(), p.copy()])
+        g = goal_terms(p, [p.copy(), p.copy(), p.copy()], params_s5)[1]
         assert np.all(g == 0.0)
 
-    def test_single_neighbor(self):
-        g = grad_goal_follower(np.array([1.0, 0.0]), [np.array([0.0, 0.0])])
+    def test_single_neighbor(self, params_s5):
+        g = goal_terms(np.array([1.0, 0.0]), [np.array([0.0, 0.0])],
+                       params_s5)[1]
         assert np.allclose(g, [2.0, 0.0])
 
-    def test_matches_fd_with_many_neighbors(self):
+    def test_matches_fd_with_many_neighbors(self, params_s5):
         rng = np.random.default_rng(2)
         p = rng.uniform(-3, 3, 2)
         qs = [rng.uniform(-3, 3, 2) for _ in range(5)]
-        fd = fd_gradient(lambda x: goal_follower(x, qs), p, 1e-6)
-        assert np.allclose(grad_goal_follower(p, qs), fd, atol=1e-8)
+        fd = fd_gradient(lambda x: goal_terms(x, qs, params_s5)[0], p, 1e-6)
+        assert np.allclose(goal_terms(p, qs, params_s5)[1], fd, atol=1e-8)
 
 
 class TestConstraintGradient:
@@ -128,9 +134,8 @@ class TestConstraintGradient:
             g = grad_constraint_follower(p, qs, RegionFlag.COLLISION_FREE,
                                          params_s5, gradient_mode="full")
             fd = fd_gradient(
-                lambda x: constraint_follower(x, qs,
-                                              RegionFlag.COLLISION_FREE,
-                                              params_s5), p, fd_step(p))
+                lambda x: follower_terms(x, qs, RegionFlag.COLLISION_FREE,
+                                         params_s5)[2], p, fd_step(p))
             assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(fd),
                                                         1e-3)
 
@@ -271,7 +276,7 @@ class TestHessianOracle:
         params = replace(params_s5, field_exponent=alpha,
                          goal_position=np.array([2.0, -1.0]))
         h = leader_field_eval(params.goal_position.copy(), params).hessian
-        beta = params.dipolar_eps * boundary_factor(
+        beta = params.dipolar_eps * sigmoid_collision(
             params.workspace_radius - math.hypot(2.0, -1.0),
             params.collision_margin, params.sigmoid_eps)
         assert np.allclose(h, 2.0 / beta ** (1.0 / alpha) * np.eye(2),
@@ -300,7 +305,7 @@ class TestHessianOracle:
         # consensus: gamma = 0 and the floored edge adds no slope; "paper"
         # drops the collision factors in both regions
         law_region = region if mode == "full" else RegionFlag.RENDEZVOUS
-        beta = constraint_follower(p, [p.copy()], law_region, params)
+        beta = follower_terms(p, [p.copy()], law_region, params)[2]
         assert np.allclose(alone.hessian,
                            2.0 / beta ** (1.0 / alpha) * np.eye(2),
                            rtol=1e-12, atol=0.0)

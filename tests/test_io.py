@@ -556,6 +556,44 @@ class TestLoadMismatch:
         assert capsys.readouterr().err == (
             f"error: {path}: repeated metadata key 'time_step'\n")
 
+    @pytest.mark.parametrize("key", ["n_robots", "goal_position",
+                                     "goal_heading", "time_step",
+                                     "sensing_radius"])
+    def test_distances_metadata_must_match_trajectory(self, exported, key,
+                                                      capsys):
+        # a distances.csv of another run, with the same row count
+        path = exported / "distances.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = [line.startswith(f"# {key} =") for line in lines].index(True)
+        kept = lines[at].split("=", 1)[1].strip()
+        lines[at] = f"# {key} = 7\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main(["metrics", str(exported)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: metadata '{key}' is '7', trajectory.csv has "
+            f"{kept!r}\n")
+
+    @pytest.mark.parametrize("name, columns", [
+        ("trajectory.csv",
+         "t,id,y,x,theta,v,omega,theta_d,theta_tilde,theta_d_dot,phi,region"),
+        ("distances.csv", "t,j,i,d,monitored"),
+        ("trajectory.csv", None),
+    ], ids=["trajectory_swapped", "distances_swapped", "trajectory_missing"])
+    def test_column_names_are_checked(self, exported, name, columns, capsys):
+        # the rows are read by position, so other column names would load
+        # silently into the wrong fields
+        path = exported / name
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = [line.startswith("#") for line in lines].index(False)
+        expected = lines[at].rstrip("\n")
+        lines[at:at + 1] = [] if columns is None else [columns + "\n"]
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main(["metrics", str(exported)]) == 1
+        found = lines[at].rstrip("\n") if columns is None else columns
+        assert capsys.readouterr().err == (
+            f"error: {path}: column names {found!r}, expected "
+            f"{expected!r}\n")
+
     def test_optional_roles_line_may_be_absent(self, exported):
         # each file is read past its own metadata lines
         path = exported / "trajectory.csv"
