@@ -13,7 +13,7 @@ import numpy as np
 from .fields import FieldEval
 from .gradients import follower_field_eval, leader_field_eval
 from .model import (RegionFlag, RobotState, ScenarioConfig, normalize_angle,
-                    wrap_angles)
+                    turn_angles)
 
 
 @dataclass
@@ -103,32 +103,41 @@ def compute_control(robot: RobotState,
 
 
 def control_laws(grad, hess, theta: np.ndarray, fallback: np.ndarray,
-                 k_v: np.ndarray, k_w: np.ndarray,
-                 gradient_floor: float = 1e-9, out: np.ndarray | None = None):
+                 k_v: np.ndarray, k_w: np.ndarray, gradient_floor=1e-9,
+                 out=None, pi=math.pi):
     """The four laws above for many robots at once, elementwise.
 
     grad is (x, y) and hess (xx, xy, yy), each component an array over the
-    robots. ``fallback`` is the desired heading held where the gradient is
-    below the floor: the previous one, or the current heading when there is
-    none. ``out``, a (5, n) array or view, receives the first five results
-    when given. Returns (v, omega, theta_d, theta_tilde, theta_d_dot,
-    grad_norm).
+    robots; ``theta`` holds wrapped headings, in (-pi, pi]. ``fallback`` is
+    the desired heading held where the gradient is below the floor: the
+    previous one, or the current heading when there is none.
+    ``gradient_floor`` and ``pi`` are floats or, as the step kernel passes
+    them, rows of theta's shape. ``out``, five rows (a (5, n) array or a
+    sequence of rows), receives the first five results when given. Returns
+    (v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm).
     """
+    n = len(theta)
     if out is None:
-        out = np.empty((5, len(theta)))
+        out = np.empty((5, n))
     v, omega, theta_d, theta_tilde, theta_d_dot = out
-    gx, gy = grad
+    gx, gy = grad[0], grad[1]
     hxx, hxy, hyy = hess
     grad_norm = np.hypot(gx, gy)
-    descent = np.negative(grad)
     # the fallback goes only where some norm is at or under the floor, or NaN
     steep = grad_norm > gradient_floor
-    if np.count_nonzero(steep) == len(steep):
+    descent = np.negative(grad)
+    if np.count_nonzero(steep) == n:
         np.arctan2(descent[1], descent[0], out=theta_d)
     else:
         np.copyto(theta_d, fallback)
         np.arctan2(descent[1], descent[0], out=theta_d, where=steep)
-    wrap_angles(theta - theta_d, out=theta_tilde)
+    # theta_d is an arctan2 value or a held heading, in [-pi, pi], so
+    # theta - theta_d lies in [-2 pi, 2 pi], where one turn is
+    # normalize_angle bit for bit; except at -2 pi, which only theta one ulp
+    # above -pi and theta_d = pi reach, and which turns to +0.0, not -0.0
+    np.subtract(theta, theta_d, out=theta_tilde)
+    if np.count_nonzero(np.abs(theta_tilde) < pi) < n:
+        turn_angles(theta_tilde, out=theta_tilde)
     cos_tilde = np.cos(theta_tilde)
     np.multiply(k_v * grad_norm, cos_tilde, out=v)
     # left^T H right with left = (sin theta_d, -cos theta_d), right the

@@ -31,10 +31,22 @@ def _logistic(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def logistic_array(z: np.ndarray) -> np.ndarray:
-    """_logistic elementwise, overflow-safe the same way."""
-    ez = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0, ez) / (1.0 + ez)
+def logistic_negated(y: np.ndarray, minus_zero: np.ndarray,
+                     one: np.ndarray) -> np.ndarray:
+    """logistic(-y) elementwise, overflow-safe as ``_logistic`` is.
+
+    With e = exp(-|y|) that is 1 / (1 + e) where y <= 0 and e / (1 + e)
+    elsewhere; as e <= 1, the numerator is max(e, [y <= 0]), NaN included.
+    Where every y <= 0 it is one / (one + exp(y)), with neither -|y| nor
+    the maximum. ``minus_zero`` holds -0.0 and ``one``
+    1.0 in y's shape, so that no call takes a scalar operand or broadcasts:
+    -0.0 compares as 0 and lends ``copysign`` its sign, -|y|.
+    """
+    nonpositive = y <= minus_zero
+    if np.count_nonzero(nonpositive) == y.size:
+        return one / (one + np.exp(y))
+    e = np.exp(np.copysign(y, minus_zero))
+    return np.maximum(e, nonpositive) / (one + e)
 
 
 def sigmoid_gain(width: float, eps: float) -> float:
@@ -162,9 +174,10 @@ def navfunc_leader(position: np.ndarray, cfg: ScenarioConfig) -> float:
     vanish together.
     """
     alpha = cfg.field_exponent
-    gamma = goal_leader(position, cfg.goal_position)
-    dip = dipolar_factor(position, cfg.goal_position,
-                         cfg.goal_heading, cfg.dipolar_eps)
+    goal = cfg.goal_position
+    goal = (float(goal[0]), float(goal[1]))
+    gamma = goal_leader(position, goal)
+    dip = dipolar_factor(position, goal, cfg.goal_heading, cfg.dipolar_eps)
     d0 = cfg.workspace_radius - math.hypot(position[0], position[1])
     beta = sigmoid_collision(d0, cfg.collision_margin, cfg.sigmoid_eps)
     return gamma / (gamma ** alpha + dip * beta) ** (1.0 / alpha)

@@ -45,26 +45,40 @@ def normalize_angle(theta: float) -> float:
     return wrapped
 
 
-def wrap_angles(theta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def wrap_angles(theta: np.ndarray, out: np.ndarray | None = None,
+                pi=math.pi) -> np.ndarray:
     """normalize_angle elementwise; a non-finite angle comes out NaN.
 
     Writes into ``out`` when given. Bit for bit normalize_angle, signed
-    zeros included, with plain ufunc calls only.
+    zeros included, with plain ufunc calls only. ``pi`` bounds the screen
+    that passes angles inside (-pi, pi) through as they are: math.pi, or
+    an array of it in theta's shape, as the step kernel passes it so that
+    the call takes no scalar operand.
     """
-    inside = np.abs(theta) < math.pi
+    inside = np.abs(theta) < pi
     if np.count_nonzero(inside) == inside.size:
-        # fmod and the turns below leave every angle in (-pi, pi) as it is
+        # fmod and the turn below leave every angle in (-pi, pi) as it is
         if out is None:
             return np.array(theta, dtype=float)
         out[...] = theta
         return out
-    wrapped = np.fmod(theta, TWO_PI, out=out)
-    # |fmod| < 2 pi, so at most one turn of 2 pi is due, and a value lowered
-    # from above pi is above -pi. Where none is due the turn is +0.0, and
-    # w - (+0.0) is w, -0.0 included; w - (-2 pi) is w + 2 pi exactly.
-    turns = np.subtract(wrapped > math.pi, wrapped <= -math.pi, dtype=float)
+    return turn_angles(np.fmod(theta, TWO_PI, out=out), out=out)
+
+
+def turn_angles(theta: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """One turn of 2 pi into (-pi, pi]: normalize_angle for |theta| < 2 pi.
+
+    Bit for bit normalize_angle on (-2 pi, 2 pi], the range of an ``fmod``
+    by 2 pi and of the difference of two wrapped angles, where ``fmod`` is
+    the identity except at 2 pi itself (both give +0.0 there). A value
+    lowered from above pi is above -pi. Where no turn is due it is +0.0,
+    and w - (+0.0) is w, -0.0 included; w - (-2 pi) is w + 2 pi exactly.
+    NaN stays NaN. Writes into ``out`` when given.
+    """
+    turns = np.subtract(theta > math.pi, theta <= -math.pi, dtype=float)
     turns *= TWO_PI
-    return np.subtract(wrapped, turns, out=out)
+    return np.subtract(theta, turns, out=out)
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,12 @@ class Metrics:
     heading_decay_rate: float | None
 
 
+def integrate_rows(dt: float, n: int):
+    """The constant operands of ``_integrate_all`` over n robots: dt / 2,
+    dt and pi, each as an (n,) row, so that no call takes a scalar."""
+    return np.full(n, 0.5 * dt), np.full(n, dt), np.full(n, np.pi)
+
+
 def _integrate_all(poses, vs, ws, dt, out=None):
     """Exact step: with v and omega held over dt each path is a circular arc.
 
@@ -89,23 +95,27 @@ def _integrate_all(poses, vs, ws, dt, out=None):
     heading. The ratio sin(y)/y is np.sinc's own arithmetic, y = pi (h/pi)
     for the half turn h, done inline; plain sin(h)/h can differ from it in
     the last bit. Only a step where some y is 0 calls np.sinc, which is
-    exactly 1 there (a straight line). Writes the new (N, 3) poses into
-    ``out`` when given.
+    exactly 1 there (a straight line). ``dt`` is the time step, or
+    ``integrate_rows(dt, N)``, its constant operands as rows. Writes the new
+    (N, 3) poses into ``out`` when given.
     """
-    half = 0.5 * dt * ws
-    x = half / np.pi
-    y = np.pi * x
+    half_dt, dt_row, pi = (dt if isinstance(dt, tuple)
+                           else integrate_rows(dt, len(ws)))
+    half = half_dt * ws
+    x = half / pi
+    y = pi * x
     if np.count_nonzero(y) == len(y):
         ratio = np.sin(y) / y
     else:
         ratio = np.sinc(x)
-    chord = dt * vs * ratio
-    mid = poses[:, 2] + half
+    chord = dt_row * vs * ratio
+    theta = poses[:, 2]
+    mid = theta + half
     if out is None:
         out = np.empty(poses.shape)
     np.add(poses[:, 0], chord * np.cos(mid), out=out[:, 0])
     np.add(poses[:, 1], chord * np.sin(mid), out=out[:, 1])
-    wrap_angles(poses[:, 2] + dt * ws, out=out[:, 2])
+    wrap_angles(theta + dt_row * ws, out=out[:, 2], pi=pi)
     return out
 
 
@@ -129,31 +139,40 @@ class StepKernel:
 
     Built once per run, it holds every per-run constant: the field jets
     (gains, shifts and the followers' edge list, see ``JetKernel``), the gain
-    arrays, the time step and the gradient floor. A call makes one jet pass
-    over all rows, one ``control_laws`` call and one ``_integrate_all``
-    call. ``fallback`` holds each robot's previous desired heading, or its
-    current heading when there is none.
+    arrays, and the gradient floor, dt / 2, dt and pi as rows. A call makes
+    one jet pass over all rows, one ``control_laws`` call and one
+    ``_integrate_all`` call. ``control_rows`` holds the last call's
+    controls as rows (v, omega, theta_d, theta_tilde, theta_d_dot); its row
+    ``theta_d`` is the heading held where a gradient is below the floor, so
+    set it to the current headings before the first call.
     """
 
     def __init__(self, cfg: ScenarioConfig, mask: np.ndarray):
+        n = len(mask)
         self.jets = JetKernel(cfg, mask)
         self.gains = (np.asarray(cfg.linear_gains, dtype=float),
                       np.asarray(cfg.angular_gains, dtype=float))
-        self.time_step = cfg.time_step
-        self.gradient_floor = cfg.gradient_floor
+        self.gradient_floor = np.full(n, cfg.gradient_floor)
+        self.rows = integrate_rows(cfg.time_step, n)
+        self.pi = self.rows[2]
+        self.control_rows = np.empty((5, n))
+        self.control_out = tuple(self.control_rows)
+        self.by_robot = self.control_rows.T
+        self.theta_d = self.control_rows[2]
 
-    def __call__(self, poses, offsets, dist, region, fallback, controls,
+    def __call__(self, poses, leader, offsets, dist, region, controls,
                  new_poses):
         """Write the (N, 5) controls (v, omega, theta_d, theta_tilde,
         theta_d_dot) and the new poses; return phi and the gradient norms.
 
-        ``offsets`` and ``dist`` are the upper pairs' (see ``_offsets``)."""
-        phi, grad, hess = self.jets(poses[0, :2], offsets, dist, region)
-        *_, grad_norm = control_laws(grad, hess, poses[:, 2], fallback,
-                                     *self.gains, self.gradient_floor,
-                                     controls.T)
-        _integrate_all(poses, controls[:, 0], controls[:, 1], self.time_step,
-                       new_poses)
+        ``leader`` is the informed robot's (x, y) as floats, ``offsets`` and
+        ``dist`` are the upper pairs' (see ``_offsets``)."""
+        phi, grad, hess = self.jets(leader, offsets, dist, region)
+        v, omega, *_, grad_norm = control_laws(
+            grad, hess, poses[:, 2], self.theta_d, *self.gains,
+            self.gradient_floor, self.control_out, self.pi)
+        controls[...] = self.by_robot
+        _integrate_all(poses, v, omega, self.rows, new_poses)
         if np.count_nonzero(np.isfinite(new_poses)) < new_poses.size:
             raise RuntimeError(
                 f"non-finite state after integration:\n{new_poses}")
@@ -175,15 +194,16 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
     if topo is None:
         topo = build_topology(states, cfg.sensing_radius)
     poses = _pose_array(states)
-    fallback = poses[:, 2].copy()
+    kernel = StepKernel(cfg, topo.adjacency)
+    kernel.theta_d[...] = poses[:, 2]
     for i, prev in enumerate(prev_theta_d or ()):
         if prev is not None:
-            fallback[i] = prev
+            kernel.theta_d[i] = prev
     ctrl = np.empty((len(states), 5))
     new = np.empty(poses.shape)
-    phi, grad_norm = StepKernel(cfg, topo.adjacency)(
-        poses, *_offsets(poses, np.triu_indices(len(poses), 1)), region,
-        fallback, ctrl, new)
+    phi, grad_norm = kernel(
+        poses, poses[0, :2].tolist(),
+        *_offsets(poses, np.triu_indices(len(poses), 1)), region, ctrl, new)
     controls = [ControlOutput(*row, p, g) for row, p, g in
                 zip(ctrl.tolist(), phi.tolist(), grad_norm.tolist())]
     new_states = [s.with_pose(new[i, :2], new[i, 2])
@@ -309,7 +329,12 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     monitored = mask[upper]
     n_pairs = len(pairs)
     high, low = _monitor_bounds(cfg, monitored)
-    watched = np.empty(n_pairs + n)
+    # while avoiding, one comparison screens both bounds: the watched values
+    # and their negations against the high bounds and the negated low ones,
+    # as -x >= -low exactly when x <= low
+    screened = np.empty((2, n_pairs + n))
+    watched, negated = screened
+    bounds = np.array([high, -low])
 
     max_steps = int(round(cfg.horizon / cfg.time_step))
     S = max_steps + 1
@@ -323,32 +348,47 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     events: list[Event] = []
     switch_step = None
     poses[0] = _pose_array(cfg.initial_states)
-    region = region_of(poses[0, 0, :2], cfg)
+    # the informed robot's position as floats, read once a step for the
+    # region switch, the kernel and the stop screen
+    leader = (float(poses[0, 0, 0]), float(poses[0, 0, 1]))
+    region = region_of(leader, cfg)
     if region is RegionFlag.RENDEZVOUS:
         switch_step = 0
         events.append(Event(0, 0.0, "switch",
                             "collision avoidance off from the start"))
-    fallback = poses[0, :, 2]  # no desired heading yet: hold the current one
+    # no desired heading yet: hold the current one
+    kernel.theta_d[...] = poses[0, :, 2]
+    watched_dist, watched_norms = watched[:n_pairs], watched[n_pairs:]
 
     k = 0
     while True:
         t = k * cfg.time_step
         pose = poses[k]
+        if k:
+            leader = (float(pose[0, 0]), float(pose[0, 1]))
+            new_region = region_of(leader, cfg, previous=region)
+            if new_region is not region:
+                switch_step = k
+                events.append(Event(k, t, "switch", "informed robot reached "
+                                    "the switch distance"))
+            region = new_region
         offsets, dist = _offsets(pose, upper)
         if accreting and _accrete_edges(mask, dist, upper, threshold):
             kernel.jets.set_mask(mask)
-        phi[k], _ = kernel(pose, offsets, dist, region, fallback, ctrl[k],
+        phi[k], _ = kernel(pose, leader, offsets, dist, region, ctrl[k],
                            poses[k + 1])
 
         avoiding = region is RegionFlag.COLLISION_FREE
         times[k] = t
         regions[k] = 0 if avoiding else 1
-        dists[k] = watched[:n_pairs] = dist
-        np.hypot(pose[:, 0], pose[:, 1], out=watched[n_pairs:])
-        reached = watched >= high
+        dists[k] = watched_dist[...] = dist
+        np.hypot(pose[:, 0], pose[:, 1], out=watched_norms)
         if avoiding:
-            reached |= watched <= low
-        if np.count_nonzero(reached):
+            np.negative(watched, out=negated)
+            reached = np.count_nonzero(screened >= bounds)
+        else:
+            reached = np.count_nonzero(watched >= high)
+        if reached:
             step_events = monitor_invariants(pose[:, :2], dists[k], pairs,
                                              monitored, region, cfg, k, t)
             events.extend(step_events)
@@ -359,23 +399,14 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
         # the informed robot's goal distance, the same ufunc on the same
         # operands as its entry of the vector test, screens that test
         converged = (
-            np.hypot(pose[0, 0] - goal_x, pose[0, 1] - goal_y)
+            np.hypot(leader[0] - goal_x, leader[1] - goal_y)
             < cfg.position_tolerance
             and np.hypot(pose[:, 0] - goal_x, pose[:, 1] - goal_y).max()
             < cfg.position_tolerance
             and np.abs(ctrl[k, :, 3]).max() < cfg.heading_tolerance)
-        if converged or k >= max_steps:
-            k += 1
-            break
-
-        fallback = ctrl[k, :, 2]
-        new_region = region_of(poses[k + 1, 0, :2], cfg, previous=region)
-        if new_region is not region:
-            switch_step = k + 1
-            events.append(Event(k + 1, (k + 1) * cfg.time_step, "switch",
-                                "informed robot reached the switch distance"))
-        region = new_region
         k += 1
+        if converged or k > max_steps:
+            break
 
     log = TrajectoryLog(
         times=times[:k], poses=poses[:k], controls=ctrl[:k], phi=phi[:k],

@@ -46,17 +46,20 @@ class CallCounts:
 
     ``where`` holds the calls given a ``where=`` argument; ``helpers`` the
     dispatched functions (everything counted that is neither a ufunc nor a
-    method).
+    method). Of the ufunc calls (not their methods), ``scalar`` holds those
+    given a scalar operand, a Python or numpy number, and ``broadcast``
+    those whose array operands and ``out`` arrays are not all of one shape.
     """
 
+    TALLIES = ("calls", "where", "helpers", "scalar", "broadcast")
+
     def __init__(self):
-        self.calls = Counter()
-        self.where = Counter()
-        self.helpers = Counter()
+        for name in self.TALLIES:
+            setattr(self, name, Counter())
 
     def __sub__(self, other):
         diff = CallCounts()
-        for name in ("calls", "where", "helpers"):
+        for name in self.TALLIES:
             setattr(diff, name, getattr(self, name) - getattr(other, name))
         return diff
 
@@ -84,7 +87,8 @@ def _caller():
     return f"{module}.{getattr(code, 'co_qualname', code.co_name)}"
 
 
-def _record(name, kwargs, helper=False):
+def _record(name, kwargs, helper=False, operands=None):
+    """Count one call; ``operands`` holds a ufunc call's inputs."""
     if not _active:
         return
     function = _caller()
@@ -96,6 +100,14 @@ def _record(name, kwargs, helper=False):
         counts.where[function, name] += 1
     if helper:
         counts.helpers[function, name] += 1
+    if operands is not None:
+        if any(isinstance(x, (int, float, complex, np.generic))
+               for x in operands):
+            counts.scalar[function, name] += 1
+        out = kwargs.get("out")
+        arrays = [*operands, *(out if isinstance(out, tuple) else (out,))]
+        if len({x.shape for x in arrays if isinstance(x, np.ndarray)}) > 1:
+            counts.broadcast[function, name] += 1
 
 
 def _plain(x):
@@ -126,9 +138,10 @@ class Counted(np.ndarray):
     """An ndarray whose numpy calls are counted (see the module docstring)."""
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        name = ufunc.__name__ if method == "__call__" else (
-            f"{ufunc.__name__}.{method}")
-        _record(name, kwargs)
+        if method == "__call__":
+            _record(ufunc.__name__, kwargs, operands=inputs)
+        else:
+            _record(f"{ufunc.__name__}.{method}", kwargs)
         return _call(getattr(ufunc, method), inputs, kwargs)
 
     def __array_function__(self, func, types, args, kwargs):
@@ -156,7 +169,7 @@ class _CountedUfunc:
         self._ufunc = ufunc
 
     def __call__(self, *args, **kwargs):
-        _record(self._ufunc.__name__, kwargs)
+        _record(self._ufunc.__name__, kwargs, operands=args)
         return _call(self._ufunc, args, kwargs)
 
     def __getattr__(self, name):

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rendezsim import RegionFlag
-from rendezsim.fields import (follower_terms, navfunc_leader,
-                              sigmoid_collision)
+from rendezsim import RegionFlag, fields
+from rendezsim.fields import (follower_terms, navfunc_follower,
+                              navfunc_leader, sigmoid_collision)
 from rendezsim.gradients import (fd_hessian, follower_field_eval,
                                  grad_navfunc_follower, leader_field_eval)
 
@@ -312,3 +312,47 @@ class TestHessianOracle:
         mixed = follower_field_eval(p, [p.copy(), p + np.array([0.6, 0.8])],
                                     region, params, gradient_mode=mode)
         assert np.all(np.isfinite(mixed.hessian))
+
+
+class TestOneWalk:
+    """follower_field_eval takes its "full" value from the quotient that the
+    gradient already forms, so it walks a follower's neighbors once."""
+
+    @staticmethod
+    def two_walks(p, qs, region, params, mode):
+        bundle = grad_navfunc_follower(p, qs, region, params,
+                                       gradient_mode=mode)
+        return (navfunc_follower(p, qs, region, params), bundle.gradient,
+                bundle.hessian)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.2, 2.0])
+    @pytest.mark.parametrize("mode", ["full", "paper"])
+    @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
+                                        RegionFlag.RENDEZVOUS])
+    def test_matches_the_two_walk_form(self, params_s5, alpha, mode, region):
+        params = replace(params_s5, field_exponent=alpha)
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            p, qs = random_follower_state(rng, d_range=(0.0, 2.2))
+            ev = follower_field_eval(p, qs, region, params,
+                                     gradient_mode=mode)
+            value, grad, hess = self.two_walks(p, qs, region, params, mode)
+            assert np.float64(ev.value).tobytes() == np.float64(
+                value).tobytes()
+            assert ev.gradient.tobytes() == grad.tobytes()
+            assert ev.hessian.tobytes() == hess.tobytes()
+
+    @pytest.mark.parametrize("mode, calls", [("full", 3), ("paper", 6)])
+    def test_one_sigmoid_per_edge(self, params_s5, monkeypatch, mode, calls):
+        made = []
+        sigmoid = fields.sigmoid_connectivity
+
+        def count(*args):
+            made.append(args[0])
+            return sigmoid(*args)
+        monkeypatch.setattr(fields, "sigmoid_connectivity", count)
+        p = np.array([0.5, -0.5])
+        qs = [p + np.array(v) for v in ((0.7, 0.0), (0.0, -1.1), (1.2, 0.9))]
+        follower_field_eval(p, qs, RegionFlag.COLLISION_FREE, params_s5,
+                            gradient_mode=mode)
+        assert len(made) == calls

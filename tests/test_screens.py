@@ -14,8 +14,11 @@ import pytest
 from rendezsim import RegionFlag, run, sim
 from rendezsim.control import control_laws
 from rendezsim.fields import region_of
-from rendezsim.gradients import DISTANCE_FLOOR, JetKernel, _quotient_jet
-from rendezsim.model import TWO_PI, wrap_angles
+from rendezsim import gradients
+from rendezsim.fields import logistic_negated
+from rendezsim.gradients import (DISTANCE_FLOOR, JetKernel, _quotient_jet,
+                                 quotient_rows)
+from rendezsim.model import TWO_PI, turn_angles, wrap_angles
 
 from conftest import make_states, small_config
 
@@ -38,7 +41,8 @@ def integrate_before(poses, vs, ws, dt):
     return out
 
 
-def quotient_jet_before(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta):
+def quotient_jet_before(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta,
+                        value_beta=None):
     inv_alpha = 1.0 / alpha
     gamma_a = gamma ** alpha
     s = gamma_a + beta
@@ -56,7 +60,15 @@ def quotient_jet_before(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta):
     fe = f * de[::-1]
     hxy = (0.5 * (a1 * (cross[0] + cross[1]) - fe[0] - fe[1])
            - gamma * ddbeta[1]) / e
+    if value_beta is not None:
+        root = (gamma_a + value_beta) ** inv_alpha
     return gamma / root, f, (diag[0], hxy, diag[1]), e
+
+
+def logistic_array_before(z):
+    """The step's logistic before the screen, of z = -y."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, 1.0, ez) / (1.0 + ez)
 
 
 def desired_heading_before(grad, fallback, floor):
@@ -139,11 +151,14 @@ class TestIntegrateInline:
         assert same_bits(got, integrate_before(poses, vs, ws, 0.1))
 
 
-class TestQuotientPower:
-    @pytest.mark.parametrize("alpha", [1.0, 1.2, 2.0])
-    def test_plain_power_matches_the_masked_one(self, alpha):
-        rng = np.random.default_rng(3)
-        n = 6
+class TestQuotientRule:
+    """The quotient rule over duplicated rows, with its constants as rows
+    and beta's Hessian as (xx, yy, xy), against the formula over (n,) rows
+    and scalar constants."""
+
+    @staticmethod
+    def inputs(n, seed=3):
+        rng = np.random.default_rng(seed)
         gamma = rng.uniform(0.0, 3.0, n)
         dgamma = rng.normal(size=(2, n))
         # at gamma = 0 the gradient of gamma vanishes, with either sign
@@ -151,15 +166,79 @@ class TestQuotientPower:
         dgamma[:, 1] = 0.0
         dgamma[:, 2] = -0.0
         gamma[4] = math.nan
-        args = (alpha, gamma, dgamma, np.full(n, 4.0),
+        return (gamma, dgamma, rng.uniform(2.0, 8.0, n),
                 rng.uniform(0.1, 1.0, n), rng.normal(size=(2, n)),
-                rng.normal(size=(3, n)))
-        got = _quotient_jet(*args)
-        expected = quotient_jet_before(*args)
+                rng.normal(size=(3, n)), rng.uniform(0.1, 1.0, n))
+
+    @staticmethod
+    def check(got, expected):
         for a, b in zip(got[:2] + got[3:], expected[:2] + expected[3:]):
             assert same_bits(a, b)
         for a, b in zip(got[2], expected[2]):
             assert same_bits(a, b)
+
+    @pytest.mark.parametrize("value", [False, True])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 2.0, 3.0])
+    def test_equal_shapes_match_the_broadcast_form(self, alpha, value):
+        n = 6
+        gamma, dgamma, lap, beta, dbeta, ddbeta, value_beta = self.inputs(n)
+        value_beta = value_beta if value else None
+        got = _quotient_jet(
+            alpha, quotient_rows(alpha, n), np.array([gamma] * 3), dgamma,
+            np.array([lap, lap]), np.array([beta, beta]), dbeta,
+            ddbeta[[0, 2, 1]], value_beta)
+        expected = quotient_jet_before(alpha, gamma, dgamma, lap, beta,
+                                       dbeta, ddbeta, value_beta)
+        self.check(got, expected)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 2.0, 3.0])
+    def test_one_robot_takes_floats(self, alpha):
+        gamma, dgamma, lap, beta, dbeta, ddbeta, _ = self.inputs(6)
+        for i in (0, 3, 5):
+            got = _quotient_jet(
+                alpha, quotient_rows(alpha), float(gamma[i]), dgamma[:, i],
+                float(lap[i]), float(beta[i]), dbeta[:, i],
+                ddbeta[[0, 2, 1], i])
+            expected = quotient_jet_before(
+                alpha, float(gamma[i]), dgamma[:, i], float(lap[i]),
+                float(beta[i]), dbeta[:, i], ddbeta[:, i])
+            self.check(got, expected)
+
+
+def logistic_before(y, minus_zero, one):
+    """``logistic_negated`` by the formula it replaced."""
+    return logistic_array_before(-y)
+
+
+class TestLogisticNegated:
+    SPECIAL = [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0,
+               math.nan, -math.nan]
+
+    @staticmethod
+    def negated(z):
+        y = -np.asarray(z, dtype=float)
+        return logistic_negated(y, np.full(y.shape, -0.0), np.ones(y.shape))
+
+    @pytest.mark.parametrize("z", SPECIAL)
+    def test_special_values(self, z):
+        # alone, and beside a value that sends the row to the other path
+        for row in ([z], [z, 1.0], [z, -1.0]):
+            assert same_bits(self.negated(row),
+                             logistic_array_before(np.array(row)))
+
+    def test_random_arguments(self):
+        rng = np.random.default_rng(11)
+        z = np.concatenate([rng.normal(0.0, 20.0, (2, 500)),
+                            rng.uniform(-1e-15, 1e-15, (2, 50))], axis=1)
+        assert same_bits(self.negated(z), logistic_array_before(z))
+        # every argument >= 0: the screened branch
+        assert same_bits(self.negated(np.abs(z)),
+                         logistic_array_before(np.abs(z)))
+
+    def test_nan_signs(self):
+        nan = np.array([math.nan, -math.nan, np.copysign(math.nan, -1.0)])
+        for z in (nan, nan[::-1]):
+            assert same_bits(self.negated(z), logistic_array_before(z))
 
 
 class TestFollowerDivides:
@@ -206,6 +285,72 @@ class TestFollowerDivides:
         if not math.isnan(bad):  # under the floor: the edge adds no slope
             assert bad < DISTANCE_FLOOR
             assert all(np.isfinite(x).all() for x in masked)
+
+
+class TestKernelLogistic:
+    """While avoiding, a sensed pair under margin/2 gives B(d) a positive
+    argument, so the kernel's logistic takes its general path; the jets must
+    equal those made with the formula it replaced."""
+
+    @pytest.mark.parametrize("mode", ["full", "paper"])
+    def test_pair_under_half_margin(self, monkeypatch, mode):
+        poses = np.array([[-4.0, -2.0, 0.5], [-4.8, -2.5, -1.0],
+                          [-4.7, -2.45, 2.0], [-3.4, -2.9, 0.0]])
+        n = len(poses)
+        mask = ~np.eye(n, dtype=bool)
+        cfg = small_config(
+            n_robots=n, gradient_mode=mode, linear_gains=[1.0] * n,
+            angular_gains=[1.0] * n, initial_states=make_states(poses))
+        offsets, dist = sim._offsets(poses, np.triu_indices(n, 1))
+        assert dist.min() < 0.5 * cfg.collision_margin
+        args = (poses[0, :2].tolist(), offsets, dist,
+                RegionFlag.COLLISION_FREE)
+        kernel = JetKernel(cfg, mask)
+        positive = []
+
+        def spy(y, minus_zero, one):
+            positive.append(np.count_nonzero(y > 0.0))
+            return logistic_negated(y, minus_zero, one)
+        monkeypatch.setattr(gradients, "logistic_negated", spy)
+        got = [np.array(x, dtype=float) for x in kernel(*args)]
+        assert positive == [2]  # the pair, once from each side
+        monkeypatch.setattr(gradients, "logistic_negated", logistic_before)
+        expected = [np.array(x, dtype=float) for x in kernel(*args)]
+        for a, b in zip(got, expected):
+            assert same_bits(a, b)
+
+
+class TestHeadingError:
+    """control_laws wraps theta - theta_d with one turn and no fmod: the
+    fmod form's bits wherever theta is wrapped, in (-pi, pi], and theta_d
+    lies in [-pi, pi]."""
+
+    EDGES = [PI, -PI, math.nextafter(PI, 0.0), math.nextafter(PI, 4.0),
+             math.nextafter(-PI, 0.0), math.nextafter(-PI, -4.0), 0.0, -0.0,
+             math.nextafter(TWO_PI, 0.0), -math.nextafter(TWO_PI, 0.0),
+             TWO_PI, math.nan, 3.5, -3.5, 6.0, -6.0]
+
+    def test_one_turn_matches_the_fmod_form(self):
+        x = np.array(self.EDGES)
+        assert same_bits(turn_angles(x), wrap_angles_before(x))
+        out = np.empty(len(x))
+        assert turn_angles(x, out=out) is out
+        assert same_bits(out, wrap_angles_before(x))
+
+    def test_heading_error_matches_the_fmod_form(self):
+        up, down = math.nextafter(-PI, 0.0), math.nextafter(PI, 0.0)
+        pairs = [(PI, -PI), (PI, 0.0), (PI, up), (down, -PI), (up, 0.0),
+                 (up, down), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0),
+                 (0.5, -3.0), (-3.0, 0.5), (-1.0, PI), (1.0, -PI),
+                 (PI, PI), (up, up), (math.nan, 0.5)]
+        theta, held = (np.array(c) for c in zip(*pairs))
+        n = len(theta)
+        # a zero gradient holds theta_d at the fallback
+        out = control_laws(np.zeros((2, n)), np.zeros((3, n)), theta, held,
+                           np.ones(n), np.ones(n), np.full(n, 1e-6),
+                           pi=np.full(n, PI))
+        assert same_bits(out[2], held)
+        assert same_bits(out[3], wrap_angles_before(theta - held))
 
 
 class TestDesiredHeading:

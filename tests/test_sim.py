@@ -281,20 +281,22 @@ class TestEdgeList:
         jets = kernel.jets
         edges = mask[1:].sum()
         assert 0 < edges < n * (n - 1) / 4
-        assert jets.m.shape == jets.z.shape == (2, edges)
-        assert jets.terms.shape == (9, edges)
-        assert jets.d.shape == jets.w.shape == (edges,)
+        assert jets.m.shape == jets.dist_rows.shape == jets.w.shape
+        assert jets.m.shape == (2, edges)
+        assert jets.terms.shape == (14, edges)
 
         poses = np.array([[*s.position, s.heading] for s in states])
         offsets, dist = sim._offsets(poses, np.triu_indices(n, 1))
         assert offsets.shape == (2, n * (n - 1) // 2) == (2, len(dist))
-        kernel(poses, offsets, dist, RegionFlag.COLLISION_FREE,
-               poses[:, 2].copy(), np.empty((n, 5)), np.empty((n, 3)))
+        kernel.theta_d[...] = poses[:, 2]
+        kernel(poses, poses[0, :2].tolist(), offsets, dist,
+               RegionFlag.COLLISION_FREE, np.empty((n, 5)), np.empty((n, 3)))
         i, j = np.nonzero(mask[1:])
         gap = poses[i + 1, :2] - poses[j, :2]
         assert np.array_equal(jets.m, gap.T)
-        assert np.array_equal(jets.d, np.sqrt(gap[:, 0] * gap[:, 0]
-                                              + gap[:, 1] * gap[:, 1]))
+        for d in jets.dist_rows:  # once per factor row
+            assert np.array_equal(d, np.sqrt(gap[:, 0] * gap[:, 0]
+                                             + gap[:, 1] * gap[:, 1]))
 
 
 def assert_controls_match(got, ref):

@@ -9,6 +9,7 @@ one is a claim.
 """
 
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -21,17 +22,21 @@ from numpy_calls import counting
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
                          "rendezvous_s5.scn")
 
-# (total, calls given where=) per step. Before the exact screens each of the
-# three steps made 8 where= calls, and 154, 147 and 154 calls in all
+# (total, calls given where=, ufunc calls given a scalar operand, ufunc
+# calls whose operands differ in shape) per step. Before the exact screens
+# each of the three steps made 8 where= calls, and 154, 147 and 154 calls in
+# all. Before every operand became an array of its partner's shape each step
+# made 25 scalar-operand calls and 15 broadcasting ones; the 5 scalar ones
+# left are the quotient rule's four exponents and the stop screen's hypot
 BUDGET = {
-    "reference": (138, 0),
-    "rendezvous": (133, 0),
-    "sparse48": (138, 0),
+    "reference": (136, 0, 5, 0),
+    "rendezvous": (133, 0, 5, 0),
+    "sparse48": (138, 0, 5, 0),
 }
-# calls of numpy's Python-level helpers per step: the logistic's np.where
-# stays, np.sinc and np.copyto are met only on steps the screens send to
-# their masked paths
-HELPERS = {"sinc": 0, "where": 1, "copyto": 0}
+# calls of numpy's Python-level helpers per step: np.sinc and np.copyto are
+# met only on steps the screens send to their masked paths, and the
+# logistic needs no np.where
+HELPERS = {"sinc": 0, "where": 0, "copyto": 0}
 
 
 def _reference():
@@ -84,9 +89,13 @@ def counted_step(request):
 
 def test_calls_per_step_within_budget(counted_step):
     name, counts = counted_step
-    total, where = BUDGET[name]
+    total, where, scalar, broadcast = BUDGET[name]
     assert counts.total() <= total, sorted(counts.per_function().items())
     assert sum(counts.where.values()) <= where, sorted(counts.where.items())
+    assert sum(counts.scalar.values()) <= scalar, sorted(
+        counts.scalar.items())
+    assert sum(counts.broadcast.values()) <= broadcast, sorted(
+        counts.broadcast.items())
 
 
 def test_numpy_helpers_per_step(counted_step):
@@ -114,7 +123,8 @@ class TestCounter:
             np.add(theta, theta)  # made here, not by rendezsim
             model.wrap_angles(theta)
         functions = {f for f, _ in counts.calls}
-        assert functions == {"model.wrap_angles"}
+        # the two angles past pi take the turn, a function of its own
+        assert functions == {"model.wrap_angles", "model.turn_angles"}
 
     def test_numpy_internals_are_not_counted(self):
         from rendezsim import sim
@@ -128,9 +138,44 @@ class TestCounter:
 
     def test_where_calls_are_tallied(self):
         from rendezsim import gradients
+        gamma = np.array([[0.0, 1.0]] * 3)
         with counting() as counts:
             # exponents under 1 keep the masked power
-            gradients._quotient_jet(0.5, np.array([0.0, 1.0]),
-                                    np.zeros((2, 2)), 2.0, np.ones(2),
-                                    np.zeros((2, 2)), np.zeros((3, 2)))
+            gradients._quotient_jet(
+                0.5, gradients.quotient_rows(0.5, 2), gamma, np.zeros((2, 2)),
+                np.full((2, 2), 2.0), np.ones((2, 2)), np.zeros((2, 2)),
+                np.zeros((3, 2)))
         assert sum(counts.where.values()) == 1
+
+    def test_scalar_operands_are_tallied(self):
+        from rendezsim import model
+        theta = np.array([0.5, -1.0, 2.0])
+        with counting() as counts:
+            model.wrap_angles(theta, pi=np.full(3, math.pi))
+        assert counts.calls["model.wrap_angles", "less"] == 1
+        assert not counts.scalar
+        with counting() as counts:
+            model.wrap_angles(theta)  # the screen's bound, a float
+        assert counts.scalar == {("model.wrap_angles", "less"): 1}
+        with counting() as counts:
+            # two bounds and 2 pi, on an array made inside the window, whose
+            # operators are counted too
+            model.turn_angles(np.array([0.5, 4.0, -4.0]))
+        assert sum(counts.scalar.values()) == 3
+        assert not counts.broadcast
+
+    def test_broadcast_operands_are_tallied(self):
+        from rendezsim import model
+        theta = np.array([0.5, -1.0, 2.0])
+        out = np.empty(3)
+        with counting() as counts:
+            model.wrap_angles(theta, out=out, pi=np.full(3, math.pi))
+        assert counts.calls["model.wrap_angles", "less"] == 1
+        assert not counts.broadcast
+        with counting() as counts:
+            # a (1,) bound beside the (3,) angles
+            model.wrap_angles(theta, out=out, pi=np.array([math.pi]))
+        assert counts.broadcast == {("model.wrap_angles", "less"): 1}
+        with counting() as counts:
+            np.add(theta, np.array([1.0]))  # made here, not by rendezsim
+        assert not counts.broadcast
