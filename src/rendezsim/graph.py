@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RobotState
+from .model import RobotState, planar_norm
 
 
 class GraphError(ValueError):
@@ -41,8 +41,7 @@ def build_topology(states: list[RobotState], sensing_radius: float) -> Topology:
     hand-built asymmetric topologies can use the same algorithms.
     """
     pos = np.array([s.position for s in states]).reshape(len(states), 2)
-    gap = pos[:, None, :] - pos[None, :, :]
-    near = np.sqrt((gap * gap).sum(axis=2)) < sensing_radius
+    near = planar_norm(pos[:, None, :] - pos[None, :, :]) < sensing_radius
     np.fill_diagonal(near, False)
     return Topology(near)
 

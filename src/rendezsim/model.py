@@ -81,6 +81,27 @@ def turn_angles(theta: np.ndarray,
     return np.subtract(theta, turns, out=out)
 
 
+def planar_norm(v: np.ndarray) -> np.ndarray:
+    """Lengths of the 2-vectors along the last axis: sqrt(x*x + y*y).
+
+    Rounded as ``np.linalg.norm(v, axis=-1)`` rounds them, one product per
+    axis and one sum with no fused multiply-add. ``graph.build_topology``
+    and the seeded sampler both measure robot distances with it.
+    """
+    x, y = v[..., 0], v[..., 1]
+    return np.sqrt(x * x + y * y)
+
+
+def outside_workspace(positions: np.ndarray,
+                      workspace_radius: float) -> np.ndarray:
+    """Where positions ``(..., 2)`` are not strictly inside the workspace.
+
+    The one test that the seeded sampler and validate_scenario both make,
+    so that they agree at the boundary.
+    """
+    return planar_norm(positions) >= workspace_radius
+
+
 @dataclass(frozen=True)
 class RobotState:
     """Pose of one robot. Ids are stable and 1-based."""
@@ -215,8 +236,11 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     ids = [s.id for s in cfg.initial_states]
     require(ids == list(range(1, cfg.n_robots + 1)),
             "robot ids must be 1..n_robots in order")
-    for s in cfg.initial_states:
-        require(float(np.linalg.norm(s.position)) < cfg.workspace_radius,
-                f"robot {s.id} must start strictly inside the workspace")
+    outside = np.flatnonzero(outside_workspace(
+        np.array([s.position for s in cfg.initial_states]),
+        cfg.workspace_radius))
+    if outside.size:
+        raise ScenarioError(f"robot {cfg.initial_states[outside[0]].id} "
+                            "must start strictly inside the workspace")
 
     return cfg

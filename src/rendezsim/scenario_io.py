@@ -26,10 +26,12 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .graph import build_topology, has_rooted_spanning_tree
+from .graph import Topology, has_rooted_spanning_tree
 from .model import (RobotState, ScenarioConfig, ScenarioError,
-                    validate_scenario)
+                    outside_workspace, planar_norm, validate_scenario)
 from .sim import AssumptionError, TrajectoryLog
+# not called here: rendezbench/tracing.py wraps this name
+from .graph import build_topology  # noqa: F401
 
 FORMAT_VERSION = 1
 
@@ -101,6 +103,16 @@ def _read_keys(section, keys, path, unknown="key", missing="required key"):
     return values
 
 
+# pair distances (or positions, for fewer than three robots) checked per
+# block of draws: enough that numpy's per-call cost is shared by hundreds of
+# small draws, few enough that a 48-robot draw is not drawn far past the
+# first one that passes
+_DRAW_BLOCK = 4096
+# one draw's stream order: count radii fractions, count angles, count headings
+_DRAW_LOW = np.array([[0.0], [-math.pi], [-math.pi]])
+_DRAW_HIGH = np.array([[1.0], [math.pi], [math.pi]])
+
+
 def seeded_deployment(seed: int, count: int, center: np.ndarray, spread: float,
                       min_separation: float, sensing_radius: float,
                       workspace_radius: float,
@@ -111,27 +123,34 @@ def seeded_deployment(seed: int, count: int, center: np.ndarray, spread: float,
     uniformly in the disk and uniform headings; an attempt is accepted when
     all robots are inside the workspace, pairwise separations respect
     ``min_separation``, and the sensing graph has a spanning tree rooted at
-    robot 1. The accepted attempt is a pure function of the seed.
+    robot 1. The accepted attempt is a pure function of the arguments.
+
+    Attempts are drawn and screened a block at a time, in one array pass,
+    and the first in draw order that passes is returned: the same poses as
+    drawing and checking one attempt after another.
     """
     rng = np.random.default_rng(seed)
     center = np.asarray(center, dtype=float)
-    upper = np.triu_indices(count, k=1)
-    for _ in range(max_attempts):
-        radii = spread * np.sqrt(rng.uniform(0.0, 1.0, count))
-        angles = rng.uniform(-math.pi, math.pi, count)
-        headings = rng.uniform(-math.pi, math.pi, count)
-        pts = center + np.stack([radii * np.cos(angles),
-                                 radii * np.sin(angles)], axis=1)
-        if np.any(np.linalg.norm(pts, axis=1) >= workspace_radius):
-            continue
-        if np.any(np.linalg.norm(pts[upper[0]] - pts[upper[1]], axis=1)
-                  < min_separation):
-            continue
-        states = [RobotState(i + 1, pts[i], float(headings[i]))
-                  for i in range(count)]
-        topo = build_topology(states, sensing_radius)
-        if has_rooted_spanning_tree(topo, root=1):
-            return states
+    first, second = np.triu_indices(count, k=1)
+    per_block = max(1, _DRAW_BLOCK // max(first.size, count))
+    for drawn in range(0, max_attempts, per_block):
+        k = min(per_block, max_attempts - drawn)
+        fractions, angles, headings = rng.uniform(
+            _DRAW_LOW, _DRAW_HIGH, (k, 3, count)).transpose(1, 0, 2)
+        radii = spread * np.sqrt(fractions)
+        pts = np.stack([radii * np.cos(angles), radii * np.sin(angles)],
+                       axis=2)
+        pts += center
+        dists = planar_norm(pts.take(first, 1) - pts.take(second, 1))
+        ok = ~outside_workspace(pts, workspace_radius).any(axis=1)
+        ok &= ~(dists < min_separation).any(axis=1)
+        for j in np.flatnonzero(ok).tolist():
+            near = np.zeros((count, count), dtype=bool)
+            near[first, second] = dists[j] < sensing_radius
+            near |= near.T
+            if has_rooted_spanning_tree(Topology(near), root=1):
+                return [RobotState(i, p, h) for i, (p, h) in enumerate(
+                    zip(pts[j].copy(), headings[j].tolist()), start=1)]
     raise AssumptionError(
         f"seeded deployment: no connected draw in {max_attempts} attempts")
 
@@ -385,14 +404,13 @@ def _read_meta(path, header) -> dict:
     return meta
 
 
-def _read_table(path, header, per_step, unit, steps=None):
-    """A file's metadata, and the numbers below its column names per step.
+def _read_table(path, meta, header, per_step, unit, steps=None):
+    """The numbers below a file's metadata ``meta`` and column names, per step.
 
     ``steps`` (default: as many as the rows begin) blocks of ``per_step``
     rows of the columns in ``header``; a ValueError names the file when it
     has no rows, another row count or another column count.
     """
-    meta = _read_meta(path, header)
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
@@ -412,7 +430,7 @@ def _read_table(path, header, per_step, unit, steps=None):
         raise ValueError(f"{path}: {len(data)} data rows, expected "
                          f"{steps * per_step} ({steps} steps x {per_step} "
                          f"{unit})")
-    return meta, data.reshape(steps, per_step, -1)
+    return data.reshape(steps, per_step, -1)
 
 
 def load_trajectory(log_dir: str) -> TrajectoryLog:
@@ -425,7 +443,7 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
             raise ValueError(f"{traj_path}: missing metadata key '{key}'")
     n = int(meta["n_robots"])
 
-    _, data = _read_table(traj_path, _TRAJ_HEADER, n, "robots")
+    data = _read_table(traj_path, meta, _TRAJ_HEADER, n, "robots")
     times = data[:, 0, 0]
     poses = data[:, :, 2:5]
     controls = data[:, :, 5:10]
@@ -434,8 +452,9 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
 
     n_pairs = n * (n - 1) // 2
     if n_pairs:
-        dmeta, ddata = _read_table(dist_path, _DIST_HEADER, n_pairs,
-                                   "pairs", len(times))
+        dmeta = _read_meta(dist_path, _DIST_HEADER)
+        ddata = _read_table(dist_path, dmeta, _DIST_HEADER, n_pairs, "pairs",
+                            len(times))
         for key in _REQUIRED_META:
             if dmeta.get(key) != meta[key]:
                 raise ValueError(f"{dist_path}: metadata '{key}' is "

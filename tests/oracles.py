@@ -5,8 +5,9 @@ The simulator runs every robot through array kernels (``gradients.JetKernel``,
 them: a central-difference gradient, the scalar potential each gradient law
 descends, the constraint product's gradient (read off
 ``fields.follower_terms``), the informed robot's gradient, the follower
-Laplacian of the consensus analysis, and the one-pose exact step. They moved
-here from ``gradients``, ``graph`` and ``sim``.
+Laplacian of the consensus analysis, the one-pose exact step, and the
+seeded deployment drawn and checked one attempt at a time. They moved here
+from ``gradients``, ``graph``, ``sim`` and ``scenario_io``.
 """
 
 import math
@@ -16,9 +17,10 @@ import numpy as np
 
 from rendezsim.fields import follower_terms, navfunc_follower
 from rendezsim.gradients import ScalarField, _leader_jet
-from rendezsim.graph import GraphError, Topology
-from rendezsim.model import RegionFlag, ScenarioConfig
-from rendezsim.sim import _integrate_all
+from rendezsim.graph import (GraphError, Topology, build_topology,
+                             has_rooted_spanning_tree)
+from rendezsim.model import RegionFlag, RobotState, ScenarioConfig
+from rendezsim.sim import AssumptionError, _integrate_all
 
 Edge = tuple[int, int]
 
@@ -100,3 +102,36 @@ def integrate_pose(pose: np.ndarray, v: float, omega: float,
     out = _integrate_all(np.asarray(pose, dtype=float).reshape(1, 3),
                          np.array([v]), np.array([omega]), dt)
     return out[0]
+
+
+def sequential_deployment(seed: int, count: int, center: np.ndarray,
+                          spread: float, min_separation: float,
+                          sensing_radius: float, workspace_radius: float,
+                          max_attempts: int = 1000) -> list[RobotState]:
+    """``scenario_io.seeded_deployment`` one attempt at a time.
+
+    Each attempt draws its radii, angles and headings with three calls and
+    checks the workspace, the separations and, through ``build_topology``,
+    the rooted spanning tree.
+    """
+    rng = np.random.default_rng(seed)
+    center = np.asarray(center, dtype=float)
+    upper = np.triu_indices(count, k=1)
+    for _ in range(max_attempts):
+        radii = spread * np.sqrt(rng.uniform(0.0, 1.0, count))
+        angles = rng.uniform(-math.pi, math.pi, count)
+        headings = rng.uniform(-math.pi, math.pi, count)
+        pts = center + np.stack([radii * np.cos(angles),
+                                 radii * np.sin(angles)], axis=1)
+        if np.any(np.linalg.norm(pts, axis=1) >= workspace_radius):
+            continue
+        if np.any(np.linalg.norm(pts[upper[0]] - pts[upper[1]], axis=1)
+                  < min_separation):
+            continue
+        states = [RobotState(i + 1, pts[i], float(headings[i]))
+                  for i in range(count)]
+        topo = build_topology(states, sensing_radius)
+        if has_rooted_spanning_tree(topo, root=1):
+            return states
+    raise AssumptionError(
+        f"seeded deployment: no connected draw in {max_attempts} attempts")

@@ -727,6 +727,17 @@ class TestCli:
         write_lines(path, lines)
         assert main(["check", str(path)]) == 2
 
+    def test_seeded_assumption_failure_exit_code(self, tmp_path, capsys):
+        # every draw that keeps the robots min_separation apart puts them
+        # out of sensing range: the sampler runs out of attempts
+        lines = minimal_lines(SEEDED)
+        lines[-1] = "min_separation = 2.0"
+        path = tmp_path / "apart.scn"
+        write_lines(path, lines)
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: seeded deployment: no connected draw in 1000 attempts\n")
+
     def test_run_and_metrics_and_plots(self, tmp_path, capsys):
         path = tmp_path / "tiny.scn"
         write_lines(path, minimal_lines(horizon="0.05"))

@@ -122,3 +122,11 @@ class TestValidateScenario:
             [(-29.99, -2.0, 0.5), (-4.8, -2.5, -1.0), (-3.4, -2.9, 2.0)]))
         with pytest.raises(ScenarioError, match="inside the workspace"):
             validate_scenario(cfg)
+
+    def test_first_robot_outside_is_named(self):
+        # robot 2 sits on the boundary and robot 3 beyond it
+        cfg = small_config(initial_states=make_states(
+            [(-4.0, -2.0, 0.5), (-30.0, 0.0, -1.0), (0.0, 31.0, 2.0)]))
+        with pytest.raises(ScenarioError, match="^robot 2 must start "
+                           "strictly inside the workspace$"):
+            validate_scenario(cfg)
