@@ -51,13 +51,16 @@ def has_rooted_spanning_tree(topo: Topology, root: int) -> bool:
 
     Edge (i, j) means i senses j, so information flows j -> i: a robot is
     reached once it senses a reached robot. Each pass reaches every robot
-    one hop further, so at most n passes decide.
+    one hop further, so at most n passes decide. The reached set only
+    grows, so a pass that reaches no more robots reaches no new one.
     """
     if not 1 <= root <= topo.n:
         raise GraphError(f"root {root} outside 1..{topo.n}")
     reached = np.arange(1, topo.n + 1) == root
+    count = 1
     while True:
-        grown = reached | topo.adjacency @ reached
-        if np.array_equal(grown, reached):
-            return bool(reached.all())
-        reached = grown
+        reached |= topo.adjacency @ reached
+        grown = np.count_nonzero(reached)
+        if grown == count:
+            return bool(grown == topo.n)
+        count = grown

@@ -232,6 +232,12 @@ DISTANCES_FILE = "distances.csv"
 
 _TRAJ_HEADER = "t,id,x,y,theta,v,omega,theta_d,theta_tilde,theta_d_dot,phi,region"
 _DIST_HEADER = "t,i,j,d,monitored"
+# one record per data row of each file: floats as float() reads them, ids,
+# pairs, region and monitored as narrow integers
+_TRAJ_ROW = np.dtype([("t", "f8"), ("id", "i4"), ("pose", "f8", 3),
+                      ("control", "f8", 5), ("phi", "f8"), ("region", "i1")])
+_DIST_ROW = np.dtype([("t", "f8"), ("i", "i4"), ("j", "i4"), ("d", "f8"),
+                      ("monitored", "i1")])
 # the metadata keys load_trajectory reads; it ignores the roles line
 _REQUIRED_META = ("n_robots", "goal_position", "goal_heading", "time_step",
                   "sensing_radius")
@@ -379,12 +385,14 @@ def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
     return traj_path, dist_path
 
 
-def _read_meta(path, header) -> dict:
+def _read_head(path, header) -> dict:
     """The ``# key = value`` lines that open an exported file.
 
     A repeated key, or a line below them other than the column names
     ``header``, is a ValueError naming the file: the data rows start one
-    line per key below the top, in the columns of ``header``.
+    line per key below the top, in the columns of ``header``. So is a file
+    with no data row, or whose first data row has another column count: a
+    structured parse would report that only as its dtype's column count.
     """
     meta = {}
     columns = None
@@ -398,71 +406,103 @@ def _read_meta(path, header) -> dict:
             if key in meta:
                 raise ValueError(f"{path}: repeated metadata key '{key}'")
             meta[key] = raw.strip()
-    if columns != header:
-        raise ValueError(f"{path}: column names {columns!r}, expected "
-                         f"{header!r}")
+        if columns != header:
+            raise ValueError(f"{path}: column names {columns!r}, expected "
+                             f"{header!r}")
+        # the first row loadtxt reads: it skips blank lines and comments
+        for line in fh:
+            first = line.split("#", 1)[0].strip()
+            if first:
+                break
+        else:
+            raise ValueError(f"{path}: no data rows")
+    found, expected = first.count(",") + 1, header.count(",") + 1
+    if found != expected:
+        raise ValueError(f"{path}: {found} columns, expected {expected}")
     return meta
 
 
-def _read_table(path, meta, header, per_step, unit, steps=None):
-    """The numbers below a file's metadata ``meta`` and column names, per step.
+def _read_table(path, meta, row, per_step, unit, steps=None):
+    """The rows below a file's metadata ``meta`` and column names, as
+    ``(steps, per_step)`` records of ``row``.
 
-    ``steps`` (default: as many as the rows begin) blocks of ``per_step``
-    rows of the columns in ``header``; a ValueError names the file when it
-    has no rows, another row count or another column count.
+    ``steps`` defaults to as many as the rows begin. A ValueError names the
+    file when a field does not parse as its column's type (an integer
+    column takes no ``1.0``), a row has another column count, or the file
+    has another row count.
     """
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        # an older numpy parses an integer field such as 1.0 through a
+        # float, with this warning; as an error, loadtxt rejects the field
+        warnings.filterwarnings("error", ".*integer via a float",
+                                DeprecationWarning)
         try:
-            data = np.loadtxt(path, delimiter=",", comments="#",
-                              skiprows=len(meta) + 1, ndmin=2)
+            data = np.loadtxt(path, dtype=row, delimiter=",", comments="#",
+                              skiprows=len(meta) + 1, ndmin=1)
         except ValueError as exc:  # a malformed row: name the file
             raise ValueError(f"{path}: {exc}") from None
-    if not len(data):
-        raise ValueError(f"{path}: no data rows")
-    columns = header.count(",") + 1
-    if data.shape[1] != columns:
-        raise ValueError(f"{path}: {data.shape[1]} columns, expected "
-                         f"{columns}")
     if steps is None:
         steps = -(-len(data) // per_step)
     if len(data) != steps * per_step:
         raise ValueError(f"{path}: {len(data)} data rows, expected "
                          f"{steps * per_step} ({steps} steps x {per_step} "
                          f"{unit})")
-    return data.reshape(steps, per_step, -1)
+    return data.reshape(steps, per_step)
+
+
+def _check_steps(path, bad, what):
+    """A ValueError naming the file and the first step where the
+    ``(steps, k)`` mask ``bad`` holds, followed by ``what``."""
+    if bad.any():
+        step = int(bad.any(axis=1).argmax())
+        raise ValueError(f"{path}: step {step} {what}")
 
 
 def load_trajectory(log_dir: str) -> TrajectoryLog:
-    """Rebuild a TrajectoryLog from exported files (events are not exported)."""
+    """Rebuild a TrajectoryLog from exported files (events are not exported).
+
+    Each step must repeat the first one's layout: ids 1..n with one ``t``
+    and one region in ``trajectory.csv``, and the pairs and ``monitored``
+    flags of step 0 at that step's ``t`` in ``distances.csv``. A ValueError
+    names the file where a step does not.
+    """
     traj_path = os.path.join(log_dir, TRAJECTORY_FILE)
     dist_path = os.path.join(log_dir, DISTANCES_FILE)
-    meta = _read_meta(traj_path, _TRAJ_HEADER)
+    meta = _read_head(traj_path, _TRAJ_HEADER)
     for key in _REQUIRED_META:
         if key not in meta:
             raise ValueError(f"{traj_path}: missing metadata key '{key}'")
     n = int(meta["n_robots"])
 
-    data = _read_table(traj_path, meta, _TRAJ_HEADER, n, "robots")
-    times = data[:, 0, 0]
-    poses = data[:, :, 2:5]
-    controls = data[:, :, 5:10]
-    phi = data[:, :, 10]
-    region = data[:, 0, 11].astype(np.int8)
+    traj = _read_table(traj_path, meta, _TRAJ_ROW, n, "robots")
+    times = traj["t"][:, 0]
+    region = traj["region"][:, 0]
+    _check_steps(traj_path, traj["id"] != np.arange(1, n + 1, dtype=np.int32),
+                 f"does not list ids 1..{n} in order")
+    _check_steps(traj_path, traj["t"] != times[:, None], "has more than one t")
+    _check_steps(traj_path, traj["region"] != region[:, None],
+                 "has more than one region")
 
     n_pairs = n * (n - 1) // 2
     if n_pairs:
-        dmeta = _read_meta(dist_path, _DIST_HEADER)
-        ddata = _read_table(dist_path, dmeta, _DIST_HEADER, n_pairs, "pairs",
-                            len(times))
+        dmeta = _read_head(dist_path, _DIST_HEADER)
+        dist = _read_table(dist_path, dmeta, _DIST_ROW, n_pairs, "pairs",
+                           len(times))
         for key in _REQUIRED_META:
             if dmeta.get(key) != meta[key]:
                 raise ValueError(f"{dist_path}: metadata '{key}' is "
                                  f"{dmeta.get(key)!r}, {TRAJECTORY_FILE} "
                                  f"has {meta[key]!r}")
-        pairs = tuple((int(i), int(j)) for i, j in ddata[0, :, 1:3])
-        distances = ddata[:, :, 3]
-        monitored = ddata[0, :, 4].astype(bool)
+        first = dist[0]
+        for name, what in (("i", "pairs"), ("j", "pairs"),
+                           ("monitored", "monitored flags")):
+            _check_steps(dist_path, dist[name] != first[name],
+                         f"lists other {what} than step 0")
+        _check_steps(dist_path, dist["t"] != times[:, None],
+                     f"has another t than {TRAJECTORY_FILE}")
+        pairs = tuple(first[["i", "j"]].tolist())
+        distances = dist["d"]
+        monitored = first["monitored"].astype(bool)
     else:
         pairs = ()
         distances = np.zeros((len(times), 0))
@@ -472,10 +512,10 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
     switch_step = int(switch[0]) if switch.size else None
     goal = np.array([float(x) for x in meta["goal_position"].split()])
     return TrajectoryLog(
-        times=times, poses=poses, controls=controls, phi=phi, region=region,
-        pairs=pairs, distances=distances, monitored=monitored,
-        events=[], switch_step=switch_step, goal_position=goal,
-        goal_heading=float(meta["goal_heading"]),
+        times=times, poses=traj["pose"], controls=traj["control"],
+        phi=traj["phi"], region=region, pairs=pairs, distances=distances,
+        monitored=monitored, events=[], switch_step=switch_step,
+        goal_position=goal, goal_heading=float(meta["goal_heading"]),
         time_step=float(meta["time_step"]),
         sensing_radius=float(meta["sensing_radius"]))
 

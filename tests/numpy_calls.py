@@ -19,6 +19,13 @@ A count is one of
 
 Indexing, slicing, attribute access and arithmetic on numpy scalars are not
 counted.
+
+An operator (``a > b``, ``a *= 2``) counts only when an operand is a
+``Counted`` array, that is, an array made inside the window. An operator on
+an array made outside it, such as an argument built before ``counting()``
+was entered, reaches numpy with no hook and is missed:
+``TestCounter.test_operators_on_arrays_made_outside_are_missed`` pins this.
+The step budgets hold because ``run()`` makes its arrays inside the window.
 """
 
 import os

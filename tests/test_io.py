@@ -250,9 +250,13 @@ class TestTrajectoryExport:
         # one robot: the distances file holds no rows
         dict(n_robots=1, linear_gains=[2.0], angular_gains=[8.0],
              initial_states=make_states([(-4.0, -2.0, 0.5)]), horizon=0.01),
+        # two robots: one pair, one distance row per step
+        dict(n_robots=2, linear_gains=[2.0, 4.0], angular_gains=[8.0, 8.0],
+             initial_states=make_states([(-4.0, -2.0, 0.5),
+                                         (-4.8, -2.5, -1.0)]), horizon=0.01),
         # one step: one row per file, which must still read as a table
         dict(horizon=0.001),
-    ], ids=["one_robot", "one_step"])
+    ], ids=["one_robot", "two_robots", "one_step"])
     def test_roundtrip_of_small_logs(self, tmp_path, overrides):
         log = run(small_config(**overrides))
         export_trajectory(log, str(tmp_path))
@@ -501,6 +505,26 @@ def drop_rows(path, count):
         fh.writelines(lines[:len(lines) - count])
 
 
+def edit_rows(path, edit):
+    """Rewrite the data rows of an export; ``edit`` changes them in place,
+    each a list of fields."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    at = [line.startswith("#") for line in lines].index(False) + 1
+    rows = [line.split(",") for line in lines[at:]]
+    edit(rows)
+    path.write_text("\n".join(lines[:at] + [",".join(r) for r in rows])
+                    + "\n", encoding="utf-8")
+
+
+def set_fields(cells):
+    """An edit for ``edit_rows`` that writes ``cells``, (row, column) ->
+    text; the column one past a row's last appends a field."""
+    def edit(rows):
+        for (row, column), text in cells.items():
+            rows[row][column:column + 1] = [text]
+    return edit
+
+
 @pytest.mark.filterwarnings("error")
 class TestLoadMismatch:
     """A truncated or mismatched export fails with the file and row counts."""
@@ -628,6 +652,56 @@ class TestLoadMismatch:
             encoding="utf-8")
         assert main(["metrics", str(exported)]) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    # (row, column) -> text, on 6 steps of 4 robots (24 trajectory rows)
+    # and 6 pairs (36 distance rows): step k starts at row 4k and 6k
+    @pytest.mark.parametrize("name, cells, message", [
+        ("trajectory.csv", {(9, 1): "1", (8, 1): "2"},
+         "step 2 does not list ids 1..4 in order"),
+        ("trajectory.csv", {(13, 0): "9.000000000"}, "step 3 has more than one t"),
+        ("trajectory.csv", {(21, 11): "0"}, "step 5 has more than one region"),
+        # pairs (1, 2) and (1, 3) swapped: they would load into each
+        # other's columns
+        ("distances.csv", {(18, 2): "3", (19, 2): "2"},
+         "step 3 lists other pairs than step 0"),
+        ("distances.csv", {(12 + k, 0): "9.000000000" for k in range(6)},
+         "step 2 has another t than trajectory.csv"),
+    ], ids=["ids_swapped", "two_times", "two_regions", "pairs_swapped",
+            "time_of_another_run"])
+    def test_step_must_repeat_the_first(self, exported, name, cells,
+                                        message):
+        path = exported / name
+        edit_rows(path, set_fields(cells))
+        with pytest.raises(ValueError) as info:
+            load_trajectory(str(exported))
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_monitored_flags_must_repeat(self, exported):
+        path = exported / "distances.csv"
+
+        def flip(rows):  # step 4, pair (1, 4)
+            rows[26][4] = "0" if rows[26][4] == "1" else "1"
+        edit_rows(path, flip)
+        with pytest.raises(ValueError) as info:
+            load_trajectory(str(exported))
+        assert str(info.value) == (
+            f"{path}: step 4 lists other monitored flags than step 0")
+
+    @pytest.mark.parametrize("name, cells, found", [
+        ("distances.csv", {(13, 4): "0.5"}, "'0.5'"),
+        ("trajectory.csv", {(13, 1): "1.0"}, "'1.0'"),
+        ("trajectory.csv", {(13, 11): "300"}, "'300'"),  # past int8
+        ("distances.csv", {(13, 5): "0"}, "5 columns but 6 were found"),
+    ], ids=["monitored_half", "id_float", "region_300", "extra_field"])
+    def test_row_that_does_not_parse_names_the_file(self, exported, name,
+                                                    cells, found):
+        # a later row, past the first one whose columns are counted
+        path = exported / name
+        edit_rows(path, set_fields(cells))
+        with pytest.raises(ValueError) as info:
+            load_trajectory(str(exported))
+        assert str(info.value).startswith(f"{path}: ")
+        assert found in str(info.value)
 
 
 class TestPlotScript:

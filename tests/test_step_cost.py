@@ -164,6 +164,19 @@ class TestCounter:
         assert sum(counts.scalar.values()) == 3
         assert not counts.broadcast
 
+    def test_operators_on_arrays_made_outside_are_missed(self):
+        # a known gap: an operator on a plain ndarray reaches numpy with no
+        # hook, so of turn_angles' comparisons and *= only the *= on its
+        # own np.subtract result counts; a counter that sees every operator
+        # fails here and this pin changes with it
+        from rendezsim import model
+        theta = np.array([0.5, 4.0, -4.0])
+        with counting() as counts:
+            model.turn_angles(theta)
+        assert counts.calls == {("model.turn_angles", "subtract"): 2,
+                                ("model.turn_angles", "multiply"): 1}
+        assert counts.scalar == {("model.turn_angles", "multiply"): 1}
+
     def test_broadcast_operands_are_tallied(self):
         from rendezsim import model
         theta = np.array([0.5, -1.0, 2.0])
