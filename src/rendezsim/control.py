@@ -75,8 +75,7 @@ def compute_control(robot: RobotState,
                     region: RegionFlag, cfg: ScenarioConfig,
                     k_v: float, k_w: float,
                     prev_theta_d: float | None = None,
-                    *, gradient_mode: str = "full",
-                    gradient_floor: float = 1e-9) -> ControlOutput:
+                    *, gradient_floor: float = 1e-9) -> ControlOutput:
     """Evaluate the robot's own potential and chain the four control laws.
 
     The informed robot (id 1) uses the dipolar goal potential and needs no
@@ -88,7 +87,7 @@ def compute_control(robot: RobotState,
         ev = leader_field_eval(robot.position, cfg)
     else:
         ev = follower_field_eval(robot.position, neighbor_positions, region,
-                                 cfg, gradient_mode=gradient_mode)
+                                 cfg)
     theta_d = desired_heading(ev.gradient, robot.heading, prev_theta_d,
                               gradient_floor)
     theta_tilde = normalize_angle(robot.heading - theta_d)

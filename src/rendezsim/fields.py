@@ -106,14 +106,13 @@ class FieldEval:
 
 def follower_terms(position: np.ndarray,
                    neighbor_positions: Sequence[np.ndarray],
-                   region: RegionFlag, cfg: ScenarioConfig,
-                   gradient_mode: str = "full"):
+                   region: RegionFlag, cfg: ScenarioConfig):
     """One follower's quotient inputs, from one pass over its neighbors.
 
     Returns gamma = sum |p - q_j|^2, its gradient, the product beta of the
-    gradient law's factors (b(d) B(d) in "full" mode while avoidance is on,
-    else b(d)), beta's gradient and Hessian (xx, xy, yy), and edge slopes,
-    as ``JetKernel.leader_terms`` does for the informed robot.
+    region's factors (b(d) B(d) while avoidance is on, else b(d)), beta's
+    gradient and Hessian (xx, xy, yy), and edge slopes, as
+    ``JetKernel.leader_terms`` does for the informed robot.
 
     Each factor is logistic in d_j, so its log-derivatives are closed form in
     the factor itself: (log b)' = -k_b (1 - b), (log b)'' = -k_b^2 b (1 - b),
@@ -126,7 +125,7 @@ def follower_terms(position: np.ndarray,
     if len(neighbor_positions) == 0:
         raise ValueError("follower has no neighbors; the initial graph must "
                          "give every follower at least one parent")
-    avoid = region is RegionFlag.COLLISION_FREE and gradient_mode == "full"
+    avoid = region is RegionFlag.COLLISION_FREE
     eps = cfg.sigmoid_eps
     k_b = sigmoid_gain(cfg.connectivity_buffer, eps)
     k_c = sigmoid_gain(cfg.collision_margin, eps)

@@ -1,16 +1,10 @@
 """Analytic gradients, Hessians and edge weights of the potentials.
 
-Two gradient laws are provided for followers, selected by ``gradient_mode``
-and stated for one follower by ``fields.follower_terms``:
-
-* ``"full"`` (default): exact gradient of the regional potential, including
-  the collision factors while collision avoidance is active.
-* ``"paper"``: gradient of the connectivity-only simplification used in the
-  consensus analysis; it differentiates only the edge-keeping factors and
-  ignores the collision factors in every region.
-
-Either way the gradient decomposes edgewise as ``sum m_j * (p - q_j)`` with
-weights that are nonnegative whenever the collision factors are absent.
+A follower descends the exact gradient of the regional potential that is
+logged, stated for one follower by ``fields.follower_terms``: the collision
+factors enter it while collision avoidance is active, the edge-keeping
+factors always. The gradient decomposes edgewise as ``sum m_j * (p - q_j)``
+with weights that are nonnegative whenever the collision factors are absent.
 """
 
 import math
@@ -20,11 +14,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fields import (DISTANCE_FLOOR, FieldEval, _logistic, follower_terms,
-                     logistic_negated, navfunc_follower, navfunc_leader,
-                     sigmoid_gain)
+                     logistic_negated, navfunc_leader, sigmoid_gain)
 from .model import RegionFlag, ScenarioConfig
 # not called here: rendezbench/tracing.py wraps these names
-from .fields import sigmoid_collision, sigmoid_connectivity  # noqa: F401
+from .fields import (navfunc_follower, sigmoid_collision,  # noqa: F401
+                     sigmoid_connectivity)
 
 ScalarField = Callable[[np.ndarray], float]
 
@@ -78,8 +72,7 @@ def _rows(x, index):
 _FIRST_TWO = slice(2)
 
 
-def _quotient_jet(alpha, rows, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta,
-                  value_beta=None):
+def _quotient_jet(alpha, rows, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta):
     """Value, gradient, Hessian and e of phi = gamma / (gamma^a + beta)^(1/a).
 
     Gradients come as (x, y) along the first axis, and ``ddbeta``, the
@@ -90,8 +83,7 @@ def _quotient_jet(alpha, rows, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta,
     they are floats. With e = a * (gamma^a + beta)^(1/a + 1) and
     N = a beta grad gamma - gamma grad beta: grad phi = N / e,
     hess phi = (grad N - grad phi grad e^T) / e, a symmetric matrix whose
-    off-diagonal is averaged against rounding. The value takes
-    ``value_beta`` in place of beta when given. The four exponents stay
+    off-diagonal is averaged against rounding. The four exponents stay
     scalars: numpy's ``**`` takes fast paths for some scalar exponents that
     an array of them would not. Returns phi, the gradient, the Hessian
     (xx, xy, yy) and e.
@@ -100,8 +92,7 @@ def _quotient_jet(alpha, rows, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta,
     gamma_ddbeta = gamma * ddbeta
     gamma = _rows(gamma, _FIRST_TWO)
     inv_alpha = 1.0 / alpha
-    gamma_a = gamma ** alpha
-    s = gamma_a + beta
+    s = gamma ** alpha + beta
     root = s ** inv_alpha
     e = a * s ** (inv_alpha + 1.0)
     ab = a * beta
@@ -123,11 +114,7 @@ def _quotient_jet(alpha, rows, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta,
     e = _rows(e, 0)
     hxy = (half * (a_minus_row * (cross[0] + cross[1]) - fe[0] - fe[1])
            - gamma_ddbeta[2]) / e
-    if value_beta is None:
-        root = _rows(root, 0)
-    else:
-        root = (_rows(gamma_a, 0) + value_beta) ** inv_alpha
-    return _rows(gamma, 0) / root, f, (diag[0], hxy, diag[1]), e
+    return _rows(gamma, 0) / _rows(root, 0), f, (diag[0], hxy, diag[1]), e
 
 
 def _matrix(hess):
@@ -142,19 +129,17 @@ class GradientBundle:
     gradient: np.ndarray
     edge_weights: tuple[float, ...]  # aligned with the neighbor sequence
     hessian: np.ndarray              # shape (2, 2)
-    value: float                     # the potential the gradient law descends
+    value: float                     # the regional potential, as logged
 
 
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def grad_navfunc_follower(position: np.ndarray,
                           neighbor_positions: Sequence[np.ndarray],
-                          region: RegionFlag, cfg: ScenarioConfig,
-                          gradient_mode: str = "full") -> GradientBundle:
-    """Quotient-rule gradient and Hessian of the follower potential.
+                          region: RegionFlag,
+                          cfg: ScenarioConfig) -> GradientBundle:
+    """Quotient-rule gradient and Hessian of the regional follower potential.
 
-    The potential is the one the selected gradient law descends: the
-    regional potential in "full" mode, its connectivity-only form (that of
-    the rendezvous region) in "paper" mode. Edge weights
+    Edge weights
     m_j = (2 * alpha * beta - gamma * w_j) / (alpha * (gamma^a + beta)^(1/a+1))
     where w_j = beta * slope_j are the constraint edge weights; the two
     representations agree by construction. With the collision factors absent,
@@ -162,7 +147,7 @@ def grad_navfunc_follower(position: np.ndarray,
     """
     alpha = cfg.field_exponent
     gamma, dgamma, beta, dbeta, ddbeta, slopes = follower_terms(
-        position, neighbor_positions, region, cfg, gradient_mode)
+        position, neighbor_positions, region, cfg)
     phi, grad, hess, e = _quotient_jet(
         alpha, quotient_rows(alpha), gamma, np.array(dgamma),
         2.0 * len(neighbor_positions), beta, np.array(dbeta),
@@ -200,21 +185,14 @@ def leader_field_eval(position: np.ndarray, cfg: ScenarioConfig) -> FieldEval:
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def follower_field_eval(position: np.ndarray,
                         neighbor_positions: Sequence[np.ndarray],
-                        region: RegionFlag, cfg: ScenarioConfig,
-                        gradient_mode: str = "full") -> FieldEval:
+                        region: RegionFlag, cfg: ScenarioConfig) -> FieldEval:
     """Bundle value, analytic gradient and Hessian for a follower.
 
-    The reported value is always the regional potential; gradient and Hessian
-    follow the selected gradient law. In "full" mode the law's quotient is
-    that potential, so one walk over the neighbors gives all three; only
-    "paper" mode walks them again, in ``navfunc_follower``.
+    The gradient's quotient is the regional potential itself, so one walk
+    over the neighbors gives all three.
     """
-    bundle = grad_navfunc_follower(position, neighbor_positions, region,
-                                   cfg, gradient_mode)
-    value = bundle.value
-    if gradient_mode != "full":
-        value = navfunc_follower(position, neighbor_positions, region, cfg)
-    return FieldEval(value=value, gradient=bundle.gradient,
+    bundle = grad_navfunc_follower(position, neighbor_positions, region, cfg)
+    return FieldEval(value=bundle.value, gradient=bundle.gradient,
                      hessian=bundle.hessian)
 
 
@@ -222,13 +200,12 @@ class JetKernel:
     """Value, gradient and Hessian of every robot's potential, one pass a step.
 
     Built once per run from the scenario: it holds the field constants
-    (sigmoid gains and shifts, the goal axis), the gradient law of
-    ``cfg.gradient_mode`` and the followers' sensed edges, which only
-    ``set_mask`` changes. Row 0 is the informed robot: its quotient inputs
-    come from scalar math (``leader_terms``) and fill column 0 of the input
-    rows. The followers' fill the others, from one pass over the edge list,
-    and one ``_quotient_jet`` call covers all of them. Without a mask the
-    kernel holds the informed robot alone.
+    (sigmoid gains and shifts, the goal axis) and the followers' sensed
+    edges, which only ``set_mask`` changes. Row 0 is the informed robot: its
+    quotient inputs come from scalar math (``leader_terms``) and fill column
+    0 of the input rows. The followers' fill the others, from one pass over
+    the edge list, and one ``_quotient_jet`` call covers all of them.
+    Without a mask the kernel holds the informed robot alone.
 
     A step's cost is numpy's fixed cost per call, so every call combines
     arrays of one shape: each scalar operand is held as a row of its
@@ -238,7 +215,6 @@ class JetKernel:
 
     def __init__(self, cfg: ScenarioConfig, mask: np.ndarray | None = None):
         self.cfg = cfg
-        self.full = cfg.gradient_mode == "full"
         eps = cfg.sigmoid_eps
         k_b = sigmoid_gain(cfg.connectivity_buffer, eps)
         k_c = sigmoid_gain(cfg.collision_margin, eps)
@@ -253,26 +229,23 @@ class JetKernel:
         b = (cfg.sensing_radius - 0.5 * cfg.connectivity_buffer, k_b,
              -k_b, -k_b * k_b)
         c = (self.rim_shift, -k_c, k_c, -(k_c * k_c))
-        # the factor rows of each region, avoiding or not. The first two
-        # rows give the law's derivatives: without avoidance [b, b], one
-        # factor twice; while avoiding in "full" mode [b, B], summed with
-        # their reverse to [b + B, B + b]; in "paper" mode [b, b, B], whose
-        # third row enters the value only
-        self.factor_rows = {False: (b, b), True: (b, c) if self.full
-                            else (b, b, c)}
+        # the two factor rows of each region, avoiding or not: without
+        # avoidance [b, b], one factor twice; while avoiding [b, B], whose
+        # log-derivatives are summed with their reverse to [b + B, B + b]
+        self.factor_rows = {False: (b, b), True: (b, c)}
         if mask is None:
             mask = np.zeros((1, 1), dtype=bool)
         n = len(mask)
         self.rows = quotient_rows(cfg.field_exponent, n)
-        # per robot, the quotient inputs in rows 11-23: gamma three times,
-        # grad gamma, beta twice, grad beta, hess beta (xx, yy, xy) and the
-        # value's beta. The followers' segment sums fill rows 0-13 of their
-        # columns, the last three being gamma
-        q = self.inputs = np.empty((24, n))
+        # per robot, the quotient inputs in rows 11-22: gamma three times,
+        # grad gamma, beta twice, grad beta and hess beta (xx, yy, xy). The
+        # followers' segment sums fill rows 0-13 of their columns, the last
+        # three being gamma
+        q = self.inputs = np.empty((23, n))
         self.leader_inputs = q[11:, 0]
         self.gamma, self.dgamma = q[11:14], q[14:16]
         self.beta, self.dbeta = q[16:18], q[18:20]
-        self.ddbeta, self.value_beta = q[20:23], q[23]
+        self.ddbeta = q[20:23]
         # the followers' columns: sums of g = sum t_j (p - q_j) (x, y), the
         # curvature sums (xx, yy) and (xy), sum t_j twice, sum (p - q_j)
         # twice and gamma; then the inputs made from them
@@ -282,7 +255,6 @@ class JetKernel:
         self.slope_sums, self.offset_sums = f[5:7], f[7:9]
         self.f_dgamma, self.f_beta, self.f_beta0 = f[14:16], f[16:18], f[16]
         self.f_dbeta, self.f_diag, self.f_xy = f[18:20], f[20:22], f[22]
-        self.f_value_beta = f[23]
         # index of each robot pair {i, j} among the upper pairs (a, b), a < b,
         # in np.triu_indices order: the order of a call's offsets and distances
         upper = np.triu_indices(n, 1)
@@ -315,23 +287,18 @@ class JetKernel:
         # gathers from the flat (2, P) offsets and the (P,) distances: each
         # edge's offset as (x, y, x, y), and its distance once per factor row
         self.offset_at = np.tile([pair, pair + self.n_pairs], (2, 1))
-        n_factors = max(len(f) for f in self.factor_rows.values())
-        self.dist_at = np.tile(pair, (n_factors, 1))
+        self.dist_at = np.tile(pair, (2, 1))
         self.sign = np.tile(np.where(rows < cols, 1.0, -1.0), (4, 1))
         self.floor = np.full((2, n_edges), DISTANCE_FLOOR)
-        # per edge: the distance once per factor row, each region's
-        # (distance, center, gain, -0.0, one) rows of its factors and
-        # (c1, c2, one) rows of the first two
-        self.dist_rows = np.empty((n_factors, n_edges))
-        self.d2 = self.dist_rows[:2]
+        # per edge: the distance once per factor row, -0.0 and one rows, and
+        # each region's (center, gain, c1, c2) rows of its factors
+        self.dist_rows = np.empty((2, n_edges))
+        self.minus_zero = np.full((2, n_edges), -0.0)
+        self.one = np.ones((2, n_edges))
         self.per_edge = {}
         for avoid, factors in self.factor_rows.items():
             const = np.array(factors).T[:, :, None].repeat(n_edges, axis=2)
-            center, gain, c1, c2 = const
-            one = np.ones(center.shape)
-            self.per_edge[avoid] = (self.dist_rows[:len(factors)], center,
-                                    gain, np.full(center.shape, -0.0), one,
-                                    c1[:2], c2[:2], one[:2])
+            self.per_edge[avoid] = tuple(const)
         # per follower, the products of b and of B; per edge, the law's l1
         # and l2 (their rows reversed in a view, and summed), w, w (p - q_j)
         # and the squares of the offset rows
@@ -400,22 +367,19 @@ class JetKernel:
         each upper pair (a, b), a < b, in the order of np.triu_indices.
         Follower i gathers only the pairs of its own edges, which keeps the
         law decentralized. Each edge's b(d) and B(d) are evaluated once and
-        serve both the reported value (the regional potential) and the
-        derivatives of the selected gradient law, by the formulas of
-        ``fields.follower_terms``.
+        serve both the logged value (the regional potential) and its
+        derivatives, by the formulas of ``fields.follower_terms``.
         """
         gamma, (gx, gy), _, beta, (bx, by), (hxx, hxy, hyy) = (
             self.leader_terms(position))
         self.leader_inputs[:] = (gamma, gamma, gamma, gx, gy, beta, beta,
-                                 bx, by, hxx, hyy, hxy, beta)
-        avoid = region is RegionFlag.COLLISION_FREE
-        value_differs = avoid and not self.full
+                                 bx, by, hxx, hyy, hxy)
         if self.inputs.shape[1] > 1:
-            self._followers(offsets, dist, avoid)
+            self._followers(offsets, dist,
+                            region is RegionFlag.COLLISION_FREE)
         phi, grad, hess, _ = _quotient_jet(
             self.cfg.field_exponent, self.rows, self.gamma, self.dgamma,
-            self.lap, self.beta, self.dbeta, self.ddbeta,
-            self.value_beta if value_differs else None)
+            self.lap, self.beta, self.dbeta, self.ddbeta)
         # row 0 logs the scalar navigation function's value: the traced
         # benchmark (rendezbench/run.py) divides by that function's calls
         phi[0] = navfunc_leader(position, self.cfg)
@@ -423,31 +387,26 @@ class JetKernel:
 
     def _followers(self, offsets, dist, avoid):
         """Fill columns 1.. of the quotient inputs from the edge factors."""
-        m, d2, starts = self.m, self.d2, self.starts
+        m, d2, starts = self.m, self.dist_rows, self.starts
         offsets.take(self.offset_at, out=self.m4, mode="clip")
         self.m4 *= self.sign
-        dist.take(self.dist_at, out=self.dist_rows, mode="clip")
-        dist_rows, center, gain, minus_zero, one, c1, c2, one2 = (
-            self.per_edge[avoid])
-        y = dist_rows - center
+        dist.take(self.dist_at, out=d2, mode="clip")
+        center, gain, c1, c2 = self.per_edge[avoid]
+        one = self.one
+        y = d2 - center
         y *= gain
-        s = logistic_negated(y, minus_zero, one)
+        s = logistic_negated(y, self.minus_zero, one)
         beta = self.f_beta
-        if not avoid:  # [b, b]: beta twice
-            np.multiply.reduceat(s, starts, axis=-1, out=beta)
-        elif self.full:  # [b, B]: beta = (prod b)(prod B), twice
+        if avoid:  # [b, B]: beta = (prod b)(prod B), twice
             np.multiply.reduceat(s, starts, axis=-1, out=self.factors)
             np.multiply(self.factors, self.factors_reversed, out=beta)
-        else:  # [b, b, B]: the law's beta = prod b, the value's times prod B
-            factors = np.multiply.reduceat(s, starts, axis=-1)
-            beta[...] = factors[:2]
-            np.multiply(factors[0], factors[2], out=self.f_value_beta)
-            s = s[:2]
-        one_minus = one2 - s
+        else:  # [b, b]: beta twice
+            np.multiply.reduceat(s, starts, axis=-1, out=beta)
+        one_minus = one - s
         l1, l2 = self.l_rows
         np.multiply(c1, one_minus, out=l1)
         np.multiply(np.multiply(c2, s), one_minus, out=l2)
-        if avoid and self.full:
+        if avoid:
             # b's and B's terms in either order: + is commutative bit for bit
             np.add(self.l, self.l_reversed, out=self.l_summed)
             l1, l2 = self.l_summed_rows

@@ -151,7 +151,6 @@ class ScenarioConfig:
     horizon: float
     initial_states: list[RobotState] = field(default_factory=list)
     gradient_floor: float = 1e-9      # below this norm the heading is held
-    gradient_mode: str = "full"       # "full" or "paper"
     neighbor_mode: str = "frozen"     # "frozen" or "accreting"
     position_tolerance: float = 0.05  # convergence: goal distance per robot
     heading_tolerance: float = 0.02   # convergence: |heading error| per robot
@@ -223,8 +222,6 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
             "goal_position must lie inside the workspace")
     require(math.isfinite(cfg.goal_heading), "goal_heading must be finite")
 
-    require(cfg.gradient_mode in ("full", "paper"),
-            "gradient_mode must be 'full' or 'paper'")
     require(cfg.neighbor_mode in ("frozen", "accreting"),
             "neighbor_mode must be 'frozen' or 'accreting'")
     for name in ("gradient_floor", "position_tolerance", "heading_tolerance",

@@ -238,9 +238,29 @@ _TRAJ_ROW = np.dtype([("t", "f8"), ("id", "i4"), ("pose", "f8", 3),
                       ("control", "f8", 5), ("phi", "f8"), ("region", "i1")])
 _DIST_ROW = np.dtype([("t", "f8"), ("i", "i4"), ("j", "i4"), ("d", "f8"),
                       ("monitored", "i1")])
-# the metadata keys load_trajectory reads; it ignores the roles line
-_REQUIRED_META = ("n_robots", "goal_position", "goal_heading", "time_step",
-                  "sensing_radius")
+
+
+def _robot_count(raw: str) -> int:
+    n = int(raw)
+    if n < 1:
+        raise ValueError(raw)
+    return n
+
+
+def _two_numbers(raw: str) -> np.ndarray:
+    x, y = (float(v) for v in raw.split())
+    return np.array([x, y])
+
+
+# the metadata keys load_trajectory reads (it ignores the roles line): each
+# key's parser, and what a value must be for it to parse
+_REQUIRED_META = {
+    "n_robots": (_robot_count, "an integer >= 1"),
+    "goal_position": (_two_numbers, "two numbers"),
+    "goal_heading": (float, "a number"),
+    "time_step": (float, "a number"),
+    "sensing_radius": (float, "a number"),
+}
 
 
 def _meta_lines(log: TrajectoryLog) -> list[str]:
@@ -458,6 +478,21 @@ def _check_steps(path, bad, what):
         raise ValueError(f"{path}: step {step} {what}")
 
 
+def _meta_values(path, meta) -> dict:
+    """The ``_REQUIRED_META`` values of a file's metadata ``meta``, parsed;
+    a missing key or a bad value is a ValueError naming the file and key."""
+    values = {}
+    for key, (parse, what) in _REQUIRED_META.items():
+        if key not in meta:
+            raise ValueError(f"{path}: missing metadata key '{key}'")
+        try:
+            values[key] = parse(meta[key])
+        except ValueError:
+            raise ValueError(f"{path}: metadata '{key}' is {meta[key]!r}, "
+                             f"expected {what}") from None
+    return values
+
+
 def load_trajectory(log_dir: str) -> TrajectoryLog:
     """Rebuild a TrajectoryLog from exported files (events are not exported).
 
@@ -469,10 +504,8 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
     traj_path = os.path.join(log_dir, TRAJECTORY_FILE)
     dist_path = os.path.join(log_dir, DISTANCES_FILE)
     meta = _read_head(traj_path, _TRAJ_HEADER)
-    for key in _REQUIRED_META:
-        if key not in meta:
-            raise ValueError(f"{traj_path}: missing metadata key '{key}'")
-    n = int(meta["n_robots"])
+    values = _meta_values(traj_path, meta)
+    n = values["n_robots"]
 
     traj = _read_table(traj_path, meta, _TRAJ_ROW, n, "robots")
     times = traj["t"][:, 0]
@@ -510,14 +543,13 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
 
     switch = np.flatnonzero(region == 1)
     switch_step = int(switch[0]) if switch.size else None
-    goal = np.array([float(x) for x in meta["goal_position"].split()])
     return TrajectoryLog(
         times=times, poses=traj["pose"], controls=traj["control"],
         phi=traj["phi"], region=region, pairs=pairs, distances=distances,
         monitored=monitored, events=[], switch_step=switch_step,
-        goal_position=goal, goal_heading=float(meta["goal_heading"]),
-        time_step=float(meta["time_step"]),
-        sensing_radius=float(meta["sensing_radius"]))
+        goal_position=values["goal_position"],
+        goal_heading=values["goal_heading"], time_step=values["time_step"],
+        sensing_radius=values["sensing_radius"])
 
 
 _PLOT_SCRIPT = '''\

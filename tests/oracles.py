@@ -2,11 +2,10 @@
 
 The simulator runs every robot through array kernels (``gradients.JetKernel``,
 ``sim.StepKernel``). These per-robot functions are independent checks of
-them: a central-difference gradient, the scalar potential each gradient law
-descends, the constraint product's gradient (read off
-``fields.follower_terms``), the informed robot's gradient, the follower
-Laplacian of the consensus analysis, the one-pose exact step, and the
-seeded deployment drawn and checked one attempt at a time. They moved here
+them: a central-difference gradient, the constraint product's gradient
+(read off ``fields.follower_terms``), the informed robot's gradient, the
+follower Laplacian of the consensus analysis, the one-pose exact step, and
+the seeded deployment drawn and checked one attempt at a time. They moved here
 from ``gradients``, ``graph``, ``sim`` and ``scenario_io``.
 """
 
@@ -15,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from rendezsim.fields import follower_terms, navfunc_follower
+from rendezsim.fields import follower_terms
 from rendezsim.gradients import ScalarField, _leader_jet
 from rendezsim.graph import (GraphError, Topology, build_topology,
                              has_rooted_spanning_tree)
@@ -44,32 +43,17 @@ def fd_gradient(f: ScalarField, p: np.ndarray, h: float) -> np.ndarray:
 
 def grad_constraint_follower(position: np.ndarray,
                              neighbor_positions: Sequence[np.ndarray],
-                             region: RegionFlag, cfg: ScenarioConfig,
-                             gradient_mode: str = "full") -> np.ndarray:
-    """Gradient of the constraint product for the selected mode."""
+                             region: RegionFlag,
+                             cfg: ScenarioConfig) -> np.ndarray:
+    """Gradient of the region's constraint product."""
     return np.array(follower_terms(position, neighbor_positions, region,
-                                   cfg, gradient_mode)[3])
+                                   cfg)[3])
 
 
 def grad_navfunc_leader(position: np.ndarray,
                         cfg: ScenarioConfig) -> np.ndarray:
     """Quotient-rule gradient of the informed robot's dipolar potential."""
     return _leader_jet(position, cfg)[0]
-
-
-def follower_potential(position: np.ndarray,
-                       neighbor_positions: Sequence[np.ndarray],
-                       region: RegionFlag, cfg: ScenarioConfig,
-                       gradient_mode: str = "full") -> float:
-    """Scalar potential that the selected gradient law actually descends.
-
-    "full" is the regional potential itself; "paper" is the connectivity-only
-    form, independent of the region flag.
-    """
-    if gradient_mode == "paper":
-        return navfunc_follower(position, neighbor_positions,
-                                RegionFlag.RENDEZVOUS, cfg)
-    return navfunc_follower(position, neighbor_positions, region, cfg)
 
 
 def laplacian(topo: Topology, weights: dict[Edge, float],

@@ -22,8 +22,8 @@ from rendezsim.gradients import grad_navfunc_follower
 from rendezsim.model import normalize_angle
 
 from conftest import topology
-from oracles import (fd_gradient, follower_potential, grad_navfunc_leader,
-                     integrate_pose, laplacian)
+from oracles import (fd_gradient, grad_navfunc_leader, integrate_pose,
+                     laplacian)
 from test_io import oracle_files
 
 SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
@@ -183,23 +183,21 @@ def test_criterion_05_gradient_oracle(reference_params):
                     / max(np.linalg.norm(fd), 1e-9))
     assert worst < FD_REL_TOL, worst
 
-    for mode in ("full", "paper"):
-        for region in (RegionFlag.COLLISION_FREE, RegionFlag.RENDEZVOUS):
-            wm = 0.0
-            for _ in range(100):
-                p = rng.uniform(-10, 10, 2)
-                m = int(rng.integers(1, 6))
-                qs = [p + rng.uniform(0.05, 1.95) * _unit(rng)
-                      for _ in range(m)]
-                g = grad_navfunc_follower(p, qs, region, params,
-                                          gradient_mode=mode).gradient
-                fd = fd_gradient(
-                    lambda q: follower_potential(q, qs, region, params, mode),
-                    p, 1e-6 * max(1.0, float(np.linalg.norm(p))))
-                wm = max(wm, np.linalg.norm(g - fd)
-                         / max(np.linalg.norm(fd), 1e-9))
-            assert wm < FD_REL_TOL, (mode, region, wm)
-            worst = max(worst, wm)
+    for region in (RegionFlag.COLLISION_FREE, RegionFlag.RENDEZVOUS):
+        wm = 0.0
+        for _ in range(100):
+            p = rng.uniform(-10, 10, 2)
+            m = int(rng.integers(1, 6))
+            qs = [p + rng.uniform(0.05, 1.95) * _unit(rng)
+                  for _ in range(m)]
+            g = grad_navfunc_follower(p, qs, region, params).gradient
+            fd = fd_gradient(
+                lambda q: navfunc_follower(q, qs, region, params),
+                p, 1e-6 * max(1.0, float(np.linalg.norm(p))))
+            wm = max(wm, np.linalg.norm(g - fd)
+                     / max(np.linalg.norm(fd), 1e-9))
+        assert wm < FD_REL_TOL, (region, wm)
+        worst = max(worst, wm)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < FD_RUNTIME_LIMIT, elapsed

@@ -10,8 +10,8 @@ from rendezsim.fields import (follower_terms, navfunc_follower,
 from rendezsim.gradients import (fd_hessian, follower_field_eval,
                                  grad_navfunc_follower, leader_field_eval)
 
-from oracles import (fd_gradient, follower_potential,
-                     grad_constraint_follower, grad_navfunc_leader)
+from oracles import (fd_gradient, grad_constraint_follower,
+                     grad_navfunc_leader)
 
 
 def unit(rng):
@@ -127,15 +127,16 @@ class TestConstraintGradient:
         g = grad_constraint_follower(p, qs, RegionFlag.RENDEZVOUS, params_s5)
         assert float(np.linalg.norm(g)) < 1e-6
 
-    def test_full_mode_matches_fd_in_avoidance_region(self, params_s5):
+    @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
+                                        RegionFlag.RENDEZVOUS])
+    def test_matches_fd_oracle(self, params_s5, region):
         rng = np.random.default_rng(3)
         for _ in range(100):
             p, qs = random_follower_state(rng)
-            g = grad_constraint_follower(p, qs, RegionFlag.COLLISION_FREE,
-                                         params_s5, gradient_mode="full")
+            g = grad_constraint_follower(p, qs, region, params_s5)
             fd = fd_gradient(
-                lambda x: follower_terms(x, qs, RegionFlag.COLLISION_FREE,
-                                         params_s5)[2], p, fd_step(p))
+                lambda x: follower_terms(x, qs, region, params_s5)[2], p,
+                fd_step(p))
             assert np.linalg.norm(g - fd) <= 1e-6 * max(np.linalg.norm(fd),
                                                         1e-3)
 
@@ -156,17 +157,17 @@ class TestFollowerGradient:
                                        params_s5)
         assert bundle.edge_weights[0] == pytest.approx(2.0, rel=1e-9)
 
-    @pytest.mark.parametrize("mode", ["full", "paper"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.2, 2.0])
     @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
                                         RegionFlag.RENDEZVOUS])
-    def test_matches_fd_oracle(self, params_s5, mode, region):
+    def test_matches_fd_oracle(self, params_s5, region, alpha):
+        params = replace(params_s5, field_exponent=alpha)
         rng = np.random.default_rng(4)
         for _ in range(100):
             p, qs = random_follower_state(rng)
-            bundle = grad_navfunc_follower(p, qs, region, params_s5,
-                                           gradient_mode=mode)
+            bundle = grad_navfunc_follower(p, qs, region, params)
             fd = fd_gradient(
-                lambda x: follower_potential(x, qs, region, params_s5, mode),
+                lambda x: navfunc_follower(x, qs, region, params),
                 p, fd_step(p))
             rel = np.linalg.norm(bundle.gradient - fd) / max(
                 np.linalg.norm(fd), 1e-9)
@@ -254,18 +255,18 @@ class TestHessianOracle:
             worst = max(worst, rel_error(h, fd))
         assert worst < 1e-4
 
-    @pytest.mark.parametrize("mode", ["full", "paper"])
+    @pytest.mark.parametrize("alpha", [0.5, 1.2, 2.0])
     @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
                                         RegionFlag.RENDEZVOUS])
-    def test_follower_matches_fd_hessian(self, params_s5, mode, region):
+    def test_follower_matches_fd_hessian(self, params_s5, region, alpha):
+        params = replace(params_s5, field_exponent=alpha)
         rng = np.random.default_rng(9)
         worst = 0.0
         for _ in range(100):
             p, qs = random_follower_state(rng)
-            h = follower_field_eval(p, qs, region, params_s5,
-                                    gradient_mode=mode).hessian
+            h = follower_field_eval(p, qs, region, params).hessian
             fd = fd_hessian(
-                lambda x: follower_potential(x, qs, region, params_s5, mode),
+                lambda x: navfunc_follower(x, qs, region, params),
                 p, 1e-4)  # the sigmoid widths, not |p|, set the scale
             worst = max(worst, rel_error(h, fd))
         assert worst < 1e-5
@@ -293,66 +294,65 @@ class TestHessianOracle:
         assert rel_error(h, fd) < 1e-5
 
     @pytest.mark.parametrize("alpha", [0.5, 1.2])
-    @pytest.mark.parametrize("mode", ["full", "paper"])
     @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
                                         RegionFlag.RENDEZVOUS])
-    def test_follower_with_coincident_neighbor(self, params_s5, alpha, mode,
+    def test_follower_with_coincident_neighbor(self, params_s5, alpha,
                                                region):
         params = replace(params_s5, field_exponent=alpha)
         p = np.array([1.0, -2.0])
-        alone = follower_field_eval(p, [p.copy()], region, params,
-                                    gradient_mode=mode)
-        # consensus: gamma = 0 and the floored edge adds no slope; "paper"
-        # drops the collision factors in both regions
-        law_region = region if mode == "full" else RegionFlag.RENDEZVOUS
-        beta = follower_terms(p, [p.copy()], law_region, params)[2]
+        alone = follower_field_eval(p, [p.copy()], region, params)
+        # consensus: gamma = 0 and the floored edge adds no slope
+        beta = follower_terms(p, [p.copy()], region, params)[2]
         assert np.allclose(alone.hessian,
                            2.0 / beta ** (1.0 / alpha) * np.eye(2),
                            rtol=1e-12, atol=0.0)
         mixed = follower_field_eval(p, [p.copy(), p + np.array([0.6, 0.8])],
-                                    region, params, gradient_mode=mode)
+                                    region, params)
         assert np.all(np.isfinite(mixed.hessian))
 
 
 class TestOneWalk:
-    """follower_field_eval takes its "full" value from the quotient that the
-    gradient already forms, so it walks a follower's neighbors once."""
+    """follower_field_eval takes its value from the quotient that the
+    gradient already forms, so it walks a follower's neighbors once and
+    evaluates b(d) once per edge; a second walk in navfunc_follower gives
+    the same value bit for bit."""
 
     @staticmethod
-    def two_walks(p, qs, region, params, mode):
-        bundle = grad_navfunc_follower(p, qs, region, params,
-                                       gradient_mode=mode)
+    def two_walks(p, qs, region, params):
+        bundle = grad_navfunc_follower(p, qs, region, params)
         return (navfunc_follower(p, qs, region, params), bundle.gradient,
                 bundle.hessian)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.2, 2.0])
-    @pytest.mark.parametrize("mode", ["full", "paper"])
     @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
                                         RegionFlag.RENDEZVOUS])
-    def test_matches_the_two_walk_form(self, params_s5, alpha, mode, region):
+    def test_matches_the_two_walk_form(self, params_s5, alpha, region):
         params = replace(params_s5, field_exponent=alpha)
         rng = np.random.default_rng(17)
         for _ in range(300):
             p, qs = random_follower_state(rng, d_range=(0.0, 2.2))
-            ev = follower_field_eval(p, qs, region, params,
-                                     gradient_mode=mode)
-            value, grad, hess = self.two_walks(p, qs, region, params, mode)
+            ev = follower_field_eval(p, qs, region, params)
+            value, grad, hess = self.two_walks(p, qs, region, params)
             assert np.float64(ev.value).tobytes() == np.float64(
                 value).tobytes()
             assert ev.gradient.tobytes() == grad.tobytes()
             assert ev.hessian.tobytes() == hess.tobytes()
 
-    @pytest.mark.parametrize("mode, calls", [("full", 3), ("paper", 6)])
-    def test_one_sigmoid_per_edge(self, params_s5, monkeypatch, mode, calls):
-        made = []
-        sigmoid = fields.sigmoid_connectivity
-
-        def count(*args):
-            made.append(args[0])
-            return sigmoid(*args)
-        monkeypatch.setattr(fields, "sigmoid_connectivity", count)
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
+                                        RegionFlag.RENDEZVOUS])
+    def test_one_sigmoid_per_edge(self, params_s5, monkeypatch, region, m):
+        # b(d) once per edge; B(d) once per edge while avoiding, else never
+        made = {"sigmoid_connectivity": 0, "sigmoid_collision": 0}
+        for name in made:
+            def count(*args, _name=name, _f=getattr(fields, name)):
+                made[_name] += 1
+                return _f(*args)
+            monkeypatch.setattr(fields, name, count)
         p = np.array([0.5, -0.5])
-        qs = [p + np.array(v) for v in ((0.7, 0.0), (0.0, -1.1), (1.2, 0.9))]
-        follower_field_eval(p, qs, RegionFlag.COLLISION_FREE, params_s5,
-                            gradient_mode=mode)
-        assert len(made) == calls
+        qs = [p + np.array(v)
+              for v in ((0.7, 0.0), (0.0, -1.1), (1.2, 0.9))[:m]]
+        follower_field_eval(p, qs, region, params_s5)
+        avoid = region is RegionFlag.COLLISION_FREE
+        assert made == {"sigmoid_connectivity": m,
+                        "sigmoid_collision": m if avoid else 0}

@@ -123,16 +123,17 @@ class TestParseScenario:
         with pytest.raises(ParseError, match="rendezvous_radius"):
             parse_scenario(str(path))
 
-    def test_unknown_key_rejected_with_line(self, tmp_path):
-        # integrator, hessian_step and distance_floor were keys once; old
-        # files must fail, not parse silently
-        for key, value in (("bogus_knob", "rk4"), ("integrator", "rk4"),
-                           ("hessian_step", "1e-5"),
-                           ("distance_floor", "1e-9")):
-            path = tmp_path / "bad.scn"
-            write_lines(path, [f"{key} = {value}"] + minimal_lines())
-            with pytest.raises(ParseError, match=rf"bad.scn:1.*{key}"):
-                parse_scenario(str(path))
+    # integrator, hessian_step, distance_floor and gradient_mode were keys
+    # once; old files must fail, not parse silently
+    @pytest.mark.parametrize("key, value", [
+        ("bogus_knob", "rk4"), ("integrator", "rk4"),
+        ("hessian_step", "1e-5"), ("distance_floor", "1e-9"),
+        ("gradient_mode", "paper")])
+    def test_unknown_key_rejected_with_line(self, tmp_path, key, value):
+        path = tmp_path / "bad.scn"
+        write_lines(path, [f"{key} = {value}"] + minimal_lines())
+        with pytest.raises(ParseError, match=rf"bad.scn:1.*{key}"):
+            parse_scenario(str(path))
 
     def test_bad_number_reported(self, tmp_path):
         path = tmp_path / "bad.scn"
@@ -567,6 +568,40 @@ class TestLoadMismatch:
         assert main(["metrics", str(exported)]) == 1
         assert capsys.readouterr().err == (
             f"error: {path}: missing metadata key '{key}'\n")
+
+    @pytest.mark.parametrize("key, raw, what", [
+        ("n_robots", "0", "an integer >= 1"),
+        ("n_robots", "-3", "an integer >= 1"),
+        ("n_robots", "four", "an integer >= 1"),
+        ("n_robots", "4.0", "an integer >= 1"),
+        ("n_robots", "", "an integer >= 1"),
+        ("goal_position", "1.5", "two numbers"),
+        ("goal_position", "1.5 -0.5 0.0", "two numbers"),
+        ("goal_position", "east north", "two numbers"),
+        ("goal_position", "", "two numbers"),
+        ("goal_heading", "north", "a number"),
+        ("goal_heading", "", "a number"),
+        ("time_step", "abc", "a number"),
+        ("time_step", "0.01 0.02", "a number"),
+        ("time_step", "", "a number"),
+        ("sensing_radius", "far", "a number"),
+        ("sensing_radius", "", "a number"),
+    ], ids=["n_robots_zero", "n_robots_negative", "n_robots_word",
+            "n_robots_float", "n_robots_empty", "goal_one_number",
+            "goal_three_numbers", "goal_words", "goal_empty",
+            "goal_heading_word", "goal_heading_empty", "time_step_word",
+            "time_step_two_numbers", "time_step_empty", "sensing_radius_word",
+            "sensing_radius_empty"])
+    def test_bad_metadata_value_is_named(self, exported, key, raw, what,
+                                         capsys):
+        path = exported / "trajectory.csv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        at = [line.startswith(f"# {key} =") for line in lines].index(True)
+        lines[at] = f"# {key} = {raw}\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main(["metrics", str(exported)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: metadata '{key}' is {raw!r}, expected {what}\n")
 
     @pytest.mark.parametrize("name", ["trajectory.csv", "distances.csv"])
     def test_repeated_metadata_key_is_named(self, exported, name, capsys):

@@ -41,11 +41,9 @@ def integrate_before(poses, vs, ws, dt):
     return out
 
 
-def quotient_jet_before(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta,
-                        value_beta=None):
+def quotient_jet_before(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta):
     inv_alpha = 1.0 / alpha
-    gamma_a = gamma ** alpha
-    s = gamma_a + beta
+    s = gamma ** alpha + beta
     root = s ** inv_alpha
     e = alpha * s ** (inv_alpha + 1.0)
     ab = alpha * beta
@@ -60,8 +58,6 @@ def quotient_jet_before(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta,
     fe = f * de[::-1]
     hxy = (0.5 * (a1 * (cross[0] + cross[1]) - fe[0] - fe[1])
            - gamma * ddbeta[1]) / e
-    if value_beta is not None:
-        root = (gamma_a + value_beta) ** inv_alpha
     return gamma / root, f, (diag[0], hxy, diag[1]), e
 
 
@@ -168,7 +164,7 @@ class TestQuotientRule:
         gamma[4] = math.nan
         return (gamma, dgamma, rng.uniform(2.0, 8.0, n),
                 rng.uniform(0.1, 1.0, n), rng.normal(size=(2, n)),
-                rng.normal(size=(3, n)), rng.uniform(0.1, 1.0, n))
+                rng.normal(size=(3, n)))
 
     @staticmethod
     def check(got, expected):
@@ -177,23 +173,21 @@ class TestQuotientRule:
         for a, b in zip(got[2], expected[2]):
             assert same_bits(a, b)
 
-    @pytest.mark.parametrize("value", [False, True])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 2.0, 3.0])
-    def test_equal_shapes_match_the_broadcast_form(self, alpha, value):
+    def test_equal_shapes_match_the_broadcast_form(self, alpha):
         n = 6
-        gamma, dgamma, lap, beta, dbeta, ddbeta, value_beta = self.inputs(n)
-        value_beta = value_beta if value else None
+        gamma, dgamma, lap, beta, dbeta, ddbeta = self.inputs(n)
         got = _quotient_jet(
             alpha, quotient_rows(alpha, n), np.array([gamma] * 3), dgamma,
             np.array([lap, lap]), np.array([beta, beta]), dbeta,
-            ddbeta[[0, 2, 1]], value_beta)
+            ddbeta[[0, 2, 1]])
         expected = quotient_jet_before(alpha, gamma, dgamma, lap, beta,
-                                       dbeta, ddbeta, value_beta)
+                                       dbeta, ddbeta)
         self.check(got, expected)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 2.0, 3.0])
     def test_one_robot_takes_floats(self, alpha):
-        gamma, dgamma, lap, beta, dbeta, ddbeta, _ = self.inputs(6)
+        gamma, dgamma, lap, beta, dbeta, ddbeta = self.inputs(6)
         for i in (0, 3, 5):
             got = _quotient_jet(
                 alpha, quotient_rows(alpha), float(gamma[i]), dgamma[:, i],
@@ -292,14 +286,13 @@ class TestKernelLogistic:
     argument, so the kernel's logistic takes its general path; the jets must
     equal those made with the formula it replaced."""
 
-    @pytest.mark.parametrize("mode", ["full", "paper"])
-    def test_pair_under_half_margin(self, monkeypatch, mode):
+    def test_pair_under_half_margin(self, monkeypatch):
         poses = np.array([[-4.0, -2.0, 0.5], [-4.8, -2.5, -1.0],
                           [-4.7, -2.45, 2.0], [-3.4, -2.9, 0.0]])
         n = len(poses)
         mask = ~np.eye(n, dtype=bool)
         cfg = small_config(
-            n_robots=n, gradient_mode=mode, linear_gains=[1.0] * n,
+            n_robots=n, linear_gains=[1.0] * n,
             angular_gains=[1.0] * n, initial_states=make_states(poses))
         offsets, dist = sim._offsets(poses, np.triu_indices(n, 1))
         assert dist.min() < 0.5 * cfg.collision_margin

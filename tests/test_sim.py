@@ -180,10 +180,11 @@ class TestArrayCore:
     """step(), the array core run() drives, against the per-robot scalar
     path: compute_control on the listed neighbors, then integrate_pose."""
 
-    @pytest.mark.parametrize("mode", ["full", "paper"])
+    # alpha = 1 is where the quotient rule's gamma^(alpha - 1) changes form
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 2.0])
     @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
                                         RegionFlag.RENDEZVOUS])
-    def test_matches_scalar_oracle(self, mode, region):
+    def test_matches_scalar_oracle(self, region, alpha):
         rng = np.random.default_rng(13)
         held = {True: 0, False: 0}  # held headings, with / without previous
         floored = 0
@@ -207,7 +208,7 @@ class TestArrayCore:
             prev = [None if rng.random() < 0.5 else rng.uniform(-3.0, 3.0)
                     for _ in range(n)]
             cfg = small_config(
-                n_robots=n, gradient_mode=mode, gradient_floor=floor,
+                n_robots=n, gradient_floor=floor, field_exponent=alpha,
                 linear_gains=rng.uniform(1.0, 5.0, n).tolist(),
                 angular_gains=rng.uniform(4.0, 10.0, n).tolist(),
                 initial_states=states)
@@ -217,8 +218,7 @@ class TestArrayCore:
                 ref = compute_control(
                     s, [states[j].position for j in np.flatnonzero(mask[i])],
                     region, cfg, cfg.linear_gains[i],
-                    cfg.angular_gains[i], prev[i], gradient_mode=mode,
-                    gradient_floor=floor)
+                    cfg.angular_gains[i], prev[i], gradient_floor=floor)
                 pose = integrate_pose(np.array([*s.position, s.heading]),
                                       ref.v, ref.omega, cfg.time_step)
                 got = controls[i]
@@ -331,10 +331,9 @@ class TestKernelRowZero:
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("spot", ["random", "goal", "centre"])
-    @pytest.mark.parametrize("mode", ["full", "paper"])
     @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
                                         RegionFlag.RENDEZVOUS])
-    def test_matches_compute_control(self, region, mode, spot, n):
+    def test_matches_compute_control(self, region, spot, n):
         rng = np.random.default_rng(17)
         for trial in range(10):
             p = self._spot(rng, spot)
@@ -344,7 +343,7 @@ class TestKernelRowZero:
                        for i in range(2, n + 1)]
             prev = [None if trial % 2 else rng.uniform(-3.0, 3.0)]
             cfg = small_config(
-                n_robots=n, goal_position=self.GOAL, gradient_mode=mode,
+                n_robots=n, goal_position=self.GOAL,
                 linear_gains=rng.uniform(1.0, 5.0, n).tolist(),
                 angular_gains=rng.uniform(4.0, 10.0, n).tolist(),
                 initial_states=states)
@@ -352,8 +351,7 @@ class TestKernelRowZero:
                                            prev + [None] * (n - 1))
             ref = compute_control(states[0], [], region, cfg,
                                   cfg.linear_gains[0], cfg.angular_gains[0],
-                                  prev[0], gradient_mode=mode,
-                                  gradient_floor=cfg.gradient_floor)
+                                  prev[0], gradient_floor=cfg.gradient_floor)
             got = controls[0]
             assert_controls_match(
                 (got.v, got.omega, got.theta_d, got.theta_tilde,
