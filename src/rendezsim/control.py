@@ -73,15 +73,16 @@ def angular_velocity(theta_tilde: float, theta_d_dot: float,
 def compute_control(robot: RobotState,
                     neighbor_positions: Sequence[np.ndarray],
                     region: RegionFlag, cfg: ScenarioConfig,
-                    k_v: float, k_w: float,
-                    prev_theta_d: float | None = None,
-                    *, gradient_floor: float = 1e-9) -> ControlOutput:
+                    prev_theta_d: float | None = None) -> ControlOutput:
     """Evaluate the robot's own potential and chain the four control laws.
 
     The informed robot (id 1) uses the dipolar goal potential and needs no
     neighbors; followers use the consensus potential over the positions
-    passed in.
+    passed in. The gains are the robot's own in ``cfg``, by id, and the
+    gradient floor is ``cfg``'s, as in ``sim.StepKernel``.
     """
+    k_v = cfg.linear_gains[robot.id - 1]
+    k_w = cfg.angular_gains[robot.id - 1]
     ev: FieldEval
     if robot.id == 1:
         ev = leader_field_eval(robot.position, cfg)
@@ -89,7 +90,7 @@ def compute_control(robot: RobotState,
         ev = follower_field_eval(robot.position, neighbor_positions, region,
                                  cfg)
     theta_d = desired_heading(ev.gradient, robot.heading, prev_theta_d,
-                              gradient_floor)
+                              cfg.gradient_floor)
     theta_tilde = normalize_angle(robot.heading - theta_d)
     v = linear_velocity(ev.gradient, theta_tilde, k_v)
     theta_d_dot = heading_feedforward(theta_d, ev.hessian, robot.heading,

@@ -6,7 +6,8 @@ descend a consensus potential over their sensed neighbors, multiplied by
 sigmoid constraint factors that blow the potential up to 1 when an edge is
 about to break or (while collision avoidance is active) when two robots are
 about to touch. All values live in [0, 1]. ``follower_terms`` gives a
-follower's factors and their derivatives in one pass over its neighbors.
+follower's factors and their derivatives in one pass over its neighbors,
+and ``leader_terms`` the informed robot's.
 """
 
 import math
@@ -74,27 +75,6 @@ def sigmoid_collision(d: float, collision_margin: float, eps: float) -> float:
                      * (d - 0.5 * collision_margin))
 
 
-def goal_leader(position: np.ndarray, goal: np.ndarray) -> float:
-    """Squared distance from the informed robot to the goal."""
-    dx = position[0] - goal[0]
-    dy = position[1] - goal[1]
-    return dx * dx + dy * dy
-
-
-def dipolar_factor(position: np.ndarray, goal: np.ndarray,
-                   goal_heading: float, dipolar_eps: float) -> float:
-    """Heading-alignment factor: eps_nh + (axial displacement from goal)^2.
-
-    Small on the surface through the goal perpendicular to the desired
-    heading, which turns that surface into a potential ridge and bends the
-    flow lines to approach the goal along the heading axis.
-    """
-    ax = math.cos(goal_heading)
-    ay = math.sin(goal_heading)
-    proj = (position[0] - goal[0]) * ax + (position[1] - goal[1]) * ay
-    return dipolar_eps + proj * proj
-
-
 @dataclass
 class FieldEval:
     """Value, own-position gradient and Hessian of one robot's potential."""
@@ -111,8 +91,8 @@ def follower_terms(position: np.ndarray,
 
     Returns gamma = sum |p - q_j|^2, its gradient, the product beta of the
     region's factors (b(d) B(d) while avoidance is on, else b(d)), beta's
-    gradient and Hessian (xx, xy, yy), and edge slopes, as
-    ``JetKernel.leader_terms`` does for the informed robot.
+    gradient and Hessian (xx, xy, yy), and edge slopes; ``leader_terms``
+    gives the informed robot's inputs in this layout, without the slopes.
 
     Each factor is logistic in d_j, so its log-derivatives are closed form in
     the factor itself: (log b)' = -k_b (1 - b), (log b)'' = -k_b^2 b (1 - b),
@@ -165,6 +145,46 @@ def follower_terms(position: np.ndarray,
              beta * (gy * gy + hyy)), slopes)
 
 
+def leader_terms(position: np.ndarray, cfg: ScenarioConfig):
+    """The informed robot's quotient inputs, as ``follower_terms`` without
+    the slopes: gamma = |p - goal|^2, its gradient, beta = dip * B(R_w - |p|)
+    and beta's gradient and Hessian (xx, xy, yy).
+
+    dip = dipolar_eps + (a . (p - goal))^2, with a the goal heading's axis,
+    is small on the line through the goal perpendicular to a: that ridge
+    bends the flow lines to approach the goal along the heading axis.
+    """
+    px, py = float(position[0]), float(position[1])
+    rx = px - float(cfg.goal_position[0])
+    ry = py - float(cfg.goal_position[1])
+    ax, ay = math.cos(cfg.goal_heading), math.sin(cfg.goal_heading)
+    proj = rx * ax + ry * ay
+    dip = cfg.dipolar_eps + proj * proj
+    # dip has gradient 2 proj a and Hessian 2 a a^T
+    dx, dy = 2.0 * proj * ax, 2.0 * proj * ay
+    norm = math.hypot(px, py)
+    bnd = sigmoid_collision(cfg.workspace_radius - norm, cfg.collision_margin,
+                            cfg.sigmoid_eps)
+    if norm > 0.0:
+        # the rim factor B(R_w - |p|) has gradient -B' u and Hessian
+        # B'' u u^T - B' (I - u u^T) / |p|, with u = p / |p|
+        k = sigmoid_gain(cfg.collision_margin, cfg.sigmoid_eps)
+        s1 = k * bnd * (1.0 - bnd)
+        t = s1 / norm
+        w = (k * s1 * (1.0 - 2.0 * bnd) + t) / (norm * norm)
+        nx, ny = -t * px, -t * py
+        nxx, nxy, nyy = w * px * px - t, w * px * py, w * py * py - t
+    else:
+        # rim direction undefined at the workspace center; the factor is
+        # saturated there anyway
+        nx = ny = nxx = nxy = nyy = 0.0
+    dbeta = (bnd * dx + dip * nx, bnd * dy + dip * ny)
+    ddbeta = (2.0 * bnd * ax * ax + 2.0 * dx * nx + dip * nxx,
+              2.0 * bnd * ax * ay + dx * ny + dy * nx + dip * nxy,
+              2.0 * bnd * ay * ay + 2.0 * dy * ny + dip * nyy)
+    return rx * rx + ry * ry, (2.0 * rx, 2.0 * ry), dip * bnd, dbeta, ddbeta
+
+
 def navfunc_leader(position: np.ndarray, cfg: ScenarioConfig) -> float:
     """Dipolar navigation function of the informed robot.
 
@@ -173,13 +193,8 @@ def navfunc_leader(position: np.ndarray, cfg: ScenarioConfig) -> float:
     vanish together.
     """
     alpha = cfg.field_exponent
-    goal = cfg.goal_position
-    goal = (float(goal[0]), float(goal[1]))
-    gamma = goal_leader(position, goal)
-    dip = dipolar_factor(position, goal, cfg.goal_heading, cfg.dipolar_eps)
-    d0 = cfg.workspace_radius - math.hypot(position[0], position[1])
-    beta = sigmoid_collision(d0, cfg.collision_margin, cfg.sigmoid_eps)
-    return gamma / (gamma ** alpha + dip * beta) ** (1.0 / alpha)
+    gamma, _, beta, _, _ = leader_terms(position, cfg)
+    return gamma / (gamma ** alpha + beta) ** (1.0 / alpha)
 
 
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import (DISTANCE_FLOOR, FieldEval, _logistic, follower_terms,
+from .fields import (DISTANCE_FLOOR, FieldEval, follower_terms, leader_terms,
                      logistic_negated, navfunc_leader, sigmoid_gain)
 from .model import RegionFlag, ScenarioConfig
 # not called here: rendezbench/tracing.py wraps these names
@@ -165,11 +165,10 @@ def _diagonal_first(hess):
 
 def _leader_jet(position, cfg):
     """Gradient and Hessian of the informed robot's dipolar potential."""
-    gamma, dgamma, lap, beta, dbeta, ddbeta = JetKernel(cfg).leader_terms(
-        position)
+    gamma, dgamma, beta, dbeta, ddbeta = leader_terms(position, cfg)
     alpha = cfg.field_exponent
     _, grad, hess, _ = _quotient_jet(alpha, quotient_rows(alpha), gamma,
-                                     np.array(dgamma), lap, beta,
+                                     np.array(dgamma), 2.0, beta,
                                      np.array(dbeta), _diagonal_first(ddbeta))
     return np.array(grad), _matrix(hess)
 
@@ -199,13 +198,12 @@ def follower_field_eval(position: np.ndarray,
 class JetKernel:
     """Value, gradient and Hessian of every robot's potential, one pass a step.
 
-    Built once per run from the scenario: it holds the field constants
-    (sigmoid gains and shifts, the goal axis) and the followers' sensed
-    edges, which only ``set_mask`` changes. Row 0 is the informed robot: its
-    quotient inputs come from scalar math (``leader_terms``) and fill column
-    0 of the input rows. The followers' fill the others, from one pass over
-    the edge list, and one ``_quotient_jet`` call covers all of them.
-    Without a mask the kernel holds the informed robot alone.
+    Built once per run from the scenario and the (n, n) sensing mask: it
+    holds the sigmoid gains and shifts and the followers' sensed edges,
+    which only ``set_mask`` changes. Row 0 is the informed robot: its
+    quotient inputs come from ``fields.leader_terms`` and fill column 0 of
+    the input rows. The followers' fill the others, from one pass over the
+    edge list, and one ``_quotient_jet`` call covers all of them.
 
     A step's cost is numpy's fixed cost per call, so every call combines
     arrays of one shape: each scalar operand is held as a row of its
@@ -213,28 +211,22 @@ class JetKernel:
     where it is made, and every view of the work arrays is bound once.
     """
 
-    def __init__(self, cfg: ScenarioConfig, mask: np.ndarray | None = None):
+    def __init__(self, cfg: ScenarioConfig, mask: np.ndarray):
         self.cfg = cfg
         eps = cfg.sigmoid_eps
         k_b = sigmoid_gain(cfg.connectivity_buffer, eps)
         k_c = sigmoid_gain(cfg.collision_margin, eps)
-        self.k_c = k_c
-        self.rim_shift = 0.5 * cfg.collision_margin
-        self.goal = tuple(cfg.goal_position.tolist())
-        self.axis = (math.cos(cfg.goal_heading), math.sin(cfg.goal_heading))
         # b(d) = logistic(k_b (R - buffer/2 - d)) and B(d) = logistic(k_c (d
         # - margin/2)), with log-derivatives l1 = c1 (1 - s) and l2 = c2 s
         # (1 - s). Each is logistic(-y) of y = (d - center) gain: B's gain
         # is -k_c. (center, gain, c1, c2) of each factor:
         b = (cfg.sensing_radius - 0.5 * cfg.connectivity_buffer, k_b,
              -k_b, -k_b * k_b)
-        c = (self.rim_shift, -k_c, k_c, -(k_c * k_c))
+        c = (0.5 * cfg.collision_margin, -k_c, k_c, -(k_c * k_c))
         # the two factor rows of each region, avoiding or not: without
         # avoidance [b, b], one factor twice; while avoiding [b, B], whose
         # log-derivatives are summed with their reverse to [b + B, B + b]
         self.factor_rows = {False: (b, b), True: (b, c)}
-        if mask is None:
-            mask = np.zeros((1, 1), dtype=bool)
         n = len(mask)
         self.rows = quotient_rows(cfg.field_exponent, n)
         # per robot, the quotient inputs in rows 11-22: gamma three times,
@@ -322,42 +314,6 @@ class JetKernel:
         self.m = self.m4[:2]
         self.wm_x, self.m_y = self.wm[0], self.m[1]
 
-    def leader_terms(self, position):
-        """Row 0's quotient inputs: gamma = |p - goal|^2, its gradient and
-        Laplacian, and beta = dip * bnd with its gradient and Hessian."""
-        p = self.cfg
-        px, py = float(position[0]), float(position[1])
-        rx, ry = px - self.goal[0], py - self.goal[1]
-        ax, ay = self.axis
-        proj = rx * ax + ry * ay
-        dip = p.dipolar_eps + proj * proj
-        # dip has gradient 2 proj a and Hessian 2 a a^T
-        dx, dy = 2.0 * proj * ax, 2.0 * proj * ay
-
-        norm = math.hypot(px, py)
-        bnd = _logistic(self.k_c * (p.workspace_radius - norm
-                                    - self.rim_shift))
-        if norm > 0.0:
-            # the rim factor B(R_w - |p|) has gradient -B' u and Hessian
-            # B'' u u^T - B' (I - u u^T) / |p|, with u = p / |p|
-            k = self.k_c
-            s1 = k * bnd * (1.0 - bnd)
-            t = s1 / norm
-            w = (k * s1 * (1.0 - 2.0 * bnd) + t) / (norm * norm)
-            nx, ny = -t * px, -t * py
-            nxx, nxy, nyy = w * px * px - t, w * px * py, w * py * py - t
-        else:
-            # rim direction undefined at the workspace center; the factor is
-            # saturated there anyway
-            nx = ny = nxx = nxy = nyy = 0.0
-
-        dbeta = (bnd * dx + dip * nx, bnd * dy + dip * ny)
-        ddbeta = (2.0 * bnd * ax * ax + 2.0 * dx * nx + dip * nxx,
-                  2.0 * bnd * ax * ay + dx * ny + dy * nx + dip * nxy,
-                  2.0 * bnd * ay * ay + 2.0 * dy * ny + dip * nyy)
-        return (rx * rx + ry * ry, (2.0 * rx, 2.0 * ry), 2.0, dip * bnd,
-                dbeta, ddbeta)
-
     def __call__(self, position, offsets: np.ndarray, dist: np.ndarray,
                  region: RegionFlag):
         """phi, gradient (x, y) and Hessian (xx, xy, yy) of every robot.
@@ -370,8 +326,8 @@ class JetKernel:
         serve both the logged value (the regional potential) and its
         derivatives, by the formulas of ``fields.follower_terms``.
         """
-        gamma, (gx, gy), _, beta, (bx, by), (hxx, hxy, hyy) = (
-            self.leader_terms(position))
+        gamma, (gx, gy), beta, (bx, by), (hxx, hxy, hyy) = leader_terms(
+            position, self.cfg)
         self.leader_inputs[:] = (gamma, gamma, gamma, gx, gy, beta, beta,
                                  bx, by, hxx, hyy, hxy)
         if self.inputs.shape[1] > 1:

@@ -240,26 +240,35 @@ _DIST_ROW = np.dtype([("t", "f8"), ("i", "i4"), ("j", "i4"), ("d", "f8"),
                       ("monitored", "i1")])
 
 
-def _robot_count(raw: str) -> int:
-    n = int(raw)
-    if n < 1:
-        raise ValueError(raw)
-    return n
+def _checked(kind, ok):
+    """A parser of ``kind`` that also raises ValueError where ``ok`` of the
+    value is false."""
+    def parse(raw: str):
+        value = kind(raw)
+        if not ok(value):
+            raise ValueError(raw)
+        return value
+    return parse
+
+
+_finite = _checked(float, math.isfinite)
+_positive = _checked(float, lambda x: 0.0 < x < math.inf)
 
 
 def _two_numbers(raw: str) -> np.ndarray:
-    x, y = (float(v) for v in raw.split())
+    x, y = (_finite(v) for v in raw.split())
     return np.array([x, y])
 
 
 # the metadata keys load_trajectory reads (it ignores the roles line): each
-# key's parser, and what a value must be for it to parse
+# key's parser, and what a value must be for it to parse; only what a run
+# can write parses
 _REQUIRED_META = {
-    "n_robots": (_robot_count, "an integer >= 1"),
-    "goal_position": (_two_numbers, "two numbers"),
-    "goal_heading": (float, "a number"),
-    "time_step": (float, "a number"),
-    "sensing_radius": (float, "a number"),
+    "n_robots": (_checked(int, lambda n: n >= 1), "an integer >= 1"),
+    "goal_position": (_two_numbers, "two finite numbers"),
+    "goal_heading": (_finite, "a finite number"),
+    "time_step": (_positive, "a finite number > 0"),
+    "sensing_radius": (_positive, "a finite number > 0"),
 }
 
 
@@ -497,9 +506,11 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
     """Rebuild a TrajectoryLog from exported files (events are not exported).
 
     Each step must repeat the first one's layout: ids 1..n with one ``t``
-    and one region in ``trajectory.csv``, and the pairs and ``monitored``
-    flags of step 0 at that step's ``t`` in ``distances.csv``. A ValueError
-    names the file where a step does not.
+    and one region in ``trajectory.csv``, and the pairs (1, 2), (1, 3), ...,
+    (n - 1, n) in order with step 0's ``monitored`` flags at that step's
+    ``t`` in ``distances.csv``. Regions and flags are 0 or 1, and the
+    region, once 1, stays 1. A ValueError names the file and the first step
+    that breaks a rule.
     """
     traj_path = os.path.join(log_dir, TRAJECTORY_FILE)
     dist_path = os.path.join(log_dir, DISTANCES_FILE)
@@ -515,6 +526,11 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
     _check_steps(traj_path, traj["t"] != times[:, None], "has more than one t")
     _check_steps(traj_path, traj["region"] != region[:, None],
                  "has more than one region")
+    _check_steps(traj_path, ((region != 0) & (region != 1))[:, None],
+                 "has a region other than 0 or 1")
+    # the switch is latched: once 1, the region stays 1
+    _check_steps(traj_path, (np.maximum.accumulate(region) != region)[:, None],
+                 "returns to region 0 after the switch")
 
     n_pairs = n * (n - 1) // 2
     if n_pairs:
@@ -526,16 +542,21 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
                 raise ValueError(f"{dist_path}: metadata '{key}' is "
                                  f"{dmeta.get(key)!r}, {TRAJECTORY_FILE} "
                                  f"has {meta[key]!r}")
+        upper = np.triu_indices(n, 1)
+        _check_steps(dist_path, (dist["i"] != upper[0] + 1)
+                     | (dist["j"] != upper[1] + 1),
+                     f"does not list the pairs i < j of ids 1..{n} in order")
         first = dist[0]
-        for name, what in (("i", "pairs"), ("j", "pairs"),
-                           ("monitored", "monitored flags")):
-            _check_steps(dist_path, dist[name] != first[name],
-                         f"lists other {what} than step 0")
+        flag = first["monitored"]
+        _check_steps(dist_path, ((flag != 0) & (flag != 1))[None],
+                     "has a monitored flag other than 0 or 1")
+        _check_steps(dist_path, dist["monitored"] != flag,
+                     "lists other monitored flags than step 0")
         _check_steps(dist_path, dist["t"] != times[:, None],
                      f"has another t than {TRAJECTORY_FILE}")
         pairs = tuple(first[["i", "j"]].tolist())
         distances = dist["d"]
-        monitored = first["monitored"].astype(bool)
+        monitored = flag.astype(bool)
     else:
         pairs = ()
         distances = np.zeros((len(times), 0))

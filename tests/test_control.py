@@ -97,8 +97,7 @@ def follower(i, x, y, theta):
 class TestComputeControl:
     def test_leader_at_goal_is_at_rest(self, params_s5):
         out = compute_control(leader(0.0, 0.0, 0.0), [],
-                              RegionFlag.COLLISION_FREE, params_s5,
-                              k_v=2.0, k_w=8.0)
+                              RegionFlag.COLLISION_FREE, params_s5)
         assert out.v == 0.0
         assert out.theta_tilde == 0.0
         # the Hessian is diagonal at the goal, so the feedforward vanishes
@@ -108,17 +107,15 @@ class TestComputeControl:
         p = np.array([2.0, 2.0])
         out = compute_control(follower(2, 2.0, 2.0, 1.0),
                               [p.copy(), p.copy()],
-                              RegionFlag.RENDEZVOUS, params_s5,
-                              k_v=4.0, k_w=8.0)
+                              RegionFlag.RENDEZVOUS, params_s5)
         assert out.v == 0.0
 
     def test_orthogonal_error_structure(self, params_s5):
         base = compute_control(leader(5.0, 1.0, 0.0), [],
-                               RegionFlag.COLLISION_FREE, params_s5,
-                               k_v=2.0, k_w=8.0)
+                               RegionFlag.COLLISION_FREE, params_s5)
         rotated = leader(5.0, 1.0, normalize_angle(base.theta_d + math.pi / 2))
         out = compute_control(rotated, [], RegionFlag.COLLISION_FREE,
-                              params_s5, k_v=2.0, k_w=8.0)
+                              params_s5)
         assert out.theta_tilde == pytest.approx(math.pi / 2, abs=1e-12)
         assert abs(out.v) < 1e-10
         assert out.omega == pytest.approx(-8.0 * out.theta_tilde

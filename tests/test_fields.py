@@ -1,12 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from rendezsim import RegionFlag
-from rendezsim.fields import (dipolar_factor, follower_terms, goal_leader,
-                              navfunc_follower, navfunc_leader, region_of,
-                              sigmoid_collision, sigmoid_connectivity)
+from rendezsim.fields import (follower_terms, leader_terms, navfunc_follower,
+                              navfunc_leader, region_of, sigmoid_collision,
+                              sigmoid_connectivity)
 
 
 def reference_leader_value(p, goal, goal_heading, eps_nh, alpha, r_work,
@@ -81,29 +82,38 @@ class TestSigmoids:
 
 
 class TestScalarParts:
-    def test_goal_leader_zero_at_goal(self):
-        assert goal_leader(np.array([1.0, -2.0]), np.array([1.0, -2.0])) == 0.0
+    @staticmethod
+    def leader(p, params, goal=(0.0, 0.0)):
+        """(gamma, beta) of ``leader_terms`` for a goal with heading 0 and
+        dipolar_eps 0.01. The points lie deep inside the 50 m workspace,
+        where the rim factor is exactly 1.0, so beta is the dipolar factor."""
+        cfg = replace(params, goal_position=np.array(goal), goal_heading=0.0,
+                      dipolar_eps=0.01)
+        gamma, _, beta, _, _ = leader_terms(np.asarray(p, dtype=float), cfg)
+        return gamma, beta
 
-    def test_goal_leader_three_four_five(self):
-        assert goal_leader(np.array([3.0, 4.0]), np.zeros(2)) == pytest.approx(25.0)
+    def test_goal_leader_zero_at_goal(self, params_s5):
+        assert self.leader([1.0, -2.0], params_s5, goal=(1.0, -2.0))[0] == 0.0
 
-    def test_goal_leader_translation_invariant(self):
+    def test_goal_leader_three_four_five(self, params_s5):
+        assert self.leader([3.0, 4.0], params_s5)[0] == pytest.approx(25.0)
+
+    def test_goal_leader_translation_invariant(self, params_s5):
         rng = np.random.default_rng(0)
         for _ in range(50):
             p, goal, shift = rng.uniform(-5, 5, (3, 2))
-            assert goal_leader(p + shift, goal + shift) == pytest.approx(
-                goal_leader(p, goal), rel=1e-12)
+            assert self.leader(p + shift, params_s5, goal + shift)[0] == (
+                pytest.approx(self.leader(p, params_s5, goal)[0], rel=1e-12))
 
-    def test_dipolar_perpendicular_displacement(self):
-        val = dipolar_factor(np.array([0.0, 5.0]), np.zeros(2), 0.0, 0.01)
+    def test_dipolar_perpendicular_displacement(self, params_s5):
+        val = self.leader([0.0, 5.0], params_s5)[1]
         assert val == pytest.approx(0.01, abs=1e-12)
 
-    def test_dipolar_axial_displacement(self):
-        val = dipolar_factor(np.array([2.0, 0.0]), np.zeros(2), 0.0, 0.01)
-        assert val == pytest.approx(4.01)
+    def test_dipolar_axial_displacement(self, params_s5):
+        assert self.leader([2.0, 0.0], params_s5)[1] == pytest.approx(4.01)
 
-    def test_dipolar_floor_at_goal(self):
-        assert dipolar_factor(np.zeros(2), np.zeros(2), 0.0, 0.01) == 0.01
+    def test_dipolar_floor_at_goal(self, params_s5):
+        assert self.leader([0.0, 0.0], params_s5)[1] == 0.01
 
     def test_goal_follower_consensus(self, params_s5):
         p = np.array([1.0, 1.0])
@@ -120,7 +130,8 @@ class TestScalarParts:
         p = np.array([0.3, -0.7])
         q = np.array([2.0, 1.0])
         assert follower_terms(p, [q], RegionFlag.RENDEZVOUS,
-                              params_s5)[0] == pytest.approx(goal_leader(p, q))
+                              params_s5)[0] == pytest.approx(
+                                  np.sum((p - q) ** 2))
 
     def test_goal_follower_requires_neighbors(self, params_s5):
         with pytest.raises(ValueError, match="no neighbors"):

@@ -575,23 +575,29 @@ class TestLoadMismatch:
         ("n_robots", "four", "an integer >= 1"),
         ("n_robots", "4.0", "an integer >= 1"),
         ("n_robots", "", "an integer >= 1"),
-        ("goal_position", "1.5", "two numbers"),
-        ("goal_position", "1.5 -0.5 0.0", "two numbers"),
-        ("goal_position", "east north", "two numbers"),
-        ("goal_position", "", "two numbers"),
-        ("goal_heading", "north", "a number"),
-        ("goal_heading", "", "a number"),
-        ("time_step", "abc", "a number"),
-        ("time_step", "0.01 0.02", "a number"),
-        ("time_step", "", "a number"),
-        ("sensing_radius", "far", "a number"),
-        ("sensing_radius", "", "a number"),
+        ("goal_position", "1.5", "two finite numbers"),
+        ("goal_position", "1.5 -0.5 0.0", "two finite numbers"),
+        ("goal_position", "east north", "two finite numbers"),
+        ("goal_position", "", "two finite numbers"),
+        ("goal_position", "nan 0", "two finite numbers"),
+        ("goal_heading", "north", "a finite number"),
+        ("goal_heading", "", "a finite number"),
+        ("goal_heading", "inf", "a finite number"),
+        ("time_step", "abc", "a finite number > 0"),
+        ("time_step", "0.01 0.02", "a finite number > 0"),
+        ("time_step", "", "a finite number > 0"),
+        ("time_step", "0", "a finite number > 0"),
+        ("time_step", "nan", "a finite number > 0"),
+        ("sensing_radius", "far", "a finite number > 0"),
+        ("sensing_radius", "", "a finite number > 0"),
+        ("sensing_radius", "-1", "a finite number > 0"),
     ], ids=["n_robots_zero", "n_robots_negative", "n_robots_word",
             "n_robots_float", "n_robots_empty", "goal_one_number",
-            "goal_three_numbers", "goal_words", "goal_empty",
-            "goal_heading_word", "goal_heading_empty", "time_step_word",
-            "time_step_two_numbers", "time_step_empty", "sensing_radius_word",
-            "sensing_radius_empty"])
+            "goal_three_numbers", "goal_words", "goal_empty", "goal_nan",
+            "goal_heading_word", "goal_heading_empty", "goal_heading_inf",
+            "time_step_word", "time_step_two_numbers", "time_step_empty",
+            "time_step_zero", "time_step_nan", "sensing_radius_word",
+            "sensing_radius_empty", "sensing_radius_negative"])
     def test_bad_metadata_value_is_named(self, exported, key, raw, what,
                                          capsys):
         path = exported / "trajectory.csv"
@@ -698,11 +704,29 @@ class TestLoadMismatch:
         # pairs (1, 2) and (1, 3) swapped: they would load into each
         # other's columns
         ("distances.csv", {(18, 2): "3", (19, 2): "2"},
-         "step 3 lists other pairs than step 0"),
+         "step 3 does not list the pairs i < j of ids 1..4 in order"),
         ("distances.csv", {(12 + k, 0): "9.000000000" for k in range(6)},
          "step 2 has another t than trajectory.csv"),
+        # values that no run writes, repeated by every step: steps 0-2 are
+        # in region 0, steps 3-5 in region 1, and the switch is latched
+        ("trajectory.csv", {(16 + r, 11): "2" for r in range(4)},
+         "step 4 has a region other than 0 or 1"),
+        ("trajectory.csv", {(16 + r, 11): "0" for r in range(4)},
+         "step 4 returns to region 0 after the switch"),
+        # pair (1, 2) as (2, 1), and pair (1, 3) as a second (1, 2)
+        ("distances.csv", {**{(6 * k, 1): "2" for k in range(6)},
+                           **{(6 * k, 2): "1" for k in range(6)}},
+         "step 0 does not list the pairs i < j of ids 1..4 in order"),
+        ("distances.csv", {(6 * k + 1, 2): "2" for k in range(6)},
+         "step 0 does not list the pairs i < j of ids 1..4 in order"),
+        ("distances.csv", {(6 * k + 2, 4): "2" for k in range(6)},
+         "step 0 has a monitored flag other than 0 or 1"),
+        ("distances.csv", {(6 * k + 2, 4): "-1" for k in range(6)},
+         "step 0 has a monitored flag other than 0 or 1"),
     ], ids=["ids_swapped", "two_times", "two_regions", "pairs_swapped",
-            "time_of_another_run"])
+            "time_of_another_run", "region_two", "region_unlatched",
+            "pair_reversed", "pair_repeated", "monitored_two",
+            "monitored_negative"])
     def test_step_must_repeat_the_first(self, exported, name, cells,
                                         message):
         path = exported / name

@@ -217,8 +217,7 @@ class TestArrayCore:
             for i, s in enumerate(states):
                 ref = compute_control(
                     s, [states[j].position for j in np.flatnonzero(mask[i])],
-                    region, cfg, cfg.linear_gains[i],
-                    cfg.angular_gains[i], prev[i], gradient_floor=floor)
+                    region, cfg, prev[i])
                 pose = integrate_pose(np.array([*s.position, s.heading]),
                                       ref.v, ref.omega, cfg.time_step)
                 got = controls[i]
@@ -349,9 +348,7 @@ class TestKernelRowZero:
                 initial_states=states)
             new_states, controls, _ = step(states, region, cfg, None,
                                            prev + [None] * (n - 1))
-            ref = compute_control(states[0], [], region, cfg,
-                                  cfg.linear_gains[0], cfg.angular_gains[0],
-                                  prev[0], gradient_floor=cfg.gradient_floor)
+            ref = compute_control(states[0], [], region, cfg, prev[0])
             got = controls[0]
             assert_controls_match(
                 (got.v, got.omega, got.theta_d, got.theta_tilde,
@@ -379,9 +376,8 @@ class TestKernelRowZero:
             region = (RegionFlag.COLLISION_FREE if log.region[k] == 0
                       else RegionFlag.RENDEZVOUS)
             ref = compute_control(
-                RobotState(1, np.array([x, y]), theta), [],
-                region, cfg, 2.0, 8.0, prev,
-                gradient_floor=cfg.gradient_floor)
+                RobotState(1, np.array([x, y]), theta), [], region, cfg,
+                prev)
             assert_controls_match((*log.controls[k, 0], log.phi[k, 0]), ref)
             if k + 1 < log.n_steps:
                 pose = integrate_pose(log.poses[k, 0], ref.v, ref.omega,
