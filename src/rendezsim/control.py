@@ -102,9 +102,21 @@ def compute_control(robot: RobotState,
                          grad_norm=float(np.linalg.norm(ev.gradient)))
 
 
+class ControlWork:
+    """Preallocated rows of ``control_laws`` over n robots, with the rows of
+    the descent direction -grad bound once."""
+
+    def __init__(self, n: int):
+        self.descent = np.empty((2, n))
+        self.descent_x, self.descent_y = self.descent
+        (self.grad_norm, self.magnitude, self.cos_tilde, self.sin_d,
+         self.cos_d, self.left, self.right, self.scratch) = np.empty((8, n))
+        self.steep, self.inside = np.empty((2, n), dtype=bool)
+
+
 def control_laws(grad, hess, theta: np.ndarray, fallback: np.ndarray,
                  k_v: np.ndarray, k_w: np.ndarray, gradient_floor=1e-9,
-                 out=None, pi=math.pi):
+                 out=None, pi=math.pi, work=None):
     """The four laws above for many robots at once, elementwise.
 
     grad is (x, y) and hess (xx, xy, yy), each component an array over the
@@ -113,38 +125,54 @@ def control_laws(grad, hess, theta: np.ndarray, fallback: np.ndarray,
     previous one, or the current heading when there is none.
     ``gradient_floor`` and ``pi`` are floats or, as the step kernel passes
     them, rows of theta's shape. ``out``, five rows (a (5, n) array or a
-    sequence of rows), receives the first five results when given. Returns
-    (v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm).
+    sequence of rows), receives the first five results when given; every
+    temporary goes into ``work``, a ``ControlWork``, made when none is
+    given. Returns (v, omega, theta_d, theta_tilde, theta_d_dot,
+    grad_norm), grad_norm a row of ``work``.
     """
     n = len(theta)
     if out is None:
         out = np.empty((5, n))
+    w = ControlWork(n) if work is None else work
     v, omega, theta_d, theta_tilde, theta_d_dot = out
-    gx, gy = grad[0], grad[1]
     hxx, hxy, hyy = hess
-    grad_norm = np.hypot(gx, gy)
+    # |-grad| is |grad| bit for bit: hypot takes absolute values
+    np.negative(grad, out=w.descent)
+    descent_x, descent_y = w.descent_x, w.descent_y
+    grad_norm = np.hypot(descent_x, descent_y, out=w.grad_norm)
     # the fallback goes only where some norm is at or under the floor, or NaN
-    steep = grad_norm > gradient_floor
-    descent = np.negative(grad)
+    steep = np.greater(grad_norm, gradient_floor, out=w.steep)
     if np.count_nonzero(steep) == n:
-        np.arctan2(descent[1], descent[0], out=theta_d)
+        np.arctan2(descent_y, descent_x, out=theta_d)
     else:
         np.copyto(theta_d, fallback)
-        np.arctan2(descent[1], descent[0], out=theta_d, where=steep)
+        np.arctan2(descent_y, descent_x, out=theta_d, where=steep)
     # theta_d is an arctan2 value or a held heading, in [-pi, pi], so
     # theta - theta_d lies in [-2 pi, 2 pi], where one turn is
     # normalize_angle bit for bit; except at -2 pi, which only theta one ulp
     # above -pi and theta_d = pi reach, and which turns to +0.0, not -0.0
     np.subtract(theta, theta_d, out=theta_tilde)
-    if np.count_nonzero(np.abs(theta_tilde) < pi) < n:
+    magnitude = np.abs(theta_tilde, out=w.magnitude)
+    if np.count_nonzero(np.less(magnitude, pi, out=w.inside)) < n:
         turn_angles(theta_tilde, out=theta_tilde)
-    cos_tilde = np.cos(theta_tilde)
-    np.multiply(k_v * grad_norm, cos_tilde, out=v)
+    cos_tilde = np.cos(theta_tilde, out=w.cos_tilde)
+    np.multiply(k_v, grad_norm, out=v)
+    np.multiply(v, cos_tilde, out=v)
     # left^T H right with left = (sin theta_d, -cos theta_d), right the
-    # motion direction (cos theta, sin theta)
-    sin_d, cos_d = np.sin(theta_d), np.cos(theta_d)
-    np.multiply(k_v * cos_tilde,
-                (sin_d * hxx - cos_d * hxy) * np.cos(theta)
-                + (sin_d * hxy - cos_d * hyy) * np.sin(theta), out=theta_d_dot)
-    np.subtract(theta_d_dot, k_w * theta_tilde, out=omega)
+    # motion direction (cos theta, sin theta): (sin_d hxx - cos_d hxy)
+    # cos theta + (sin_d hxy - cos_d hyy) sin theta
+    sin_d = np.sin(theta_d, out=w.sin_d)
+    cos_d = np.cos(theta_d, out=w.cos_d)
+    left, right, scratch = w.left, w.right, w.scratch
+    np.multiply(sin_d, hxx, out=left)
+    np.subtract(left, np.multiply(cos_d, hxy, out=scratch), out=left)
+    np.multiply(left, np.cos(theta, out=scratch), out=left)
+    np.multiply(sin_d, hxy, out=right)
+    np.subtract(right, np.multiply(cos_d, hyy, out=scratch), out=right)
+    np.multiply(right, np.sin(theta, out=scratch), out=right)
+    np.add(left, right, out=left)
+    np.multiply(k_v, cos_tilde, out=theta_d_dot)
+    np.multiply(theta_d_dot, left, out=theta_d_dot)
+    np.subtract(theta_d_dot, np.multiply(k_w, theta_tilde, out=scratch),
+                out=omega)
     return v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm

@@ -12,7 +12,7 @@ and ``leader_terms`` the informed robot's.
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -145,7 +145,32 @@ def follower_terms(position: np.ndarray,
              beta * (gy * gy + hyy)), slopes)
 
 
-def leader_terms(position: np.ndarray, cfg: ScenarioConfig):
+class LeaderConstants(NamedTuple):
+    """What ``leader_terms`` and ``region_of`` read of the scenario, as
+    floats: the goal, the goal heading's axis a = (cos, sin), the rim
+    factor's logistic gain and the switch distance. A run computes them
+    once; a call given none computes them itself."""
+
+    goal_x: float
+    goal_y: float
+    axis_x: float
+    axis_y: float
+    rim_gain: float
+    switch_distance: float
+
+
+def leader_constants(cfg: ScenarioConfig) -> LeaderConstants:
+    """The ``LeaderConstants`` of a scenario."""
+    goal_x, goal_y = cfg.goal_position.tolist()
+    return LeaderConstants(
+        goal_x, goal_y, math.cos(cfg.goal_heading),
+        math.sin(cfg.goal_heading),
+        sigmoid_gain(cfg.collision_margin, cfg.sigmoid_eps),
+        cfg.switch_distance)
+
+
+def leader_terms(position: np.ndarray, cfg: ScenarioConfig,
+                 const: LeaderConstants | None = None):
     """The informed robot's quotient inputs, as ``follower_terms`` without
     the slopes: gamma = |p - goal|^2, its gradient, beta = dip * B(R_w - |p|)
     and beta's gradient and Hessian (xx, xy, yy).
@@ -153,11 +178,14 @@ def leader_terms(position: np.ndarray, cfg: ScenarioConfig):
     dip = dipolar_eps + (a . (p - goal))^2, with a the goal heading's axis,
     is small on the line through the goal perpendicular to a: that ridge
     bends the flow lines to approach the goal along the heading axis.
+    ``const`` is ``leader_constants(cfg)``.
     """
+    if const is None:
+        const = leader_constants(cfg)
+    goal_x, goal_y, ax, ay, k, _ = const
     px, py = float(position[0]), float(position[1])
-    rx = px - float(cfg.goal_position[0])
-    ry = py - float(cfg.goal_position[1])
-    ax, ay = math.cos(cfg.goal_heading), math.sin(cfg.goal_heading)
+    rx = px - goal_x
+    ry = py - goal_y
     proj = rx * ax + ry * ay
     dip = cfg.dipolar_eps + proj * proj
     # dip has gradient 2 proj a and Hessian 2 a a^T
@@ -168,7 +196,6 @@ def leader_terms(position: np.ndarray, cfg: ScenarioConfig):
     if norm > 0.0:
         # the rim factor B(R_w - |p|) has gradient -B' u and Hessian
         # B'' u u^T - B' (I - u u^T) / |p|, with u = p / |p|
-        k = sigmoid_gain(cfg.collision_margin, cfg.sigmoid_eps)
         s1 = k * bnd * (1.0 - bnd)
         t = s1 / norm
         w = (k * s1 * (1.0 - 2.0 * bnd) + t) / (norm * norm)
@@ -185,15 +212,16 @@ def leader_terms(position: np.ndarray, cfg: ScenarioConfig):
     return rx * rx + ry * ry, (2.0 * rx, 2.0 * ry), dip * bnd, dbeta, ddbeta
 
 
-def navfunc_leader(position: np.ndarray, cfg: ScenarioConfig) -> float:
+def navfunc_leader(position: np.ndarray, cfg: ScenarioConfig,
+                   const: LeaderConstants | None = None) -> float:
     """Dipolar navigation function of the informed robot.
 
     zero exactly at the goal, 1 where the boundary factor vanishes. The goal
     and the workspace rim never coincide, so numerator and denominator cannot
-    vanish together.
+    vanish together. ``const`` is ``leader_constants(cfg)``.
     """
     alpha = cfg.field_exponent
-    gamma, _, beta, _, _ = leader_terms(position, cfg)
+    gamma, _, beta, _, _ = leader_terms(position, cfg, const)
     return gamma / (gamma ** alpha + beta) ** (1.0 / alpha)
 
 
@@ -209,17 +237,20 @@ def navfunc_follower(position: np.ndarray,
 
 
 def region_of(leader_position: np.ndarray, cfg: ScenarioConfig,
-              previous: RegionFlag = RegionFlag.COLLISION_FREE) -> RegionFlag:
+              previous: RegionFlag = RegionFlag.COLLISION_FREE,
+              const: LeaderConstants | None = None) -> RegionFlag:
     """Latched region switch driven by the informed robot's goal distance.
 
     Once the leader has been within the switch distance the flag stays
     RENDEZVOUS forever, so a later oscillation around the threshold cannot
-    re-activate collision avoidance.
+    re-activate collision avoidance. ``const`` is ``leader_constants(cfg)``.
     """
     if previous is RegionFlag.RENDEZVOUS:
         return RegionFlag.RENDEZVOUS
-    goal = cfg.goal_position
-    if (math.hypot(leader_position[0] - goal[0], leader_position[1] - goal[1])
-            < cfg.switch_distance):
+    if const is None:
+        const = leader_constants(cfg)
+    if (math.hypot(leader_position[0] - const.goal_x,
+                   leader_position[1] - const.goal_y)
+            < const.switch_distance):
         return RegionFlag.RENDEZVOUS
     return RegionFlag.COLLISION_FREE

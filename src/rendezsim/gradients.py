@@ -13,8 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import (DISTANCE_FLOOR, FieldEval, follower_terms, leader_terms,
-                     logistic_negated, navfunc_leader, sigmoid_gain)
+from .fields import (DISTANCE_FLOOR, FieldEval, follower_terms,
+                     leader_constants, leader_terms, logistic_negated,
+                     navfunc_leader, sigmoid_gain)
 from .model import RegionFlag, ScenarioConfig
 # not called here: rendezbench/tracing.py wraps these names
 from .fields import (navfunc_follower, sigmoid_collision,  # noqa: F401
@@ -64,15 +65,42 @@ def quotient_rows(alpha: float, n: int | None = None):
                  for i, v in enumerate(values))
 
 
-def _rows(x, index):
-    """x[index] of duplicated rows; a float stands for all of them."""
-    return x[index] if isinstance(x, np.ndarray) else x
+class QuotientWork:
+    """Preallocated rows for ``_quotient_jet`` calls on the given inputs.
+
+    It binds once every view the rule reads: the first two rows of
+    ``gamma``, ``dbeta`` reversed and the rows of its own temporaries. Over
+    n robots every quantity the rule combines with (x, y) rows is held
+    twice, as the inputs are. For one robot's floats (``gamma`` a float,
+    ``dbeta`` of shape (2,)) those quantities are 0-d, and s is left to
+    the rule, whose exponents must see a float: a numpy power over an
+    array rounds differently from the C library's.
+    """
+
+    def __init__(self, gamma, dbeta):
+        one = np.shape(gamma)[1:]
+        pair, twice = (2, *one), (2, *one) if one else ()
+        self.gamma = gamma[:2] if one else gamma
+        self.dbeta_reversed = dbeta[::-1]
+        self.gamma_ddbeta = np.empty((3, *one))
+        self.gamma_diag = self.gamma_ddbeta[:2]
+        self.gamma_xy = self.gamma_ddbeta[2, ...]
+        self.s = np.empty(twice) if one else None
+        self.e, self.ab, self.a_root, self.dpow, self.phi = (
+            np.empty(twice) for _ in range(5))
+        self.e_row = self.e[0, ...] if one else self.e
+        self.phi_row = self.phi[0, ...] if one else self.phi
+        self.f, self.de, self.diag, self.cross, self.fe, self.scratch = (
+            np.empty(pair) for _ in range(6))
+        self.de_reversed = self.de[::-1]
+        self.cross_x, self.cross_y = self.cross[0, ...], self.cross[1, ...]
+        self.fe_x, self.fe_y = self.fe[0, ...], self.fe[1, ...]
+        self.hxy = np.empty(one)
+        self.hess = (self.diag[0, ...], self.hxy, self.diag[1, ...])
 
 
-_FIRST_TWO = slice(2)
-
-
-def _quotient_jet(alpha, rows, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta):
+def _quotient_jet(alpha, rows, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta,
+                  work=None):
     """Value, gradient, Hessian and e of phi = gamma / (gamma^a + beta)^(1/a).
 
     Gradients come as (x, y) along the first axis, and ``ddbeta``, the
@@ -85,36 +113,53 @@ def _quotient_jet(alpha, rows, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta):
     hess phi = (grad N - grad phi grad e^T) / e, a symmetric matrix whose
     off-diagonal is averaged against rounding. The four exponents stay
     scalars: numpy's ``**`` takes fast paths for some scalar exponents that
-    an array of them would not. Returns phi, the gradient, the Hessian
-    (xx, xy, yy) and e.
+    an array of them would not. Every intermediate goes into ``work``, a
+    ``QuotientWork`` of these very ``gamma`` and ``dbeta``, made when none
+    is given. Returns phi, the gradient, the Hessian (xx, xy, yy) and e,
+    rows of ``work``.
     """
+    w = QuotientWork(gamma, dbeta) if work is None else work
     a, a_plus, a_minus, a_minus_row, half = rows
-    gamma_ddbeta = gamma * ddbeta
-    gamma = _rows(gamma, _FIRST_TWO)
+    np.multiply(gamma, ddbeta, out=w.gamma_ddbeta)
+    gamma, scratch = w.gamma, w.scratch
     inv_alpha = 1.0 / alpha
-    s = gamma ** alpha + beta
+    s = np.add(gamma ** alpha, beta, out=w.s)
     root = s ** inv_alpha
-    e = a * s ** (inv_alpha + 1.0)
-    ab = a * beta
-    f = (ab * dgamma - gamma * dbeta) / e
+    e = np.multiply(a, s ** (inv_alpha + 1.0), out=w.e)
+    ab = np.multiply(a, beta, out=w.ab)
+    f = np.multiply(ab, dgamma, out=w.f)
+    np.subtract(f, np.multiply(gamma, dbeta, out=scratch), out=f)
+    np.divide(f, e, out=f)
     # d(gamma^a)/d(gamma) diverges at gamma = 0 for a < 1, where grad gamma
     # vanishes and so does every term it multiplies: take it as 0 there. For
     # a >= 1 it is finite at 0, where it multiplies grad gamma = 0 all the same
+    dpow = w.dpow
     if alpha >= 1.0:
-        dpow = a * np.power(gamma, alpha - 1.0)
+        np.power(gamma, alpha - 1.0, out=dpow)
     else:
-        dpow = a * np.power(gamma, alpha - 1.0,
-                            out=np.zeros(np.shape(gamma)),
-                            where=gamma > 0.0)
-    de = (a_plus * root) * (dpow * dgamma + dbeta)
-    diag = (a_minus * dgamma * dbeta + ab * lap_gamma - gamma_ddbeta[:2]
-            - f * de) / e
-    cross = dgamma * dbeta[::-1]  # gx by, gy bx
-    fe = f * de[::-1]  # fx ey, fy ex
-    e = _rows(e, 0)
-    hxy = (half * (a_minus_row * (cross[0] + cross[1]) - fe[0] - fe[1])
-           - gamma_ddbeta[2]) / e
-    return _rows(gamma, 0) / _rows(root, 0), f, (diag[0], hxy, diag[1]), e
+        dpow[...] = 0.0
+        np.power(gamma, alpha - 1.0, out=dpow, where=gamma > 0.0)
+    np.multiply(a, dpow, out=dpow)
+    de = np.multiply(dpow, dgamma, out=w.de)
+    np.add(de, dbeta, out=de)
+    np.multiply(np.multiply(a_plus, root, out=w.a_root), de, out=de)
+    diag = np.multiply(a_minus, dgamma, out=w.diag)
+    np.multiply(diag, dbeta, out=diag)
+    np.add(diag, np.multiply(ab, lap_gamma, out=scratch), out=diag)
+    np.subtract(diag, w.gamma_diag, out=diag)
+    np.subtract(diag, np.multiply(f, de, out=scratch), out=diag)
+    np.divide(diag, e, out=diag)
+    np.multiply(dgamma, w.dbeta_reversed, out=w.cross)  # gx by, gy bx
+    np.multiply(f, w.de_reversed, out=w.fe)  # fx ey, fy ex
+    hxy = np.add(w.cross_x, w.cross_y, out=w.hxy)
+    np.multiply(a_minus_row, hxy, out=hxy)
+    np.subtract(hxy, w.fe_x, out=hxy)
+    np.subtract(hxy, w.fe_y, out=hxy)
+    np.multiply(half, hxy, out=hxy)
+    np.subtract(hxy, w.gamma_xy, out=hxy)
+    np.divide(hxy, w.e_row, out=hxy)
+    np.divide(gamma, root, out=w.phi)  # phi twice over, like gamma
+    return w.phi_row, f, w.hess, w.e_row
 
 
 def _matrix(hess):
@@ -154,7 +199,7 @@ def grad_navfunc_follower(position: np.ndarray,
         _diagonal_first(ddbeta))
     ms = tuple((2.0 * alpha * beta - gamma * beta * t) / e for t in slopes)
     return GradientBundle(gradient=np.array(grad), edge_weights=ms,
-                          hessian=_matrix(hess), value=phi)
+                          hessian=_matrix(hess), value=float(phi))
 
 
 def _diagonal_first(hess):
@@ -208,11 +253,16 @@ class JetKernel:
     A step's cost is numpy's fixed cost per call, so every call combines
     arrays of one shape: each scalar operand is held as a row of its
     partner's shape, a quantity combined with (x, y) rows is written twice
-    where it is made, and every view of the work arrays is bound once.
+    where it is made, every temporary has a preallocated row (the edge
+    pass's here, rebuilt with the edge list; the quotient rule's in a
+    ``QuotientWork`` of the input rows) and every view is bound once. The
+    informed robot's scenario constants (``fields.leader_constants``) are
+    computed once. A call returns rows of the kernel, valid until the next.
     """
 
     def __init__(self, cfg: ScenarioConfig, mask: np.ndarray):
         self.cfg = cfg
+        self.leader_const = leader_constants(cfg)
         eps = cfg.sigmoid_eps
         k_b = sigmoid_gain(cfg.connectivity_buffer, eps)
         k_c = sigmoid_gain(cfg.collision_margin, eps)
@@ -238,6 +288,7 @@ class JetKernel:
         self.gamma, self.dgamma = q[11:14], q[14:16]
         self.beta, self.dbeta = q[16:18], q[18:20]
         self.ddbeta = q[20:23]
+        self.quotient = QuotientWork(self.gamma, self.dbeta)
         # the followers' columns: sums of g = sum t_j (p - q_j) (x, y), the
         # curvature sums (xx, yy) and (xy), sum t_j twice, sum (p - q_j)
         # twice and gamma; then the inputs made from them
@@ -302,6 +353,11 @@ class JetKernel:
         self.l_rows, self.l_summed_rows = tuple(self.l), tuple(self.l_summed)
         self.w = np.empty((2, n_edges))
         self.wm = np.empty((2, n_edges))
+        # per edge and factor row: the logistic's argument, 1 - s, d^2,
+        # l2 - t and the floor screen
+        self.y, self.one_minus, self.dist_squared, self.curvature_top = (
+            np.empty((2, n_edges)) for _ in range(4))
+        self.near = np.empty((2, n_edges), dtype=bool)
         self.square = np.empty((4, n_edges))
         self.square_head, self.square_tail = self.square[:3], self.square[1:]
         # the edge terms whose segment sums make the jet, in the order of
@@ -327,7 +383,7 @@ class JetKernel:
         derivatives, by the formulas of ``fields.follower_terms``.
         """
         gamma, (gx, gy), beta, (bx, by), (hxx, hxy, hyy) = leader_terms(
-            position, self.cfg)
+            position, self.cfg, self.leader_const)
         self.leader_inputs[:] = (gamma, gamma, gamma, gx, gy, beta, beta,
                                  bx, by, hxx, hyy, hxy)
         if self.inputs.shape[1] > 1:
@@ -335,10 +391,10 @@ class JetKernel:
                             region is RegionFlag.COLLISION_FREE)
         phi, grad, hess, _ = _quotient_jet(
             self.cfg.field_exponent, self.rows, self.gamma, self.dgamma,
-            self.lap, self.beta, self.dbeta, self.ddbeta)
+            self.lap, self.beta, self.dbeta, self.ddbeta, self.quotient)
         # row 0 logs the scalar navigation function's value: the traced
         # benchmark (rendezbench/run.py) divides by that function's calls
-        phi[0] = navfunc_leader(position, self.cfg)
+        phi[0] = navfunc_leader(position, self.cfg, self.leader_const)
         return phi, grad, hess
 
     def _followers(self, offsets, dist, avoid):
@@ -349,7 +405,7 @@ class JetKernel:
         dist.take(self.dist_at, out=d2, mode="clip")
         center, gain, c1, c2 = self.per_edge[avoid]
         one = self.one
-        y = d2 - center
+        y = np.subtract(d2, center, out=self.y)
         y *= gain
         s = logistic_negated(y, self.minus_zero, one)
         beta = self.f_beta
@@ -358,26 +414,27 @@ class JetKernel:
             np.multiply(self.factors, self.factors_reversed, out=beta)
         else:  # [b, b]: beta twice
             np.multiply.reduceat(s, starts, axis=-1, out=beta)
-        one_minus = one - s
+        one_minus = np.subtract(one, s, out=self.one_minus)
         l1, l2 = self.l_rows
         np.multiply(c1, one_minus, out=l1)
-        np.multiply(np.multiply(c2, s), one_minus, out=l2)
+        np.multiply(np.multiply(c2, s, out=l2), one_minus, out=l2)
         if avoid:
             # b's and B's terms in either order: + is commutative bit for bit
             np.add(self.l, self.l_reversed, out=self.l_summed)
             l1, l2 = self.l_summed_rows
         # edge slopes l_j / d_j and curvatures, each twice; edges under the
         # floor add none, and a NaN distance takes the masked divides too
-        t, w = self.t, self.w
-        near = d2 >= self.floor
+        t, w, top = self.t, self.w, self.curvature_top
+        near = np.greater_equal(d2, self.floor, out=self.near)
+        square = np.multiply(d2, d2, out=self.dist_squared)
         if np.count_nonzero(near) == near.size:
             np.divide(l1, d2, out=t)
-            np.divide(l2 - t, d2 * d2, out=w)
+            np.divide(np.subtract(l2, t, out=top), square, out=w)
         else:
             t.fill(0.0)
             w.fill(0.0)
             np.divide(l1, d2, out=t, where=near)
-            np.divide(l2 - t, d2 * d2, out=w, where=near)
+            np.divide(np.subtract(l2, t, out=top), square, out=w, where=near)
         np.multiply(t, m, out=self.g_terms)
         np.multiply(w, m, out=self.wm)
         np.multiply(self.wm, m, out=self.curv_terms)

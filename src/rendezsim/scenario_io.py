@@ -509,8 +509,10 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
     and one region in ``trajectory.csv``, and the pairs (1, 2), (1, 3), ...,
     (n - 1, n) in order with step 0's ``monitored`` flags at that step's
     ``t`` in ``distances.csv``. Regions and flags are 0 or 1, and the
-    region, once 1, stays 1. A ValueError names the file and the first step
-    that breaks a rule.
+    region, once 1, stays 1. Step k's ``t`` is k * time_step, as a run
+    writes it, to within (k + 1) 1e-9: the 9-decimal rounding of t and,
+    k times over, of time_step. A ValueError names the file and the first
+    step that breaks a rule.
     """
     traj_path = os.path.join(log_dir, TRAJECTORY_FILE)
     dist_path = os.path.join(log_dir, DISTANCES_FILE)
@@ -531,6 +533,10 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
     # the switch is latched: once 1, the region stays 1
     _check_steps(traj_path, (np.maximum.accumulate(region) != region)[:, None],
                  "returns to region 0 after the switch")
+    steps = np.arange(len(times))
+    _check_steps(traj_path, (np.abs(times - steps * values["time_step"])
+                             > (steps + 1) * 1e-9)[:, None],
+                 "has a t other than step x time_step")
 
     n_pairs = n * (n - 1) // 2
     if n_pairs:

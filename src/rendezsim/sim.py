@@ -5,8 +5,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import ControlOutput, control_laws
-from .fields import region_of
+from .control import ControlOutput, ControlWork, control_laws
+from .fields import leader_constants, region_of
 from .gradients import JetKernel
 from .graph import Topology, build_topology, has_rooted_spanning_tree
 from .model import (RegionFlag, RobotState, ScenarioConfig, validate_scenario,
@@ -82,41 +82,63 @@ class Metrics:
     heading_decay_rate: float | None
 
 
-def integrate_rows(dt: float, n: int):
-    """The constant operands of ``_integrate_all`` over n robots: dt / 2,
-    dt and pi, each as an (n,) row, so that no call takes a scalar."""
-    return np.full(n, 0.5 * dt), np.full(n, dt), np.full(n, np.pi)
+class IntegrateWork:
+    """Preallocated rows of ``_integrate_all`` moving ``poses`` into ``out``
+    (the same array for an update in place) with time step dt.
+
+    It holds dt / 2, dt and pi as (N,) rows, so that no call takes a
+    scalar, the temporaries, and the pose columns of both arrays, bound
+    once.
+    """
+
+    def __init__(self, poses: np.ndarray, out: np.ndarray, dt: float):
+        n = len(poses)
+        self.out = out
+        self.x, self.y, self.theta = poses.T
+        self.x_out, self.y_out, self.theta_out = out.T
+        self.half_dt, self.dt, self.pi = (np.full(n, 0.5 * dt),
+                                          np.full(n, dt), np.full(n, np.pi))
+        (self.half, self.turns, self.arg, self.ratio, self.chord, self.mid,
+         self.trig, self.heading) = np.empty((8, n))
 
 
-def _integrate_all(poses, vs, ws, dt, out=None):
+def _integrate_all(poses, vs, ws, dt, out=None, work=None):
     """Exact step: with v and omega held over dt each path is a circular arc.
 
     The chord is v*dt*sinc(omega*dt/2) long and points along the mid-step
     heading. The ratio sin(y)/y is np.sinc's own arithmetic, y = pi (h/pi)
     for the half turn h, done inline; plain sin(h)/h can differ from it in
     the last bit. Only a step where some y is 0 calls np.sinc, which is
-    exactly 1 there (a straight line). ``dt`` is the time step, or
-    ``integrate_rows(dt, N)``, its constant operands as rows. Writes the new
-    (N, 3) poses into ``out`` when given.
+    exactly 1 there (a straight line). Writes the new (N, 3) poses into
+    ``out``, which may be ``poses``, or a new array; every temporary goes
+    into ``work``, an ``IntegrateWork`` of these very arrays and dt, made
+    when none is given. Returns the new poses.
     """
-    half_dt, dt_row, pi = (dt if isinstance(dt, tuple)
-                           else integrate_rows(dt, len(ws)))
-    half = half_dt * ws
-    x = half / pi
-    y = pi * x
+    if work is None:
+        work = IntegrateWork(poses, np.empty(poses.shape) if out is None
+                             else out, dt)
+    w = work
+    pi = w.pi
+    half = np.multiply(w.half_dt, ws, out=w.half)
+    turns = np.divide(half, pi, out=w.turns)
+    y = np.multiply(pi, turns, out=w.arg)
     if np.count_nonzero(y) == len(y):
-        ratio = np.sin(y) / y
+        ratio = np.divide(np.sin(y, out=w.ratio), y, out=w.ratio)
     else:
-        ratio = np.sinc(x)
-    chord = dt_row * vs * ratio
-    theta = poses[:, 2]
-    mid = theta + half
-    if out is None:
-        out = np.empty(poses.shape)
-    np.add(poses[:, 0], chord * np.cos(mid), out=out[:, 0])
-    np.add(poses[:, 1], chord * np.sin(mid), out=out[:, 1])
-    wrap_angles(theta + dt_row * ws, out=out[:, 2], pi=pi)
-    return out
+        ratio = np.sinc(turns)
+    chord = np.multiply(w.dt, vs, out=w.chord)
+    np.multiply(chord, ratio, out=chord)
+    mid = np.add(w.theta, half, out=w.mid)
+    trig = w.trig
+    np.add(w.x, np.multiply(chord, np.cos(mid, out=trig), out=trig),
+           out=w.x_out)
+    np.add(w.y, np.multiply(chord, np.sin(mid, out=trig), out=trig),
+           out=w.y_out)
+    # the heading goes last: the columns above read it
+    heading = np.multiply(w.dt, ws, out=w.heading)
+    wrap_angles(np.add(w.theta, heading, out=heading), out=w.theta_out,
+                pi=pi)
+    return w.out
 
 
 def _pose_array(states: list[RobotState]) -> np.ndarray:
@@ -124,27 +146,49 @@ def _pose_array(states: list[RobotState]) -> np.ndarray:
                      for s in states])
 
 
-def _offsets(poses: np.ndarray, upper: tuple):
+class PairWork:
+    """Preallocated rows of ``_offsets`` on ``poses``: the (2, P) offsets
+    and squares, the (P,) distances, and the bound views of both."""
+
+    def __init__(self, poses: np.ndarray, upper: tuple):
+        self.xy = poses[:, :2].T
+        self.offsets, self.square = np.empty((2, 2, len(upper[0])))
+        self.square_x, self.square_y = self.square
+        self.dist = np.empty(len(upper[0]))
+
+
+def _offsets(poses: np.ndarray, upper: tuple, work=None):
     """Offsets p_a - p_b, (2, P), and distances, (P,), of the upper pairs
-    ``upper = np.triu_indices(N, 1)``, the log's pair order."""
+    ``upper = np.triu_indices(N, 1)``, the log's pair order. Every array
+    goes into ``work``, a ``PairWork`` of these very poses and pairs, made
+    when none is given."""
+    w = PairWork(poses, upper) if work is None else work
     a, b = upper
-    xy = poses[:, :2].T
-    offsets = xy.take(a, axis=1) - xy.take(b, axis=1)
-    square = offsets * offsets
-    return offsets, np.sqrt(square[0] + square[1])
+    offsets, square = w.offsets, w.square
+    w.xy.take(a, axis=1, out=offsets, mode="clip")
+    np.subtract(offsets, w.xy.take(b, axis=1, out=square, mode="clip"),
+                out=offsets)
+    np.multiply(offsets, offsets, out=square)
+    return offsets, np.sqrt(np.add(w.square_x, w.square_y, out=w.dist),
+                            out=w.dist)
 
 
 class StepKernel:
-    """One synchronous update of every robot from one (N, 3) pose snapshot.
+    """One synchronous update of every robot's pose, in place.
 
-    Built once per run, it holds every per-run constant: the field jets
-    (gains, shifts and the followers' edge list, see ``JetKernel``), the gain
-    arrays, and the gradient floor, dt / 2, dt and pi as rows. A call makes
-    one jet pass over all rows, one ``control_laws`` call and one
-    ``_integrate_all`` call. ``control_rows`` holds the last call's
-    controls as rows (v, omega, theta_d, theta_tilde, theta_d_dot); its row
-    ``theta_d`` is the heading held where a gradient is below the floor, so
-    set it to the current headings before the first call.
+    Built once per run, it holds every per-run constant and every per-step
+    array: the (N, 3) poses it moves on, the field jets (gains, shifts, the
+    followers' edge list and the quotient rule's rows, see ``JetKernel``),
+    the gain arrays, the gradient floor as a row and the workspaces of
+    ``_offsets``, ``control_laws`` and ``_integrate_all``, each bound to the
+    kernel's own arrays, so that a step makes no view and few allocations
+    (``tests/test_step_cost.py`` budgets them). ``pairs()`` gives the upper
+    pairs' offsets and distances of ``poses``; a call makes one jet pass
+    over all rows, one ``control_laws`` call and one ``_integrate_all``
+    call. ``control_rows`` holds the last call's controls as rows (v,
+    omega, theta_d, theta_tilde, theta_d_dot), ``by_robot`` as (N, 5); its
+    row ``theta_d`` is the heading held where a gradient is below the
+    floor, so set it to the current headings before the first call.
     """
 
     def __init__(self, cfg: ScenarioConfig, mask: np.ndarray):
@@ -153,29 +197,39 @@ class StepKernel:
         self.gains = (np.asarray(cfg.linear_gains, dtype=float),
                       np.asarray(cfg.angular_gains, dtype=float))
         self.gradient_floor = np.full(n, cfg.gradient_floor)
-        self.rows = integrate_rows(cfg.time_step, n)
-        self.pi = self.rows[2]
+        self.poses = np.empty((n, 3))
+        self.x, self.y, self.theta = self.poses.T
+        self.upper = np.triu_indices(n, 1)
+        self.pair_work = PairWork(self.poses, self.upper)
+        self.laws = ControlWork(n)
+        self.time_step = cfg.time_step
+        self.motion = IntegrateWork(self.poses, self.poses, cfg.time_step)
+        self.pi = self.motion.pi
+        self.finite = np.empty((n, 3), dtype=bool)
         self.control_rows = np.empty((5, n))
         self.control_out = tuple(self.control_rows)
         self.by_robot = self.control_rows.T
         self.theta_d = self.control_rows[2]
 
-    def __call__(self, poses, leader, offsets, dist, region, controls,
-                 new_poses):
-        """Write the (N, 5) controls (v, omega, theta_d, theta_tilde,
-        theta_d_dot) and the new poses; return phi and the gradient norms.
+    def pairs(self):
+        """Offsets (2, P) and distances (P,) of ``poses``' upper pairs."""
+        return _offsets(self.poses, self.upper, self.pair_work)
+
+    def __call__(self, leader, offsets, dist, region):
+        """Fill ``control_rows`` and move ``poses`` on by one step; return
+        phi and the gradient norms, rows of the kernel.
 
         ``leader`` is the informed robot's (x, y) as floats, ``offsets`` and
-        ``dist`` are the upper pairs' (see ``_offsets``)."""
+        ``dist`` are the upper pairs' (see ``pairs``)."""
         phi, grad, hess = self.jets(leader, offsets, dist, region)
         v, omega, *_, grad_norm = control_laws(
-            grad, hess, poses[:, 2], self.theta_d, *self.gains,
-            self.gradient_floor, self.control_out, self.pi)
-        controls[...] = self.by_robot
-        _integrate_all(poses, v, omega, self.rows, new_poses)
-        if np.count_nonzero(np.isfinite(new_poses)) < new_poses.size:
+            grad, hess, self.theta, self.theta_d, *self.gains,
+            self.gradient_floor, self.control_out, self.pi, self.laws)
+        poses = self.poses
+        _integrate_all(poses, v, omega, self.time_step, poses, self.motion)
+        if np.count_nonzero(np.isfinite(poses, out=self.finite)) < poses.size:
             raise RuntimeError(
-                f"non-finite state after integration:\n{new_poses}")
+                f"non-finite state after integration:\n{poses}")
         return phi, grad_norm
 
 
@@ -193,19 +247,18 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
     """
     if topo is None:
         topo = build_topology(states, cfg.sensing_radius)
-    poses = _pose_array(states)
     kernel = StepKernel(cfg, topo.adjacency)
-    kernel.theta_d[...] = poses[:, 2]
+    kernel.poses[...] = _pose_array(states)
+    kernel.theta_d[...] = kernel.theta
     for i, prev in enumerate(prev_theta_d or ()):
         if prev is not None:
             kernel.theta_d[i] = prev
-    ctrl = np.empty((len(states), 5))
-    new = np.empty(poses.shape)
-    phi, grad_norm = kernel(
-        poses, poses[0, :2].tolist(),
-        *_offsets(poses, np.triu_indices(len(poses), 1)), region, ctrl, new)
+    phi, grad_norm = kernel(kernel.poses[0, :2].tolist(), *kernel.pairs(),
+                            region)
     controls = [ControlOutput(*row, p, g) for row, p, g in
-                zip(ctrl.tolist(), phi.tolist(), grad_norm.tolist())]
+                zip(kernel.by_robot.tolist(), phi.tolist(),
+                    grad_norm.tolist())]
+    new = kernel.poses
     new_states = [s.with_pose(new[i, :2], new[i, 2])
                   for i, s in enumerate(states)]
     new_region = region_of(new[0, :2], cfg, previous=region)
@@ -302,16 +355,17 @@ def _monitor_bounds(cfg: ScenarioConfig, monitored: np.ndarray):
 def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     """Simulate the whole scenario; stop early once every robot converged.
 
-    Each step advances one (N, 3) pose array: one vector of upper-pair
-    offsets and distances feeds the neighbor mask's accretion, the log, the
-    monitors and one ``StepKernel`` call, built once per run, which makes
-    the controls and the next poses from the followers' edge list.
-    ``monitor_invariants`` runs only on a step where some watched value
-    reaches its bound (``_monitor_bounds``), so it emits the same events as
-    on every step. Raises AssumptionError when the initial graph
-    has no spanning tree rooted at the informed robot. Monitor violations
-    are recorded as events and, in strict mode, abort the run by raising
-    MonitorViolation.
+    Each step advances the (N, 3) poses of one ``StepKernel``, built once
+    per run: one vector of upper-pair offsets and distances feeds the
+    neighbor mask's accretion, the log, the monitors and one kernel call,
+    which makes the controls and moves the poses on from the followers'
+    edge list; the log copies both. The region switch is asked only until
+    it latches. ``monitor_invariants`` runs only on a step where some
+    watched value reaches its bound (``_monitor_bounds``), so it emits the
+    same events as on every step. Raises AssumptionError when the initial
+    graph has no spanning tree rooted at the informed robot. Monitor
+    violations are recorded as events and, in strict mode, abort the run by
+    raising MonitorViolation.
     """
     started = _time.perf_counter()
     validate_scenario(cfg)
@@ -325,7 +379,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     mask = initial_topology(cfg).adjacency
     kernel = StepKernel(cfg, mask)
     pairs = _pair_list(n)
-    upper = np.triu_indices(n, 1)
+    upper = kernel.upper
     monitored = mask[upper]
     n_pairs = len(pairs)
     high, low = _monitor_bounds(cfg, monitored)
@@ -347,49 +401,56 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
 
     events: list[Event] = []
     switch_step = None
-    poses[0] = _pose_array(cfg.initial_states)
+    pose = kernel.poses
+    poses[0] = pose[...] = _pose_array(cfg.initial_states)
     # the informed robot's position as floats, read once a step for the
     # region switch, the kernel and the stop screen
-    leader = (float(poses[0, 0, 0]), float(poses[0, 0, 1]))
-    region = region_of(leader, cfg)
+    leader = (float(pose[0, 0]), float(pose[0, 1]))
+    leader_const = leader_constants(cfg)
+    region = region_of(leader, cfg, const=leader_const)
     if region is RegionFlag.RENDEZVOUS:
         switch_step = 0
         events.append(Event(0, 0.0, "switch",
                             "collision avoidance off from the start"))
     # no desired heading yet: hold the current one
-    kernel.theta_d[...] = poses[0, :, 2]
+    kernel.theta_d[...] = kernel.theta
     watched_dist, watched_norms = watched[:n_pairs], watched[n_pairs:]
+    reach = np.empty(screened.shape, dtype=bool)
+    reach_high = reach[0]
 
     k = 0
     while True:
         t = k * cfg.time_step
-        pose = poses[k]
         if k:
             leader = (float(pose[0, 0]), float(pose[0, 1]))
-            new_region = region_of(leader, cfg, previous=region)
-            if new_region is not region:
-                switch_step = k
-                events.append(Event(k, t, "switch", "informed robot reached "
-                                    "the switch distance"))
-            region = new_region
-        offsets, dist = _offsets(pose, upper)
+            if region is RegionFlag.COLLISION_FREE:  # else latched
+                region = region_of(leader, cfg, const=leader_const)
+                if region is RegionFlag.RENDEZVOUS:
+                    switch_step = k
+                    events.append(Event(k, t, "switch", "informed robot "
+                                        "reached the switch distance"))
+        offsets, dist = kernel.pairs()
         if accreting and _accrete_edges(mask, dist, upper, threshold):
             kernel.jets.set_mask(mask)
-        phi[k], _ = kernel(pose, leader, offsets, dist, region, ctrl[k],
-                           poses[k + 1])
+        # step k's norms, before the kernel moves the poses on
+        np.hypot(kernel.x, kernel.y, out=watched_norms)
+        phi[k], _ = kernel(leader, offsets, dist, region)
+        ctrl[k] = kernel.by_robot
+        poses[k + 1] = pose
 
         avoiding = region is RegionFlag.COLLISION_FREE
         times[k] = t
         regions[k] = 0 if avoiding else 1
         dists[k] = watched_dist[...] = dist
-        np.hypot(pose[:, 0], pose[:, 1], out=watched_norms)
         if avoiding:
             np.negative(watched, out=negated)
-            reached = np.count_nonzero(screened >= bounds)
+            reached = np.count_nonzero(
+                np.greater_equal(screened, bounds, out=reach))
         else:
-            reached = np.count_nonzero(watched >= high)
+            reached = np.count_nonzero(
+                np.greater_equal(watched, high, out=reach_high))
         if reached:
-            step_events = monitor_invariants(pose[:, :2], dists[k], pairs,
+            step_events = monitor_invariants(poses[k, :, :2], dists[k], pairs,
                                              monitored, region, cfg, k, t)
             events.extend(step_events)
             if strict and step_events:
@@ -401,7 +462,8 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
         converged = (
             np.hypot(leader[0] - goal_x, leader[1] - goal_y)
             < cfg.position_tolerance
-            and np.hypot(pose[:, 0] - goal_x, pose[:, 1] - goal_y).max()
+            and np.hypot(poses[k, :, 0] - goal_x,
+                         poses[k, :, 1] - goal_y).max()
             < cfg.position_tolerance
             and np.abs(ctrl[k, :, 3]).max() < cfg.heading_tolerance)
         k += 1

@@ -54,11 +54,13 @@ class CallCounts:
     ``where`` holds the calls given a ``where=`` argument; ``helpers`` the
     dispatched functions (everything counted that is neither a ufunc nor a
     method). Of the ufunc calls (not their methods), ``scalar`` holds those
-    given a scalar operand, a Python or numpy number, and ``broadcast``
-    those whose array operands and ``out`` arrays are not all of one shape.
+    given a scalar operand, a Python or numpy number, ``broadcast`` those
+    whose array operands and ``out`` arrays are not all of one shape, and
+    ``fresh`` those that allocate their result: given no ``out``, neither
+    by keyword nor as a positional argument past the ufunc's inputs.
     """
 
-    TALLIES = ("calls", "where", "helpers", "scalar", "broadcast")
+    TALLIES = ("calls", "where", "helpers", "scalar", "broadcast", "fresh")
 
     def __init__(self):
         for name in self.TALLIES:
@@ -94,8 +96,9 @@ def _caller():
     return f"{module}.{getattr(code, 'co_qualname', code.co_name)}"
 
 
-def _record(name, kwargs, helper=False, operands=None):
-    """Count one call; ``operands`` holds a ufunc call's inputs."""
+def _record(name, kwargs, helper=False, operands=None, nin=None):
+    """Count one call; ``operands`` holds a ufunc call's positional
+    arguments, of which the first ``nin`` are its inputs."""
     if not _active:
         return
     function = _caller()
@@ -115,6 +118,8 @@ def _record(name, kwargs, helper=False, operands=None):
         arrays = [*operands, *(out if isinstance(out, tuple) else (out,))]
         if len({x.shape for x in arrays if isinstance(x, np.ndarray)}) > 1:
             counts.broadcast[function, name] += 1
+        if out is None and len(operands) <= nin:
+            counts.fresh[function, name] += 1
 
 
 def _plain(x):
@@ -146,7 +151,7 @@ class Counted(np.ndarray):
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method == "__call__":
-            _record(ufunc.__name__, kwargs, operands=inputs)
+            _record(ufunc.__name__, kwargs, operands=inputs, nin=ufunc.nin)
         else:
             _record(f"{ufunc.__name__}.{method}", kwargs)
         return _call(getattr(ufunc, method), inputs, kwargs)
@@ -176,7 +181,8 @@ class _CountedUfunc:
         self._ufunc = ufunc
 
     def __call__(self, *args, **kwargs):
-        _record(self._ufunc.__name__, kwargs, operands=args)
+        _record(self._ufunc.__name__, kwargs, operands=args,
+                nin=self._ufunc.nin)
         return _call(self._ufunc, args, kwargs)
 
     def __getattr__(self, name):

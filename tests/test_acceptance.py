@@ -6,6 +6,7 @@ determinism gets its own second run.
 """
 
 import filecmp
+import hashlib
 import math
 import os
 import time
@@ -25,6 +26,7 @@ from conftest import topology
 from oracles import (fd_gradient, grad_navfunc_leader, integrate_pose,
                      laplacian)
 from test_io import oracle_files
+from test_step_cost import _sparse48
 
 SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
                         "rendezvous_s5.scn")
@@ -46,6 +48,13 @@ LYAPUNOV_SLACK = 1e-6        # criterion 8
 # the reference run itself, pinned so that any behavioural drift fails
 REFERENCE_STEPS = 11414
 REFERENCE_SWITCH_STEP = 10853
+# sha256 of trajectory.csv followed by distances.csv, the bytes of every
+# logged number: the reference run's and the 48-robot sparse scenario's of
+# test_step_cost (seed 1, 201 steps). A change to any exported bit fails
+REFERENCE_DIGEST = (
+    "590563d69e90ea1ec7f6b191aebda73618fa5e402a14cf6aeff108137664379a")
+SPARSE48_DIGEST = (
+    "d91efa8095c339aca32dbf9f0d756c0ee1adff4e9de0551fb5d450d9cc30bd19")
 
 
 def _report(num, text):
@@ -319,3 +328,22 @@ def test_reference_export_matches_per_row_oracle(reference):
                           oracle_files(log)):
         with open(os.path.join(str(out), name), encoding="utf-8") as fh:
             assert fh.read() == text, name
+
+
+def export_digest(directory) -> str:
+    h = hashlib.sha256()
+    for name in ("trajectory.csv", "distances.csv"):
+        with open(os.path.join(str(directory), name), "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+def test_reference_export_digest(reference):
+    assert export_digest(reference[3]) == REFERENCE_DIGEST
+
+
+def test_sparse48_export_digest(tmp_path):
+    log = run(_sparse48())
+    assert log.n_steps == 201
+    export_trajectory(log, str(tmp_path))
+    assert export_digest(tmp_path) == SPARSE48_DIGEST

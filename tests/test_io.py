@@ -763,6 +763,56 @@ class TestLoadMismatch:
         assert found in str(info.value)
 
 
+class TestTimeColumn:
+    """Step k's t is k * time_step in every export a run writes, up to the
+    9-decimal rounding of both; other times are rejected with the file and
+    the first bad step, through the CLI as one error line."""
+
+    @pytest.fixture
+    def exported(self, tmp_path):
+        export_trajectory(run(small_config(horizon=0.05)), str(tmp_path))
+        return tmp_path
+
+    @staticmethod
+    def assert_rejected(exported, capsys):
+        assert main(["metrics", str(exported)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {exported / 'trajectory.csv'}: step 1 has a t other "
+            "than step x time_step\n")
+
+    def test_edited_time_step(self, exported, capsys):
+        # both files say 0.01 s; the rows are still 0.005 s apart
+        for name in ("trajectory.csv", "distances.csv"):
+            path = exported / name
+            text = path.read_text(encoding="utf-8")
+            assert text.count("# time_step = 0.005000000\n") == 1
+            path.write_text(text.replace("# time_step = 0.005000000\n",
+                                         "# time_step = 0.010000000\n"),
+                            encoding="utf-8")
+        self.assert_rejected(exported, capsys)
+
+    def test_negated_times(self, exported, capsys):
+        def negate(rows):
+            for row in rows:
+                row[0] = "-" + row[0]
+        for name in ("trajectory.csv", "distances.csv"):
+            edit_rows(exported / name, negate)
+        self.assert_rejected(exported, capsys)
+
+    @pytest.mark.parametrize("dt", [0.0033333333333, 0.0050000004999])
+    def test_time_step_off_the_printed_grid_reloads(self, tmp_path, dt,
+                                                     capsys):
+        # time_step prints as 0.003333333 or 0.005000000: off by up to
+        # 5e-10, k times over at step k
+        log = run(small_config(time_step=dt, horizon=2.0))
+        assert log.n_steps > 400
+        export_trajectory(log, str(tmp_path))
+        times = load_trajectory(str(tmp_path)).times
+        assert np.abs(times - log.times).max() < 1e-9
+        assert main(["metrics", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestPlotScript:
     def test_emission(self, tmp_path):
         cfg = small_config(horizon=0.01)

@@ -287,9 +287,9 @@ class TestEdgeList:
         poses = np.array([[*s.position, s.heading] for s in states])
         offsets, dist = sim._offsets(poses, np.triu_indices(n, 1))
         assert offsets.shape == (2, n * (n - 1) // 2) == (2, len(dist))
+        kernel.poses[...] = poses
         kernel.theta_d[...] = poses[:, 2]
-        kernel(poses, poses[0, :2].tolist(), offsets, dist,
-               RegionFlag.COLLISION_FREE, np.empty((n, 5)), np.empty((n, 3)))
+        kernel(poses[0, :2].tolist(), offsets, dist, RegionFlag.COLLISION_FREE)
         i, j = np.nonzero(mask[1:])
         gap = poses[i + 1, :2] - poses[j, :2]
         assert np.array_equal(jets.m, gap.T)
