@@ -55,12 +55,15 @@ class CallCounts:
     dispatched functions (everything counted that is neither a ufunc nor a
     method). Of the ufunc calls (not their methods), ``scalar`` holds those
     given a scalar operand, a Python or numpy number, ``broadcast`` those
-    whose array operands and ``out`` arrays are not all of one shape, and
+    whose array operands and ``out`` arrays are not all of one shape,
     ``fresh`` those that allocate their result: given no ``out``, neither
-    by keyword nor as a positional argument past the ufunc's inputs.
+    by keyword nor as a positional argument past the ufunc's inputs, and
+    ``strided`` those given a multi-dimensional operand or ``out`` that is
+    not C-contiguous, which numpy walks at about twice the cost.
     """
 
-    TALLIES = ("calls", "where", "helpers", "scalar", "broadcast", "fresh")
+    TALLIES = ("calls", "where", "helpers", "scalar", "broadcast", "fresh",
+               "strided")
 
     def __init__(self):
         for name in self.TALLIES:
@@ -115,9 +118,13 @@ def _record(name, kwargs, helper=False, operands=None, nin=None):
                for x in operands):
             counts.scalar[function, name] += 1
         out = kwargs.get("out")
-        arrays = [*operands, *(out if isinstance(out, tuple) else (out,))]
-        if len({x.shape for x in arrays if isinstance(x, np.ndarray)}) > 1:
+        arrays = [x for x in (*operands,
+                              *(out if isinstance(out, tuple) else (out,)))
+                  if isinstance(x, np.ndarray)]
+        if len({x.shape for x in arrays}) > 1:
             counts.broadcast[function, name] += 1
+        if any(x.ndim > 1 and not x.flags.c_contiguous for x in arrays):
+            counts.strided[function, name] += 1
         if out is None and len(operands) <= nin:
             counts.fresh[function, name] += 1
 

@@ -4,9 +4,10 @@ The simulator runs every robot through array kernels (``gradients.JetKernel``,
 ``sim.StepKernel``). These per-robot functions are independent checks of
 them: a central-difference gradient, the constraint product's gradient
 (read off ``fields.follower_terms``), the informed robot's gradient, the
-follower Laplacian of the consensus analysis, the one-pose exact step, and
-the seeded deployment drawn and checked one attempt at a time. They moved here
-from ``gradients``, ``graph``, ``sim`` and ``scenario_io``.
+follower Laplacian of the consensus analysis, the one-pose exact step, the
+seeded deployment drawn and checked one attempt at a time, and the whole
+step's formulas as plain numpy expressions. All but the last moved here from
+``gradients``, ``graph``, ``sim`` and ``scenario_io``.
 """
 
 import math
@@ -14,11 +15,12 @@ from typing import Sequence
 
 import numpy as np
 
-from rendezsim.fields import follower_terms
+from rendezsim.fields import (DISTANCE_FLOOR, follower_terms, leader_terms,
+                              sigmoid_gain)
 from rendezsim.gradients import ScalarField, _leader_jet
 from rendezsim.graph import (GraphError, Topology, build_topology,
                              has_rooted_spanning_tree)
-from rendezsim.model import RegionFlag, RobotState, ScenarioConfig
+from rendezsim.model import (TWO_PI, RegionFlag, RobotState, ScenarioConfig)
 from rendezsim.sim import AssumptionError, _integrate_all
 
 Edge = tuple[int, int]
@@ -119,3 +121,125 @@ def sequential_deployment(seed: int, count: int, center: np.ndarray,
             return states
     raise AssumptionError(
         f"seeded deployment: no connected draw in {max_attempts} attempts")
+
+
+def _turn(theta):
+    """One turn of 2 pi into (-pi, pi], as ``model.turn_angles``."""
+    turns = ((theta > math.pi).astype(float)
+             - (theta <= -math.pi).astype(float))
+    return theta - turns * TWO_PI
+
+
+def _logistic_negated(y):
+    """logistic(-y): 1 / (1 + exp(y)) for y <= 0, e / (1 + e) with
+    e = exp(-y) elsewhere."""
+    e = np.exp(-np.abs(y))
+    return np.where(y <= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def _edge_factor(d, center, gain, c1, c2):
+    """One logistic factor of each edge and its log-derivatives (l1, l2)."""
+    s = _logistic_negated((d - center) * gain)
+    return s, c1 * (1.0 - s), (c2 * s) * (1.0 - s)
+
+
+def plain_step(cfg: ScenarioConfig, mask: np.ndarray, poses: np.ndarray,
+               held: np.ndarray, region: RegionFlag):
+    """One step of every robot, stated as plain numpy expressions.
+
+    ``poses`` (N, 3) are the robots' poses, ``mask`` the frozen (N, N)
+    sensing mask and ``held`` the desired headings of the step before,
+    held where a gradient is under the floor. The formulas are those of
+    ``sim.StepKernel``, in its order of operations, with no workspace,
+    view or screen: each element comes from the same ufunc on the same
+    operand values, so the results must agree bit for bit. Returns the
+    new (N, 3) poses, the controls (v, omega, theta_d, theta_tilde,
+    theta_d_dot) as (5, N) rows and phi.
+    """
+    n = len(poses)
+    x, y, theta = poses.T
+    alpha = cfg.field_exponent
+    gamma, dgx, dgy, beta, dbx, dby, hxx, hxy, hyy = np.empty((9, n))
+    lap = np.empty(n)
+    g0, dg0, b0, db0, ddb0 = leader_terms(poses[0, :2], cfg)
+    gamma[0], (dgx[0], dgy[0]), beta[0], (dbx[0], dby[0]) = g0, dg0, b0, db0
+    hxx[0], hxy[0], hyy[0] = ddb0
+    lap[0] = 2.0
+    if n > 1:
+        i, j = np.nonzero(mask[1:])
+        i += 1
+        starts = np.flatnonzero(np.diff(np.concatenate(([-1], i))))
+        mx, my = x[i] - x[j], y[i] - y[j]
+        d = np.sqrt(mx * mx + my * my)
+        eps = cfg.sigmoid_eps
+        k_b = sigmoid_gain(cfg.connectivity_buffer, eps)
+        k_c = sigmoid_gain(cfg.collision_margin, eps)
+        sb, l1, l2 = _edge_factor(
+            d, cfg.sensing_radius - 0.5 * cfg.connectivity_buffer, k_b,
+            -k_b, -k_b * k_b)
+        f_beta = np.multiply.reduceat(sb, starts)
+        if region is RegionFlag.COLLISION_FREE:
+            sc, c1, c2 = _edge_factor(d, 0.5 * cfg.collision_margin, -k_c,
+                                      k_c, -(k_c * k_c))
+            f_beta = f_beta * np.multiply.reduceat(sc, starts)
+            l1, l2 = l1 + c1, l2 + c2
+        near = d >= DISTANCE_FLOOR
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(near, l1 / d, 0.0)
+            w = np.where(near, (l2 - t) / (d * d), 0.0)
+        wmx = w * mx
+        sums = [np.add.reduceat(v, starts) for v in (
+            t * mx, t * my, wmx * mx, (w * my) * my, wmx * my, t, mx, my,
+            mx * mx + my * my)]
+        gx, gy, cxx, cyy, cxy, slope, sx, sy, f_gamma = sums
+        f = slice(1, None)
+        gamma[f], dgx[f], dgy[f] = f_gamma, sx + sx, sy + sy
+        beta[f], dbx[f], dby[f] = f_beta, f_beta * gx, f_beta * gy
+        hxx[f] = ((gx * gx) + (cxx + slope)) * f_beta
+        hyy[f] = ((gy * gy) + (cyy + slope)) * f_beta
+        hxy[f] = ((gx * gy) + cxy) * f_beta
+        lap[f] = 2.0 * mask[1:].sum(axis=1)
+    # the quotient rule of gradients._quotient_jet
+    s = gamma ** alpha + beta
+    root = s ** (1.0 / alpha)
+    e = alpha * s ** (1.0 / alpha + 1.0)
+    ab = alpha * beta
+    fx = (ab * dgx - gamma * dbx) / e
+    fy = (ab * dgy - gamma * dby) / e
+    if alpha >= 1.0:  # np.power: ** takes sqrt for an exponent of 1/2
+        dpow = alpha * np.power(gamma, alpha - 1.0)
+    else:
+        dpow = alpha * np.power(gamma, alpha - 1.0, out=np.zeros(n),
+                                where=gamma > 0.0)
+    a_root = (alpha + 1.0) * root
+    ex = a_root * (dpow * dgx + dbx)
+    ey = a_root * (dpow * dgy + dby)
+    a_minus = alpha - 1.0
+    h_xx = ((((a_minus * dgx) * dbx + ab * lap) - gamma * hxx) - fx * ex) / e
+    h_yy = ((((a_minus * dgy) * dby + ab * lap) - gamma * hyy) - fy * ey) / e
+    h_xy = ((0.5 * (((a_minus * (dgx * dby + dgy * dbx)) - fx * ey)
+                    - fy * ex)) - gamma * hxy) / e
+    phi = gamma / root
+    # the control laws of control.control_laws
+    k_v = np.asarray(cfg.linear_gains, dtype=float)
+    k_w = np.asarray(cfg.angular_gains, dtype=float)
+    grad_norm = np.hypot(-fx, -fy)
+    theta_d = np.where(grad_norm > cfg.gradient_floor,
+                       np.arctan2(-fy, -fx), held)
+    theta_tilde = _turn(theta - theta_d)
+    cos_tilde = np.cos(theta_tilde)
+    v = (k_v * grad_norm) * cos_tilde
+    sin_d, cos_d = np.sin(theta_d), np.cos(theta_d)
+    form = (((sin_d * h_xx - cos_d * h_xy) * np.cos(theta))
+            + ((sin_d * h_xy - cos_d * h_yy) * np.sin(theta)))
+    theta_d_dot = (k_v * cos_tilde) * form
+    omega = theta_d_dot - k_w * theta_tilde
+    # the exact arc of sim._integrate_all
+    dt = cfg.time_step
+    half = (0.5 * dt) * omega
+    chord = (dt * v) * np.sinc(half / np.pi)
+    mid = theta + half
+    new = np.column_stack([
+        x + chord * np.cos(mid), y + chord * np.sin(mid),
+        _turn(np.fmod(theta + dt * omega, TWO_PI))])
+    return new, np.array([v, omega, theta_d, theta_tilde, theta_d_dot]), phi
