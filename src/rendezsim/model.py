@@ -46,16 +46,19 @@ def normalize_angle(theta: float) -> float:
 
 
 def wrap_angles(theta: np.ndarray, out: np.ndarray | None = None,
-                pi=math.pi) -> np.ndarray:
+                pi=math.pi, screen: tuple | None = None) -> np.ndarray:
     """normalize_angle elementwise; a non-finite angle comes out NaN.
 
     Writes into ``out`` when given. Bit for bit normalize_angle, signed
     zeros included, with plain ufunc calls only. ``pi`` bounds the screen
     that passes angles inside (-pi, pi) through as they are: math.pi, or
     an array of it in theta's shape, as the step kernel passes it so that
-    the call takes no scalar operand.
+    the call takes no scalar operand. ``screen``, a float and a boolean
+    array of theta's shape, receives |theta| and the screen's comparison;
+    both are allocated when it is not given.
     """
-    inside = np.abs(theta) < pi
+    magnitude, inside = (None, None) if screen is None else screen
+    inside = np.less(np.abs(theta, out=magnitude), pi, out=inside)
     if np.count_nonzero(inside) == inside.size:
         # fmod and the turn below leave every angle in (-pi, pi) as it is
         if out is None:

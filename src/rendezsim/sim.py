@@ -87,8 +87,8 @@ class IntegrateWork:
     (the same array for an update in place) with time step dt.
 
     It holds dt / 2, dt and pi as (N,) rows, so that no call takes a
-    scalar, the temporaries, and the pose columns of both arrays, bound
-    once.
+    scalar, the temporaries, the heading wrap's screen, and the pose
+    columns of both arrays, bound once.
     """
 
     def __init__(self, poses: np.ndarray, out: np.ndarray, dt: float):
@@ -99,7 +99,8 @@ class IntegrateWork:
         self.half_dt, self.dt, self.pi = (np.full(n, 0.5 * dt),
                                           np.full(n, dt), np.full(n, np.pi))
         (self.half, self.turns, self.arg, self.ratio, self.chord, self.mid,
-         self.trig, self.heading) = np.empty((8, n))
+         self.trig, self.heading, magnitude) = np.empty((9, n))
+        self.screen = (magnitude, np.empty(n, dtype=bool))
 
 
 def _integrate_all(poses, vs, ws, dt, out=None, work=None):
@@ -137,7 +138,7 @@ def _integrate_all(poses, vs, ws, dt, out=None, work=None):
     # the heading goes last: the columns above read it
     heading = np.multiply(w.dt, ws, out=w.heading)
     wrap_angles(np.add(w.theta, heading, out=heading), out=w.theta_out,
-                pi=pi)
+                pi=pi, screen=w.screen)
     return w.out
 
 

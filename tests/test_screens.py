@@ -199,7 +199,7 @@ class TestQuotientRule:
             self.check(got, expected)
 
 
-def logistic_before(y, minus_zero, one):
+def logistic_before(y, minus_zero, one, out=None, nonpositive=None, e=None):
     """``logistic_negated`` by the formula it replaced."""
     return logistic_array_before(-y)
 
@@ -301,9 +301,9 @@ class TestKernelLogistic:
         kernel = JetKernel(cfg, mask)
         positive = []
 
-        def spy(y, minus_zero, one):
+        def spy(y, minus_zero, one, out, nonpositive, e):
             positive.append(np.count_nonzero(y > 0.0))
-            return logistic_negated(y, minus_zero, one)
+            return logistic_negated(y, minus_zero, one, out, nonpositive, e)
         monkeypatch.setattr(gradients, "logistic_negated", spy)
         got = [np.array(x, dtype=float) for x in kernel(*args)]
         assert positive == [2]  # the pair, once from each side
