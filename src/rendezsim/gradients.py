@@ -50,116 +50,174 @@ def fd_hessian(f: ScalarField, p: np.ndarray, h: float) -> np.ndarray:
     return np.array([[d11, cross], [cross, d22]])
 
 
-def quotient_rows(alpha: float, n: int | None = None):
-    """The constant operands of ``_quotient_jet`` over n robots.
+class Rows:
+    """The names of the rows of a C-contiguous block.
 
-    These are alpha, alpha + 1 and alpha - 1 as (2, n) rows and alpha - 1
-    and 1/2 as (n,) rows, so that no call of the quotient rule takes a
-    scalar operand. With n None they are the floats themselves, for one
-    robot's scalar inputs.
+    A run of names, one space-separated string, finds the first rows where
+    it occurs, so that one call can take several quantities, repeated or
+    reordered as it needs them, as one (k, n) operand.
     """
-    values = (alpha, alpha + 1.0, alpha - 1.0, alpha - 1.0, 0.5)
-    if n is None:
-        return values
-    return tuple(np.full((2, n) if i < 3 else n, v)
-                 for i, v in enumerate(values))
+
+    def __init__(self, *runs: str):
+        self.names = " ".join(runs).split()
+
+    def at(self, run: str) -> slice:
+        want = run.split()
+        for i in range(len(self.names) - len(want) + 1):
+            if self.names[i:i + len(want)] == want:
+                return slice(i, i + len(want))
+        raise KeyError(run)
+
+    def view(self, block: np.ndarray, run: str) -> np.ndarray:
+        """The rows of ``run`` in ``block``; one name gives one row."""
+        at = self.at(run)
+        return block[at] if at.stop - at.start > 1 else block[at.start, ...]
 
 
 class QuotientWork:
-    """Preallocated rows for ``_quotient_jet`` calls on the given inputs.
+    """Every row that ``_quotient_jet`` reads or writes, for n robots.
 
-    It binds once every view the rule reads: the first two rows of
-    ``gamma``, ``dbeta`` reversed and the rows of its own temporaries. Over
-    n robots every quantity the rule combines with (x, y) rows is held
-    twice, as the inputs are. For one robot's floats (``gamma`` a float,
-    ``dbeta`` of shape (2,)) those quantities are 0-d, and s is left to
-    the rule, whose exponents must see a float: a numpy power over an
-    array rounds differently from the C library's.
+    The rule's inputs sit in ``inputs`` (``INPUTS``), each repeated and
+    ordered as the fused calls take them: gamma as G, its gradient as
+    (dgx, dgy), lap_gamma as L, beta as B, its gradient as (dbx, dby) and
+    its Hessian as (hxx, hyy, hxy); dp and h0 are written by the rule, a,
+    am, ap and half are alpha, alpha - 1, alpha + 1 and 1/2. Rows 6 to
+    ``len(INPUTS.names) - 4`` are the ones that change. ``load`` writes
+    the inputs, or the step kernel fills them. With n None the rows are
+    one robot's values, and gamma and beta enter the exponents as floats:
+    a numpy power over an array rounds differently from the C library's.
     """
 
-    def __init__(self, gamma, dbeta):
-        one = np.shape(gamma)[1:]
-        pair, twice = (2, *one), (2, *one) if one else ()
-        self.gamma = gamma[:2] if one else gamma
-        self.dbeta_reversed = dbeta[::-1]
-        self.gamma_ddbeta = np.empty((3, *one))
-        self.gamma_diag = self.gamma_ddbeta[:2]
-        self.gamma_xy = self.gamma_ddbeta[2, ...]
-        self.s = np.empty(twice) if one else None
-        self.e, self.ab, self.a_root, self.dpow, self.phi = (
-            np.empty(twice) for _ in range(5))
-        self.e_row = self.e[0, ...] if one else self.e
-        self.phi_row = self.phi[0, ...] if one else self.phi
-        self.f, self.de, self.diag, self.cross, self.fe, self.scratch = (
-            np.empty(pair) for _ in range(6))
-        self.de_reversed = self.de[::-1]
-        self.cross_x, self.cross_y = self.cross[0, ...], self.cross[1, ...]
-        self.fe_x, self.fe_y = self.fe[0, ...], self.fe[1, ...]
-        self.hxy = np.empty(one)
-        self.hess = (self.diag[0, ...], self.hxy, self.diag[1, ...])
+    INPUTS = Rows("a a a a am am dgy dgx G G G G G",
+                  "B B B B dgx dgy dbx dby dbx dby hxx hyy hxy",
+                  "dp dp dp dgx dgy L L dbx dby h0 dgx dgy dgx",
+                  "ap ap ap half")
+    # the first fused product: a B four times, am (dgx, dgy), the cross
+    # terms dgy dbx and dgx dby, gamma (dbx, dby) and gamma times the
+    # Hessian; a three times before it, for the second
+    PRODUCTS = Rows("a a a ab ab ab ab d0x d0y cry crx gdbx gdby gdxx gdyy",
+                    "gdxy")
+    # the second: a dp three times, ab (dgx, dgy), ab L twice and
+    # d0 (dbx, dby); am before it, for the third
+    SECOND = Rows("am dpa dpa dpa f0x f0y ablx ably d1x d1y")
+
+    def __init__(self, alpha: float, n: int | None = None):
+        cols = () if n is None else (n,)
+        q = self.inputs = np.empty((len(self.INPUTS.names), *cols))
+        p = self.products = np.empty((len(self.PRODUCTS.names), *cols))
+        c = self.second = np.empty((len(self.SECOND.names), *cols))
+        for block, rows in ((q, self.INPUTS), (p, self.PRODUCTS),
+                            (c, self.SECOND)):
+            for i, name in enumerate(rows.names):
+                if name in ("a", "am", "ap", "half"):
+                    block[i] = {"a": alpha, "am": alpha - 1.0,
+                                "ap": alpha + 1.0, "half": 0.5}[name]
+        self.changing = slice(6, len(self.INPUTS.names) - 4)
+        inp, prod, sec = (lambda run, b=b, r=r: r.view(b, run) for b, r in (
+            (q, self.INPUTS), (p, self.PRODUCTS), (c, self.SECOND)))
+        self.first = (inp("a a a a am am dgy dgx G G G G G"),
+                      inp("B B B B dgx dgy dbx dby dbx dby hxx hyy hxy"),
+                      prod("ab ab ab ab d0x d0y cry crx gdbx gdby gdxx gdyy"
+                           " gdxy"))
+        self.gamma3, self.beta3 = inp("G G G"), inp("B B B")
+        self.gamma_base, self.beta_base = self.gamma3, self.beta3
+        self.gamma = inp("G")
+        self.dp = inp("dp dp dp")
+        self.a3, self.ap3, self.half = inp("a a a"), inp("ap ap ap"), inp(
+            "half")
+        self.s, self.e = (np.empty((3, *cols)) for _ in range(2))
+        self.e2 = self.e[:2]
+        self.e_row = self.e[0, ...]
+        self.second_terms = (prod("a a a ab ab ab ab d0x d0y"),
+                             inp("dp dp dp dgx dgy L L dbx dby"),
+                             sec("dpa dpa dpa f0x f0y ablx ably d1x d1y"))
+        self.d1, self.abl = sec("d1x d1y"), sec("ablx ably")
+        self.f0_d2, self.gdb_gd = sec("f0x f0y ablx ably"), prod(
+            "gdbx gdby gdxx gdyy")
+        self.crx, self.cry, self.gdxy = prod("crx"), prod("cry"), prod("gdxy")
+        self.h0 = inp("h0")
+        # f (x, y), d3 (x, y), then h1 and de (x, y, x), the rows that become
+        # the Hessian's numerators d4 (x, y) and h5
+        x = self.x = np.empty((8, *cols))
+        self.f, self.d3_h1, self.h = x[0:2], x[2:5], x[4, ...]
+        self.third = (sec("am dpa dpa dpa"), inp("h0 dgx dgy dgx"), x[4:8])
+        self.de, self.de_xy, self.de_yx = x[5:8], x[5:7], x[6:8]
+        self.dbeta3 = inp("dbx dby dbx")
+        self.ar = np.empty((3, *cols))
+        # f de (x, y), then f de reversed, fx ey and fy ex
+        fe = self.fe = np.empty((4, *cols))
+        self.fde, self.fe_yx = fe[0:2], fe[2:4]
+        self.fde_fex, self.fey = fe[0:3], fe[3, ...]
+        self.hess_rows = np.empty((3, *cols))
+        self.hess = (self.hess_rows[0, ...], self.hess_rows[2, ...],
+                     self.hess_rows[1, ...])
+        self.phi = np.empty(cols)
+
+    def load(self, gamma, dgamma, lap, beta, dbeta, ddbeta):
+        """Write the inputs: gamma, lap and beta floats or (n,) rows, the
+        gradients (x, y) and beta's Hessian (xx, xy, yy). Returns self."""
+        values = {"G": gamma, "dgx": dgamma[0], "dgy": dgamma[1], "L": lap,
+                  "B": beta, "dbx": dbeta[0], "dby": dbeta[1],
+                  "hxx": ddbeta[0], "hxy": ddbeta[1], "hyy": ddbeta[2]}
+        for i, name in enumerate(self.INPUTS.names):
+            if name in values:
+                self.inputs[i] = values[name]
+        if self.inputs.ndim == 1:
+            self.gamma_base, self.beta_base = float(gamma), float(beta)
+            self.s = None
+        return self
 
 
-def _quotient_jet(alpha, rows, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta,
-                  work=None):
+def _quotient_jet(alpha, w: QuotientWork):
     """Value, gradient, Hessian and e of phi = gamma / (gamma^a + beta)^(1/a).
 
-    Gradients come as (x, y) along the first axis, and ``ddbeta``, the
-    Hessian of beta, as (xx, yy, xy); the Hessian of gamma is lap_gamma * I
-    for both potentials. ``rows`` are ``quotient_rows(alpha, n)``. Over n
-    robots gamma comes three times, as (3, n) rows, and lap_gamma and beta
-    twice, so that every call combines operands of one shape; for one robot
-    they are floats. With e = a * (gamma^a + beta)^(1/a + 1) and
-    N = a beta grad gamma - gamma grad beta: grad phi = N / e,
-    hess phi = (grad N - grad phi grad e^T) / e, a symmetric matrix whose
-    off-diagonal is averaged against rounding. The four exponents stay
-    scalars: numpy's ``**`` takes fast paths for some scalar exponents that
-    an array of them would not. Every intermediate goes into ``work``, a
-    ``QuotientWork`` of these very ``gamma`` and ``dbeta``, made when none
-    is given. Returns phi, the gradient, the Hessian (xx, xy, yy) and e,
-    rows of ``work``.
+    The inputs are the rows of ``w.inputs``. With
+    e = a * (gamma^a + beta)^(1/a + 1) and N = a beta grad gamma - gamma
+    grad beta: grad phi = N / e, hess phi = (grad N - grad phi grad e^T)
+    / e, a symmetric matrix whose off-diagonal is averaged against
+    rounding. Each call applies one ufunc to a block of rows: products of
+    one level go into one call, so the order of operations of each element
+    is that of the formula, and a quantity paired with (x, y) and with
+    (y, x) is held as (x, y, x). The three exponents stay ``**`` with a
+    scalar exponent. Returns phi, the gradient (x, y), the Hessian (xx,
+    xy, yy) and e, rows of ``w``.
     """
-    w = QuotientWork(gamma, dbeta) if work is None else work
-    a, a_plus, a_minus, a_minus_row, half = rows
-    np.multiply(gamma, ddbeta, out=w.gamma_ddbeta)
-    gamma, scratch = w.gamma, w.scratch
     inv_alpha = 1.0 / alpha
-    s = np.add(gamma ** alpha, beta, out=w.s)
+    np.multiply(*w.first[:2], out=w.first[2])
+    s = np.add(w.gamma_base ** alpha, w.beta_base, out=w.s)
     root = s ** inv_alpha
-    e = np.multiply(a, s ** (inv_alpha + 1.0), out=w.e)
-    ab = np.multiply(a, beta, out=w.ab)
-    f = np.multiply(ab, dgamma, out=w.f)
-    np.subtract(f, np.multiply(gamma, dbeta, out=scratch), out=f)
-    np.divide(f, e, out=f)
+    e = np.multiply(w.a3, s ** (inv_alpha + 1.0), out=w.e)
     # d(gamma^a)/d(gamma) diverges at gamma = 0 for a < 1, where grad gamma
     # vanishes and so does every term it multiplies: take it as 0 there. For
     # a >= 1 it is finite at 0, where it multiplies grad gamma = 0 all the same
-    dpow = w.dpow
+    dp = w.dp
     if alpha >= 1.0:
-        np.power(gamma, alpha - 1.0, out=dpow)
+        np.power(w.gamma3, alpha - 1.0, out=dp)
     else:
-        dpow[...] = 0.0
-        np.power(gamma, alpha - 1.0, out=dpow, where=gamma > 0.0)
-    np.multiply(a, dpow, out=dpow)
-    de = np.multiply(dpow, dgamma, out=w.de)
-    np.add(de, dbeta, out=de)
-    np.multiply(np.multiply(a_plus, root, out=w.a_root), de, out=de)
-    diag = np.multiply(a_minus, dgamma, out=w.diag)
-    np.multiply(diag, dbeta, out=diag)
-    np.add(diag, np.multiply(ab, lap_gamma, out=scratch), out=diag)
-    np.subtract(diag, w.gamma_diag, out=diag)
-    np.subtract(diag, np.multiply(f, de, out=scratch), out=diag)
-    np.divide(diag, e, out=diag)
-    np.multiply(dgamma, w.dbeta_reversed, out=w.cross)  # gx by, gy bx
-    np.multiply(f, w.de_reversed, out=w.fe)  # fx ey, fy ex
-    hxy = np.add(w.cross_x, w.cross_y, out=w.hxy)
-    np.multiply(a_minus_row, hxy, out=hxy)
-    np.subtract(hxy, w.fe_x, out=hxy)
-    np.subtract(hxy, w.fe_y, out=hxy)
-    np.multiply(half, hxy, out=hxy)
-    np.subtract(hxy, w.gamma_xy, out=hxy)
-    np.divide(hxy, w.e_row, out=hxy)
-    np.divide(gamma, root, out=w.phi)  # phi twice over, like gamma
-    return w.phi_row, f, w.hess, w.e_row
+        dp[...] = 0.0
+        np.power(w.gamma3, alpha - 1.0, out=dp, where=w.gamma3 > 0.0)
+    # a dp, ab grad gamma, ab lap and (a - 1) grad gamma * grad beta
+    np.multiply(*w.second_terms[:2], out=w.second_terms[2])
+    np.add(w.d1, w.abl, out=w.abl)
+    # f = ab grad gamma - gamma grad beta, and the diagonal's numerator
+    # less gamma hess beta
+    np.subtract(w.f0_d2, w.gdb_gd, out=w.x[0:4])
+    f = np.divide(w.f, w.e2, out=w.f)
+    np.add(w.crx, w.cry, out=w.h0)
+    # (a - 1) (gx by + gy bx), and de = a dp grad gamma, (x, y, x)
+    np.multiply(*w.third[:2], out=w.third[2])
+    de = np.add(w.de, w.dbeta3, out=w.de)
+    np.multiply(np.multiply(w.ap3, root, out=w.ar), de, out=de)
+    np.multiply(f, w.de_xy, out=w.fde)
+    np.multiply(f, w.de_yx, out=w.fe_yx)  # fx ey, fy ex
+    np.subtract(w.d3_h1, w.fde_fex, out=w.d3_h1)
+    h = w.h
+    np.subtract(h, w.fey, out=h)
+    np.multiply(w.half, h, out=h)
+    np.subtract(h, w.gdxy, out=h)
+    np.divide(w.d3_h1, e, out=w.hess_rows)
+    phi = np.divide(w.gamma, root if w.s is None else root[0], out=w.phi)
+    return phi, f, w.hess, w.e_row
 
 
 def _matrix(hess):
@@ -193,28 +251,19 @@ def grad_navfunc_follower(position: np.ndarray,
     alpha = cfg.field_exponent
     gamma, dgamma, beta, dbeta, ddbeta, slopes = follower_terms(
         position, neighbor_positions, region, cfg)
-    phi, grad, hess, e = _quotient_jet(
-        alpha, quotient_rows(alpha), gamma, np.array(dgamma),
-        2.0 * len(neighbor_positions), beta, np.array(dbeta),
-        _diagonal_first(ddbeta))
+    phi, grad, hess, e = _quotient_jet(alpha, QuotientWork(alpha).load(
+        gamma, dgamma, 2.0 * len(neighbor_positions), beta, dbeta, ddbeta))
     ms = tuple((2.0 * alpha * beta - gamma * beta * t) / e for t in slopes)
     return GradientBundle(gradient=np.array(grad), edge_weights=ms,
                           hessian=_matrix(hess), value=float(phi))
-
-
-def _diagonal_first(hess):
-    """A Hessian (xx, xy, yy) as the quotient rule's (xx, yy, xy)."""
-    xx, xy, yy = hess
-    return np.array([xx, yy, xy])
 
 
 def _leader_jet(position, cfg):
     """Gradient and Hessian of the informed robot's dipolar potential."""
     gamma, dgamma, beta, dbeta, ddbeta = leader_terms(position, cfg)
     alpha = cfg.field_exponent
-    _, grad, hess, _ = _quotient_jet(alpha, quotient_rows(alpha), gamma,
-                                     np.array(dgamma), 2.0, beta,
-                                     np.array(dbeta), _diagonal_first(ddbeta))
+    _, grad, hess, _ = _quotient_jet(alpha, QuotientWork(alpha).load(
+        gamma, dgamma, 2.0, beta, dbeta, ddbeta))
     return np.array(grad), _matrix(hess)
 
 
@@ -240,25 +289,70 @@ def follower_field_eval(position: np.ndarray,
                      hessian=bundle.hessian)
 
 
+class _FactorRows:
+    """The edge pass's rows of one region's factors, over n_edges edges.
+
+    ``factors`` lists each row's (center, gain, c1, c2): [b, b] without
+    avoidance, [b, B, b] while avoiding, so that rows 0-1 of the
+    log-derivatives plus rows 1-2 are b's plus B's twice over, with no
+    reversed view. ``d`` holds the edges' distances, three rows.
+    """
+
+    def __init__(self, factors, d: np.ndarray, n_edges: int):
+        k = len(factors)
+        self.d = d[:k]
+        center, gain, c1, c2 = (np.array(x)[:, None].repeat(n_edges, axis=1)
+                                for x in zip(*factors))
+        self.center, self.gain = center, gain
+        # (c1, c2) times (1 - s, s); the second half times 1 - s again
+        self.c = np.concatenate([c1, c2])
+        self.y = np.empty((k, n_edges))
+        self.om_s = np.empty((2 * k, n_edges))
+        self.one_minus, self.s = self.om_s[:k], self.om_s[k:]
+        self.l = np.empty((2 * k, n_edges))
+        self.l2_factors = self.l[k:]
+        self.minus_zero = np.full((k, n_edges), -0.0)
+        self.one = np.ones((k, n_edges))
+        self.logistic = (np.empty((k, n_edges), dtype=bool),
+                         np.empty((k, n_edges)))
+        if k == 3:  # l1 (b + B twice), a row of no use, l2 (b + B twice)
+            self.summed = np.empty((5, n_edges))
+            self.heads, self.tails = self.l[0:5], self.l[1:6]
+            self.l1, self.l2 = self.summed[0:2], self.summed[3:5]
+        else:
+            self.summed = None
+            self.l1, self.l2 = self.l[0:2], self.l[2:4]
+
+
 class JetKernel:
     """Value, gradient and Hessian of every robot's potential, one pass a step.
 
     Built once per run from the scenario and the (n, n) sensing mask: it
     holds the sigmoid gains and shifts and the followers' sensed edges,
-    which only ``set_mask`` changes. Row 0 is the informed robot: its
-    quotient inputs come from ``fields.leader_terms`` and fill column 0 of
-    the input rows. The followers' fill the others, from one pass over the
-    edge list, and one ``_quotient_jet`` call covers all of them.
+    which only ``set_mask`` changes. Row 0 is the informed robot, whose
+    quotient inputs come from ``fields.leader_terms``. The followers' come
+    from one pass over the edge list: the edge terms of each follower are
+    summed over its segment, and a few calls over whole rows turn the sums
+    into the inputs. One take then spreads every robot's inputs over the
+    rows of a ``QuotientWork``, and one ``_quotient_jet`` call covers all.
 
-    A step's cost is numpy's fixed cost per call, so every call combines
-    arrays of one shape: each scalar operand is held as a row of its
-    partner's shape, a quantity combined with (x, y) rows is written twice
-    where it is made, every temporary has a preallocated row (the edge
-    pass's here, rebuilt with the edge list; the quotient rule's in a
-    ``QuotientWork`` of the input rows) and every view is bound once. The
-    informed robot's scenario constants (``fields.leader_constants``) are
-    computed once. A call returns rows of the kernel, valid until the next.
+    A step's cost is numpy's fixed cost per call, so each call applies one
+    ufunc to one C-contiguous block that holds every operand it can take:
+    a scalar operand is a row of its partner's shape, independent products
+    of one level share a call, a quantity paired with several others is
+    repeated in rows, every temporary has a preallocated row (the edge
+    pass's here, rebuilt with the edge list) and every view is bound once.
+    The informed robot's scenario constants (``fields.leader_constants``)
+    are computed once. A call returns rows of the kernel, valid until the
+    next.
     """
+
+    # the per-robot inputs before the spread: the followers' segment sums
+    # (g = sum t_j (p - q_j), the curvature sums (xx, yy) and (xy), sum t_j
+    # twice, sum (p - q_j) and gamma), the inputs made from them, lap_gamma
+    # and, while avoiding, the products of b, B and b
+    COMPACT = Rows("gx gy cx cy cxy tx ty ox oy G",
+                   "dgx dgy B B dbx dby hxx hyy hxy L Pb PB Pb")
 
     def __init__(self, cfg: ScenarioConfig, mask: np.ndarray):
         self.cfg = cfg
@@ -277,33 +371,34 @@ class JetKernel:
         b = (cfg.sensing_radius - 0.5 * cfg.connectivity_buffer, k_b,
              -k_b, -k_b * k_b)
         c = (0.5 * cfg.collision_margin, -k_c, k_c, -(k_c * k_c))
-        # the two factor rows of each region, avoiding or not: without
-        # avoidance [b, b], one factor twice; while avoiding [b, B], whose
-        # log-derivatives are summed with their reverse to [b + B, B + b]
-        self.factor_rows = {False: (b, b), True: (b, c)}
-        n = len(mask)
-        self.rows = quotient_rows(cfg.field_exponent, n)
-        # per robot, the quotient inputs in rows 11-22: gamma three times,
-        # grad gamma, beta twice, grad beta and hess beta (xx, yy, xy). The
-        # followers' segment sums fill rows 0-13 of their columns, the last
-        # three being gamma
-        q = self.inputs = np.empty((23, n))
-        self.leader_inputs = q[11:, 0]
-        self.gamma, self.dgamma = q[11:14], q[14:16]
-        self.beta, self.dbeta = q[16:18], q[18:20]
-        self.ddbeta = q[20:23]
-        self.quotient = QuotientWork(self.gamma, self.dbeta)
-        # the followers' columns: sums of g = sum t_j (p - q_j) (x, y), the
-        # curvature sums (xx, yy) and (xy), sum t_j twice, sum (p - q_j)
-        # twice and gamma; then the inputs made from them
-        f = q[:, 1:]
-        self.sums, self.g_sums, self.gx, self.gy = f[:14], f[0:2], f[0], f[1]
-        self.curv_sums, self.xy_sums = f[2:4], f[4]
-        self.slope_sums, self.offset_sums = f[5:7], f[7:9]
-        self.f_dgamma, self.f_beta, self.f_beta0 = f[14:16], f[16:18], f[16]
-        self.f_dbeta, self.f_diag, self.f_xy = f[18:20], f[20:22], f[22]
+        self.factors = {False: (b, b), True: (b, c, b)}
+        n = self.n = len(mask)
+        self.quotient = QuotientWork(cfg.field_exponent, n)
+        rows = self.COMPACT
+        view = lambda run: rows.view(self.compact, run)  # noqa: E731
+        # zeros: column 0 of the sums is never written, and the calls over
+        # whole rows read it
+        self.compact = np.zeros((len(rows.names), n))
+        self.lap = view("L")
+        self.leader = self.compact[rows.at("G").start:rows.at("L").start, 0]
+        # spread: each changing row of the quotient's inputs takes the
+        # compact row of its name, dp and h0 any row
+        names = QuotientWork.INPUTS.names[self.quotient.changing]
+        source = [rows.at(name if name in rows.names else "L").start
+                  for name in names]
+        self.spread_at = (np.array(source)[:, None] * n + np.arange(n))
+        self.spread = self.quotient.inputs[self.quotient.changing]
+        f = self.compact[:, 1:]
+        self.sums = f[:rows.at("G").stop]
+        self.products = {False: view("B B")[:, 1:],
+                         True: view("Pb PB Pb")[:, 1:]}
+        self.post = (view("ox oy"), view("dgx dgy"), view("cx cy"),
+                     view("tx ty"), view("Pb PB"), view("PB Pb"),
+                     view("B B"), view("gx gy"), view("dbx dby"),
+                     view("hxx hyy"), view("gx"), view("gy"), view("hxy"),
+                     view("hxx hyy hxy"), view("cx cy cxy"), view("B"))
         # index of each robot pair {i, j} among the upper pairs (a, b), a < b,
-        # in np.triu_indices order: the order of a call's offsets and distances
+        # in np.triu_indices order: the order of a call's pair columns
         upper = np.triu_indices(n, 1)
         self.n_pairs = len(upper[0])
         self.pair_index = np.zeros((n, n), dtype=np.intp)
@@ -324,113 +419,78 @@ class JetKernel:
         if not degree.all():
             raise ValueError("follower has no neighbors; the initial graph "
                              "must give every follower at least one parent")
-        lap = 2.0 * np.concatenate(([1], degree))
-        self.lap = np.array([lap, lap])
+        self.lap[...] = 2.0 * np.concatenate(([1], degree))
         rows, cols = np.nonzero(mask[1:])
         rows += 1
         pair = self.pair_index[rows, cols]
         self.starts = np.concatenate(([0], np.cumsum(degree)[:-1]))
         n_edges = len(rows)
-        # gathers from the flat (2, P) offsets and the (P,) distances: each
-        # edge's offset as (x, y, x, y), and its distance once per factor row
-        self.offset_at = np.tile([pair, pair + self.n_pairs], (2, 1))
-        self.dist_at = np.tile(pair, (2, 1))
-        self.sign = np.tile(np.where(rows < cols, 1.0, -1.0), (4, 1))
+        p = self.n_pairs
+        # per edge: the terms whose segment sums are ``sums``, in their
+        # order (t (p - q_j) (x, y), w (p - q_j) (x x, y y), w x y, t twice,
+        # p - q_j (x, y), |p - q_j|^2), then the distance three times; the
+        # last six are gathered from the pair rows (x, y, |.|^2, d)
+        edges = self.edges = np.empty((13, n_edges))
+        self.terms, self.gathered = edges[:10], edges[7:]
+        self.gather_at = np.array([pair, pair + p, pair + 2 * p] + [
+            pair + 3 * p] * 3)
+        self.g, self.curvature, self.xy = edges[0:2], edges[2:4], edges[4]
+        self.t, self.m = edges[5:7], edges[7:9]
+        self.m_y, self.dist_rows = edges[8], edges[10:12]
+        self.sign = np.tile(np.where(rows < cols, 1.0, -1.0), (2, 1))
         self.floor = np.full((2, n_edges), DISTANCE_FLOOR)
-        # per edge: the distance once per factor row, -0.0 and one rows, and
-        # each region's (center, gain, c1, c2) rows of its factors
-        self.dist_rows = np.empty((2, n_edges))
-        self.minus_zero = np.full((2, n_edges), -0.0)
-        self.one = np.ones((2, n_edges))
-        self.per_edge = {}
-        for avoid, factors in self.factor_rows.items():
-            const = np.array(factors).T[:, :, None].repeat(n_edges, axis=2)
-            self.per_edge[avoid] = tuple(const)
-        # per follower, the products of b and of B; per edge, the law's l1
-        # and l2 (their rows reversed in a view, and summed), w, w (p - q_j)
-        # and the squares of the offset rows
-        self.factors = np.empty((2, len(self.starts)))
-        self.factors_reversed = self.factors[::-1]
-        self.l = np.empty((2, 2, n_edges))
-        self.l_reversed = self.l[:, ::-1]
-        self.l_summed = np.empty((2, 2, n_edges))
-        self.l_rows, self.l_summed_rows = tuple(self.l), tuple(self.l_summed)
-        self.w = np.empty((2, n_edges))
-        self.wm = np.empty((2, n_edges))
-        # per edge and factor row: the logistic's argument, 1 - s, d^2,
-        # l2 - t and the floor screen
-        self.y, self.one_minus, self.dist_squared, self.curvature_top = (
-            np.empty((2, n_edges)) for _ in range(4))
+        self.factor_rows = {avoid: _FactorRows(factors, edges[10:], n_edges)
+                            for avoid, factors in self.factors.items()}
+        # per edge, twice: the floor screen, d^2, l2 - t, w and w (p - q_j)
         self.near = np.empty((2, n_edges), dtype=bool)
-        self.logistic = (np.empty((2, n_edges)),
-                         np.empty((2, n_edges), dtype=bool),
-                         np.empty((2, n_edges)))
-        self.square = np.empty((4, n_edges))
-        self.square_head, self.square_tail = self.square[:3], self.square[1:]
-        # the edge terms whose segment sums make the jet, in the order of
-        # ``sums``: t_j (p - q_j), w_j (x x, y y), w_j x y, t_j twice,
-        # p - q_j twice, as (x, y, x, y), and |p - q_j|^2 three times
-        terms = self.terms = np.empty((14, n_edges))
-        self.g_terms, self.curv_terms, self.xy_terms = (terms[0:2],
-                                                        terms[2:4], terms[4])
-        self.t, self.m4, self.gamma_terms = terms[5:7], terms[7:11], terms[11:]
-        self.m = self.m4[:2]
-        self.wm_x, self.m_y = self.wm[0], self.m[1]
+        self.square, self.top, self.w, self.wm = (np.empty((2, n_edges))
+                                                  for _ in range(4))
+        self.wm_x = self.wm[0]
 
-    def __call__(self, position, offsets: np.ndarray, dist: np.ndarray,
-                 region: RegionFlag):
+    def __call__(self, position, pairs: np.ndarray, region: RegionFlag):
         """phi, gradient (x, y) and Hessian (xx, xy, yy) of every robot.
 
         ``position`` is the informed robot's (x, y), best as floats;
-        ``offsets`` (2, P) holds p_a - p_b and ``dist`` (P,) the distance of
-        each upper pair (a, b), a < b, in the order of np.triu_indices.
-        Follower i gathers only the pairs of its own edges, which keeps the
-        law decentralized. Each edge's b(d) and B(d) are evaluated once and
-        serve both the logged value (the regional potential) and its
-        derivatives, by the formulas of ``fields.follower_terms``.
+        ``pairs`` (4, P) holds the offset p_a - p_b (x, y), its square
+        length and the distance of each upper pair (a, b), a < b, in the
+        order of np.triu_indices. Follower i gathers only the pairs of its
+        own edges, which keeps the law decentralized. Each edge's b(d) and
+        B(d) are evaluated once and serve both the logged value (the
+        regional potential) and its derivatives, by the formulas of
+        ``fields.follower_terms``.
         """
         gamma, (gx, gy), beta, (bx, by), (hxx, hxy, hyy) = leader_terms(
             position, self.cfg, self.leader_const)
-        self.leader_inputs[:] = (gamma, gamma, gamma, gx, gy, beta, beta,
-                                 bx, by, hxx, hyy, hxy)
-        if self.inputs.shape[1] > 1:
-            self._followers(offsets, dist,
-                            region is RegionFlag.COLLISION_FREE)
-        phi, grad, hess, _ = _quotient_jet(
-            self.cfg.field_exponent, self.rows, self.gamma, self.dgamma,
-            self.lap, self.beta, self.dbeta, self.ddbeta, self.quotient)
+        if self.n > 1:
+            self._followers(pairs, region is RegionFlag.COLLISION_FREE)
+        self.leader[:] = (gamma, gx, gy, beta, beta, bx, by, hxx, hyy, hxy)
+        self.compact.take(self.spread_at, out=self.spread, mode="clip")
+        phi, grad, hess, _ = _quotient_jet(self.cfg.field_exponent,
+                                           self.quotient)
         return phi, grad, hess
 
-    def _followers(self, offsets, dist, avoid):
-        """Fill columns 1.. of the quotient inputs from the edge factors."""
-        m, d2, starts = self.m, self.dist_rows, self.starts
-        offsets.take(self.offset_at, out=self.m4, mode="clip")
-        self.m4 *= self.sign
-        dist.take(self.dist_at, out=d2, mode="clip")
-        center, gain, c1, c2 = self.per_edge[avoid]
-        one = self.one
-        y = np.subtract(d2, center, out=self.y)
-        y *= gain
-        s = logistic_negated(y, self.minus_zero, one, *self.logistic)
-        beta = self.f_beta
-        if avoid:  # [b, B]: beta = (prod b)(prod B), twice
-            np.multiply.reduceat(s, starts, axis=-1, out=self.factors)
-            np.multiply(self.factors, self.factors_reversed, out=beta)
-        else:  # [b, b]: beta twice
-            np.multiply.reduceat(s, starts, axis=-1, out=beta)
-        one_minus = np.subtract(one, s, out=self.one_minus)
-        l1, l2 = self.l_rows
-        np.multiply(c1, one_minus, out=l1)
-        np.multiply(np.multiply(c2, s, out=l2), one_minus, out=l2)
+    def _followers(self, pairs, avoid):
+        """Fill columns 1.. of the compact inputs from the edge factors."""
+        rows, starts = self.factor_rows[avoid], self.starts
+        pairs.take(self.gather_at, out=self.gathered, mode="clip")
+        m = np.multiply(self.m, self.sign, out=self.m)
+        y = np.subtract(rows.d, rows.center, out=rows.y)
+        y *= rows.gain
+        s = logistic_negated(y, rows.minus_zero, rows.one, rows.s,
+                             *rows.logistic)
+        np.multiply.reduceat(s, starts, axis=-1, out=self.products[avoid])
+        np.subtract(rows.one, s, out=rows.one_minus)
+        np.multiply(rows.c, rows.om_s, out=rows.l)
+        np.multiply(rows.l2_factors, rows.one_minus, out=rows.l2_factors)
         if avoid:
             # b's and B's terms in either order: + is commutative bit for bit
-            np.add(self.l, self.l_reversed, out=self.l_summed)
-            l1, l2 = self.l_summed_rows
+            np.add(rows.heads, rows.tails, out=rows.summed)
+        l1, l2 = rows.l1, rows.l2
         # edge slopes l_j / d_j and curvatures, each twice; edges under the
         # floor add none, and a NaN distance takes the masked divides too
-        t, w, top = self.t, self.w, self.curvature_top
+        d2, t, w, top, square = self.dist_rows, self.t, self.w, self.top, self.square
         near = np.greater_equal(d2, self.floor, out=self.near)
-        square = np.multiply(d2, d2, out=self.dist_squared)
+        np.multiply(d2, d2, out=square)
         if np.count_nonzero(near) == near.size:
             np.divide(l1, d2, out=t)
             np.divide(np.subtract(l2, t, out=top), square, out=w)
@@ -439,26 +499,23 @@ class JetKernel:
             w.fill(0.0)
             np.divide(l1, d2, out=t, where=near)
             np.divide(np.subtract(l2, t, out=top), square, out=w, where=near)
-        np.multiply(t, m, out=self.g_terms)
-        np.multiply(w, m, out=self.wm)
-        np.multiply(self.wm, m, out=self.curv_terms)
-        np.multiply(self.wm_x, self.m_y, out=self.xy_terms)
-        np.multiply(self.m4, self.m4, out=self.square)
-        # x^2 + y^2 three times over: + is commutative bit for bit
-        np.add(self.square_head, self.square_tail, out=self.gamma_terms)
-        # one segment per follower: the sums, then the quotient inputs
-        # gamma, 2 sum (p - q_j) (as a sum of two, exactly), beta g and
-        # beta (g g^T + curvature)
+        np.multiply(t, m, out=self.g)
+        wm = np.multiply(w, m, out=self.wm)
+        np.multiply(wm, m, out=self.curvature)
+        np.multiply(self.wm_x, self.m_y, out=self.xy)
         np.add.reduceat(self.terms, starts, axis=-1, out=self.sums)
-        curv = self.curv_sums
-        np.add(curv, self.slope_sums, out=curv)
-        np.add(self.offset_sums, self.offset_sums, out=self.f_dgamma)
-        g = self.g_sums
-        np.multiply(beta, g, out=self.f_dbeta)
-        diag, xy = self.f_diag, self.f_xy
+        # over whole rows, the quotient inputs: 2 sum (p - q_j) (as a sum of
+        # two, exactly), beta (b's product times B's while avoiding), beta g
+        # and beta (g g^T + curvature)
+        (offsets, dgamma, curv, slopes, heads, tails, beta, g, dbeta, diag,
+         g_x, g_y, xy, hess, curv_xy, beta0) = self.post
+        np.add(offsets, offsets, out=dgamma)
+        np.add(curv, slopes, out=curv)
+        if avoid:
+            np.multiply(heads, tails, out=beta)
+        np.multiply(beta, g, out=dbeta)
         np.multiply(g, g, out=diag)
-        np.add(diag, curv, out=diag)
+        np.multiply(g_x, g_y, out=xy)
+        np.add(hess, curv_xy, out=hess)
         np.multiply(diag, beta, out=diag)
-        np.multiply(self.gx, self.gy, out=xy)
-        np.add(xy, self.xy_sums, out=xy)
-        np.multiply(xy, self.f_beta0, out=xy)
+        np.multiply(xy, beta0, out=xy)

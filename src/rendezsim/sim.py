@@ -148,30 +148,34 @@ def _pose_array(states: list[RobotState]) -> np.ndarray:
 
 
 class PairWork:
-    """Preallocated rows of ``_offsets`` on ``poses``: the (2, P) offsets
-    and squares, the (P,) distances, and the bound views of both."""
+    """Preallocated rows of ``_offsets`` on ``poses``: the (4, P) pair rows,
+    the squares, the gathered endpoint coordinates and the take's index."""
 
     def __init__(self, poses: np.ndarray, upper: tuple):
-        self.xy = poses[:, :2].T
-        self.offsets, self.square = np.empty((2, 2, len(upper[0])))
+        a, b = (3 * np.asarray(i) for i in upper)
+        # (x_a, y_a, x_b, y_b) of each pair, from the flat (N, 3) poses
+        self.ends_at = np.array([a, a + 1, b, b + 1])
+        self.ends = np.empty((4, len(upper[0])))
+        self.pairs = np.empty((4, len(upper[0])))
+        self.offsets, self.square = self.pairs[:2], np.empty(
+            (2, len(upper[0])))
         self.square_x, self.square_y = self.square
-        self.dist = np.empty(len(upper[0]))
+        self.length_squared, self.dist = self.pairs[2], self.pairs[3]
 
 
 def _offsets(poses: np.ndarray, upper: tuple, work=None):
-    """Offsets p_a - p_b, (2, P), and distances, (P,), of the upper pairs
-    ``upper = np.triu_indices(N, 1)``, the log's pair order. Every array
-    goes into ``work``, a ``PairWork`` of these very poses and pairs, made
-    when none is given."""
+    """Pair rows of the upper pairs ``upper = np.triu_indices(N, 1)``, the
+    log's pair order, as one (4, P) array: the offsets p_a - p_b (x, y),
+    their square lengths and the distances. Every array goes into
+    ``work``, a ``PairWork`` of these very poses and pairs, made when none
+    is given."""
     w = PairWork(poses, upper) if work is None else work
-    a, b = upper
-    offsets, square = w.offsets, w.square
-    w.xy.take(a, axis=1, out=offsets, mode="clip")
-    np.subtract(offsets, w.xy.take(b, axis=1, out=square, mode="clip"),
-                out=offsets)
-    np.multiply(offsets, offsets, out=square)
-    return offsets, np.sqrt(np.add(w.square_x, w.square_y, out=w.dist),
-                            out=w.dist)
+    ends = poses.take(w.ends_at, out=w.ends, mode="clip")
+    np.subtract(ends[:2], ends[2:], out=w.offsets)
+    np.multiply(w.offsets, w.offsets, out=w.square)
+    np.add(w.square_x, w.square_y, out=w.length_squared)
+    np.sqrt(w.length_squared, out=w.dist)
+    return w.pairs
 
 
 class StepKernel:
@@ -213,16 +217,16 @@ class StepKernel:
         self.theta_d = self.control_rows[2]
 
     def pairs(self):
-        """Offsets (2, P) and distances (P,) of ``poses``' upper pairs."""
+        """The (4, P) pair rows of ``poses``' upper pairs (``_offsets``)."""
         return _offsets(self.poses, self.upper, self.pair_work)
 
-    def __call__(self, leader, offsets, dist, region):
+    def __call__(self, leader, pairs, region):
         """Fill ``control_rows`` and move ``poses`` on by one step; return
         phi and the gradient norms, rows of the kernel.
 
-        ``leader`` is the informed robot's (x, y) as floats, ``offsets`` and
-        ``dist`` are the upper pairs' (see ``pairs``)."""
-        phi, grad, hess = self.jets(leader, offsets, dist, region)
+        ``leader`` is the informed robot's (x, y) as floats, ``pairs`` the
+        upper pairs' rows (see ``pairs``)."""
+        phi, grad, hess = self.jets(leader, pairs, region)
         v, omega, *_, grad_norm = control_laws(
             grad, hess, self.theta, self.theta_d, *self.gains,
             self.gradient_floor, self.control_out, self.pi, self.laws)
@@ -254,7 +258,7 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
     for i, prev in enumerate(prev_theta_d or ()):
         if prev is not None:
             kernel.theta_d[i] = prev
-    phi, grad_norm = kernel(kernel.poses[0, :2].tolist(), *kernel.pairs(),
+    phi, grad_norm = kernel(kernel.poses[0, :2].tolist(), kernel.pairs(),
                             region)
     controls = [ControlOutput(*row, p, g) for row, p, g in
                 zip(kernel.by_robot.tolist(), phi.tolist(),
@@ -416,6 +420,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     # no desired heading yet: hold the current one
     kernel.theta_d[...] = kernel.theta
     watched_dist, watched_norms = watched[:n_pairs], watched[n_pairs:]
+    dist = kernel.pair_work.dist
     reach = np.empty(screened.shape, dtype=bool)
     reach_high = reach[0]
 
@@ -430,12 +435,12 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
                     switch_step = k
                     events.append(Event(k, t, "switch", "informed robot "
                                         "reached the switch distance"))
-        offsets, dist = kernel.pairs()
+        pair_rows = kernel.pairs()
         if accreting and _accrete_edges(mask, dist, upper, threshold):
             kernel.jets.set_mask(mask)
         # step k's norms, before the kernel moves the poses on
         np.hypot(kernel.x, kernel.y, out=watched_norms)
-        phi[k], _ = kernel(leader, offsets, dist, region)
+        phi[k], _ = kernel(leader, pair_rows, region)
         ctrl[k] = kernel.by_robot
         poses[k + 1] = pose
 

@@ -16,8 +16,8 @@ from rendezsim.control import control_laws
 from rendezsim.fields import region_of
 from rendezsim import gradients
 from rendezsim.fields import logistic_negated
-from rendezsim.gradients import (DISTANCE_FLOOR, JetKernel, _quotient_jet,
-                                 quotient_rows)
+from rendezsim.gradients import (DISTANCE_FLOOR, JetKernel, QuotientWork,
+                                 _quotient_jet)
 from rendezsim.model import TWO_PI, turn_angles, wrap_angles
 
 from conftest import make_states, small_config
@@ -177,10 +177,8 @@ class TestQuotientRule:
     def test_equal_shapes_match_the_broadcast_form(self, alpha):
         n = 6
         gamma, dgamma, lap, beta, dbeta, ddbeta = self.inputs(n)
-        got = _quotient_jet(
-            alpha, quotient_rows(alpha, n), np.array([gamma] * 3), dgamma,
-            np.array([lap, lap]), np.array([beta, beta]), dbeta,
-            ddbeta[[0, 2, 1]])
+        got = _quotient_jet(alpha, QuotientWork(alpha, n).load(
+            gamma, dgamma, lap, beta, dbeta, ddbeta))
         expected = quotient_jet_before(alpha, gamma, dgamma, lap, beta,
                                        dbeta, ddbeta)
         self.check(got, expected)
@@ -189,10 +187,9 @@ class TestQuotientRule:
     def test_one_robot_takes_floats(self, alpha):
         gamma, dgamma, lap, beta, dbeta, ddbeta = self.inputs(6)
         for i in (0, 3, 5):
-            got = _quotient_jet(
-                alpha, quotient_rows(alpha), float(gamma[i]), dgamma[:, i],
-                float(lap[i]), float(beta[i]), dbeta[:, i],
-                ddbeta[[0, 2, 1], i])
+            got = _quotient_jet(alpha, QuotientWork(alpha).load(
+                float(gamma[i]), dgamma[:, i], float(lap[i]), float(beta[i]),
+                dbeta[:, i], ddbeta[:, i]))
             expected = quotient_jet_before(
                 alpha, float(gamma[i]), dgamma[:, i], float(lap[i]),
                 float(beta[i]), dbeta[:, i], ddbeta[:, i])
@@ -200,8 +197,11 @@ class TestQuotientRule:
 
 
 def logistic_before(y, minus_zero, one, out=None, nonpositive=None, e=None):
-    """``logistic_negated`` by the formula it replaced."""
-    return logistic_array_before(-y)
+    """``logistic_negated`` by the formula it replaced, into ``out``."""
+    if out is None:
+        return logistic_array_before(-y)
+    out[...] = logistic_array_before(-y)
+    return out
 
 
 class TestLogisticNegated:
@@ -252,25 +252,24 @@ class TestFollowerDivides:
             n_robots=n, linear_gains=[1.0] * n, angular_gains=[1.0] * n,
             initial_states=make_states(poses.tolist()))
         upper = np.triu_indices(n, 1)
-        offsets, dist = sim._offsets(poses, upper)
-        return cfg, mask, poses, offsets, dist, upper
+        return cfg, mask, poses, sim._offsets(poses, upper), upper
 
     @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
                                         RegionFlag.RENDEZVOUS])
     @pytest.mark.parametrize("bad", [1e-10, 0.0, math.nan])
     def test_unaffected_followers_match(self, region, bad):
-        cfg, mask, poses, offsets, dist, upper = self._kernel_inputs()
+        cfg, mask, poses, pairs, upper = self._kernel_inputs()
         kernel = JetKernel(cfg, mask)
         plain = [np.array(x, dtype=float) for x in
-                 kernel(poses[0, :2], offsets, dist, region)]
+                 kernel(poses[0, :2], pairs, region)]
         # pair (a, b) of one sensed edge gets the bad distance
         pair = int(np.flatnonzero(mask[upper] | mask.T[upper])[-1])
         a, b = upper[0][pair], upper[1][pair]
-        offsets, dist = offsets.copy(), dist.copy()
-        dist[pair] = bad
-        offsets[:, pair] = bad / math.sqrt(2.0)
+        pairs = pairs.copy()
+        pairs[:, pair] = (bad / math.sqrt(2.0), bad / math.sqrt(2.0),
+                          bad * bad, bad)
         masked = [np.array(x, dtype=float) for x in
-                  kernel(poses[0, :2], offsets, dist, region)]
+                  kernel(poses[0, :2], pairs, region)]
         touched = {i for i, j in ((a, b), (b, a)) if mask[i, j]}
         keep = [c for c in range(len(mask)) if c not in touched]
         assert touched and len(keep) > 2
@@ -294,10 +293,9 @@ class TestKernelLogistic:
         cfg = small_config(
             n_robots=n, linear_gains=[1.0] * n,
             angular_gains=[1.0] * n, initial_states=make_states(poses))
-        offsets, dist = sim._offsets(poses, np.triu_indices(n, 1))
-        assert dist.min() < 0.5 * cfg.collision_margin
-        args = (poses[0, :2].tolist(), offsets, dist,
-                RegionFlag.COLLISION_FREE)
+        pairs = sim._offsets(poses, np.triu_indices(n, 1))
+        assert pairs[3].min() < 0.5 * cfg.collision_margin
+        args = (poses[0, :2].tolist(), pairs, RegionFlag.COLLISION_FREE)
         kernel = JetKernel(cfg, mask)
         positive = []
 

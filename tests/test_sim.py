@@ -282,18 +282,18 @@ class TestEdgeList:
         assert 0 < edges < n * (n - 1) / 4
         assert jets.m.shape == jets.dist_rows.shape == jets.w.shape
         assert jets.m.shape == (2, edges)
-        assert jets.terms.shape == (14, edges)
+        assert jets.terms.shape == (10, edges)
 
         poses = np.array([[*s.position, s.heading] for s in states])
-        offsets, dist = sim._offsets(poses, np.triu_indices(n, 1))
-        assert offsets.shape == (2, n * (n - 1) // 2) == (2, len(dist))
+        pairs = sim._offsets(poses, np.triu_indices(n, 1))
+        assert pairs.shape == (4, n * (n - 1) // 2)
         kernel.poses[...] = poses
         kernel.theta_d[...] = poses[:, 2]
-        kernel(poses[0, :2].tolist(), offsets, dist, RegionFlag.COLLISION_FREE)
+        kernel(poses[0, :2].tolist(), pairs, RegionFlag.COLLISION_FREE)
         i, j = np.nonzero(mask[1:])
         gap = poses[i + 1, :2] - poses[j, :2]
         assert np.array_equal(jets.m, gap.T)
-        for d in jets.dist_rows:  # once per factor row
+        for d in jets.dist_rows:  # twice, as the edge slopes are
             assert np.array_equal(d, np.sqrt(gap[:, 0] * gap[:, 0]
                                              + gap[:, 1] * gap[:, 1]))
 

@@ -147,13 +147,12 @@ class TestCounter:
 
     def test_where_calls_are_tallied(self):
         from rendezsim import gradients
-        gamma = np.array([[0.0, 1.0]] * 3)
+        work = gradients.QuotientWork(0.5, 2).load(
+            np.array([0.0, 1.0]), np.zeros((2, 2)), np.full(2, 2.0),
+            np.ones(2), np.zeros((2, 2)), np.zeros((3, 2)))
         with counting() as counts:
             # exponents under 1 keep the masked power
-            gradients._quotient_jet(
-                0.5, gradients.quotient_rows(0.5, 2), gamma, np.zeros((2, 2)),
-                np.full((2, 2), 2.0), np.ones((2, 2)), np.zeros((2, 2)),
-                np.zeros((3, 2)))
+            gradients._quotient_jet(0.5, work)
         assert sum(counts.where.values()) == 1
 
     def test_scalar_operands_are_tallied(self):
