@@ -103,38 +103,55 @@ def compute_control(robot: RobotState,
 
 
 class ControlWork:
-    """Preallocated rows of ``control_laws`` over n robots, with the rows of
-    the descent direction -grad bound once."""
+    """Preallocated rows of ``control_laws`` over n robots: ``out``, the
+    five result rows (v, omega, theta_d, theta_tilde, theta_d_dot), made
+    when not given, and the temporaries, with every view bound once."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, out: np.ndarray | None = None):
+        self.out = np.empty((5, n)) if out is None else out
+        self.rows = tuple(self.out)
+        self.headings = self.out[2:4]
         self.descent = np.empty((2, n))
         self.descent_x, self.descent_y = self.descent
-        (self.grad_norm, self.magnitude, self.cos_tilde, self.sin_d,
-         self.cos_d, self.left, self.right, self.scratch) = np.empty((8, n))
+        # sin theta_d, the cosines of theta_d and theta_tilde, |grad|; then
+        # k_v cos theta_tilde and k_v |grad|
+        self.trig = np.empty((6, n))
+        self.sin_d, self.cos_d, self.cos_tilde, self.grad_norm = self.trig[:4]
+        self.cosines, self.scaled = self.trig[1:3], self.trig[2:4]
+        self.gain_cos, self.gain_norm = self.trig[4:]
+        self.gained = self.trig[4:]
+        # sin_d hxy, sin_d hxx, cos_d hyy, cos_d hxy: rows 0-1 less rows
+        # 2-3 are (sin_d hxy - cos_d hyy, sin_d hxx - cos_d hxy)
+        self.products = np.empty((4, n))
+        self.sd_hxy, self.sd_hxx, self.cd_hyy, self.cd_hxy = self.products
+        self.heads, self.tails = self.products[:2], self.products[2:]
+        # those two forms, then the motion direction (sin theta, cos theta)
+        self.forms, self.motion = np.empty((2, 2, n))
+        self.sin_theta, self.cos_theta = self.motion
+        self.form_y, self.form_x = self.forms
+        self.magnitude, self.form, self.turn_rate = np.empty((3, n))
         self.steep, self.inside = np.empty((2, n), dtype=bool)
 
 
 def control_laws(grad, hess, theta: np.ndarray, fallback: np.ndarray,
                  k_v: np.ndarray, k_w: np.ndarray, gradient_floor=1e-9,
-                 out=None, pi=math.pi, work=None):
+                 pi=math.pi, work=None):
     """The four laws above for many robots at once, elementwise.
 
     grad is (x, y) and hess (xx, xy, yy), each component an array over the
-    robots; ``theta`` holds wrapped headings, in (-pi, pi]. ``fallback`` is
-    the desired heading held where the gradient is below the floor: the
-    previous one, or the current heading when there is none.
+    robots; ``theta`` holds wrapped headings, in (-pi, pi]. ``fallback``
+    is the desired heading held where the gradient is below the floor: the
+    previous one, or the current heading when there is none. ``k_v`` holds
+    the linear gains twice, as (2, n) rows, ``k_w`` the angular ones.
     ``gradient_floor`` and ``pi`` are floats or, as the step kernel passes
-    them, rows of theta's shape. ``out``, five rows (a (5, n) array or a
-    sequence of rows), receives the first five results when given; every
-    temporary goes into ``work``, a ``ControlWork``, made when none is
-    given. Returns (v, omega, theta_d, theta_tilde, theta_d_dot,
-    grad_norm), grad_norm a row of ``work``.
+    them, rows of theta's shape. Every result and temporary goes into
+    ``work``, a ``ControlWork``, made when none is given. Returns (v,
+    omega, theta_d, theta_tilde, theta_d_dot, grad_norm), rows of
+    ``work``.
     """
     n = len(theta)
-    if out is None:
-        out = np.empty((5, n))
     w = ControlWork(n) if work is None else work
-    v, omega, theta_d, theta_tilde, theta_d_dot = out
+    v, omega, theta_d, theta_tilde, theta_d_dot = w.rows
     hxx, hxy, hyy = hess
     # |-grad| is |grad| bit for bit: hypot takes absolute values
     np.negative(grad, out=w.descent)
@@ -155,24 +172,23 @@ def control_laws(grad, hess, theta: np.ndarray, fallback: np.ndarray,
     magnitude = np.abs(theta_tilde, out=w.magnitude)
     if np.count_nonzero(np.less(magnitude, pi, out=w.inside)) < n:
         turn_angles(theta_tilde, out=theta_tilde)
-    cos_tilde = np.cos(theta_tilde, out=w.cos_tilde)
-    np.multiply(k_v, grad_norm, out=v)
-    np.multiply(v, cos_tilde, out=v)
+    np.cos(w.headings, out=w.cosines)
+    np.multiply(k_v, w.scaled, out=w.gained)
+    np.multiply(w.gain_norm, w.cos_tilde, out=v)
     # left^T H right with left = (sin theta_d, -cos theta_d), right the
     # motion direction (cos theta, sin theta): (sin_d hxx - cos_d hxy)
     # cos theta + (sin_d hxy - cos_d hyy) sin theta
-    sin_d = np.sin(theta_d, out=w.sin_d)
-    cos_d = np.cos(theta_d, out=w.cos_d)
-    left, right, scratch = w.left, w.right, w.scratch
-    np.multiply(sin_d, hxx, out=left)
-    np.subtract(left, np.multiply(cos_d, hxy, out=scratch), out=left)
-    np.multiply(left, np.cos(theta, out=scratch), out=left)
-    np.multiply(sin_d, hxy, out=right)
-    np.subtract(right, np.multiply(cos_d, hyy, out=scratch), out=right)
-    np.multiply(right, np.sin(theta, out=scratch), out=right)
-    np.add(left, right, out=left)
-    np.multiply(k_v, cos_tilde, out=theta_d_dot)
-    np.multiply(theta_d_dot, left, out=theta_d_dot)
-    np.subtract(theta_d_dot, np.multiply(k_w, theta_tilde, out=scratch),
+    sin_d, cos_d = np.sin(theta_d, out=w.sin_d), w.cos_d
+    np.multiply(sin_d, hxy, out=w.sd_hxy)
+    np.multiply(sin_d, hxx, out=w.sd_hxx)
+    np.multiply(cos_d, hyy, out=w.cd_hyy)
+    np.multiply(cos_d, hxy, out=w.cd_hxy)
+    forms = np.subtract(w.heads, w.tails, out=w.forms)
+    np.sin(theta, out=w.sin_theta)
+    np.cos(theta, out=w.cos_theta)
+    np.multiply(forms, w.motion, out=forms)
+    form = np.add(w.form_x, w.form_y, out=w.form)
+    np.multiply(w.gain_cos, form, out=theta_d_dot)
+    np.subtract(theta_d_dot, np.multiply(k_w, theta_tilde, out=w.turn_rate),
                 out=omega)
     return v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm

@@ -86,9 +86,9 @@ class IntegrateWork:
     """Preallocated rows of ``_integrate_all`` moving ``poses`` into ``out``
     (the same array for an update in place) with time step dt.
 
-    It holds dt / 2, dt and pi as (N,) rows, so that no call takes a
-    scalar, the temporaries, the heading wrap's screen, and the pose
-    columns of both arrays, bound once.
+    It holds (dt, dt / 2) and pi as rows, so that no call takes a scalar,
+    the temporaries, the heading wrap's screen, and the pose columns of
+    both arrays, bound once.
     """
 
     def __init__(self, poses: np.ndarray, out: np.ndarray, dt: float):
@@ -96,47 +96,54 @@ class IntegrateWork:
         self.out = out
         self.x, self.y, self.theta = poses.T
         self.x_out, self.y_out, self.theta_out = out.T
-        self.half_dt, self.dt, self.pi = (np.full(n, 0.5 * dt),
-                                          np.full(n, dt), np.full(n, np.pi))
-        (self.half, self.turns, self.arg, self.ratio, self.chord, self.mid,
-         self.trig, self.heading, magnitude) = np.empty((9, n))
+        self.steps = np.array([np.full(n, dt), np.full(n, 0.5 * dt)])
+        self.dt, self.pi = self.steps[0], np.full(n, np.pi)
+        # dt v and the half turn, then the sine's arguments: pi (h / pi)
+        # and the mid-step heading
+        self.scaled, self.angles = np.empty((2, 2, n))
+        self.chord, self.half = self.scaled
+        self.arg, self.mid = self.angles
+        self.sines = np.empty((2, n))
+        self.ratio = self.sines[0]
+        (self.turns, self.trig, self.heading,
+         magnitude) = np.empty((4, n))
         self.screen = (magnitude, np.empty(n, dtype=bool))
 
 
-def _integrate_all(poses, vs, ws, dt, out=None, work=None):
+def _integrate_all(poses, controls, dt, out=None, work=None):
     """Exact step: with v and omega held over dt each path is a circular arc.
 
-    The chord is v*dt*sinc(omega*dt/2) long and points along the mid-step
-    heading. The ratio sin(y)/y is np.sinc's own arithmetic, y = pi (h/pi)
-    for the half turn h, done inline; plain sin(h)/h can differ from it in
-    the last bit. Only a step where some y is 0 calls np.sinc, which is
-    exactly 1 there (a straight line). Writes the new (N, 3) poses into
-    ``out``, which may be ``poses``, or a new array; every temporary goes
-    into ``work``, an ``IntegrateWork`` of these very arrays and dt, made
-    when none is given. Returns the new poses.
+    ``controls`` holds (v, omega) as (2, N) rows. The chord is
+    v*dt*sinc(omega*dt/2) long and points along the mid-step heading. The
+    ratio sin(y)/y is np.sinc's own arithmetic, y = pi (h/pi) for the half
+    turn h, done inline; plain sin(h)/h can differ from it in the last
+    bit. Only a step where some y is 0 calls np.sinc, which is exactly 1
+    there (a straight line). Writes the new (N, 3) poses into ``out``,
+    which may be ``poses``, or a new array; every temporary goes into
+    ``work``, an ``IntegrateWork`` of these very arrays and dt, made when
+    none is given. Returns the new poses.
     """
     if work is None:
         work = IntegrateWork(poses, np.empty(poses.shape) if out is None
                              else out, dt)
     w = work
     pi = w.pi
-    half = np.multiply(w.half_dt, ws, out=w.half)
+    chord, half = np.multiply(w.steps, controls, out=w.scaled)
     turns = np.divide(half, pi, out=w.turns)
     y = np.multiply(pi, turns, out=w.arg)
+    np.add(w.theta, half, out=w.mid)
+    sin_y, sin_mid = np.sin(w.angles, out=w.sines)
     if np.count_nonzero(y) == len(y):
-        ratio = np.divide(np.sin(y, out=w.ratio), y, out=w.ratio)
+        ratio = np.divide(sin_y, y, out=w.ratio)
     else:
         ratio = np.sinc(turns)
-    chord = np.multiply(w.dt, vs, out=w.chord)
     np.multiply(chord, ratio, out=chord)
-    mid = np.add(w.theta, half, out=w.mid)
     trig = w.trig
-    np.add(w.x, np.multiply(chord, np.cos(mid, out=trig), out=trig),
+    np.add(w.x, np.multiply(chord, np.cos(w.mid, out=trig), out=trig),
            out=w.x_out)
-    np.add(w.y, np.multiply(chord, np.sin(mid, out=trig), out=trig),
-           out=w.y_out)
+    np.add(w.y, np.multiply(chord, sin_mid, out=trig), out=w.y_out)
     # the heading goes last: the columns above read it
-    heading = np.multiply(w.dt, ws, out=w.heading)
+    heading = np.multiply(w.dt, controls[1], out=w.heading)
     wrap_angles(np.add(w.theta, heading, out=heading), out=w.theta_out,
                 pi=pi, screen=w.screen)
     return w.out
@@ -199,20 +206,20 @@ class StepKernel:
     def __init__(self, cfg: ScenarioConfig, mask: np.ndarray):
         n = len(mask)
         self.jets = JetKernel(cfg, mask)
-        self.gains = (np.asarray(cfg.linear_gains, dtype=float),
+        self.gains = (np.array([cfg.linear_gains] * 2, dtype=float),
                       np.asarray(cfg.angular_gains, dtype=float))
         self.gradient_floor = np.full(n, cfg.gradient_floor)
         self.poses = np.empty((n, 3))
         self.x, self.y, self.theta = self.poses.T
         self.upper = np.triu_indices(n, 1)
         self.pair_work = PairWork(self.poses, self.upper)
-        self.laws = ControlWork(n)
         self.time_step = cfg.time_step
         self.motion = IntegrateWork(self.poses, self.poses, cfg.time_step)
         self.pi = self.motion.pi
         self.finite = np.empty((n, 3), dtype=bool)
         self.control_rows = np.empty((5, n))
-        self.control_out = tuple(self.control_rows)
+        self.laws = ControlWork(n, self.control_rows)
+        self.speeds = self.control_rows[:2]
         self.by_robot = self.control_rows.T
         self.theta_d = self.control_rows[2]
 
@@ -227,11 +234,11 @@ class StepKernel:
         ``leader`` is the informed robot's (x, y) as floats, ``pairs`` the
         upper pairs' rows (see ``pairs``)."""
         phi, grad, hess = self.jets(leader, pairs, region)
-        v, omega, *_, grad_norm = control_laws(
+        *_, grad_norm = control_laws(
             grad, hess, self.theta, self.theta_d, *self.gains,
-            self.gradient_floor, self.control_out, self.pi, self.laws)
+            self.gradient_floor, self.pi, self.laws)
         poses = self.poses
-        _integrate_all(poses, v, omega, self.time_step, poses, self.motion)
+        _integrate_all(poses, self.speeds, self.time_step, poses, self.motion)
         if np.count_nonzero(np.isfinite(poses, out=self.finite)) < poses.size:
             raise RuntimeError(
                 f"non-finite state after integration:\n{poses}")

@@ -86,7 +86,7 @@ def integrate_pose(pose: np.ndarray, v: float, omega: float,
                    dt: float) -> np.ndarray:
     """Advance one unicycle pose with the controls held constant over dt."""
     out = _integrate_all(np.asarray(pose, dtype=float).reshape(1, 3),
-                         np.array([v]), np.array([omega]), dt)
+                         np.array([[v], [omega]]), dt)
     return out[0]
 
 

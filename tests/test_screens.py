@@ -135,7 +135,7 @@ class TestIntegrateInline:
     def test_matches_np_sinc(self, ws):
         poses, vs, ws = self._case(ws)
         for dt in (0.005, 0.1):
-            got = sim._integrate_all(poses, vs, ws, dt)
+            got = sim._integrate_all(poses, np.array([vs, ws]), dt)
             assert same_bits(got, integrate_before(poses, vs, ws, dt))
 
     def test_many_turns_match_np_sinc(self):
@@ -143,7 +143,7 @@ class TestIntegrateInline:
         # sin(pi (h / pi)) / (pi (h / pi)) in the last bit of many rows
         poses, vs, _ = self._case(range(2000))
         ws = np.random.default_rng(6).uniform(-30.0, 30.0, 2000)
-        got = sim._integrate_all(poses, vs, ws, 0.1)
+        got = sim._integrate_all(poses, np.array([vs, ws]), 0.1)
         assert same_bits(got, integrate_before(poses, vs, ws, 0.1))
 
 
@@ -338,7 +338,7 @@ class TestHeadingError:
         n = len(theta)
         # a zero gradient holds theta_d at the fallback
         out = control_laws(np.zeros((2, n)), np.zeros((3, n)), theta, held,
-                           np.ones(n), np.ones(n), np.full(n, 1e-6),
+                           np.ones((2, n)), np.ones(n), np.full(n, 1e-6),
                            pi=np.full(n, PI))
         assert same_bits(out[2], held)
         assert same_bits(out[3], wrap_angles_before(theta - held))
@@ -353,14 +353,14 @@ class TestDesiredHeading:
         fallback = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
         hess = np.ones((3, 6))
         theta = np.linspace(-3.0, 3.0, 6)
-        gains = np.full(6, 2.0), np.full(6, 8.0)
+        gains = np.full((2, 6), 2.0), np.full(6, 8.0)
         held = [1, 2, 4, 5]
         out = control_laws(grad, hess, theta, fallback, *gains, floor)
         assert same_bits(out[2], desired_heading_before(grad, fallback, floor))
         assert same_bits(out[2][held], fallback[held])
         steep = [0, 3]  # no row held: the unmasked arctan2
         out = control_laws(grad[:, steep], hess[:, steep], theta[steep],
-                           fallback[steep], gains[0][steep], gains[1][steep],
+                           fallback[steep], gains[0][:, steep], gains[1][steep],
                            floor)
         assert same_bits(out[2], desired_heading_before(
             grad[:, steep], fallback[steep], floor))

@@ -61,15 +61,15 @@ class TestIntegrator:
         vs = rng.uniform(-3.0, 3.0, n)
         ws = np.array(omegas)
         for dt in (0.005, 0.05):
-            rows = sim._integrate_all(poses, vs, ws, dt)
+            rows = sim._integrate_all(poses, np.array([vs, ws]), dt)
             for i in range(n):
                 x, y, theta = self.closed_form(poses[i], vs[i], ws[i], dt)
                 assert abs(rows[i, 0] - x) <= 1e-12
                 assert abs(rows[i, 1] - y) <= 1e-12
                 assert angle_gap(rows[i, 2], normalize_angle(theta)) <= 1e-12
                 # a row's result does not depend on the rows beside it
-                single = sim._integrate_all(poses[i:i + 1], vs[i:i + 1],
-                                            ws[i:i + 1], dt)
+                single = sim._integrate_all(
+                    poses[i:i + 1], np.array([vs[i:i + 1], ws[i:i + 1]]), dt)
                 assert single.tobytes() == rows[i:i + 1].tobytes()
 
 

@@ -141,7 +141,7 @@ class TestCounter:
         with counting() as counts:
             # a zero turn rate sends the step to np.sinc, which makes several
             # ufunc calls of its own; it counts as one
-            sim._integrate_all(poses, np.ones(2), np.array([0.0, 1.0]), 0.1)
+            sim._integrate_all(poses, np.array([[1.0, 1.0], [0.0, 1.0]]), 0.1)
         assert counts.calls["sim._integrate_all", "sinc"] == 1
         assert counts.helpers["sim._integrate_all", "sinc"] == 1
 
