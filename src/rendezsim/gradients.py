@@ -9,6 +9,7 @@ with weights that are nonnegative whenever the collision factors are absent.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -55,18 +56,24 @@ class Rows:
 
     A run of names, one space-separated string, finds the first rows where
     it occurs, so that one call can take several quantities, repeated or
-    reordered as it needs them, as one (k, n) operand.
+    reordered as it needs them, as one (k, n) operand. Runs once found are
+    remembered: the layouts are constants, and a kernel binds its views
+    once per run.
     """
 
     def __init__(self, *runs: str):
         self.names = " ".join(runs).split()
+        self.found = {}
 
     def at(self, run: str) -> slice:
-        want = run.split()
-        for i in range(len(self.names) - len(want) + 1):
-            if self.names[i:i + len(want)] == want:
-                return slice(i, i + len(want))
-        raise KeyError(run)
+        if run not in self.found:
+            want = run.split()
+            starts = [i for i in range(len(self.names) - len(want) + 1)
+                      if self.names[i:i + len(want)] == want]
+            if not starts:
+                raise KeyError(run)
+            self.found[run] = slice(starts[0], starts[0] + len(want))
+        return self.found[run]
 
     def view(self, block: np.ndarray, run: str) -> np.ndarray:
         """The rows of ``run`` in ``block``; one name gives one row."""
@@ -77,77 +84,74 @@ class Rows:
 class QuotientWork:
     """Every row that ``_quotient_jet`` reads or writes, for n robots.
 
-    The rule's inputs sit in ``inputs`` (``INPUTS``), each repeated and
-    ordered as the fused calls take them: gamma as G, its gradient as
-    (dgx, dgy), lap_gamma as L, beta as B, its gradient as (dbx, dby) and
-    its Hessian as (hxx, hyy, hxy); dp and h0 are written by the rule, a,
-    am, ap and half are alpha, alpha - 1, alpha + 1 and 1/2. Rows 6 to
-    ``len(INPUTS.names) - 4`` are the ones that change. ``load`` writes
-    the inputs, or the step kernel fills them. With n None the rows are
-    one robot's values, and gamma and beta enter the exponents as floats:
-    a numpy power over an array rounds differently from the C library's.
+    Each block's rows are named (``Rows``), each quantity repeated and
+    ordered as the fused calls take it. The rule's inputs are ``inputs``:
+    gamma as G, its gradient as (dgx, dgy), lap_gamma as L, beta as B, its
+    gradient as (dbx, dby) and its Hessian as (hxx, hyy, hxy); the rule
+    writes dp and h0, and a, am, ap and half hold alpha, alpha - 1, alpha +
+    1 and 1/2. The rows of ``changing`` are the ones that ``load`` writes,
+    or that the step kernel fills. With n None the rows are one robot's
+    values, and gamma and beta enter the exponents as floats: a numpy
+    power over an array rounds differently from the C library's.
     """
 
     INPUTS = Rows("a a a a am am dgy dgx G G G G G",
                   "B B B B dgx dgy dbx dby dbx dby hxx hyy hxy",
                   "dp dp dp dgx dgy L L dbx dby h0 dgx dgy dgx",
                   "ap ap ap half")
-    # the first fused product: a B four times, am (dgx, dgy), the cross
-    # terms dgy dbx and dgx dby, gamma (dbx, dby) and gamma times the
-    # Hessian; a three times before it, for the second
-    PRODUCTS = Rows("a a a ab ab ab ab d0x d0y cry crx gdbx gdby gdxx gdyy",
-                    "gdxy")
-    # the second: a dp three times, ab (dgx, dgy), ab L twice and
-    # d0 (dbx, dby); am before it, for the third
+    # the first product's: a B four times, am (dgx, dgy), the cross terms
+    # dgy dbx and dgx dby, gamma (dbx, dby) and gamma times the Hessian;
+    # a three times before them, for the second product
+    FIRST = Rows("a a a ab ab ab ab d0x d0y cry crx gdbx gdby gdxx gdyy gdxy")
+    # the second product's: a dp three times, ab (dgx, dgy), ab L twice and
+    # d0 (dbx, dby); am before them, for the third
     SECOND = Rows("am dpa dpa dpa f0x f0y ablx ably d1x d1y")
+    # f, the diagonal's numerator (x, y), the off-diagonal's, and de
+    # (x, y, x); then f de (x, y) and f times de reversed
+    THIRD = Rows("fx fy dx dy h dex dey dex")
+    FE = Rows("fdex fdey fex fey")
 
     def __init__(self, alpha: float, n: int | None = None):
         cols = () if n is None else (n,)
-        q = self.inputs = np.empty((len(self.INPUTS.names), *cols))
-        p = self.products = np.empty((len(self.PRODUCTS.names), *cols))
-        c = self.second = np.empty((len(self.SECOND.names), *cols))
-        for block, rows in ((q, self.INPUTS), (p, self.PRODUCTS),
-                            (c, self.SECOND)):
+        constants = {"a": alpha, "am": alpha - 1.0, "ap": alpha + 1.0,
+                     "half": 0.5}
+        views = []
+        for rows in (self.INPUTS, self.FIRST, self.SECOND, self.THIRD,
+                     self.FE):
+            block = np.empty((len(rows.names), *cols))
             for i, name in enumerate(rows.names):
-                if name in ("a", "am", "ap", "half"):
-                    block[i] = {"a": alpha, "am": alpha - 1.0,
-                                "ap": alpha + 1.0, "half": 0.5}[name]
+                if name in constants:
+                    block[i] = constants[name]
+            views.append(partial(rows.view, block))
+        q, p, c, x, fe = views
+        self.inputs = q.args[0]
         self.changing = slice(6, len(self.INPUTS.names) - 4)
-        inp, prod, sec = (lambda run, b=b, r=r: r.view(b, run) for b, r in (
-            (q, self.INPUTS), (p, self.PRODUCTS), (c, self.SECOND)))
-        self.first = (inp("a a a a am am dgy dgx G G G G G"),
-                      inp("B B B B dgx dgy dbx dby dbx dby hxx hyy hxy"),
-                      prod("ab ab ab ab d0x d0y cry crx gdbx gdby gdxx gdyy"
-                           " gdxy"))
-        self.gamma3, self.beta3 = inp("G G G"), inp("B B B")
+        self.first = (q("a a a a am am dgy dgx G G G G G"),
+                      q("B B B B dgx dgy dbx dby dbx dby hxx hyy hxy"),
+                      p("ab ab ab ab d0x d0y cry crx gdbx gdby gdxx gdyy "
+                        "gdxy"))
+        self.gamma3, self.beta3 = q("G G G"), q("B B B")
         self.gamma_base, self.beta_base = self.gamma3, self.beta3
-        self.gamma = inp("G")
-        self.dp = inp("dp dp dp")
-        self.a3, self.ap3, self.half = inp("a a a"), inp("ap ap ap"), inp(
-            "half")
-        self.s, self.e = (np.empty((3, *cols)) for _ in range(2))
-        self.e2 = self.e[:2]
-        self.e_row = self.e[0, ...]
-        self.second_terms = (prod("a a a ab ab ab ab d0x d0y"),
-                             inp("dp dp dp dgx dgy L L dbx dby"),
-                             sec("dpa dpa dpa f0x f0y ablx ably d1x d1y"))
-        self.d1, self.abl = sec("d1x d1y"), sec("ablx ably")
-        self.f0_d2, self.gdb_gd = sec("f0x f0y ablx ably"), prod(
+        self.gamma, self.dp, self.h0 = q("G"), q("dp dp dp"), q("h0")
+        self.a3, self.ap3, self.half = q("a a a"), q("ap ap ap"), q("half")
+        self.s, self.e, self.ar = (np.empty((3, *cols)) for _ in range(3))
+        self.e2, self.e_row = self.e[:2], self.e[0, ...]
+        self.second = (p("a a a ab ab ab ab d0x d0y"),
+                       q("dp dp dp dgx dgy L L dbx dby"),
+                       c("dpa dpa dpa f0x f0y ablx ably d1x d1y"))
+        self.d1, self.abl = c("d1x d1y"), c("ablx ably")
+        self.f0_d2, self.gdb_gd = c("f0x f0y ablx ably"), p(
             "gdbx gdby gdxx gdyy")
-        self.crx, self.cry, self.gdxy = prod("crx"), prod("cry"), prod("gdxy")
-        self.h0 = inp("h0")
-        # f (x, y), d3 (x, y), then h1 and de (x, y, x), the rows that become
-        # the Hessian's numerators d4 (x, y) and h5
-        x = self.x = np.empty((8, *cols))
-        self.f, self.d3_h1, self.h = x[0:2], x[2:5], x[4, ...]
-        self.third = (sec("am dpa dpa dpa"), inp("h0 dgx dgy dgx"), x[4:8])
-        self.de, self.de_xy, self.de_yx = x[5:8], x[5:7], x[6:8]
-        self.dbeta3 = inp("dbx dby dbx")
-        self.ar = np.empty((3, *cols))
-        # f de (x, y), then f de reversed, fx ey and fy ex
-        fe = self.fe = np.empty((4, *cols))
-        self.fde, self.fe_yx = fe[0:2], fe[2:4]
-        self.fde_fex, self.fey = fe[0:3], fe[3, ...]
+        self.crx, self.cry, self.gdxy = p("crx"), p("cry"), p("gdxy")
+        self.f_d, self.f = x("fx fy dx dy"), x("fx fy")
+        self.third = (c("am dpa dpa dpa"), q("h0 dgx dgy dgx"),
+                      x("h dex dey dex"))
+        self.de, self.de_xy, self.de_yx = (x("dex dey dex"), x("dex dey"),
+                                           x("dey dex"))
+        self.dbeta3 = q("dbx dby dbx")
+        self.fde, self.fe_yx = fe("fdex fdey"), fe("fex fey")
+        self.d_h, self.h = x("dx dy h"), x("h")
+        self.fde_fex, self.fey = fe("fdex fdey fex"), fe("fey")
         self.hess_rows = np.empty((3, *cols))
         self.hess = (self.hess_rows[0, ...], self.hess_rows[2, ...],
                      self.hess_rows[1, ...])
@@ -197,25 +201,26 @@ def _quotient_jet(alpha, w: QuotientWork):
         dp[...] = 0.0
         np.power(w.gamma3, alpha - 1.0, out=dp, where=w.gamma3 > 0.0)
     # a dp, ab grad gamma, ab lap and (a - 1) grad gamma * grad beta
-    np.multiply(*w.second_terms[:2], out=w.second_terms[2])
+    np.multiply(*w.second[:2], out=w.second[2])
     np.add(w.d1, w.abl, out=w.abl)
     # f = ab grad gamma - gamma grad beta, and the diagonal's numerator
     # less gamma hess beta
-    np.subtract(w.f0_d2, w.gdb_gd, out=w.x[0:4])
+    np.subtract(w.f0_d2, w.gdb_gd, out=w.f_d)
     f = np.divide(w.f, w.e2, out=w.f)
     np.add(w.crx, w.cry, out=w.h0)
-    # (a - 1) (gx by + gy bx), and de = a dp grad gamma, (x, y, x)
+    # (a - 1) (gx by + gy bx), and de = (a + 1) root (a dp grad gamma +
+    # grad beta), as (x, y, x)
     np.multiply(*w.third[:2], out=w.third[2])
     de = np.add(w.de, w.dbeta3, out=w.de)
     np.multiply(np.multiply(w.ap3, root, out=w.ar), de, out=de)
     np.multiply(f, w.de_xy, out=w.fde)
     np.multiply(f, w.de_yx, out=w.fe_yx)  # fx ey, fy ex
-    np.subtract(w.d3_h1, w.fde_fex, out=w.d3_h1)
+    np.subtract(w.d_h, w.fde_fex, out=w.d_h)
     h = w.h
     np.subtract(h, w.fey, out=h)
     np.multiply(w.half, h, out=h)
     np.subtract(h, w.gdxy, out=h)
-    np.divide(w.d3_h1, e, out=w.hess_rows)
+    np.divide(w.d_h, e, out=w.hess_rows)
     phi = np.divide(w.gamma, root if w.s is None else root[0], out=w.phi)
     return phi, f, w.hess, w.e_row
 

@@ -31,13 +31,13 @@ REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
 # calls and 15 broadcasting ones; the 5 scalar ones left are the quotient
 # rule's four exponents and the stop screen's hypot. Before the step's
 # workspaces the three steps allocated 90, 90 and 92 results; those left
-# are three of the exponents (numpy's ** has no out), the stop screen's
-# hypot on floats, the logistic's (4, or 6 on its general path) and the
-# heading wrap's screen (2)
+# are three of the exponents (numpy's ** has no out) and the stop screen's
+# hypot on floats. Before the fused row blocks the three steps made 136,
+# 133 and 138 calls, 10, 8 and 10 of them on column slices or reversed rows
 BUDGET = {
-    "reference": (136, 0, 5, 0, 10, 10),
-    "rendezvous": (133, 0, 5, 0, 10, 8),
-    "sparse48": (138, 0, 5, 0, 12, 10),
+    "reference": (114, 0, 5, 0, 4, 0),
+    "rendezvous": (111, 0, 5, 0, 4, 0),
+    "sparse48": (116, 0, 5, 0, 4, 0),
 }
 # calls of numpy's Python-level helpers per step: np.sinc and np.copyto are
 # met only on steps the screens send to their masked paths, and the
