@@ -63,16 +63,16 @@ class Rows:
 
     def __init__(self, *runs: str):
         self.names = " ".join(runs).split()
+        self.text = f" {' '.join(self.names)} "
         self.found = {}
 
     def at(self, run: str) -> slice:
         if run not in self.found:
-            want = run.split()
-            starts = [i for i in range(len(self.names) - len(want) + 1)
-                      if self.names[i:i + len(want)] == want]
-            if not starts:
+            start = self.text.find(f" {run} ")
+            if start < 0:
                 raise KeyError(run)
-            self.found[run] = slice(starts[0], starts[0] + len(want))
+            row = self.text.count(" ", 0, start)
+            self.found[run] = slice(row, row + len(run.split()))
         return self.found[run]
 
     def view(self, block: np.ndarray, run: str) -> np.ndarray:
