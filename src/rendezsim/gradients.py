@@ -325,7 +325,6 @@ class _FactorRows:
             self.heads, self.tails = self.l[0:5], self.l[1:6]
             self.l1, self.l2 = self.summed[0:2], self.summed[3:5]
         else:
-            self.summed = None
             self.l1, self.l2 = self.l[0:2], self.l[2:4]
 
 
@@ -380,10 +379,10 @@ class JetKernel:
         n = self.n = len(mask)
         self.quotient = QuotientWork(cfg.field_exponent, n)
         rows = self.COMPACT
-        view = lambda run: rows.view(self.compact, run)  # noqa: E731
         # zeros: column 0 of the sums is never written, and the calls over
         # whole rows read it
         self.compact = np.zeros((len(rows.names), n))
+        view = partial(rows.view, self.compact)
         self.lap = view("L")
         self.leader = self.compact[rows.at("G").start:rows.at("L").start, 0]
         # spread: each changing row of the quotient's inputs takes the

@@ -163,6 +163,7 @@ class PairWork:
         # (x_a, y_a, x_b, y_b) of each pair, from the flat (N, 3) poses
         self.ends_at = np.array([a, a + 1, b, b + 1])
         self.ends = np.empty((4, len(upper[0])))
+        self.ends_a, self.ends_b = self.ends[:2], self.ends[2:]
         self.pairs = np.empty((4, len(upper[0])))
         self.offsets, self.square = self.pairs[:2], np.empty(
             (2, len(upper[0])))
@@ -177,8 +178,8 @@ def _offsets(poses: np.ndarray, upper: tuple, work=None):
     ``work``, a ``PairWork`` of these very poses and pairs, made when none
     is given."""
     w = PairWork(poses, upper) if work is None else work
-    ends = poses.take(w.ends_at, out=w.ends, mode="clip")
-    np.subtract(ends[:2], ends[2:], out=w.offsets)
+    poses.take(w.ends_at, out=w.ends, mode="clip")
+    np.subtract(w.ends_a, w.ends_b, out=w.offsets)
     np.multiply(w.offsets, w.offsets, out=w.square)
     np.add(w.square_x, w.square_y, out=w.length_squared)
     np.sqrt(w.length_squared, out=w.dist)
@@ -191,11 +192,12 @@ class StepKernel:
     Built once per run, it holds every per-run constant and every per-step
     array: the (N, 3) poses it moves on, the field jets (gains, shifts, the
     followers' edge list and the quotient rule's rows, see ``JetKernel``),
-    the gain arrays, the gradient floor as a row and the workspaces of
-    ``_offsets``, ``control_laws`` and ``_integrate_all``, each bound to the
-    kernel's own arrays, so that a step makes no view and few allocations
-    (``tests/test_step_cost.py`` budgets them). ``pairs()`` gives the upper
-    pairs' offsets and distances of ``poses``; a call makes one jet pass
+    the gain arrays (the linear ones twice), the gradient floor as a row
+    and the workspaces of ``_offsets``, ``control_laws`` and
+    ``_integrate_all``, each bound to the kernel's own arrays, so that a
+    step makes few views and allocations (``tests/test_step_cost.py``
+    budgets them). ``pairs()`` gives the pair rows of ``poses``' upper
+    pairs (offsets, square lengths, distances); a call makes one jet pass
     over all rows, one ``control_laws`` call and one ``_integrate_all``
     call. ``control_rows`` holds the last call's controls as rows (v,
     omega, theta_d, theta_tilde, theta_d_dot), ``by_robot`` as (N, 5); its
@@ -368,8 +370,9 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     """Simulate the whole scenario; stop early once every robot converged.
 
     Each step advances the (N, 3) poses of one ``StepKernel``, built once
-    per run: one vector of upper-pair offsets and distances feeds the
-    neighbor mask's accretion, the log, the monitors and one kernel call,
+    per run: one array of upper-pair rows (offsets, square lengths and
+    distances) feeds the neighbor mask's accretion, the log, the monitors
+    and one kernel call,
     which makes the controls and moves the poses on from the followers'
     edge list; the log copies both. The region switch is asked only until
     it latches. ``monitor_invariants`` runs only on a step where some
