@@ -115,16 +115,15 @@ class QuotientWork:
         cols = () if n is None else (n,)
         constants = {"a": alpha, "am": alpha - 1.0, "ap": alpha + 1.0,
                      "half": 0.5}
-        views = []
-        for rows in (self.INPUTS, self.FIRST, self.SECOND, self.THIRD,
-                     self.FE):
-            block = np.empty((len(rows.names), *cols))
+        layouts = (self.INPUTS, self.FIRST, self.SECOND, self.THIRD, self.FE)
+        blocks = [np.empty((len(rows.names), *cols)) for rows in layouts]
+        for rows, block in zip(layouts, blocks):
             for i, name in enumerate(rows.names):
                 if name in constants:
                     block[i] = constants[name]
-            views.append(partial(rows.view, block))
-        q, p, c, x, fe = views
-        self.inputs = q.args[0]
+        self.inputs = blocks[0]
+        q, p, c, x, fe = (partial(rows.view, block)
+                          for rows, block in zip(layouts, blocks))
         self.changing = slice(6, len(self.INPUTS.names) - 4)
         self.first = (q("a a a a am am dgy dgx G G G G G"),
                       q("B B B B dgx dgy dbx dby dbx dby hxx hyy hxy"),

@@ -18,7 +18,7 @@ from test_step_cost import _reference, _rendezvous, _sparse48
 
 # scenario maker and number of steps checked; the rendezvous run converges
 # at step 297
-CASES = {"reference": (_reference, 300), "rendezvous": (_rendezvous, 290),
+CASES = {"reference": (_reference, 300), "rendezvous": (_rendezvous, 297),
          "sparse48": (_sparse48, 50)}
 
 
