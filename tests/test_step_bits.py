@@ -3,8 +3,8 @@
 The export digests see the log only to nine decimals; this test sees its
 bits. ``run`` logs each step's poses, controls and phi, and ``plain_step``
 states the same step as plain numpy expressions, in the kernel's order of
-operations, from the pose and held headings before it. A fused or
-reordered call that moves any bit fails here by name.
+operations, from the pose, held headings and sensing mask before it. A
+fused or reordered call that moves any bit fails here by name.
 """
 
 import dataclasses
@@ -13,13 +13,24 @@ import numpy as np
 import pytest
 
 from rendezsim import RegionFlag, run, sim
+from conftest import make_states, small_config
 from oracles import plain_step
 from test_step_cost import _reference, _rendezvous, _sparse48
+
+
+def _accreting():
+    """Followers 2 and 3 start out of each other's sight and gain a mutual
+    edge on the way (``test_sim.TestAccretion``)."""
+    return small_config(
+        initial_states=make_states([(-4.0, -2.0, 0.0), (-4.0, -0.8, 0.0),
+                                    (-4.0, -3.2, 0.0)]),
+        neighbor_mode="accreting")
+
 
 # scenario maker and number of steps checked; the rendezvous run converges
 # at step 297
 CASES = {"reference": (_reference, 300), "rendezvous": (_rendezvous, 297),
-         "sparse48": (_sparse48, 50)}
+         "sparse48": (_sparse48, 50), "accreting": (_accreting, 200)}
 
 
 def same_bits(a, b):
@@ -34,12 +45,20 @@ def test_step_matches_plain_formulas(name):
     log = run(dataclasses.replace(cfg, horizon=steps * cfg.time_step))
     assert log.n_steps == steps + 1
     mask = sim.initial_topology(cfg).adjacency
+    edges = mask.sum()
+    a, b = np.triu_indices(cfg.n_robots, 1)
+    threshold = cfg.sensing_radius - cfg.connectivity_buffer
     regions = {0: RegionFlag.COLLISION_FREE, 1: RegionFlag.RENDEZVOUS}
     held = log.poses[0, :, 2]
     for k in range(steps):
+        if cfg.neighbor_mode == "accreting":  # grown as run() grows it
+            near = log.distances[k] < threshold
+            mask[a[near], b[near]] = mask[b[near], a[near]] = True
         new, controls, phi = plain_step(cfg, mask, log.poses[k], held,
                                         regions[int(log.region[k])])
         assert same_bits(log.poses[k + 1], new), k
         assert same_bits(log.controls[k], controls.T), k
         assert same_bits(log.phi[k], phi), k
         held = log.controls[k, :, 2]
+    # the accreting run rebuilds its edge list on the way
+    assert (mask.sum() > edges) == (cfg.neighbor_mode == "accreting")
