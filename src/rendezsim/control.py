@@ -108,9 +108,9 @@ class ControlWork:
     when not given, and the temporaries, with every view bound once."""
 
     def __init__(self, n: int, out: np.ndarray | None = None):
-        self.out = np.empty((5, n)) if out is None else out
-        self.rows = tuple(self.out)
-        self.headings = self.out[2:4]
+        out = np.empty((5, n)) if out is None else out
+        self.rows = tuple(out)
+        self.headings = out[2:4]
         self.descent = np.empty((2, n))
         self.descent_x, self.descent_y = self.descent
         # sin theta_d, the cosines of theta_d and theta_tilde, |grad|; then

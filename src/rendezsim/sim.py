@@ -104,7 +104,7 @@ class IntegrateWork:
         self.chord, self.half = self.scaled
         self.arg, self.mid = self.angles
         self.sines = np.empty((2, n))
-        self.ratio = self.sines[0]
+        self.ratio, self.sin_mid = self.sines
         (self.turns, self.trig, self.heading,
          magnitude) = np.empty((4, n))
         self.screen = (magnitude, np.empty(n, dtype=bool))
@@ -128,20 +128,21 @@ def _integrate_all(poses, controls, dt, out=None, work=None):
                              else out, dt)
     w = work
     pi = w.pi
-    chord, half = np.multiply(w.steps, controls, out=w.scaled)
+    np.multiply(w.steps, controls, out=w.scaled)
+    chord, half = w.chord, w.half
     turns = np.divide(half, pi, out=w.turns)
     y = np.multiply(pi, turns, out=w.arg)
     np.add(w.theta, half, out=w.mid)
-    sin_y, sin_mid = np.sin(w.angles, out=w.sines)
+    np.sin(w.angles, out=w.sines)  # sin y, in the ratio's row
     if np.count_nonzero(y) == len(y):
-        ratio = np.divide(sin_y, y, out=w.ratio)
+        ratio = np.divide(w.ratio, y, out=w.ratio)
     else:
         ratio = np.sinc(turns)
     np.multiply(chord, ratio, out=chord)
     trig = w.trig
     np.add(w.x, np.multiply(chord, np.cos(w.mid, out=trig), out=trig),
            out=w.x_out)
-    np.add(w.y, np.multiply(chord, sin_mid, out=trig), out=w.y_out)
+    np.add(w.y, np.multiply(chord, w.sin_mid, out=trig), out=w.y_out)
     # the heading goes last: the columns above read it
     heading = np.multiply(w.dt, controls[1], out=w.heading)
     wrap_angles(np.add(w.theta, heading, out=heading), out=w.theta_out,
