@@ -491,7 +491,8 @@ class JetKernel:
         l1, l2 = rows.l1, rows.l2
         # edge slopes l_j / d_j and curvatures, each twice; edges under the
         # floor add none, and a NaN distance takes the masked divides too
-        d2, t, w, top, square = self.dist_rows, self.t, self.w, self.top, self.square
+        d2, t, w = self.dist_rows, self.t, self.w
+        top, square = self.top, self.square
         near = np.greater_equal(d2, self.floor, out=self.near)
         np.multiply(d2, d2, out=square)
         if np.count_nonzero(near) == near.size:

@@ -360,8 +360,8 @@ class TestDesiredHeading:
         assert same_bits(out[2][held], fallback[held])
         steep = [0, 3]  # no row held: the unmasked arctan2
         out = control_laws(grad[:, steep], hess[:, steep], theta[steep],
-                           fallback[steep], gains[0][:, steep], gains[1][steep],
-                           floor)
+                           fallback[steep], gains[0][:, steep],
+                           gains[1][steep], floor)
         assert same_bits(out[2], desired_heading_before(
             grad[:, steep], fallback[steep], floor))
 
