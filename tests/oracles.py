@@ -20,7 +20,7 @@ from rendezsim.fields import (DISTANCE_FLOOR, follower_terms, leader_terms,
 from rendezsim.gradients import ScalarField, _leader_jet
 from rendezsim.graph import (GraphError, Topology, build_topology,
                              has_rooted_spanning_tree)
-from rendezsim.model import (TWO_PI, RegionFlag, RobotState, ScenarioConfig)
+from rendezsim.model import TWO_PI, RegionFlag, RobotState, ScenarioConfig
 from rendezsim.sim import AssumptionError, _integrate_all
 
 Edge = tuple[int, int]
@@ -147,7 +147,7 @@ def plain_step(cfg: ScenarioConfig, mask: np.ndarray, poses: np.ndarray,
                held: np.ndarray, region: RegionFlag):
     """One step of every robot, stated as plain numpy expressions.
 
-    ``poses`` (N, 3) are the robots' poses, ``mask`` the frozen (N, N)
+    ``poses`` (N, 3) are the robots' poses, ``mask`` the step's (N, N)
     sensing mask and ``held`` the desired headings of the step before,
     held where a gradient is under the floor. The formulas are those of
     ``sim.StepKernel``, in its order of operations, with no workspace,
