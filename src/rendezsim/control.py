@@ -103,14 +103,23 @@ def compute_control(robot: RobotState,
 
 
 class ControlWork:
-    """Preallocated rows of ``control_laws`` over n robots: ``out``, the
-    five result rows (v, omega, theta_d, theta_tilde, theta_d_dot), made
-    when not given, and the temporaries, with every view bound once."""
+    """The rows of ``control_laws`` over the n headings ``theta``: the gains
+    (the linear ones twice, as (2, n)), the floor and pi as rows, the five
+    result rows ``controls`` (v, omega, theta_d, theta_tilde, theta_d_dot)
+    and the temporaries, with every view bound once. Row theta_d is the
+    heading held where a gradient is below the floor: set it before the
+    first call."""
 
-    def __init__(self, n: int, out: np.ndarray | None = None):
-        out = np.empty((5, n)) if out is None else out
-        self.rows = tuple(out)
-        self.headings = out[2:4]
+    def __init__(self, theta: np.ndarray, linear_gains, angular_gains,
+                 gradient_floor: float):
+        n = len(theta)
+        self.theta = theta
+        self.k_v = np.array([linear_gains] * 2, dtype=float)
+        self.k_w = np.array(angular_gains, dtype=float)
+        self.floor, self.pi = np.full(n, gradient_floor), np.full(n, np.pi)
+        self.controls = np.empty((5, n))
+        self.rows = tuple(self.controls)
+        self.headings = self.controls[2:4]
         self.descent = np.empty((2, n))
         self.descent_x, self.descent_y = self.descent
         # sin theta_d, the cosines of theta_d and theta_tilde, |grad|; then
@@ -133,36 +142,28 @@ class ControlWork:
         self.steep, self.inside = np.empty((2, n), dtype=bool)
 
 
-def control_laws(grad, hess, theta: np.ndarray, fallback: np.ndarray,
-                 k_v: np.ndarray, k_w: np.ndarray, gradient_floor=1e-9,
-                 pi=math.pi, work=None):
-    """The four laws above for many robots at once, elementwise.
+def control_laws(grad, hess, w: ControlWork):
+    """The four laws above for every robot of ``w`` at once, elementwise.
 
     grad is (x, y) and hess (xx, xy, yy), each component an array over the
-    robots; ``theta`` holds wrapped headings, in (-pi, pi]. ``fallback``
-    is the desired heading held where the gradient is below the floor: the
-    previous one, or the current heading when there is none. ``k_v`` holds
-    the linear gains twice, as (2, n) rows, ``k_w`` the angular ones.
-    ``gradient_floor`` and ``pi`` are floats or, as the step kernel passes
-    them, rows of theta's shape. Every result and temporary goes into
-    ``work``, a ``ControlWork``, made when none is given. Returns (v,
-    omega, theta_d, theta_tilde, theta_d_dot, grad_norm), rows of
-    ``work``.
+    robots; ``w.theta`` holds wrapped headings, in (-pi, pi]. Where the
+    gradient is below the floor, row theta_d keeps the heading it holds.
+    Returns (v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm), rows
+    of ``w``.
     """
+    theta = w.theta
     n = len(theta)
-    w = ControlWork(n) if work is None else work
     v, omega, theta_d, theta_tilde, theta_d_dot = w.rows
     hxx, hxy, hyy = hess
     # |-grad| is |grad| bit for bit: hypot takes absolute values
     np.negative(grad, out=w.descent)
     descent_x, descent_y = w.descent_x, w.descent_y
     grad_norm = np.hypot(descent_x, descent_y, out=w.grad_norm)
-    # the fallback goes only where some norm is at or under the floor, or NaN
-    steep = np.greater(grad_norm, gradient_floor, out=w.steep)
+    # the held heading stays where some norm is at or under the floor, or NaN
+    steep = np.greater(grad_norm, w.floor, out=w.steep)
     if np.count_nonzero(steep) == n:
         np.arctan2(descent_y, descent_x, out=theta_d)
     else:
-        np.copyto(theta_d, fallback)
         np.arctan2(descent_y, descent_x, out=theta_d, where=steep)
     # theta_d is an arctan2 value or a held heading, in [-pi, pi], so
     # theta - theta_d lies in [-2 pi, 2 pi], where one turn is
@@ -170,10 +171,10 @@ def control_laws(grad, hess, theta: np.ndarray, fallback: np.ndarray,
     # above -pi and theta_d = pi reach, and which turns to +0.0, not -0.0
     np.subtract(theta, theta_d, out=theta_tilde)
     magnitude = np.abs(theta_tilde, out=w.magnitude)
-    if np.count_nonzero(np.less(magnitude, pi, out=w.inside)) < n:
+    if np.count_nonzero(np.less(magnitude, w.pi, out=w.inside)) < n:
         turn_angles(theta_tilde, out=theta_tilde)
     np.cos(w.headings, out=w.cosines)
-    np.multiply(k_v, w.scaled, out=w.gained)
+    np.multiply(w.k_v, w.scaled, out=w.gained)
     np.multiply(w.gain_norm, w.cos_tilde, out=v)
     # left^T H right with left = (sin theta_d, -cos theta_d), right the
     # motion direction (cos theta, sin theta): (sin_d hxx - cos_d hxy)
@@ -189,6 +190,6 @@ def control_laws(grad, hess, theta: np.ndarray, fallback: np.ndarray,
     np.multiply(forms, w.motion, out=forms)
     form = np.add(w.form_x, w.form_y, out=w.form)
     np.multiply(w.gain_cos, form, out=theta_d_dot)
-    np.subtract(theta_d_dot, np.multiply(k_w, theta_tilde, out=w.turn_rate),
-                out=omega)
+    np.subtract(theta_d_dot, np.multiply(w.k_w, theta_tilde,
+                                         out=w.turn_rate), out=omega)
     return v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm

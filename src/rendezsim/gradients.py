@@ -112,6 +112,7 @@ class QuotientWork:
     FE = Rows("fdex fdey fex fey")
 
     def __init__(self, alpha: float, n: int | None = None):
+        self.alpha = alpha
         cols = () if n is None else (n,)
         constants = {"a": alpha, "am": alpha - 1.0, "ap": alpha + 1.0,
                      "half": 0.5}
@@ -171,7 +172,7 @@ class QuotientWork:
         return self
 
 
-def _quotient_jet(alpha, w: QuotientWork):
+def _quotient_jet(w: QuotientWork):
     """Value, gradient, Hessian and e of phi = gamma / (gamma^a + beta)^(1/a).
 
     The inputs are the rows of ``w.inputs``. With
@@ -185,6 +186,7 @@ def _quotient_jet(alpha, w: QuotientWork):
     scalar exponent. Returns phi, the gradient (x, y), the Hessian (xx,
     xy, yy) and e, rows of ``w``.
     """
+    alpha = w.alpha
     inv_alpha = 1.0 / alpha
     np.multiply(*w.first[:2], out=w.first[2])
     s = np.add(w.gamma_base ** alpha, w.beta_base, out=w.s)
@@ -255,7 +257,7 @@ def grad_navfunc_follower(position: np.ndarray,
     alpha = cfg.field_exponent
     gamma, dgamma, beta, dbeta, ddbeta, slopes = follower_terms(
         position, neighbor_positions, region, cfg)
-    phi, grad, hess, e = _quotient_jet(alpha, QuotientWork(alpha).load(
+    phi, grad, hess, e = _quotient_jet(QuotientWork(alpha).load(
         gamma, dgamma, 2.0 * len(neighbor_positions), beta, dbeta, ddbeta))
     ms = tuple((2.0 * alpha * beta - gamma * beta * t) / e for t in slopes)
     return GradientBundle(gradient=np.array(grad), edge_weights=ms,
@@ -265,8 +267,7 @@ def grad_navfunc_follower(position: np.ndarray,
 def _leader_jet(position, cfg):
     """Gradient and Hessian of the informed robot's dipolar potential."""
     gamma, dgamma, beta, dbeta, ddbeta = leader_terms(position, cfg)
-    alpha = cfg.field_exponent
-    _, grad, hess, _ = _quotient_jet(alpha, QuotientWork(alpha).load(
+    _, grad, hess, _ = _quotient_jet(QuotientWork(cfg.field_exponent).load(
         gamma, dgamma, 2.0, beta, dbeta, ddbeta))
     return np.array(grad), _matrix(hess)
 
@@ -468,8 +469,7 @@ class JetKernel:
             self._followers(pairs, region is RegionFlag.COLLISION_FREE)
         self.leader[:] = (gamma, gx, gy, beta, beta, bx, by, hxx, hyy, hxy)
         self.compact.take(self.spread_at, out=self.spread, mode="clip")
-        phi, grad, hess, _ = _quotient_jet(self.cfg.field_exponent,
-                                           self.quotient)
+        phi, grad, hess, _ = _quotient_jet(self.quotient)
         return phi, grad, hess
 
     def _followers(self, pairs, avoid):

@@ -197,8 +197,11 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     require(cfg.n_robots >= 1, "n_robots must be >= 1")
     for name in ("workspace_radius", "sensing_radius", "rendezvous_radius",
                  "collision_margin", "connectivity_buffer", "dipolar_eps",
-                 "field_exponent", "time_step", "horizon"):
-        require(getattr(cfg, name) > 0.0, f"{name} must be > 0")
+                 "field_exponent", "time_step", "horizon", "gradient_floor",
+                 "position_tolerance", "heading_tolerance",
+                 "collision_floor"):
+        require(0.0 < getattr(cfg, name) < math.inf,
+                f"{name} must be finite and > 0")
     require(0.0 < cfg.sigmoid_eps < 0.5, "sigmoid_eps must be in (0, 0.5)")
 
     require(cfg.collision_margin < cfg.sensing_radius,
@@ -214,10 +217,10 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
             "linear_gains must list one gain per robot")
     require(len(cfg.angular_gains) == cfg.n_robots,
             "angular_gains must list one gain per robot")
-    require(all(g > 0.0 for g in cfg.linear_gains),
-            "linear gains must be > 0")
-    require(all(g > 0.0 for g in cfg.angular_gains),
-            "angular gains must be > 0")
+    require(all(0.0 < g < math.inf for g in cfg.linear_gains),
+            "linear gains in linear_gains must be finite and > 0")
+    require(all(0.0 < g < math.inf for g in cfg.angular_gains),
+            "angular gains in angular_gains must be finite and > 0")
 
     require(cfg.goal_position.shape == (2,) and np.all(np.isfinite(cfg.goal_position)),
             "goal_position must be a finite 2-vector")
@@ -227,9 +230,6 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
 
     require(cfg.neighbor_mode in ("frozen", "accreting"),
             "neighbor_mode must be 'frozen' or 'accreting'")
-    for name in ("gradient_floor", "position_tolerance", "heading_tolerance",
-                 "collision_floor"):
-        require(getattr(cfg, name) > 0.0, f"{name} must be > 0")
 
     require(len(cfg.initial_states) == cfg.n_robots,
             "initial_states must list exactly n_robots poses")

@@ -184,6 +184,9 @@ def parse_scenario(path: str) -> ScenarioConfig:
     del placed["mode"]
 
     if mode == "seeded":
+        for key in ("center", "spread", "min_separation"):
+            if not np.isfinite(placed[key]).all():
+                raise ScenarioError(f"{key} must be finite")
         states = seeded_deployment(
             count=n, sensing_radius=values["sensing_radius"],
             workspace_radius=values["workspace_radius"], **placed)
@@ -193,6 +196,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
             if len(pose) != 3:
                 raise ParseError(
                     f"{path}:{deploy[key][1]}: pose needs 'x y theta'")
+            if not np.isfinite(pose).all():
+                raise ScenarioError(f"{key} must be finite")
             states.append(RobotState(i, np.array(pose[:2]), pose[2]))
 
     cfg = ScenarioConfig(initial_states=states, **values)

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import ControlOutput, ControlWork, control_laws
-from .fields import leader_constants, region_of
+from .fields import region_of
 from .gradients import JetKernel
 from .graph import Topology, build_topology, has_rooted_spanning_tree
 from .model import (RegionFlag, RobotState, ScenarioConfig, validate_scenario,
@@ -83,19 +83,18 @@ class Metrics:
 
 
 class IntegrateWork:
-    """Preallocated rows of ``_integrate_all`` moving ``poses`` into ``out``
-    (the same array for an update in place) with time step dt.
+    """Preallocated rows of ``_integrate_all``, which moves ``poses`` on in
+    place with time step dt.
 
     It holds (dt, dt / 2) and pi as rows, so that no call takes a scalar,
-    the temporaries, the heading wrap's screen, and the pose columns of
-    both arrays, bound once.
+    the temporaries, the heading wrap's screen and the pose columns, bound
+    once.
     """
 
-    def __init__(self, poses: np.ndarray, out: np.ndarray, dt: float):
+    def __init__(self, poses: np.ndarray, dt: float):
         n = len(poses)
-        self.out = out
+        self.poses = poses
         self.x, self.y, self.theta = poses.T
-        self.x_out, self.y_out, self.theta_out = out.T
         self.steps = np.array([np.full(n, dt), np.full(n, 0.5 * dt)])
         self.dt, self.pi = self.steps[0], np.full(n, np.pi)
         # dt v and the half turn, then the sine's arguments: pi (h / pi)
@@ -110,7 +109,7 @@ class IntegrateWork:
         self.screen = (magnitude, np.empty(n, dtype=bool))
 
 
-def _integrate_all(poses, controls, dt, out=None, work=None):
+def _integrate_all(controls, w: IntegrateWork):
     """Exact step: with v and omega held over dt each path is a circular arc.
 
     ``controls`` holds (v, omega) as (2, N) rows. The chord is
@@ -118,15 +117,9 @@ def _integrate_all(poses, controls, dt, out=None, work=None):
     ratio sin(y)/y is np.sinc's own arithmetic, y = pi (h/pi) for the half
     turn h, done inline; plain sin(h)/h can differ from it in the last
     bit. Only a step where some y is 0 calls np.sinc, which is exactly 1
-    there (a straight line). Writes the new (N, 3) poses into ``out``,
-    which may be ``poses``, or a new array; every temporary goes into
-    ``work``, an ``IntegrateWork`` of these very arrays and dt, made when
-    none is given. Returns the new poses.
+    there (a straight line). Moves the (N, 3) poses of ``w`` on in place
+    and returns them; every temporary is a row of ``w``.
     """
-    if work is None:
-        work = IntegrateWork(poses, np.empty(poses.shape) if out is None
-                             else out, dt)
-    w = work
     pi = w.pi
     np.multiply(w.steps, controls, out=w.scaled)
     chord, half = w.chord, w.half
@@ -141,13 +134,13 @@ def _integrate_all(poses, controls, dt, out=None, work=None):
     np.multiply(chord, ratio, out=chord)
     trig = w.trig
     np.add(w.x, np.multiply(chord, np.cos(w.mid, out=trig), out=trig),
-           out=w.x_out)
-    np.add(w.y, np.multiply(chord, w.sin_mid, out=trig), out=w.y_out)
+           out=w.x)
+    np.add(w.y, np.multiply(chord, w.sin_mid, out=trig), out=w.y)
     # the heading goes last: the columns above read it
     heading = np.multiply(w.dt, controls[1], out=w.heading)
-    wrap_angles(np.add(w.theta, heading, out=heading), out=w.theta_out,
+    wrap_angles(np.add(w.theta, heading, out=heading), out=w.theta,
                 pi=pi, screen=w.screen)
-    return w.out
+    return w.poses
 
 
 def _pose_array(states: list[RobotState]) -> np.ndarray:
@@ -156,30 +149,30 @@ def _pose_array(states: list[RobotState]) -> np.ndarray:
 
 
 class PairWork:
-    """Preallocated rows of ``_offsets`` on ``poses``: the (4, P) pair rows,
-    the squares, the gathered endpoint coordinates and the take's index."""
+    """Preallocated rows of ``_offsets`` on the (N, 3) ``poses``: the upper
+    pairs ``upper = np.triu_indices(N, 1)``, the log's pair order, the
+    (4, P) pair rows, the squares, the gathered endpoint coordinates and
+    the take's index."""
 
-    def __init__(self, poses: np.ndarray, upper: tuple):
-        a, b = (3 * np.asarray(i) for i in upper)
+    def __init__(self, poses: np.ndarray):
+        self.poses = poses
+        self.upper = np.triu_indices(len(poses), 1)
+        a, b = (3 * i for i in self.upper)
         # (x_a, y_a, x_b, y_b) of each pair, from the flat (N, 3) poses
         self.ends_at = np.array([a, a + 1, b, b + 1])
-        self.ends = np.empty((4, len(upper[0])))
+        self.ends = np.empty((4, len(a)))
         self.ends_a, self.ends_b = self.ends[:2], self.ends[2:]
-        self.pairs = np.empty((4, len(upper[0])))
-        self.offsets, self.square = self.pairs[:2], np.empty(
-            (2, len(upper[0])))
+        self.pairs = np.empty((4, len(a)))
+        self.offsets, self.square = self.pairs[:2], np.empty((2, len(a)))
         self.square_x, self.square_y = self.square
         self.length_squared, self.dist = self.pairs[2], self.pairs[3]
 
 
-def _offsets(poses: np.ndarray, upper: tuple, work=None):
-    """Pair rows of the upper pairs ``upper = np.triu_indices(N, 1)``, the
-    log's pair order, as one (4, P) array: the offsets p_a - p_b (x, y),
-    their square lengths and the distances. Every array goes into
-    ``work``, a ``PairWork`` of these very poses and pairs, made when none
-    is given."""
-    w = PairWork(poses, upper) if work is None else work
-    poses.take(w.ends_at, out=w.ends, mode="clip")
+def _offsets(w: PairWork):
+    """Pair rows of the upper pairs of ``w`` as one (4, P) array: the
+    offsets p_a - p_b (x, y), their square lengths and the distances,
+    rows of ``w``."""
+    w.poses.take(w.ends_at, out=w.ends, mode="clip")
     np.subtract(w.ends_a, w.ends_b, out=w.offsets)
     np.multiply(w.offsets, w.offsets, out=w.square)
     np.add(w.square_x, w.square_y, out=w.length_squared)
@@ -192,56 +185,49 @@ class StepKernel:
 
     Built once per run, it holds every per-run constant and every per-step
     array: the (N, 3) poses it moves on, the field jets (gains, shifts, the
-    followers' edge list and the quotient rule's rows, see ``JetKernel``),
-    the gain arrays (the linear ones twice), the gradient floor as a row
+    followers' edge list and the quotient rule's rows, see ``JetKernel``)
     and the workspaces of ``_offsets``, ``control_laws`` and
     ``_integrate_all``, each bound to the kernel's own arrays, so that a
     step makes few views and allocations (``tests/test_step_cost.py``
     budgets them). ``pairs()`` gives the pair rows of ``poses``' upper
-    pairs (offsets, square lengths, distances); a call makes one jet pass
-    over all rows, one ``control_laws`` call and one ``_integrate_all``
-    call. ``control_rows`` holds the last call's controls as rows (v,
-    omega, theta_d, theta_tilde, theta_d_dot), ``by_robot`` as (N, 5); its
-    row ``theta_d`` is the heading held where a gradient is below the
-    floor, so set it to the current headings before the first call.
+    pairs ``upper`` (offsets, square lengths, distances); a call makes one
+    jet pass over all rows, one ``control_laws`` call and one
+    ``_integrate_all`` call. ``control_rows`` holds the last call's
+    controls as rows (v, omega, theta_d, theta_tilde, theta_d_dot),
+    ``by_robot`` as (N, 5); its row ``theta_d`` is the heading held where a
+    gradient is below the floor, so set it to the current headings before
+    the first call.
     """
 
     def __init__(self, cfg: ScenarioConfig, mask: np.ndarray):
         n = len(mask)
         self.jets = JetKernel(cfg, mask)
-        self.gains = (np.array([cfg.linear_gains] * 2, dtype=float),
-                      np.asarray(cfg.angular_gains, dtype=float))
-        self.gradient_floor = np.full(n, cfg.gradient_floor)
         self.poses = np.empty((n, 3))
         self.x, self.y, self.theta = self.poses.T
-        self.upper = np.triu_indices(n, 1)
-        self.pair_work = PairWork(self.poses, self.upper)
-        self.time_step = cfg.time_step
-        self.motion = IntegrateWork(self.poses, self.poses, cfg.time_step)
-        self.pi = self.motion.pi
+        self.pair_work = PairWork(self.poses)
+        self.upper = self.pair_work.upper
+        self.motion = IntegrateWork(self.poses, cfg.time_step)
         self.finite = np.empty((n, 3), dtype=bool)
-        self.control_rows = np.empty((5, n))
-        self.laws = ControlWork(n, self.control_rows)
+        self.laws = ControlWork(self.theta, cfg.linear_gains,
+                                cfg.angular_gains, cfg.gradient_floor)
+        self.control_rows = self.laws.controls
         self.speeds = self.control_rows[:2]
         self.by_robot = self.control_rows.T
         self.theta_d = self.control_rows[2]
 
     def pairs(self):
         """The (4, P) pair rows of ``poses``' upper pairs (``_offsets``)."""
-        return _offsets(self.poses, self.upper, self.pair_work)
+        return _offsets(self.pair_work)
 
-    def __call__(self, leader, pairs, region):
-        """Fill ``control_rows`` and move ``poses`` on by one step; return
-        phi and the gradient norms, rows of the kernel.
+    def __call__(self, leader, region):
+        """Fill ``control_rows`` and move ``poses`` on by one step, from the
+        pair rows of the last ``pairs()`` call; return phi and the gradient
+        norms, rows of the kernel.
 
-        ``leader`` is the informed robot's (x, y) as floats, ``pairs`` the
-        upper pairs' rows (see ``pairs``)."""
-        phi, grad, hess = self.jets(leader, pairs, region)
-        *_, grad_norm = control_laws(
-            grad, hess, self.theta, self.theta_d, *self.gains,
-            self.gradient_floor, self.pi, self.laws)
-        poses = self.poses
-        _integrate_all(poses, self.speeds, self.time_step, poses, self.motion)
+        ``leader`` is the informed robot's (x, y) as floats."""
+        phi, grad, hess = self.jets(leader, self.pair_work.pairs, region)
+        *_, grad_norm = control_laws(grad, hess, self.laws)
+        poses = _integrate_all(self.speeds, self.motion)
         if np.count_nonzero(np.isfinite(poses, out=self.finite)) < poses.size:
             raise RuntimeError(
                 f"non-finite state after integration:\n{poses}")
@@ -268,8 +254,8 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
     for i, prev in enumerate(prev_theta_d or ()):
         if prev is not None:
             kernel.theta_d[i] = prev
-    phi, grad_norm = kernel(kernel.poses[0, :2].tolist(), kernel.pairs(),
-                            region)
+    kernel.pairs()
+    phi, grad_norm = kernel(kernel.poses[0, :2].tolist(), region)
     controls = [ControlOutput(*row, p, g) for row, p, g in
                 zip(kernel.by_robot.tolist(), phi.tolist(),
                     grad_norm.tolist())]
@@ -330,10 +316,6 @@ def initial_topology(cfg: ScenarioConfig) -> Topology:
     return topo
 
 
-def _pair_list(n: int) -> tuple:
-    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-
-
 def _accrete_edges(mask: np.ndarray, dist: np.ndarray, upper: tuple,
                    threshold: float) -> bool:
     """Add mutual edges, in place, for pairs closer than the threshold.
@@ -386,7 +368,6 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     started = _time.perf_counter()
     validate_scenario(cfg)
     n = cfg.n_robots
-    goal_x, goal_y = cfg.goal_position.tolist()
     accreting = cfg.neighbor_mode == "accreting"
     threshold = cfg.sensing_radius - cfg.connectivity_buffer
 
@@ -394,8 +375,10 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     # already holds every pair inside the threshold
     mask = initial_topology(cfg).adjacency
     kernel = StepKernel(cfg, mask)
-    pairs = _pair_list(n)
     upper = kernel.upper
+    pairs = tuple(zip(*np.add(upper, 1).tolist()))
+    leader_const = kernel.jets.leader_const
+    goal_x, goal_y = leader_const.goal_x, leader_const.goal_y
     monitored = mask[upper]
     n_pairs = len(pairs)
     high, low = _monitor_bounds(cfg, monitored)
@@ -417,17 +400,9 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
 
     events: list[Event] = []
     switch_step = None
+    region = RegionFlag.COLLISION_FREE
     pose = kernel.poses
     poses[0] = pose[...] = _pose_array(cfg.initial_states)
-    # the informed robot's position as floats, read once a step for the
-    # region switch, the kernel and the stop screen
-    leader = (float(pose[0, 0]), float(pose[0, 1]))
-    leader_const = leader_constants(cfg)
-    region = region_of(leader, cfg, const=leader_const)
-    if region is RegionFlag.RENDEZVOUS:
-        switch_step = 0
-        events.append(Event(0, 0.0, "switch",
-                            "collision avoidance off from the start"))
     # no desired heading yet: hold the current one
     kernel.theta_d[...] = kernel.theta
     watched_dist, watched_norms = watched[:n_pairs], watched[n_pairs:]
@@ -438,20 +413,22 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     k = 0
     while True:
         t = k * cfg.time_step
-        if k:
-            leader = (float(pose[0, 0]), float(pose[0, 1]))
-            if region is RegionFlag.COLLISION_FREE:  # else latched
-                region = region_of(leader, cfg, const=leader_const)
-                if region is RegionFlag.RENDEZVOUS:
-                    switch_step = k
-                    events.append(Event(k, t, "switch", "informed robot "
-                                        "reached the switch distance"))
-        pair_rows = kernel.pairs()
+        # the informed robot's position as floats, read once a step for the
+        # region switch, the kernel and the stop screen
+        leader = (float(pose[0, 0]), float(pose[0, 1]))
+        if region is RegionFlag.COLLISION_FREE:  # else latched
+            region = region_of(leader, cfg, const=leader_const)
+            if region is RegionFlag.RENDEZVOUS:
+                switch_step = k
+                events.append(Event(k, t, "switch", (
+                    "informed robot reached the switch distance" if k
+                    else "collision avoidance off from the start")))
+        kernel.pairs()
         if accreting and _accrete_edges(mask, dist, upper, threshold):
             kernel.jets.set_mask(mask)
         # step k's norms, before the kernel moves the poses on
         np.hypot(kernel.x, kernel.y, out=watched_norms)
-        phi[k], _ = kernel(leader, pair_rows, region)
+        phi[k], _ = kernel(leader, region)
         ctrl[k] = kernel.by_robot
         poses[k + 1] = pose
 
@@ -512,6 +489,7 @@ def fit_decay_rate(times: np.ndarray, values: np.ndarray,
     return rate if rate > 0.0 else None
 
 
+# cfg is not read, kept because rendezbench/run.py passes it
 def compute_metrics(log: TrajectoryLog, cfg: ScenarioConfig | None = None) -> Metrics:
     """Summary quantities, derived from the log alone."""
     errs = np.hypot(*(log.poses[-1, :, :2] - log.goal_position).T)

@@ -4,9 +4,9 @@ The simulator runs every robot through array kernels (``gradients.JetKernel``,
 ``sim.StepKernel``). These per-robot functions are independent checks of
 them: a central-difference gradient, the constraint product's gradient
 (read off ``fields.follower_terms``), the informed robot's gradient, the
-follower Laplacian of the consensus analysis, the one-pose exact step, the
-seeded deployment drawn and checked one attempt at a time, and the whole
-step's formulas as plain numpy expressions. All but the last moved here from
+follower Laplacian of the consensus analysis, the exact step on a copy of
+the poses, the seeded deployment drawn and checked one attempt at a time,
+and the whole step's formulas as plain numpy expressions. All but the last moved here from
 ``gradients``, ``graph``, ``sim`` and ``scenario_io``.
 """
 
@@ -21,7 +21,7 @@ from rendezsim.gradients import ScalarField, _leader_jet
 from rendezsim.graph import (GraphError, Topology, build_topology,
                              has_rooted_spanning_tree)
 from rendezsim.model import TWO_PI, RegionFlag, RobotState, ScenarioConfig
-from rendezsim.sim import AssumptionError, _integrate_all
+from rendezsim.sim import AssumptionError, IntegrateWork, _integrate_all
 
 Edge = tuple[int, int]
 
@@ -82,12 +82,19 @@ def laplacian(topo: Topology, weights: dict[Edge, float],
     return mat
 
 
+def integrate_copy(poses: np.ndarray, controls: np.ndarray,
+                   dt: float) -> np.ndarray:
+    """``sim._integrate_all`` on a copy of the (N, 3) poses, with the
+    controls (v, omega) as (2, N) rows held constant over dt."""
+    return _integrate_all(controls, IntegrateWork(
+        np.array(poses, dtype=float), dt))
+
+
 def integrate_pose(pose: np.ndarray, v: float, omega: float,
                    dt: float) -> np.ndarray:
     """Advance one unicycle pose with the controls held constant over dt."""
-    out = _integrate_all(np.asarray(pose, dtype=float).reshape(1, 3),
-                         np.array([[v], [omega]]), dt)
-    return out[0]
+    return integrate_copy(np.reshape(pose, (1, 3)),
+                          np.array([[v], [omega]]), dt)[0]
 
 
 def sequential_deployment(seed: int, count: int, center: np.ndarray,

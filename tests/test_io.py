@@ -891,6 +891,20 @@ class TestPlotScript:
             "wrote trajectory.png, heading_decay.png\n")
 
 
+# every number of a scenario, main keys and deployment keys, with +inf in
+# its first slot; the keys that the reference file leaves out are added
+INFINITE = {
+    "workspace_radius": "inf", "sensing_radius": "inf",
+    "rendezvous_radius": "inf", "collision_margin": "inf",
+    "connectivity_buffer": "inf", "sigmoid_eps": "inf", "dipolar_eps": "inf",
+    "field_exponent": "inf", "linear_gains": "inf 4.0 4.0 4.0 4.0 4.0",
+    "angular_gains": "inf 8.0 8.0 8.0 8.0 8.0", "goal_position": "inf 0.0",
+    "goal_heading": "inf", "time_step": "inf", "horizon": "inf",
+    "gradient_floor": "inf", "position_tolerance": "inf",
+    "heading_tolerance": "inf", "collision_floor": "inf",
+    "center": "inf -3.0", "spread": "inf", "min_separation": "inf"}
+
+
 class TestCli:
     def test_check_ok(self, capsys):
         assert main(["check", SCENARIO]) == 0
@@ -909,6 +923,32 @@ class TestCli:
         path = tmp_path / "split.scn"
         write_lines(path, lines)
         assert main(["check", str(path)]) == 2
+
+    @pytest.mark.parametrize("key", sorted(INFINITE))
+    def test_infinite_number_named(self, tmp_path, capsys, key):
+        value = INFINITE[key]
+        with open(SCENARIO, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        keys = [line.split(" = ")[0] for line in lines]
+        if key in keys:
+            lines[keys.index(key)] = f"{key} = {value}"
+        else:
+            lines.insert(lines.index("[deployment]"), f"{key} = {value}")
+        path = tmp_path / "inf.scn"
+        write_lines(path, lines)
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert key in err
+
+    @pytest.mark.parametrize("pose", ["inf -1.6 -1.0", "-6.8 -1.6 inf"])
+    def test_infinite_pose_named(self, tmp_path, capsys, pose):
+        lines = minimal_lines()
+        lines[-1] = f"pose_2 = {pose}"
+        path = tmp_path / "inf.scn"
+        write_lines(path, lines)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == "error: pose_2 must be finite\n"
 
     def test_seeded_assumption_failure_exit_code(self, tmp_path, capsys):
         # every draw that keeps the robots min_separation apart puts them

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rendezsim import RegionFlag, run, sim
-from rendezsim.control import control_laws
+from rendezsim.control import ControlWork, control_laws
 from rendezsim.fields import region_of
 from rendezsim import gradients
 from rendezsim.fields import logistic_negated
@@ -21,6 +21,7 @@ from rendezsim.gradients import (DISTANCE_FLOOR, JetKernel, QuotientWork,
 from rendezsim.model import TWO_PI, turn_angles, wrap_angles
 
 from conftest import make_states, small_config
+from oracles import integrate_copy
 
 
 def wrap_angles_before(theta):
@@ -135,7 +136,7 @@ class TestIntegrateInline:
     def test_matches_np_sinc(self, ws):
         poses, vs, ws = self._case(ws)
         for dt in (0.005, 0.1):
-            got = sim._integrate_all(poses, np.array([vs, ws]), dt)
+            got = integrate_copy(poses, np.array([vs, ws]), dt)
             assert same_bits(got, integrate_before(poses, vs, ws, dt))
 
     def test_many_turns_match_np_sinc(self):
@@ -143,7 +144,7 @@ class TestIntegrateInline:
         # sin(pi (h / pi)) / (pi (h / pi)) in the last bit of many rows
         poses, vs, _ = self._case(range(2000))
         ws = np.random.default_rng(6).uniform(-30.0, 30.0, 2000)
-        got = sim._integrate_all(poses, np.array([vs, ws]), 0.1)
+        got = integrate_copy(poses, np.array([vs, ws]), 0.1)
         assert same_bits(got, integrate_before(poses, vs, ws, 0.1))
 
 
@@ -177,7 +178,7 @@ class TestQuotientRule:
     def test_equal_shapes_match_the_broadcast_form(self, alpha):
         n = 6
         gamma, dgamma, lap, beta, dbeta, ddbeta = self.inputs(n)
-        got = _quotient_jet(alpha, QuotientWork(alpha, n).load(
+        got = _quotient_jet(QuotientWork(alpha, n).load(
             gamma, dgamma, lap, beta, dbeta, ddbeta))
         expected = quotient_jet_before(alpha, gamma, dgamma, lap, beta,
                                        dbeta, ddbeta)
@@ -187,7 +188,7 @@ class TestQuotientRule:
     def test_one_robot_takes_floats(self, alpha):
         gamma, dgamma, lap, beta, dbeta, ddbeta = self.inputs(6)
         for i in (0, 3, 5):
-            got = _quotient_jet(alpha, QuotientWork(alpha).load(
+            got = _quotient_jet(QuotientWork(alpha).load(
                 float(gamma[i]), dgamma[:, i], float(lap[i]), float(beta[i]),
                 dbeta[:, i], ddbeta[:, i]))
             expected = quotient_jet_before(
@@ -251,8 +252,8 @@ class TestFollowerDivides:
         cfg = small_config(
             n_robots=n, linear_gains=[1.0] * n, angular_gains=[1.0] * n,
             initial_states=make_states(poses.tolist()))
-        upper = np.triu_indices(n, 1)
-        return cfg, mask, poses, sim._offsets(poses, upper), upper
+        work = sim.PairWork(poses)
+        return cfg, mask, poses, sim._offsets(work), work.upper
 
     @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
                                         RegionFlag.RENDEZVOUS])
@@ -293,7 +294,7 @@ class TestKernelLogistic:
         cfg = small_config(
             n_robots=n, linear_gains=[1.0] * n,
             angular_gains=[1.0] * n, initial_states=make_states(poses))
-        pairs = sim._offsets(poses, np.triu_indices(n, 1))
+        pairs = sim._offsets(sim.PairWork(poses))
         assert pairs[3].min() < 0.5 * cfg.collision_margin
         args = (poses[0, :2].tolist(), pairs, RegionFlag.COLLISION_FREE)
         kernel = JetKernel(cfg, mask)
@@ -337,9 +338,9 @@ class TestHeadingError:
         theta, held = (np.array(c) for c in zip(*pairs))
         n = len(theta)
         # a zero gradient holds theta_d at the fallback
-        out = control_laws(np.zeros((2, n)), np.zeros((3, n)), theta, held,
-                           np.ones((2, n)), np.ones(n), np.full(n, 1e-6),
-                           pi=np.full(n, PI))
+        work = ControlWork(theta, np.ones(n), np.ones(n), 1e-6)
+        work.rows[2][...] = held
+        out = control_laws(np.zeros((2, n)), np.zeros((3, n)), work)
         assert same_bits(out[2], held)
         assert same_bits(out[3], wrap_angles_before(theta - held))
 
@@ -353,15 +354,17 @@ class TestDesiredHeading:
         fallback = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
         hess = np.ones((3, 6))
         theta = np.linspace(-3.0, 3.0, 6)
-        gains = np.full((2, 6), 2.0), np.full(6, 8.0)
+        k_v, k_w = np.full(6, 2.0), np.full(6, 8.0)
         held = [1, 2, 4, 5]
-        out = control_laws(grad, hess, theta, fallback, *gains, floor)
+        work = ControlWork(theta, k_v, k_w, floor)
+        work.rows[2][...] = fallback
+        out = control_laws(grad, hess, work)
         assert same_bits(out[2], desired_heading_before(grad, fallback, floor))
         assert same_bits(out[2][held], fallback[held])
         steep = [0, 3]  # no row held: the unmasked arctan2
-        out = control_laws(grad[:, steep], hess[:, steep], theta[steep],
-                           fallback[steep], gains[0][:, steep],
-                           gains[1][steep], floor)
+        work = ControlWork(theta[steep], k_v[steep], k_w[steep], floor)
+        work.rows[2][...] = fallback[steep]
+        out = control_laws(grad[:, steep], hess[:, steep], work)
         assert same_bits(out[2], desired_heading_before(
             grad[:, steep], fallback[steep], floor))
 

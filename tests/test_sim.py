@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from rendezsim.model import normalize_angle
 from rendezsim.sim import AssumptionError, MonitorViolation, fit_decay_rate
 
 from conftest import make_states, small_config
-from oracles import integrate_pose
+from oracles import integrate_copy, integrate_pose
 
 
 class TestIntegrator:
@@ -61,14 +62,14 @@ class TestIntegrator:
         vs = rng.uniform(-3.0, 3.0, n)
         ws = np.array(omegas)
         for dt in (0.005, 0.05):
-            rows = sim._integrate_all(poses, np.array([vs, ws]), dt)
+            rows = integrate_copy(poses, np.array([vs, ws]), dt)
             for i in range(n):
                 x, y, theta = self.closed_form(poses[i], vs[i], ws[i], dt)
                 assert abs(rows[i, 0] - x) <= 1e-12
                 assert abs(rows[i, 1] - y) <= 1e-12
                 assert angle_gap(rows[i, 2], normalize_angle(theta)) <= 1e-12
                 # a row's result does not depend on the rows beside it
-                single = sim._integrate_all(
+                single = integrate_copy(
                     poses[i:i + 1], np.array([vs[i:i + 1], ws[i:i + 1]]), dt)
                 assert single.tobytes() == rows[i:i + 1].tobytes()
 
@@ -176,6 +177,90 @@ def angle_gap(a, b):
     return abs(normalize_angle(a - b))
 
 
+class TestLocality:
+    """A follower's law reads its own heading, the desired heading it holds
+    and the robots it senses, and nothing else. On random ragged masks, the
+    48-robot one included, and with the region held fixed, a follower's
+    controls and new pose from step() keep their bits when the goal, the
+    goal heading or a robot it does not sense changes; the region changes
+    them wherever a sensed edge is short enough for the collision factor
+    to differ from 1."""
+
+    @staticmethod
+    def cases(seed):
+        rng = np.random.default_rng(seed)
+        for trial in range(31):
+            # the last trial is one 48-robot ragged mask of degree 1-23
+            n = int(rng.integers(3, 10)) if trial < 30 else 48
+            mask = ragged_mask(rng, n) if trial < 30 else ragged_mask(
+                rng, n, 1, 24)
+            cfg = small_config(
+                n_robots=n, linear_gains=rng.uniform(1.0, 5.0, n).tolist(),
+                angular_gains=rng.uniform(4.0, 10.0, n).tolist(),
+                initial_states=random_states(rng, n))
+            prev = [None if rng.random() < 0.5 else rng.uniform(-3.0, 3.0)
+                    for _ in range(n)]
+            yield rng, cfg, Topology(mask), prev
+
+    @staticmethod
+    def row(result, i):
+        """Robot i's controls and new pose in one step() result, as bits."""
+        states, controls, _ = result
+        return np.array([*dataclasses.astuple(controls[i]),
+                         *states[i].position, states[i].heading]).tobytes()
+
+    @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
+                                        RegionFlag.RENDEZVOUS])
+    def test_goal_and_unsensed_robots_leave_a_follower_be(self, region):
+        checked = 0
+        for rng, cfg, topo, prev in self.cases(41):
+            n, states = cfg.n_robots, cfg.initial_states
+            j = int(rng.integers(n))
+            moved = list(states)
+            moved[j] = states[j].with_pose(
+                states[j].position + rng.uniform(-3.0, 3.0, 2),
+                states[j].heading + 1.0)
+            goal = rng.uniform(-3.0, 3.0, 2)
+            heading = float(rng.uniform(-3.0, 3.0))
+            followers = range(1, n)
+            blind = [i for i in followers
+                     if i != j and not topo.adjacency[i, j]]
+            before = step(states, region, cfg, topo, prev)
+            # (states, scenario, the robot the change reaches, the
+            # followers it must not reach)
+            changes = [
+                (states, dataclasses.replace(cfg, goal_position=goal), 0,
+                 followers),
+                (states, dataclasses.replace(cfg, goal_heading=heading), 0,
+                 followers),
+                (moved, cfg, j, blind)]
+            for after_states, after_cfg, reached, unreached in changes:
+                after = step(after_states, region, after_cfg, topo, prev)
+                assert self.row(after, reached) != self.row(before, reached)
+                for i in unreached:
+                    assert self.row(after, i) == self.row(before, i), i
+            checked += len(blind)
+        # followers checked against an unsensed robot, 20 or more of them
+        # on the 48-robot mask
+        assert checked > 50 and len(blind) >= 20
+
+    def test_region_changes_a_follower_with_a_short_edge(self):
+        flipped = 0
+        for _, cfg, topo, prev in self.cases(43):
+            states = cfg.initial_states
+            free, rendezvous = (step(states, region, cfg, topo, prev)[1]
+                                for region in (RegionFlag.COLLISION_FREE,
+                                               RegionFlag.RENDEZVOUS))
+            positions = np.array([s.position for s in states])
+            for i in range(1, cfg.n_robots):
+                sensed = positions[topo.adjacency[i]]
+                if np.hypot(*(sensed - positions[i]).T).min() < 1.5:
+                    assert ((free[i].v, free[i].omega)
+                            != (rendezvous[i].v, rendezvous[i].omega)), i
+                    flipped += 1
+        assert flipped > 100
+
+
 class TestArrayCore:
     """step(), the array core run() drives, against the per-robot scalar
     path: compute_control on the listed neighbors, then integrate_pose."""
@@ -238,9 +323,9 @@ class TestArrayCore:
         rows = []
         laws = sim.control_laws
 
-        def count(grad, hess, theta, *rest):
-            rows.append(len(theta))
-            return laws(grad, hess, theta, *rest)
+        def count(grad, hess, work):
+            rows.append(len(work.theta))
+            return laws(grad, hess, work)
 
         def refuse(*args, **kwargs):
             raise AssertionError("per-robot control path called")
@@ -285,11 +370,11 @@ class TestEdgeList:
         assert jets.terms.shape == (10, edges)
 
         poses = np.array([[*s.position, s.heading] for s in states])
-        pairs = sim._offsets(poses, np.triu_indices(n, 1))
-        assert pairs.shape == (4, n * (n - 1) // 2)
         kernel.poses[...] = poses
+        pairs = kernel.pairs()
+        assert pairs.shape == (4, n * (n - 1) // 2)
         kernel.theta_d[...] = poses[:, 2]
-        kernel(poses[0, :2].tolist(), pairs, RegionFlag.COLLISION_FREE)
+        kernel(poses[0, :2].tolist(), RegionFlag.COLLISION_FREE)
         i, j = np.nonzero(mask[1:])
         gap = poses[i + 1, :2] - poses[j, :2]
         assert np.array_equal(jets.m, gap.T)

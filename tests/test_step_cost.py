@@ -33,11 +33,15 @@ REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
 # workspaces the three steps allocated 90, 90 and 92 results; those left
 # are three of the exponents (numpy's ** has no out) and the stop screen's
 # hypot on floats. Before the fused row blocks the three steps made 136,
-# 133 and 138 calls, 10, 8 and 10 of them on column slices or reversed rows
+# 133 and 138 calls, 10, 8 and 10 of them on column slices or reversed rows.
+# The accreting step follows its mask's growth and adds _accrete_edges'
+# three calls: the threshold screen, a scalar operand that allocates, and
+# two all()
 BUDGET = {
     "reference": (114, 0, 5, 0, 4, 0),
     "rendezvous": (111, 0, 5, 0, 4, 0),
     "sparse48": (116, 0, 5, 0, 4, 0),
+    "accreting": (117, 0, 6, 0, 5, 0),
 }
 # calls of numpy's Python-level helpers per step: np.sinc and np.copyto are
 # met only on steps the screens send to their masked paths, and the
@@ -74,8 +78,16 @@ def _sparse48():
         initial_states=states, gradient_floor=1e-6)
 
 
+def _accreting():
+    """``test_step_bits._accreting``: followers 2 and 3 gain a mutual edge
+    at step 56."""
+    # imported here: test_step_bits imports this module
+    from test_step_bits import _accreting
+    return _accreting()
+
+
 SCENARIOS = {"reference": (_reference, 100), "rendezvous": (_rendezvous, 100),
-             "sparse48": (_sparse48, 100)}
+             "sparse48": (_sparse48, 100), "accreting": (_accreting, 100)}
 
 
 def step_counts(cfg, k):
@@ -122,6 +134,16 @@ def test_switch_happens_on_the_counted_scenarios():
     assert run(dataclasses.replace(_reference(), horizon=0.6)).switch_step is None
 
 
+def test_accreting_mask_grows_before_the_counted_step():
+    cfg = _accreting()
+    log = run(dataclasses.replace(cfg, horizon=100 * cfg.time_step))
+    near = log.distances < cfg.sensing_radius - cfg.connectivity_buffer
+    # pair (2, 3) starts out of sight and comes within the threshold once
+    # before step 100, the step counted above
+    assert log.pairs[2] == (2, 3) and not log.monitored[2]
+    assert np.flatnonzero(near[:, 2])[0] == 56
+
+
 class TestCounter:
     """The counter itself: what it counts and what it attributes."""
 
@@ -137,11 +159,11 @@ class TestCounter:
 
     def test_numpy_internals_are_not_counted(self):
         from rendezsim import sim
-        poses = np.zeros((2, 3))
         with counting() as counts:
             # a zero turn rate sends the step to np.sinc, which makes several
             # ufunc calls of its own; it counts as one
-            sim._integrate_all(poses, np.array([[1.0, 1.0], [0.0, 1.0]]), 0.1)
+            sim._integrate_all(np.array([[1.0, 1.0], [0.0, 1.0]]),
+                               sim.IntegrateWork(np.zeros((2, 3)), 0.1))
         assert counts.calls["sim._integrate_all", "sinc"] == 1
         assert counts.helpers["sim._integrate_all", "sinc"] == 1
 
@@ -152,7 +174,7 @@ class TestCounter:
             np.ones(2), np.zeros((2, 2)), np.zeros((3, 2)))
         with counting() as counts:
             # exponents under 1 keep the masked power
-            gradients._quotient_jet(0.5, work)
+            gradients._quotient_jet(work)
         assert sum(counts.where.values()) == 1
 
     def test_scalar_operands_are_tallied(self):
