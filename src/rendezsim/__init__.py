@@ -16,8 +16,7 @@ from .graph import Topology, build_topology, has_rooted_spanning_tree
 from .model import (RegionFlag, RobotState, ScenarioConfig, ScenarioError,
                     validate_scenario)
 from .scenario_io import (emit_plot_script, export_trajectory,
-                          load_trajectory, parse_scenario, seeded_deployment,
-                          write_scenario)
+                          load_trajectory, parse_scenario, seeded_deployment)
 from .sim import (AssumptionError, Metrics, MonitorViolation, TrajectoryLog,
                   compute_metrics, monitor_invariants, run, step)
 

@@ -187,6 +187,12 @@ def parse_scenario(path: str) -> ScenarioConfig:
         for key in ("center", "spread", "min_separation"):
             if not np.isfinite(placed[key]).all():
                 raise ScenarioError(f"{key} must be finite")
+        if placed["seed"] < 0:
+            raise ScenarioError("seed must be >= 0")
+        if placed["spread"] <= 0:
+            raise ScenarioError("spread must be > 0")
+        if placed["min_separation"] < 0:
+            raise ScenarioError("min_separation must be >= 0")
         states = seeded_deployment(
             count=n, sensing_radius=values["sensing_radius"],
             workspace_radius=values["workspace_radius"], **placed)
@@ -202,34 +208,6 @@ def parse_scenario(path: str) -> ScenarioConfig:
 
     cfg = ScenarioConfig(initial_states=states, **values)
     return validate_scenario(cfg)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, np.ndarray):
-        return " ".join(repr(float(x)) for x in value)
-    if isinstance(value, list):
-        return " ".join(repr(float(x)) for x in value)
-    return str(value)
-
-
-def write_scenario(cfg: ScenarioConfig, path: str) -> None:
-    """Write a config back as scenario text with an explicit deployment.
-
-    Floats are written with full round-trip precision, so
-    parse(write(cfg)) reproduces cfg field for field.
-    """
-    lines = [f"format_version = {FORMAT_VERSION}"]
-    for key in _CONFIG_KEYS:
-        lines.append(f"{key} = {_fmt(getattr(cfg, key))}")
-    lines.append("")
-    lines.append("[deployment]")
-    lines.append("mode = explicit")
-    for s in cfg.initial_states:
-        lines.append(f"pose_{s.id} = {_fmt(s.position)} {repr(s.heading)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 TRAJECTORY_FILE = "trajectory.csv"
@@ -269,6 +247,8 @@ def _two_numbers(raw: str) -> np.ndarray:
 # key's parser, and what a value must be for it to parse; only what a run
 # can write parses
 _REQUIRED_META = {
+    "format_version": (_checked(int, lambda v: v == FORMAT_VERSION),
+                       str(FORMAT_VERSION)),
     "n_robots": (_checked(int, lambda n: n >= 1), "an integer >= 1"),
     "goal_position": (_two_numbers, "two finite numbers"),
     "goal_heading": (_finite, "a finite number"),

@@ -9,16 +9,15 @@ import pytest
 
 from rendezsim import (ScenarioConfig, ScenarioError, TrajectoryLog,
                        compute_metrics, emit_plot_script, export_trajectory,
-                       load_trajectory, parse_scenario, run, seeded_deployment,
-                       write_scenario)
+                       load_trajectory, parse_scenario, run, seeded_deployment)
 from rendezsim import scenario_io
 from rendezsim.cli import main
 from rendezsim.scenario_io import ParseError
 
 from conftest import make_states, small_config
 
-SCENARIO = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
-                        "rendezvous_s5.scn")
+SCENARIOS = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+SCENARIO = os.path.join(SCENARIOS, "rendezvous_s5.scn")
 
 
 def write_lines(path, lines):
@@ -91,6 +90,9 @@ PARSE_FAILURES = {
                            "{path}:24: unknown deployment key 'pose_1'"),
     "seeded_missing_key": (_without(minimal_lines(SEEDED), "spread"),
                            "{path}: missing deployment key 'spread'"),
+    "vector_three_numbers": (minimal_lines(goal_position="1 2 3"),
+                             "{path}:13: bad value '1 2 3' "
+                             "(expected two numbers)"),
 }
 
 OPTIONAL_AND_REQUIRED = [f for f in dc_fields(ScenarioConfig)
@@ -161,11 +163,10 @@ class TestParseScenario:
     def test_dropped_key_is_default_or_named(self, tmp_path, field):
         # every key written out, then one line dropped
         path = tmp_path / "drop.scn"
-        write_scenario(small_config(), str(path))
-        with open(path, encoding="utf-8") as fh:
-            lines = [line for line in fh.read().splitlines()
-                     if line.split(" = ")[0] != field.name]
-        write_lines(path, lines)
+        write_lines(path, [line for line in minimal_lines(
+            neighbor_mode="frozen", position_tolerance="0.05",
+            heading_tolerance="0.02", collision_floor="0.05")
+            if line.split(" = ")[0] != field.name])
         if field.default is MISSING:
             with pytest.raises(ParseError) as info:
                 parse_scenario(str(path))
@@ -185,22 +186,6 @@ class TestParseScenario:
         with pytest.raises(ScenarioError) as info:
             parse_scenario(str(path))
         assert str(info.value) == "n_robots must be >= 1"
-
-    def test_config_roundtrip_field_by_field(self, tmp_path):
-        cfg = small_config()
-        path = tmp_path / "echo.scn"
-        write_scenario(cfg, str(path))
-        back = parse_scenario(str(path))
-        for f in dc_fields(cfg):
-            a, b = getattr(cfg, f.name), getattr(back, f.name)
-            if f.name == "initial_states":
-                for sa, sb in zip(a, b):
-                    assert np.array_equal(sa.position, sb.position)
-                    assert sa.heading == sb.heading
-            elif isinstance(a, np.ndarray):
-                assert np.array_equal(a, b)
-            else:
-                assert a == b, f.name
 
 
 @pytest.fixture(scope="module")
@@ -556,9 +541,9 @@ class TestLoadMismatch:
         assert main(["metrics", str(exported)]) == 1
         assert "trajectory.csv: 23 data rows" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["n_robots", "goal_position",
-                                     "goal_heading", "time_step",
-                                     "sensing_radius"])
+    @pytest.mark.parametrize("key", ["format_version", "n_robots",
+                                     "goal_position", "goal_heading",
+                                     "time_step", "sensing_radius"])
     def test_missing_metadata_key_is_named(self, exported, key, capsys):
         path = exported / "trajectory.csv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
@@ -570,6 +555,9 @@ class TestLoadMismatch:
             f"error: {path}: missing metadata key '{key}'\n")
 
     @pytest.mark.parametrize("key, raw, what", [
+        ("format_version", "2", "1"),
+        ("format_version", "one", "1"),
+        ("format_version", "", "1"),
         ("n_robots", "0", "an integer >= 1"),
         ("n_robots", "-3", "an integer >= 1"),
         ("n_robots", "four", "an integer >= 1"),
@@ -591,7 +579,8 @@ class TestLoadMismatch:
         ("sensing_radius", "far", "a finite number > 0"),
         ("sensing_radius", "", "a finite number > 0"),
         ("sensing_radius", "-1", "a finite number > 0"),
-    ], ids=["n_robots_zero", "n_robots_negative", "n_robots_word",
+    ], ids=["format_version_2", "format_version_word", "format_version_empty",
+            "n_robots_zero", "n_robots_negative", "n_robots_word",
             "n_robots_float", "n_robots_empty", "goal_one_number",
             "goal_three_numbers", "goal_words", "goal_empty", "goal_nan",
             "goal_heading_word", "goal_heading_empty", "goal_heading_inf",
@@ -621,9 +610,9 @@ class TestLoadMismatch:
         assert capsys.readouterr().err == (
             f"error: {path}: repeated metadata key 'time_step'\n")
 
-    @pytest.mark.parametrize("key", ["n_robots", "goal_position",
-                                     "goal_heading", "time_step",
-                                     "sensing_radius"])
+    @pytest.mark.parametrize("key", ["format_version", "n_robots",
+                                     "goal_position", "goal_heading",
+                                     "time_step", "sensing_radius"])
     def test_distances_metadata_must_match_trajectory(self, exported, key,
                                                       capsys):
         # a distances.csv of another run, with the same row count
@@ -904,6 +893,29 @@ INFINITE = {
     "heading_tolerance": "inf", "collision_floor": "inf",
     "center": "inf -3.0", "spread": "inf", "min_separation": "inf"}
 
+# seeded deployment keys out of range: (key, value, error line)
+OUT_OF_RANGE = {
+    "seed_negative": ("seed", "-1", "seed must be >= 0"),
+    "spread_negative": ("spread", "-1.0", "spread must be > 0"),
+    "spread_zero": ("spread", "0.0", "spread must be > 0"),
+    "min_separation_negative": ("min_separation", "-0.5",
+                                "min_separation must be >= 0"),
+}
+
+
+def edited_reference(path, key, value):
+    """Write the reference scenario to ``path`` with ``key = value``; a key
+    the reference leaves out is added to its main block."""
+    with open(SCENARIO, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    keys = [line.split(" = ")[0] for line in lines]
+    if key in keys:
+        lines[keys.index(key)] = f"{key} = {value}"
+    else:
+        lines.insert(lines.index("[deployment]"), f"{key} = {value}")
+    write_lines(path, lines)
+    return path
+
 
 class TestCli:
     def test_check_ok(self, capsys):
@@ -926,20 +938,21 @@ class TestCli:
 
     @pytest.mark.parametrize("key", sorted(INFINITE))
     def test_infinite_number_named(self, tmp_path, capsys, key):
-        value = INFINITE[key]
-        with open(SCENARIO, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-        keys = [line.split(" = ")[0] for line in lines]
-        if key in keys:
-            lines[keys.index(key)] = f"{key} = {value}"
-        else:
-            lines.insert(lines.index("[deployment]"), f"{key} = {value}")
-        path = tmp_path / "inf.scn"
-        write_lines(path, lines)
+        path = edited_reference(tmp_path / "inf.scn", key, INFINITE[key])
         assert main(["check", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert key in err
+
+    @pytest.mark.parametrize("case", OUT_OF_RANGE)
+    def test_seeded_key_out_of_range_named(self, tmp_path, capsys, case):
+        # checked before the first draw: numpy would reject a negative
+        # seed without naming it, and no spread of 0 draws a connected
+        # deployment
+        key, value, message = OUT_OF_RANGE[case]
+        path = edited_reference(tmp_path / "bad.scn", key, value)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("pose", ["inf -1.6 -1.0", "-6.8 -1.6 inf"])
     def test_infinite_pose_named(self, tmp_path, capsys, pose):
@@ -987,6 +1000,23 @@ class TestCli:
         assert len(printed) == 6
         assert any("dropped at" in line for line in printed)
         assert ran[-1 - len(printed):-1] == printed
+
+    def test_run_lists_recorded_violations(self, tmp_path, capsys):
+        # the first second of a committed counterexample, run without
+        # --strict, records 11 collision events: ten are listed
+        with open(os.path.join(SCENARIOS, "counterexamples",
+                               "sparse48_seed2.scn"), encoding="utf-8") as fh:
+            text = fh.read()
+        assert text.count("horizon = 20.0\n") == 1
+        path = tmp_path / "collide.scn"
+        path.write_text(text.replace("horizon = 20.0\n", "horizon = 1.0\n"),
+                        encoding="utf-8")
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[1] == "11 monitor violations recorded:"
+        assert all(line.startswith("  step ") and ": collision: pair (" in line
+                   for line in out[2:12])
+        assert out[12] == "  ... and 1 more"
 
     def test_strict_violation_exit_code(self, tmp_path, capsys):
         # a collision floor above the robots' spacing trips the monitor

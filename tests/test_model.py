@@ -70,6 +70,12 @@ class TestRobotState:
         with pytest.raises(ScenarioError):
             RobotState(1, np.array([1.0, 2.0, 3.0]), 0.0)
 
+    def test_non_finite_position(self):
+        # a ScenarioConfig built in code skips the parser's finiteness check
+        with pytest.raises(ScenarioError,
+                           match="robot 1: position must be finite"):
+            RobotState(1, [math.nan, 0.0], 0.0)
+
 
 class TestValidateScenario:
     def test_reference_parameters_accepted(self):
