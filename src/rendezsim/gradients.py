@@ -295,37 +295,38 @@ def follower_field_eval(position: np.ndarray,
 
 
 class _FactorRows:
-    """The edge pass's rows of one region's factors, over n_edges edges.
+    """The edge pass's rows of the factors [b, B, b], over n_edges edges.
 
-    ``factors`` lists each row's (center, gain, c1, c2): [b, b] without
-    avoidance, [b, B, b] while avoiding, so that rows 0-1 of the
-    log-derivatives plus rows 1-2 are b's plus B's twice over, with no
-    reversed view. ``d`` holds the edges' distances, three rows.
+    Rows 0-1 of the log-derivatives plus rows 1-2 are b's plus B's twice
+    over, with no reversed view. ``d`` holds the edges' distances, three
+    rows. ``constants`` maps whether avoidance is active to the (center,
+    gain, c) rows, c the (c1, c2) of each row; without avoidance B's row is
+    the constant factor 1: center +inf and gain 1 give s = 1 at every
+    finite distance, and c1 = c2 = -0.0 give log-derivatives of -0.0, so
+    b times 1 and l + -0.0 are b's values bit for bit.
     """
 
     def __init__(self, factors, d: np.ndarray, n_edges: int):
-        k = len(factors)
-        self.d = d[:k]
-        center, gain, c1, c2 = (np.array(x)[:, None].repeat(n_edges, axis=1)
-                                for x in zip(*factors))
-        self.center, self.gain = center, gain
-        # (c1, c2) times (1 - s, s); the second half times 1 - s again
-        self.c = np.concatenate([c1, c2])
-        self.y = np.empty((k, n_edges))
-        self.om_s = np.empty((2 * k, n_edges))
-        self.one_minus, self.s = self.om_s[:k], self.om_s[k:]
-        self.l = np.empty((2 * k, n_edges))
-        self.l2_factors = self.l[k:]
-        self.minus_zero = np.full((k, n_edges), -0.0)
-        self.one = np.ones((k, n_edges))
-        self.logistic = (np.empty((k, n_edges), dtype=bool),
-                         np.empty((k, n_edges)))
-        if k == 3:  # l1 (b + B twice), a row of no use, l2 (b + B twice)
-            self.summed = np.empty((5, n_edges))
-            self.heads, self.tails = self.l[0:5], self.l[1:6]
-            self.l1, self.l2 = self.summed[0:2], self.summed[3:5]
-        else:
-            self.l1, self.l2 = self.l[0:2], self.l[2:4]
+        self.d = d
+        self.constants = {}
+        for avoid, rows in factors.items():
+            center, gain, c1, c2 = (np.repeat(np.array(x)[:, None], n_edges,
+                                              axis=1) for x in zip(*rows))
+            # (c1, c2) times (1 - s, s); the second half times 1 - s again
+            self.constants[avoid] = (center, gain, np.concatenate([c1, c2]))
+        self.y = np.empty((3, n_edges))
+        self.om_s = np.empty((6, n_edges))
+        self.one_minus, self.s = self.om_s[:3], self.om_s[3:]
+        self.l = np.empty((6, n_edges))
+        self.l2_factors = self.l[3:]
+        self.minus_zero = np.full((3, n_edges), -0.0)
+        self.one = np.ones((3, n_edges))
+        self.logistic = (np.empty((3, n_edges), dtype=bool),
+                         np.empty((3, n_edges)))
+        # l1 (b + B twice), a row of no use, l2 (b + B twice)
+        self.summed = np.empty((5, n_edges))
+        self.heads, self.tails = self.l[0:5], self.l[1:6]
+        self.l1, self.l2 = self.summed[0:2], self.summed[3:5]
 
 
 class JetKernel:
@@ -354,7 +355,7 @@ class JetKernel:
     # the per-robot inputs before the spread: the followers' segment sums
     # (g = sum t_j (p - q_j), the curvature sums (xx, yy) and (xy), sum t_j
     # twice, sum (p - q_j) and gamma), the inputs made from them, lap_gamma
-    # and, while avoiding, the products of b, B and b
+    # and the products of b, B and b
     COMPACT = Rows("gx gy cx cy cxy tx ty ox oy G",
                    "dgx dgy B B dbx dby hxx hyy hxy L Pb PB Pb")
 
@@ -371,11 +372,13 @@ class JetKernel:
         # b(d) = logistic(k_b (R - buffer/2 - d)) and B(d) = logistic(k_c (d
         # - margin/2)), with log-derivatives l1 = c1 (1 - s) and l2 = c2 s
         # (1 - s). Each is logistic(-y) of y = (d - center) gain: B's gain
-        # is -k_c. (center, gain, c1, c2) of each factor:
+        # is -k_c. (center, gain, c1, c2) of each factor, and of the
+        # constant 1 that stands in for B without avoidance:
         b = (cfg.sensing_radius - 0.5 * cfg.connectivity_buffer, k_b,
              -k_b, -k_b * k_b)
         c = (0.5 * cfg.collision_margin, -k_c, k_c, -(k_c * k_c))
-        self.factors = {False: (b, b), True: (b, c, b)}
+        one = (math.inf, 1.0, -0.0, -0.0)
+        self.factors = {False: (b, one, b), True: (b, c, b)}
         n = self.n = len(mask)
         self.quotient = QuotientWork(cfg.field_exponent, n)
         rows = self.COMPACT
@@ -394,8 +397,7 @@ class JetKernel:
         self.spread = self.quotient.inputs[self.quotient.changing]
         f = self.compact[:, 1:]
         self.sums = f[:rows.at("G").stop]
-        self.products = {False: view("B B")[:, 1:],
-                         True: view("Pb PB Pb")[:, 1:]}
+        self.products = view("Pb PB Pb")[:, 1:]
         self.post = (view("ox oy"), view("dgx dgy"), view("cx cy"),
                      view("tx ty"), view("Pb PB"), view("PB Pb"),
                      view("B B"), view("gx gy"), view("dbx dby"),
@@ -443,8 +445,7 @@ class JetKernel:
         self.m_y, self.dist_rows = edges[8], edges[10:12]
         self.sign = np.tile(np.where(rows < cols, 1.0, -1.0), (2, 1))
         self.floor = np.full((2, n_edges), DISTANCE_FLOOR)
-        self.factor_rows = {avoid: _FactorRows(factors, edges[10:], n_edges)
-                            for avoid, factors in self.factors.items()}
+        self.factor_rows = _FactorRows(self.factors, edges[10:], n_edges)
         # per edge, twice: the floor screen, d^2, l2 - t, w and w (p - q_j)
         self.near = np.empty((2, n_edges), dtype=bool)
         self.square, self.top, self.w, self.wm = (np.empty((2, n_edges))
@@ -473,21 +474,21 @@ class JetKernel:
         return phi, grad, hess
 
     def _followers(self, pairs, avoid):
-        """Fill columns 1.. of the compact inputs from the edge factors."""
-        rows, starts = self.factor_rows[avoid], self.starts
+        """Fill columns 1.. of the compact inputs; ``avoid`` picks B's rows."""
+        rows, starts = self.factor_rows, self.starts
+        center, gain, c = rows.constants[avoid]
         pairs.take(self.gather_at, out=self.gathered, mode="clip")
         m = np.multiply(self.m, self.sign, out=self.m)
-        y = np.subtract(rows.d, rows.center, out=rows.y)
-        y *= rows.gain
+        y = np.subtract(rows.d, center, out=rows.y)
+        y *= gain
         s = logistic_negated(y, rows.minus_zero, rows.one, rows.s,
                              *rows.logistic)
-        np.multiply.reduceat(s, starts, axis=-1, out=self.products[avoid])
+        np.multiply.reduceat(s, starts, axis=-1, out=self.products)
         np.subtract(rows.one, s, out=rows.one_minus)
-        np.multiply(rows.c, rows.om_s, out=rows.l)
+        np.multiply(c, rows.om_s, out=rows.l)
         np.multiply(rows.l2_factors, rows.one_minus, out=rows.l2_factors)
-        if avoid:
-            # b's and B's terms in either order: + is commutative bit for bit
-            np.add(rows.heads, rows.tails, out=rows.summed)
+        # b's and B's terms in either order: + is commutative bit for bit
+        np.add(rows.heads, rows.tails, out=rows.summed)
         l1, l2 = rows.l1, rows.l2
         # edge slopes l_j / d_j and curvatures, each twice; edges under the
         # floor add none, and a NaN distance takes the masked divides too
@@ -509,14 +510,13 @@ class JetKernel:
         np.multiply(self.wm_x, self.m_y, out=self.xy)
         np.add.reduceat(self.terms, starts, axis=-1, out=self.sums)
         # over whole rows, the quotient inputs: 2 sum (p - q_j) (as a sum of
-        # two, exactly), beta (b's product times B's while avoiding), beta g
-        # and beta (g g^T + curvature)
+        # two, exactly), beta (b's product times B's), beta g and beta (g
+        # g^T + curvature)
         (offsets, dgamma, curv, slopes, heads, tails, beta, g, dbeta, diag,
          g_x, g_y, xy, hess, curv_xy, beta0) = self.post
         np.add(offsets, offsets, out=dgamma)
         np.add(curv, slopes, out=curv)
-        if avoid:
-            np.multiply(heads, tails, out=beta)
+        np.multiply(heads, tails, out=beta)
         np.multiply(beta, g, out=dbeta)
         np.multiply(g, g, out=diag)
         np.multiply(g_x, g_y, out=xy)

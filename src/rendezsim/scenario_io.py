@@ -156,7 +156,20 @@ def seeded_deployment(seed: int, count: int, center: np.ndarray, spread: float,
 
 
 def parse_scenario(path: str) -> ScenarioConfig:
-    """Parse and validate a scenario file, expanding its deployment block."""
+    """Parse and validate a scenario file, expanding its deployment block.
+
+    Every error names the file: a ``ParseError`` with its line, any other
+    ``ScenarioError`` or ``AssumptionError`` as ``<path>: <message>``.
+    """
+    try:
+        return _parse_scenario(path)
+    except ParseError:
+        raise
+    except (ScenarioError, AssumptionError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _parse_scenario(path: str) -> ScenarioConfig:
     main, deploy = _read_sections(path)
     values = _read_keys(main, {"format_version": (int, True), **_CONFIG_KEYS},
                         path)

@@ -21,6 +21,10 @@ from .model import normalize_angle  # noqa: F401
 # export fit the same window as metrics on the live log
 HEADING_NOISE_FLOOR = 1e-4  # rad
 
+# bytes the log's arrays start with at most: a run that outgrows them
+# doubles them, up to its horizon
+LOG_BYTES = 1 << 26
+
 
 class AssumptionError(RuntimeError):
     """The initial graph lacks a spanning tree rooted at the informed robot."""
@@ -349,6 +353,19 @@ def _monitor_bounds(cfg: ScenarioConfig, monitored: np.ndarray):
     return high, low
 
 
+def _log_rows(rows: int, n: int, n_pairs: int, filled=()):
+    """The log's arrays for ``rows`` steps of n robots and n_pairs pairs:
+    times, poses (a row more: row k + 1 receives step k's update),
+    controls, phi, regions and distances. The arrays of ``filled``, as
+    returned before, are copied into their first rows."""
+    arrays = (np.empty(rows), np.empty((rows + 1, n, 3)),
+              np.empty((rows, n, 5)), np.empty((rows, n)),
+              np.empty(rows, dtype=np.int8), np.empty((rows, n_pairs)))
+    for new, old in zip(arrays, filled):
+        new[:len(old)] = old
+    return arrays
+
+
 def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     """Simulate the whole scenario; stop early once every robot converged.
 
@@ -360,7 +377,9 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     edge list; the log copies both. The region switch is asked only until
     it latches. ``monitor_invariants`` runs only on a step where some
     watched value reaches its bound (``_monitor_bounds``), so it emits the
-    same events as on every step. Raises AssumptionError when the initial
+    same events as on every step. The log starts at most ``LOG_BYTES``
+    large and doubles when the run outgrows it, so that its size follows
+    the steps run, not the horizon. Raises AssumptionError when the initial
     graph has no spanning tree rooted at the informed robot. Monitor
     violations are recorded as events and, in strict mode, abort the run by
     raising MonitorViolation.
@@ -382,21 +401,21 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     monitored = mask[upper]
     n_pairs = len(pairs)
     high, low = _monitor_bounds(cfg, monitored)
-    # while avoiding, one comparison screens both bounds: the watched values
-    # and their negations against the high bounds and the negated low ones,
-    # as -x >= -low exactly when x <= low
+    # one comparison screens both bounds: the watched values and their
+    # negations against the high bounds and the negated low ones, as -x >=
+    # -low exactly when x <= low; the switch sets the collision floor's to
+    # +inf, which no negated distance reaches
     screened = np.empty((2, n_pairs + n))
     watched, negated = screened
     bounds = np.array([high, -low])
 
     max_steps = int(round(cfg.horizon / cfg.time_step))
     S = max_steps + 1
-    times = np.empty(S)
-    poses = np.empty((S + 1, n, 3))  # row k + 1 receives step k's update
-    ctrl = np.empty((S, n, 5))
-    phi = np.empty((S, n))
-    regions = np.empty(S, dtype=np.int8)
-    dists = np.empty((S, n_pairs))
+    # a logged step: t, each robot's pose, controls and phi, each pair's
+    # distance, and the region byte
+    rows = min(S, max(1024, LOG_BYTES // (8 * (1 + 9 * n + n_pairs) + 1)))
+    times, poses, ctrl, phi, regions, dists = log_rows = _log_rows(
+        rows, n, n_pairs)
 
     events: list[Event] = []
     switch_step = None
@@ -408,10 +427,13 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     watched_dist, watched_norms = watched[:n_pairs], watched[n_pairs:]
     dist = kernel.pair_work.dist
     reach = np.empty(screened.shape, dtype=bool)
-    reach_high = reach[0]
 
     k = 0
     while True:
+        if k == rows:  # the log is full: double it, up to the horizon
+            rows = min(2 * rows, S)
+            times, poses, ctrl, phi, regions, dists = log_rows = _log_rows(
+                rows, n, n_pairs, log_rows)
         t = k * cfg.time_step
         # the informed robot's position as floats, read once a step for the
         # region switch, the kernel and the stop screen
@@ -420,6 +442,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
             region = region_of(leader, cfg, const=leader_const)
             if region is RegionFlag.RENDEZVOUS:
                 switch_step = k
+                bounds[1, :n_pairs] = np.inf
                 events.append(Event(k, t, "switch", (
                     "informed robot reached the switch distance" if k
                     else "collision avoidance off from the start")))
@@ -432,18 +455,11 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
         ctrl[k] = kernel.by_robot
         poses[k + 1] = pose
 
-        avoiding = region is RegionFlag.COLLISION_FREE
         times[k] = t
-        regions[k] = 0 if avoiding else 1
+        regions[k] = region is RegionFlag.RENDEZVOUS
         dists[k] = watched_dist[...] = dist
-        if avoiding:
-            np.negative(watched, out=negated)
-            reached = np.count_nonzero(
-                np.greater_equal(screened, bounds, out=reach))
-        else:
-            reached = np.count_nonzero(
-                np.greater_equal(watched, high, out=reach_high))
-        if reached:
+        np.negative(watched, out=negated)
+        if np.count_nonzero(np.greater_equal(screened, bounds, out=reach)):
             step_events = monitor_invariants(poses[k, :, :2], dists[k], pairs,
                                              monitored, region, cfg, k, t)
             events.extend(step_events)

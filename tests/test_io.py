@@ -146,8 +146,11 @@ class TestParseScenario:
     def test_validation_failure_propagates(self, tmp_path):
         path = tmp_path / "bad.scn"
         write_lines(path, minimal_lines(collision_margin="2.0"))
-        with pytest.raises(ScenarioError, match="collision_margin"):
+        with pytest.raises(ScenarioError) as info:
             parse_scenario(str(path))
+        # the rule's own type and message, after the file's name
+        assert type(info.value) is ScenarioError
+        assert str(info.value).startswith(f"{path}: collision_margin")
 
     @pytest.mark.parametrize("case", PARSE_FAILURES)
     def test_parse_failure_message(self, tmp_path, case):
@@ -185,7 +188,7 @@ class TestParseScenario:
         write_lines(path, minimal_lines(deployment, n_robots=n_robots))
         with pytest.raises(ScenarioError) as info:
             parse_scenario(str(path))
-        assert str(info.value) == "n_robots must be >= 1"
+        assert str(info.value) == f"{path}: n_robots must be >= 1"
 
 
 @pytest.fixture(scope="module")
@@ -952,7 +955,7 @@ class TestCli:
         key, value, message = OUT_OF_RANGE[case]
         path = edited_reference(tmp_path / "bad.scn", key, value)
         assert main(["check", str(path)]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("pose", ["inf -1.6 -1.0", "-6.8 -1.6 inf"])
     def test_infinite_pose_named(self, tmp_path, capsys, pose):
@@ -961,7 +964,8 @@ class TestCli:
         path = tmp_path / "inf.scn"
         write_lines(path, lines)
         assert main(["check", str(path)]) == 1
-        assert capsys.readouterr().err == "error: pose_2 must be finite\n"
+        assert capsys.readouterr().err == (
+            f"error: {path}: pose_2 must be finite\n")
 
     def test_seeded_assumption_failure_exit_code(self, tmp_path, capsys):
         # every draw that keeps the robots min_separation apart puts them
@@ -971,8 +975,9 @@ class TestCli:
         path = tmp_path / "apart.scn"
         write_lines(path, lines)
         assert main(["check", str(path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: seeded deployment: no connected draw in 1000 attempts\n")
+        assert capsys.readouterr().err == (f"error: {path}: seeded deployment: "
+                                           "no connected draw in 1000 "
+                                           "attempts\n")
 
     def test_run_and_metrics_and_plots(self, tmp_path, capsys):
         path = tmp_path / "tiny.scn"

@@ -20,8 +20,8 @@ from rendezsim.gradients import (DISTANCE_FLOOR, JetKernel, QuotientWork,
                                  _quotient_jet)
 from rendezsim.model import TWO_PI, turn_angles, wrap_angles
 
-from conftest import make_states, small_config
-from oracles import integrate_copy
+from conftest import make_states, small_config, topology
+from oracles import integrate_copy, plain_step
 
 
 def wrap_angles_before(theta):
@@ -279,6 +279,50 @@ class TestFollowerDivides:
         if not math.isnan(bad):  # under the floor: the edge adds no slope
             assert bad < DISTANCE_FLOOR
             assert all(np.isfinite(x).all() for x in masked)
+
+
+    # followers 2 and 3 coincide, and 4 and 5 lie under the floor apart
+    CLOSE = np.array([[-4.0, -2.0, 0.5], [-4.8, -2.5, -1.0],
+                      [-4.8, -2.5, 2.0], [-3.4, -2.9, 0.0],
+                      [-3.4 + 0.5 * DISTANCE_FLOOR, -2.9, 1.0]])
+
+    def _close_inputs(self):
+        """Config and all-pairs topology of ``CLOSE``."""
+        n = len(self.CLOSE)
+        cfg = small_config(
+            n_robots=n, linear_gains=[1.0] * n, angular_gains=[1.0] * n,
+            initial_states=make_states(self.CLOSE))
+        return cfg, topology(n, {i: [j for j in range(1, n + 1) if j != i]
+                                 for i in range(1, n + 1)})
+
+    @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
+                                        RegionFlag.RENDEZVOUS])
+    def test_affected_followers_match_the_plain_step(self, region):
+        cfg, topo = self._close_inputs()
+        poses = self.CLOSE
+        states, controls, _ = sim.step(cfg.initial_states, region, cfg, topo)
+        new, rows, phi = plain_step(cfg, topo.adjacency, poses, poses[:, 2],
+                                    region)
+        assert same_bits([[*s.position, s.heading] for s in states], new)
+        assert same_bits([[c.v, c.omega, c.theta_d, c.theta_tilde,
+                           c.theta_d_dot] for c in controls], rows.T)
+        assert same_bits([c.phi for c in controls], phi)
+        assert np.isfinite(new).all()
+
+    def test_constant_factor_row_is_neutral(self):
+        # without avoidance B's row is 1 with log-derivatives -0.0, so the
+        # sums are b's bits, also where b's are -0.0: at d = 0, s_b = 1
+        cfg, topo = self._close_inputs()
+        kernel = JetKernel(cfg, topo.adjacency)
+        pairs = sim._offsets(sim.PairWork(self.CLOSE))
+        kernel(self.CLOSE[0, :2], pairs, RegionFlag.RENDEZVOUS)
+        rows = kernel.factor_rows
+        assert (rows.s[1] == 1.0).all()
+        l1_b, l2_b = rows.l[0], rows.l[3]
+        assert np.any(np.signbit(l1_b) & (l1_b == 0.0))
+        assert np.any(np.signbit(l2_b) & (l2_b == 0.0))
+        for summed, b in ((rows.summed[0], l1_b), (rows.summed[3], l2_b)):
+            assert same_bits(summed, b)
 
 
 class TestKernelLogistic:

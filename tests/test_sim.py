@@ -14,6 +14,7 @@ from rendezsim.sim import AssumptionError, MonitorViolation, fit_decay_rate
 
 from conftest import make_states, small_config
 from oracles import integrate_copy, integrate_pose
+from test_step_cost import _reference, _rendezvous
 
 
 class TestIntegrator:
@@ -532,6 +533,23 @@ class TestMonitorScreen:
             f"{e.kind}: {e.detail}" for e in events if e.step == first)
 
 
+    def test_no_collision_screen_after_the_switch(self, monkeypatch):
+        # two followers at the collision floor, with avoidance off from
+        # the start: no watched value reaches a bound, so the monitors are
+        # never called
+        cfg = small_config(horizon=0.5, collision_floor=0.375,
+                           initial_states=make_states(
+                               [(0.0, 0.5, 0.5), (-0.75, 0.0, -1.0),
+                                (-0.75, 0.375, 2.0)]))
+        checked = []
+        monkeypatch.setattr(sim, "monitor_invariants",
+                            lambda *args: checked.append(args) or [])
+        log = run(cfg)
+        assert log.switch_step == 0
+        assert log.distances[0, log.pairs.index((2, 3))] <= 0.375
+        assert not checked
+
+
 class TestAccretion:
     """neighbor_mode = accreting: followers 2 and 3 start 2.4 m apart, out
     of each other's sight, and close in on the informed robot between them."""
@@ -731,6 +749,44 @@ class TestRun:
         assert log.times.shape[0] == log.poses.shape[0]
         assert np.allclose(np.diff(log.times), small_config().time_step)
         assert log.poses.shape[1] == 3 or log.poses.shape[1] == log.n_robots
+
+
+class TestLogGrowth:
+    """The log starts at most ``sim.LOG_BYTES`` large and doubles as the run
+    outgrows it, so its size follows the steps run, not the horizon."""
+
+    FIELDS = ("times", "poses", "controls", "phi", "region", "distances")
+
+    def test_grown_log_equals_the_default_one(self, monkeypatch):
+        cfg = _reference()
+        default = run(cfg)
+        made = []
+        log_rows = sim._log_rows
+
+        def record(rows, *args):
+            made.append(rows)
+            return log_rows(rows, *args)
+        monkeypatch.setattr(sim, "LOG_BYTES", 0)
+        monkeypatch.setattr(sim, "_log_rows", record)
+        grown = run(cfg)
+        # 1,024 rows at first, doubled four times for 11,414 steps
+        assert made == [1024, 2048, 4096, 8192, 16384]
+        assert grown.n_steps == default.n_steps == 11414
+        for name in self.FIELDS:
+            a, b = getattr(grown, name), getattr(default, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
+        assert grown.events == default.events
+        assert grown.switch_step == default.switch_step == 10853
+
+    def test_long_horizon_allocates_what_the_run_needs(self):
+        # 2e8 steps of log would not fit in memory; the run converges at
+        # step 297
+        log = run(dataclasses.replace(_rendezvous(), horizon=1e6))
+        assert log.n_steps == 298
+        # the whole log, its one extra pose row aside, within the bound
+        held = sum(getattr(log, name).base.nbytes for name in self.FIELDS)
+        assert held <= sim.LOG_BYTES + log.poses[0].nbytes
 
 
 class TestMetrics:
