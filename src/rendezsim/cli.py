@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 parse/validation failure, 2 initial-graph
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from .model import ScenarioError
 from .scenario_io import (emit_plot_script, export_trajectory,
@@ -34,9 +35,20 @@ def _print_metrics(metrics) -> None:
               f"{metrics.heading_decay_rate:.4f} 1/s")
 
 
+@contextmanager
+def _naming(path: str):
+    """Name the scenario file in the initial graph's AssumptionError, as
+    ``parse_scenario`` names it in its own."""
+    try:
+        yield
+    except AssumptionError as exc:
+        raise AssumptionError(f"{path}: {exc}") from exc
+
+
 def cmd_run(args) -> int:
     cfg = parse_scenario(args.scenario)
-    log = run(cfg, strict=args.strict)
+    with _naming(args.scenario):
+        log = run(cfg, strict=args.strict)
     out_dir = args.out
     traj, dist = export_trajectory(log, out_dir)
     print(f"{log.n_steps} steps, {log.times[-1]:.3f} s simulated, "
@@ -55,7 +67,8 @@ def cmd_run(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = parse_scenario(args.scenario)
-    initial_topology(cfg)
+    with _naming(args.scenario):
+        initial_topology(cfg)
     print(f"scenario valid: {cfg.n_robots} robots, "
           f"switch distance {cfg.switch_distance:.3f} m, "
           f"initial graph has a spanning tree rooted at robot 1")

@@ -33,9 +33,8 @@ def _logistic(z: float) -> float:
 
 
 def logistic_negated(y: np.ndarray, minus_zero: np.ndarray,
-                     one: np.ndarray, out: np.ndarray | None = None,
-                     nonpositive: np.ndarray | None = None,
-                     e: np.ndarray | None = None) -> np.ndarray:
+                     one: np.ndarray, out: np.ndarray,
+                     nonpositive: np.ndarray, e: np.ndarray) -> np.ndarray:
     """logistic(-y) elementwise, overflow-safe as ``_logistic`` is.
 
     With e = exp(-|y|) that is 1 / (1 + e) where y <= 0 and e / (1 + e)
@@ -45,15 +44,15 @@ def logistic_negated(y: np.ndarray, minus_zero: np.ndarray,
     1.0 in y's shape, so that no call takes a scalar operand or broadcasts:
     -0.0 compares as 0 and lends ``copysign`` its sign, -|y|. The result
     goes into ``out``, the screen into the boolean ``nonpositive`` and e
-    into ``e``, all of y's shape; each is allocated when not given.
+    into ``e``, all of y's shape.
     """
-    nonpositive = np.less_equal(y, minus_zero, out=nonpositive)
+    np.less_equal(y, minus_zero, out=nonpositive)
     if np.count_nonzero(nonpositive) == y.size:
-        out = np.exp(y, out=out)
+        np.exp(y, out=out)
         np.add(one, out, out=out)
         return np.divide(one, out, out=out)
-    e = np.exp(np.copysign(y, minus_zero, out=e), out=e)
-    out = np.maximum(e, nonpositive, out=out)
+    np.exp(np.copysign(y, minus_zero, out=e), out=e)
+    np.maximum(e, nonpositive, out=out)
     return np.divide(out, np.add(one, e, out=e), out=out)
 
 
@@ -84,11 +83,18 @@ def sigmoid_collision(d: float, collision_margin: float, eps: float) -> float:
 
 @dataclass
 class FieldEval:
-    """Value, own-position gradient and Hessian of one robot's potential."""
+    """Value, own-position gradient and Hessian of one robot's potential; a
+    follower's gradient also as sum m_j * (p - q_j), by its edge weights."""
 
     value: float
     gradient: np.ndarray        # shape (2,)
     hessian: np.ndarray         # shape (2, 2)
+    edge_weights: tuple[float, ...] = ()  # m_j, aligned with the neighbors
+
+
+def potential(gamma: float, beta: float, alpha: float) -> float:
+    """gamma / (gamma^alpha + beta)^(1/alpha), the form of every potential."""
+    return gamma / (gamma ** alpha + beta) ** (1.0 / alpha)
 
 
 def follower_terms(position: np.ndarray,
@@ -227,9 +233,8 @@ def navfunc_leader(position: np.ndarray, cfg: ScenarioConfig,
     and the workspace rim never coincide, so numerator and denominator cannot
     vanish together. ``const`` is ``leader_constants(cfg)``.
     """
-    alpha = cfg.field_exponent
     gamma, _, beta, _, _ = leader_terms(position, cfg, const)
-    return gamma / (gamma ** alpha + beta) ** (1.0 / alpha)
+    return potential(gamma, beta, cfg.field_exponent)
 
 
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
@@ -237,10 +242,9 @@ def navfunc_follower(position: np.ndarray,
                      neighbor_positions: Sequence[np.ndarray],
                      region: RegionFlag, cfg: ScenarioConfig) -> float:
     """Follower potential: zero at consensus, 1 where a constraint is met."""
-    alpha = cfg.field_exponent
     gamma, _, beta, _, _, _ = follower_terms(position, neighbor_positions,
                                              region, cfg)
-    return gamma / (gamma ** alpha + beta) ** (1.0 / alpha)
+    return potential(gamma, beta, cfg.field_exponent)
 
 
 def region_of(leader_position: np.ndarray, cfg: ScenarioConfig,

@@ -8,7 +8,6 @@ with weights that are nonnegative whenever the collision factors are absent.
 """
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
 
@@ -16,7 +15,7 @@ import numpy as np
 
 from .fields import (DISTANCE_FLOOR, FieldEval, follower_terms,
                      leader_constants, leader_terms, logistic_negated,
-                     navfunc_leader, sigmoid_gain)
+                     navfunc_leader, potential, sigmoid_gain)
 from .model import RegionFlag, ScenarioConfig
 # not called here: rendezbench/tracing.py wraps these names
 from .fields import (navfunc_follower, sigmoid_collision,  # noqa: F401
@@ -78,7 +77,7 @@ class Rows:
     def view(self, block: np.ndarray, run: str) -> np.ndarray:
         """The rows of ``run`` in ``block``; one name gives one row."""
         at = self.at(run)
-        return block[at] if at.stop - at.start > 1 else block[at.start, ...]
+        return block[at] if at.stop - at.start > 1 else block[at.start]
 
 
 class QuotientWork:
@@ -90,9 +89,7 @@ class QuotientWork:
     gradient as (dbx, dby) and its Hessian as (hxx, hyy, hxy); the rule
     writes dp and h0, and a, am, ap and half hold alpha, alpha - 1, alpha +
     1 and 1/2. The rows of ``changing`` are the ones that ``load`` writes,
-    or that the step kernel fills. With n None the rows are one robot's
-    values, and gamma and beta enter the exponents as floats: a numpy
-    power over an array rounds differently from the C library's.
+    or that the step kernel fills.
     """
 
     INPUTS = Rows("a a a a am am dgy dgx G G G G G",
@@ -111,13 +108,12 @@ class QuotientWork:
     THIRD = Rows("fx fy dx dy h dex dey dex")
     FE = Rows("fdex fdey fex fey")
 
-    def __init__(self, alpha: float, n: int | None = None):
+    def __init__(self, alpha: float, n: int):
         self.alpha = alpha
-        cols = () if n is None else (n,)
         constants = {"a": alpha, "am": alpha - 1.0, "ap": alpha + 1.0,
                      "half": 0.5}
         layouts = (self.INPUTS, self.FIRST, self.SECOND, self.THIRD, self.FE)
-        blocks = [np.empty((len(rows.names), *cols)) for rows in layouts]
+        blocks = [np.empty((len(rows.names), n)) for rows in layouts]
         for rows, block in zip(layouts, blocks):
             for i, name in enumerate(rows.names):
                 if name in constants:
@@ -131,11 +127,10 @@ class QuotientWork:
                       p("ab ab ab ab d0x d0y cry crx gdbx gdby gdxx gdyy "
                         "gdxy"))
         self.gamma3, self.beta3 = q("G G G"), q("B B B")
-        self.gamma_base, self.beta_base = self.gamma3, self.beta3
         self.gamma, self.dp, self.h0 = q("G"), q("dp dp dp"), q("h0")
         self.a3, self.ap3, self.half = q("a a a"), q("ap ap ap"), q("half")
-        self.s, self.e, self.ar = (np.empty((3, *cols)) for _ in range(3))
-        self.e2, self.e_row = self.e[:2], self.e[0, ...]
+        self.s, self.e, self.ar = (np.empty((3, n)) for _ in range(3))
+        self.e2, self.e_row = self.e[:2], self.e[0]
         self.second = (p("a a a ab ab ab ab d0x d0y"),
                        q("dp dp dp dgx dgy L L dbx dby"),
                        c("dpa dpa dpa f0x f0y ablx ably d1x d1y"))
@@ -152,23 +147,19 @@ class QuotientWork:
         self.fde, self.fe_yx = fe("fdex fdey"), fe("fex fey")
         self.d_h, self.h = x("dx dy h"), x("h")
         self.fde_fex, self.fey = fe("fdex fdey fex"), fe("fey")
-        self.hess_rows = np.empty((3, *cols))
-        self.hess = (self.hess_rows[0, ...], self.hess_rows[2, ...],
-                     self.hess_rows[1, ...])
-        self.phi = np.empty(cols)
+        self.hess_rows = np.empty((3, n))
+        self.hess = (self.hess_rows[0], self.hess_rows[2], self.hess_rows[1])
+        self.phi = np.empty(n)
 
     def load(self, gamma, dgamma, lap, beta, dbeta, ddbeta):
-        """Write the inputs: gamma, lap and beta floats or (n,) rows, the
-        gradients (x, y) and beta's Hessian (xx, xy, yy). Returns self."""
+        """Write the inputs, each a float or an (n,) row: gamma, lap, beta,
+        the gradients (x, y) and beta's Hessian (xx, xy, yy). Returns self."""
         values = {"G": gamma, "dgx": dgamma[0], "dgy": dgamma[1], "L": lap,
                   "B": beta, "dbx": dbeta[0], "dby": dbeta[1],
                   "hxx": ddbeta[0], "hxy": ddbeta[1], "hyy": ddbeta[2]}
         for i, name in enumerate(self.INPUTS.names):
             if name in values:
                 self.inputs[i] = values[name]
-        if self.inputs.ndim == 1:
-            self.gamma_base, self.beta_base = float(gamma), float(beta)
-            self.s = None
         return self
 
 
@@ -189,7 +180,7 @@ def _quotient_jet(w: QuotientWork):
     alpha = w.alpha
     inv_alpha = 1.0 / alpha
     np.multiply(*w.first[:2], out=w.first[2])
-    s = np.add(w.gamma_base ** alpha, w.beta_base, out=w.s)
+    s = np.add(w.gamma3 ** alpha, w.beta3, out=w.s)
     root = s ** inv_alpha
     e = np.multiply(w.a3, s ** (inv_alpha + 1.0), out=w.e)
     # d(gamma^a)/d(gamma) diverges at gamma = 0 for a < 1, where grad gamma
@@ -222,54 +213,47 @@ def _quotient_jet(w: QuotientWork):
     np.multiply(w.half, h, out=h)
     np.subtract(h, w.gdxy, out=h)
     np.divide(w.d_h, e, out=w.hess_rows)
-    phi = np.divide(w.gamma, root if w.s is None else root[0], out=w.phi)
+    phi = np.divide(w.gamma, root[0], out=w.phi)
     return phi, f, w.hess, w.e_row
 
 
-def _matrix(hess):
-    xx, xy, yy = hess
-    return np.array([[xx, xy], [xy, yy]])
-
-
-@dataclass
-class GradientBundle:
-    """Gradient plus its edgewise decomposition sum m_j * (p - q_j)."""
-
-    gradient: np.ndarray
-    edge_weights: tuple[float, ...]  # aligned with the neighbor sequence
-    hessian: np.ndarray              # shape (2, 2)
-    value: float                     # the regional potential, as logged
+def _one_robot_jet(alpha, lap, gamma, dgamma, beta, dbeta, ddbeta):
+    """Gradient (2,), Hessian (2, 2) and e of one robot, by the step
+    kernel's arithmetic: the one column of a ``QuotientWork``."""
+    _, grad, (xx, xy, yy), e = _quotient_jet(QuotientWork(alpha, 1).load(
+        gamma, dgamma, lap, beta, dbeta, ddbeta))
+    return grad[:, 0], np.array([[xx[0], xy[0]], [xy[0], yy[0]]]), e[0]
 
 
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def grad_navfunc_follower(position: np.ndarray,
                           neighbor_positions: Sequence[np.ndarray],
                           region: RegionFlag,
-                          cfg: ScenarioConfig) -> GradientBundle:
-    """Quotient-rule gradient and Hessian of the regional follower potential.
+                          cfg: ScenarioConfig) -> FieldEval:
+    """Value, gradient and Hessian of the regional follower potential, and
+    the gradient's edgewise decomposition sum m_j * (p - q_j).
 
     Edge weights
     m_j = (2 * alpha * beta - gamma * w_j) / (alpha * (gamma^a + beta)^(1/a+1))
     where w_j = beta * slope_j are the constraint edge weights; the two
     representations agree by construction. With the collision factors absent,
-    w_j <= 0 and every m_j is nonnegative.
+    w_j <= 0 and every m_j is nonnegative. One walk over the neighbors gives
+    all of it: the value is ``fields.potential`` of its gamma and beta.
     """
     alpha = cfg.field_exponent
     gamma, dgamma, beta, dbeta, ddbeta, slopes = follower_terms(
         position, neighbor_positions, region, cfg)
-    phi, grad, hess, e = _quotient_jet(QuotientWork(alpha).load(
-        gamma, dgamma, 2.0 * len(neighbor_positions), beta, dbeta, ddbeta))
+    grad, hess, e = _one_robot_jet(alpha, 2.0 * len(neighbor_positions),
+                                   gamma, dgamma, beta, dbeta, ddbeta)
     ms = tuple((2.0 * alpha * beta - gamma * beta * t) / e for t in slopes)
-    return GradientBundle(gradient=np.array(grad), edge_weights=ms,
-                          hessian=_matrix(hess), value=float(phi))
+    return FieldEval(value=potential(gamma, beta, alpha), gradient=grad,
+                     hessian=hess, edge_weights=ms)
 
 
 def _leader_jet(position, cfg):
     """Gradient and Hessian of the informed robot's dipolar potential."""
-    gamma, dgamma, beta, dbeta, ddbeta = leader_terms(position, cfg)
-    _, grad, hess, _ = _quotient_jet(QuotientWork(cfg.field_exponent).load(
-        gamma, dgamma, 2.0, beta, dbeta, ddbeta))
-    return np.array(grad), _matrix(hess)
+    return _one_robot_jet(cfg.field_exponent, 2.0,
+                          *leader_terms(position, cfg))[:2]
 
 
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
@@ -284,14 +268,9 @@ def leader_field_eval(position: np.ndarray, cfg: ScenarioConfig) -> FieldEval:
 def follower_field_eval(position: np.ndarray,
                         neighbor_positions: Sequence[np.ndarray],
                         region: RegionFlag, cfg: ScenarioConfig) -> FieldEval:
-    """Bundle value, analytic gradient and Hessian for a follower.
-
-    The gradient's quotient is the regional potential itself, so one walk
-    over the neighbors gives all three.
-    """
-    bundle = grad_navfunc_follower(position, neighbor_positions, region, cfg)
-    return FieldEval(value=bundle.value, gradient=bundle.gradient,
-                     hessian=bundle.hessian)
+    """Value, analytic gradient and Hessian for a follower, from one walk
+    over its neighbors (``grad_navfunc_follower``)."""
+    return grad_navfunc_follower(position, neighbor_positions, region, cfg)
 
 
 class _FactorRows:

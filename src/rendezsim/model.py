@@ -45,31 +45,27 @@ def normalize_angle(theta: float) -> float:
     return wrapped
 
 
-def wrap_angles(theta: np.ndarray, out: np.ndarray | None = None,
-                pi=math.pi, screen: tuple | None = None) -> np.ndarray:
-    """normalize_angle elementwise; a non-finite angle comes out NaN.
+def wrap_angles(theta: np.ndarray, out: np.ndarray, pi: np.ndarray,
+                screen: tuple) -> np.ndarray:
+    """normalize_angle elementwise, into ``out``; a non-finite angle comes
+    out NaN.
 
-    Writes into ``out`` when given. Bit for bit normalize_angle, signed
-    zeros included, with plain ufunc calls only. ``pi`` bounds the screen
-    that passes angles inside (-pi, pi) through as they are: math.pi, or
-    an array of it in theta's shape, as the step kernel passes it so that
-    the call takes no scalar operand. ``screen``, a float and a boolean
-    array of theta's shape, receives |theta| and the screen's comparison;
-    both are allocated when it is not given.
+    Bit for bit normalize_angle, signed zeros included, with plain ufunc
+    calls only. ``pi``, math.pi in theta's shape, bounds the screen that
+    passes angles inside (-pi, pi) through as they are, with no scalar
+    operand. ``screen``, a float and a boolean array of theta's shape,
+    receives |theta| and the screen's comparison.
     """
-    magnitude, inside = (None, None) if screen is None else screen
-    inside = np.less(np.abs(theta, out=magnitude), pi, out=inside)
+    magnitude, inside = screen
+    np.less(np.abs(theta, out=magnitude), pi, out=inside)
     if np.count_nonzero(inside) == inside.size:
         # fmod and the turn below leave every angle in (-pi, pi) as it is
-        if out is None:
-            return np.array(theta, dtype=float)
         out[...] = theta
         return out
     return turn_angles(np.fmod(theta, TWO_PI, out=out), out=out)
 
 
-def turn_angles(theta: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
+def turn_angles(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     """One turn of 2 pi into (-pi, pi]: normalize_angle for |theta| < 2 pi.
 
     Bit for bit normalize_angle on (-2 pi, 2 pi], the range of an ``fmod``
@@ -77,7 +73,7 @@ def turn_angles(theta: np.ndarray,
     the identity except at 2 pi itself (both give +0.0 there). A value
     lowered from above pi is above -pi. Where no turn is due it is +0.0,
     and w - (+0.0) is w, -0.0 included; w - (-2 pi) is w + 2 pi exactly.
-    NaN stays NaN. Writes into ``out`` when given.
+    NaN stays NaN. Writes into ``out``, which may be ``theta``.
     """
     turns = np.subtract(theta > math.pi, theta <= -math.pi, dtype=float)
     turns *= TWO_PI

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,14 @@ def make_states(poses):
     """poses: list of (x, y, theta); ids assigned 1..n in order, 1 informed."""
     return [RobotState(i + 1, np.array([x, y]), th)
             for i, (x, y, th) in enumerate(poses)]
+
+
+def wrap_rows(theta):
+    """The rows ``model.wrap_angles`` takes after ``out``, in theta's
+    shape: pi, and the screen's |theta| and comparison."""
+    shape = np.shape(theta)
+    return np.full(shape, math.pi), (np.empty(shape),
+                                     np.empty(shape, dtype=bool))
 
 
 def topology(n, neighbors):

@@ -312,10 +312,10 @@ class TestHessianOracle:
 
 
 class TestOneWalk:
-    """follower_field_eval takes its value from the quotient that the
-    gradient already forms, so it walks a follower's neighbors once and
-    evaluates b(d) once per edge; a second walk in navfunc_follower gives
-    the same value bit for bit."""
+    """follower_field_eval takes its value from the gamma and beta of the
+    walk that gives the gradient, so it walks a follower's neighbors once
+    and evaluates b(d) once per edge; a second walk in navfunc_follower
+    gives the same value bit for bit."""
 
     @staticmethod
     def two_walks(p, qs, region, params):

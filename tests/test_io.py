@@ -939,6 +939,20 @@ class TestCli:
         write_lines(path, lines)
         assert main(["check", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_split_graph_names_the_file(self, tmp_path, capsys, command):
+        lines = minimal_lines()
+        lines[-1] = "pose_2 = 10.0 10.0 0.0"  # out of sensing range
+        path = tmp_path / "split.scn"
+        write_lines(path, lines)
+        out = tmp_path / "logs"
+        extra = ["--out", str(out)] if command == "run" else []
+        assert main([command, str(path), *extra]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: initial graph has no spanning tree rooted at "
+            "the informed robot\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", sorted(INFINITE))
     def test_infinite_number_named(self, tmp_path, capsys, key):
         path = edited_reference(tmp_path / "inf.scn", key, INFINITE[key])

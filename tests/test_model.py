@@ -6,7 +6,7 @@ import pytest
 from rendezsim import RobotState, ScenarioError, validate_scenario
 from rendezsim.model import normalize_angle, wrap_angles
 
-from conftest import make_states, small_config
+from conftest import make_states, small_config, wrap_rows
 
 
 class TestNormalizeAngle:
@@ -51,13 +51,14 @@ class TestWrapAngles:
         grid = np.linspace(-25.0, 25.0, 1001).tolist()
         theta = np.array(edges + grid)
         expected = [normalize_angle(t) for t in theta.tolist()]
-        out = wrap_angles(theta)
+        out = wrap_angles(theta, np.empty(len(theta)), *wrap_rows(theta))
         # bit for bit, signed zeros included
         assert out.tobytes() == np.array(expected).tobytes()
 
     def test_non_finite_comes_out_nan(self):
         with np.errstate(invalid="ignore"):
-            out = wrap_angles(np.array([math.nan, math.inf, -math.inf, 1.0]))
+            theta = np.array([math.nan, math.inf, -math.inf, 1.0])
+            out = wrap_angles(theta, np.empty(4), *wrap_rows(theta))
         assert np.isnan(out[:3]).all() and out[3] == 1.0
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from rendezsim import (RegionFlag, RobotState, ScenarioConfig, Topology,
-                       TrajectoryLog, compute_metrics, monitor_invariants,
-                       run, seeded_deployment, sim, step)
+                       TrajectoryLog, compute_metrics, gradients,
+                       monitor_invariants, run, seeded_deployment, sim, step)
 from rendezsim.control import compute_control
 from rendezsim.gradients import JetKernel
 from rendezsim.model import normalize_angle
@@ -448,6 +448,28 @@ class TestKernelRowZero:
             assert angle_gap(new_states[0].heading, pose[2]) <= 1e-12
             if spot == "goal":
                 assert ref.grad_norm == 0.0 and got.phi == 0.0
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_jets_equal_the_scalar_reference(self, n):
+        # one quotient rule: _leader_jet runs the kernel's numpy calls on a
+        # one-robot column, so row 0 takes its bits whatever the row length
+        rng = np.random.default_rng(19)
+        poses = np.column_stack([rng.uniform(-4.0, 4.0, (n, 2)),
+                                 np.zeros(n)])
+        cfg = small_config(n_robots=n, goal_position=self.GOAL,
+                           linear_gains=[2.0] * n, angular_gains=[8.0] * n,
+                           initial_states=make_states(poses))
+        kernel = sim.StepKernel(cfg, ~np.eye(n, dtype=bool))
+        for spot in ["goal", "centre"] + ["random"] * 300:
+            p = self._spot(rng, spot)
+            kernel.poses[:, :2] = p + rng.uniform(-1.2, 1.2, (n, 2))
+            kernel.poses[0, :2] = p
+            _, grad, (xx, xy, yy) = kernel.jets(
+                p.tolist(), kernel.pairs(), RegionFlag.COLLISION_FREE)
+            ref_grad, ref_hess = gradients._leader_jet(p, cfg)
+            assert grad[:, 0].tobytes() == ref_grad.tobytes(), spot
+            assert np.array([[xx[0], xy[0]], [xy[0], yy[0]]]).tobytes() == (
+                ref_hess.tobytes()), spot
 
     def test_one_robot_run_matches_compute_control(self):
         cfg = small_config(n_robots=1, linear_gains=[2.0],

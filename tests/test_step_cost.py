@@ -18,6 +18,7 @@ import pytest
 
 from rendezsim import (ScenarioConfig, parse_scenario, run,
                        seeded_deployment)
+from conftest import wrap_rows
 from numpy_calls import PACKAGE, counting
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
@@ -166,9 +167,10 @@ class TestCounter:
     def test_counts_rendezsim_calls_only(self):
         from rendezsim import model
         theta = np.array([0.5, 4.0, -4.0])
+        rows = (np.empty(3), *wrap_rows(theta))
         with counting() as counts:
             np.add(theta, theta)  # made here, not by rendezsim
-            model.wrap_angles(theta)
+            model.wrap_angles(theta, *rows)
         functions = {f for f, _ in counts.calls}
         # the two angles past pi take the turn, a function of its own
         assert functions == {"model.wrap_angles", "model.turn_angles"}
@@ -196,17 +198,15 @@ class TestCounter:
     def test_scalar_operands_are_tallied(self):
         from rendezsim import model
         theta = np.array([0.5, -1.0, 2.0])
+        rows = (np.empty(3), *wrap_rows(theta))
         with counting() as counts:
-            model.wrap_angles(theta, pi=np.full(3, math.pi))
+            model.wrap_angles(theta, *rows)
         assert counts.calls["model.wrap_angles", "less"] == 1
         assert not counts.scalar
         with counting() as counts:
-            model.wrap_angles(theta)  # the screen's bound, a float
-        assert counts.scalar == {("model.wrap_angles", "less"): 1}
-        with counting() as counts:
             # two bounds and 2 pi, on an array made inside the window, whose
             # operators are counted too
-            model.turn_angles(np.array([0.5, 4.0, -4.0]))
+            model.turn_angles(np.array([0.5, 4.0, -4.0]), np.empty(3))
         assert sum(counts.scalar.values()) == 3
         assert not counts.broadcast
 
@@ -217,8 +217,9 @@ class TestCounter:
         # fails here and this pin changes with it
         from rendezsim import model
         theta = np.array([0.5, 4.0, -4.0])
+        out = np.empty(3)
         with counting() as counts:
-            model.turn_angles(theta)
+            model.turn_angles(theta, out)
         assert counts.calls == {("model.turn_angles", "subtract"): 2,
                                 ("model.turn_angles", "multiply"): 1}
         assert counts.scalar == {("model.turn_angles", "multiply"): 1}
@@ -227,13 +228,14 @@ class TestCounter:
         from rendezsim import model
         theta = np.array([0.5, -1.0, 2.0])
         out = np.empty(3)
+        pi, screen = wrap_rows(theta)
         with counting() as counts:
-            model.wrap_angles(theta, out=out, pi=np.full(3, math.pi))
+            model.wrap_angles(theta, out, pi, screen)
         assert counts.calls["model.wrap_angles", "less"] == 1
         assert not counts.broadcast
         with counting() as counts:
             # a (1,) bound beside the (3,) angles
-            model.wrap_angles(theta, out=out, pi=np.array([math.pi]))
+            model.wrap_angles(theta, out, np.array([math.pi]), screen)
         assert counts.broadcast == {("model.wrap_angles", "less"): 1}
         with counting() as counts:
             np.add(theta, np.array([1.0]))  # made here, not by rendezsim
