@@ -17,7 +17,7 @@ from rendezsim.fields import region_of
 from rendezsim import gradients
 from rendezsim.fields import logistic_negated
 from rendezsim.gradients import (DISTANCE_FLOOR, JetKernel, QuotientWork,
-                                 _quotient_jet)
+                                 _one_robot_jet, _quotient_jet)
 from rendezsim.model import TWO_PI, turn_angles, wrap_angles
 
 from conftest import make_states, small_config, topology, wrap_rows
@@ -183,6 +183,24 @@ class TestQuotientRule:
             got = _quotient_jet(QuotientWork(alpha, len(inputs[0])).load(
                 *inputs))
             self.check(got, quotient_jet_before(alpha, *inputs))
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 2.0, 3.0])
+    def test_one_robot_takes_floats(self, alpha):
+        # the scalar references' entry, gamma, lap and beta as floats, gives
+        # the formula over that robot's one-element rows (float ** rounds
+        # differently from the rows' power at alpha = 3)
+        gamma, dgamma, lap, beta, dbeta, ddbeta = self.inputs(6)
+        for i in range(6):
+            grad, hess, e = _one_robot_jet(
+                alpha, float(lap[i]), float(gamma[i]), dgamma[:, i],
+                float(beta[i]), dbeta[:, i], ddbeta[:, i])
+            cols = slice(i, i + 1)
+            _, f, (xx, xy, yy), e_rows = quotient_jet_before(
+                alpha, gamma[cols], dgamma[:, cols], lap[cols], beta[cols],
+                dbeta[:, cols], ddbeta[:, cols])
+            assert same_bits(grad, f[:, 0])
+            assert same_bits(hess, [[xx[0], xy[0]], [xy[0], yy[0]]])
+            assert same_bits(e, e_rows[0])
 
 
 def logistic_before(y, minus_zero, one, out, nonpositive, e):
