@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 parse/validation failure, 2 initial-graph
-(spanning-tree) failure, 3 monitor violation under --strict.
+Exit codes: 0 success, 1 parse/validation failure or a non-finite state
+in a run, 2 initial-graph (spanning-tree) failure, 3 monitor violation
+under --strict.
 """
 
 import argparse
@@ -11,8 +12,8 @@ from contextlib import contextmanager
 from .model import ScenarioError
 from .scenario_io import (emit_plot_script, export_trajectory,
                           load_trajectory, parse_scenario)
-from .sim import (AssumptionError, MonitorViolation, compute_metrics,
-                  initial_topology, run)
+from .sim import (AssumptionError, MonitorViolation, NonFiniteState,
+                  compute_metrics, initial_topology, run)
 
 
 def _print_metrics(metrics) -> None:
@@ -37,12 +38,12 @@ def _print_metrics(metrics) -> None:
 
 @contextmanager
 def _naming(path: str):
-    """Name the scenario file in the initial graph's AssumptionError, as
-    ``parse_scenario`` names it in its own."""
+    """Name the scenario file in the initial graph's AssumptionError and in
+    a run's NonFiniteState, as ``parse_scenario`` names it in its own."""
     try:
         yield
-    except AssumptionError as exc:
-        raise AssumptionError(f"{path}: {exc}") from exc
+    except (AssumptionError, NonFiniteState) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def cmd_run(args) -> int:
@@ -117,7 +118,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, OSError, ValueError) as exc:
+    except (ScenarioError, OSError, ValueError, NonFiniteState) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssumptionError as exc:

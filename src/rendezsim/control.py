@@ -1,19 +1,18 @@
-"""Heading and velocity laws turning a field evaluation into control inputs.
+"""The control laws: heading, linear and angular velocity from a jet.
 
-``control_laws`` is what ``run`` uses, for every robot at once. The
-per-robot laws serve ``compute_control``, their scalar reference.
+``control_laws`` states them once, for every robot at once; ``run`` calls
+it over all rows, and ``compute_control`` over one robot's column.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .fields import FieldEval
 from .gradients import follower_field_eval, leader_field_eval
-from .model import (RegionFlag, RobotState, ScenarioConfig, normalize_angle,
-                    turn_angles)
+from .model import RegionFlag, RobotState, ScenarioConfig, turn_angles
+# not called here: rendezbench/tracing.py wraps these names
+from .model import normalize_angle  # noqa: F401
 
 
 @dataclass
@@ -29,77 +28,32 @@ class ControlOutput:
     grad_norm: float          # gradient magnitude, for logging
 
 
-def desired_heading(grad: np.ndarray, theta_current: float,
-                    prev_theta_d: float | None,
-                    gradient_floor: float = 1e-9) -> float:
-    """Heading of the negative gradient, held when the gradient vanishes.
-
-    Below the floor the direction is numerically meaningless: reuse the
-    previous desired heading if one exists, otherwise the current heading
-    (which also encodes the convention at the goal, where the desired
-    heading equals the arrival heading).
-    """
-    if math.hypot(grad[0], grad[1]) > gradient_floor:
-        return math.atan2(-grad[1], -grad[0])
-    if prev_theta_d is not None:
-        return prev_theta_d
-    return theta_current
-
-
-def linear_velocity(grad: np.ndarray, theta_tilde: float, k_v: float) -> float:
-    """v = k_v * ||grad|| * cos(heading error); negative means backing up."""
-    return k_v * math.hypot(grad[0], grad[1]) * math.cos(theta_tilde)
-
-
-def heading_feedforward(theta_d: float, hessian: np.ndarray, theta: float,
-                        theta_tilde: float, k_v: float) -> float:
-    """Rate of change of the desired heading along the closed-loop motion.
-
-    Quadratic form of the potential's Hessian between the tangent of the
-    desired heading and the current motion direction.
-    """
-    left = np.array([math.sin(theta_d), -math.cos(theta_d)])
-    right = np.array([math.cos(theta), math.sin(theta)])
-    return k_v * math.cos(theta_tilde) * float(left @ hessian @ right)
-
-
-def angular_velocity(theta_tilde: float, theta_d_dot: float,
-                     k_w: float) -> float:
-    """omega = -k_w * heading error + feedforward."""
-    return -k_w * theta_tilde + theta_d_dot
-
-
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def compute_control(robot: RobotState,
                     neighbor_positions: Sequence[np.ndarray],
                     region: RegionFlag, cfg: ScenarioConfig,
                     prev_theta_d: float | None = None) -> ControlOutput:
-    """Evaluate the robot's own potential and chain the four control laws.
+    """Evaluate the robot's own potential and run ``control_laws`` on it.
 
-    The informed robot (id 1) uses the dipolar goal potential and needs no
-    neighbors; followers use the consensus potential over the positions
-    passed in. The gains are the robot's own in ``cfg``, by id, and the
-    gradient floor is ``cfg``'s, as in ``sim.StepKernel``.
+    The informed robot (id 1) uses the dipolar goal potential; followers
+    use the consensus potential over the positions passed in. The laws run
+    on a one-robot ``ControlWork`` with the robot's gains in ``cfg``, by
+    id, and ``cfg``'s gradient floor, as in ``sim.StepKernel``; the held
+    desired heading is ``prev_theta_d``, or the robot's heading if None.
     """
-    k_v = cfg.linear_gains[robot.id - 1]
-    k_w = cfg.angular_gains[robot.id - 1]
-    ev: FieldEval
     if robot.id == 1:
         ev = leader_field_eval(robot.position, cfg)
     else:
         ev = follower_field_eval(robot.position, neighbor_positions, region,
                                  cfg)
-    theta_d = desired_heading(ev.gradient, robot.heading, prev_theta_d,
-                              cfg.gradient_floor)
-    theta_tilde = normalize_angle(robot.heading - theta_d)
-    v = linear_velocity(ev.gradient, theta_tilde, k_v)
-    theta_d_dot = heading_feedforward(theta_d, ev.hessian, robot.heading,
-                                      theta_tilde, k_v)
-    omega = angular_velocity(theta_tilde, theta_d_dot, k_w)
-    return ControlOutput(v=v, omega=omega, theta_d=theta_d,
-                         theta_tilde=theta_tilde, theta_d_dot=theta_d_dot,
-                         phi=ev.value,
-                         grad_norm=float(np.linalg.norm(ev.gradient)))
+    at = slice(robot.id - 1, robot.id)
+    w = ControlWork(np.array([robot.heading]), cfg.linear_gains[at],
+                    cfg.angular_gains[at], cfg.gradient_floor)
+    w.controls[2] = robot.heading if prev_theta_d is None else prev_theta_d
+    hess = ev.hessian.reshape(4, 1)[[0, 1, 3]]  # (xx, xy, yy) as rows
+    *controls, grad_norm = (float(row[0]) for row in control_laws(
+        ev.gradient[:, None], hess, w))
+    return ControlOutput(*controls, phi=ev.value, grad_norm=grad_norm)
 
 
 class ControlWork:
@@ -143,13 +97,19 @@ class ControlWork:
 
 
 def control_laws(grad, hess, w: ControlWork):
-    """The four laws above for every robot of ``w`` at once, elementwise.
+    """The control laws, for every robot of ``w`` at once, elementwise.
+
+    theta_d is the heading of -grad, held where |grad| is at or below the
+    floor: row theta_d keeps the last desired heading, or the heading before
+    there is one (at the goal, the arrival heading). theta_tilde = theta -
+    theta_d, wrapped to (-pi, pi]; v = k_v |grad| cos theta_tilde, negative
+    when backing up; the feedforward theta_d_dot, the rate of theta_d along
+    the motion, is k_v cos theta_tilde (sin theta_d, -cos theta_d) hess
+    (cos theta, sin theta); omega = -k_w theta_tilde + theta_d_dot.
 
     grad is (x, y) and hess (xx, xy, yy), each component an array over the
-    robots; ``w.theta`` holds wrapped headings, in (-pi, pi]. Where the
-    gradient is below the floor, row theta_d keeps the heading it holds.
-    Returns (v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm), rows
-    of ``w``.
+    robots; ``w.theta`` holds wrapped headings. Returns (v, omega, theta_d,
+    theta_tilde, theta_d_dot, grad_norm), rows of ``w``.
     """
     theta = w.theta
     n = len(theta)

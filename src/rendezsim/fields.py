@@ -61,6 +61,23 @@ def sigmoid_gain(width: float, eps: float) -> float:
     return (2.0 / width) * math.log((1.0 - eps) / eps)
 
 
+def edge_factors(cfg: ScenarioConfig):
+    """(center, gain, c1, c2) of the edge-keeping factor b and of the
+    collision factor B, each s = logistic(-(d - center) gain) of an edge's
+    length d, with log-derivatives l1 = c1 (1 - s) and l2 = c2 s (1 - s).
+
+    b(d) = logistic(k_b (R - buffer/2 - d)) is ``sigmoid_connectivity``
+    and B(d) = logistic(k_c (d - margin/2)) ``sigmoid_collision``, so B's
+    gain is -k_c.
+    """
+    eps = cfg.sigmoid_eps
+    k_b = sigmoid_gain(cfg.connectivity_buffer, eps)
+    k_c = sigmoid_gain(cfg.collision_margin, eps)
+    return ((cfg.sensing_radius - 0.5 * cfg.connectivity_buffer, k_b, -k_b,
+             -k_b * k_b),
+            (0.5 * cfg.collision_margin, -k_c, k_c, -(k_c * k_c)))
+
+
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def sigmoid_connectivity(d: float, sensing_radius: float,
                          connectivity_buffer: float, eps: float) -> float:
@@ -108,8 +125,9 @@ def follower_terms(position: np.ndarray,
     gives the informed robot's inputs in this layout, without the slopes.
 
     Each factor is logistic in d_j, so its log-derivatives are closed form in
-    the factor itself: (log b)' = -k_b (1 - b), (log b)'' = -k_b^2 b (1 - b),
-    and likewise for B. With l_j, l_j'' summed over edge j's factors,
+    the factor itself (``edge_factors``): (log b)' = -k_b (1 - b),
+    (log b)'' = -k_b^2 b (1 - b), and likewise for B. With l_j, l_j''
+    summed over edge j's factors,
     u_j = (p - q_j) / d_j and g = sum l_j u_j: grad beta = beta g and
     hess beta = beta (g g^T + sum l_j'' u_j u_j^T + l_j / d_j (I - u_j u_j^T)).
     The slopes l_j / d_j give grad beta = beta * sum slope_j * (p - q_j);
@@ -120,8 +138,7 @@ def follower_terms(position: np.ndarray,
                          "give every follower at least one parent")
     avoid = region is RegionFlag.COLLISION_FREE
     eps = cfg.sigmoid_eps
-    k_b = sigmoid_gain(cfg.connectivity_buffer, eps)
-    k_c = sigmoid_gain(cfg.collision_margin, eps)
+    (_, _, b1, b2), (_, _, c1, c2) = edge_factors(cfg)
     beta = 1.0
     gamma = sx = sy = gx = gy = hxx = hxy = hyy = 0.0
     slopes = []
@@ -135,13 +152,13 @@ def follower_terms(position: np.ndarray,
         b = sigmoid_connectivity(d, cfg.sensing_radius,
                                  cfg.connectivity_buffer, eps)
         beta *= b
-        l1 = -k_b * (1.0 - b)
-        l2 = -k_b * k_b * b * (1.0 - b)
+        l1 = b1 * (1.0 - b)
+        l2 = b2 * b * (1.0 - b)
         if avoid:
             c = sigmoid_collision(d, cfg.collision_margin, eps)
             beta *= c
-            l1 += k_c * (1.0 - c)
-            l2 -= k_c * k_c * c * (1.0 - c)
+            l1 += c1 * (1.0 - c)
+            l2 += c2 * c * (1.0 - c)
         if d < DISTANCE_FLOOR:
             slopes.append(0.0)
             continue
@@ -175,11 +192,10 @@ class LeaderConstants(NamedTuple):
 def leader_constants(cfg: ScenarioConfig) -> LeaderConstants:
     """The ``LeaderConstants`` of a scenario."""
     goal_x, goal_y = cfg.goal_position.tolist()
+    _, (_, _, k_c, _) = edge_factors(cfg)
     return LeaderConstants(
         goal_x, goal_y, math.cos(cfg.goal_heading),
-        math.sin(cfg.goal_heading),
-        sigmoid_gain(cfg.collision_margin, cfg.sigmoid_eps),
-        cfg.switch_distance)
+        math.sin(cfg.goal_heading), k_c, cfg.switch_distance)
 
 
 def leader_terms(position: np.ndarray, cfg: ScenarioConfig,

@@ -13,9 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fields import (DISTANCE_FLOOR, FieldEval, follower_terms,
+from .fields import (DISTANCE_FLOOR, FieldEval, edge_factors, follower_terms,
                      leader_constants, leader_terms, logistic_negated,
-                     navfunc_leader, potential, sigmoid_gain)
+                     navfunc_leader, potential)
 from .model import RegionFlag, ScenarioConfig
 # not called here: rendezbench/tracing.py wraps these names
 from .fields import (navfunc_follower, sigmoid_collision,  # noqa: F401
@@ -218,11 +218,12 @@ def _quotient_jet(w: QuotientWork):
 
 
 def _one_robot_jet(alpha, lap, gamma, dgamma, beta, dbeta, ddbeta):
-    """Gradient (2,), Hessian (2, 2) and e of one robot, by the step
+    """phi, gradient (2,), Hessian (2, 2) and e of one robot, by the step
     kernel's arithmetic: the one column of a ``QuotientWork``."""
-    _, grad, (xx, xy, yy), e = _quotient_jet(QuotientWork(alpha, 1).load(
+    phi, grad, (xx, xy, yy), e = _quotient_jet(QuotientWork(alpha, 1).load(
         gamma, dgamma, lap, beta, dbeta, ddbeta))
-    return grad[:, 0], np.array([[xx[0], xy[0]], [xy[0], yy[0]]]), e[0]
+    return (float(phi[0]), grad[:, 0],
+            np.array([[xx[0], xy[0]], [xy[0], yy[0]]]), e[0])
 
 
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
@@ -243,25 +244,20 @@ def grad_navfunc_follower(position: np.ndarray,
     alpha = cfg.field_exponent
     gamma, dgamma, beta, dbeta, ddbeta, slopes = follower_terms(
         position, neighbor_positions, region, cfg)
-    grad, hess, e = _one_robot_jet(alpha, 2.0 * len(neighbor_positions),
-                                   gamma, dgamma, beta, dbeta, ddbeta)
+    _, grad, hess, e = _one_robot_jet(alpha, 2.0 * len(neighbor_positions),
+                                      gamma, dgamma, beta, dbeta, ddbeta)
     ms = tuple((2.0 * alpha * beta - gamma * beta * t) / e for t in slopes)
     return FieldEval(value=potential(gamma, beta, alpha), gradient=grad,
                      hessian=hess, edge_weights=ms)
 
 
-def _leader_jet(position, cfg):
-    """Gradient and Hessian of the informed robot's dipolar potential."""
-    return _one_robot_jet(cfg.field_exponent, 2.0,
-                          *leader_terms(position, cfg))[:2]
-
-
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
 def leader_field_eval(position: np.ndarray, cfg: ScenarioConfig) -> FieldEval:
-    """Bundle value, analytic gradient and Hessian for the informed robot."""
-    grad, hess = _leader_jet(position, cfg)
-    return FieldEval(value=navfunc_leader(position, cfg), gradient=grad,
-                     hessian=hess)
+    """Value, analytic gradient and Hessian for the informed robot, all
+    three from the quotient rule."""
+    phi, grad, hess, _ = _one_robot_jet(cfg.field_exponent, 2.0,
+                                        *leader_terms(position, cfg))
+    return FieldEval(value=phi, gradient=grad, hessian=hess)
 
 
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
@@ -345,17 +341,9 @@ class JetKernel:
         # (rendezbench/run.py) divides by the calls of the scalar navigation
         # function, so a kernel makes one: its value at the goal, 0
         navfunc_leader(cfg.goal_position, cfg, self.leader_const)
-        eps = cfg.sigmoid_eps
-        k_b = sigmoid_gain(cfg.connectivity_buffer, eps)
-        k_c = sigmoid_gain(cfg.collision_margin, eps)
-        # b(d) = logistic(k_b (R - buffer/2 - d)) and B(d) = logistic(k_c (d
-        # - margin/2)), with log-derivatives l1 = c1 (1 - s) and l2 = c2 s
-        # (1 - s). Each is logistic(-y) of y = (d - center) gain: B's gain
-        # is -k_c. (center, gain, c1, c2) of each factor, and of the
-        # constant 1 that stands in for B without avoidance:
-        b = (cfg.sensing_radius - 0.5 * cfg.connectivity_buffer, k_b,
-             -k_b, -k_b * k_b)
-        c = (0.5 * cfg.collision_margin, -k_c, k_c, -(k_c * k_c))
+        # (center, gain, c1, c2) of b and B, and of the constant 1 that
+        # stands in for B without avoidance
+        b, c = edge_factors(cfg)
         one = (math.inf, 1.0, -0.0, -0.0)
         self.factors = {False: (b, one, b), True: (b, c, b)}
         n = self.n = len(mask)

@@ -180,58 +180,72 @@ class ScenarioConfig:
         return self.workspace_radius - self._chain_reach
 
 
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise ScenarioError(message)
+
+
 def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     """Check every configuration invariant; return cfg unchanged if valid.
 
     Raises ScenarioError naming the violated invariant otherwise.
     """
+    validate_keys(cfg)
+    return validate_poses(cfg)
 
-    def require(cond: bool, message: str) -> None:
-        if not cond:
-            raise ScenarioError(message)
 
-    require(cfg.n_robots >= 1, "n_robots must be >= 1")
+def validate_keys(cfg: ScenarioConfig) -> ScenarioConfig:
+    """The rules of ``validate_scenario`` on every field but the initial
+    poses; cheap, so that a parser can check them before it draws poses."""
+    _require(cfg.n_robots >= 1, "n_robots must be >= 1")
+    # the gains count the robots too: a mistyped n_robots shows here first
+    _require(len(cfg.linear_gains) == cfg.n_robots,
+             "linear_gains must list one gain per robot")
+    _require(len(cfg.angular_gains) == cfg.n_robots,
+             "angular_gains must list one gain per robot")
     for name in ("workspace_radius", "sensing_radius", "rendezvous_radius",
                  "collision_margin", "connectivity_buffer", "dipolar_eps",
                  "field_exponent", "time_step", "horizon", "gradient_floor",
                  "position_tolerance", "heading_tolerance",
                  "collision_floor"):
-        require(0.0 < getattr(cfg, name) < math.inf,
-                f"{name} must be finite and > 0")
-    require(0.0 < cfg.sigmoid_eps < 0.5, "sigmoid_eps must be in (0, 0.5)")
+        _require(0.0 < getattr(cfg, name) < math.inf,
+                 f"{name} must be finite and > 0")
+    _require(0.0 < cfg.sigmoid_eps < 0.5, "sigmoid_eps must be in (0, 0.5)")
 
-    require(cfg.collision_margin < cfg.sensing_radius,
-            "collision_margin must be < sensing_radius")
-    require(cfg.connectivity_buffer < cfg.sensing_radius,
-            "connectivity_buffer must be < sensing_radius")
-    require(cfg.switch_distance > 0.0,
-            "rendezvous_radius must exceed sensing_radius * (n_robots - 1)")
-    require(cfg.workspace_radius >= 2.0 * cfg.rendezvous_radius,
-            "workspace_radius must be at least twice rendezvous_radius")
+    _require(cfg.collision_margin < cfg.sensing_radius,
+             "collision_margin must be < sensing_radius")
+    _require(cfg.connectivity_buffer < cfg.sensing_radius,
+             "connectivity_buffer must be < sensing_radius")
+    _require(cfg.switch_distance > 0.0,
+             "rendezvous_radius must exceed sensing_radius * (n_robots - 1)")
+    _require(cfg.workspace_radius >= 2.0 * cfg.rendezvous_radius,
+             "workspace_radius must be at least twice rendezvous_radius")
 
-    require(len(cfg.linear_gains) == cfg.n_robots,
-            "linear_gains must list one gain per robot")
-    require(len(cfg.angular_gains) == cfg.n_robots,
-            "angular_gains must list one gain per robot")
-    require(all(0.0 < g < math.inf for g in cfg.linear_gains),
-            "linear gains in linear_gains must be finite and > 0")
-    require(all(0.0 < g < math.inf for g in cfg.angular_gains),
-            "angular gains in angular_gains must be finite and > 0")
+    _require(all(0.0 < g < math.inf for g in cfg.linear_gains),
+             "linear gains in linear_gains must be finite and > 0")
+    _require(all(0.0 < g < math.inf for g in cfg.angular_gains),
+             "angular gains in angular_gains must be finite and > 0")
 
-    require(cfg.goal_position.shape == (2,) and np.all(np.isfinite(cfg.goal_position)),
-            "goal_position must be a finite 2-vector")
-    require(float(np.linalg.norm(cfg.goal_position)) < cfg.workspace_radius,
-            "goal_position must lie inside the workspace")
-    require(math.isfinite(cfg.goal_heading), "goal_heading must be finite")
+    _require(cfg.goal_position.shape == (2,)
+             and np.all(np.isfinite(cfg.goal_position)),
+             "goal_position must be a finite 2-vector")
+    _require(float(np.linalg.norm(cfg.goal_position)) < cfg.workspace_radius,
+             "goal_position must lie inside the workspace")
+    _require(math.isfinite(cfg.goal_heading), "goal_heading must be finite")
 
-    require(cfg.neighbor_mode in ("frozen", "accreting"),
-            "neighbor_mode must be 'frozen' or 'accreting'")
+    _require(cfg.neighbor_mode in ("frozen", "accreting"),
+             "neighbor_mode must be 'frozen' or 'accreting'")
+    return cfg
 
-    require(len(cfg.initial_states) == cfg.n_robots,
-            "initial_states must list exactly n_robots poses")
+
+def validate_poses(cfg: ScenarioConfig) -> ScenarioConfig:
+    """The rules of ``validate_scenario`` on the initial poses, given that
+    ``validate_keys`` holds."""
+    _require(len(cfg.initial_states) == cfg.n_robots,
+             "initial_states must list exactly n_robots poses")
     ids = [s.id for s in cfg.initial_states]
-    require(ids == list(range(1, cfg.n_robots + 1)),
-            "robot ids must be 1..n_robots in order")
+    _require(ids == list(range(1, cfg.n_robots + 1)),
+             "robot ids must be 1..n_robots in order")
     outside = np.flatnonzero(outside_workspace(
         np.array([s.position for s in cfg.initial_states]),
         cfg.workspace_radius))

@@ -28,7 +28,8 @@ import numpy as np
 
 from .graph import Topology, has_rooted_spanning_tree
 from .model import (RobotState, ScenarioConfig, ScenarioError,
-                    outside_workspace, planar_norm, validate_scenario)
+                    outside_workspace, planar_norm, validate_keys,
+                    validate_poses)
 from .sim import AssumptionError, TrajectoryLog
 # not called here: rendezbench/tracing.py wraps this name
 from .graph import build_topology  # noqa: F401
@@ -176,9 +177,8 @@ def _parse_scenario(path: str) -> ScenarioConfig:
     version = values.pop("format_version")
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported format_version {version}")
-    n = values["n_robots"]
-    if n < 1:  # before the deployment block lists or draws n poses
-        raise ScenarioError("n_robots must be >= 1")
+    # the key rules before the deployment block lists or draws n poses
+    cfg = validate_keys(ScenarioConfig(**values))
 
     if not deploy:
         raise ParseError(f"{path}: missing [deployment] block")
@@ -188,7 +188,8 @@ def _parse_scenario(path: str) -> ScenarioConfig:
     if mode == "seeded":
         keys = _SEEDED_KEYS
     elif mode == "explicit":
-        keys = {f"pose_{i}": (list[float], True) for i in range(1, n + 1)}
+        keys = {f"pose_{i}": (list[float], True)
+                for i in range(1, cfg.n_robots + 1)}
     else:
         raise ParseError(f"{path}: deployment mode must be "
                          f"'seeded' or 'explicit', got {mode!r}")
@@ -207,8 +208,8 @@ def _parse_scenario(path: str) -> ScenarioConfig:
         if placed["min_separation"] < 0:
             raise ScenarioError("min_separation must be >= 0")
         states = seeded_deployment(
-            count=n, sensing_radius=values["sensing_radius"],
-            workspace_radius=values["workspace_radius"], **placed)
+            count=cfg.n_robots, sensing_radius=cfg.sensing_radius,
+            workspace_radius=cfg.workspace_radius, **placed)
     else:
         states = []
         for i, (key, pose) in enumerate(placed.items(), start=1):
@@ -219,8 +220,8 @@ def _parse_scenario(path: str) -> ScenarioConfig:
                 raise ScenarioError(f"{key} must be finite")
             states.append(RobotState(i, np.array(pose[:2]), pose[2]))
 
-    cfg = ScenarioConfig(initial_states=states, **values)
-    return validate_scenario(cfg)
+    cfg.initial_states = states
+    return validate_poses(cfg)
 
 
 TRAJECTORY_FILE = "trajectory.csv"

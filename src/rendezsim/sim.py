@@ -34,6 +34,10 @@ class MonitorViolation(RuntimeError):
     """A runtime monitor fired while running in strict mode."""
 
 
+class NonFiniteState(RuntimeError):
+    """A step moved some robot to a non-finite pose."""
+
+
 @dataclass
 class Event:
     step: int
@@ -233,8 +237,10 @@ class StepKernel:
         *_, grad_norm = control_laws(grad, hess, self.laws)
         poses = _integrate_all(self.speeds, self.motion)
         if np.count_nonzero(np.isfinite(poses, out=self.finite)) < poses.size:
-            raise RuntimeError(
-                f"non-finite state after integration:\n{poses}")
+            i = int(np.flatnonzero(~self.finite.all(axis=1))[0])
+            raise NonFiniteState(
+                f"non-finite state after integration: robot {i + 1} at "
+                f"(x, y, theta) = {tuple(poses[i].tolist())}")
         return phi, grad_norm
 
 
@@ -380,9 +386,10 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     same events as on every step. The log starts at most ``LOG_BYTES``
     large and doubles when the run outgrows it, so that its size follows
     the steps run, not the horizon. Raises AssumptionError when the initial
-    graph has no spanning tree rooted at the informed robot. Monitor
-    violations are recorded as events and, in strict mode, abort the run by
-    raising MonitorViolation.
+    graph has no spanning tree rooted at the informed robot, and
+    NonFiniteState, with the step and t, when a step leaves some pose
+    non-finite. Monitor violations are recorded as events and, in strict
+    mode, abort the run by raising MonitorViolation.
     """
     started = _time.perf_counter()
     validate_scenario(cfg)
@@ -451,7 +458,10 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
             kernel.jets.set_mask(mask)
         # step k's norms, before the kernel moves the poses on
         np.hypot(kernel.x, kernel.y, out=watched_norms)
-        phi[k], _ = kernel(leader, region)
+        try:
+            phi[k], _ = kernel(leader, region)
+        except NonFiniteState as exc:
+            raise NonFiniteState(f"{exc}, step {k}, t = {t:.3f} s") from exc
         ctrl[k] = kernel.by_robot
         poses[k + 1] = pose
 

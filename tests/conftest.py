@@ -1,9 +1,11 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from rendezsim import RobotState, ScenarioConfig, Topology
+from rendezsim.control import ControlWork, control_laws
 
 
 def make_states(poses):
@@ -18,6 +20,23 @@ def wrap_rows(theta):
     shape = np.shape(theta)
     return np.full(shape, math.pi), (np.empty(shape),
                                      np.empty(shape, dtype=bool))
+
+
+Laws = namedtuple("Laws", "v omega theta_d theta_tilde theta_d_dot grad_norm")
+
+
+def one_robot_laws(grad, theta, held=None, hess=((0.0, 0.0), (0.0, 0.0)),
+                   k_v=1.0, k_w=1.0, floor=1e-9):
+    """``control_laws`` on a one-robot column, as floats, for the gradient
+    (x, y), the wrapped heading theta and the (2, 2) Hessian. Where |grad|
+    is at or below the floor, theta_d is ``held``, or theta when that is
+    None."""
+    w = ControlWork(np.array([float(theta)]), [k_v], [k_w], floor)
+    w.controls[2] = theta if held is None else held
+    xx, xy, _, yy = np.array(hess, dtype=float).reshape(4, 1)
+    rows = control_laws(np.array(grad, dtype=float).reshape(2, 1),
+                        (xx, xy, yy), w)
+    return Laws(*(float(row[0]) for row in rows))
 
 
 def topology(n, neighbors):

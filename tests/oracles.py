@@ -17,7 +17,7 @@ import numpy as np
 
 from rendezsim.fields import (DISTANCE_FLOOR, follower_terms, leader_terms,
                               sigmoid_gain)
-from rendezsim.gradients import ScalarField, _leader_jet
+from rendezsim.gradients import ScalarField, leader_field_eval
 from rendezsim.graph import (GraphError, Topology, build_topology,
                              has_rooted_spanning_tree)
 from rendezsim.model import TWO_PI, RegionFlag, RobotState, ScenarioConfig
@@ -55,7 +55,7 @@ def grad_constraint_follower(position: np.ndarray,
 def grad_navfunc_leader(position: np.ndarray,
                         cfg: ScenarioConfig) -> np.ndarray:
     """Quotient-rule gradient of the informed robot's dipolar potential."""
-    return _leader_jet(position, cfg)[0]
+    return leader_field_eval(position, cfg).gradient
 
 
 def laplacian(topo: Topology, weights: dict[Edge, float],

@@ -16,7 +16,6 @@ import pytest
 
 from rendezsim import (RegionFlag, compute_metrics, export_trajectory,
                        parse_scenario, run)
-from rendezsim.control import angular_velocity
 from rendezsim.fields import (navfunc_follower, navfunc_leader,
                               sigmoid_collision, sigmoid_connectivity)
 from rendezsim.gradients import grad_navfunc_follower
@@ -155,7 +154,8 @@ def test_criterion_04_heading_error_decay(reference):
         tilde = normalize_angle(pose[2] - theta_d)
         times.append(k * dt)
         errors.append(abs(tilde))
-        pose = integrate_pose(pose, 0.0, angular_velocity(tilde, 0.0, k_w), dt)
+        # omega = -k_w theta_tilde: no feedforward where nothing moves
+        pose = integrate_pose(pose, 0.0, -k_w * tilde, dt)
     times, errors = np.array(times), np.array(errors)
     keep = errors > 1e-9
     rate = -np.polyfit(times[keep], np.log(errors[keep]), 1)[0]

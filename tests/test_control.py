@@ -4,64 +4,78 @@ import numpy as np
 import pytest
 
 from rendezsim import RegionFlag, RobotState
-from rendezsim.control import (angular_velocity, compute_control,
-                               desired_heading, heading_feedforward,
-                               linear_velocity)
+from rendezsim.control import compute_control
 from rendezsim.gradients import leader_field_eval
 from rendezsim.model import normalize_angle
 
+from conftest import one_robot_laws
 from oracles import grad_navfunc_leader, integrate_pose
 
 
 class TestDesiredHeading:
     def test_negative_x_gradient(self):
-        assert desired_heading(np.array([-1.0, 0.0]), 0.0, None) == 0.0
+        assert one_robot_laws([-1.0, 0.0], 0.0).theta_d == 0.0
 
     def test_negative_y_gradient(self):
-        assert desired_heading(np.array([0.0, -1.0]), 0.0, None) == (
+        assert one_robot_laws([0.0, -1.0], 0.0).theta_d == (
             pytest.approx(math.pi / 2))
 
     def test_vanished_gradient_keeps_current_heading(self):
-        assert desired_heading(np.zeros(2), 0.7, None) == 0.7
+        assert one_robot_laws(np.zeros(2), 0.7).theta_d == 0.7
 
     def test_vanished_gradient_prefers_previous(self):
-        assert desired_heading(np.zeros(2), 0.7, prev_theta_d=-1.2) == -1.2
+        assert one_robot_laws(np.zeros(2), 0.7, held=-1.2).theta_d == -1.2
 
     def test_floor_threshold(self):
         tiny = np.array([1e-12, 0.0])
-        assert desired_heading(tiny, 0.7, None, gradient_floor=1e-9) == 0.7
+        assert one_robot_laws(tiny, 0.7, floor=1e-9).theta_d == 0.7
         big = np.array([-1e-6, 0.0])
-        assert desired_heading(big, 0.7, None, gradient_floor=1e-9) == 0.0
+        assert one_robot_laws(big, 0.7, floor=1e-9).theta_d == 0.0
 
 
 class TestVelocityLaws:
     def test_orthogonal_error_gives_zero(self):
-        v = linear_velocity(np.array([1.0, 0.0]), math.pi / 2, 1.0)
-        assert abs(v) < 1e-12
+        # -grad points at -pi, so a heading of -pi/2 is a quarter turn off
+        laws = one_robot_laws([1.0, 0.0], -math.pi / 2)
+        assert laws.theta_tilde == pytest.approx(math.pi / 2)
+        assert abs(laws.v) < 1e-12
 
     def test_zero_gradient_gives_zero(self):
-        assert linear_velocity(np.zeros(2), 0.3, 5.0) == 0.0
+        laws = one_robot_laws(np.zeros(2), 0.3, held=0.0, k_v=5.0)
+        assert laws.theta_tilde == 0.3
+        assert laws.v == 0.0
 
     def test_aligned_substitution(self):
-        assert linear_velocity(np.array([0.3, 0.4]), 0.0, 1.0) == (
-            pytest.approx(0.5))
+        theta = math.atan2(-0.4, -0.3)
+        laws = one_robot_laws([0.3, 0.4], theta)
+        assert laws.theta_tilde == 0.0
+        assert laws.v == pytest.approx(0.5)
 
     def test_angular_at_rest(self):
-        assert angular_velocity(0.0, 0.0, 2.0) == 0.0
+        assert one_robot_laws(np.zeros(2), 0.0, k_w=2.0).omega == 0.0
 
     def test_angular_substitution(self):
-        assert angular_velocity(0.3, 0.0, 2.0) == pytest.approx(-0.6)
-        assert angular_velocity(-0.2, 0.05, 1.0) == pytest.approx(0.25)
+        laws = one_robot_laws(np.zeros(2), 0.3, held=0.0, k_w=2.0)
+        assert (laws.theta_tilde, laws.theta_d_dot) == (0.3, 0.0)
+        assert laws.omega == pytest.approx(-0.6)
+        # theta_d = 0 and hxy = -h give the feedforward h cos^2(theta)
+        h = 0.05 / math.cos(0.2) ** 2
+        laws = one_robot_laws(np.zeros(2), -0.2, held=0.0,
+                              hess=[[0.0, -h], [-h, 0.0]], k_w=1.0)
+        assert laws.theta_tilde == -0.2
+        assert laws.theta_d_dot == pytest.approx(0.05)
+        assert laws.omega == pytest.approx(0.25)
 
 
 class TestHeadingFeedforward:
     def test_zero_hessian(self):
-        assert heading_feedforward(0.3, np.zeros((2, 2)), 0.1, 0.2, 1.0) == 0.0
+        assert one_robot_laws(np.zeros(2), 0.1, held=0.3).theta_d_dot == 0.0
 
     def test_orthogonal_error_kills_it(self):
         h = np.array([[1.0, 0.2], [0.2, 2.0]])
-        val = heading_feedforward(0.0, h, math.pi / 2, math.pi / 2, 1.0)
-        assert abs(val) < 1e-12
+        laws = one_robot_laws(np.zeros(2), math.pi / 2, held=0.0, hess=h)
+        assert laws.theta_tilde == math.pi / 2
+        assert abs(laws.theta_d_dot) < 1e-12
 
     def test_matches_time_difference_of_desired_heading(self, params_s5):
         # move the robot along its closed-loop velocity for +-h seconds and
@@ -69,19 +83,16 @@ class TestHeadingFeedforward:
         p = np.array([4.0, 2.5])
         theta = 0.9
         k_v = 2.0
-        grad = grad_navfunc_leader(p, params_s5)
-        theta_d = desired_heading(grad, theta, None)
-        theta_tilde = normalize_angle(theta - theta_d)
-        v = linear_velocity(grad, theta_tilde, k_v)
-        hess = leader_field_eval(p, params_s5).hessian
-        ff = heading_feedforward(theta_d, hess, theta, theta_tilde, k_v)
+        ev = leader_field_eval(p, params_s5)
+        laws = one_robot_laws(ev.gradient, theta, hess=ev.hessian, k_v=k_v)
+        v, ff = laws.v, laws.theta_d_dot
 
         h = 1e-4
         vel = v * np.array([math.cos(theta), math.sin(theta)])
-        td_plus = desired_heading(grad_navfunc_leader(p + h * vel, params_s5),
-                                  theta, None)
-        td_minus = desired_heading(grad_navfunc_leader(p - h * vel, params_s5),
-                                   theta, None)
+        td_plus = one_robot_laws(grad_navfunc_leader(p + h * vel, params_s5),
+                                 theta).theta_d
+        td_minus = one_robot_laws(grad_navfunc_leader(p - h * vel, params_s5),
+                                  theta).theta_d
         fd = normalize_angle(td_plus - td_minus) / (2.0 * h)
         assert ff == pytest.approx(fd, abs=1e-3)
 
@@ -129,8 +140,7 @@ class TestComputeControl:
             p = rng.uniform(-15, 15, 2)
             theta = rng.uniform(-math.pi, math.pi)
             grad = grad_navfunc_leader(p, params_s5)
-            theta_d = desired_heading(grad, theta, None)
-            theta_tilde = normalize_angle(theta - theta_d)
+            theta_tilde = one_robot_laws(grad, theta).theta_tilde
             lhs = math.cos(theta) * grad[0] + math.sin(theta) * grad[1]
             rhs = -float(np.linalg.norm(grad)) * math.cos(theta_tilde)
             assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -143,8 +153,10 @@ class TestClosedLoopIdentities:
         k_v = 2.0
         p = np.array([6.0, 3.0])
         grad = grad_navfunc_leader(p, params_s5)
-        theta_d = desired_heading(grad, 0.0, None)
-        v = linear_velocity(grad, 0.0, k_v)
+        theta_d = one_robot_laws(grad, 0.0).theta_d
+        aligned = one_robot_laws(grad, theta_d, k_v=k_v)
+        assert aligned.theta_tilde == 0.0
+        v = aligned.v
         errs = []
         for dt in (0.02, 0.01, 0.005):
             pose = integrate_pose(np.array([p[0], p[1], theta_d]), v, 0.0, dt)
@@ -161,11 +173,12 @@ class TestClosedLoopIdentities:
         k_v, k_w = 2.0, 8.0
         p = np.array([6.0, 3.0])
         grad = grad_navfunc_leader(p, params_s5)
-        theta_d = desired_heading(grad, 0.0, None)
+        theta_d = one_robot_laws(grad, 0.0).theta_d
         theta = normalize_angle(theta_d + 0.05)
-        theta_tilde = 0.05
-        v = linear_velocity(grad, theta_tilde, k_v)
-        omega = angular_velocity(theta_tilde, 0.0, k_w)
+        # no Hessian, no feedforward: omega = -k_w * theta_tilde
+        laws = one_robot_laws(grad, theta, k_v=k_v, k_w=k_w)
+        assert laws.theta_tilde == pytest.approx(0.05, abs=1e-15)
+        v, omega = laws.v, laws.omega
         ratios = []
         for dt in (0.02, 0.01, 0.005):
             pose = integrate_pose(np.array([p[0], p[1], theta]), v, omega, dt)
@@ -191,8 +204,7 @@ class TestClosedLoopIdentities:
             theta_tilde = normalize_angle(pose[2] - theta_d)
             times.append(k * dt)
             errors.append(abs(theta_tilde))
-            omega = angular_velocity(theta_tilde, 0.0, k_w)
-            pose = integrate_pose(pose, 0.0, omega, dt)
+            pose = integrate_pose(pose, 0.0, -k_w * theta_tilde, dt)
         times = np.array(times)
         errors = np.array(errors)
         keep = errors > 1e-9

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from rendezsim import RegionFlag
-from rendezsim.fields import (follower_terms, leader_terms, navfunc_follower,
-                              navfunc_leader, region_of, sigmoid_collision,
-                              sigmoid_connectivity)
+from rendezsim.fields import (_logistic, edge_factors, follower_terms,
+                              leader_constants, leader_terms,
+                              navfunc_follower, navfunc_leader, region_of,
+                              sigmoid_collision, sigmoid_connectivity,
+                              sigmoid_gain)
 
 
 def reference_leader_value(p, goal, goal_heading, eps_nh, alpha, r_work,
@@ -79,6 +81,48 @@ class TestSigmoids:
         assert all(x < y for x, y in zip(c, c[1:]))  # increasing in d
         w = [sigmoid_collision(d, 0.5, 0.01) for d in grid]
         assert all(x < y for x, y in zip(w, w[1:]))
+
+
+class TestEdgeFactors:
+    """``edge_factors`` states each factor's constants once: its logistic
+    of y = (d - center) gain, logistic(-y), is ``sigmoid_connectivity``'s
+    and ``sigmoid_collision``'s bit for bit."""
+
+    @staticmethod
+    def grid(cfg, factors):
+        # every centimeter of the sensing range, each center and its
+        # neighbors one ulp away, contact and the sensing radius
+        points = np.linspace(0.0, cfg.sensing_radius, 201).tolist()
+        for center, *_ in factors:
+            points += [center, math.nextafter(center, -math.inf),
+                       math.nextafter(center, math.inf)]
+        return points + [0.0, cfg.sensing_radius]
+
+    @pytest.mark.parametrize("name", ["params_s5", "params_fig2"])
+    def test_logistic_is_the_sigmoid(self, request, name):
+        cfg = request.getfixturevalue(name)
+        b, c = edge_factors(cfg)
+        eps = cfg.sigmoid_eps
+        d = self.grid(cfg, (b, c))
+        want = {b: [sigmoid_connectivity(x, cfg.sensing_radius,
+                                         cfg.connectivity_buffer, eps)
+                    for x in d],
+                c: [sigmoid_collision(x, cfg.collision_margin, eps)
+                    for x in d]}
+        for (center, gain, _, _), values in want.items():
+            got = [_logistic(-((x - center) * gain)) for x in d]
+            assert np.array(got).tobytes() == np.array(values).tobytes()
+        assert 0.5 in want[b] and 0.5 in want[c]  # the centers
+
+    def test_log_derivative_constants(self, params_s5):
+        cfg = params_s5
+        k_b = sigmoid_gain(cfg.connectivity_buffer, cfg.sigmoid_eps)
+        k_c = sigmoid_gain(cfg.collision_margin, cfg.sigmoid_eps)
+        b, c = edge_factors(cfg)
+        assert b == (cfg.sensing_radius - 0.5 * cfg.connectivity_buffer,
+                     k_b, -k_b, -k_b * k_b)
+        assert c == (0.5 * cfg.collision_margin, -k_c, k_c, -(k_c * k_c))
+        assert leader_constants(cfg).rim_gain == k_c
 
 
 class TestScalarParts:

@@ -190,6 +190,19 @@ class TestParseScenario:
             parse_scenario(str(path))
         assert str(info.value) == f"{path}: n_robots must be >= 1"
 
+    def test_key_rules_run_before_the_draw(self, tmp_path, monkeypatch):
+        # seven robots and six gains: the key rule names the gains, and no
+        # deployment is drawn for a robot count that the gains contradict
+        def refuse(*args, **kwargs):
+            raise AssertionError("seeded_deployment reached")
+
+        monkeypatch.setattr(scenario_io, "seeded_deployment", refuse)
+        path = edited_reference(tmp_path / "seven.scn", "n_robots", "7")
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(str(path))
+        assert str(info.value) == (
+            f"{path}: linear_gains must list one gain per robot")
+
 
 @pytest.fixture(scope="module")
 def short_run(tmp_path_factory):
@@ -980,6 +993,25 @@ class TestCli:
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().err == (
             f"error: {path}: pose_2 must be finite\n")
+
+    def test_robot_count_against_gains_exit_code(self, tmp_path, capsys):
+        path = edited_reference(tmp_path / "seven.scn", "n_robots", "7")
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: linear_gains must list one gain per robot\n")
+
+    def test_non_finite_state_exit_code(self, tmp_path, capsys):
+        # k_w = 1e308 overflows the informed robot's turn rate at once
+        path = edited_reference(tmp_path / "huge.scn", "angular_gains",
+                                "1e308 8.0 8.0 8.0 8.0 8.0")
+        out = tmp_path / "logs"
+        with np.errstate(over="ignore", invalid="ignore"):
+            status = main(["run", str(path), "--out", str(out)])
+        assert status == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: non-finite state after integration: robot 1 "
+            "at (x, y, theta) = (nan, nan, nan), step 2, t = 0.010 s\n")
+        assert not out.exists()
 
     def test_seeded_assumption_failure_exit_code(self, tmp_path, capsys):
         # every draw that keeps the robots min_separation apart puts them

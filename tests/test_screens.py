@@ -191,13 +191,14 @@ class TestQuotientRule:
         # differently from the rows' power at alpha = 3)
         gamma, dgamma, lap, beta, dbeta, ddbeta = self.inputs(6)
         for i in range(6):
-            grad, hess, e = _one_robot_jet(
+            phi, grad, hess, e = _one_robot_jet(
                 alpha, float(lap[i]), float(gamma[i]), dgamma[:, i],
                 float(beta[i]), dbeta[:, i], ddbeta[:, i])
             cols = slice(i, i + 1)
-            _, f, (xx, xy, yy), e_rows = quotient_jet_before(
+            phi_rows, f, (xx, xy, yy), e_rows = quotient_jet_before(
                 alpha, gamma[cols], dgamma[:, cols], lap[cols], beta[cols],
                 dbeta[:, cols], ddbeta[:, cols])
+            assert same_bits(phi, phi_rows[0])
             assert same_bits(grad, f[:, 0])
             assert same_bits(hess, [[xx[0], xy[0]], [xy[0], yy[0]]])
             assert same_bits(e, e_rows[0])

@@ -155,6 +155,17 @@ class TestStep:
                 pytest.raises(RuntimeError, match="non-finite state"):
             step(cfg.initial_states, RegionFlag.COLLISION_FREE, cfg)
 
+    def test_run_names_the_robot_and_the_step(self):
+        # k_w = 1e308 overflows robot 2's turn rate once its heading error
+        # is large enough
+        cfg = small_config(angular_gains=[8.0, 1e308, 8.0])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(sim.NonFiniteState) as info:
+            run(cfg)
+        assert str(info.value) == (
+            "non-finite state after integration: robot 2 at (x, y, theta) "
+            "= (nan, nan, nan), step 2, t = 0.010 s")
+
 
 def random_states(rng, n):
     """n robots scattered around (-4, -2), the first one informed."""
@@ -396,9 +407,21 @@ def assert_controls_match(got, ref):
     assert angle_gap(theta_tilde, ref.theta_tilde) <= 1e-12
 
 
+def control_bits(got, ref):
+    """got: (v, omega, theta_d, theta_tilde, theta_d_dot, phi, grad_norm)
+    as the step kernel's row holds them; the fields that differ in a bit
+    from the ControlOutput ``ref``."""
+    names = ("v", "omega", "theta_d", "theta_tilde", "theta_d_dot", "phi",
+             "grad_norm")
+    return [name for name, a in zip(names, got)
+            if np.float64(a).tobytes()
+            != np.float64(getattr(ref, name)).tobytes()]
+
+
 class TestKernelRowZero:
-    """Row 0 of the step kernel is the informed robot: its controls and next
-    pose match compute_control and integrate_pose on that robot alone."""
+    """Row 0 of the step kernel is the informed robot: its controls equal
+    compute_control on that robot alone bit for bit, and its next pose
+    matches integrate_pose."""
 
     GOAL = np.array([1.5, -0.5])
 
@@ -436,11 +459,9 @@ class TestKernelRowZero:
                                            prev + [None] * (n - 1))
             ref = compute_control(states[0], [], region, cfg, prev[0])
             got = controls[0]
-            assert_controls_match(
+            assert control_bits(
                 (got.v, got.omega, got.theta_d, got.theta_tilde,
-                 got.theta_d_dot, got.phi), ref)
-            assert abs(got.grad_norm - ref.grad_norm) <= 1e-12 * max(
-                1.0, ref.grad_norm)
+                 got.theta_d_dot, got.phi, got.grad_norm), ref) == []
             pose = integrate_pose(np.array([*p, states[0].heading]), ref.v,
                                   ref.omega, cfg.time_step)
             assert np.allclose(new_states[0].position, pose[:2], rtol=0.0,
@@ -451,8 +472,9 @@ class TestKernelRowZero:
 
     @pytest.mark.parametrize("n", [1, 3, 12])
     def test_jets_equal_the_scalar_reference(self, n):
-        # one quotient rule: _leader_jet runs the kernel's numpy calls on a
-        # one-robot column, so row 0 takes its bits whatever the row length
+        # one quotient rule: leader_field_eval runs the kernel's numpy calls
+        # on a one-robot column, so row 0 takes its bits whatever the row
+        # length
         rng = np.random.default_rng(19)
         poses = np.column_stack([rng.uniform(-4.0, 4.0, (n, 2)),
                                  np.zeros(n)])
@@ -464,19 +486,30 @@ class TestKernelRowZero:
             p = self._spot(rng, spot)
             kernel.poses[:, :2] = p + rng.uniform(-1.2, 1.2, (n, 2))
             kernel.poses[0, :2] = p
-            _, grad, (xx, xy, yy) = kernel.jets(
+            phi, grad, (xx, xy, yy) = kernel.jets(
                 p.tolist(), kernel.pairs(), RegionFlag.COLLISION_FREE)
-            ref_grad, ref_hess = gradients._leader_jet(p, cfg)
-            assert grad[:, 0].tobytes() == ref_grad.tobytes(), spot
+            ref = gradients.leader_field_eval(p, cfg)
+            assert np.float64(ref.value).tobytes() == phi[0].tobytes(), spot
+            assert grad[:, 0].tobytes() == ref.gradient.tobytes(), spot
             assert np.array([[xx[0], xy[0]], [xy[0], yy[0]]]).tobytes() == (
-                ref_hess.tobytes()), spot
+                ref.hessian.tobytes()), spot
 
     def test_one_robot_run_matches_compute_control(self):
         cfg = small_config(n_robots=1, linear_gains=[2.0],
                            angular_gains=[8.0], goal_position=self.GOAL,
                            horizon=0.5,
                            initial_states=make_states([(-4.0, -2.0, 0.5)]))
-        log = run(cfg)
+        norms = []
+        laws = sim.control_laws
+
+        def record(grad, hess, work):
+            rows = laws(grad, hess, work)
+            norms.append(rows[-1][0])
+            return rows
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sim, "control_laws", record)
+            log = run(cfg)
         assert log.n_steps == 101
         prev = None
         for k in range(log.n_steps):
@@ -486,7 +519,8 @@ class TestKernelRowZero:
             ref = compute_control(
                 RobotState(1, np.array([x, y]), theta), [], region, cfg,
                 prev)
-            assert_controls_match((*log.controls[k, 0], log.phi[k, 0]), ref)
+            assert control_bits(
+                (*log.controls[k, 0], log.phi[k, 0], norms[k]), ref) == [], k
             if k + 1 < log.n_steps:
                 pose = integrate_pose(log.poses[k, 0], ref.v, ref.omega,
                                       cfg.time_step)
