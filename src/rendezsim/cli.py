@@ -9,6 +9,8 @@ import argparse
 import sys
 from contextlib import contextmanager
 
+import numpy as np
+
 from .model import ScenarioError
 from .scenario_io import (emit_plot_script, export_trajectory,
                           load_trajectory, parse_scenario)
@@ -48,7 +50,8 @@ def _naming(path: str):
 
 def cmd_run(args) -> int:
     cfg = parse_scenario(args.scenario)
-    with _naming(args.scenario):
+    # NonFiniteState, not numpy's warnings, reports a non-finite step
+    with _naming(args.scenario), np.errstate(over="ignore", invalid="ignore"):
         log = run(cfg, strict=args.strict)
     out_dir = args.out
     traj, dist = export_trajectory(log, out_dir)

@@ -269,52 +269,18 @@ def follower_field_eval(position: np.ndarray,
     return grad_navfunc_follower(position, neighbor_positions, region, cfg)
 
 
-class _FactorRows:
-    """The edge pass's rows of the factors [b, B, b], over n_edges edges.
-
-    Rows 0-1 of the log-derivatives plus rows 1-2 are b's plus B's twice
-    over, with no reversed view. ``d`` holds the edges' distances, three
-    rows. ``constants`` maps whether avoidance is active to the (center,
-    gain, c) rows, c the (c1, c2) of each row; without avoidance B's row is
-    the constant factor 1: center +inf and gain 1 give s = 1 at every
-    finite distance, and c1 = c2 = -0.0 give log-derivatives of -0.0, so
-    b times 1 and l + -0.0 are b's values bit for bit.
-    """
-
-    def __init__(self, factors, d: np.ndarray, n_edges: int):
-        self.d = d
-        self.constants = {}
-        for avoid, rows in factors.items():
-            center, gain, c1, c2 = (np.repeat(np.array(x)[:, None], n_edges,
-                                              axis=1) for x in zip(*rows))
-            # (c1, c2) times (1 - s, s); the second half times 1 - s again
-            self.constants[avoid] = (center, gain, np.concatenate([c1, c2]))
-        self.y = np.empty((3, n_edges))
-        self.om_s = np.empty((6, n_edges))
-        self.one_minus, self.s = self.om_s[:3], self.om_s[3:]
-        self.l = np.empty((6, n_edges))
-        self.l2_factors = self.l[3:]
-        self.minus_zero = np.full((3, n_edges), -0.0)
-        self.one = np.ones((3, n_edges))
-        self.logistic = (np.empty((3, n_edges), dtype=bool),
-                         np.empty((3, n_edges)))
-        # l1 (b + B twice), a row of no use, l2 (b + B twice)
-        self.summed = np.empty((5, n_edges))
-        self.heads, self.tails = self.l[0:5], self.l[1:6]
-        self.l1, self.l2 = self.summed[0:2], self.summed[3:5]
-
-
 class JetKernel:
     """Value, gradient and Hessian of every robot's potential, one pass a step.
 
     Built once per run from the scenario and the (n, n) sensing mask: it
-    holds the sigmoid gains and shifts and the followers' sensed edges,
-    which only ``set_mask`` changes. Row 0 is the informed robot, whose
-    quotient inputs come from ``fields.leader_terms``. The followers' come
-    from one pass over the edge list: the edge terms of each follower are
-    summed over its segment, and a few calls over whole rows turn the sums
-    into the inputs. One take then spreads every robot's inputs over the
-    rows of a ``QuotientWork``, and one ``_quotient_jet`` call covers all.
+    holds the followers' sensed edges, which only ``set_mask`` changes, and
+    their factors' constants, which ``drop_avoidance`` switches once. Row 0
+    is the informed robot, whose quotient inputs come from
+    ``fields.leader_terms``. The followers' come from one pass over the
+    edge list: the edge terms of each follower are summed over its segment,
+    and a few calls over whole rows turn the sums into the inputs. One take
+    then spreads every robot's inputs over the rows of a ``QuotientWork``,
+    and one ``_quotient_jet`` call covers all.
 
     A step's cost is numpy's fixed cost per call, so each call applies one
     ufunc to one C-contiguous block that holds every operand it can take:
@@ -341,11 +307,9 @@ class JetKernel:
         # (rendezbench/run.py) divides by the calls of the scalar navigation
         # function, so a kernel makes one: its value at the goal, 0
         navfunc_leader(cfg.goal_position, cfg, self.leader_const)
-        # (center, gain, c1, c2) of b and B, and of the constant 1 that
-        # stands in for B without avoidance
+        # (center, gain, c1, c2) of the edge pass's factors [b, B, b]
         b, c = edge_factors(cfg)
-        one = (math.inf, 1.0, -0.0, -0.0)
-        self.factors = {False: (b, one, b), True: (b, c, b)}
+        self.factors = (b, c, b)
         n = self.n = len(mask)
         self.quotient = QuotientWork(cfg.field_exponent, n)
         rows = self.COMPACT
@@ -409,17 +373,45 @@ class JetKernel:
             pair + 3 * p] * 3)
         self.g, self.curvature, self.xy = edges[0:2], edges[2:4], edges[4]
         self.t, self.m = edges[5:7], edges[7:9]
-        self.m_y, self.dist_rows = edges[8], edges[10:12]
+        self.m_y, self.dist_rows, self.d = edges[8], edges[10:12], edges[10:]
         self.sign = np.tile(np.where(rows < cols, 1.0, -1.0), (2, 1))
         self.floor = np.full((2, n_edges), DISTANCE_FLOOR)
-        self.factor_rows = _FactorRows(self.factors, edges[10:], n_edges)
+        # the factors [b, B, b]: rows of center, gain, c1 and c2, three each,
+        # and c = (c1, c2) times (1 - s, s); rows 0-1 of the log-derivatives
+        # plus rows 1-2 are b's plus B's twice over, with no reversed view
+        self.constants = np.repeat(np.transpose(self.factors).reshape(12, 1),
+                                   n_edges, axis=1)
+        self.center, self.gain, self.c = np.split(self.constants, [3, 6])
+        self.y = np.empty((3, n_edges))
+        self.om_s = np.empty((6, n_edges))
+        self.one_minus, self.s = self.om_s[:3], self.om_s[3:]
+        self.l = np.empty((6, n_edges))
+        self.l2_factors = self.l[3:]
+        self.minus_zero = np.full((3, n_edges), -0.0)
+        self.one = np.ones((3, n_edges))
+        self.logistic = (np.empty((3, n_edges), dtype=bool),
+                         np.empty((3, n_edges)))
+        # l1 (b + B twice), a row of no use, l2 (b + B twice)
+        self.summed = np.empty((5, n_edges))
+        self.heads, self.tails = self.l[0:5], self.l[1:6]
+        self.l1, self.l2 = self.summed[0:2], self.summed[3:5]
         # per edge, twice: the floor screen, d^2, l2 - t, w and w (p - q_j)
         self.near = np.empty((2, n_edges), dtype=bool)
         self.square, self.top, self.w, self.wm = (np.empty((2, n_edges))
                                                   for _ in range(4))
         self.wm_x = self.wm[0]
 
-    def __call__(self, position, pairs: np.ndarray, region: RegionFlag):
+    def drop_avoidance(self) -> None:
+        """Write the constant factor 1 into B's rows, which every later edge
+        list keeps: the region switch, which latches. Center +inf and gain 1
+        give s = 1 at every finite distance, and c1 = c2 = -0.0 give
+        log-derivatives of -0.0, so b times 1 and l + -0.0 are b's values
+        bit for bit, by the same calls as with avoidance."""
+        b, _, _ = self.factors
+        self.factors = (b, (math.inf, 1.0, -0.0, -0.0), b)
+        self.constants[1::3] = np.reshape(self.factors[1], (4, 1))
+
+    def __call__(self, position, pairs: np.ndarray):
         """phi, gradient (x, y) and Hessian (xx, xy, yy) of every robot.
 
         ``position`` is the informed robot's (x, y), best as floats;
@@ -434,29 +426,27 @@ class JetKernel:
         gamma, (gx, gy), beta, (bx, by), (hxx, hxy, hyy) = leader_terms(
             position, self.cfg, self.leader_const)
         if self.n > 1:
-            self._followers(pairs, region is RegionFlag.COLLISION_FREE)
+            self._followers(pairs)
         self.leader[:] = (gamma, gx, gy, beta, beta, bx, by, hxx, hyy, hxy)
         self.compact.take(self.spread_at, out=self.spread, mode="clip")
         phi, grad, hess, _ = _quotient_jet(self.quotient)
         return phi, grad, hess
 
-    def _followers(self, pairs, avoid):
-        """Fill columns 1.. of the compact inputs; ``avoid`` picks B's rows."""
-        rows, starts = self.factor_rows, self.starts
-        center, gain, c = rows.constants[avoid]
+    def _followers(self, pairs):
+        """Fill columns 1.. of the compact inputs."""
         pairs.take(self.gather_at, out=self.gathered, mode="clip")
         m = np.multiply(self.m, self.sign, out=self.m)
-        y = np.subtract(rows.d, center, out=rows.y)
-        y *= gain
-        s = logistic_negated(y, rows.minus_zero, rows.one, rows.s,
-                             *rows.logistic)
-        np.multiply.reduceat(s, starts, axis=-1, out=self.products)
-        np.subtract(rows.one, s, out=rows.one_minus)
-        np.multiply(c, rows.om_s, out=rows.l)
-        np.multiply(rows.l2_factors, rows.one_minus, out=rows.l2_factors)
+        y = np.subtract(self.d, self.center, out=self.y)
+        y *= self.gain
+        s = logistic_negated(y, self.minus_zero, self.one, self.s,
+                             *self.logistic)
+        np.multiply.reduceat(s, self.starts, axis=-1, out=self.products)
+        np.subtract(self.one, s, out=self.one_minus)
+        np.multiply(self.c, self.om_s, out=self.l)
+        np.multiply(self.l2_factors, self.one_minus, out=self.l2_factors)
         # b's and B's terms in either order: + is commutative bit for bit
-        np.add(rows.heads, rows.tails, out=rows.summed)
-        l1, l2 = rows.l1, rows.l2
+        np.add(self.heads, self.tails, out=self.summed)
+        l1, l2 = self.l1, self.l2
         # edge slopes l_j / d_j and curvatures, each twice; edges under the
         # floor add none, and a NaN distance takes the masked divides too
         d2, t, w = self.dist_rows, self.t, self.w
@@ -475,7 +465,7 @@ class JetKernel:
         wm = np.multiply(w, m, out=self.wm)
         np.multiply(wm, m, out=self.curvature)
         np.multiply(self.wm_x, self.m_y, out=self.xy)
-        np.add.reduceat(self.terms, starts, axis=-1, out=self.sums)
+        np.add.reduceat(self.terms, self.starts, axis=-1, out=self.sums)
         # over whole rows, the quotient inputs: 2 sum (p - q_j) (as a sum of
         # two, exactly), beta (b's product times B's), beta g and beta (g
         # g^T + curvature)

@@ -227,13 +227,13 @@ class StepKernel:
         """The (4, P) pair rows of ``poses``' upper pairs (``_offsets``)."""
         return _offsets(self.pair_work)
 
-    def __call__(self, leader, region):
+    def __call__(self, leader):
         """Fill ``control_rows`` and move ``poses`` on by one step, from the
         pair rows of the last ``pairs()`` call; return phi and the gradient
         norms, rows of the kernel.
 
         ``leader`` is the informed robot's (x, y) as floats."""
-        phi, grad, hess = self.jets(leader, self.pair_work.pairs, region)
+        phi, grad, hess = self.jets(leader, self.pair_work.pairs)
         *_, grad_norm = control_laws(grad, hess, self.laws)
         poses = _integrate_all(self.speeds, self.motion)
         if np.count_nonzero(np.isfinite(poses, out=self.finite)) < poses.size:
@@ -259,13 +259,15 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
     if topo is None:
         topo = build_topology(states, cfg.sensing_radius)
     kernel = StepKernel(cfg, topo.adjacency)
+    if region is RegionFlag.RENDEZVOUS:
+        kernel.jets.drop_avoidance()
     kernel.poses[...] = _pose_array(states)
     kernel.theta_d[...] = kernel.theta
     for i, prev in enumerate(prev_theta_d or ()):
         if prev is not None:
             kernel.theta_d[i] = prev
     kernel.pairs()
-    phi, grad_norm = kernel(kernel.poses[0, :2].tolist(), region)
+    phi, grad_norm = kernel(kernel.poses[0, :2].tolist())
     controls = [ControlOutput(*row, p, g) for row, p, g in
                 zip(kernel.by_robot.tolist(), phi.tolist(),
                     grad_norm.tolist())]
@@ -378,18 +380,19 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     Each step advances the (N, 3) poses of one ``StepKernel``, built once
     per run: one array of upper-pair rows (offsets, square lengths and
     distances) feeds the neighbor mask's accretion, the log, the monitors
-    and one kernel call,
-    which makes the controls and moves the poses on from the followers'
-    edge list; the log copies both. The region switch is asked only until
-    it latches. ``monitor_invariants`` runs only on a step where some
-    watched value reaches its bound (``_monitor_bounds``), so it emits the
-    same events as on every step. The log starts at most ``LOG_BYTES``
-    large and doubles when the run outgrows it, so that its size follows
-    the steps run, not the horizon. Raises AssumptionError when the initial
-    graph has no spanning tree rooted at the informed robot, and
-    NonFiniteState, with the step and t, when a step leaves some pose
-    non-finite. Monitor violations are recorded as events and, in strict
-    mode, abort the run by raising MonitorViolation.
+    and one kernel call, which makes the controls and moves the poses on
+    from the followers' edge list; the log copies both. The region switch
+    is asked only until it latches, which drops the kernel's collision
+    factor once (``JetKernel.drop_avoidance``). ``monitor_invariants`` runs
+    only on a step where some watched value reaches its bound
+    (``_monitor_bounds``), so it emits the same events as on every step.
+    The log starts at most ``LOG_BYTES`` large and doubles when the run
+    outgrows it, so that its size follows the steps run, not the horizon.
+    Raises AssumptionError when the initial graph has no spanning tree
+    rooted at the informed robot, and NonFiniteState, with the step and t,
+    when a step leaves some pose non-finite. Monitor violations are
+    recorded as events and, in strict mode, abort the run by raising
+    MonitorViolation.
     """
     started = _time.perf_counter()
     validate_scenario(cfg)
@@ -450,6 +453,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
             if region is RegionFlag.RENDEZVOUS:
                 switch_step = k
                 bounds[1, :n_pairs] = np.inf
+                kernel.jets.drop_avoidance()
                 events.append(Event(k, t, "switch", (
                     "informed robot reached the switch distance" if k
                     else "collision avoidance off from the start")))
@@ -459,7 +463,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
         # step k's norms, before the kernel moves the poses on
         np.hypot(kernel.x, kernel.y, out=watched_norms)
         try:
-            phi[k], _ = kernel(leader, region)
+            phi[k], _ = kernel(leader)
         except NonFiniteState as exc:
             raise NonFiniteState(f"{exc}, step {k}, t = {t:.3f} s") from exc
         ctrl[k] = kernel.by_robot

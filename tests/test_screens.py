@@ -269,8 +269,10 @@ class TestFollowerDivides:
     def test_unaffected_followers_match(self, region, bad):
         cfg, mask, poses, pairs, upper = self._kernel_inputs()
         kernel = JetKernel(cfg, mask)
+        if region is RegionFlag.RENDEZVOUS:
+            kernel.drop_avoidance()
         plain = [np.array(x, dtype=float) for x in
-                 kernel(poses[0, :2], pairs, region)]
+                 kernel(poses[0, :2], pairs)]
         # pair (a, b) of one sensed edge gets the bad distance
         pair = int(np.flatnonzero(mask[upper] | mask.T[upper])[-1])
         a, b = upper[0][pair], upper[1][pair]
@@ -278,7 +280,7 @@ class TestFollowerDivides:
         pairs[:, pair] = (bad / math.sqrt(2.0), bad / math.sqrt(2.0),
                           bad * bad, bad)
         masked = [np.array(x, dtype=float) for x in
-                  kernel(poses[0, :2], pairs, region)]
+                  kernel(poses[0, :2], pairs)]
         touched = {i for i, j in ((a, b), (b, a)) if mask[i, j]}
         keep = [c for c in range(len(mask)) if c not in touched]
         assert touched and len(keep) > 2
@@ -319,18 +321,23 @@ class TestFollowerDivides:
 
     def test_constant_factor_row_is_neutral(self):
         # without avoidance B's row is 1 with log-derivatives -0.0, so the
-        # sums are b's bits, also where b's are -0.0: at d = 0, s_b = 1
+        # sums are b's bits, also where b's are -0.0: at d = 0, s_b = 1; an
+        # edge list rebuilt after the switch keeps it
         cfg, topo = self._close_inputs()
         kernel = JetKernel(cfg, topo.adjacency)
         pairs = sim._offsets(sim.PairWork(self.CLOSE))
-        kernel(self.CLOSE[0, :2], pairs, RegionFlag.RENDEZVOUS)
-        rows = kernel.factor_rows
-        assert (rows.s[1] == 1.0).all()
-        l1_b, l2_b = rows.l[0], rows.l[3]
-        assert np.any(np.signbit(l1_b) & (l1_b == 0.0))
-        assert np.any(np.signbit(l2_b) & (l2_b == 0.0))
-        for summed, b in ((rows.summed[0], l1_b), (rows.summed[3], l2_b)):
-            assert same_bits(summed, b)
+        kernel.drop_avoidance()
+        for rebuilt in (False, True):
+            if rebuilt:
+                kernel.set_mask(topo.adjacency)
+            kernel(self.CLOSE[0, :2], pairs)
+            assert (kernel.s[1] == 1.0).all(), rebuilt
+            l1_b, l2_b = kernel.l[0], kernel.l[3]
+            assert np.any(np.signbit(l1_b) & (l1_b == 0.0))
+            assert np.any(np.signbit(l2_b) & (l2_b == 0.0))
+            for summed, b in ((kernel.summed[0], l1_b),
+                              (kernel.summed[3], l2_b)):
+                assert same_bits(summed, b), rebuilt
 
 
 class TestKernelLogistic:
@@ -348,7 +355,7 @@ class TestKernelLogistic:
             angular_gains=[1.0] * n, initial_states=make_states(poses))
         pairs = sim._offsets(sim.PairWork(poses))
         assert pairs[3].min() < 0.5 * cfg.collision_margin
-        args = (poses[0, :2].tolist(), pairs, RegionFlag.COLLISION_FREE)
+        args = (poses[0, :2].tolist(), pairs)
         kernel = JetKernel(cfg, mask)
         positive = []
 

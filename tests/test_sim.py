@@ -386,7 +386,7 @@ class TestEdgeList:
         pairs = kernel.pairs()
         assert pairs.shape == (4, n * (n - 1) // 2)
         kernel.theta_d[...] = poses[:, 2]
-        kernel(poses[0, :2].tolist(), RegionFlag.COLLISION_FREE)
+        kernel(poses[0, :2].tolist())
         i, j = np.nonzero(mask[1:])
         gap = poses[i + 1, :2] - poses[j, :2]
         assert np.array_equal(jets.m, gap.T)
@@ -486,8 +486,7 @@ class TestKernelRowZero:
             p = self._spot(rng, spot)
             kernel.poses[:, :2] = p + rng.uniform(-1.2, 1.2, (n, 2))
             kernel.poses[0, :2] = p
-            phi, grad, (xx, xy, yy) = kernel.jets(
-                p.tolist(), kernel.pairs(), RegionFlag.COLLISION_FREE)
+            phi, grad, (xx, xy, yy) = kernel.jets(p.tolist(), kernel.pairs())
             ref = gradients.leader_field_eval(p, cfg)
             assert np.float64(ref.value).tobytes() == phi[0].tobytes(), spot
             assert grad[:, 0].tobytes() == ref.gradient.tobytes(), spot

@@ -27,10 +27,21 @@ def _accreting():
         neighbor_mode="accreting")
 
 
+def _accreting_rendezvous():
+    """``_accreting`` inside the switch distance: the run latches at step 0,
+    and followers 2 and 3 gain their mutual edge at step 56, so the edge
+    list is rebuilt after the switch."""
+    return small_config(
+        initial_states=make_states([(-0.5, 0.0, 0.0), (-0.5, 1.2, 0.0),
+                                    (-0.5, -1.2, 0.0)]),
+        neighbor_mode="accreting")
+
+
 # scenario maker and number of steps checked; the rendezvous run converges
 # at step 297
 CASES = {"reference": (_reference, 300), "rendezvous": (_rendezvous, 297),
-         "sparse48": (_sparse48, 50), "accreting": (_accreting, 200)}
+         "sparse48": (_sparse48, 50), "accreting": (_accreting, 200),
+         "accreting_rendezvous": (_accreting_rendezvous, 150)}
 
 
 def same_bits(a, b):

@@ -38,9 +38,10 @@ REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
 # 133 and 138 calls, 10, 8 and 10 of them on column slices or reversed rows.
 # The accreting step follows its mask's growth and adds _accrete_edges'
 # three calls: the threshold screen, a scalar operand that allocates, and
-# two all(). The rendezvous step makes the avoiding step's calls: without
-# avoidance the collision factor is a constant row of 1, which the edge
-# pass's sum and product still take, and the monitors' screen still
+# two all(). The rendezvous step makes the avoiding step's calls: the switch
+# writes the constant factor 1 into the collision factor's rows once
+# (JetKernel.drop_avoidance), which the edge pass's sum and product still
+# take, no step call takes the region, and the monitors' screen still
 # compares its two rows; it made 111 calls when both forked on the region
 BUDGET = {
     "reference": (114, 0, 5, 0, 4, 0),
