@@ -116,40 +116,40 @@ def control_laws(grad, hess, w: ControlWork):
     v, omega, theta_d, theta_tilde, theta_d_dot = w.rows
     hxx, hxy, hyy = hess
     # |-grad| is |grad| bit for bit: hypot takes absolute values
-    np.negative(grad, out=w.descent)
+    np.negative(grad, w.descent)
     descent_x, descent_y = w.descent_x, w.descent_y
-    grad_norm = np.hypot(descent_x, descent_y, out=w.grad_norm)
+    grad_norm = np.hypot(descent_x, descent_y, w.grad_norm)
     # the held heading stays where some norm is at or under the floor, or NaN
-    steep = np.greater(grad_norm, w.floor, out=w.steep)
+    steep = np.greater(grad_norm, w.floor, w.steep)
     if np.count_nonzero(steep) == n:
-        np.arctan2(descent_y, descent_x, out=theta_d)
+        np.arctan2(descent_y, descent_x, theta_d)
     else:
-        np.arctan2(descent_y, descent_x, out=theta_d, where=steep)
+        np.arctan2(descent_y, descent_x, theta_d, where=steep)
     # theta_d is an arctan2 value or a held heading, in [-pi, pi], so
     # theta - theta_d lies in [-2 pi, 2 pi], where one turn is
     # normalize_angle bit for bit; except at -2 pi, which only theta one ulp
     # above -pi and theta_d = pi reach, and which turns to +0.0, not -0.0
-    np.subtract(theta, theta_d, out=theta_tilde)
-    magnitude = np.abs(theta_tilde, out=w.magnitude)
-    if np.count_nonzero(np.less(magnitude, w.pi, out=w.inside)) < n:
-        turn_angles(theta_tilde, out=theta_tilde)
-    np.cos(w.headings, out=w.cosines)
-    np.multiply(w.k_v, w.scaled, out=w.gained)
-    np.multiply(w.gain_norm, w.cos_tilde, out=v)
+    np.subtract(theta, theta_d, theta_tilde)
+    magnitude = np.abs(theta_tilde, w.magnitude)
+    if np.count_nonzero(np.less(magnitude, w.pi, w.inside)) < n:
+        turn_angles(theta_tilde, theta_tilde)
+    np.cos(w.headings, w.cosines)
+    np.multiply(w.k_v, w.scaled, w.gained)
+    np.multiply(w.gain_norm, w.cos_tilde, v)
     # left^T H right with left = (sin theta_d, -cos theta_d), right the
     # motion direction (cos theta, sin theta): (sin_d hxx - cos_d hxy)
     # cos theta + (sin_d hxy - cos_d hyy) sin theta
-    sin_d, cos_d = np.sin(theta_d, out=w.sin_d), w.cos_d
-    np.multiply(sin_d, hxy, out=w.sd_hxy)
-    np.multiply(sin_d, hxx, out=w.sd_hxx)
-    np.multiply(cos_d, hyy, out=w.cd_hyy)
-    np.multiply(cos_d, hxy, out=w.cd_hxy)
-    forms = np.subtract(w.heads, w.tails, out=w.forms)
-    np.sin(theta, out=w.sin_theta)
-    np.cos(theta, out=w.cos_theta)
-    np.multiply(forms, w.motion, out=forms)
-    form = np.add(w.form_x, w.form_y, out=w.form)
-    np.multiply(w.gain_cos, form, out=theta_d_dot)
-    np.subtract(theta_d_dot, np.multiply(w.k_w, theta_tilde,
-                                         out=w.turn_rate), out=omega)
+    sin_d, cos_d = np.sin(theta_d, w.sin_d), w.cos_d
+    np.multiply(sin_d, hxy, w.sd_hxy)
+    np.multiply(sin_d, hxx, w.sd_hxx)
+    np.multiply(cos_d, hyy, w.cd_hyy)
+    np.multiply(cos_d, hxy, w.cd_hxy)
+    forms = np.subtract(w.heads, w.tails, w.forms)
+    np.sin(theta, w.sin_theta)
+    np.cos(theta, w.cos_theta)
+    np.multiply(forms, w.motion, forms)
+    form = np.add(w.form_x, w.form_y, w.form)
+    np.multiply(w.gain_cos, form, theta_d_dot)
+    np.subtract(theta_d_dot, np.multiply(w.k_w, theta_tilde, w.turn_rate),
+                omega)
     return v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm

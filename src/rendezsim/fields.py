@@ -46,14 +46,15 @@ def logistic_negated(y: np.ndarray, minus_zero: np.ndarray,
     goes into ``out``, the screen into the boolean ``nonpositive`` and e
     into ``e``, all of y's shape.
     """
-    np.less_equal(y, minus_zero, out=nonpositive)
+    np.less_equal(y, minus_zero, nonpositive)
     if np.count_nonzero(nonpositive) == y.size:
-        np.exp(y, out=out)
-        np.add(one, out, out=out)
-        return np.divide(one, out, out=out)
-    np.exp(np.copysign(y, minus_zero, out=e), out=e)
+        np.exp(y, out)
+        np.add(one, out, out)
+        return np.divide(one, out, out)
+    np.exp(np.copysign(y, minus_zero, e), e)
+    # numpy deprecates a positional output for maximum and minimum alone
     np.maximum(e, nonpositive, out=out)
-    return np.divide(out, np.add(one, e, out=e), out=out)
+    return np.divide(out, np.add(one, e, e), out)
 
 
 def sigmoid_gain(width: float, eps: float) -> float:

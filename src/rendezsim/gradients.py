@@ -129,8 +129,10 @@ class QuotientWork:
         self.gamma3, self.beta3 = q("G G G"), q("B B B")
         self.gamma, self.dp, self.h0 = q("G"), q("dp dp dp"), q("h0")
         self.a3, self.ap3, self.half = q("a a a"), q("ap ap ap"), q("half")
-        self.s, self.e, self.ar = (np.empty((3, n)) for _ in range(3))
-        self.e2, self.e_row = self.e[:2], self.e[0]
+        self.s, self.root, self.e, self.ar = (np.empty((3, n))
+                                              for _ in range(4))
+        self.e2, self.e_row, self.root_row = (self.e[:2], self.e[0],
+                                              self.root[0])
         self.second = (p("a a a ab ab ab ab d0x d0y"),
                        q("dp dp dp dgx dgy L L dbx dby"),
                        c("dpa dpa dpa f0x f0y ablx ably d1x d1y"))
@@ -173,47 +175,48 @@ def _quotient_jet(w: QuotientWork):
     rounding. Each call applies one ufunc to a block of rows: products of
     one level go into one call, so the order of operations of each element
     is that of the formula, and a quantity paired with (x, y) and with
-    (y, x) is held as (x, y, x). The three exponents stay ``**`` with a
-    scalar exponent. Returns phi, the gradient (x, y), the Hessian (xx,
-    xy, yy) and e, rows of ``w``.
+    (y, x) is held as (x, y, x). Every call passes its output
+    positionally, and the four powers keep their exponents as scalars.
+    Returns phi, the gradient (x, y), the Hessian (xx, xy, yy) and e, rows
+    of ``w``.
     """
     alpha = w.alpha
     inv_alpha = 1.0 / alpha
-    np.multiply(*w.first[:2], out=w.first[2])
-    s = np.add(w.gamma3 ** alpha, w.beta3, out=w.s)
-    root = s ** inv_alpha
-    e = np.multiply(w.a3, s ** (inv_alpha + 1.0), out=w.e)
+    np.multiply(*w.first)
+    s = np.add(np.power(w.gamma3, alpha, w.s), w.beta3, w.s)
+    root = np.power(s, inv_alpha, w.root)
+    e = np.multiply(w.a3, np.power(s, inv_alpha + 1.0, w.e), w.e)
     # d(gamma^a)/d(gamma) diverges at gamma = 0 for a < 1, where grad gamma
     # vanishes and so does every term it multiplies: take it as 0 there. For
     # a >= 1 it is finite at 0, where it multiplies grad gamma = 0 all the same
     dp = w.dp
     if alpha >= 1.0:
-        np.power(w.gamma3, alpha - 1.0, out=dp)
+        np.power(w.gamma3, alpha - 1.0, dp)
     else:
         dp[...] = 0.0
-        np.power(w.gamma3, alpha - 1.0, out=dp, where=w.gamma3 > 0.0)
+        np.power(w.gamma3, alpha - 1.0, dp, where=w.gamma3 > 0.0)
     # a dp, ab grad gamma, ab lap and (a - 1) grad gamma * grad beta
-    np.multiply(*w.second[:2], out=w.second[2])
-    np.add(w.d1, w.abl, out=w.abl)
+    np.multiply(*w.second)
+    np.add(w.d1, w.abl, w.abl)
     # f = ab grad gamma - gamma grad beta, and the diagonal's numerator
     # less gamma hess beta
-    np.subtract(w.f0_d2, w.gdb_gd, out=w.f_d)
-    f = np.divide(w.f, w.e2, out=w.f)
-    np.add(w.crx, w.cry, out=w.h0)
+    np.subtract(w.f0_d2, w.gdb_gd, w.f_d)
+    f = np.divide(w.f, w.e2, w.f)
+    np.add(w.crx, w.cry, w.h0)
     # (a - 1) (gx by + gy bx), and de = (a + 1) root (a dp grad gamma +
     # grad beta), as (x, y, x)
-    np.multiply(*w.third[:2], out=w.third[2])
-    de = np.add(w.de, w.dbeta3, out=w.de)
-    np.multiply(np.multiply(w.ap3, root, out=w.ar), de, out=de)
-    np.multiply(f, w.de_xy, out=w.fde)
-    np.multiply(f, w.de_yx, out=w.fe_yx)  # fx ey, fy ex
-    np.subtract(w.d_h, w.fde_fex, out=w.d_h)
+    np.multiply(*w.third)
+    de = np.add(w.de, w.dbeta3, w.de)
+    np.multiply(np.multiply(w.ap3, root, w.ar), de, de)
+    np.multiply(f, w.de_xy, w.fde)
+    np.multiply(f, w.de_yx, w.fe_yx)  # fx ey, fy ex
+    np.subtract(w.d_h, w.fde_fex, w.d_h)
     h = w.h
-    np.subtract(h, w.fey, out=h)
-    np.multiply(w.half, h, out=h)
-    np.subtract(h, w.gdxy, out=h)
-    np.divide(w.d_h, e, out=w.hess_rows)
-    phi = np.divide(w.gamma, root[0], out=w.phi)
+    np.subtract(h, w.fey, h)
+    np.multiply(w.half, h, h)
+    np.subtract(h, w.gdxy, h)
+    np.divide(w.d_h, e, w.hess_rows)
+    phi = np.divide(w.gamma, w.root_row, w.phi)
     return phi, f, w.hess, w.e_row
 
 
@@ -435,48 +438,48 @@ class JetKernel:
     def _followers(self, pairs):
         """Fill columns 1.. of the compact inputs."""
         pairs.take(self.gather_at, out=self.gathered, mode="clip")
-        m = np.multiply(self.m, self.sign, out=self.m)
-        y = np.subtract(self.d, self.center, out=self.y)
+        m = np.multiply(self.m, self.sign, self.m)
+        y = np.subtract(self.d, self.center, self.y)
         y *= self.gain
         s = logistic_negated(y, self.minus_zero, self.one, self.s,
                              *self.logistic)
         np.multiply.reduceat(s, self.starts, axis=-1, out=self.products)
-        np.subtract(self.one, s, out=self.one_minus)
-        np.multiply(self.c, self.om_s, out=self.l)
-        np.multiply(self.l2_factors, self.one_minus, out=self.l2_factors)
+        np.subtract(self.one, s, self.one_minus)
+        np.multiply(self.c, self.om_s, self.l)
+        np.multiply(self.l2_factors, self.one_minus, self.l2_factors)
         # b's and B's terms in either order: + is commutative bit for bit
-        np.add(self.heads, self.tails, out=self.summed)
+        np.add(self.heads, self.tails, self.summed)
         l1, l2 = self.l1, self.l2
         # edge slopes l_j / d_j and curvatures, each twice; edges under the
         # floor add none, and a NaN distance takes the masked divides too
         d2, t, w = self.dist_rows, self.t, self.w
         top, square = self.top, self.square
-        near = np.greater_equal(d2, self.floor, out=self.near)
-        np.multiply(d2, d2, out=square)
+        near = np.greater_equal(d2, self.floor, self.near)
+        np.multiply(d2, d2, square)
         if np.count_nonzero(near) == near.size:
-            np.divide(l1, d2, out=t)
-            np.divide(np.subtract(l2, t, out=top), square, out=w)
+            np.divide(l1, d2, t)
+            np.divide(np.subtract(l2, t, top), square, w)
         else:
             t.fill(0.0)
             w.fill(0.0)
-            np.divide(l1, d2, out=t, where=near)
-            np.divide(np.subtract(l2, t, out=top), square, out=w, where=near)
-        np.multiply(t, m, out=self.g)
-        wm = np.multiply(w, m, out=self.wm)
-        np.multiply(wm, m, out=self.curvature)
-        np.multiply(self.wm_x, self.m_y, out=self.xy)
+            np.divide(l1, d2, t, where=near)
+            np.divide(np.subtract(l2, t, top), square, w, where=near)
+        np.multiply(t, m, self.g)
+        wm = np.multiply(w, m, self.wm)
+        np.multiply(wm, m, self.curvature)
+        np.multiply(self.wm_x, self.m_y, self.xy)
         np.add.reduceat(self.terms, self.starts, axis=-1, out=self.sums)
         # over whole rows, the quotient inputs: 2 sum (p - q_j) (as a sum of
         # two, exactly), beta (b's product times B's), beta g and beta (g
         # g^T + curvature)
         (offsets, dgamma, curv, slopes, heads, tails, beta, g, dbeta, diag,
          g_x, g_y, xy, hess, curv_xy, beta0) = self.post
-        np.add(offsets, offsets, out=dgamma)
-        np.add(curv, slopes, out=curv)
-        np.multiply(heads, tails, out=beta)
-        np.multiply(beta, g, out=dbeta)
-        np.multiply(g, g, out=diag)
-        np.multiply(g_x, g_y, out=xy)
-        np.add(hess, curv_xy, out=hess)
-        np.multiply(diag, beta, out=diag)
-        np.multiply(xy, beta0, out=xy)
+        np.add(offsets, offsets, dgamma)
+        np.add(curv, slopes, curv)
+        np.multiply(heads, tails, beta)
+        np.multiply(beta, g, dbeta)
+        np.multiply(g, g, diag)
+        np.multiply(g_x, g_y, xy)
+        np.add(hess, curv_xy, hess)
+        np.multiply(diag, beta, diag)
+        np.multiply(xy, beta0, xy)

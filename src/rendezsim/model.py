@@ -53,16 +53,18 @@ def wrap_angles(theta: np.ndarray, out: np.ndarray, pi: np.ndarray,
     Bit for bit normalize_angle, signed zeros included, with plain ufunc
     calls only. ``pi``, math.pi in theta's shape, bounds the screen that
     passes angles inside (-pi, pi) through as they are, with no scalar
-    operand. ``screen``, a float and a boolean array of theta's shape,
+    operand; ``out`` may be ``theta``, which then is not copied when they
+    all pass. ``screen``, a float and a boolean array of theta's shape,
     receives |theta| and the screen's comparison.
     """
     magnitude, inside = screen
-    np.less(np.abs(theta, out=magnitude), pi, out=inside)
+    np.less(np.abs(theta, magnitude), pi, inside)
     if np.count_nonzero(inside) == inside.size:
         # fmod and the turn below leave every angle in (-pi, pi) as it is
-        out[...] = theta
+        if out is not theta:
+            out[...] = theta
         return out
-    return turn_angles(np.fmod(theta, TWO_PI, out=out), out=out)
+    return turn_angles(np.fmod(theta, TWO_PI, out), out)
 
 
 def turn_angles(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -77,7 +79,7 @@ def turn_angles(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     """
     turns = np.subtract(theta > math.pi, theta <= -math.pi, dtype=float)
     turns *= TWO_PI
-    return np.subtract(theta, turns, out=out)
+    return np.subtract(theta, turns, out)
 
 
 def planar_norm(v: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Fixed-step closed-loop simulation with runtime monitors and logging."""
 
+import math
 import time as _time
 from dataclasses import dataclass, field
 
@@ -128,26 +129,24 @@ def _integrate_all(controls, w: IntegrateWork):
     there (a straight line). Moves the (N, 3) poses of ``w`` on in place
     and returns them; every temporary is a row of ``w``.
     """
-    pi = w.pi
-    np.multiply(w.steps, controls, out=w.scaled)
+    pi, theta = w.pi, w.theta
+    np.multiply(w.steps, controls, w.scaled)
     chord, half = w.chord, w.half
-    turns = np.divide(half, pi, out=w.turns)
-    y = np.multiply(pi, turns, out=w.arg)
-    np.add(w.theta, half, out=w.mid)
-    np.sin(w.angles, out=w.sines)  # sin y, in the ratio's row
+    turns = np.divide(half, pi, w.turns)
+    y = np.multiply(pi, turns, w.arg)
+    np.add(theta, half, w.mid)
+    np.sin(w.angles, w.sines)  # sin y, in the ratio's row
     if np.count_nonzero(y) == len(y):
-        ratio = np.divide(w.ratio, y, out=w.ratio)
+        ratio = np.divide(w.ratio, y, w.ratio)
     else:
         ratio = np.sinc(turns)
-    np.multiply(chord, ratio, out=chord)
+    np.multiply(chord, ratio, chord)
     trig = w.trig
-    np.add(w.x, np.multiply(chord, np.cos(w.mid, out=trig), out=trig),
-           out=w.x)
-    np.add(w.y, np.multiply(chord, w.sin_mid, out=trig), out=w.y)
-    # the heading goes last: the columns above read it
-    heading = np.multiply(w.dt, controls[1], out=w.heading)
-    wrap_angles(np.add(w.theta, heading, out=heading), out=w.theta,
-                pi=pi, screen=w.screen)
+    np.add(w.x, np.multiply(chord, np.cos(w.mid, trig), trig), w.x)
+    np.add(w.y, np.multiply(chord, w.sin_mid, trig), w.y)
+    # the heading goes last, wrapped in place: the columns above read it
+    np.add(theta, np.multiply(w.dt, controls[1], w.heading), theta)
+    wrap_angles(theta, theta, pi, w.screen)
     return w.poses
 
 
@@ -160,18 +159,25 @@ class PairWork:
     """Preallocated rows of ``_offsets`` on the (N, 3) ``poses``: the upper
     pairs ``upper = np.triu_indices(N, 1)``, the log's pair order, the
     (4, P) pair rows, the squares, the gathered endpoint coordinates and
-    the take's index."""
+    the take's index. ``screened`` (2, P + N) is the monitors' screen, the
+    watched values (the distances, then the robots' norms) and their
+    negations; one block holds it and the pair rows, whose distances are
+    its first P values."""
 
     def __init__(self, poses: np.ndarray):
+        n = len(poses)
         self.poses = poses
-        self.upper = np.triu_indices(len(poses), 1)
+        self.upper = np.triu_indices(n, 1)
         a, b = (3 * i for i in self.upper)
+        p = len(a)
         # (x_a, y_a, x_b, y_b) of each pair, from the flat (N, 3) poses
         self.ends_at = np.array([a, a + 1, b, b + 1])
-        self.ends = np.empty((4, len(a)))
+        self.ends = np.empty((4, p))
         self.ends_a, self.ends_b = self.ends[:2], self.ends[2:]
-        self.pairs = np.empty((4, len(a)))
-        self.offsets, self.square = self.pairs[:2], np.empty((2, len(a)))
+        block = np.empty(5 * p + 2 * n)
+        self.pairs = block[:4 * p].reshape(4, p)
+        self.screened = block[3 * p:].reshape(2, p + n)
+        self.offsets, self.square = self.pairs[:2], np.empty((2, p))
         self.square_x, self.square_y = self.square
         self.length_squared, self.dist = self.pairs[2], self.pairs[3]
 
@@ -181,10 +187,10 @@ def _offsets(w: PairWork):
     offsets p_a - p_b (x, y), their square lengths and the distances,
     rows of ``w``."""
     w.poses.take(w.ends_at, out=w.ends, mode="clip")
-    np.subtract(w.ends_a, w.ends_b, out=w.offsets)
-    np.multiply(w.offsets, w.offsets, out=w.square)
-    np.add(w.square_x, w.square_y, out=w.length_squared)
-    np.sqrt(w.length_squared, out=w.dist)
+    np.subtract(w.ends_a, w.ends_b, w.offsets)
+    np.multiply(w.offsets, w.offsets, w.square)
+    np.add(w.square_x, w.square_y, w.length_squared)
+    np.sqrt(w.length_squared, w.dist)
     return w.pairs
 
 
@@ -236,7 +242,7 @@ class StepKernel:
         phi, grad, hess = self.jets(leader, self.pair_work.pairs)
         *_, grad_norm = control_laws(grad, hess, self.laws)
         poses = _integrate_all(self.speeds, self.motion)
-        if np.count_nonzero(np.isfinite(poses, out=self.finite)) < poses.size:
+        if np.count_nonzero(np.isfinite(poses, self.finite)) < poses.size:
             i = int(np.flatnonzero(~self.finite.all(axis=1))[0])
             raise NonFiniteState(
                 f"non-finite state after integration: robot {i + 1} at "
@@ -361,6 +367,15 @@ def _monitor_bounds(cfg: ScenarioConfig, monitored: np.ndarray):
     return high, low
 
 
+def _stop_screen(dx: float, dy: float, tolerance: float) -> bool:
+    """False only where ``np.hypot(dx, dy) < tolerance`` is False too, with
+    no numpy call: math.hypot differs from np.hypot by an ulp or two, far
+    under the relative margin, and four ulps of the subnormals stand in for
+    it where it rounds away."""
+    return (math.hypot(dx, dy)
+            < tolerance * (1.0 + 1e-12) + 4.0 * math.ulp(0.0))
+
+
 def _log_rows(rows: int, n: int, n_pairs: int, filled=()):
     """The log's arrays for ``rows`` steps of n robots and n_pairs pairs:
     times, poses (a row more: row k + 1 receives step k's update),
@@ -414,8 +429,9 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     # one comparison screens both bounds: the watched values and their
     # negations against the high bounds and the negated low ones, as -x >=
     # -low exactly when x <= low; the switch sets the collision floor's to
-    # +inf, which no negated distance reaches
-    screened = np.empty((2, n_pairs + n))
+    # +inf, which no negated distance reaches. The watched distances are
+    # the kernel's pair rows' own
+    screened = kernel.pair_work.screened
     watched, negated = screened
     bounds = np.array([high, -low])
 
@@ -434,8 +450,9 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     poses[0] = pose[...] = _pose_array(cfg.initial_states)
     # no desired heading yet: hold the current one
     kernel.theta_d[...] = kernel.theta
-    watched_dist, watched_norms = watched[:n_pairs], watched[n_pairs:]
+    watched_norms = watched[n_pairs:]
     dist = kernel.pair_work.dist
+    tolerance = cfg.position_tolerance
     reach = np.empty(screened.shape, dtype=bool)
 
     k = 0
@@ -461,7 +478,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
         if accreting and _accrete_edges(mask, dist, upper, threshold):
             kernel.jets.set_mask(mask)
         # step k's norms, before the kernel moves the poses on
-        np.hypot(kernel.x, kernel.y, out=watched_norms)
+        np.hypot(kernel.x, kernel.y, watched_norms)
         try:
             phi[k], _ = kernel(leader)
         except NonFiniteState as exc:
@@ -471,9 +488,9 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
 
         times[k] = t
         regions[k] = region is RegionFlag.RENDEZVOUS
-        dists[k] = watched_dist[...] = dist
-        np.negative(watched, out=negated)
-        if np.count_nonzero(np.greater_equal(screened, bounds, out=reach)):
+        dists[k] = dist
+        np.negative(watched, negated)
+        if np.count_nonzero(np.greater_equal(screened, bounds, reach)):
             step_events = monitor_invariants(poses[k, :, :2], dists[k], pairs,
                                              monitored, region, cfg, k, t)
             events.extend(step_events)
@@ -481,14 +498,12 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
                 raise MonitorViolation(
                     "; ".join(f"{e.kind}: {e.detail}" for e in step_events))
 
-        # the informed robot's goal distance, the same ufunc on the same
-        # operands as its entry of the vector test, screens that test
+        # the informed robot's goal distance screens the vector test, which
+        # decides
         converged = (
-            np.hypot(leader[0] - goal_x, leader[1] - goal_y)
-            < cfg.position_tolerance
+            _stop_screen(leader[0] - goal_x, leader[1] - goal_y, tolerance)
             and np.hypot(poses[k, :, 0] - goal_x,
-                         poses[k, :, 1] - goal_y).max()
-            < cfg.position_tolerance
+                         poses[k, :, 1] - goal_y).max() < tolerance
             and np.abs(ctrl[k, :, 3]).max() < cfg.heading_tolerance)
         k += 1
         if converged or k > max_steps:

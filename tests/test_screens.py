@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rendezsim import RegionFlag, run, sim
 from rendezsim.control import ControlWork, control_laws
@@ -439,9 +441,54 @@ class TestRegionOf:
                         is region_of_before(np.asarray(position), params_s5))
 
 
+def _nudged(x, ulps):
+    """x moved by ``ulps`` units in the last place, up or down."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def goal_offsets(draw):
+    """(dx, dy, tol): a goal offset whose length is within a few ulps of the
+    tolerance, each coordinate moved by a few ulps of its own, or NaN or
+    infinite."""
+    tol = draw(st.floats(min_value=0.0, exclude_min=True,
+                         allow_infinity=False))
+    turn = draw(st.floats(0.0, 2.0 * math.pi))
+    odd = st.sampled_from([math.nan, math.inf, -math.inf])
+    dx, dy = (draw(st.one_of(st.just(_nudged(x, draw(st.integers(-4, 4)))),
+                             odd))
+              for x in (tol * math.cos(turn), tol * math.sin(turn)))
+    return dx, dy, tol
+
+
 class TestStopTest:
-    """The informed robot's goal distance screens the convergence test: a
-    run stops at the first step where the unscreened predicate holds."""
+    """The informed robot's goal distance, by ``math.hypot`` with a margin,
+    screens the convergence test: a run stops at the first step where the
+    unscreened predicate holds."""
+
+    @given(goal_offsets())
+    @example((math.nextafter(0.05, 0.0), 0.0, 0.05))
+    # math.hypot one ulp above np.hypot, which is under the tolerance
+    @example((float.fromhex("0x1.c4bc3a1882613p-1"),
+              float.fromhex("0x1.1ae17a13bb583p-1"), 1.0426664956751945))
+    # subnormal tolerances, where the relative margin rounds away
+    @example((_nudged(1e-320, -1), 0.0, 1e-320))
+    @example((3e-323, 3e-323, 5e-323))
+    @example((math.nan, math.inf, 0.05))
+    def test_screen_passes_every_offset_under_the_tolerance(self, offset):
+        dx, dy, tol = offset
+        with np.errstate(over="ignore"):
+            under = np.hypot(dx, dy) < tol
+        assert sim._stop_screen(dx, dy, tol) or not under
+
+    def test_screen_rejects_offsets_beyond_its_margin(self):
+        tol = 0.05
+        assert sim._stop_screen(_nudged(tol, -1), 0.0, tol)
+        for dx, dy in ((tol * (1.0 + 1e-11), 0.0), (0.04, 0.04),
+                       (math.nan, 0.0), (math.inf, math.nan)):
+            assert not sim._stop_screen(dx, dy, tol)
 
     @staticmethod
     def predicate(log, cfg):

@@ -30,24 +30,26 @@ REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
 # step. Before the exact screens each of the three steps made 8
 # where= calls, and 154, 147 and 154 calls in all. Before every operand
 # became an array of its partner's shape each step made 25 scalar-operand
-# calls and 15 broadcasting ones; the 5 scalar ones left are the quotient
-# rule's four exponents and the stop screen's hypot. Before the step's
-# workspaces the three steps allocated 90, 90 and 92 results; those left
-# are three of the exponents (numpy's ** has no out) and the stop screen's
-# hypot on floats. Before the fused row blocks the three steps made 136,
-# 133 and 138 calls, 10, 8 and 10 of them on column slices or reversed rows.
-# The accreting step follows its mask's growth and adds _accrete_edges'
-# three calls: the threshold screen, a scalar operand that allocates, and
-# two all(). The rendezvous step makes the avoiding step's calls: the switch
-# writes the constant factor 1 into the collision factor's rows once
-# (JetKernel.drop_avoidance), which the edge pass's sum and product still
-# take, no step call takes the region, and the monitors' screen still
-# compares its two rows; it made 111 calls when both forked on the region
+# calls and 15 broadcasting ones; the 4 scalar ones left are the quotient
+# rule's four powers, whose exponents stay scalars. Before the step's
+# workspaces the three steps allocated 90, 90 and 92 results, and 4 until
+# the quotient rule's three ** became np.power calls into rows and the stop
+# screen's np.hypot on floats became math.hypot, which took one call off
+# each step too (114, 114, 116 and 117 before). Before the fused row
+# blocks the three steps made 136, 133 and 138 calls, 10, 8 and 10 of them
+# on column slices or reversed rows. The accreting step follows its mask's
+# growth and adds _accrete_edges' three calls: the threshold screen, a
+# scalar operand that allocates, and two all(). The rendezvous step makes
+# the avoiding step's calls: the switch writes the constant factor 1 into
+# the collision factor's rows once (JetKernel.drop_avoidance), which the
+# edge pass's sum and product still take, no step call takes the region,
+# and the monitors' screen still compares its two rows; it made 111 calls
+# when both forked on the region
 BUDGET = {
-    "reference": (114, 0, 5, 0, 4, 0),
-    "rendezvous": (114, 0, 5, 0, 4, 0),
-    "sparse48": (116, 0, 5, 0, 4, 0),
-    "accreting": (117, 0, 6, 0, 5, 0),
+    "reference": (113, 0, 4, 0, 0, 0),
+    "rendezvous": (113, 0, 4, 0, 0, 0),
+    "sparse48": (115, 0, 4, 0, 0, 0),
+    "accreting": (116, 0, 5, 0, 1, 0),
 }
 # calls of numpy's Python-level helpers per step: np.sinc and np.copyto are
 # met only on steps the screens send to their masked paths, and the
