@@ -60,9 +60,10 @@ class ControlWork:
     """The rows of ``control_laws`` over the n headings ``theta``: the gains
     (the linear ones twice, as (2, n)), the floor and pi as rows, the five
     result rows ``controls`` (v, omega, theta_d, theta_tilde, theta_d_dot)
-    and the temporaries, with every view bound once. Row theta_d is the
-    heading held where a gradient is below the floor: set it before the
-    first call."""
+    and the temporaries, with every view bound once; ``all_true`` is the
+    bytes of an all-True boolean row, which a screen's bytes equal exactly
+    when every robot passes it. Row theta_d is the heading held where a
+    gradient is below the floor: set it before the first call."""
 
     def __init__(self, theta: np.ndarray, linear_gains, angular_gains,
                  gradient_floor: float):
@@ -94,6 +95,7 @@ class ControlWork:
         self.form_y, self.form_x = self.forms
         self.magnitude, self.form, self.turn_rate = np.empty((3, n))
         self.steep, self.inside = np.empty((2, n), dtype=bool)
+        self.all_true = np.ones(n, dtype=bool).tobytes()
 
 
 def control_laws(grad, hess, w: ControlWork):
@@ -112,7 +114,6 @@ def control_laws(grad, hess, w: ControlWork):
     theta_tilde, theta_d_dot, grad_norm), rows of ``w``.
     """
     theta = w.theta
-    n = len(theta)
     v, omega, theta_d, theta_tilde, theta_d_dot = w.rows
     hxx, hxy, hyy = hess
     # |-grad| is |grad| bit for bit: hypot takes absolute values
@@ -121,7 +122,7 @@ def control_laws(grad, hess, w: ControlWork):
     grad_norm = np.hypot(descent_x, descent_y, w.grad_norm)
     # the held heading stays where some norm is at or under the floor, or NaN
     steep = np.greater(grad_norm, w.floor, w.steep)
-    if np.count_nonzero(steep) == n:
+    if steep.tobytes() == w.all_true:
         np.arctan2(descent_y, descent_x, theta_d)
     else:
         np.arctan2(descent_y, descent_x, theta_d, where=steep)
@@ -131,7 +132,7 @@ def control_laws(grad, hess, w: ControlWork):
     # above -pi and theta_d = pi reach, and which turns to +0.0, not -0.0
     np.subtract(theta, theta_d, theta_tilde)
     magnitude = np.abs(theta_tilde, w.magnitude)
-    if np.count_nonzero(np.less(magnitude, w.pi, w.inside)) < n:
+    if np.less(magnitude, w.pi, w.inside).tobytes() != w.all_true:
         turn_angles(theta_tilde, theta_tilde)
     np.cos(w.headings, w.cosines)
     np.multiply(w.k_v, w.scaled, w.gained)

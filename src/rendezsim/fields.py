@@ -34,7 +34,8 @@ def _logistic(z: float) -> float:
 
 def logistic_negated(y: np.ndarray, minus_zero: np.ndarray,
                      one: np.ndarray, out: np.ndarray,
-                     nonpositive: np.ndarray, e: np.ndarray) -> np.ndarray:
+                     nonpositive: np.ndarray, e: np.ndarray,
+                     all_nonpositive: bytes) -> np.ndarray:
     """logistic(-y) elementwise, overflow-safe as ``_logistic`` is.
 
     With e = exp(-|y|) that is 1 / (1 + e) where y <= 0 and e / (1 + e)
@@ -44,10 +45,12 @@ def logistic_negated(y: np.ndarray, minus_zero: np.ndarray,
     1.0 in y's shape, so that no call takes a scalar operand or broadcasts:
     -0.0 compares as 0 and lends ``copysign`` its sign, -|y|. The result
     goes into ``out``, the screen into the boolean ``nonpositive`` and e
-    into ``e``, all of y's shape.
+    into ``e``, all of y's shape; ``all_nonpositive`` is the bytes of an
+    all-True boolean array of y's shape, which the screen's bytes equal
+    exactly when every y <= 0.
     """
     np.less_equal(y, minus_zero, nonpositive)
-    if np.count_nonzero(nonpositive) == y.size:
+    if nonpositive.tobytes() == all_nonpositive:
         np.exp(y, out)
         np.add(one, out, out)
         return np.divide(one, out, out)

@@ -50,6 +50,18 @@ def fd_hessian(f: ScalarField, p: np.ndarray, h: float) -> np.ndarray:
     return np.array([[d11, cross], [cross, d22]])
 
 
+def exponent_row(exponent: float, size: int) -> np.ndarray:
+    """``exponent`` as a read-only (size,) row of stride 0, for a flat base.
+
+    numpy's power loop sees the zero stride of a scalar exponent, so it
+    keeps the square, sqrt and reciprocal paths of 2, 1/2 and -1: the
+    power equals ``np.power(x, exponent, out)`` bit for bit, which a full
+    row of exponents would not, and costs less, as numpy converts a scalar
+    on every call. A two-dimensional stride-0 operand is slower.
+    """
+    return np.broadcast_to(np.array(exponent), (size,))
+
+
 class Rows:
     """The names of the rows of a C-contiguous block.
 
@@ -89,7 +101,9 @@ class QuotientWork:
     gradient as (dbx, dby) and its Hessian as (hxx, hyy, hxy); the rule
     writes dp and h0, and a, am, ap and half hold alpha, alpha - 1, alpha +
     1 and 1/2. The rows of ``changing`` are the ones that ``load`` writes,
-    or that the step kernel fills.
+    or that the step kernel fills. The four powers take flat views of
+    their blocks and their exponents as ``exponent_row``s: alpha, 1/alpha,
+    1/alpha + 1 and alpha - 1, in ``exponents``.
     """
 
     INPUTS = Rows("a a a a am am dgy dgx G G G G G",
@@ -152,6 +166,14 @@ class QuotientWork:
         self.hess_rows = np.empty((3, n))
         self.hess = (self.hess_rows[0], self.hess_rows[2], self.hess_rows[1])
         self.phi = np.empty(n)
+        # the powers' bases and results, flat; their exponents as rows
+        flat = 3 * n
+        (self.gamma_flat, self.s_flat, self.root_flat, self.e_flat,
+         self.dp_flat) = (x.reshape(flat, copy=False) for x in (
+             self.gamma3, self.s, self.root, self.e, self.dp))
+        inv_alpha = 1.0 / alpha
+        self.exponents = tuple(exponent_row(x, flat) for x in (
+            alpha, inv_alpha, inv_alpha + 1.0, alpha - 1.0))
 
     def load(self, gamma, dgamma, lap, beta, dbeta, ddbeta):
         """Write the inputs, each a float or an (n,) row: gamma, lap, beta,
@@ -176,25 +198,28 @@ def _quotient_jet(w: QuotientWork):
     one level go into one call, so the order of operations of each element
     is that of the formula, and a quantity paired with (x, y) and with
     (y, x) is held as (x, y, x). Every call passes its output
-    positionally, and the four powers keep their exponents as scalars.
-    Returns phi, the gradient (x, y), the Hessian (xx, xy, yy) and e, rows
-    of ``w``.
+    positionally, and the four powers take flat rows and stride-0
+    exponents (``exponent_row``). Returns phi, the gradient (x, y), the
+    Hessian (xx, xy, yy) and e, rows of ``w``.
     """
-    alpha = w.alpha
-    inv_alpha = 1.0 / alpha
+    alpha, inv_alpha, inv_alpha_plus, alpha_minus = w.exponents
+    gamma_flat, s_flat = w.gamma_flat, w.s_flat
     np.multiply(*w.first)
-    s = np.add(np.power(w.gamma3, alpha, w.s), w.beta3, w.s)
-    root = np.power(s, inv_alpha, w.root)
-    e = np.multiply(w.a3, np.power(s, inv_alpha + 1.0, w.e), w.e)
+    # s = gamma^a + beta, root = s^(1/a) and e = a s^(1/a + 1)
+    np.power(gamma_flat, alpha, s_flat)
+    np.add(w.s, w.beta3, w.s)
+    np.power(s_flat, inv_alpha, w.root_flat)
+    np.power(s_flat, inv_alpha_plus, w.e_flat)
+    root, e = w.root, np.multiply(w.a3, w.e, w.e)
     # d(gamma^a)/d(gamma) diverges at gamma = 0 for a < 1, where grad gamma
     # vanishes and so does every term it multiplies: take it as 0 there. For
     # a >= 1 it is finite at 0, where it multiplies grad gamma = 0 all the same
-    dp = w.dp
-    if alpha >= 1.0:
-        np.power(w.gamma3, alpha - 1.0, dp)
+    if w.alpha >= 1.0:
+        np.power(gamma_flat, alpha_minus, w.dp_flat)
     else:
-        dp[...] = 0.0
-        np.power(w.gamma3, alpha - 1.0, dp, where=w.gamma3 > 0.0)
+        w.dp[...] = 0.0
+        np.power(gamma_flat, alpha_minus, w.dp_flat,
+                 where=gamma_flat > 0.0)
     # a dp, ab grad gamma, ab lap and (a - 1) grad gamma * grad beta
     np.multiply(*w.second)
     np.add(w.d1, w.abl, w.abl)
@@ -393,13 +418,15 @@ class JetKernel:
         self.minus_zero = np.full((3, n_edges), -0.0)
         self.one = np.ones((3, n_edges))
         self.logistic = (np.empty((3, n_edges), dtype=bool),
-                         np.empty((3, n_edges)))
+                         np.empty((3, n_edges)),
+                         np.ones((3, n_edges), dtype=bool).tobytes())
         # l1 (b + B twice), a row of no use, l2 (b + B twice)
         self.summed = np.empty((5, n_edges))
         self.heads, self.tails = self.l[0:5], self.l[1:6]
         self.l1, self.l2 = self.summed[0:2], self.summed[3:5]
         # per edge, twice: the floor screen, d^2, l2 - t, w and w (p - q_j)
         self.near = np.empty((2, n_edges), dtype=bool)
+        self.all_near = np.ones((2, n_edges), dtype=bool).tobytes()
         self.square, self.top, self.w, self.wm = (np.empty((2, n_edges))
                                                   for _ in range(4))
         self.wm_x = self.wm[0]
@@ -431,13 +458,13 @@ class JetKernel:
         if self.n > 1:
             self._followers(pairs)
         self.leader[:] = (gamma, gx, gy, beta, beta, bx, by, hxx, hyy, hxy)
-        self.compact.take(self.spread_at, out=self.spread, mode="clip")
+        self.compact.take(self.spread_at, None, self.spread, "clip")
         phi, grad, hess, _ = _quotient_jet(self.quotient)
         return phi, grad, hess
 
     def _followers(self, pairs):
         """Fill columns 1.. of the compact inputs."""
-        pairs.take(self.gather_at, out=self.gathered, mode="clip")
+        pairs.take(self.gather_at, None, self.gathered, "clip")
         m = np.multiply(self.m, self.sign, self.m)
         y = np.subtract(self.d, self.center, self.y)
         y *= self.gain
@@ -456,7 +483,7 @@ class JetKernel:
         top, square = self.top, self.square
         near = np.greater_equal(d2, self.floor, self.near)
         np.multiply(d2, d2, square)
-        if np.count_nonzero(near) == near.size:
+        if near.tobytes() == self.all_near:
             np.divide(l1, d2, t)
             np.divide(np.subtract(l2, t, top), square, w)
         else:

@@ -54,12 +54,14 @@ def wrap_angles(theta: np.ndarray, out: np.ndarray, pi: np.ndarray,
     calls only. ``pi``, math.pi in theta's shape, bounds the screen that
     passes angles inside (-pi, pi) through as they are, with no scalar
     operand; ``out`` may be ``theta``, which then is not copied when they
-    all pass. ``screen``, a float and a boolean array of theta's shape,
-    receives |theta| and the screen's comparison.
+    all pass. ``screen``, a float and a boolean array of theta's shape and
+    the bytes of an all-True boolean array of that shape, receives |theta|
+    and the screen's comparison, whose bytes equal the third exactly when
+    every angle passes.
     """
-    magnitude, inside = screen
+    magnitude, inside, all_inside = screen
     np.less(np.abs(theta, magnitude), pi, inside)
-    if np.count_nonzero(inside) == inside.size:
+    if inside.tobytes() == all_inside:
         # fmod and the turn below leave every angle in (-pi, pi) as it is
         if out is not theta:
             out[...] = theta

@@ -97,7 +97,9 @@ class IntegrateWork:
 
     It holds (dt, dt / 2) and pi as rows, so that no call takes a scalar,
     the temporaries, the heading wrap's screen and the pose columns, bound
-    once.
+    once, and the pose screen: |poses|, their bounds (inf, inf, pi) per
+    robot, the comparison and the bytes of its all-True value
+    ``all_true``.
     """
 
     def __init__(self, poses: np.ndarray, dt: float):
@@ -115,7 +117,13 @@ class IntegrateWork:
         self.ratio, self.sin_mid = self.sines
         (self.turns, self.trig, self.heading,
          magnitude) = np.empty((4, n))
-        self.screen = (magnitude, np.empty(n, dtype=bool))
+        self.screen = (magnitude, np.empty(n, dtype=bool),
+                       np.ones(n, dtype=bool).tobytes())
+        self.magnitudes = np.empty((n, 3))
+        self.bounds = np.full((n, 3), np.inf)
+        self.bounds[:, 2] = np.pi
+        self.inside = np.empty((n, 3), dtype=bool)
+        self.all_true = np.ones((n, 3), dtype=bool).tobytes()
 
 
 def _integrate_all(controls, w: IntegrateWork):
@@ -126,8 +134,14 @@ def _integrate_all(controls, w: IntegrateWork):
     ratio sin(y)/y is np.sinc's own arithmetic, y = pi (h/pi) for the half
     turn h, done inline; plain sin(h)/h can differ from it in the last
     bit. Only a step where some y is 0 calls np.sinc, which is exactly 1
-    there (a straight line). Moves the (N, 3) poses of ``w`` on in place
-    and returns them; every temporary is a row of ``w``.
+    there (a straight line). Moves the (N, 3) poses of ``w`` on in place;
+    every temporary is a row of ``w``.
+
+    One comparison of |poses| with the bounds (inf, inf, pi) screens the
+    new poses: it passes when every coordinate is finite and every heading
+    inside (-pi, pi), where ``wrap_angles`` would change nothing. Returns
+    whether it passed; where it did not, the headings are wrapped and some
+    pose may be non-finite.
     """
     pi, theta = w.pi, w.theta
     np.multiply(w.steps, controls, w.scaled)
@@ -146,8 +160,11 @@ def _integrate_all(controls, w: IntegrateWork):
     np.add(w.y, np.multiply(chord, w.sin_mid, trig), w.y)
     # the heading goes last, wrapped in place: the columns above read it
     np.add(theta, np.multiply(w.dt, controls[1], w.heading), theta)
+    np.less(np.abs(w.poses, w.magnitudes), w.bounds, w.inside)
+    if w.inside.tobytes() == w.all_true:
+        return True
     wrap_angles(theta, theta, pi, w.screen)
-    return w.poses
+    return False
 
 
 def _pose_array(states: list[RobotState]) -> np.ndarray:
@@ -186,7 +203,7 @@ def _offsets(w: PairWork):
     """Pair rows of the upper pairs of ``w`` as one (4, P) array: the
     offsets p_a - p_b (x, y), their square lengths and the distances,
     rows of ``w``."""
-    w.poses.take(w.ends_at, out=w.ends, mode="clip")
+    w.poses.take(w.ends_at, None, w.ends, "clip")
     np.subtract(w.ends_a, w.ends_b, w.offsets)
     np.multiply(w.offsets, w.offsets, w.square)
     np.add(w.square_x, w.square_y, w.length_squared)
@@ -241,12 +258,15 @@ class StepKernel:
         ``leader`` is the informed robot's (x, y) as floats."""
         phi, grad, hess = self.jets(leader, self.pair_work.pairs)
         *_, grad_norm = control_laws(grad, hess, self.laws)
-        poses = _integrate_all(self.speeds, self.motion)
-        if np.count_nonzero(np.isfinite(poses, self.finite)) < poses.size:
-            i = int(np.flatnonzero(~self.finite.all(axis=1))[0])
-            raise NonFiniteState(
-                f"non-finite state after integration: robot {i + 1} at "
-                f"(x, y, theta) = {tuple(poses[i].tolist())}")
+        # a step whose poses pass the pose screen is finite
+        if not _integrate_all(self.speeds, self.motion):
+            poses = self.poses
+            finite = np.isfinite(poses, self.finite)
+            if finite.tobytes() != self.motion.all_true:
+                i = int(np.flatnonzero(~finite.all(axis=1))[0])
+                raise NonFiniteState(
+                    f"non-finite state after integration: robot {i + 1} at "
+                    f"(x, y, theta) = {tuple(poses[i].tolist())}")
         return phi, grad_norm
 
 
@@ -334,18 +354,37 @@ def initial_topology(cfg: ScenarioConfig) -> Topology:
     return topo
 
 
+class AccreteWork:
+    """Preallocated rows of ``_accrete_edges`` on the upper pairs
+    ``upper`` of the sensing ``mask``: the threshold as a row, ``edge``,
+    which pairs are mutual edges of the mask, the two comparisons and the
+    bytes of an all-False one, ``none``."""
+
+    def __init__(self, mask: np.ndarray, upper: tuple, threshold: float):
+        p = len(upper[0])
+        self.threshold = np.full(p, threshold)
+        self.edge = mask[upper] & mask.T[upper]
+        self.near, self.new = np.empty((2, p), dtype=bool)
+        self.none = bytes(p)
+
+
 def _accrete_edges(mask: np.ndarray, dist: np.ndarray, upper: tuple,
-                   threshold: float) -> bool:
+                   w: AccreteWork) -> bool:
     """Add mutual edges, in place, for pairs closer than the threshold.
 
-    ``dist`` holds the distances of the upper pairs ``upper``. Returns
-    whether the mask grew.
+    ``dist`` holds the distances of the upper pairs ``upper``, and ``w``
+    the mask's edges among them. Returns whether the mask grew. It only
+    grows, so two comparisons screen a step for pairs that are near but
+    not yet edges, and only a step that has some writes them.
     """
-    near = dist < threshold
-    a, b = upper[0][near], upper[1][near]
-    grew = not (mask[a, b].all() and mask[b, a].all())
+    near = np.less(dist, w.threshold, w.near)
+    new = np.greater(near, w.edge, w.new)  # near and not an edge
+    if new.tobytes() == w.none:
+        return False
+    a, b = upper[0][new], upper[1][new]
     mask[a, b] = mask[b, a] = True
-    return grew
+    np.logical_or(w.edge, new, w.edge)
+    return True
 
 
 def _monitor_bounds(cfg: ScenarioConfig, monitored: np.ndarray):
@@ -413,13 +452,14 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     validate_scenario(cfg)
     n = cfg.n_robots
     accreting = cfg.neighbor_mode == "accreting"
-    threshold = cfg.sensing_radius - cfg.connectivity_buffer
 
     # the mask stays frozen unless accretion grows it; the initial graph
     # already holds every pair inside the threshold
     mask = initial_topology(cfg).adjacency
     kernel = StepKernel(cfg, mask)
     upper = kernel.upper
+    threshold = cfg.sensing_radius - cfg.connectivity_buffer
+    accretion = AccreteWork(mask, upper, threshold) if accreting else None
     pairs = tuple(zip(*np.add(upper, 1).tolist()))
     leader_const = kernel.jets.leader_const
     goal_x, goal_y = leader_const.goal_x, leader_const.goal_y
@@ -454,6 +494,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     dist = kernel.pair_work.dist
     tolerance = cfg.position_tolerance
     reach = np.empty(screened.shape, dtype=bool)
+    unreached = bytes(reach.size)
 
     k = 0
     while True:
@@ -475,7 +516,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
                     "informed robot reached the switch distance" if k
                     else "collision avoidance off from the start")))
         kernel.pairs()
-        if accreting and _accrete_edges(mask, dist, upper, threshold):
+        if accreting and _accrete_edges(mask, dist, upper, accretion):
             kernel.jets.set_mask(mask)
         # step k's norms, before the kernel moves the poses on
         np.hypot(kernel.x, kernel.y, watched_norms)
@@ -490,7 +531,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
         regions[k] = region is RegionFlag.RENDEZVOUS
         dists[k] = dist
         np.negative(watched, negated)
-        if np.count_nonzero(np.greater_equal(screened, bounds, reach)):
+        if np.greater_equal(screened, bounds, reach).tobytes() != unreached:
             step_events = monitor_invariants(poses[k, :, :2], dists[k], pairs,
                                              monitored, region, cfg, k, t)
             events.extend(step_events)

@@ -16,10 +16,11 @@ def make_states(poses):
 
 def wrap_rows(theta):
     """The rows ``model.wrap_angles`` takes after ``out``, in theta's
-    shape: pi, and the screen's |theta| and comparison."""
+    shape: pi, and the screen's |theta|, comparison and all-True bytes."""
     shape = np.shape(theta)
-    return np.full(shape, math.pi), (np.empty(shape),
-                                     np.empty(shape, dtype=bool))
+    return np.full(shape, math.pi), (
+        np.empty(shape), np.empty(shape, dtype=bool),
+        np.ones(shape, dtype=bool).tobytes())
 
 
 Laws = namedtuple("Laws", "v omega theta_d theta_tilde theta_d_dot grad_norm")

@@ -15,7 +15,8 @@ A count is one of
   on arrays included, and ufunc calls on scalars;
 * a function numpy dispatches on its array arguments (``sinc``, ``where``,
   ``copyto``, ``concatenate``, ...) or one of ``CREATION``;
-* a method of ``METHODS`` called on an array.
+* a method of ``METHODS`` called on an array, ``tobytes`` included: a
+  screen that compares a boolean row's bytes with a constant is one call.
 
 Indexing, slicing, attribute access and arithmetic on numpy scalars are not
 counted.
@@ -45,7 +46,7 @@ CREATION = ("array", "asarray", "empty", "zeros", "ones", "full",
             "triu_indices")
 UFUNC_METHODS = ("reduce", "accumulate", "reduceat", "outer", "at")
 METHODS = ("all", "any", "max", "min", "sum", "take", "fill", "copy",
-           "reshape", "tolist", "nonzero", "cumsum", "item")
+           "reshape", "tolist", "nonzero", "cumsum", "item", "tobytes")
 
 
 class CallCounts:

@@ -86,8 +86,9 @@ def integrate_copy(poses: np.ndarray, controls: np.ndarray,
                    dt: float) -> np.ndarray:
     """``sim._integrate_all`` on a copy of the (N, 3) poses, with the
     controls (v, omega) as (2, N) rows held constant over dt."""
-    return _integrate_all(controls, IntegrateWork(
-        np.array(poses, dtype=float), dt))
+    work = IntegrateWork(np.array(poses, dtype=float), dt)
+    _integrate_all(controls, work)
+    return work.poses
 
 
 def integrate_pose(pose: np.ndarray, v: float, omega: float,

@@ -1,13 +1,16 @@
-"""The step's call convention: every ufunc call passes its output
-positionally.
+"""The step's call convention: every ufunc call and every ``take``
+passes its output positionally.
 
 numpy parses a keyword argument on every call, and a step makes about a
 hundred ufunc calls, so ``np.add(a, b, c)`` in place of
-``np.add(a, b, out=c)`` is part of the step's cost. The scan reads the
-source of the modules a step runs through and flags each ``np.<ufunc>``
-call whose only keyword is ``out=``. ``np.maximum`` and ``np.minimum`` are
-exempt: numpy deprecates their positional output. A call with another
-keyword (``where=``, ``dtype=``) is not flagged.
+``np.add(a, b, out=c)`` is part of the step's cost; a ``take`` given
+``out=`` and ``mode=`` by keyword costs about twice one given them by
+position, ``a.take(i, None, o, "clip")``. The scan reads the source of the
+modules a step runs through and flags each ``np.<ufunc>`` call whose only
+keyword is ``out=``, and each ``.take(...)`` call given ``out=`` or
+``mode=`` by keyword. ``np.maximum`` and ``np.minimum`` are exempt: numpy
+deprecates their positional output. A ufunc call with another keyword
+(``where=``, ``dtype=``) is not flagged.
 """
 
 import ast
@@ -40,6 +43,16 @@ def keyword_outputs(source: str) -> list[tuple[int, str]]:
     return sorted(found)
 
 
+def keyword_takes(source: str) -> list[int]:
+    """Lines of the ``.take(...)`` calls in ``source`` that give ``out=``
+    or ``mode=`` by keyword."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "take"
+        and {k.arg for k in node.keywords} & {"out", "mode"})
+
+
 def _source(module):
     with open(os.path.join(PACKAGE, f"{module}.py")) as f:
         return f.read()
@@ -56,6 +69,37 @@ def test_scan_catches_a_planted_keyword_output():
     line = planted.count("\n")
     assert keyword_outputs(planted) == keyword_outputs(source) + [
         (line, "add")]
+
+
+@pytest.mark.parametrize("module", STEP_MODULES)
+def test_step_modules_pass_take_outputs_positionally(module):
+    assert keyword_takes(_source(module)) == []
+
+
+def test_scan_catches_a_planted_keyword_take():
+    source = _source("sim")
+    planted = source + '\nw.poses.take(w.ends_at, out=w.ends, mode="clip")\n'
+    line = planted.count("\n")
+    assert keyword_takes(planted) == keyword_takes(source) + [line]
+
+
+@pytest.mark.parametrize("call", [
+    'a.take(i, None, o, "clip")',
+    "pts.take(first, 1)",
+    "np.take(a, i, axis=0)",
+])
+def test_take_scan_passes_positional_takes(call):
+    assert keyword_takes(call) == []
+
+
+@pytest.mark.parametrize("call", [
+    'a.take(i, out=o, mode="clip")',
+    "a.take(i, None, out=o)",
+    'x = w.pairs.take(i, None, o, mode="clip")',
+    "np.take(a, i, out=o)",
+])
+def test_take_scan_flags_keyword_takes(call):
+    assert keyword_takes(call) != []
 
 
 @pytest.mark.parametrize("call", [

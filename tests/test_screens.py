@@ -3,7 +3,9 @@
 Each step takes its masked or helper path (``where=`` calls, ``np.sinc``,
 ``np.copyto``) only when its own input needs it. The functions named
 ``*_before`` below are the formulas the screened code replaced, kept as
-oracles: every branch must give their result bit for bit.
+oracles: every branch must give their result bit for bit. A screen reads
+its boolean row as bytes, and the powers take stride-0 exponents; both
+are held to the forms they replaced here too.
 """
 
 import math
@@ -19,7 +21,7 @@ from rendezsim.fields import region_of
 from rendezsim import gradients
 from rendezsim.fields import logistic_negated
 from rendezsim.gradients import (DISTANCE_FLOOR, JetKernel, QuotientWork,
-                                 _one_robot_jet, _quotient_jet)
+                                 _one_robot_jet, _quotient_jet, exponent_row)
 from rendezsim.model import TWO_PI, turn_angles, wrap_angles
 
 from conftest import make_states, small_config, topology, wrap_rows
@@ -206,7 +208,8 @@ class TestQuotientRule:
             assert same_bits(e, e_rows[0])
 
 
-def logistic_before(y, minus_zero, one, out, nonpositive, e):
+def logistic_before(y, minus_zero, one, out, nonpositive, e,
+                    all_nonpositive):
     """``logistic_negated`` by the formula it replaced, into ``out``."""
     out[...] = logistic_array_before(-y)
     return out
@@ -222,7 +225,8 @@ class TestLogisticNegated:
         return logistic_negated(y, np.full(y.shape, -0.0), np.ones(y.shape),
                                 np.empty(y.shape),
                                 np.empty(y.shape, dtype=bool),
-                                np.empty(y.shape))
+                                np.empty(y.shape),
+                                np.ones(y.shape, dtype=bool).tobytes())
 
     @pytest.mark.parametrize("z", SPECIAL)
     def test_special_values(self, z):
@@ -361,9 +365,9 @@ class TestKernelLogistic:
         kernel = JetKernel(cfg, mask)
         positive = []
 
-        def spy(y, minus_zero, one, out, nonpositive, e):
+        def spy(y, *rows):
             positive.append(np.count_nonzero(y > 0.0))
-            return logistic_negated(y, minus_zero, one, out, nonpositive, e)
+            return logistic_negated(y, *rows)
         monkeypatch.setattr(gradients, "logistic_negated", spy)
         got = [np.array(x, dtype=float) for x in kernel(*args)]
         assert positive == [2]  # the pair, once from each side
@@ -527,3 +531,183 @@ class TestStopTest:
         cfg, dist = self.converged_run([(-1.0, 0.5, 0.0)],
                                        heading_tolerance=4.0)
         assert 0.9 * cfg.position_tolerance < dist[-1, 0]
+
+
+COMPARISONS = (np.less, np.less_equal, np.greater, np.greater_equal)
+
+
+@st.composite
+def compared_rows(draw):
+    """(comparison, a, b, fill): operand rows of 1 to 4,000 values whose
+    comparison holds everywhere, nowhere, here and there, or is broken by
+    NaNs (in a row that would hold everywhere without them)."""
+    comparison = draw(st.sampled_from(COMPARISONS))
+    size = draw(st.integers(1, 4000))
+    fill = draw(st.sampled_from(["all", "none", "mixed", "nan"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    low, high = rng.uniform(-1.0, 0.0, size), rng.uniform(0.5, 1.0, size)
+    holds = (low, high) if comparison in (np.less, np.less_equal) else (
+        high, low)
+    a, b = holds if fill != "none" else holds[::-1]
+    if fill == "mixed":
+        a, b = rng.normal(size=size), rng.normal(size=size)
+    if fill == "nan":
+        a = a.copy()
+        a[rng.random(size) < draw(st.sampled_from([0.001, 0.5, 1.0]))] = (
+            math.nan)
+        a[rng.integers(size)] = math.nan
+    return comparison, a, b, fill
+
+
+class TestByteScreens:
+    """Each screen compares a comparison's boolean row, as bytes, with the
+    bytes of an all-True or an all-False row of its shape: the verdicts of
+    ``np.count_nonzero`` against the size and against 0."""
+
+    @given(compared_rows())
+    @example((np.less, np.zeros(1), np.ones(1), "all"))
+    @example((np.less, np.ones(1), np.zeros(1), "none"))
+    @example((np.greater_equal, np.full(3, math.nan), np.zeros(3), "nan"))
+    def test_bytes_agree_with_count_nonzero(self, case):
+        comparison, a, b, fill = case
+        size = a.size
+        row = comparison(a, b, np.empty(size, dtype=bool))
+        every = row.tobytes() == np.ones(size, dtype=bool).tobytes()
+        some = row.tobytes() != bytes(size)
+        assert every == (np.count_nonzero(row) == size)
+        assert some == (np.count_nonzero(row) != 0)
+        if fill == "all":
+            assert every
+        if fill == "none":
+            assert not some
+        if fill == "nan":
+            assert not every
+
+    def test_rows_of_a_block(self):
+        # the screens of the edge pass compare (k, n) blocks
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(2, 3, 7))
+        for block in (a < b, np.abs(a) < 9.0, np.isfinite(a)):
+            assert (block.tobytes() == np.ones(block.shape, bool).tobytes()
+                    ) == bool(block.all())
+            assert (block.tobytes() != bytes(block.size)) == bool(
+                block.any())
+
+
+def _power_exponents():
+    """The quotient rule's exponents (alpha, 1/alpha, 1/alpha + 1, alpha -
+    1) of the field exponents in the tests, and the exponents with fast
+    paths: 2, 1/2 and -1."""
+    exponents = {2.0, 0.5, -1.0}
+    for alpha in (0.5, 1.0, 1.2, 2.0, 3.0):
+        inv_alpha = 1.0 / alpha
+        exponents |= {alpha, inv_alpha, inv_alpha + 1.0, alpha - 1.0}
+    return sorted(exponents)
+
+
+class TestStrideZeroPower:
+    """The quotient rule's powers take their exponents as stride-0 rows
+    (``exponent_row``): bit for bit the power with a scalar exponent, the
+    square, sqrt and reciprocal paths of 2, 1/2 and -1 included."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+               math.inf, -math.inf, math.nan, -math.nan, 1.0, -1.0, 0.5,
+               2.0, -2.5, 1e-300, 1e300, 1.7976931348623157e308]
+
+    def values(self):
+        rng = np.random.default_rng(21)
+        return np.concatenate([
+            self.SPECIAL, rng.uniform(0.0, 10.0, 50000),
+            rng.uniform(0.0, 2.2250738585072014e-308, 2000),  # subnormal
+            rng.normal(size=2000), 10.0 ** rng.uniform(-300, 300, 2000)])
+
+    @pytest.mark.parametrize("exponent", _power_exponents())
+    def test_matches_the_scalar_power(self, exponent):
+        x = self.values()
+        row = exponent_row(exponent, x.size)
+        assert row.strides == (0,)
+        with np.errstate(all="ignore"):
+            got = np.power(x, row, np.empty(x.size))
+            assert same_bits(got, np.power(x, exponent))
+            # what the oracles' ** gives
+            assert same_bits(got, x ** exponent)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.2, 2.0])
+    def test_quotient_work_powers_flat_views(self, alpha):
+        w = QuotientWork(alpha, 4)
+        inv_alpha = 1.0 / alpha
+        assert [float(row[0]) for row in w.exponents] == [
+            alpha, inv_alpha, inv_alpha + 1.0, alpha - 1.0]
+        for flat, block in ((w.gamma_flat, w.inputs), (w.dp_flat, w.inputs),
+                            (w.s_flat, w.s), (w.root_flat, w.root),
+                            (w.e_flat, w.e)):
+            assert flat.shape == (12,) and np.shares_memory(flat, block)
+
+
+class TestPoseScreen:
+    """One comparison of |poses| with (inf, inf, pi) stands for the heading
+    wrap's screen and the finiteness check: ``_integrate_all`` says whether
+    every new pose is finite with its heading inside (-pi, pi), and a step
+    whose poses fail it wraps the headings, then raises NonFiniteState
+    naming the first robot with a non-finite pose, as the two checks did."""
+
+    @pytest.mark.parametrize("ws", [
+        [0.3, -2.0, 1.0],              # every heading stays inside
+        [0.3, 40.0, -1.0],             # one crosses pi
+        [0.3, math.nan, -1.0],         # a NaN turn
+        [math.inf, 0.0, 0.0],          # an infinite turn
+    ])
+    @pytest.mark.parametrize("vs", [[1.0, -2.0, 0.5], [1.0, math.inf, 0.5]])
+    def test_passes_exactly_when_finite_and_inside(self, ws, vs):
+        poses = np.array([[0.5, -1.0, 3.1], [-2.0, 1.0, -3.0],
+                          [0.0, 0.0, 0.25]])
+        dt = 0.1
+        work = sim.IntegrateWork(poses.copy(), dt)
+        controls = np.array([vs, ws])
+        with np.errstate(invalid="ignore", over="ignore"):
+            passed = sim._integrate_all(controls, work)
+            heading = poses[:, 2] + dt * np.array(ws)
+            expected = integrate_before(poses, np.array(vs), np.array(ws),
+                                        dt)
+        assert same_bits(work.poses, expected)
+        assert passed == bool(np.isfinite(expected).all()
+                              and (np.abs(heading) < math.pi).all())
+
+    @staticmethod
+    def planted_step(planted):
+        """A step of ``small_config``'s kernel after the poses of
+        ``planted`` {(robot, column): value} are written over the poses
+        its pair rows were measured on; returns the error and the poses."""
+        cfg = small_config()
+        kernel = sim.StepKernel(cfg, sim.initial_topology(cfg).adjacency)
+        kernel.poses[...] = sim._pose_array(cfg.initial_states)
+        kernel.theta_d[...] = kernel.theta
+        kernel.pairs()
+        leader = kernel.poses[0, :2].tolist()
+        for at, value in planted.items():
+            kernel.poses[at] = value
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(sim.NonFiniteState) as info:
+            kernel(leader)
+        return str(info.value), kernel.poses
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("robot", [0, 2])
+    def test_non_finite_pose_names_the_robot(self, robot, column, value):
+        message, poses = self.planted_step({(robot, column): value})
+        bad = np.flatnonzero(~np.isfinite(poses).all(axis=1))
+        assert bad.tolist() == [robot]
+        assert message == (
+            f"non-finite state after integration: robot {robot + 1} at "
+            f"(x, y, theta) = {tuple(poses[robot].tolist())}")
+        # the headings are wrapped before the check
+        assert not (np.abs(poses[:, 2]) > math.pi).any()
+
+    def test_first_non_finite_robot_is_named(self):
+        message, poses = self.planted_step({(2, 2): math.inf,
+                                            (1, 0): math.nan})
+        assert np.flatnonzero(~np.isfinite(poses).all(axis=1)).tolist() == [
+            1, 2]
+        assert message.startswith(
+            "non-finite state after integration: robot 2 at")

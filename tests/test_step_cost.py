@@ -30,26 +30,33 @@ REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
 # step. Before the exact screens each of the three steps made 8
 # where= calls, and 154, 147 and 154 calls in all. Before every operand
 # became an array of its partner's shape each step made 25 scalar-operand
-# calls and 15 broadcasting ones; the 4 scalar ones left are the quotient
-# rule's four powers, whose exponents stay scalars. Before the step's
-# workspaces the three steps allocated 90, 90 and 92 results, and 4 until
-# the quotient rule's three ** became np.power calls into rows and the stop
-# screen's np.hypot on floats became math.hypot, which took one call off
-# each step too (114, 114, 116 and 117 before). Before the fused row
-# blocks the three steps made 136, 133 and 138 calls, 10, 8 and 10 of them
-# on column slices or reversed rows. The accreting step follows its mask's
-# growth and adds _accrete_edges' three calls: the threshold screen, a
-# scalar operand that allocates, and two all(). The rendezvous step makes
-# the avoiding step's calls: the switch writes the constant factor 1 into
-# the collision factor's rows once (JetKernel.drop_avoidance), which the
-# edge pass's sum and product still take, no step call takes the region,
-# and the monitors' screen still compares its two rows; it made 111 calls
-# when both forked on the region
+# calls and 15 broadcasting ones; the last 4 were the quotient rule's four
+# powers, until their exponents became stride-0 rows
+# (gradients.exponent_row), and the accreting step's threshold, until
+# _accrete_edges compared with a row. Before the step's workspaces the
+# three steps allocated 90, 90 and 92 results, and 4 until the quotient
+# rule's three ** became np.power calls into rows and the stop screen's
+# np.hypot on floats became math.hypot, which took one call off each step
+# too (114, 114, 116 and 117 before). Before the fused row blocks the
+# three steps made 136, 133 and 138 calls, 10, 8 and 10 of them on column
+# slices or reversed rows. Each screen compares a boolean row's bytes with
+# a constant, one counted tobytes call as np.count_nonzero was, and one
+# screen of |poses| against (inf, inf, pi) replaced the heading wrap's
+# screen and the finiteness check, two calls fewer (113, 113, 115 and 116
+# before). The accreting step follows its mask's growth and adds
+# _accrete_edges' screen of pairs near but not yet edges: two comparisons
+# with preallocated rows and their bytes (before: the threshold screen,
+# a scalar operand that allocated, and two all()). The rendezvous step
+# makes the avoiding step's calls: the switch writes the constant factor 1
+# into the collision factor's rows once (JetKernel.drop_avoidance), which
+# the edge pass's sum and product still take, no step call takes the
+# region, and the monitors' screen still compares its two rows; it made
+# 111 calls when both forked on the region
 BUDGET = {
-    "reference": (113, 0, 4, 0, 0, 0),
-    "rendezvous": (113, 0, 4, 0, 0, 0),
-    "sparse48": (115, 0, 4, 0, 0, 0),
-    "accreting": (116, 0, 5, 0, 1, 0),
+    "reference": (111, 0, 0, 0, 0, 0),
+    "rendezvous": (111, 0, 0, 0, 0, 0),
+    "sparse48": (113, 0, 0, 0, 0, 0),
+    "accreting": (114, 0, 0, 0, 0, 0),
 }
 # calls of numpy's Python-level helpers per step: np.sinc and np.copyto are
 # met only on steps the screens send to their masked paths, and the
@@ -177,6 +184,18 @@ class TestCounter:
         functions = {f for f, _ in counts.calls}
         # the two angles past pi take the turn, a function of its own
         assert functions == {"model.wrap_angles", "model.turn_angles"}
+
+    def test_byte_screens_are_counted(self):
+        # a screen compares its boolean row's bytes with a constant: the
+        # tobytes call counts as the np.count_nonzero it replaced did
+        from rendezsim import model
+        theta = np.array([0.5, -1.0, 2.0])
+        with counting() as counts:
+            rows = (np.empty(3), *wrap_rows(theta))  # made inside: counted
+            model.wrap_angles(theta, *rows)
+        assert counts.calls == {("model.wrap_angles", "absolute"): 1,
+                                ("model.wrap_angles", "less"): 1,
+                                ("model.wrap_angles", "ndarray.tobytes"): 1}
 
     def test_numpy_internals_are_not_counted(self):
         from rendezsim import sim
