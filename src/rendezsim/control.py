@@ -10,7 +10,8 @@ from typing import Sequence
 import numpy as np
 
 from .gradients import follower_field_eval, leader_field_eval
-from .model import RegionFlag, RobotState, ScenarioConfig, turn_angles
+from .model import (RegionFlag, RobotState, ScenarioConfig, turn_angles,
+                    turn_rows)
 # not called here: rendezbench/tracing.py wraps these names
 from .model import normalize_angle  # noqa: F401
 
@@ -58,7 +59,8 @@ def compute_control(robot: RobotState,
 
 class ControlWork:
     """The rows of ``control_laws`` over the n headings ``theta``: the gains
-    (the linear ones twice, as (2, n)), the floor and pi as rows, the five
+    (the linear ones twice, as (2, n)), the floor as a row, the heading
+    error's turn rows (``model.turn_rows``), whose first is pi, the five
     result rows ``controls`` (v, omega, theta_d, theta_tilde, theta_d_dot)
     and the temporaries, with every view bound once; ``all_true`` is the
     bytes of an all-True boolean row, which a screen's bytes equal exactly
@@ -71,7 +73,9 @@ class ControlWork:
         self.theta = theta
         self.k_v = np.array([linear_gains] * 2, dtype=float)
         self.k_w = np.array(angular_gains, dtype=float)
-        self.floor, self.pi = np.full(n, gradient_floor), np.full(n, np.pi)
+        self.floor = np.full(n, gradient_floor)
+        self.turn = turn_rows(n)
+        self.pi = self.turn[0]
         self.controls = np.empty((5, n))
         self.rows = tuple(self.controls)
         self.headings = self.controls[2:4]
@@ -133,7 +137,7 @@ def control_laws(grad, hess, w: ControlWork):
     np.subtract(theta, theta_d, theta_tilde)
     magnitude = np.abs(theta_tilde, w.magnitude)
     if np.less(magnitude, w.pi, w.inside).tobytes() != w.all_true:
-        turn_angles(theta_tilde, theta_tilde)
+        turn_angles(theta_tilde, theta_tilde, w.turn)
     np.cos(w.headings, w.cosines)
     np.multiply(w.k_v, w.scaled, w.gained)
     np.multiply(w.gain_norm, w.cos_tilde, v)

@@ -57,9 +57,12 @@ def exponent_row(exponent: float, size: int) -> np.ndarray:
     keeps the square, sqrt and reciprocal paths of 2, 1/2 and -1: the
     power equals ``np.power(x, exponent, out)`` bit for bit, which a full
     row of exponents would not, and costs less, as numpy converts a scalar
-    on every call. A two-dimensional stride-0 operand is slower.
+    on every call. A two-dimensional stride-0 operand is slower. The row is
+    float even for an int exponent, such as a ``field_exponent`` of 2 set
+    in code: numpy would cast an int row into a buffer of stride 8, and
+    its general power loop then misses the square path by an ulp.
     """
-    return np.broadcast_to(np.array(exponent), (size,))
+    return np.broadcast_to(np.array(float(exponent)), (size,))
 
 
 class Rows:
@@ -174,6 +177,10 @@ class QuotientWork:
         inv_alpha = 1.0 / alpha
         self.exponents = tuple(exponent_row(x, flat) for x in (
             alpha, inv_alpha, inv_alpha + 1.0, alpha - 1.0))
+        if alpha < 1.0:
+            # dp's mask, gamma > 0, against a zero row, which dp copies
+            self.zero = np.zeros(flat)
+            self.positive = np.empty(flat, dtype=bool)
 
     def load(self, gamma, dgamma, lap, beta, dbeta, ddbeta):
         """Write the inputs, each a float or an (n,) row: gamma, lap, beta,
@@ -217,9 +224,9 @@ def _quotient_jet(w: QuotientWork):
     if w.alpha >= 1.0:
         np.power(gamma_flat, alpha_minus, w.dp_flat)
     else:
-        w.dp[...] = 0.0
-        np.power(gamma_flat, alpha_minus, w.dp_flat,
-                 where=gamma_flat > 0.0)
+        positive = np.greater(gamma_flat, w.zero, w.positive)
+        np.positive(w.zero, w.dp_flat)
+        np.power(gamma_flat, alpha_minus, w.dp_flat, where=positive)
     # a dp, ab grad gamma, ab lap and (a - 1) grad gamma * grad beta
     np.multiply(*w.second)
     np.add(w.d1, w.abl, w.abl)
@@ -328,7 +335,7 @@ class JetKernel:
     COMPACT = Rows("gx gy cx cy cxy tx ty ox oy G",
                    "dgx dgy B B dbx dby hxx hyy hxy L Pb PB Pb")
 
-    def __init__(self, cfg: ScenarioConfig, mask: np.ndarray):
+    def __init__(self, cfg: ScenarioConfig, mask: np.ndarray, upper: tuple):
         self.cfg = cfg
         self.leader_const = leader_constants(cfg)
         # row 0's phi comes from the quotient rule. The traced benchmark
@@ -363,8 +370,8 @@ class JetKernel:
                      view("hxx hyy"), view("gx"), view("gy"), view("hxy"),
                      view("hxx hyy hxy"), view("cx cy cxy"), view("B"))
         # index of each robot pair {i, j} among the upper pairs (a, b), a < b,
-        # in np.triu_indices order: the order of a call's pair columns
-        upper = np.triu_indices(n, 1)
+        # in np.triu_indices order, ``upper``: the order of a call's pair
+        # columns
         self.n_pairs = len(upper[0])
         self.pair_index = np.zeros((n, n), dtype=np.intp)
         self.pair_index[upper] = self.pair_index.T[upper] = np.arange(

@@ -45,31 +45,41 @@ def normalize_angle(theta: float) -> float:
     return wrapped
 
 
-def wrap_angles(theta: np.ndarray, out: np.ndarray, pi: np.ndarray,
+def turn_rows(n: int) -> tuple:
+    """The rows ``turn_angles`` and ``wrap_angles`` take for n angles: the
+    bounds pi and -pi, 2 pi, the turns, and two boolean rows for the
+    comparisons."""
+    rows = np.empty((4, n))
+    rows[0], rows[1], rows[2] = math.pi, -math.pi, TWO_PI
+    return (*rows, *np.empty((2, n), dtype=bool))
+
+
+def wrap_angles(theta: np.ndarray, out: np.ndarray, turn: tuple,
                 screen: tuple) -> np.ndarray:
     """normalize_angle elementwise, into ``out``; a non-finite angle comes
     out NaN.
 
     Bit for bit normalize_angle, signed zeros included, with plain ufunc
-    calls only. ``pi``, math.pi in theta's shape, bounds the screen that
-    passes angles inside (-pi, pi) through as they are, with no scalar
-    operand; ``out`` may be ``theta``, which then is not copied when they
-    all pass. ``screen``, a float and a boolean array of theta's shape and
-    the bytes of an all-True boolean array of that shape, receives |theta|
-    and the screen's comparison, whose bytes equal the third exactly when
-    every angle passes.
+    calls only. ``turn`` holds the rows of ``turn_rows``; its first, pi,
+    bounds the screen that passes angles inside (-pi, pi) through as they
+    are, with no scalar operand; ``out`` may be ``theta``, which then is
+    not copied when they all pass. ``screen``, a float and a boolean array
+    of theta's shape and the bytes of an all-True boolean array of that
+    shape, receives |theta| and the screen's comparison, whose bytes equal
+    the third exactly when every angle passes.
     """
     magnitude, inside, all_inside = screen
-    np.less(np.abs(theta, magnitude), pi, inside)
+    np.less(np.abs(theta, magnitude), turn[0], inside)
     if inside.tobytes() == all_inside:
         # fmod and the turn below leave every angle in (-pi, pi) as it is
         if out is not theta:
             out[...] = theta
         return out
-    return turn_angles(np.fmod(theta, TWO_PI, out), out)
+    return turn_angles(np.fmod(theta, turn[2], out), out, turn)
 
 
-def turn_angles(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
+def turn_angles(theta: np.ndarray, out: np.ndarray,
+                turn: tuple) -> np.ndarray:
     """One turn of 2 pi into (-pi, pi]: normalize_angle for |theta| < 2 pi.
 
     Bit for bit normalize_angle on (-2 pi, 2 pi], the range of an ``fmod``
@@ -77,10 +87,16 @@ def turn_angles(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     the identity except at 2 pi itself (both give +0.0 there). A value
     lowered from above pi is above -pi. Where no turn is due it is +0.0,
     and w - (+0.0) is w, -0.0 included; w - (-2 pi) is w + 2 pi exactly.
-    NaN stays NaN. Writes into ``out``, which may be ``theta``.
+    NaN stays NaN. ``turn`` holds the rows of ``turn_rows``: the bounds and
+    2 pi, so that no call takes a scalar, the turns due, the difference of
+    the two comparisons as floats, and the comparisons. Writes into
+    ``out``, which may be ``theta``.
     """
-    turns = np.subtract(theta > math.pi, theta <= -math.pi, dtype=float)
-    turns *= TWO_PI
+    pi, minus_pi, two_pi, turns, up, down = turn
+    np.greater(theta, pi, up)
+    np.less_equal(theta, minus_pi, down)
+    np.subtract(up, down, turns, dtype=float)
+    np.multiply(turns, two_pi, turns)
     return np.subtract(theta, turns, out)
 
 
@@ -117,7 +133,8 @@ class RobotState:
         pos = np.asarray(self.position, dtype=float)
         if pos.shape != (2,):
             raise ScenarioError(f"robot {self.id}: position must be a 2-vector")
-        if not np.all(np.isfinite(pos)):
+        x, y = pos.tolist()
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ScenarioError(f"robot {self.id}: position must be finite")
         object.__setattr__(self, "position", pos)
         object.__setattr__(self, "heading", normalize_angle(self.heading))
@@ -231,7 +248,7 @@ def validate_keys(cfg: ScenarioConfig) -> ScenarioConfig:
              "angular gains in angular_gains must be finite and > 0")
 
     _require(cfg.goal_position.shape == (2,)
-             and np.all(np.isfinite(cfg.goal_position)),
+             and all(map(math.isfinite, cfg.goal_position.tolist())),
              "goal_position must be a finite 2-vector")
     _require(float(np.linalg.norm(cfg.goal_position)) < cfg.workspace_radius,
              "goal_position must lie inside the workspace")

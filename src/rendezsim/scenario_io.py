@@ -216,7 +216,7 @@ def _parse_scenario(path: str) -> ScenarioConfig:
             if len(pose) != 3:
                 raise ParseError(
                     f"{path}:{deploy[key][1]}: pose needs 'x y theta'")
-            if not np.isfinite(pose).all():
+            if not all(map(math.isfinite, pose)):
                 raise ScenarioError(f"{key} must be finite")
             states.append(RobotState(i, np.array(pose[:2]), pose[2]))
 

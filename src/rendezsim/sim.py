@@ -10,8 +10,8 @@ from .control import ControlOutput, ControlWork, control_laws
 from .fields import region_of
 from .gradients import JetKernel
 from .graph import Topology, build_topology, has_rooted_spanning_tree
-from .model import (RegionFlag, RobotState, ScenarioConfig, validate_scenario,
-                    wrap_angles)
+from .model import (RegionFlag, RobotState, ScenarioConfig, turn_rows,
+                    validate_scenario, wrap_angles)
 # not called here: rendezbench/tracing.py wraps these names
 from .control import compute_control  # noqa: F401
 from .model import normalize_angle  # noqa: F401
@@ -95,10 +95,11 @@ class IntegrateWork:
     """Preallocated rows of ``_integrate_all``, which moves ``poses`` on in
     place with time step dt.
 
-    It holds (dt, dt / 2) and pi as rows, so that no call takes a scalar,
-    the temporaries, the heading wrap's screen and the pose columns, bound
-    once, and the pose screen: |poses|, their bounds (inf, inf, pi) per
-    robot, the comparison and the bytes of its all-True value
+    It holds (dt, dt / 2) and the heading wrap's turn rows
+    (``model.turn_rows``), whose first is pi, so that no call takes a
+    scalar, the temporaries, the heading wrap's screen and the pose
+    columns, bound once, and the pose screen: |poses|, their bounds (inf,
+    inf, pi) per robot, the comparison and the bytes of its all-True value
     ``all_true``.
     """
 
@@ -107,7 +108,8 @@ class IntegrateWork:
         self.poses = poses
         self.x, self.y, self.theta = poses.T
         self.steps = np.array([np.full(n, dt), np.full(n, 0.5 * dt)])
-        self.dt, self.pi = self.steps[0], np.full(n, np.pi)
+        self.dt, self.turn = self.steps[0], turn_rows(n)
+        self.pi = self.turn[0]
         # dt v and the half turn, then the sine's arguments: pi (h / pi)
         # and the mid-step heading
         self.scaled, self.angles = np.empty((2, 2, n))
@@ -163,7 +165,7 @@ def _integrate_all(controls, w: IntegrateWork):
     np.less(np.abs(w.poses, w.magnitudes), w.bounds, w.inside)
     if w.inside.tobytes() == w.all_true:
         return True
-    wrap_angles(theta, theta, pi, w.screen)
+    wrap_angles(theta, theta, w.turn, w.screen)
     return False
 
 
@@ -174,17 +176,17 @@ def _pose_array(states: list[RobotState]) -> np.ndarray:
 
 class PairWork:
     """Preallocated rows of ``_offsets`` on the (N, 3) ``poses``: the upper
-    pairs ``upper = np.triu_indices(N, 1)``, the log's pair order, the
-    (4, P) pair rows, the squares, the gathered endpoint coordinates and
-    the take's index. ``screened`` (2, P + N) is the monitors' screen, the
+    pairs ``upper``, ``np.triu_indices(N, 1)``, the log's pair order, the
+    (4, P) pair rows, the squares, the gathered endpoint coordinates and the
+    take's index. ``screened`` (2, P + N) is the monitors' screen, the
     watched values (the distances, then the robots' norms) and their
     negations; one block holds it and the pair rows, whose distances are
     its first P values."""
 
-    def __init__(self, poses: np.ndarray):
+    def __init__(self, poses: np.ndarray, upper: tuple):
         n = len(poses)
         self.poses = poses
-        self.upper = np.triu_indices(n, 1)
+        self.upper = upper
         a, b = (3 * i for i in self.upper)
         p = len(a)
         # (x_a, y_a, x_b, y_b) of each pair, from the flat (N, 3) poses
@@ -232,11 +234,12 @@ class StepKernel:
 
     def __init__(self, cfg: ScenarioConfig, mask: np.ndarray):
         n = len(mask)
-        self.jets = JetKernel(cfg, mask)
+        # one index of the upper pairs, for the pair rows and the edge list
+        self.upper = np.triu_indices(n, 1)
+        self.jets = JetKernel(cfg, mask, self.upper)
         self.poses = np.empty((n, 3))
         self.x, self.y, self.theta = self.poses.T
-        self.pair_work = PairWork(self.poses)
-        self.upper = self.pair_work.upper
+        self.pair_work = PairWork(self.poses, self.upper)
         self.motion = IntegrateWork(self.poses, cfg.time_step)
         self.finite = np.empty((n, 3), dtype=bool)
         self.laws = ControlWork(self.theta, cfg.linear_gains,

@@ -1,4 +1,3 @@
-import math
 from collections import namedtuple
 
 import numpy as np
@@ -6,6 +5,7 @@ import pytest
 
 from rendezsim import RobotState, ScenarioConfig, Topology
 from rendezsim.control import ControlWork, control_laws
+from rendezsim.model import turn_rows
 
 
 def make_states(poses):
@@ -15,12 +15,12 @@ def make_states(poses):
 
 
 def wrap_rows(theta):
-    """The rows ``model.wrap_angles`` takes after ``out``, in theta's
-    shape: pi, and the screen's |theta|, comparison and all-True bytes."""
-    shape = np.shape(theta)
-    return np.full(shape, math.pi), (
-        np.empty(shape), np.empty(shape, dtype=bool),
-        np.ones(shape, dtype=bool).tobytes())
+    """The rows ``model.wrap_angles`` takes after ``out``, for the 1-d
+    theta: ``turn_rows``, and the screen's |theta|, comparison and
+    all-True bytes."""
+    n = len(theta)
+    return turn_rows(n), (np.empty(n), np.empty(n, dtype=bool),
+                          np.ones(n, dtype=bool).tobytes())
 
 
 Laws = namedtuple("Laws", "v omega theta_d theta_tilde theta_d_dot grad_norm")

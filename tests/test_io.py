@@ -984,7 +984,9 @@ class TestCli:
         assert main(["check", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
-    @pytest.mark.parametrize("pose", ["inf -1.6 -1.0", "-6.8 -1.6 inf"])
+    @pytest.mark.parametrize("pose", ["inf -1.6 -1.0", "-6.8 -1.6 inf",
+                                      "nan -1.6 -1.0", "-6.8 -inf -1.0",
+                                      "-6.8 nan -1.0"])
     def test_infinite_pose_named(self, tmp_path, capsys, pose):
         lines = minimal_lines()
         lines[-1] = f"pose_2 = {pose}"

@@ -73,9 +73,10 @@ class TestRobotState:
 
     def test_non_finite_position(self):
         # a ScenarioConfig built in code skips the parser's finiteness check
-        with pytest.raises(ScenarioError,
-                           match="robot 1: position must be finite"):
-            RobotState(1, [math.nan, 0.0], 0.0)
+        for position in ([math.nan, 0.0], [0.0, math.inf], [0.0, -math.nan]):
+            with pytest.raises(ScenarioError,
+                               match="robot 1: position must be finite"):
+                RobotState(1, position, 0.0)
 
 
 class TestValidateScenario:

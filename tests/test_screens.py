@@ -22,7 +22,7 @@ from rendezsim import gradients
 from rendezsim.fields import logistic_negated
 from rendezsim.gradients import (DISTANCE_FLOOR, JetKernel, QuotientWork,
                                  _one_robot_jet, _quotient_jet, exponent_row)
-from rendezsim.model import TWO_PI, turn_angles, wrap_angles
+from rendezsim.model import TWO_PI, turn_angles, turn_rows, wrap_angles
 
 from conftest import make_states, small_config, topology, wrap_rows
 from oracles import integrate_copy, plain_step
@@ -266,7 +266,7 @@ class TestFollowerDivides:
         cfg = small_config(
             n_robots=n, linear_gains=[1.0] * n, angular_gains=[1.0] * n,
             initial_states=make_states(poses.tolist()))
-        work = sim.PairWork(poses)
+        work = sim.PairWork(poses, np.triu_indices(n, 1))
         return cfg, mask, poses, sim._offsets(work), work.upper
 
     @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
@@ -274,7 +274,7 @@ class TestFollowerDivides:
     @pytest.mark.parametrize("bad", [1e-10, 0.0, math.nan])
     def test_unaffected_followers_match(self, region, bad):
         cfg, mask, poses, pairs, upper = self._kernel_inputs()
-        kernel = JetKernel(cfg, mask)
+        kernel = JetKernel(cfg, mask, upper)
         if region is RegionFlag.RENDEZVOUS:
             kernel.drop_avoidance()
         plain = [np.array(x, dtype=float) for x in
@@ -330,8 +330,9 @@ class TestFollowerDivides:
         # sums are b's bits, also where b's are -0.0: at d = 0, s_b = 1; an
         # edge list rebuilt after the switch keeps it
         cfg, topo = self._close_inputs()
-        kernel = JetKernel(cfg, topo.adjacency)
-        pairs = sim._offsets(sim.PairWork(self.CLOSE))
+        upper = np.triu_indices(len(self.CLOSE), 1)
+        kernel = JetKernel(cfg, topo.adjacency, upper)
+        pairs = sim._offsets(sim.PairWork(self.CLOSE, upper))
         kernel.drop_avoidance()
         for rebuilt in (False, True):
             if rebuilt:
@@ -359,10 +360,11 @@ class TestKernelLogistic:
         cfg = small_config(
             n_robots=n, linear_gains=[1.0] * n,
             angular_gains=[1.0] * n, initial_states=make_states(poses))
-        pairs = sim._offsets(sim.PairWork(poses))
+        upper = np.triu_indices(n, 1)
+        pairs = sim._offsets(sim.PairWork(poses, upper))
         assert pairs[3].min() < 0.5 * cfg.collision_margin
         args = (poses[0, :2].tolist(), pairs)
-        kernel = JetKernel(cfg, mask)
+        kernel = JetKernel(cfg, mask, upper)
         positive = []
 
         def spy(y, *rows):
@@ -390,7 +392,7 @@ class TestHeadingError:
     def test_one_turn_matches_the_fmod_form(self):
         x = np.array(self.EDGES)
         out = np.empty(len(x))
-        assert turn_angles(x, out=out) is out
+        assert turn_angles(x, out, turn_rows(len(x))) is out
         assert same_bits(out, wrap_angles_before(x))
 
     def test_heading_error_matches_the_fmod_form(self):
@@ -631,6 +633,20 @@ class TestStrideZeroPower:
             assert same_bits(got, np.power(x, exponent))
             # what the oracles' ** gives
             assert same_bits(got, x ** exponent)
+
+    def test_int_exponent_is_its_float(self):
+        # a ScenarioConfig built in code may hold field_exponent = 2: its
+        # row is the float 2.0's, whose power keeps the square path (an int
+        # row misses it by an ulp on some values)
+        x = self.values()
+        row = exponent_row(2, x.size)
+        assert row.strides == (0,) and row.dtype == float and row[0] == 2.0
+        with np.errstate(all="ignore"):
+            assert same_bits(np.power(x, row, np.empty(x.size)),
+                             np.power(x, exponent_row(2.0, x.size),
+                                      np.empty(x.size)))
+        w = QuotientWork(2, 4)
+        assert [float(row[0]) for row in w.exponents] == [2.0, 0.5, 1.5, 1.0]
 
     @pytest.mark.parametrize("alpha", [0.5, 1.2, 2.0])
     def test_quotient_work_powers_flat_views(self, alpha):

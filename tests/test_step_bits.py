@@ -41,7 +41,8 @@ def _exponent(alpha):
     """The reference with field exponent alpha. The oracle's ** takes
     numpy's square and sqrt for the exponents 2 and 1/2, which alpha = 2
     and alpha = 1/2 meet, where the kernel calls np.power; 1/2 also takes
-    the masked power of gamma^(alpha - 1)."""
+    the masked power of gamma^(alpha - 1). A config built in code may hold
+    the int 2, whose powers must be 2.0's."""
     return lambda: dataclasses.replace(_reference(), field_exponent=alpha)
 
 
@@ -51,6 +52,7 @@ CASES = {"reference": (_reference, 300), "rendezvous": (_rendezvous, 297),
          "sparse48": (_sparse48, 50), "accreting": (_accreting, 200),
          "accreting_rendezvous": (_accreting_rendezvous, 150),
          "reference_alpha_2": (_exponent(2.0), 200),
+         "reference_alpha_int_2": (_exponent(2), 200),
          "reference_alpha_0.5": (_exponent(0.5), 200)}
 
 

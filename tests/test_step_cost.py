@@ -18,6 +18,7 @@ import pytest
 
 from rendezsim import (ScenarioConfig, parse_scenario, run,
                        seeded_deployment)
+from rendezsim.sim import StepKernel, initial_topology
 from conftest import wrap_rows
 from numpy_calls import PACKAGE, counting
 
@@ -51,12 +52,22 @@ REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
 # into the collision factor's rows once (JetKernel.drop_avoidance), which
 # the edge pass's sum and product still take, no step call takes the
 # region, and the monitors' screen still compares its two rows; it made
-# 111 calls when both forked on the region
+# 111 calls when both forked on the region. The turning step is a
+# reference step that turns the heading errors and wraps a heading:
+# model.turn_angles twice and the wrap's fmod, with every bound, 2 pi and
+# comparison a row of model.turn_rows (before: 7 scalar-operand and 6
+# allocating calls, in as many calls). The alpha_half step runs the
+# quotient rule's masked power of field exponent 1/2, its one where= call,
+# with gamma > 0 compared against a zero row that dp copies first, and
+# turns the heading errors (before: 117 calls, 4 with a scalar operand and
+# 4 allocating; the zero row's copy is a call where dp[...] = 0.0 was none)
 BUDGET = {
     "reference": (111, 0, 0, 0, 0, 0),
     "rendezvous": (111, 0, 0, 0, 0, 0),
     "sparse48": (113, 0, 0, 0, 0, 0),
     "accreting": (114, 0, 0, 0, 0, 0),
+    "turning": (127, 0, 0, 0, 0, 0),
+    "alpha_half": (118, 1, 0, 0, 0, 0),
 }
 # calls of numpy's Python-level helpers per step: np.sinc and np.copyto are
 # met only on steps the screens send to their masked paths, and the
@@ -101,8 +112,14 @@ def _accreting():
     return _accreting()
 
 
+def _alpha_half():
+    """The reference at field exponent 1/2."""
+    return dataclasses.replace(_reference(), field_exponent=0.5)
+
+
 SCENARIOS = {"reference": (_reference, 100), "rendezvous": (_rendezvous, 100),
-             "sparse48": (_sparse48, 100), "accreting": (_accreting, 100)}
+             "sparse48": (_sparse48, 100), "accreting": (_accreting, 100),
+             "turning": (_reference, 19), "alpha_half": (_alpha_half, 100)}
 
 
 def step_counts(cfg, k):
@@ -148,6 +165,31 @@ def test_numpy_helpers_per_step(counted_step):
         assert calls <= budget, (helper, sorted(counts.helpers.items()))
 
 
+# numpy calls of the step kernel's set-up, StepKernel(cfg, mask), the fixed
+# cost a run pays before its first step: (total, dispatched helpers and
+# array makers), and np.triu_indices once, for the pair rows and the edge
+# list both. It does not grow with the robot count. It made 105 calls, 79
+# of them helpers, when the two each computed the upper pairs; the heading
+# turn's rows (model.turn_rows, two np.empty each in ControlWork and
+# IntegrateWork, in place of one np.full of pi) add two
+SETUP_BUDGET = {"reference": (106, 80), "sparse48": (106, 80)}
+
+
+@pytest.mark.parametrize("name", sorted(SETUP_BUDGET))
+def test_setup_calls_within_budget(name):
+    cfg = SCENARIOS[name][0]()
+    mask = initial_topology(cfg).adjacency
+    with counting() as counts:
+        # a mask made inside the window, so that its calls count
+        StepKernel(cfg, np.array(mask))
+    total, helpers = SETUP_BUDGET[name]
+    assert counts.total() <= total, sorted(counts.per_function().items())
+    assert sum(counts.helpers.values()) <= helpers, sorted(
+        counts.helpers.items())
+    assert sum(n for (_, called), n in counts.calls.items()
+               if called == "triu_indices") == 1
+
+
 def test_one_step_path_for_both_regions():
     # the region picks constant rows, not code: a step with avoidance off
     # makes the same calls, function by function, as one with it on
@@ -161,6 +203,17 @@ def test_switch_happens_on_the_counted_scenarios():
     assert run(dataclasses.replace(_reference(), horizon=0.6)).switch_step is None
 
 
+def test_turns_happen_on_the_counted_steps():
+    # the turning step turns the heading errors and wraps a heading, the
+    # alpha_half step turns the heading errors; the reference step neither
+    turning, alpha_half = counted("turning"), counted("alpha_half")
+    assert turning.calls["model.turn_angles", "subtract"] == 4
+    assert turning.calls["model.wrap_angles", "fmod"] == 1
+    assert alpha_half.calls["model.turn_angles", "subtract"] == 2
+    assert alpha_half.calls["gradients._quotient_jet", "positive"] == 1
+    assert "model.turn_angles" not in counted("reference").per_function()
+
+
 def test_accreting_mask_grows_before_the_counted_step():
     cfg = _accreting()
     log = run(dataclasses.replace(cfg, horizon=100 * cfg.time_step))
@@ -169,6 +222,21 @@ def test_accreting_mask_grows_before_the_counted_step():
     # before step 100, the step counted above
     assert log.pairs[2] == (2, 3) and not log.monitored[2]
     assert np.flatnonzero(near[:, 2])[0] == 56
+
+
+def _scalar_turn():
+    """``model.turn_angles`` as it was before its turn rows, compiled as if
+    it were a rendezsim module, so that its calls count: it compares with
+    Python floats and multiplies by one."""
+    probe = {"np": np, "math": math}
+    exec(compile(
+        "def turn(theta, out):\n"
+        "    turns = np.subtract(theta > math.pi, theta <= -math.pi,\n"
+        "                        dtype=float)\n"
+        "    turns *= 2.0 * math.pi\n"
+        "    return np.subtract(theta, turns, out)\n",
+        os.path.join(PACKAGE, "probe.py"), "exec"), probe)
+    return probe["turn"]
 
 
 class TestCounter:
@@ -193,7 +261,9 @@ class TestCounter:
         with counting() as counts:
             rows = (np.empty(3), *wrap_rows(theta))  # made inside: counted
             model.wrap_angles(theta, *rows)
-        assert counts.calls == {("model.wrap_angles", "absolute"): 1,
+        # turn_rows makes its float rows and its boolean rows
+        assert counts.calls == {("model.turn_rows", "empty"): 2,
+                                ("model.wrap_angles", "absolute"): 1,
                                 ("model.wrap_angles", "less"): 1,
                                 ("model.wrap_angles", "ndarray.tobytes"): 1}
 
@@ -225,39 +295,41 @@ class TestCounter:
             model.wrap_angles(theta, *rows)
         assert counts.calls["model.wrap_angles", "less"] == 1
         assert not counts.scalar
+        turn = _scalar_turn()
         with counting() as counts:
             # two bounds and 2 pi, on an array made inside the window, whose
             # operators are counted too
-            model.turn_angles(np.array([0.5, 4.0, -4.0]), np.empty(3))
+            turn(np.array([0.5, 4.0, -4.0]), np.empty(3))
         assert sum(counts.scalar.values()) == 3
         assert not counts.broadcast
 
     def test_operators_on_arrays_made_outside_are_missed(self):
         # a known gap: an operator on a plain ndarray reaches numpy with no
-        # hook, so of turn_angles' comparisons and *= only the *= on its
-        # own np.subtract result counts; a counter that sees every operator
-        # fails here and this pin changes with it
-        from rendezsim import model
+        # hook, so of the scalar turn's comparisons and *= only the *= on
+        # its own np.subtract result counts; a counter that sees every
+        # operator fails here and this pin changes with it
         theta = np.array([0.5, 4.0, -4.0])
         out = np.empty(3)
+        turn = _scalar_turn()
         with counting() as counts:
-            model.turn_angles(theta, out)
-        assert counts.calls == {("model.turn_angles", "subtract"): 2,
-                                ("model.turn_angles", "multiply"): 1}
-        assert counts.scalar == {("model.turn_angles", "multiply"): 1}
+            turn(theta, out)
+        assert counts.calls == {("probe.turn", "subtract"): 2,
+                                ("probe.turn", "multiply"): 1}
+        assert counts.scalar == {("probe.turn", "multiply"): 1}
 
     def test_broadcast_operands_are_tallied(self):
         from rendezsim import model
         theta = np.array([0.5, -1.0, 2.0])
         out = np.empty(3)
-        pi, screen = wrap_rows(theta)
+        turn, screen = wrap_rows(theta)
         with counting() as counts:
-            model.wrap_angles(theta, out, pi, screen)
+            model.wrap_angles(theta, out, turn, screen)
         assert counts.calls["model.wrap_angles", "less"] == 1
         assert not counts.broadcast
         with counting() as counts:
             # a (1,) bound beside the (3,) angles
-            model.wrap_angles(theta, out, np.array([math.pi]), screen)
+            model.wrap_angles(theta, out, (np.array([math.pi]), *turn[1:]),
+                              screen)
         assert counts.broadcast == {("model.wrap_angles", "less"): 1}
         with counting() as counts:
             np.add(theta, np.array([1.0]))  # made here, not by rendezsim
