@@ -21,8 +21,10 @@ from .sim import (AssumptionError, MonitorViolation, NonFiniteState,
 def _print_metrics(metrics) -> None:
     errs = ", ".join(f"{e:.4f}" for e in metrics.final_position_errors)
     heads = ", ".join(f"{e:.4f}" for e in metrics.final_heading_errors)
+    facing = ", ".join(f"{e:.4f}" for e in metrics.final_orientation_errors)
     print(f"final goal distances [m]: {errs}")
     print(f"final |heading error| [rad]: {heads}")
+    print(f"final |heading - goal heading| [rad]: {facing}")
     if metrics.switch_time is not None:
         print(f"collision avoidance dropped at t = {metrics.switch_time:.3f} s")
     else:

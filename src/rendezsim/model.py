@@ -46,36 +46,11 @@ def normalize_angle(theta: float) -> float:
 
 
 def turn_rows(n: int) -> tuple:
-    """The rows ``turn_angles`` and ``wrap_angles`` take for n angles: the
-    bounds pi and -pi, 2 pi, the turns, and two boolean rows for the
-    comparisons."""
+    """The rows ``turn_angles`` takes for n angles: the bounds pi and -pi,
+    2 pi, the turns, and two boolean rows for the comparisons."""
     rows = np.empty((4, n))
     rows[0], rows[1], rows[2] = math.pi, -math.pi, TWO_PI
     return (*rows, *np.empty((2, n), dtype=bool))
-
-
-def wrap_angles(theta: np.ndarray, out: np.ndarray, turn: tuple,
-                screen: tuple) -> np.ndarray:
-    """normalize_angle elementwise, into ``out``; a non-finite angle comes
-    out NaN.
-
-    Bit for bit normalize_angle, signed zeros included, with plain ufunc
-    calls only. ``turn`` holds the rows of ``turn_rows``; its first, pi,
-    bounds the screen that passes angles inside (-pi, pi) through as they
-    are, with no scalar operand; ``out`` may be ``theta``, which then is
-    not copied when they all pass. ``screen``, a float and a boolean array
-    of theta's shape and the bytes of an all-True boolean array of that
-    shape, receives |theta| and the screen's comparison, whose bytes equal
-    the third exactly when every angle passes.
-    """
-    magnitude, inside, all_inside = screen
-    np.less(np.abs(theta, magnitude), turn[0], inside)
-    if inside.tobytes() == all_inside:
-        # fmod and the turn below leave every angle in (-pi, pi) as it is
-        if out is not theta:
-            out[...] = theta
-        return out
-    return turn_angles(np.fmod(theta, turn[2], out), out, turn)
 
 
 def turn_angles(theta: np.ndarray, out: np.ndarray,

@@ -399,7 +399,8 @@ def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
     meta = "\n".join(_meta_lines(log)) + "\n"
     stamps = _fixed9(log.times).reshape(log.n_steps, 1, -1)
 
-    ids = _text([f"{i}," for i in range(1, log.n_robots + 1)])
+    n = log.n_robots
+    ids = _text([f"{i}," for i in range(1, n + 1)])
     regions, of_step = np.unique(log.region, return_inverse=True)
     region = _text([f"{r}\n" for r in regions.tolist()])[of_step]
     _write_steps(traj_path, meta + _TRAJ_HEADER + "\n", [stamps, ids],
@@ -407,7 +408,8 @@ def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
                  [region[:, None]])
 
     _write_steps(dist_path, meta + _DIST_HEADER + "\n",
-                 [stamps, _text([f"{i},{j}," for i, j in log.pairs])],
+                 [stamps, _text([f"{i},{j}," for i in range(1, n)
+                                 for j in range(i + 1, n + 1)])],
                  (log.distances[:, :, None],),
                  [_text([f"{int(m)}\n" for m in log.monitored.tolist()])])
     return traj_path, dist_path
@@ -559,11 +561,9 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
                      "lists other monitored flags than step 0")
         _check_steps(dist_path, dist["t"] != times[:, None],
                      f"has another t than {TRAJECTORY_FILE}")
-        pairs = tuple(first[["i", "j"]].tolist())
         distances = dist["d"]
         monitored = flag.astype(bool)
     else:
-        pairs = ()
         distances = np.zeros((len(times), 0))
         monitored = np.zeros(0, dtype=bool)
 
@@ -571,7 +571,7 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
     switch_step = int(switch[0]) if switch.size else None
     return TrajectoryLog(
         times=times, poses=traj["pose"], controls=traj["control"],
-        phi=traj["phi"], region=region, pairs=pairs, distances=distances,
+        phi=traj["phi"], region=region, distances=distances,
         monitored=monitored, events=[], switch_step=switch_step,
         goal_position=values["goal_position"],
         goal_heading=values["goal_heading"], time_step=values["time_step"],

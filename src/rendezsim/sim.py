@@ -3,6 +3,7 @@
 import math
 import time as _time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -10,8 +11,8 @@ from .control import ControlOutput, ControlWork, control_laws
 from .fields import region_of
 from .gradients import JetKernel
 from .graph import Topology, build_topology, has_rooted_spanning_tree
-from .model import (RegionFlag, RobotState, ScenarioConfig, turn_rows,
-                    validate_scenario, wrap_angles)
+from .model import (TWO_PI, RegionFlag, RobotState, ScenarioConfig,
+                    turn_angles, turn_rows, validate_scenario)
 # not called here: rendezbench/tracing.py wraps these names
 from .control import compute_control  # noqa: F401
 from .model import normalize_angle  # noqa: F401
@@ -52,7 +53,7 @@ class TrajectoryLog:
     """Column-oriented record of a run; everything metrics need lives here.
 
     ``controls`` columns are (v, omega, theta_d, theta_tilde, theta_d_dot).
-    ``pairs`` fixes the column order of ``distances``; ``monitored`` marks the
+    ``pairs`` names the columns of ``distances``; ``monitored`` marks the
     pairs connected in the initial graph, whose preservation is claimed.
     """
 
@@ -61,8 +62,7 @@ class TrajectoryLog:
     controls: np.ndarray     # (S, N, 5)
     phi: np.ndarray          # (S, N)
     region: np.ndarray       # (S,) int8: 0 collision-free, 1 rendezvous
-    pairs: tuple             # P index pairs (i, j), i < j, 1-based
-    distances: np.ndarray    # (S, P)
+    distances: np.ndarray    # (S, P), one column per pair of ``pairs``
     monitored: np.ndarray    # (P,) bool
     events: list = field(default_factory=list)
     switch_step: int | None = None
@@ -80,11 +80,23 @@ class TrajectoryLog:
     def n_robots(self) -> int:
         return self.poses.shape[1]
 
+    @cached_property
+    def pairs(self) -> tuple:
+        """The P index pairs (i, j), i < j, 1-based, built on first read."""
+        return upper_pairs(self.n_robots)
+
+
+def upper_pairs(n: int) -> tuple:
+    """The 1-based index pairs (i, j), i < j, of n robots in the log's
+    order: (1, 2), (1, 3), ..., (n - 1, n)."""
+    return tuple((i, j) for i in range(1, n) for j in range(i + 1, n + 1))
+
 
 @dataclass
 class Metrics:
     final_position_errors: np.ndarray
     final_heading_errors: np.ndarray
+    final_orientation_errors: np.ndarray  # |wrap(theta_i - goal_heading)|
     min_distance_collision_free: float | None
     max_monitored_distance: float | None
     switch_time: float | None
@@ -96,10 +108,10 @@ class IntegrateWork:
     place with time step dt.
 
     It holds (dt, dt / 2) and the heading wrap's turn rows
-    (``model.turn_rows``), whose first is pi, so that no call takes a
-    scalar, the temporaries, the heading wrap's screen and the pose
-    columns, bound once, and the pose screen: |poses|, their bounds (inf,
-    inf, pi) per robot, the comparison and the bytes of its all-True value
+    (``model.turn_rows``), whose first is pi and third 2 pi, so that no
+    call takes a scalar, the temporaries and the pose columns, bound once,
+    and the pose screen: |poses|, their bounds (inf, inf, pi) per robot,
+    the comparison ``inside`` and the bytes of its all-True value
     ``all_true``.
     """
 
@@ -109,7 +121,7 @@ class IntegrateWork:
         self.x, self.y, self.theta = poses.T
         self.steps = np.array([np.full(n, dt), np.full(n, 0.5 * dt)])
         self.dt, self.turn = self.steps[0], turn_rows(n)
-        self.pi = self.turn[0]
+        self.pi, self.two_pi = self.turn[0], self.turn[2]
         # dt v and the half turn, then the sine's arguments: pi (h / pi)
         # and the mid-step heading
         self.scaled, self.angles = np.empty((2, 2, n))
@@ -117,10 +129,7 @@ class IntegrateWork:
         self.arg, self.mid = self.angles
         self.sines = np.empty((2, n))
         self.ratio, self.sin_mid = self.sines
-        (self.turns, self.trig, self.heading,
-         magnitude) = np.empty((4, n))
-        self.screen = (magnitude, np.empty(n, dtype=bool),
-                       np.ones(n, dtype=bool).tobytes())
+        self.turns, self.trig, self.heading = np.empty((3, n))
         self.magnitudes = np.empty((n, 3))
         self.bounds = np.full((n, 3), np.inf)
         self.bounds[:, 2] = np.pi
@@ -141,9 +150,10 @@ def _integrate_all(controls, w: IntegrateWork):
 
     One comparison of |poses| with the bounds (inf, inf, pi) screens the
     new poses: it passes when every coordinate is finite and every heading
-    inside (-pi, pi), where ``wrap_angles`` would change nothing. Returns
-    whether it passed; where it did not, the headings are wrapped and some
-    pose may be non-finite.
+    inside (-pi, pi), where the wrap would change nothing. Returns whether
+    it passed; where it did not, the headings are wrapped, bit for bit
+    ``model.normalize_angle`` (a non-finite heading comes out NaN), and
+    some pose may be non-finite.
     """
     pi, theta = w.pi, w.theta
     np.multiply(w.steps, controls, w.scaled)
@@ -165,7 +175,8 @@ def _integrate_all(controls, w: IntegrateWork):
     np.less(np.abs(w.poses, w.magnitudes), w.bounds, w.inside)
     if w.inside.tobytes() == w.all_true:
         return True
-    wrap_angles(theta, theta, w.turn, w.screen)
+    # fmod by 2 pi and one turn leave a heading inside (-pi, pi) as it is
+    turn_angles(np.fmod(theta, w.two_pi, theta), theta, w.turn)
     return False
 
 
@@ -241,7 +252,6 @@ class StepKernel:
         self.x, self.y, self.theta = self.poses.T
         self.pair_work = PairWork(self.poses, self.upper)
         self.motion = IntegrateWork(self.poses, cfg.time_step)
-        self.finite = np.empty((n, 3), dtype=bool)
         self.laws = ControlWork(self.theta, cfg.linear_gains,
                                 cfg.angular_gains, cfg.gradient_floor)
         self.control_rows = self.laws.controls
@@ -263,9 +273,9 @@ class StepKernel:
         *_, grad_norm = control_laws(grad, hess, self.laws)
         # a step whose poses pass the pose screen is finite
         if not _integrate_all(self.speeds, self.motion):
-            poses = self.poses
-            finite = np.isfinite(poses, self.finite)
-            if finite.tobytes() != self.motion.all_true:
+            poses, motion = self.poses, self.motion
+            finite = np.isfinite(poses, motion.inside)  # the screen's row
+            if finite.tobytes() != motion.all_true:
                 i = int(np.flatnonzero(~finite.all(axis=1))[0])
                 raise NonFiniteState(
                     f"non-finite state after integration: robot {i + 1} at "
@@ -463,11 +473,11 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     upper = kernel.upper
     threshold = cfg.sensing_radius - cfg.connectivity_buffer
     accretion = AccreteWork(mask, upper, threshold) if accreting else None
-    pairs = tuple(zip(*np.add(upper, 1).tolist()))
+    pairs = ()  # the monitors' pair names, made on a step that needs them
     leader_const = kernel.jets.leader_const
     goal_x, goal_y = leader_const.goal_x, leader_const.goal_y
     monitored = mask[upper]
-    n_pairs = len(pairs)
+    n_pairs = len(monitored)
     high, low = _monitor_bounds(cfg, monitored)
     # one comparison screens both bounds: the watched values and their
     # negations against the high bounds and the negated low ones, as -x >=
@@ -535,6 +545,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
         dists[k] = dist
         np.negative(watched, negated)
         if np.greater_equal(screened, bounds, reach).tobytes() != unreached:
+            pairs = pairs or upper_pairs(n)
             step_events = monitor_invariants(poses[k, :, :2], dists[k], pairs,
                                              monitored, region, cfg, k, t)
             events.extend(step_events)
@@ -555,7 +566,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
 
     log = TrajectoryLog(
         times=times[:k], poses=poses[:k], controls=ctrl[:k], phi=phi[:k],
-        region=regions[:k], pairs=pairs, distances=dists[:k],
+        region=regions[:k], distances=dists[:k],
         monitored=monitored, events=events, switch_step=switch_step,
         goal_position=cfg.goal_position.copy(), goal_heading=cfg.goal_heading,
         time_step=cfg.time_step, sensing_radius=cfg.sensing_radius,
@@ -583,6 +594,9 @@ def compute_metrics(log: TrajectoryLog, cfg: ScenarioConfig | None = None) -> Me
     """Summary quantities, derived from the log alone."""
     errs = np.hypot(*(log.poses[-1, :, :2] - log.goal_position).T)
     head = np.abs(log.controls[-1, :, 3])
+    # how far each robot ends from facing the goal heading, on the circle
+    off = log.poses[-1, :, 2] - log.goal_heading
+    orientation = np.abs(np.remainder(off + np.pi, TWO_PI) - np.pi)
 
     cf = log.region == 0
     min_cf = float(log.distances[cf].min()) if cf.any() and log.distances.shape[1] else None
@@ -603,6 +617,7 @@ def compute_metrics(log: TrajectoryLog, cfg: ScenarioConfig | None = None) -> Me
     rate = fit_decay_rate(log.times[:end], tilde[:end])
 
     return Metrics(final_position_errors=errs, final_heading_errors=head,
+                   final_orientation_errors=orientation,
                    min_distance_collision_free=min_cf,
                    max_monitored_distance=max_mon, switch_time=switch_time,
                    heading_decay_rate=rate)

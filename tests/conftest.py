@@ -5,7 +5,7 @@ import pytest
 
 from rendezsim import RobotState, ScenarioConfig, Topology
 from rendezsim.control import ControlWork, control_laws
-from rendezsim.model import turn_rows
+from rendezsim.sim import IntegrateWork, _integrate_all
 
 
 def make_states(poses):
@@ -14,13 +14,26 @@ def make_states(poses):
             for i, (x, y, th) in enumerate(poses)]
 
 
-def wrap_rows(theta):
-    """The rows ``model.wrap_angles`` takes after ``out``, for the 1-d
-    theta: ``turn_rows``, and the screen's |theta|, comparison and
-    all-True bytes."""
+def held_headings(theta):
+    """(v, omega) rows and a ``sim.IntegrateWork`` of robots at the origin
+    with the 1-d headings ``theta``, which ``sim._integrate_all`` leaves
+    as they are, signed zeros included, where its pose screen passes, and
+    wraps where it fails: v = 0 and omega = -0.0 add -0.0 to each heading,
+    which changes no bit of it."""
     n = len(theta)
-    return turn_rows(n), (np.empty(n), np.empty(n, dtype=bool),
-                          np.ones(n, dtype=bool).tobytes())
+    poses = np.zeros((n, 3))
+    poses[:, 2] = theta
+    return (np.array([np.zeros(n), np.full(n, -0.0)]),
+            IntegrateWork(poses, 0.005))
+
+
+def integrator_wrap(theta):
+    """The headings ``theta`` after one ``sim._integrate_all`` step of
+    ``held_headings``: its fallback's wrap, or theta where no wrap is
+    due."""
+    controls, work = held_headings(theta)
+    _integrate_all(controls, work)
+    return work.theta
 
 
 Laws = namedtuple("Laws", "v omega theta_d theta_tilde theta_d_dot grad_norm")

@@ -5,6 +5,7 @@ criterion. The reference six-robot scenario is simulated once and shared;
 determinism gets its own second run.
 """
 
+import dataclasses
 import filecmp
 import hashlib
 import math
@@ -22,6 +23,8 @@ from rendezsim.gradients import grad_navfunc_follower
 from rendezsim.model import normalize_angle
 
 from conftest import topology
+import digests
+from digests import expected_digest, missing
 from oracles import (fd_gradient, grad_navfunc_leader, integrate_pose,
                      laplacian)
 from test_io import oracle_files
@@ -43,17 +46,14 @@ ENDPOINT_TOL = 1e-12         # criterion 6
 ROWSUM_TOL = 1e-12           # criterion 7
 EDGEWISE_TOL = 1e-10         # criterion 7
 LYAPUNOV_SLACK = 1e-6        # criterion 8
+# rad: each robot's final |theta_i - goal_heading|, the orientation the
+# abstract asks for; measured at most 0.0023 on the reference with goal
+# headings 0 and 1
+ORIENTATION_TOL = 0.005
 
 # the reference run itself, pinned so that any behavioural drift fails
 REFERENCE_STEPS = 11414
 REFERENCE_SWITCH_STEP = 10853
-# sha256 of trajectory.csv followed by distances.csv, the bytes of every
-# logged number: the reference run's and the 48-robot sparse scenario's of
-# test_step_cost (seed 1, 201 steps). A change to any exported bit fails
-REFERENCE_DIGEST = (
-    "590563d69e90ea1ec7f6b191aebda73618fa5e402a14cf6aeff108137664379a")
-SPARSE48_DIGEST = (
-    "d91efa8095c339aca32dbf9f0d756c0ee1adff4e9de0551fb5d450d9cc30bd19")
 
 
 def _report(num, text):
@@ -321,6 +321,30 @@ def test_criterion_10_determinism(reference, tmp_path):
                 "distance exports")
 
 
+# a group that approaches the goal from the far side of its heading axis
+# ends facing the goal heading + pi (3.139 rad off at -2 and 3) while the
+# run converges on |theta_tilde|: the control law takes theta_d along the
+# descent direction with no side sign. A model fix turns these to passes
+FACES_AWAY = pytest.mark.xfail(
+    strict=True, reason="robots arrive facing the goal heading + pi")
+
+
+@pytest.mark.parametrize("goal_heading", [
+    0.0, 1.0, pytest.param(-2.0, marks=FACES_AWAY),
+    pytest.param(3.0, marks=FACES_AWAY)])
+def test_final_orientation_is_the_goal_heading(reference, goal_heading):
+    cfg, log, _, _ = reference
+    if goal_heading != cfg.goal_heading:
+        cfg = dataclasses.replace(cfg, goal_heading=goal_heading)
+        log = run(cfg)
+    metrics = compute_metrics(log)
+    # every copy converges: the stop rule reads |theta_tilde| only
+    assert log.n_steps * cfg.time_step < cfg.horizon
+    assert metrics.final_heading_errors.max() < HEADING_TOL
+    assert metrics.final_orientation_errors.max() <= ORIENTATION_TOL, (
+        metrics.final_orientation_errors)
+
+
 def test_reference_export_matches_per_row_oracle(reference):
     # the exported bytes are those of one f-string per row
     _, log, _, out = reference
@@ -338,12 +362,40 @@ def export_digest(directory) -> str:
     return h.hexdigest()
 
 
+def check_digest(name, directory):
+    """The export in ``directory`` has the committed digest of ``name``
+    (``digests.DIGESTS``) at this host's dispatch level: a change to any
+    exported bit fails, and so does a level with no entry, which is
+    never skipped."""
+    got = export_digest(directory)
+    expected = expected_digest(name)
+    assert expected is not None, missing(name, got)
+    assert got == expected
+
+
+def test_a_level_with_no_digest_fails(monkeypatch, tmp_path):
+    # a host that reports none of the levels, an ARM one say, has no
+    # entry: the check fails and says which level, numpy and digest it met
+    monkeypatch.setattr(digests, "__cpu_features__", {"AVX2": False})
+    assert digests.dispatch_level() == "baseline"
+    for name in ("trajectory.csv", "distances.csv"):
+        (tmp_path / name).write_text(name)
+    with pytest.raises(AssertionError) as info:
+        check_digest("reference", tmp_path)
+    assert (f"dispatch level baseline with numpy {np.__version__}; this "
+            f"host exports {export_digest(tmp_path)}") in str(info.value)
+    monkeypatch.setattr(digests, "__cpu_features__",
+                        {"AVX2": True, "AVX512_SKX": True,
+                         "AVX512_ICL": False})
+    assert digests.dispatch_level() == "AVX512_SKX"
+
+
 def test_reference_export_digest(reference):
-    assert export_digest(reference[3]) == REFERENCE_DIGEST
+    check_digest("reference", reference[3])
 
 
 def test_sparse48_export_digest(tmp_path):
     log = run(_sparse48())
     assert log.n_steps == 201
     export_trajectory(log, str(tmp_path))
-    assert export_digest(tmp_path) == SPARSE48_DIGEST
+    check_digest("sparse48", tmp_path)

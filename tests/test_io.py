@@ -232,6 +232,8 @@ class TestTrajectoryExport:
                            atol=1e-6)
         assert np.allclose(a.final_heading_errors, b.final_heading_errors,
                            atol=1e-6)
+        assert np.allclose(a.final_orientation_errors,
+                           b.final_orientation_errors, atol=1e-6)
         assert a.switch_time == b.switch_time
         if a.min_distance_collision_free is None:
             assert b.min_distance_collision_free is None
@@ -265,6 +267,8 @@ class TestTrajectoryExport:
         loaded = load_trajectory(str(tmp_path))
         assert loaded.poses.shape == log.poses.shape
         assert loaded.distances.shape == log.distances.shape
+        # the loader checks the pair columns but keeps no copy of them
+        assert "pairs" not in vars(loaded)
         assert loaded.pairs == log.pairs
         assert np.array_equal(loaded.monitored, log.monitored)
         assert np.array_equal(loaded.region, log.region)
@@ -292,7 +296,7 @@ def synthetic_log():
     region[steps // 2:] = 1
     return TrajectoryLog(
         times=np.arange(steps) * 0.005, poses=poses, controls=controls,
-        phi=phi, region=region, pairs=pairs, distances=distances,
+        phi=phi, region=region, distances=distances,
         monitored=np.array([True, False, True, False, False, True]),
         switch_step=steps // 2, goal_position=np.array([1.5, -0.25]),
         goal_heading=-0.75, time_step=0.005, sensing_radius=2.0)
@@ -307,7 +311,7 @@ def random_log(steps, n, switch_step):
     return TrajectoryLog(
         times=np.arange(steps) * 0.01, poses=rng.normal(size=(steps, n, 3)),
         controls=rng.normal(size=(steps, n, 5)), phi=rng.uniform(size=(steps, n)),
-        region=region, pairs=pairs,
+        region=region,
         distances=rng.uniform(0.0, 4.0, size=(steps, len(pairs))),
         monitored=rng.uniform(size=len(pairs)) < 0.3, switch_step=switch_step,
         goal_position=np.zeros(2), time_step=0.01, sensing_radius=2.0)
@@ -1048,7 +1052,7 @@ class TestCli:
         ran = capsys.readouterr().out.splitlines()
         assert main(["metrics", str(out)]) == 0
         printed = capsys.readouterr().out.splitlines()
-        assert len(printed) == 6
+        assert len(printed) == 7
         assert any("dropped at" in line for line in printed)
         assert ran[-1 - len(printed):-1] == printed
 

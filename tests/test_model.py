@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from rendezsim import RobotState, ScenarioError, validate_scenario
-from rendezsim.model import normalize_angle, wrap_angles
+from rendezsim.model import normalize_angle
 
-from conftest import make_states, small_config, wrap_rows
+from conftest import integrator_wrap, make_states, small_config
 
 
 class TestNormalizeAngle:
@@ -42,23 +42,28 @@ class TestNormalizeAngle:
 
 
 class TestWrapAngles:
+    """The heading wrap of ``sim._integrate_all``: where its pose screen
+    fails, an fmod by 2 pi and one turn, normalize_angle elementwise."""
+
     def test_matches_normalize_angle_elementwise(self):
         pi = math.pi
         edges = [pi, -pi, 3 * pi, -3 * pi,
                  math.nextafter(pi, 0.0), math.nextafter(pi, 4.0),
                  math.nextafter(-pi, 0.0), math.nextafter(-pi, -4.0),
-                 1e6, -1e6, 0.0, -0.0]
+                 2 * pi, -2 * pi, math.nextafter(2 * pi, 0.0),
+                 -math.nextafter(2 * pi, 0.0), 1e6, -1e6, 1e300, -1e300,
+                 math.ulp(0.0), 0.0, -0.0]
         grid = np.linspace(-25.0, 25.0, 1001).tolist()
         theta = np.array(edges + grid)
         expected = [normalize_angle(t) for t in theta.tolist()]
-        out = wrap_angles(theta, np.empty(len(theta)), *wrap_rows(theta))
+        out = integrator_wrap(theta)
         # bit for bit, signed zeros included
         assert out.tobytes() == np.array(expected).tobytes()
 
     def test_non_finite_comes_out_nan(self):
         with np.errstate(invalid="ignore"):
             theta = np.array([math.nan, math.inf, -math.inf, 1.0])
-            out = wrap_angles(theta, np.empty(4), *wrap_rows(theta))
+            out = integrator_wrap(theta)
         assert np.isnan(out[:3]).all() and out[3] == 1.0
 
 

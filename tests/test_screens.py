@@ -22,9 +22,10 @@ from rendezsim import gradients
 from rendezsim.fields import logistic_negated
 from rendezsim.gradients import (DISTANCE_FLOOR, JetKernel, QuotientWork,
                                  _one_robot_jet, _quotient_jet, exponent_row)
-from rendezsim.model import TWO_PI, turn_angles, turn_rows, wrap_angles
+from rendezsim.model import TWO_PI, turn_angles, turn_rows
 
-from conftest import make_states, small_config, topology, wrap_rows
+from conftest import (held_headings, integrator_wrap, make_states,
+                      small_config, topology)
 from oracles import integrate_copy, plain_step
 
 
@@ -96,8 +97,11 @@ PI = math.pi
 
 
 class TestWrapAngles:
+    """``sim._integrate_all``'s heading wrap, taken only when its pose
+    screen fails, against the masked form it replaced."""
+
     @pytest.mark.parametrize("theta", [
-        # every angle inside (-pi, pi): the screen returns them as they are
+        # every angle inside (-pi, pi): the screen passes them as they are
         [0.0, -0.0, 1.0, -3.0, math.nextafter(PI, 0.0),
          math.nextafter(-PI, 0.0)],
         # the turns: +-pi, +-3 pi, signed zeros, values just past +-pi
@@ -107,18 +111,35 @@ class TestWrapAngles:
         [0.5, math.nan, -0.0],
         # pi and -pi beside angles inside: -pi turns, pi does not
         [-PI, 0.5], [PI, -0.25],
+        # infinities and huge magnitudes come out NaN and wrapped
+        [math.inf, -math.inf, 1e300, -1e300, -0.0],
     ])
     def test_matches_the_masked_form(self, theta):
         theta = np.array(theta)
-        out = np.full(len(theta), 7.0)
-        assert wrap_angles(theta, out, *wrap_rows(theta)) is out
-        assert same_bits(out, wrap_angles_before(theta))
+        with np.errstate(invalid="ignore"):
+            out = integrator_wrap(theta)
+            expected = wrap_angles_before(theta)
+        assert same_bits(out, expected)
 
     def test_strided_output(self):
+        # the wrap writes the poses' heading column in place, a strided
+        # row, and leaves x and y as the step moved them
         theta = np.array([0.25, -0.0, 4.0])
-        poses = np.zeros((3, 3))
-        wrap_angles(theta, poses[:, 2], *wrap_rows(theta))
-        assert same_bits(poses[:, 2], wrap_angles_before(theta))
+        controls, work = held_headings(theta)
+        assert not work.theta.flags.contiguous
+        assert not sim._integrate_all(controls, work)
+        assert same_bits(work.theta, wrap_angles_before(theta))
+        assert same_bits(work.poses[:, :2], np.zeros((3, 2)))
+
+    def test_a_screen_failed_on_x_keeps_the_headings(self):
+        # the wrap runs on every heading when any coordinate fails the
+        # screen; fmod and the turn leave those inside (-pi, pi) as they are
+        theta = np.array([0.0, -0.0, 1.0, -3.0, math.nextafter(PI, 0.0),
+                          math.nextafter(-PI, 0.0), math.ulp(0.0)])
+        controls, work = held_headings(theta)
+        work.x[2] = math.nan
+        assert not sim._integrate_all(controls, work)
+        assert same_bits(work.theta, theta)
 
 
 class TestIntegrateInline:

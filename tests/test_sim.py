@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -729,6 +730,17 @@ class TestMonitors:
         assert margins[0] == pytest.approx([0.5, 0.8], abs=1e-12)
         assert np.array_equal(margins, 2.0 - log.distances[:, :2])
 
+    def test_pairs_are_built_on_first_read(self):
+        # a run names no pairs: the log builds them from its robot count
+        # when first asked, in np.triu_indices' order
+        log = run(small_config(horizon=0.01))
+        assert "pairs" not in vars(log)
+        assert log.pairs == ((1, 2), (1, 3), (2, 3))
+        assert vars(log)["pairs"] is log.pairs
+        for n in range(1, 9):
+            first, second = np.add(np.triu_indices(n, 1), 1).tolist()
+            assert sim.upper_pairs(n) == tuple(zip(first, second))
+
     def test_collision_flagged_only_while_avoiding(self):
         cfg = small_config()
         positions = [(-4.0, -2.0), (-4.01, -2.0), (-4.5, -2.5)]
@@ -852,11 +864,10 @@ class TestMetrics:
         controls = np.zeros((s, n, 5))
         phi = np.zeros((s, n))
         region = np.ones(s, dtype=np.int8)
-        pairs = ((1, 2),)
         distances = np.zeros((s, 1))
         return TrajectoryLog(
             times=times, poses=poses, controls=controls, phi=phi,
-            region=region, pairs=pairs, distances=distances,
+            region=region, distances=distances,
             monitored=np.array([True]), events=[], switch_step=0,
             goal_position=np.zeros(2), goal_heading=0.0, time_step=0.1,
             sensing_radius=2.0)
@@ -933,3 +944,49 @@ class TestDiscretisation:
         assert 0.8 <= order <= 1.2, rates
         extrapolated = fine + (fine - mid) / (2.0 ** order - 1.0)
         assert abs(extrapolated - k_w) <= 1e-2, (rates, extrapolated)
+
+
+@pytest.fixture(scope="class")
+def ladder_log():
+    """The first 20 s of the reference, well before its switch at 54 s,
+    at time step dt / 2 ** halvings, by halvings; each run once per class."""
+    @functools.cache
+    def log(halvings):
+        cfg = _reference()
+        return run(dataclasses.replace(
+            cfg, time_step=cfg.time_step / 2 ** halvings, horizon=20.0))
+    return log
+
+
+class TestTimeStepLadder:
+    """The reference's time step against its halvings: the integrator is
+    exact for controls held over a step, so the zero-order hold is the one
+    numerical parameter, and its error is first order in dt."""
+
+    def test_positions_converge_at_first_order(self, ladder_log):
+        # largest position difference over 20 s and six robots against
+        # dt/8, at dt, dt/2 and dt/4: a first-order error C h leaves
+        # C (h - h/8), so the ratios are 7/3 and 3. Measured 3.8e-3,
+        # 1.6e-3 and 5.4e-4 m, ratios 2.34 and 3.00 (at t = 20 s alone
+        # 6.2e-5, 2.6e-5 and 8.5e-6 m); the band is 10 % of each ratio
+        fine = ladder_log(3).poses[:, :, :2]
+        gaps = [np.hypot(*np.moveaxis(
+            ladder_log(h).poses[:, :, :2] - fine[::2 ** (3 - h)], -1, 0)).max()
+            for h in range(3)]
+        assert gaps[0] < 1e-2, gaps
+        ratios = [gaps[0] / gaps[1], gaps[1] / gaps[2]]
+        assert ratios == pytest.approx([7.0 / 3.0, 3.0], rel=0.1), gaps
+
+    @pytest.mark.parametrize("halvings", [0, 1])
+    def test_decay_rate_is_the_zero_order_hold_rate(self, halvings,
+                                                    ladder_log):
+        # theta_tilde <- (1 - k_w dt) theta_tilde per held step decays at
+        # -ln(1 - k_w dt) / dt, not k_w (criterion 4 allows 5 % against
+        # k_w). Measured 8.1662 against 8.1644 at dt and 8.0820 against
+        # 8.0811 at dt/2, 2.2e-4 and 1.1e-4 relative; the fit ends at the
+        # noise floor, well inside 20 s
+        log = ladder_log(halvings)
+        k_w, dt = _reference().angular_gains[0], log.time_step
+        held = -math.log(1.0 - k_w * dt) / dt
+        rate = compute_metrics(log).heading_decay_rate
+        assert rate == pytest.approx(held, rel=5e-4)

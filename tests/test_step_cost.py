@@ -19,7 +19,7 @@ import pytest
 from rendezsim import (ScenarioConfig, parse_scenario, run,
                        seeded_deployment)
 from rendezsim.sim import StepKernel, initial_topology
-from conftest import wrap_rows
+from conftest import held_headings
 from numpy_calls import PACKAGE, counting
 
 REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
@@ -56,7 +56,10 @@ REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
 # reference step that turns the heading errors and wraps a heading:
 # model.turn_angles twice and the wrap's fmod, with every bound, 2 pi and
 # comparison a row of model.turn_rows (before: 7 scalar-operand and 6
-# allocating calls, in as many calls). The alpha_half step runs the
+# allocating calls, in as many calls). It made 127 calls while the wrap
+# screened the headings again after the pose screen had failed (|theta|,
+# its comparison with pi and their bytes); the pose screen alone now sends
+# a step to the wrap. The alpha_half step runs the
 # quotient rule's masked power of field exponent 1/2, its one where= call,
 # with gamma > 0 compared against a zero row that dp copies first, and
 # turns the heading errors (before: 117 calls, 4 with a scalar operand and
@@ -66,7 +69,7 @@ BUDGET = {
     "rendezvous": (111, 0, 0, 0, 0, 0),
     "sparse48": (113, 0, 0, 0, 0, 0),
     "accreting": (114, 0, 0, 0, 0, 0),
-    "turning": (127, 0, 0, 0, 0, 0),
+    "turning": (124, 0, 0, 0, 0, 0),
     "alpha_half": (118, 1, 0, 0, 0, 0),
 }
 # calls of numpy's Python-level helpers per step: np.sinc and np.copyto are
@@ -171,8 +174,11 @@ def test_numpy_helpers_per_step(counted_step):
 # list both. It does not grow with the robot count. It made 105 calls, 79
 # of them helpers, when the two each computed the upper pairs; the heading
 # turn's rows (model.turn_rows, two np.empty each in ControlWork and
-# IntegrateWork, in place of one np.full of pi) add two
-SETUP_BUDGET = {"reference": (106, 80), "sparse48": (106, 80)}
+# IntegrateWork, in place of one np.full of pi) add two. It made 106, 80 of
+# them helpers, while the heading wrap had a screen of its own (a boolean
+# row and the bytes of an all-True one) and the finiteness check a
+# boolean block beside the pose screen's, which it now writes into
+SETUP_BUDGET = {"reference": (102, 77), "sparse48": (102, 77)}
 
 
 @pytest.mark.parametrize("name", sorted(SETUP_BUDGET))
@@ -208,7 +214,7 @@ def test_turns_happen_on_the_counted_steps():
     # alpha_half step turns the heading errors; the reference step neither
     turning, alpha_half = counted("turning"), counted("alpha_half")
     assert turning.calls["model.turn_angles", "subtract"] == 4
-    assert turning.calls["model.wrap_angles", "fmod"] == 1
+    assert turning.calls["sim._integrate_all", "fmod"] == 1
     assert alpha_half.calls["model.turn_angles", "subtract"] == 2
     assert alpha_half.calls["gradients._quotient_jet", "positive"] == 1
     assert "model.turn_angles" not in counted("reference").per_function()
@@ -243,29 +249,36 @@ class TestCounter:
     """The counter itself: what it counts and what it attributes."""
 
     def test_counts_rendezsim_calls_only(self):
-        from rendezsim import model
+        from rendezsim import sim
         theta = np.array([0.5, 4.0, -4.0])
-        rows = (np.empty(3), *wrap_rows(theta))
+        controls, work = held_headings(theta)
         with counting() as counts:
             np.add(theta, theta)  # made here, not by rendezsim
-            model.wrap_angles(theta, *rows)
+            sim._integrate_all(controls, work)
         functions = {f for f, _ in counts.calls}
-        # the two angles past pi take the turn, a function of its own
-        assert functions == {"model.wrap_angles", "model.turn_angles"}
+        # the two headings past pi fail the pose screen and take the wrap's
+        # turn, a function of its own
+        assert functions == {"sim._integrate_all", "model.turn_angles"}
 
     def test_byte_screens_are_counted(self):
         # a screen compares its boolean row's bytes with a constant: the
         # tobytes call counts as the np.count_nonzero it replaced did
-        from rendezsim import model
+        from rendezsim import sim
         theta = np.array([0.5, -1.0, 2.0])
         with counting() as counts:
-            rows = (np.empty(3), *wrap_rows(theta))  # made inside: counted
-            model.wrap_angles(theta, *rows)
+            # made inside: the screen's rows are counted arrays
+            controls, work = held_headings(theta)
+            assert sim._integrate_all(controls, work)
+        # the all-True bytes once, at set-up; the pose screen's comparison
+        # of |poses| with its bounds and its bytes, each step
+        assert counts.calls["sim.IntegrateWork.__init__",
+                            "ndarray.tobytes"] == 1
+        assert {call: n for (f, call), n in counts.calls.items()
+                if f == "sim._integrate_all" and call in (
+                    "absolute", "less", "ndarray.tobytes")} == {
+            "absolute": 1, "less": 1, "ndarray.tobytes": 1}
         # turn_rows makes its float rows and its boolean rows
-        assert counts.calls == {("model.turn_rows", "empty"): 2,
-                                ("model.wrap_angles", "absolute"): 1,
-                                ("model.wrap_angles", "less"): 1,
-                                ("model.wrap_angles", "ndarray.tobytes"): 1}
+        assert counts.calls["model.turn_rows", "empty"] == 2
 
     def test_numpy_internals_are_not_counted(self):
         from rendezsim import sim
@@ -288,12 +301,11 @@ class TestCounter:
         assert sum(counts.where.values()) == 1
 
     def test_scalar_operands_are_tallied(self):
-        from rendezsim import model
-        theta = np.array([0.5, -1.0, 2.0])
-        rows = (np.empty(3), *wrap_rows(theta))
+        from rendezsim import sim
+        controls, work = held_headings(np.array([0.5, -1.0, 2.0]))
         with counting() as counts:
-            model.wrap_angles(theta, *rows)
-        assert counts.calls["model.wrap_angles", "less"] == 1
+            sim._integrate_all(controls, work)
+        assert counts.calls["sim._integrate_all", "less"] == 1
         assert not counts.scalar
         turn = _scalar_turn()
         with counting() as counts:
@@ -318,19 +330,18 @@ class TestCounter:
         assert counts.scalar == {("probe.turn", "multiply"): 1}
 
     def test_broadcast_operands_are_tallied(self):
-        from rendezsim import model
+        from rendezsim import sim
         theta = np.array([0.5, -1.0, 2.0])
-        out = np.empty(3)
-        turn, screen = wrap_rows(theta)
+        controls, work = held_headings(theta)
         with counting() as counts:
-            model.wrap_angles(theta, out, turn, screen)
-        assert counts.calls["model.wrap_angles", "less"] == 1
+            sim._integrate_all(controls, work)
+        assert counts.calls["sim._integrate_all", "less"] == 1
         assert not counts.broadcast
+        # one (3,) row of bounds beside the (3, 3) poses
+        work.bounds = np.array([math.inf, math.inf, math.pi])
         with counting() as counts:
-            # a (1,) bound beside the (3,) angles
-            model.wrap_angles(theta, out, (np.array([math.pi]), *turn[1:]),
-                              screen)
-        assert counts.broadcast == {("model.wrap_angles", "less"): 1}
+            sim._integrate_all(controls, work)
+        assert counts.broadcast == {("sim._integrate_all", "less"): 1}
         with counting() as counts:
             np.add(theta, np.array([1.0]))  # made here, not by rendezsim
         assert not counts.broadcast
