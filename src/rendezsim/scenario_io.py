@@ -285,8 +285,9 @@ def _meta_lines(log: TrajectoryLog) -> list[str]:
     ]
 
 
-# rows per block: enough that numpy's per-call cost vanishes, few enough
-# that a block's working arrays stay near 1 MB
+# rows per block, rounded down to whole steps: enough that numpy's
+# per-call cost vanishes, few enough that a block's row buffer, work rows
+# and written text stay near 1 MB
 _WRITE_BLOCK = 2048
 
 
@@ -307,51 +308,109 @@ _INT_WORDS = _text([f"{s}{k}" for s in ("", "-") for k in range(_INT_LIMIT)],
 _MILLIS = _text([f".{k:03d}" for k in range(1000)]).view("u4").ravel()
 _TEN_THOUSANDS = _text([f"{k:04d}" for k in range(10000)]).view("u4").ravel()
 _HUNDREDS = _text([f"{k:02d}" for k in range(100)]).view("u2").ravel()
+# each u4 word's table, the unit of its digit group and its field; the
+# hundreds, a u2 word, end the field
+_GROUPS = ((_INT_WORDS, 10 ** 9, "int"), (_MILLIS, 10 ** 6, "d3"),
+           (_TEN_THOUSANDS, 100, "d4"))
 
 
-def _fixed9(x):
+def _field_dtype(width):
+    """A ``'%.9f,'`` field of ``width`` bytes and its comma: the whole text,
+    and the table words that end it."""
+    return np.dtype({
+        "names": ["text", "int", "d3", "d4", "d2", "sep"],
+        "formats": [f"S{width}", "u4", "u4", "u4", "u2", "u1"],
+        "offsets": [0, width - 14, width - 10, width - 6, width - 2, width],
+        "itemsize": width + 1})
+
+
+# bytes of _fixed9's work rows per value: x, y and n (8 bytes each), a
+# table word (4) and two flags, carved from one allocation, which the C
+# allocator maps and unmaps whole; as separate rows, their freed space
+# stayed resident in its heap and raised the peak RSS
+_WORK_BYTES = 30
+
+
+def _fixed9(x, fields=None, work=None):
     """``'%.9f,' % v`` for every value of ``x``, as NUL-padded bytes.
 
-    Returns a ``(x.size, width + 1)`` uint8 array, ``width`` the longest
-    entry and at least 14. A value that is not finite, whose integer part
-    rounds past the table or whose y = |x| * 1e9 is exactly a half-integer
-    is formatted with ``'%.9f'`` on its own.
+    ``x`` is an array, or a tuple of ``(r, c_i)`` arrays whose columns
+    stand side by side as ``r`` records of ``c = sum(c_i)`` fields. Each
+    field is ``width`` bytes and a comma, ``width`` the longest entry and
+    at least 14. A value that is not finite, whose integer part rounds past
+    the table or whose y = |x| * 1e9 is exactly a half-integer is formatted
+    with ``'%.9f'`` on its own.
+
+    Without ``fields``, returns a ``(x.size, width + 1)`` uint8 array. With
+    it, writes into ``fields(width)[:r]``, ``(r, c)`` records of
+    ``_field_dtype(width)`` with their commas in place, and returns
+    ``width``. The arithmetic runs in rows carved from ``work``, a uint8
+    array of at least ``_WORK_BYTES`` bytes a value (by default, a fresh
+    one).
     """
-    x = np.ravel(x)
-    y = np.minimum(np.abs(x), _INT_LIMIT) * 1e9  # nan stays nan
-    n = np.rint(y)
+    parts = x if isinstance(x, tuple) else (np.reshape(x, (-1, 1)),)
+    r = len(parts[0])
+    c = sum(p.shape[1] for p in parts)
+    size = r * c
+    if work is None:
+        work = np.empty(_WORK_BYTES * size, np.uint8)
+    x, y, n = work[:24 * size].view(float).reshape(3, size)
+    words = work[24 * size:28 * size].view(np.uint32)
+    fast, flag = work[28 * size:30 * size].view(bool).reshape(2, size)
+    at = 0
+    for p in parts:
+        np.copyto(x.reshape(r, c)[:, at:at + p.shape[1]], p)
+        at += p.shape[1]
+    np.abs(x, y)
+    np.minimum(y, _INT_LIMIT, out=y)  # nan stays nan
+    np.multiply(y, 1e9, y)
+    np.rint(y, n)
     # y < 2**52, where every half-integer is a double: the rounded product
     # of a value that is no tie never crosses one, so rint(y) is the
     # rounding '%.9f' makes unless y is exactly k + 1/2
-    fast = np.abs(y - n) != 0.5
+    np.subtract(y, n, y)
+    np.abs(y, y)
+    np.not_equal(y, 0.5, fast)
     # nan passes the test above; the limit sends nan and +-inf to '%.9f'
-    fast &= n < _INT_LIMIT * 1e9
-    slow = np.flatnonzero(~fast)
-    texts = ["%.9f" % v for v in x[slow].tolist()]
-    n[slow] = 0.0
-    n = n.astype(np.int64)
-    sign_int = n // 10 ** 9
-    n -= sign_int * 10 ** 9
-    sign_int += np.signbit(x) * _INT_LIMIT
-    millis = n // 10 ** 6
-    n -= millis * 10 ** 6
-    ten_thousands = n // 100
-    n -= ten_thousands * 100
+    np.less(n, _INT_LIMIT * 1e9, flag)
+    np.logical_and(fast, flag, fast)
+    texts = []
+    if not fast.all():
+        slow = np.flatnonzero(np.logical_not(fast, fast))
+        texts = ["%.9f" % v for v in x[slow].tolist()]
+        n[slow] = 0.0
+    # a negative value's words are the table's second half: its sign adds
+    # 10**12 to n, exactly, as n < 10**12
+    np.copysign(5e11, x, y)
+    np.subtract(5e11, y, y)
+    np.add(n, y, n)
 
     width = max([14, *map(len, texts)])
-    field = np.zeros(x.size, np.dtype({
-        "names": ["int", "d3", "d4", "d2", "sep"],
-        "formats": ["u4", "u4", "u4", "u2", "u1"],
-        "offsets": [width - 14, width - 10, width - 6, width - 2, width],
-        "itemsize": width + 1}))
-    field["int"] = _INT_WORDS[sign_int]
-    field["d3"] = _MILLIS[millis]
-    field["d4"] = _TEN_THOUSANDS[ten_thousands]
-    field["d2"] = _HUNDREDS[n]
-    field["sep"] = ord(",")
-    raw = field.view(np.uint8).reshape(x.size, width + 1)
-    raw[slow, :width] = _text(texts, width)
-    return raw
+    out = None
+    if fields is None:
+        out = np.zeros((size, width + 1), np.uint8)
+        out[:, width] = ord(",")
+        dest = out.view(_field_dtype(width)).reshape(r, c)
+    else:
+        dest = fields(width)[:r]
+        if width > 14:  # clear an earlier block's text left of the digits
+            dest["text"] = b""
+    # x and y are spent: their bytes hold n, then what is left of it after
+    # each digit group, and the group
+    rest, group = x.view(np.int64), y.view(np.int64)
+    np.copyto(rest, n, "unsafe")
+    for table, scale, name in _GROUPS:
+        np.floor_divide(rest, scale, group)
+        table.take(group, None, words, "clip")
+        dest[name] = words.reshape(r, c)
+        np.multiply(group, scale, group)
+        np.subtract(rest, group, rest)
+    hundreds = words.view(np.uint16)[:size]
+    _HUNDREDS.take(rest, None, hundreds, "clip")
+    dest["d2"] = hundreds.reshape(r, c)
+    if texts:
+        dest["text"][slow // c, slow % c] = texts
+    return width if out is None else out
 
 
 def _write_steps(path, head, before, columns, after):
@@ -359,27 +418,63 @@ def _write_steps(path, head, before, columns, after):
 
     A row is the text of ``before``, a ``'%.9f,'`` field per column of the
     float arrays ``columns`` (each ``(steps, slots, c)``) and the text of
-    ``after``; text is NUL-padded uint8 that broadcasts to ``(steps,
-    slots, width)``. Each block of ``_WRITE_BLOCK`` rows is gathered from
-    slices of the arrays and written once, NUL bytes removed.
+    ``after``. Text is NUL-padded uint8, one row per slot, ``(slots, w)``,
+    or one per step, ``(steps, 1, w)``.
+
+    The rows pass through one buffer that holds a block of whole steps:
+    each slot's text is laid into it once, each step's once per block, and
+    ``_fixed9`` writes the block's fields into it in place. A block whose
+    fields take another width gets its own buffer, laid out the same way.
+    Each block is written once, NUL bytes removed, so the rows a last,
+    shorter block lacks are cleared, not cut off by a copy.
     """
     steps, slots = columns[0].shape[:2]
-    before = [np.broadcast_to(t, (steps, slots, t.shape[-1])) for t in before]
-    after = [np.broadcast_to(t, (steps, slots, t.shape[-1])) for t in after]
-    rows = steps * slots
     with open(path, "wb") as fh:
         fh.write(head.encode("ascii"))
-        for start in range(0, rows, _WRITE_BLOCK):
-            stop = min(start + _WRITE_BLOCK, rows)
-            k0, k1 = start // slots, -(-stop // slots)
-            cut = slice(start - k0 * slots, stop - k0 * slots)
-            values = np.concatenate([c[k0:k1] for c in columns], axis=2)
-            fields = _fixed9(values.reshape(-1, values.shape[2])[cut])
-            cells = [t[k0:k1].reshape(-1, t.shape[2])[cut] for t in before]
-            cells.append(fields.reshape(stop - start, -1))
-            cells += [t[k0:k1].reshape(-1, t.shape[2])[cut] for t in after]
-            fh.write(np.concatenate(cells, axis=1).tobytes()
-                     .translate(None, b"\0"))
+        if not slots:
+            return
+        c = sum(col.shape[2] for col in columns)
+        per_block = min(steps, max(1, _WRITE_BLOCK // slots))
+        work = np.empty(_WORK_BYTES * per_block * slots * c, np.uint8)
+        text = sum(t.shape[-1] for t in before + after)
+        # field width -> (buffer, its rows, fields, per-step cells)
+        buffers = {}
+
+        def buffer(width):
+            if width not in buffers:
+                row = text + c * (width + 1)
+                buf = bytearray(per_block * slots * row)
+                cells = np.frombuffer(buf, np.uint8).reshape(
+                    per_block, slots, row)
+                per_step = []
+                at = 0
+                for t in [*before, None, *after]:  # None: the fields
+                    if t is None:
+                        fields = np.ndarray(
+                            (per_block * slots, c), _field_dtype(width),
+                            buffer=buf, offset=at, strides=(row, width + 1))
+                        fields["sep"] = ord(",")
+                        at += c * (width + 1)
+                        continue
+                    cell = cells[:, :, at:at + t.shape[-1]]
+                    at += t.shape[-1]
+                    if t.ndim == 2:
+                        cell[...] = t
+                    else:
+                        per_step.append((cell, t))
+                buffers[width] = buf, cells, fields, per_step
+            return buffers[width]
+
+        for k0 in range(0, steps, per_block):
+            k = min(per_block, steps - k0)
+            width = _fixed9(tuple(np.reshape(col[k0:k0 + k], (k * slots, -1))
+                                  for col in columns),
+                            lambda w: buffer(w)[2], work)
+            buf, cells, _, per_step = buffer(width)
+            for cell, t in per_step:
+                cell[:k] = t[k0:k0 + k]
+            cells[k:] = 0  # the last block clears the steps it lacks
+            fh.write(buf.translate(None, b"\0"))
 
 
 def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:

@@ -598,10 +598,14 @@ def compute_metrics(log: TrajectoryLog, cfg: ScenarioConfig | None = None) -> Me
     off = log.poses[-1, :, 2] - log.goal_heading
     orientation = np.abs(np.remainder(off + np.pi, TWO_PI) - np.pi)
 
-    cf = log.region == 0
-    min_cf = float(log.distances[cf].min()) if cf.any() and log.distances.shape[1] else None
+    # the switch latches (run logs it so; load_trajectory rejects a return
+    # to region 0), so the collision-free steps are the ones before the
+    # first region 1; neither bound copies the (S, P) distances
+    free = int(np.argmax(log.region)) if log.region.any() else log.n_steps
+    min_cf = (float(log.distances[:free].min())
+              if free and log.distances.shape[1] else None)
     if log.monitored.any():
-        max_mon = float(log.distances[:, log.monitored].max())
+        max_mon = float(log.distances.max(axis=0)[log.monitored].max())
     else:
         max_mon = None
 

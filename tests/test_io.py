@@ -1,6 +1,9 @@
+import dataclasses
+import gc
 import os
 import runpy
 import sys
+import tracemalloc
 import types
 from dataclasses import MISSING, fields as dc_fields
 
@@ -353,6 +356,38 @@ def assert_bits_equal(a, b):
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+@pytest.fixture(scope="module")
+def sparse48_log():
+    """The sparse48 benchmark deployment run for 1 s: 48 seeded robots,
+    1,128 pairs, 201 steps."""
+    n = 48
+    log = run(small_config(
+        n_robots=n, workspace_radius=200.0,
+        rendezvous_radius=2.0 * (n - 1) + 1.5,
+        linear_gains=[2.0] + [4.0] * (n - 1), angular_gains=[8.0] * n,
+        horizon=1.0, initial_states=seeded_deployment(
+            1, n, np.array([-5.0, -3.0]), 6.0, 0.2, 2.0, 200.0)))
+    assert log.n_steps == 201 and len(log.pairs) == 1128
+    return log
+
+
+def wide_log():
+    """Five robots, 37 steps, with values wider than 14 characters in a
+    middle block and in the last, shorter block of 50-row blocks (10 steps
+    of trajectory.csv, 5 of distances.csv), and nan and inf."""
+    log = random_log(steps=37, n=5, switch_step=13)
+    log.poses[15, 2, 0] = 1.5e6
+    log.controls[16, 0, 1] = -2.75e7
+    log.distances[10, 3] = 1.5e6
+    log.distances[17, 5] = np.nan
+    log.phi[33, 4] = np.inf
+    log.controls[34, 3, 4] = -2.75e7
+    log.poses[35, 1, 2] = np.nan
+    log.distances[35, 0] = 1.5e6
+    log.distances[36, 9] = -np.inf
+    return log
+
+
 class TestExportFormat:
     def test_files_match_per_row_formatter(self, tmp_path):
         log = synthetic_log()
@@ -418,17 +453,16 @@ class TestExportFormat:
         monkeypatch.setattr(scenario_io, "_WRITE_BLOCK", block)
         self.assert_matches_oracle(log, tmp_path)
 
-    def test_sparse_48_robot_run_matches_oracle(self, tmp_path):
-        # the sparse48 benchmark deployment: 48 seeded robots, 1,128 pairs
-        n = 48
-        log = run(small_config(
-            n_robots=n, workspace_radius=200.0,
-            rendezvous_radius=2.0 * (n - 1) + 1.5,
-            linear_gains=[2.0] + [4.0] * (n - 1), angular_gains=[8.0] * n,
-            horizon=1.0, initial_states=seeded_deployment(
-                1, n, np.array([-5.0, -3.0]), 6.0, 0.2, 2.0, 200.0)))
-        assert log.n_steps == 201 and len(log.pairs) == 1128
-        self.assert_matches_oracle(log, tmp_path)
+    def test_sparse_48_robot_run_matches_oracle(self, tmp_path, sparse48_log):
+        self.assert_matches_oracle(sparse48_log, tmp_path)
+
+    def test_field_width_changes_between_blocks(self, tmp_path, monkeypatch):
+        # the fields' widths run 14, 19, 14, 19 by block in trajectory.csv
+        # and 14, 14, 17, 14, 14, 14, 14, 17 in distances.csv: a wide block
+        # follows a narrow one, and the last block reuses the buffer whose
+        # fields held a middle block's long texts, where it prints short ones
+        monkeypatch.setattr(scenario_io, "_WRITE_BLOCK", 50)
+        self.assert_matches_oracle(wide_log(), tmp_path)
 
     def test_reload_is_float_of_every_field(self, tmp_path):
         log = synthetic_log()
@@ -447,6 +481,47 @@ class TestExportFormat:
         assert np.array_equal(loaded.monitored, dist[0, :, 4] == 1)
         assert np.signbit(loaded.poses[0, 0]).all()
         assert loaded.switch_step == log.switch_step
+
+
+def traced_peak(call):
+    """The most memory ``call()`` held at once above what was held before
+    it, in bytes, as tracemalloc counts it."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+# export_trajectory's traced peak on the 201-step 48-robot log when each
+# 2,048-row block was gathered by concatenation and copied by tobytes
+CONCATENATING_EXPORT_PEAK = 1_594_873
+
+
+class TestWorkingSets:
+    """What the export and the metrics hold at once, on the 48-robot log."""
+
+    def test_metrics_make_no_copy_of_the_distances(self, sparse48_log):
+        peak = traced_peak(lambda: compute_metrics(sparse48_log))
+        assert peak < 0.1 * sparse48_log.distances.nbytes
+
+    def test_export_holds_one_block(self, tmp_path, sparse48_log):
+        # 42 whole steps a block of trajectory.csv, one of distances.csv;
+        # the logs end on shorter blocks, of 33 and 9 steps
+        short = dataclasses.replace(sparse48_log, **{
+            name: getattr(sparse48_log, name)[:51] for name in (
+                "times", "poses", "controls", "phi", "region", "distances")})
+        peaks = [traced_peak(lambda: export_trajectory(log, str(tmp_path)))
+                 for log in (sparse48_log, short)]
+        assert peaks[0] <= CONCATENATING_EXPORT_PEAK
+        assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
 
 
 def near_ties(rng, count, top):

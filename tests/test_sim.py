@@ -920,6 +920,41 @@ class TestMetrics:
     def test_decay_fit_needs_signal(self):
         assert fit_decay_rate(np.arange(5.0), np.zeros(5)) is None
 
+    @pytest.mark.parametrize("n, switch, share", [
+        (5, 0, 0.3), (5, 17, 0.3), (5, None, 0.3), (5, 17, 0.0),
+        (1, 17, 0.3)],
+        ids=["switch_at_step_0", "switch_mid_run", "never_switches",
+             "no_monitored_pair", "one_robot"])
+    def test_distance_bounds_equal_the_masked_forms(self, n, switch, share):
+        # the bounds as boolean-mask and fancy-index copies of the log
+        rng = np.random.default_rng(19)
+        steps, p = 40, n * (n - 1) // 2
+        region = np.zeros(steps, dtype=np.int8)
+        if switch is not None:
+            region[switch:] = 1
+        log = TrajectoryLog(
+            times=np.arange(steps) * 0.01,
+            poses=rng.normal(size=(steps, n, 3)),
+            controls=rng.normal(size=(steps, n, 5)),
+            phi=rng.uniform(size=(steps, n)), region=region,
+            distances=rng.uniform(0.0, 4.0, size=(steps, p)),
+            monitored=rng.uniform(size=p) < share, switch_step=switch,
+            goal_position=np.zeros(2), time_step=0.01, sensing_radius=2.0)
+        free = log.region == 0
+        want_min = (float(log.distances[free].min())
+                    if free.any() and p else None)
+        want_max = (float(log.distances[:, log.monitored].max())
+                    if log.monitored.any() else None)
+        m = compute_metrics(log)
+        for got, want in ((m.min_distance_collision_free, want_min),
+                          (m.max_monitored_distance, want_max)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert np.float64(got).view(np.uint64) == (
+                    np.float64(want).view(np.uint64))
+        assert (want_min is None) == (switch == 0 or n == 1)
+        assert (want_max is None) == (share == 0.0 or n == 1)
+
 
 class TestDiscretisation:
     """The zero-order hold of the controls is a first-order error in dt.
