@@ -23,10 +23,6 @@ class Topology:
     adjacency: np.ndarray  # (n, n) bool, False on the diagonal
 
     @property
-    def n(self) -> int:
-        return len(self.adjacency)
-
-    @property
     def neighbors(self) -> dict[int, tuple[int, ...]]:
         # not called by the pipeline: rendezbench/run.py reads it
         return {i: tuple(int(j) + 1 for j in np.flatnonzero(row))
@@ -46,21 +42,23 @@ def build_topology(states: list[RobotState], sensing_radius: float) -> Topology:
     return Topology(near)
 
 
-def has_rooted_spanning_tree(topo: Topology, root: int) -> bool:
-    """True iff information from ``root`` can reach every node.
+def has_rooted_spanning_tree(adjacency: np.ndarray, root: int) -> bool:
+    """True iff information from ``root`` can reach every node of the
+    ``(n, n)`` boolean matrix ``adjacency``, a ``Topology``'s.
 
     Edge (i, j) means i senses j, so information flows j -> i: a robot is
     reached once it senses a reached robot. Each pass reaches every robot
     one hop further, so at most n passes decide. The reached set only
     grows, so a pass that reaches no more robots reaches no new one.
     """
-    if not 1 <= root <= topo.n:
-        raise GraphError(f"root {root} outside 1..{topo.n}")
-    reached = np.arange(1, topo.n + 1) == root
+    n = len(adjacency)
+    if not 1 <= root <= n:
+        raise GraphError(f"root {root} outside 1..{n}")
+    reached = np.arange(1, n + 1) == root
     count = 1
     while True:
-        reached |= topo.adjacency @ reached
+        reached |= adjacency @ reached
         grown = np.count_nonzero(reached)
         if grown == count:
-            return bool(grown == topo.n)
+            return bool(grown == n)
         count = grown

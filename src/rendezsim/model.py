@@ -181,6 +181,43 @@ def _require(cond: bool, message: str) -> None:
         raise ScenarioError(message)
 
 
+_POSITIVE = (lambda x: 0.0 < x < math.inf, "finite and > 0")
+
+# each checked key's rule and the words of its error, "<key> must be
+# <words>": the scenario keys and the seeded deployment's. Scenario files,
+# export headers and ScenarioConfig objects built in code all pass here.
+KEY_RULES = {
+    **dict.fromkeys(("workspace_radius", "sensing_radius", "rendezvous_radius",
+                     "collision_margin", "connectivity_buffer", "dipolar_eps",
+                     "field_exponent", "time_step", "horizon",
+                     "gradient_floor", "position_tolerance",
+                     "heading_tolerance", "collision_floor", "spread"),
+                    _POSITIVE),
+    **dict.fromkeys(("linear_gains", "angular_gains"), (
+        lambda gains: all(map(_POSITIVE[0], gains)), "finite and > 0")),
+    **dict.fromkeys(("goal_position", "center"), (
+        lambda v: v.shape == (2,) and all(map(math.isfinite, v.tolist())),
+        "a finite 2-vector")),
+    "n_robots": (lambda n: n >= 1, ">= 1"),
+    "sigmoid_eps": (lambda eps: 0.0 < eps < 0.5, "in (0, 0.5)"),
+    "goal_heading": (math.isfinite, "finite"),
+    "neighbor_mode": (lambda mode: mode in ("frozen", "accreting"),
+                      "'frozen' or 'accreting'"),
+    "seed": (lambda seed: seed >= 0, ">= 0"),
+    "min_separation": (lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
+}
+
+
+def check_keys(values: dict) -> None:
+    """Each rule of ``KEY_RULES`` on the value of its key in ``values``, in
+    the order of ``values``; other keys are not checked. A ScenarioError
+    names the first key whose value breaks its rule."""
+    for key, value in values.items():
+        rule = KEY_RULES.get(key)
+        if rule is not None and not rule[0](value):
+            raise ScenarioError(f"{key} must be {rule[1]}")
+
+
 def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
     """Check every configuration invariant; return cfg unchanged if valid.
 
@@ -192,21 +229,15 @@ def validate_scenario(cfg: ScenarioConfig) -> ScenarioConfig:
 
 def validate_keys(cfg: ScenarioConfig) -> ScenarioConfig:
     """The rules of ``validate_scenario`` on every field but the initial
-    poses; cheap, so that a parser can check them before it draws poses."""
-    _require(cfg.n_robots >= 1, "n_robots must be >= 1")
+    poses; cheap, so that a parser can check them before it draws poses.
+    Each key's own rule, then the rules that relate keys."""
+    check_keys({"n_robots": cfg.n_robots})
     # the gains count the robots too: a mistyped n_robots shows here first
     _require(len(cfg.linear_gains) == cfg.n_robots,
              "linear_gains must list one gain per robot")
     _require(len(cfg.angular_gains) == cfg.n_robots,
              "angular_gains must list one gain per robot")
-    for name in ("workspace_radius", "sensing_radius", "rendezvous_radius",
-                 "collision_margin", "connectivity_buffer", "dipolar_eps",
-                 "field_exponent", "time_step", "horizon", "gradient_floor",
-                 "position_tolerance", "heading_tolerance",
-                 "collision_floor"):
-        _require(0.0 < getattr(cfg, name) < math.inf,
-                 f"{name} must be finite and > 0")
-    _require(0.0 < cfg.sigmoid_eps < 0.5, "sigmoid_eps must be in (0, 0.5)")
+    check_keys(vars(cfg))
 
     _require(cfg.collision_margin < cfg.sensing_radius,
              "collision_margin must be < sensing_radius")
@@ -216,21 +247,8 @@ def validate_keys(cfg: ScenarioConfig) -> ScenarioConfig:
              "rendezvous_radius must exceed sensing_radius * (n_robots - 1)")
     _require(cfg.workspace_radius >= 2.0 * cfg.rendezvous_radius,
              "workspace_radius must be at least twice rendezvous_radius")
-
-    _require(all(0.0 < g < math.inf for g in cfg.linear_gains),
-             "linear gains in linear_gains must be finite and > 0")
-    _require(all(0.0 < g < math.inf for g in cfg.angular_gains),
-             "angular gains in angular_gains must be finite and > 0")
-
-    _require(cfg.goal_position.shape == (2,)
-             and all(map(math.isfinite, cfg.goal_position.tolist())),
-             "goal_position must be a finite 2-vector")
     _require(float(np.linalg.norm(cfg.goal_position)) < cfg.workspace_radius,
              "goal_position must lie inside the workspace")
-    _require(math.isfinite(cfg.goal_heading), "goal_heading must be finite")
-
-    _require(cfg.neighbor_mode in ("frozen", "accreting"),
-             "neighbor_mode must be 'frozen' or 'accreting'")
     return cfg
 
 

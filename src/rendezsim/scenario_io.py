@@ -26,8 +26,8 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .graph import Topology, has_rooted_spanning_tree
-from .model import (RobotState, ScenarioConfig, ScenarioError,
+from .graph import has_rooted_spanning_tree
+from .model import (RobotState, ScenarioConfig, ScenarioError, check_keys,
                     outside_workspace, planar_norm, validate_keys,
                     validate_poses)
 from .sim import AssumptionError, TrajectoryLog
@@ -36,10 +36,13 @@ from .graph import build_topology  # noqa: F401
 
 FORMAT_VERSION = 1
 
-# key -> (type, required), read off ScenarioConfig: a field without a default
-# is a required key; np.ndarray is a 2-vector, list[float] a list of numbers
-_CONFIG_KEYS = {f.name: (f.type, f.default is MISSING)
-                for f in fields(ScenarioConfig) if f.name != "initial_states"}
+# a scenario file's main keys -> (type, required): format_version, then
+# those read off ScenarioConfig, where a field without a default is a
+# required key; np.ndarray is a 2-vector, list[float] a list of numbers
+_CONFIG_KEYS = {"format_version": (int, True),
+                **{f.name: (f.type, f.default is MISSING)
+                   for f in fields(ScenarioConfig)
+                   if f.name != "initial_states"}}
 
 _SEEDED_KEYS = {"seed": (int, True), "center": (np.ndarray, True),
                 "spread": (float, True), "min_separation": (float, True)}
@@ -91,6 +94,7 @@ def _read_keys(section, keys, path, unknown="key", missing="required key"):
     """Convert one section's values; ``keys`` maps name -> (type, required).
 
     Rejects a key not in ``keys`` and names a required key that is absent.
+    A format_version must be FORMAT_VERSION, and is not returned.
     """
     for key, (_, lineno) in section.items():
         if key not in keys:
@@ -101,6 +105,9 @@ def _read_keys(section, keys, path, unknown="key", missing="required key"):
             values[key] = _convert(kind, *section[key], path)
         elif required:
             raise ParseError(f"{path}: missing {missing} {key!r}")
+    version = values.pop("format_version", FORMAT_VERSION)
+    if version != FORMAT_VERSION:
+        raise ParseError(f"{path}: unsupported format_version {version}")
     return values
 
 
@@ -149,7 +156,7 @@ def seeded_deployment(seed: int, count: int, center: np.ndarray, spread: float,
             near = np.zeros((count, count), dtype=bool)
             near[first, second] = dists[j] < sensing_radius
             near |= near.T
-            if has_rooted_spanning_tree(Topology(near), root=1):
+            if has_rooted_spanning_tree(near, root=1):
                 return [RobotState(i, p, h) for i, (p, h) in enumerate(
                     zip(pts[j].copy(), headings[j].tolist()), start=1)]
     raise AssumptionError(
@@ -172,13 +179,8 @@ def parse_scenario(path: str) -> ScenarioConfig:
 
 def _parse_scenario(path: str) -> ScenarioConfig:
     main, deploy = _read_sections(path)
-    values = _read_keys(main, {"format_version": (int, True), **_CONFIG_KEYS},
-                        path)
-    version = values.pop("format_version")
-    if version != FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported format_version {version}")
     # the key rules before the deployment block lists or draws n poses
-    cfg = validate_keys(ScenarioConfig(**values))
+    cfg = validate_keys(ScenarioConfig(**_read_keys(main, _CONFIG_KEYS, path)))
 
     if not deploy:
         raise ParseError(f"{path}: missing [deployment] block")
@@ -198,15 +200,7 @@ def _parse_scenario(path: str) -> ScenarioConfig:
     del placed["mode"]
 
     if mode == "seeded":
-        for key in ("center", "spread", "min_separation"):
-            if not np.isfinite(placed[key]).all():
-                raise ScenarioError(f"{key} must be finite")
-        if placed["seed"] < 0:
-            raise ScenarioError("seed must be >= 0")
-        if placed["spread"] <= 0:
-            raise ScenarioError("spread must be > 0")
-        if placed["min_separation"] < 0:
-            raise ScenarioError("min_separation must be >= 0")
+        check_keys(placed)
         states = seeded_deployment(
             count=cfg.n_robots, sensing_radius=cfg.sensing_radius,
             workspace_radius=cfg.workspace_radius, **placed)
@@ -237,52 +231,23 @@ _DIST_ROW = np.dtype([("t", "f8"), ("i", "i4"), ("j", "i4"), ("d", "f8"),
                       ("monitored", "i1")])
 
 
-def _checked(kind, ok):
-    """A parser of ``kind`` that also raises ValueError where ``ok`` of the
-    value is false."""
-    def parse(raw: str):
-        value = kind(raw)
-        if not ok(value):
-            raise ValueError(raw)
-        return value
-    return parse
-
-
-_finite = _checked(float, math.isfinite)
-_positive = _checked(float, lambda x: 0.0 < x < math.inf)
-
-
-def _two_numbers(raw: str) -> np.ndarray:
-    x, y = (_finite(v) for v in raw.split())
-    return np.array([x, y])
-
-
-# the metadata keys load_trajectory reads (it ignores the roles line): each
-# key's parser, and what a value must be for it to parse; only what a run
-# can write parses
-_REQUIRED_META = {
-    "format_version": (_checked(int, lambda v: v == FORMAT_VERSION),
-                       str(FORMAT_VERSION)),
-    "n_robots": (_checked(int, lambda n: n >= 1), "an integer >= 1"),
-    "goal_position": (_two_numbers, "two finite numbers"),
-    "goal_heading": (_finite, "a finite number"),
-    "time_step": (_positive, "a finite number > 0"),
-    "sensing_radius": (_positive, "a finite number > 0"),
-}
+# the header keys, in the order a run writes them: load_trajectory reads
+# these, typed and checked as the scenario keys of the same names, and
+# ignores any other line, such as the roles
+_HEADER_KEYS = ("format_version", "n_robots", "goal_position",
+                "goal_heading", "time_step", "sensing_radius")
 
 
 def _meta_lines(log: TrajectoryLog) -> list[str]:
+    lines = []
+    for key in _HEADER_KEYS:
+        # format_version is the one header key that a log does not hold
+        value = getattr(log, key, FORMAT_VERSION)
+        if _CONFIG_KEYS[key][0] is not int:
+            value = " ".join(f"{x:.9f}" for x in np.ravel(value).tolist())
+        lines.append(f"# {key} = {value}")
     roles = ["informed"] + ["follower"] * (log.n_robots - 1)  # robot 1 first
-    return [
-        f"# format_version = {FORMAT_VERSION}",
-        f"# n_robots = {log.n_robots}",
-        f"# goal_position = {float(log.goal_position[0]):.9f} "
-        f"{float(log.goal_position[1]):.9f}",
-        f"# goal_heading = {log.goal_heading:.9f}",
-        f"# time_step = {log.time_step:.9f}",
-        f"# sensing_radius = {log.sensing_radius:.9f}",
-        f"# roles = {' '.join(roles)}",
-    ]
+    return lines + [f"# roles = {' '.join(roles)}"]
 
 
 # rows per block, rounded down to whole steps: enough that numpy's
@@ -511,7 +476,8 @@ def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
 
 
 def _read_head(path, header) -> dict:
-    """The ``# key = value`` lines that open an exported file.
+    """The ``# key = value`` lines that open an exported file, as key ->
+    (value, lineno), the pairs ``_read_sections`` makes.
 
     A repeated key, or a line below them other than the column names
     ``header``, is a ValueError naming the file: the data rows start one
@@ -522,7 +488,7 @@ def _read_head(path, header) -> dict:
     meta = {}
     columns = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.startswith("#"):
                 columns = line.rstrip("\r\n")
                 break
@@ -530,7 +496,7 @@ def _read_head(path, header) -> dict:
             key = key.strip()
             if key in meta:
                 raise ValueError(f"{path}: repeated metadata key '{key}'")
-            meta[key] = raw.strip()
+            meta[key] = raw.strip(), lineno
         if columns != header:
             raise ValueError(f"{path}: column names {columns!r}, expected "
                              f"{header!r}")
@@ -583,21 +549,6 @@ def _check_steps(path, bad, what):
         raise ValueError(f"{path}: step {step} {what}")
 
 
-def _meta_values(path, meta) -> dict:
-    """The ``_REQUIRED_META`` values of a file's metadata ``meta``, parsed;
-    a missing key or a bad value is a ValueError naming the file and key."""
-    values = {}
-    for key, (parse, what) in _REQUIRED_META.items():
-        if key not in meta:
-            raise ValueError(f"{path}: missing metadata key '{key}'")
-        try:
-            values[key] = parse(meta[key])
-        except ValueError:
-            raise ValueError(f"{path}: metadata '{key}' is {meta[key]!r}, "
-                             f"expected {what}") from None
-    return values
-
-
 def load_trajectory(log_dir: str) -> TrajectoryLog:
     """Rebuild a TrajectoryLog from exported files (events are not exported).
 
@@ -613,7 +564,13 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
     traj_path = os.path.join(log_dir, TRAJECTORY_FILE)
     dist_path = os.path.join(log_dir, DISTANCES_FILE)
     meta = _read_head(traj_path, _TRAJ_HEADER)
-    values = _meta_values(traj_path, meta)
+    values = _read_keys({k: meta[k] for k in _HEADER_KEYS if k in meta},
+                        {k: _CONFIG_KEYS[k] for k in _HEADER_KEYS},
+                        traj_path, missing="metadata key")
+    try:
+        check_keys(values)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{traj_path}: {exc}") from None
     n = values["n_robots"]
 
     traj = _read_table(traj_path, meta, _TRAJ_ROW, n, "robots")
@@ -639,11 +596,11 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
         dmeta = _read_head(dist_path, _DIST_HEADER)
         dist = _read_table(dist_path, dmeta, _DIST_ROW, n_pairs, "pairs",
                            len(times))
-        for key in _REQUIRED_META:
-            if dmeta.get(key) != meta[key]:
+        for key in _HEADER_KEYS:
+            theirs, ours = dmeta.get(key, (None,))[0], meta[key][0]
+            if theirs != ours:
                 raise ValueError(f"{dist_path}: metadata '{key}' is "
-                                 f"{dmeta.get(key)!r}, {TRAJECTORY_FILE} "
-                                 f"has {meta[key]!r}")
+                                 f"{theirs!r}, {TRAJECTORY_FILE} has {ours!r}")
         upper = np.triu_indices(n, 1)
         _check_steps(dist_path, (dist["i"] != upper[0] + 1)
                      | (dist["j"] != upper[1] + 1),

@@ -23,6 +23,10 @@ from .model import normalize_angle  # noqa: F401
 # export fit the same window as metrics on the live log
 HEADING_NOISE_FLOOR = 1e-4  # rad
 
+# |value| at or below which fit_decay_rate leaves a sample out: log |value|
+# of such a sample says nothing of the decay
+DECAY_FLOOR = 1e-12
+
 # bytes the log's arrays start with at most: a run that outgrows them
 # doubles them, up to its horizon
 LOG_BYTES = 1 << 26
@@ -361,7 +365,7 @@ def initial_topology(cfg: ScenarioConfig) -> Topology:
     informed robot, which every claim of the closed loop assumes.
     """
     topo = build_topology(cfg.initial_states, cfg.sensing_radius)
-    if not has_rooted_spanning_tree(topo, root=1):
+    if not has_rooted_spanning_tree(topo.adjacency, root=1):
         raise AssumptionError(
             "initial graph has no spanning tree rooted at the informed robot")
     return topo
@@ -574,18 +578,23 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     return log
 
 
-def fit_decay_rate(times: np.ndarray, values: np.ndarray,
-                   floor: float = 1e-12) -> float | None:
-    """Least-squares exponential decay rate of |values| over time.
+def fit_decay_rate(times: np.ndarray, values: np.ndarray) -> float | None:
+    """Least-squares exponential decay rate of |values| over time: minus
+    the slope of log |values| against time, in closed form over both
+    centred.
 
-    None when fewer than two samples exceed the floor or |values| does not
-    decay.
+    None when fewer than two samples exceed ``DECAY_FLOOR`` or |values|
+    does not decay.
     """
     mag = np.abs(values)
-    keep = mag > floor
+    keep = mag > DECAY_FLOOR
     if keep.sum() < 2:
         return None
-    rate = -float(np.polyfit(times[keep], np.log(mag[keep]), 1)[0])
+    t = times[keep]
+    t = t - t.mean()
+    y = np.log(mag[keep])
+    y -= y.mean()
+    rate = -float(np.sum(t * y) / np.sum(t * t))
     return rate if rate > 0.0 else None
 
 

@@ -66,7 +66,7 @@ def laplacian(topo: Topology, weights: dict[Edge, float],
     -k_i * w_ij off-diagonal; the informed robot's row is identically zero
     because its motion does not depend on the followers.
     """
-    n = topo.n
+    n = len(topo.adjacency)
     mat = np.zeros((n, n))
     for i, parents in topo.neighbors.items():
         if i == informed:
@@ -125,7 +125,7 @@ def sequential_deployment(seed: int, count: int, center: np.ndarray,
         states = [RobotState(i + 1, pts[i], float(headings[i]))
                   for i in range(count)]
         topo = build_topology(states, sensing_radius)
-        if has_rooted_spanning_tree(topo, root=1):
+        if has_rooted_spanning_tree(topo.adjacency, root=1):
             return states
     raise AssumptionError(
         f"seeded deployment: no connected draw in {max_attempts} attempts")

@@ -370,13 +370,16 @@ def check_digest(name, directory):
     got = export_digest(directory)
     expected = expected_digest(name)
     assert expected is not None, missing(name, got)
-    assert got == expected
+    assert got == expected, (
+        f"{name} digest {got} at dispatch level {digests.dispatch_level()} "
+        f"with numpy {np.__version__}, committed {expected}")
 
 
 def test_a_level_with_no_digest_fails(monkeypatch, tmp_path):
-    # a host that reports none of the levels, an ARM one say, has no
-    # entry: the check fails and says which level, numpy and digest it met
+    # a host at a level with no entry (here baseline, its entry taken
+    # out): the check fails and says which level, numpy and digest it met
     monkeypatch.setattr(digests, "__cpu_features__", {"AVX2": False})
+    monkeypatch.delitem(digests.DIGESTS["reference"], "baseline")
     assert digests.dispatch_level() == "baseline"
     for name in ("trajectory.csv", "distances.csv"):
         (tmp_path / name).write_text(name)
@@ -388,6 +391,22 @@ def test_a_level_with_no_digest_fails(monkeypatch, tmp_path):
                         {"AVX2": True, "AVX512_SKX": True,
                          "AVX512_ICL": False})
     assert digests.dispatch_level() == "AVX512_SKX"
+
+
+@pytest.mark.parametrize("features, level", [
+    ({"AVX2": True, "X86_V3": False}, "baseline"),
+    ({"AVX2": True, "X86_V3": True, "AVX512_SKX": True, "X86_V4": False},
+     "AVX2"),
+    ({"AVX2": True, "X86_V3": True, "AVX512_SKX": True, "X86_V4": True},
+     "AVX512_SKX"),
+    ({"AVX2": True, "AVX512_SKX": True}, "AVX512_SKX"),
+], ids=["group_off", "skx_group_off", "groups_on", "no_group_keys"])
+def test_a_level_counts_with_its_group(monkeypatch, features, level):
+    # with X86_V3 disabled numpy 2.4 still reports AVX2 but runs its
+    # baseline kernels; an older numpy that has no group keys is read by
+    # the levels alone
+    monkeypatch.setattr(digests, "__cpu_features__", features)
+    assert digests.dispatch_level() == level
 
 
 def test_reference_export_digest(reference):

@@ -16,9 +16,10 @@ def bfs_has_rooted_spanning_tree(topo: Topology, root: int) -> bool:
     Edge (i, j) means i senses j, so information flows j -> i; we traverse
     edges reversed and require every node reachable from the root.
     """
-    if not 1 <= root <= topo.n:
-        raise GraphError(f"root {root} outside 1..{topo.n}")
-    children: dict[int, list[int]] = {i: [] for i in range(1, topo.n + 1)}
+    n = len(topo.adjacency)
+    if not 1 <= root <= n:
+        raise GraphError(f"root {root} outside 1..{n}")
+    children: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
     for i, parents in topo.neighbors.items():
         for j in parents:
             children[j].append(i)
@@ -30,7 +31,7 @@ def bfs_has_rooted_spanning_tree(topo: Topology, root: int) -> bool:
             if i not in seen:
                 seen.add(i)
                 queue.append(i)
-    return len(seen) == topo.n
+    return len(seen) == n
 
 
 class TestBuildTopology:
@@ -66,16 +67,16 @@ class TestSpanningTree:
     def test_chain(self):
         # 2 senses 1, 3 senses 2: information flows 1 -> 2 -> 3
         topo = topo_from_neighbors(3, {2: (1,), 3: (2,)})
-        assert has_rooted_spanning_tree(topo, root=1)
+        assert has_rooted_spanning_tree(topo.adjacency, root=1)
 
     def test_disconnected_pairs(self):
         topo = topo_from_neighbors(4, {2: (1,), 1: (2,), 3: (4,), 4: (3,)})
-        assert not has_rooted_spanning_tree(topo, root=1)
+        assert not has_rooted_spanning_tree(topo.adjacency, root=1)
 
     def test_complete_graph(self):
         nbrs = {i: tuple(j for j in range(1, 7) if j != i) for i in range(1, 7)}
         topo = topo_from_neighbors(6, nbrs)
-        assert has_rooted_spanning_tree(topo, root=1)
+        assert has_rooted_spanning_tree(topo.adjacency, root=1)
 
     def test_monotone_under_edge_addition(self):
         rng = np.random.default_rng(42)
@@ -88,14 +89,14 @@ class TestSpanningTree:
                         nbrs[i].add(j)
             topo = topo_from_neighbors(n, {i: tuple(sorted(v))
                                            for i, v in nbrs.items()})
-            before = has_rooted_spanning_tree(topo, root=1)
+            before = has_rooted_spanning_tree(topo.adjacency, root=1)
             i, j = rng.integers(1, n + 1, 2)
             while j == i:
                 j = int(rng.integers(1, n + 1))
             nbrs[i].add(j)
             topo2 = topo_from_neighbors(n, {i: tuple(sorted(v))
                                             for i, v in nbrs.items()})
-            after = has_rooted_spanning_tree(topo2, root=1)
+            after = has_rooted_spanning_tree(topo2.adjacency, root=1)
             assert after or not before  # adding never flips true -> false
 
     def test_matches_breadth_first_search(self):
@@ -112,7 +113,7 @@ class TestSpanningTree:
             seen["n=1"] += n == 1
             for root in range(1, n + 1):
                 expected = bfs_has_rooted_spanning_tree(topo, root)
-                assert has_rooted_spanning_tree(topo, root) is expected
+                assert has_rooted_spanning_tree(adjacency, root) is expected
                 seen["spanning" if expected else "disconnected"] += 1
         assert min(seen.values()) >= 10, seen
 
@@ -120,7 +121,7 @@ class TestSpanningTree:
     def test_root_outside_graph_rejected(self, root):
         topo = topo_from_neighbors(3, {2: (1,), 3: (2,)})
         with pytest.raises(GraphError, match="outside 1..3"):
-            has_rooted_spanning_tree(topo, root)
+            has_rooted_spanning_tree(topo.adjacency, root)
 
 
 class TestLaplacian:

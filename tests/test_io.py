@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import os
+import re
 import runpy
 import sys
 import tracemalloc
@@ -606,6 +607,40 @@ def set_fields(cells):
     return edit
 
 
+BAD_VALUE = "bad value"
+
+# header values that no run writes: id -> (key, value, the error after the
+# file's name, or BAD_VALUE for one that does not parse as the key's type)
+BAD_HEADER_VALUES = {
+    "format_version_2": ("format_version", "2", "unsupported format_version 2"),
+    "format_version_word": ("format_version", "one", BAD_VALUE),
+    "format_version_empty": ("format_version", "", BAD_VALUE),
+    "n_robots_zero": ("n_robots", "0", "n_robots must be >= 1"),
+    "n_robots_negative": ("n_robots", "-3", "n_robots must be >= 1"),
+    "n_robots_word": ("n_robots", "four", BAD_VALUE),
+    "n_robots_float": ("n_robots", "4.0", BAD_VALUE),
+    "n_robots_empty": ("n_robots", "", BAD_VALUE),
+    "goal_one_number": ("goal_position", "1.5", BAD_VALUE),
+    "goal_three_numbers": ("goal_position", "1.5 -0.5 0.0", BAD_VALUE),
+    "goal_words": ("goal_position", "east north", BAD_VALUE),
+    "goal_empty": ("goal_position", "", BAD_VALUE),
+    "goal_nan": ("goal_position", "nan 0",
+                 "goal_position must be a finite 2-vector"),
+    "goal_heading_word": ("goal_heading", "north", BAD_VALUE),
+    "goal_heading_empty": ("goal_heading", "", BAD_VALUE),
+    "goal_heading_inf": ("goal_heading", "inf", "goal_heading must be finite"),
+    "time_step_word": ("time_step", "abc", BAD_VALUE),
+    "time_step_two_numbers": ("time_step", "0.01 0.02", BAD_VALUE),
+    "time_step_empty": ("time_step", "", BAD_VALUE),
+    "time_step_zero": ("time_step", "0", "time_step must be finite and > 0"),
+    "time_step_nan": ("time_step", "nan", "time_step must be finite and > 0"),
+    "sensing_radius_word": ("sensing_radius", "far", BAD_VALUE),
+    "sensing_radius_empty": ("sensing_radius", "", BAD_VALUE),
+    "sensing_radius_negative": ("sensing_radius", "-1",
+                                "sensing_radius must be finite and > 0"),
+}
+
+
 @pytest.mark.filterwarnings("error")
 class TestLoadMismatch:
     """A truncated or mismatched export fails with the file and row counts."""
@@ -649,49 +684,25 @@ class TestLoadMismatch:
         assert capsys.readouterr().err == (
             f"error: {path}: missing metadata key '{key}'\n")
 
-    @pytest.mark.parametrize("key, raw, what", [
-        ("format_version", "2", "1"),
-        ("format_version", "one", "1"),
-        ("format_version", "", "1"),
-        ("n_robots", "0", "an integer >= 1"),
-        ("n_robots", "-3", "an integer >= 1"),
-        ("n_robots", "four", "an integer >= 1"),
-        ("n_robots", "4.0", "an integer >= 1"),
-        ("n_robots", "", "an integer >= 1"),
-        ("goal_position", "1.5", "two finite numbers"),
-        ("goal_position", "1.5 -0.5 0.0", "two finite numbers"),
-        ("goal_position", "east north", "two finite numbers"),
-        ("goal_position", "", "two finite numbers"),
-        ("goal_position", "nan 0", "two finite numbers"),
-        ("goal_heading", "north", "a finite number"),
-        ("goal_heading", "", "a finite number"),
-        ("goal_heading", "inf", "a finite number"),
-        ("time_step", "abc", "a finite number > 0"),
-        ("time_step", "0.01 0.02", "a finite number > 0"),
-        ("time_step", "", "a finite number > 0"),
-        ("time_step", "0", "a finite number > 0"),
-        ("time_step", "nan", "a finite number > 0"),
-        ("sensing_radius", "far", "a finite number > 0"),
-        ("sensing_radius", "", "a finite number > 0"),
-        ("sensing_radius", "-1", "a finite number > 0"),
-    ], ids=["format_version_2", "format_version_word", "format_version_empty",
-            "n_robots_zero", "n_robots_negative", "n_robots_word",
-            "n_robots_float", "n_robots_empty", "goal_one_number",
-            "goal_three_numbers", "goal_words", "goal_empty", "goal_nan",
-            "goal_heading_word", "goal_heading_empty", "goal_heading_inf",
-            "time_step_word", "time_step_two_numbers", "time_step_empty",
-            "time_step_zero", "time_step_nan", "sensing_radius_word",
-            "sensing_radius_empty", "sensing_radius_negative"])
-    def test_bad_metadata_value_is_named(self, exported, key, raw, what,
+    @pytest.mark.parametrize("key, raw, message", BAD_HEADER_VALUES.values(),
+                             ids=list(BAD_HEADER_VALUES))
+    def test_bad_metadata_value_is_named(self, exported, key, raw, message,
                                          capsys):
+        # read and checked as a scenario file's key: a value of the wrong
+        # type with the line, one out of range with the key's rule
         path = exported / "trajectory.csv"
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         at = [line.startswith(f"# {key} =") for line in lines].index(True)
         lines[at] = f"# {key} = {raw}\n"
         path.write_text("".join(lines), encoding="utf-8")
         assert main(["metrics", str(exported)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {path}: metadata '{key}' is {raw!r}, expected {what}\n")
+        err = capsys.readouterr().err
+        if message == BAD_VALUE:
+            assert err.startswith(
+                f"error: {path}:{at + 1}: bad value {raw!r} (")
+            assert err.endswith(")\n") and err.count("\n") == 1
+        else:
+            assert err == f"error: {path}: {message}\n"
 
     @pytest.mark.parametrize("name", ["trajectory.csv", "distances.csv"])
     def test_repeated_metadata_key_is_named(self, exported, name, capsys):
@@ -847,6 +858,75 @@ class TestLoadMismatch:
         assert found in str(info.value)
 
 
+def unlocated(message, path):
+    """``message`` less the ``<path>: `` or ``<path>:<line>: `` it opens
+    with."""
+    assert message.startswith(f"{path}:")
+    return re.sub(r"^(:\d+)?: ", "", message[len(str(path)):])
+
+
+class TestHeaderRules:
+    """An export's header keys are the scenario keys of the same names,
+    read by the same parser and checked by the same rules."""
+
+    @pytest.fixture(scope="class")
+    def exported(self, tmp_path_factory):
+        # a two-step run of the minimal scenario, whose header values are
+        # good values of a scenario file too
+        path = tmp_path_factory.mktemp("scenario") / "min.scn"
+        write_lines(path, minimal_lines(horizon="0.01"))
+        out = tmp_path_factory.mktemp("export")
+        export_trajectory(run(parse_scenario(str(path))), str(out))
+        return out
+
+    @pytest.mark.parametrize("key, raw", [
+        *((key, None) for key in scenario_io._HEADER_KEYS[1:]),
+        *((key, raw) for key, raw, _ in BAD_HEADER_VALUES.values()
+          if key != "format_version")],
+        ids=[*(f"{key}_good" for key in scenario_io._HEADER_KEYS[1:]),
+             *(case for case, (key, _, _) in BAD_HEADER_VALUES.items()
+               if key != "format_version")])
+    def test_loader_accepts_what_a_scenario_accepts(self, exported, tmp_path,
+                                                    key, raw):
+        # raw None: the value the run wrote
+        good = raw is None
+        path = tmp_path / "trajectory.csv"
+        lines = (exported / "trajectory.csv").read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        at = [line.startswith(f"# {key} =") for line in lines].index(True)
+        if good:
+            raw = lines[at].split("=", 1)[1].strip()
+        lines[at] = f"# {key} = {raw}\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        (tmp_path / "distances.csv").write_bytes(
+            (exported / "distances.csv").read_bytes())
+        scenario = tmp_path / "edited.scn"
+        write_lines(scenario, minimal_lines(**{key: raw}))
+
+        def outcome(read, where):
+            try:
+                read()
+            except ValueError as exc:
+                return unlocated(str(exc), where)
+            return None
+
+        loaded = outcome(lambda: load_trajectory(str(tmp_path)), path)
+        parsed = outcome(lambda: parse_scenario(str(scenario)), scenario)
+        assert loaded == parsed
+        # the run's own value passes, and each bad one fails
+        assert (loaded is None) is good
+
+    def test_every_header_key_round_trips(self, tmp_path):
+        # written by _meta_lines, read back by the loader, written again;
+        # the log's values print exactly in nine decimals
+        log = synthetic_log()
+        export_trajectory(log, str(tmp_path))
+        loaded = load_trajectory(str(tmp_path))
+        assert scenario_io._meta_lines(loaded) == scenario_io._meta_lines(log)
+        for key in scenario_io._HEADER_KEYS[1:]:  # all but format_version
+            assert np.array_equal(getattr(loaded, key), getattr(log, key)), key
+
+
 class TestTimeColumn:
     """Step k's t is k * time_step in every export a run writes, up to the
     9-decimal rounding of both; other times are rejected with the file and
@@ -991,10 +1071,10 @@ INFINITE = {
 # seeded deployment keys out of range: (key, value, error line)
 OUT_OF_RANGE = {
     "seed_negative": ("seed", "-1", "seed must be >= 0"),
-    "spread_negative": ("spread", "-1.0", "spread must be > 0"),
-    "spread_zero": ("spread", "0.0", "spread must be > 0"),
+    "spread_negative": ("spread", "-1.0", "spread must be finite and > 0"),
+    "spread_zero": ("spread", "0.0", "spread must be finite and > 0"),
     "min_separation_negative": ("min_separation", "-0.5",
-                                "min_separation must be >= 0"),
+                                "min_separation must be finite and >= 0"),
 }
 
 

@@ -127,7 +127,8 @@ class TestValidateScenario:
             validate_scenario(small_config(sigmoid_eps=0.5))
 
     def test_positive_gains(self):
-        with pytest.raises(ScenarioError, match="linear gains"):
+        with pytest.raises(ScenarioError,
+                           match="^linear_gains must be finite and > 0$"):
             validate_scenario(small_config(linear_gains=[2.0, -1.0, 4.0]))
 
     def test_start_inside_workspace(self):
