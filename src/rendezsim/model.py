@@ -80,7 +80,7 @@ def planar_norm(v: np.ndarray) -> np.ndarray:
 
     Rounded as ``np.linalg.norm(v, axis=-1)`` rounds them, one product per
     axis and one sum with no fused multiply-add. ``graph.build_topology``
-    and the seeded sampler both measure robot distances with it.
+    and the seeded sampler both measure pair distances with it.
     """
     x, y = v[..., 0], v[..., 1]
     return np.sqrt(x * x + y * y)
@@ -90,10 +90,10 @@ def outside_workspace(positions: np.ndarray,
                       workspace_radius: float) -> np.ndarray:
     """Where positions ``(..., 2)`` are not strictly inside the workspace.
 
-    The one test that the seeded sampler and validate_scenario both make,
-    so that they agree at the boundary.
+    The one workspace test, by the monitors' norm ``np.hypot``: the poses,
+    the goal, seeded draws and the boundary monitor agree at the rim.
     """
-    return planar_norm(positions) >= workspace_radius
+    return np.hypot(positions[..., 0], positions[..., 1]) >= workspace_radius
 
 
 @dataclass(frozen=True)
@@ -247,7 +247,7 @@ def validate_keys(cfg: ScenarioConfig) -> ScenarioConfig:
              "rendezvous_radius must exceed sensing_radius * (n_robots - 1)")
     _require(cfg.workspace_radius >= 2.0 * cfg.rendezvous_radius,
              "workspace_radius must be at least twice rendezvous_radius")
-    _require(float(np.linalg.norm(cfg.goal_position)) < cfg.workspace_radius,
+    _require(not outside_workspace(cfg.goal_position, cfg.workspace_radius),
              "goal_position must lie inside the workspace")
     return cfg
 

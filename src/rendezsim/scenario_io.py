@@ -54,6 +54,9 @@ class ParseError(ScenarioError):
 
 def _convert(kind, raw, lineno, path):
     try:
+        # np.loadtxt reads the rows and takes no '_'; int() and float() do
+        if kind is not str and "_" in raw:
+            raise ValueError("'_' in a number")
         if kind is np.ndarray:
             parts = [float(x) for x in raw.split()]
             if len(parts) != 2:
@@ -250,10 +253,10 @@ def _meta_lines(log: TrajectoryLog) -> list[str]:
     return lines + [f"# roles = {' '.join(roles)}"]
 
 
-# rows per block, rounded down to whole steps: enough that numpy's
-# per-call cost vanishes, few enough that a block's row buffer, work rows
-# and written text stay near 1 MB
-_WRITE_BLOCK = 2048
+# bytes a block of either file may take, in whole steps: a row's text, and
+# 15 (a '%.9f,' field) and _WORK_BYTES a field; enough that numpy's call
+# cost vanishes, few enough that buffer, work rows and text stay near 1 MB
+_WRITE_BYTES = 512 * 1024
 
 
 def _text(strings, width=None):
@@ -399,9 +402,10 @@ def _write_steps(path, head, before, columns, after):
         if not slots:
             return
         c = sum(col.shape[2] for col in columns)
-        per_block = min(steps, max(1, _WRITE_BLOCK // slots))
-        work = np.empty(_WORK_BYTES * per_block * slots * c, np.uint8)
         text = sum(t.shape[-1] for t in before + after)
+        per_block = min(steps, max(1, _WRITE_BYTES // (
+            slots * (text + c * (15 + _WORK_BYTES)))))
+        work = np.empty(_WORK_BYTES * per_block * slots * c, np.uint8)
         # field width -> (buffer, its rows, fields, per-step cells)
         buffers = {}
 
@@ -481,9 +485,7 @@ def _read_head(path, header) -> dict:
 
     A repeated key, or a line below them other than the column names
     ``header``, is a ValueError naming the file: the data rows start one
-    line per key below the top, in the columns of ``header``. So is a file
-    with no data row, or whose first data row has another column count: a
-    structured parse would report that only as its dtype's column count.
+    line per key below the top, in the columns of ``header``.
     """
     meta = {}
     columns = None
@@ -497,19 +499,9 @@ def _read_head(path, header) -> dict:
             if key in meta:
                 raise ValueError(f"{path}: repeated metadata key '{key}'")
             meta[key] = raw.strip(), lineno
-        if columns != header:
-            raise ValueError(f"{path}: column names {columns!r}, expected "
-                             f"{header!r}")
-        # the first row loadtxt reads: it skips blank lines and comments
-        for line in fh:
-            first = line.split("#", 1)[0].strip()
-            if first:
-                break
-        else:
-            raise ValueError(f"{path}: no data rows")
-    found, expected = first.count(",") + 1, header.count(",") + 1
-    if found != expected:
-        raise ValueError(f"{path}: {found} columns, expected {expected}")
+    if columns != header:
+        raise ValueError(f"{path}: column names {columns!r}, expected "
+                         f"{header!r}")
     return meta
 
 
@@ -518,20 +510,24 @@ def _read_table(path, meta, row, per_step, unit, steps=None):
     ``(steps, per_step)`` records of ``row``.
 
     ``steps`` defaults to as many as the rows begin. A ValueError names the
-    file when a field does not parse as its column's type (an integer
-    column takes no ``1.0``), a row has another column count, or the file
-    has another row count.
+    file when it has no data row, a field does not parse as its column's
+    type (an integer column takes no ``1.0``), a row has another column
+    count (loadtxt counts them), or the file has another row count.
     """
     with warnings.catch_warnings():
         # an older numpy parses an integer field such as 1.0 through a
         # float, with this warning; as an error, loadtxt rejects the field
         warnings.filterwarnings("error", ".*integer via a float",
                                 DeprecationWarning)
+        # an empty table is reported below, with the file's name
+        warnings.filterwarnings("ignore", ".*contained no data", UserWarning)
         try:
             data = np.loadtxt(path, dtype=row, delimiter=",", comments="#",
                               skiprows=len(meta) + 1, ndmin=1)
         except ValueError as exc:  # a malformed row: name the file
             raise ValueError(f"{path}: {exc}") from None
+    if not len(data):
+        raise ValueError(f"{path}: no data rows")
     if steps is None:
         steps = -(-len(data) // per_step)
     if len(data) != steps * per_step:

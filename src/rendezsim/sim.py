@@ -12,7 +12,8 @@ from .fields import region_of
 from .gradients import JetKernel
 from .graph import Topology, build_topology, has_rooted_spanning_tree
 from .model import (TWO_PI, RegionFlag, RobotState, ScenarioConfig,
-                    turn_angles, turn_rows, validate_scenario)
+                    outside_workspace, turn_angles, turn_rows,
+                    validate_scenario)
 # not called here: rendezbench/tracing.py wraps these names
 from .control import compute_control  # noqa: F401
 from .model import normalize_angle  # noqa: F401
@@ -347,12 +348,13 @@ def monitor_invariants(positions: np.ndarray, pair_distances: np.ndarray,
         if touching[col]:
             events.append(Event(step_index, t, "collision",
                                 f"pair ({i},{j}) at d={d:.6f}"))
-    norms = np.hypot(positions[:, 0], positions[:, 1])
-    rim = cfg.workspace_radius - norms
-    for r in np.flatnonzero(rim <= 0.0):
+    for r in np.flatnonzero(outside_workspace(positions,
+                                              cfg.workspace_radius)):
         events.append(Event(step_index, t, "boundary",
                             f"robot {r + 1} outside the workspace"))
-    if norms[0] > cfg.leader_band and np.any(rim[1:] < cfg.sensing_radius):
+    norms = np.hypot(positions[:, 0], positions[:, 1])
+    if norms[0] > cfg.leader_band and np.any(
+            cfg.workspace_radius - norms[1:] < cfg.sensing_radius):
         events.append(Event(step_index, t, "leader_range",
                             "informed robot beyond the follower-safe band"))
     return events

@@ -23,10 +23,7 @@ import sys
 
 import numpy as np
 
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:  # numpy < 2
-    from numpy.core._multiarray_umath import __cpu_features__
+from numpy._core._multiarray_umath import __cpu_features__
 
 # the dispatch levels of numpy's float kernels, lowest first
 LEVELS = ("AVX2", "AVX512_SKX", "AVX512_ICL", "AVX512_SPR")

@@ -20,7 +20,8 @@ from rendezsim.fields import (DISTANCE_FLOOR, follower_terms, leader_terms,
 from rendezsim.gradients import ScalarField, leader_field_eval
 from rendezsim.graph import (GraphError, Topology, build_topology,
                              has_rooted_spanning_tree)
-from rendezsim.model import TWO_PI, RegionFlag, RobotState, ScenarioConfig
+from rendezsim.model import (TWO_PI, RegionFlag, RobotState, ScenarioConfig,
+                             outside_workspace)
 from rendezsim.sim import AssumptionError, IntegrateWork, _integrate_all
 
 Edge = tuple[int, int]
@@ -105,8 +106,8 @@ def sequential_deployment(seed: int, count: int, center: np.ndarray,
     """``scenario_io.seeded_deployment`` one attempt at a time.
 
     Each attempt draws its radii, angles and headings with three calls and
-    checks the workspace, the separations and, through ``build_topology``,
-    the rooted spanning tree.
+    checks the workspace (by ``outside_workspace``, the one rim test), the
+    separations and, through ``build_topology``, the rooted spanning tree.
     """
     rng = np.random.default_rng(seed)
     center = np.asarray(center, dtype=float)
@@ -117,7 +118,7 @@ def sequential_deployment(seed: int, count: int, center: np.ndarray,
         headings = rng.uniform(-math.pi, math.pi, count)
         pts = center + np.stack([radii * np.cos(angles),
                                  radii * np.sin(angles)], axis=1)
-        if np.any(np.linalg.norm(pts, axis=1) >= workspace_radius):
+        if outside_workspace(pts, workspace_radius).any():
             continue
         if np.any(np.linalg.norm(pts[upper[0]] - pts[upper[1]], axis=1)
                   < min_separation):

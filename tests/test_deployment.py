@@ -6,11 +6,15 @@ calls and checks it through ``build_topology``. Both must return the same
 poses bit for bit, or fail with the same message, for any keys.
 """
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rendezsim import scenario_io, seeded_deployment
+from rendezsim.model import planar_norm
 from rendezsim.sim import AssumptionError
 
 from oracles import sequential_deployment
@@ -60,3 +64,19 @@ def test_reference_limits_end_inside_the_second_block():
     with pytest.raises(AssumptionError):
         sequential_deployment(**REFERENCE, max_attempts=REFERENCE_DRAWS - 1)
     sequential_deployment(**REFERENCE, max_attempts=REFERENCE_DRAWS)
+
+
+def test_rim_draw_is_rejected_by_both_samplers():
+    # seed 20's first one-robot draw p lies on the rim of a workspace of
+    # radius np.hypot(p) and an ulp inside it by sqrt(x*x + y*y): both
+    # samplers reject it by the one workspace test, and agree on the next
+    keys = dict(seed=20, count=1, center=(0.0, 0.0), spread=1.0,
+                min_separation=0.0, sensing_radius=1.0)
+    first = sequential_deployment(**keys, workspace_radius=math.inf,
+                                  max_attempts=1)[0].position
+    rim = float(np.hypot(*first))
+    assert planar_norm(first) < rim
+    keys["workspace_radius"] = rim
+    drawn = outcome(seeded_deployment, keys)
+    assert drawn == outcome(sequential_deployment, keys)
+    assert drawn[0][1] != first.tobytes()

@@ -97,6 +97,16 @@ PARSE_FAILURES = {
     "vector_three_numbers": (minimal_lines(goal_position="1 2 3"),
                              "{path}:13: bad value '1 2 3' "
                              "(expected two numbers)"),
+    # int() and float() would read these as 2 and 40.0; np.loadtxt,
+    # which reads the export's rows, takes no '_'
+    "underscore_in_count": (minimal_lines(n_robots="0_2"),
+                            "{path}:2: bad value '0_2' ('_' in a number)"),
+    "underscore_in_gains": (minimal_lines(linear_gains="2.0 4_0.0"),
+                            "{path}:11: bad value '2.0 4_0.0' "
+                            "('_' in a number)"),
+    "underscore_in_pose": (minimal_lines()[:-1] + ["pose_2 = -6.8 -1.6 -1_0"],
+                           "{path}:21: bad value '-6.8 -1.6 -1_0' "
+                           "('_' in a number)"),
 }
 
 OPTIONAL_AND_REQUIRED = [f for f in dc_fields(ScenarioConfig)
@@ -146,6 +156,21 @@ class TestParseScenario:
         write_lines(path, minimal_lines(sensing_radius="two meters"))
         with pytest.raises(ParseError, match="bad value"):
             parse_scenario(str(path))
+
+    def test_underscore_stays_in_a_word(self, tmp_path):
+        # a string value is the key rule's to judge, not the number grammar's
+        path = tmp_path / "mode.scn"
+        write_lines(path, minimal_lines(neighbor_mode="frozen_now"))
+        with pytest.raises(ScenarioError) as info:
+            parse_scenario(str(path))
+        assert str(info.value) == (
+            f"{path}: neighbor_mode must be 'frozen' or 'accreting'")
+
+    def test_plus_sign_is_a_number(self, tmp_path):
+        path = tmp_path / "plus.scn"
+        write_lines(path, minimal_lines(n_robots="+2", horizon="+1.0"))
+        cfg = parse_scenario(str(path))
+        assert (cfg.n_robots, cfg.horizon) == (2, 1.0)
 
     def test_validation_failure_propagates(self, tmp_path):
         path = tmp_path / "bad.scn"
@@ -282,8 +307,9 @@ class TestTrajectoryExport:
 
 
 def synthetic_log():
-    """Four robots, 700 steps: both files span more than one write block."""
-    steps, n = 700, 4
+    """Four robots, 2,000 steps: both files span more than one write
+    block."""
+    steps, n = 2000, 4
     rng = np.random.default_rng(7)
     pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
     poses = rng.normal(scale=3.0, size=(steps, n, 3))
@@ -373,9 +399,10 @@ def sparse48_log():
 
 
 def wide_log():
-    """Five robots, 37 steps, with values wider than 14 characters in a
-    middle block and in the last, shorter block of 50-row blocks (10 steps
-    of trajectory.csv, 5 of distances.csv), and nan and inf."""
+    """Five robots, 37 steps, with values wider than 14 characters in
+    middle blocks of 5,000-byte blocks (2 steps of trajectory.csv, 7 of
+    distances.csv), in the last, shorter block of distances.csv, and nan
+    and inf."""
     log = random_log(steps=37, n=5, switch_step=13)
     log.poses[15, 2, 0] = 1.5e6
     log.controls[16, 0, 1] = -2.75e7
@@ -389,10 +416,42 @@ def wide_log():
     return log
 
 
+def step_bytes(slots, text, fields):
+    """What one step of ``slots`` rows, each of ``text`` bytes of text and
+    ``fields`` fields, costs of a write block's byte budget."""
+    return slots * (text + fields * (15 + scenario_io._WORK_BYTES))
+
+
+# one step of n < 10 robots: 't,' 'id,' 'region\n' and nine fields; of
+# their pairs: 't,' 'i,j,' 'monitored\n' and one field
+def traj_step(n):
+    return step_bytes(n, 15 + 2 + 2, 9)
+
+
+def dist_step(n):
+    return step_bytes(n * (n - 1) // 2, 15 + 4 + 2, 1)
+
+
+def record_blocks(monkeypatch):
+    """The (rows, fields, field width) of each block that the export
+    writes from now on, in order."""
+    blocks = []
+    fixed9 = scenario_io._fixed9
+
+    def recorded(x, fields=None, work=None):
+        width = fixed9(x, fields, work)
+        if fields is not None:
+            blocks.append((len(x[0]), sum(p.shape[1] for p in x), width))
+        return width
+    monkeypatch.setattr(scenario_io, "_fixed9", recorded)
+    return blocks
+
+
 class TestExportFormat:
     def test_files_match_per_row_formatter(self, tmp_path):
         log = synthetic_log()
-        assert log.n_steps * log.n_robots > scenario_io._WRITE_BLOCK
+        for step in (traj_step(4), dist_step(4)):
+            assert log.n_steps * step > scenario_io._WRITE_BYTES
         traj_path, dist_path = export_trajectory(log, str(tmp_path))
         traj, dist = oracle_files(log)
         assert "-0.000000000," in traj and ",-0.000000000," in dist
@@ -432,38 +491,56 @@ class TestExportFormat:
             with open(copy, encoding="utf-8") as fh:
                 assert fh.read() == text
 
-    def test_step_larger_than_a_block(self, tmp_path):
-        log = random_log(steps=3, n=72, switch_step=1)
-        assert len(log.pairs) > scenario_io._WRITE_BLOCK
+    def test_step_larger_than_a_block(self, tmp_path, monkeypatch):
+        # 8,128 pairs of 68 bytes: a block of distances.csv is one step
+        log = random_log(steps=3, n=128, switch_step=1)
+        assert step_bytes(len(log.pairs), 15 + 6 + 2, 1) > (
+            scenario_io._WRITE_BYTES)
+        blocks = record_blocks(monkeypatch)
         self.assert_matches_oracle(log, tmp_path)
+        assert [rows for rows, fields, _ in blocks if fields == 1] == [
+            len(log.pairs)] * 3
 
     def test_region_flip_inside_a_block(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(scenario_io, "_WRITE_BLOCK", 50)  # 10 steps
+        monkeypatch.setattr(scenario_io, "_WRITE_BYTES",
+                            10 * traj_step(5))  # 10 steps of trajectory.csv
         log = random_log(steps=40, n=5, switch_step=13)
-        assert 0 < log.switch_step % (50 // log.n_robots)
+        assert 0 < log.switch_step % 10
+        blocks = record_blocks(monkeypatch)
         self.assert_matches_oracle(log, tmp_path)
+        assert [rows for rows, fields, _ in blocks if fields == 9] == [
+            50] * 4
 
     def test_one_robot_writes_no_distance_rows(self, tmp_path):
         self.assert_matches_oracle(random_log(steps=5, n=1, switch_step=2),
                                    tmp_path)
 
-    @pytest.mark.parametrize("block", [1, 10 ** 6], ids=["one_row", "whole_file"])
+    # one byte: a step a block; 10**9 bytes: the whole file in one block
+    @pytest.mark.parametrize("budget", [1, 10 ** 9],
+                             ids=["one_row", "whole_file"])
     def test_block_size_does_not_change_bytes(self, tmp_path, monkeypatch,
-                                               block):
+                                               budget):
         log = synthetic_log()
-        monkeypatch.setattr(scenario_io, "_WRITE_BLOCK", block)
+        monkeypatch.setattr(scenario_io, "_WRITE_BYTES", budget)
         self.assert_matches_oracle(log, tmp_path)
 
     def test_sparse_48_robot_run_matches_oracle(self, tmp_path, sparse48_log):
         self.assert_matches_oracle(sparse48_log, tmp_path)
 
     def test_field_width_changes_between_blocks(self, tmp_path, monkeypatch):
-        # the fields' widths run 14, 19, 14, 19 by block in trajectory.csv
-        # and 14, 14, 17, 14, 14, 14, 14, 17 in distances.csv: a wide block
-        # follows a narrow one, and the last block reuses the buffer whose
-        # fields held a middle block's long texts, where it prints short ones
-        monkeypatch.setattr(scenario_io, "_WRITE_BLOCK", 50)
+        # in each file a wide block follows a narrow one, and a later block
+        # reuses the buffer whose fields held a middle block's long texts,
+        # where it prints short ones: trajectory.csv's block of steps 34-35
+        # that of steps 16-17, and distances.csv's last, shorter block that
+        # of steps 7-13
+        monkeypatch.setattr(scenario_io, "_WRITE_BYTES", 5000)
+        assert 5000 // traj_step(5) == 2 and 5000 // dist_step(5) == 7
+        blocks = record_blocks(monkeypatch)
         self.assert_matches_oracle(wide_log(), tmp_path)
+        assert [w for _, fields, w in blocks if fields == 9] == (
+            [14] * 7 + [17, 19] + [14] * 8 + [19, 14])
+        assert [w for _, fields, w in blocks if fields == 1] == [
+            14, 17, 14, 14, 14, 17]
 
     def test_reload_is_float_of_every_field(self, tmp_path):
         log = synthetic_log()
@@ -514,15 +591,26 @@ class TestWorkingSets:
         assert peak < 0.1 * sparse48_log.distances.nbytes
 
     def test_export_holds_one_block(self, tmp_path, sparse48_log):
-        # 42 whole steps a block of trajectory.csv, one of distances.csv;
-        # the logs end on shorter blocks, of 33 and 9 steps
+        # 25 whole steps a block of trajectory.csv, 6 of distances.csv;
+        # the logs end on shorter blocks, of 1 and 3 steps
         short = dataclasses.replace(sparse48_log, **{
             name: getattr(sparse48_log, name)[:51] for name in (
                 "times", "poses", "controls", "phi", "region", "distances")})
         peaks = [traced_peak(lambda: export_trajectory(log, str(tmp_path)))
                  for log in (sparse48_log, short)]
-        assert peaks[0] <= CONCATENATING_EXPORT_PEAK
+        assert max(peaks) <= CONCATENATING_EXPORT_PEAK
         assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+
+    def test_distances_block_holds_several_steps(self, tmp_path,
+                                                 sparse48_log, monkeypatch):
+        # one byte budget sizes both files' blocks: 1,128 pairs of 68
+        # bytes fit 6 steps in it, and 48 robots of 425 bytes 25 steps
+        blocks = record_blocks(monkeypatch)
+        export_trajectory(sparse48_log, str(tmp_path))
+        rows = {f: [r for r, fields, _ in blocks if fields == f]
+                for f in (9, 1)}
+        assert rows[9] == [25 * 48] * 8 + [48]
+        assert rows[1] == [6 * 1128] * 33 + [3 * 1128]
 
 
 def near_ties(rng, count, top):
@@ -620,6 +708,7 @@ BAD_HEADER_VALUES = {
     "n_robots_word": ("n_robots", "four", BAD_VALUE),
     "n_robots_float": ("n_robots", "4.0", BAD_VALUE),
     "n_robots_empty": ("n_robots", "", BAD_VALUE),
+    "n_robots_underscore": ("n_robots", "0_2", BAD_VALUE),
     "goal_one_number": ("goal_position", "1.5", BAD_VALUE),
     "goal_three_numbers": ("goal_position", "1.5 -0.5 0.0", BAD_VALUE),
     "goal_words": ("goal_position", "east north", BAD_VALUE),
@@ -632,6 +721,7 @@ BAD_HEADER_VALUES = {
     "time_step_word": ("time_step", "abc", BAD_VALUE),
     "time_step_two_numbers": ("time_step", "0.01 0.02", BAD_VALUE),
     "time_step_empty": ("time_step", "", BAD_VALUE),
+    "time_step_underscore": ("time_step", "5_0e-4", BAD_VALUE),
     "time_step_zero": ("time_step", "0", "time_step must be finite and > 0"),
     "time_step_nan": ("time_step", "nan", "time_step must be finite and > 0"),
     "sensing_radius_word": ("sensing_radius", "far", BAD_VALUE),
@@ -773,13 +863,15 @@ class TestLoadMismatch:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
-    @pytest.mark.parametrize("name, message", [
-        ("trajectory.csv", "11 columns, expected 12"),
-        ("distances.csv", "4 columns, expected 5"),
-    ])
-    def test_missing_column_is_counted(self, exported, name, message,
+    @pytest.mark.parametrize("name, counts", [
+        ("trajectory.csv", "requires 12 columns but 11 were found at row 1"),
+        ("distances.csv", "requires 5 columns but 4 were found at row 1"),
+    ], ids=["trajectory.csv-11 columns, expected 12",
+            "distances.csv-4 columns, expected 5"])
+    def test_missing_column_is_counted(self, exported, name, counts,
                                        capsys):
-        # every data row loses its last field (region, monitored)
+        # every data row loses its last field (region, monitored); loadtxt
+        # counts the first row's columns
         path = exported / name
         lines = path.read_text(encoding="utf-8").splitlines()
         data = 8  # 7 metadata lines and the column names come first
@@ -787,7 +879,9 @@ class TestLoadMismatch:
             line.rsplit(",", 1)[0] for line in lines[data:]]) + "\n",
             encoding="utf-8")
         assert main(["metrics", str(exported)]) == 1
-        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert counts in err
 
     # (row, column) -> text, on 6 steps of 4 robots (24 trajectory rows)
     # and 6 pairs (36 distance rows): step k starts at row 4k and 6k
@@ -849,7 +943,7 @@ class TestLoadMismatch:
     ], ids=["monitored_half", "id_float", "region_300", "extra_field"])
     def test_row_that_does_not_parse_names_the_file(self, exported, name,
                                                     cells, found):
-        # a later row, past the first one whose columns are counted
+        # a later row than the first
         path = exported / name
         edit_rows(path, set_fields(cells))
         with pytest.raises(ValueError) as info:
@@ -915,6 +1009,16 @@ class TestHeaderRules:
         assert loaded == parsed
         # the run's own value passes, and each bad one fails
         assert (loaded is None) is good
+
+    def test_plus_sign_loads(self, exported, tmp_path):
+        # a leading '+' is a number to int(), float() and np.loadtxt alike
+        for name in ("trajectory.csv", "distances.csv"):
+            text = (exported / name).read_text(encoding="utf-8")
+            assert "# time_step = 0.005000000\n" in text
+            (tmp_path / name).write_text(
+                text.replace("# time_step = 0.005000000",
+                             "# time_step = +0.005000000"), encoding="utf-8")
+        assert load_trajectory(str(tmp_path)).time_step == 0.005
 
     def test_every_header_key_round_trips(self, tmp_path):
         # written by _meta_lines, read back by the loader, written again;
@@ -1103,6 +1207,18 @@ class TestCli:
         path = tmp_path / "bad.scn"
         write_lines(path, minimal_lines(collision_margin="2.0"))
         assert main(["check", str(path)]) == 1
+
+    def test_rim_pose_fails_check(self, tmp_path, capsys):
+        # on the rim by np.hypot, the norm of the run's boundary monitor
+        lines = minimal_lines(workspace_radius="50.0")
+        lines[-2:] = ["pose_1 = 47.677240129507744 -15.062561987698379 0.0",
+                      "pose_2 = 46.9 -14.9 0.0"]
+        path = tmp_path / "rim.scn"
+        write_lines(path, lines)
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: robot 1 must start strictly inside the "
+            "workspace\n")
 
     def test_assumption_failure_exit_code(self, tmp_path, capsys):
         lines = minimal_lines()

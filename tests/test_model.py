@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from rendezsim import RobotState, ScenarioError, validate_scenario
-from rendezsim.model import normalize_angle
+from rendezsim import RegionFlag, RobotState, ScenarioError, validate_scenario
+from rendezsim.model import normalize_angle, outside_workspace, planar_norm
+from rendezsim.sim import monitor_invariants
 
 from conftest import integrator_wrap, make_states, small_config
 
@@ -84,6 +85,11 @@ class TestRobotState:
                 RobotState(1, position, 0.0)
 
 
+# on the rim of a 50 m workspace by np.hypot, as the monitors measure it,
+# and an ulp inside it by sqrt(x*x + y*y)
+RIM = (47.677240129507744, -15.062561987698379)
+
+
 class TestValidateScenario:
     def test_reference_parameters_accepted(self):
         # six robots, sensing 2 m, margins 0.4 m, radii 50/11.5
@@ -136,6 +142,26 @@ class TestValidateScenario:
             [(-29.99, -2.0, 0.5), (-4.8, -2.5, -1.0), (-3.4, -2.9, 2.0)]))
         with pytest.raises(ScenarioError, match="inside the workspace"):
             validate_scenario(cfg)
+
+    def test_rim_pose_is_outside_for_every_check(self):
+        assert np.hypot(*RIM) == 50.0 > planar_norm(np.array(RIM))
+        assert outside_workspace(np.array(RIM), 50.0)
+        cfg = small_config(workspace_radius=50.0, initial_states=make_states(
+            [(*RIM, 0.0), (46.9, -14.9, 0.0), (46.5, -15.5, 0.0)]))
+        with pytest.raises(ScenarioError, match="^robot 1 must start "
+                           "strictly inside the workspace$"):
+            validate_scenario(cfg)
+        events = monitor_invariants(
+            np.array([s.position for s in cfg.initial_states]),
+            np.ones(3), ((1, 2), (1, 3), (2, 3)), np.zeros(3, dtype=bool),
+            RegionFlag.RENDEZVOUS, cfg, 0, 0.0)
+        assert [(e.kind, e.detail) for e in events
+                if e.kind == "boundary"] == [
+            ("boundary", "robot 1 outside the workspace")]
+        with pytest.raises(ScenarioError, match="^goal_position must lie "
+                           "inside the workspace$"):
+            validate_scenario(small_config(workspace_radius=50.0,
+                                           goal_position=np.array(RIM)))
 
     def test_first_robot_outside_is_named(self):
         # robot 2 sits on the boundary and robot 3 beyond it
