@@ -19,6 +19,7 @@ seed block. Exports are comma-separated text with a fixed header and fixed
 9-decimal precision, plus ``# key = value`` metadata comment lines.
 """
 
+import functools
 import math
 import os
 import warnings
@@ -153,9 +154,10 @@ def seeded_deployment(seed: int, count: int, center: np.ndarray, spread: float,
                        axis=2)
         pts += center
         dists = planar_norm(pts.take(first, 1) - pts.take(second, 1))
-        ok = ~outside_workspace(pts, workspace_radius).any(axis=1)
-        ok &= ~(dists < min_separation).any(axis=1)
-        for j in np.flatnonzero(ok).tolist():
+        # separations first: the workspace test is needed only where they pass
+        ok = np.flatnonzero(~(dists < min_separation).any(axis=1))
+        ok = ok[~outside_workspace(pts[ok], workspace_radius).any(axis=1)]
+        for j in ok.tolist():
             near = np.zeros((count, count), dtype=bool)
             near[first, second] = dists[j] < sensing_radius
             near |= near.T
@@ -381,43 +383,64 @@ def _fixed9(x, fields=None, work=None):
     return width if out is None else out
 
 
-def _write_steps(path, head, before, columns, after):
-    """Write ``head``, then one row per (step, slot) of ``columns``.
+# steps whose texts _write_steps formats in one call, and the most a block
+# holds: a call costs some 40 numpy calls, and 2,048 stamps with their work
+# rows about 100 KB
+_STEP_TEXT_STEPS = 2048
 
-    A row is the text of ``before``, a ``'%.9f,'`` field per column of the
-    float arrays ``columns`` (each ``(steps, slots, c)``) and the text of
-    ``after``. Text is NUL-padded uint8, one row per slot, ``(slots, w)``,
-    or one per step, ``(steps, 1, w)``.
+
+def _write_steps(path, head, shape, before, blocks, after):
+    """Write ``head``, then one row per (step, slot) of ``shape``, (steps,
+    slots, c).
+
+    A row is the text of ``before``, c ``'%.9f,'`` fields and the text of
+    ``after``. Text is NUL-padded uint8: one row per slot, ``(slots, w)``,
+    or a function that formats the steps k0 to k0 + k, ``(k0, k) -> (k, 1,
+    w)``, called for a group of whole blocks, up to ``_STEP_TEXT_STEPS``
+    steps, at a time; the first ``_STEP_TEXT_STEPS`` steps' widths size the
+    blocks. ``blocks(m)`` yields the fields' float columns m steps at a
+    time, as (k0, tuple of ``(k, slots, c_i)`` arrays) pairs.
 
     The rows pass through one buffer that holds a block of whole steps:
     each slot's text is laid into it once, each step's once per block, and
     ``_fixed9`` writes the block's fields into it in place. A block whose
-    fields take another width gets its own buffer, laid out the same way.
-    Each block is written once, NUL bytes removed, so the rows a last,
-    shorter block lacks are cleared, not cut off by a copy.
+    fields or step texts take other widths gets its own buffer, laid out
+    the same way. Each block is written once, NUL bytes removed, so the
+    rows a last, shorter block lacks are cleared, not cut off by a copy.
     """
-    steps, slots = columns[0].shape[:2]
+    steps, slots, c = shape
     with open(path, "wb") as fh:
         fh.write(head.encode("ascii"))
         if not slots:
             return
-        c = sum(col.shape[2] for col in columns)
-        text = sum(t.shape[-1] for t in before + after)
-        per_block = min(steps, max(1, _WRITE_BYTES // (
-            slots * (text + c * (15 + _WORK_BYTES)))))
+        row_texts = [*before, None, *after]  # None: the fields
+
+        def step_texts(k0, k):
+            """The row's texts, each step's for steps k0 to k0 + k, and
+            their widths."""
+            texts = [t(k0, k) if callable(t) else t for t in row_texts]
+            return texts, tuple(t.shape[-1] for t in texts if t is not None)
+
+        first = min(steps, _STEP_TEXT_STEPS)
+        grouped, widths = step_texts(0, first)
+        per_block = min(first, max(1, _WRITE_BYTES // (
+            slots * (sum(widths) + c * (15 + _WORK_BYTES)))))
+        group = _STEP_TEXT_STEPS - _STEP_TEXT_STEPS % per_block
         work = np.empty(_WORK_BYTES * per_block * slots * c, np.uint8)
-        # field width -> (buffer, its rows, fields, per-step cells)
+        # (field width, text widths) -> (buffer, its rows, fields, and each
+        # step text's cells and place in the row)
         buffers = {}
 
-        def buffer(width):
-            if width not in buffers:
-                row = text + c * (width + 1)
+        def buffer(width):  # laid out for the texts of the current group
+            key = width, widths
+            if key not in buffers:
+                row = c * (width + 1) + sum(widths)
                 buf = bytearray(per_block * slots * row)
                 cells = np.frombuffer(buf, np.uint8).reshape(
                     per_block, slots, row)
                 per_step = []
                 at = 0
-                for t in [*before, None, *after]:  # None: the fields
+                for i, t in enumerate(grouped):
                     if t is None:
                         fields = np.ndarray(
                             (per_block * slots, c), _field_dtype(width),
@@ -430,18 +453,21 @@ def _write_steps(path, head, before, columns, after):
                     if t.ndim == 2:
                         cell[...] = t
                     else:
-                        per_step.append((cell, t))
-                buffers[width] = buf, cells, fields, per_step
-            return buffers[width]
+                        per_step.append((cell, i))
+                buffers[key] = buf, cells, fields, per_step
+            return buffers[key]
 
-        for k0 in range(0, steps, per_block):
-            k = min(per_block, steps - k0)
-            width = _fixed9(tuple(np.reshape(col[k0:k0 + k], (k * slots, -1))
+        for k0, columns in blocks(per_block):
+            k = len(columns[0])
+            at = k0 % group
+            if k0 and not at:  # the step texts of the next group of blocks
+                grouped, widths = step_texts(k0, min(group, steps - k0))
+            width = _fixed9(tuple(np.reshape(col, (k * slots, -1))
                                   for col in columns),
                             lambda w: buffer(w)[2], work)
             buf, cells, _, per_step = buffer(width)
-            for cell, t in per_step:
-                cell[:k] = t[k0:k0 + k]
+            for cell, i in per_step:
+                cell[:k] = grouped[i][at:at + k]
             cells[k:] = 0  # the last block clears the steps it lacks
             fh.write(buf.translate(None, b"\0"))
 
@@ -452,8 +478,10 @@ def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
     One trajectory row per (step, robot) and one distance row per
     (step, pair). All numbers use fixed 9-decimal precision so repeated runs
     diff cleanly; the bytes are those of ``'%.9f'``. Ids, pairs,
-    ``monitored`` and region are template text, and each time is formatted
-    once per step.
+    ``monitored`` and region are template text; each time and region is
+    formatted once per step, a group of write blocks at a time, and the
+    distances are read a block at a time (``TrajectoryLog.distance_blocks``),
+    so that what the export holds does not grow with the run.
     """
     if log.n_steps == 0:
         raise ValueError("cannot export an empty log")
@@ -461,20 +489,32 @@ def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
     traj_path = os.path.join(out_dir, TRAJECTORY_FILE)
     dist_path = os.path.join(out_dir, DISTANCES_FILE)
     meta = "\n".join(_meta_lines(log)) + "\n"
-    stamps = _fixed9(log.times).reshape(log.n_steps, 1, -1)
+    steps, n = log.n_steps, log.n_robots
 
-    n = log.n_robots
+    @functools.lru_cache(maxsize=1)  # both files start with one group
+    def stamps(k0, k):
+        return _fixed9(log.times[k0:k0 + k])[:, None]
+
+    def region(k0, k):
+        values, of_step = np.unique(log.region[k0:k0 + k],
+                                    return_inverse=True)
+        return _text([f"{r}\n" for r in values.tolist()])[of_step][:, None]
+
+    def trajectory_blocks(m):
+        for k0 in range(0, steps, m):
+            yield k0, (log.poses[k0:k0 + m], log.controls[k0:k0 + m],
+                       log.phi[k0:k0 + m, :, None])
+
     ids = _text([f"{i}," for i in range(1, n + 1)])
-    regions, of_step = np.unique(log.region, return_inverse=True)
-    region = _text([f"{r}\n" for r in regions.tolist()])[of_step]
-    _write_steps(traj_path, meta + _TRAJ_HEADER + "\n", [stamps, ids],
-                 (log.poses, log.controls, log.phi[:, :, None]),
-                 [region[:, None]])
+    _write_steps(traj_path, meta + _TRAJ_HEADER + "\n", (steps, n, 9),
+                 [stamps, ids], trajectory_blocks, [region])
 
+    pairs = _text([f"{i},{j}," for i in range(1, n)
+                   for j in range(i + 1, n + 1)])
     _write_steps(dist_path, meta + _DIST_HEADER + "\n",
-                 [stamps, _text([f"{i},{j}," for i in range(1, n)
-                                 for j in range(i + 1, n + 1)])],
-                 (log.distances[:, :, None],),
+                 (steps, len(pairs), 1), [stamps, pairs],
+                 lambda m: ((k0, (d[:, :, None],))
+                            for k0, d in log.distance_blocks(m)),
                  [_text([f"{int(m)}\n" for m in log.monitored.tolist()])])
     return traj_path, dist_path
 

@@ -32,6 +32,11 @@ DECAY_FLOOR = 1e-12
 # doubles them, up to its horizon
 LOG_BYTES = 1 << 26
 
+# bytes of pair_distances' rows that a block of steps may take by default:
+# 4 steps at 48 robots, few enough that metrics on a run's log hold under a
+# tenth of its (S, P) distances
+PAIR_BLOCK_BYTES = 1 << 17
+
 
 class AssumptionError(RuntimeError):
     """The initial graph lacks a spanning tree rooted at the informed robot."""
@@ -53,6 +58,27 @@ class Event:
     detail: str
 
 
+class _Distances:
+    """``TrajectoryLog.distances``: the (S, P) table a log was given, such
+    as a loaded file's, or, given None (the default), the table that
+    ``pair_distances`` derives from the log's poses on first read and the
+    log keeps from then on."""
+
+    def __get__(self, log, owner=None):
+        if log is None:
+            return None  # the field's default
+        held = vars(log)["distances"]
+        if held is None:
+            held = np.empty((log.n_steps, len(log.monitored)))
+            for k0, block in log.distance_blocks():
+                held[k0:k0 + len(block)] = block
+            vars(log)["distances"] = held
+        return held
+
+    def __set__(self, log, value):
+        vars(log)["distances"] = value
+
+
 @dataclass
 class TrajectoryLog:
     """Column-oriented record of a run; everything metrics need lives here.
@@ -60,6 +86,9 @@ class TrajectoryLog:
     ``controls`` columns are (v, omega, theta_d, theta_tilde, theta_d_dot).
     ``pairs`` names the columns of ``distances``; ``monitored`` marks the
     pairs connected in the initial graph, whose preservation is claimed.
+    A run's log keeps no distances: the export and the metrics read them
+    through ``distance_blocks``, and ``distances`` derives the whole table
+    on first read.
     """
 
     times: np.ndarray        # (S,)
@@ -67,8 +96,9 @@ class TrajectoryLog:
     controls: np.ndarray     # (S, N, 5)
     phi: np.ndarray          # (S, N)
     region: np.ndarray       # (S,) int8: 0 collision-free, 1 rendezvous
-    distances: np.ndarray    # (S, P), one column per pair of ``pairs``
     monitored: np.ndarray    # (P,) bool
+    # (S, P), one column per pair of ``pairs``; None derives it (_Distances)
+    distances: np.ndarray = _Distances()
     events: list = field(default_factory=list)
     switch_step: int | None = None
     goal_position: np.ndarray = None
@@ -89,6 +119,21 @@ class TrajectoryLog:
     def pairs(self) -> tuple:
         """The P index pairs (i, j), i < j, 1-based, built on first read."""
         return upper_pairs(self.n_robots)
+
+    def distance_blocks(self, steps: int | None = None):
+        """The distances ``steps`` steps at a time, as (first step, (k, P)
+        array) pairs, each array valid until the next: slices of the table
+        the log holds, or else ``pair_distances``' blocks, which keep
+        nothing. By default a held table is one block, and derived blocks
+        fit ``PAIR_BLOCK_BYTES``."""
+        held = vars(self)["distances"]
+        if held is None:
+            p = len(self.monitored)
+            return pair_distances(self.poses, steps or max(
+                1, PAIR_BLOCK_BYTES // (24 * p or 1)))
+        steps = steps or max(1, self.n_steps)
+        return ((k0, held[k0:k0 + steps])
+                for k0 in range(0, self.n_steps, steps))
 
 
 def upper_pairs(n: int) -> tuple:
@@ -227,6 +272,36 @@ def _offsets(w: PairWork):
     np.add(w.square_x, w.square_y, w.length_squared)
     np.sqrt(w.length_squared, w.dist)
     return w.pairs
+
+
+def pair_distances(poses: np.ndarray, steps: int):
+    """Yield the distances of the upper pairs of the (S, N, 3) ``poses``,
+    in the log's pair order, ``steps`` steps at a time, as (first step,
+    (k, P) array) pairs.
+
+    The arithmetic is ``_offsets``': each pair's x_a - x_b and y_a - y_b
+    from its gathered ends, squared, added and square-rooted, so that every
+    bit equals the distance the step kernel took from the same poses. The
+    three (steps, P) rows are allocated at the first block, and every block
+    overwrites them, a shorter last one their first steps; a block is valid
+    until the next is asked for, and the rows go with the generator.
+    """
+    s, n = poses.shape[:2]
+    a, b = (3 * i for i in np.triu_indices(n, 1))
+    ends_at = ((a, b), (a + 1, b + 1))  # x, then y, of both ends
+    steps = max(1, min(steps, s))
+    rows = np.empty((3, steps, len(a)))
+    for k0 in range(0, s, steps):
+        k = min(steps, s - k0)
+        dist, square_y, end = rows[:, :k]
+        flat = poses[k0:k0 + k].reshape(k, 3 * n)
+        for square, (at_a, at_b) in zip((dist, square_y), ends_at):
+            flat.take(at_a, 1, square, "clip")
+            flat.take(at_b, 1, end, "clip")
+            np.subtract(square, end, square)
+            np.multiply(square, square, square)
+        np.add(dist, square_y, dist)
+        yield k0, np.sqrt(dist, dist)
 
 
 class StepKernel:
@@ -434,14 +509,14 @@ def _stop_screen(dx: float, dy: float, tolerance: float) -> bool:
             < tolerance * (1.0 + 1e-12) + 4.0 * math.ulp(0.0))
 
 
-def _log_rows(rows: int, n: int, n_pairs: int, filled=()):
-    """The log's arrays for ``rows`` steps of n robots and n_pairs pairs:
-    times, poses (a row more: row k + 1 receives step k's update),
-    controls, phi, regions and distances. The arrays of ``filled``, as
-    returned before, are copied into their first rows."""
+def _log_rows(rows: int, n: int, filled=()):
+    """The log's arrays for ``rows`` steps of n robots: times, poses (a row
+    more: row k + 1 receives step k's update), controls, phi and regions.
+    The arrays of ``filled``, as returned before, are copied into their
+    first rows."""
     arrays = (np.empty(rows), np.empty((rows + 1, n, 3)),
               np.empty((rows, n, 5)), np.empty((rows, n)),
-              np.empty(rows, dtype=np.int8), np.empty((rows, n_pairs)))
+              np.empty(rows, dtype=np.int8))
     for new, old in zip(arrays, filled):
         new[:len(old)] = old
     return arrays
@@ -452,12 +527,13 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
 
     Each step advances the (N, 3) poses of one ``StepKernel``, built once
     per run: one array of upper-pair rows (offsets, square lengths and
-    distances) feeds the neighbor mask's accretion, the log, the monitors
-    and one kernel call, which makes the controls and moves the poses on
-    from the followers' edge list; the log copies both. The region switch
-    is asked only until it latches, which drops the kernel's collision
-    factor once (``JetKernel.drop_avoidance``). ``monitor_invariants`` runs
-    only on a step where some watched value reaches its bound
+    distances) feeds the neighbor mask's accretion, the monitors and one
+    kernel call, which makes the controls and moves the poses on from the
+    followers' edge list; the log copies the poses and controls, and its
+    distances are derived from the poses when read. The region switch is
+    asked only until it latches, which drops the kernel's collision factor
+    once (``JetKernel.drop_avoidance``). ``monitor_invariants`` runs only
+    on a step where some watched value reaches its bound
     (``_monitor_bounds``), so it emits the same events as on every step.
     The log starts at most ``LOG_BYTES`` large and doubles when the run
     outgrows it, so that its size follows the steps run, not the horizon.
@@ -496,11 +572,10 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
 
     max_steps = int(round(cfg.horizon / cfg.time_step))
     S = max_steps + 1
-    # a logged step: t, each robot's pose, controls and phi, each pair's
-    # distance, and the region byte
-    rows = min(S, max(1024, LOG_BYTES // (8 * (1 + 9 * n + n_pairs) + 1)))
-    times, poses, ctrl, phi, regions, dists = log_rows = _log_rows(
-        rows, n, n_pairs)
+    # a logged step: t, each robot's pose, controls and phi, and the region
+    # byte
+    rows = min(S, max(1024, LOG_BYTES // (8 * (1 + 9 * n) + 1)))
+    times, poses, ctrl, phi, regions = log_rows = _log_rows(rows, n)
 
     events: list[Event] = []
     switch_step = None
@@ -519,8 +594,8 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     while True:
         if k == rows:  # the log is full: double it, up to the horizon
             rows = min(2 * rows, S)
-            times, poses, ctrl, phi, regions, dists = log_rows = _log_rows(
-                rows, n, n_pairs, log_rows)
+            times, poses, ctrl, phi, regions = log_rows = _log_rows(
+                rows, n, log_rows)
         t = k * cfg.time_step
         # the informed robot's position as floats, read once a step for the
         # region switch, the kernel and the stop screen
@@ -548,11 +623,10 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
 
         times[k] = t
         regions[k] = region is RegionFlag.RENDEZVOUS
-        dists[k] = dist
         np.negative(watched, negated)
         if np.greater_equal(screened, bounds, reach).tobytes() != unreached:
             pairs = pairs or upper_pairs(n)
-            step_events = monitor_invariants(poses[k, :, :2], dists[k], pairs,
+            step_events = monitor_invariants(poses[k, :, :2], dist, pairs,
                                              monitored, region, cfg, k, t)
             events.extend(step_events)
             if strict and step_events:
@@ -572,8 +646,8 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
 
     log = TrajectoryLog(
         times=times[:k], poses=poses[:k], controls=ctrl[:k], phi=phi[:k],
-        region=regions[:k], distances=dists[:k],
-        monitored=monitored, events=events, switch_step=switch_step,
+        region=regions[:k], monitored=monitored, events=events,
+        switch_step=switch_step,
         goal_position=cfg.goal_position.copy(), goal_heading=cfg.goal_heading,
         time_step=cfg.time_step, sensing_radius=cfg.sensing_radius,
         wall_time=_time.perf_counter() - started)
@@ -611,14 +685,20 @@ def compute_metrics(log: TrajectoryLog, cfg: ScenarioConfig | None = None) -> Me
 
     # the switch latches (run logs it so; load_trajectory rejects a return
     # to region 0), so the collision-free steps are the ones before the
-    # first region 1; neither bound copies the (S, P) distances
+    # first region 1. Both bounds are taken a block at a time, and
+    # np.minimum and np.maximum carry a NaN through as min and max do
     free = int(np.argmax(log.region)) if log.region.any() else log.n_steps
-    min_cf = (float(log.distances[:free].min())
-              if free and log.distances.shape[1] else None)
-    if log.monitored.any():
-        max_mon = float(log.distances.max(axis=0)[log.monitored].max())
-    else:
-        max_mon = None
+    min_cf = max_mon = None
+    if (free and len(log.monitored)) or log.monitored.any():
+        low, high = np.inf, np.full(len(log.monitored), -np.inf)
+        for k0, block in log.distance_blocks():
+            if k0 < free:
+                low = np.minimum(low, block[:free - k0].min())
+            np.maximum(high, block.max(axis=0), out=high)
+        if free:
+            min_cf = float(low)
+        if log.monitored.any():
+            max_mon = float(high[log.monitored].max())
 
     switch_time = (float(log.times[log.switch_step])
                    if log.switch_step is not None

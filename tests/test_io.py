@@ -383,19 +383,35 @@ def assert_bits_equal(a, b):
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-@pytest.fixture(scope="module")
-def sparse48_log():
-    """The sparse48 benchmark deployment run for 1 s: 48 seeded robots,
+def sparse48_config():
+    """The sparse48 benchmark deployment, run for 1 s: 48 seeded robots,
     1,128 pairs, 201 steps."""
     n = 48
-    log = run(small_config(
+    return small_config(
         n_robots=n, workspace_radius=200.0,
         rendezvous_radius=2.0 * (n - 1) + 1.5,
         linear_gains=[2.0] + [4.0] * (n - 1), angular_gains=[8.0] * n,
         horizon=1.0, initial_states=seeded_deployment(
-            1, n, np.array([-5.0, -3.0]), 6.0, 0.2, 2.0, 200.0)))
+            1, n, np.array([-5.0, -3.0]), 6.0, 0.2, 2.0, 200.0))
+
+
+# bytes of the (S, P) distances of sparse48_config's run, 201 steps of
+# 1,128 pairs, which a run's log does not hold
+SPARSE48_TABLE_BYTES = 201 * 1128 * 8
+
+
+@pytest.fixture(scope="module")
+def sparse48_log():
+    log = run(sparse48_config())
     assert log.n_steps == 201 and len(log.pairs) == 1128
     return log
+
+
+def deriving(log, **fields):
+    """A copy of ``log``, with ``fields`` replaced, that holds no distance
+    table: it derives its distances from its poses, as a fresh run's log
+    does, whatever read the table of ``log`` before."""
+    return dataclasses.replace(log, distances=None, **fields)
 
 
 def wide_log():
@@ -584,21 +600,35 @@ CONCATENATING_EXPORT_PEAK = 1_594_873
 
 
 class TestWorkingSets:
-    """What the export and the metrics hold at once, on the 48-robot log."""
+    """What the run, the export and the metrics hold at once, on the
+    48-robot log, and the export on long logs."""
+
+    def test_run_keeps_no_distance_table(self):
+        cfg = sparse48_config()
+        assert traced_peak(lambda: run(cfg)) < SPARSE48_TABLE_BYTES
 
     def test_metrics_make_no_copy_of_the_distances(self, sparse48_log):
-        peak = traced_peak(lambda: compute_metrics(sparse48_log))
-        assert peak < 0.1 * sparse48_log.distances.nbytes
+        log = deriving(sparse48_log)
+        peak = traced_peak(lambda: compute_metrics(log))
+        assert peak < 0.1 * SPARSE48_TABLE_BYTES
 
     def test_export_holds_one_block(self, tmp_path, sparse48_log):
         # 25 whole steps a block of trajectory.csv, 6 of distances.csv;
         # the logs end on shorter blocks, of 1 and 3 steps
-        short = dataclasses.replace(sparse48_log, **{
+        short = deriving(sparse48_log, **{
             name: getattr(sparse48_log, name)[:51] for name in (
-                "times", "poses", "controls", "phi", "region", "distances")})
+                "times", "poses", "controls", "phi", "region")})
         peaks = [traced_peak(lambda: export_trajectory(log, str(tmp_path)))
-                 for log in (sparse48_log, short)]
+                 for log in (deriving(sparse48_log), short)]
         assert max(peaks) <= CONCATENATING_EXPORT_PEAK
+        assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+
+    def test_export_peak_does_not_grow_with_the_run(self, tmp_path):
+        # six robots: each step's time and region text is formatted in its
+        # block, so 20,000 steps hold what 2,000 do
+        logs = [random_log(steps, 6, steps // 2) for steps in (2000, 20000)]
+        peaks = [traced_peak(lambda: export_trajectory(log, str(tmp_path)))
+                 for log in logs]
         assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
 
     def test_distances_block_holds_several_steps(self, tmp_path,

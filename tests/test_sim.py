@@ -851,8 +851,11 @@ class TestLogGrowth:
         # step 297
         log = run(dataclasses.replace(_rendezvous(), horizon=1e6))
         assert log.n_steps == 298
-        # the whole log, its one extra pose row aside, within the bound
-        held = sum(getattr(log, name).base.nbytes for name in self.FIELDS)
+        # the whole log, its one extra pose row aside, within the bound; it
+        # holds no pair-distance table, which is derived when read
+        assert vars(log)["distances"] is None
+        held = sum(getattr(log, name).base.nbytes
+                   for name in self.FIELDS if name != "distances")
         assert held <= sim.LOG_BYTES + log.poses[0].nbytes
 
 
@@ -954,6 +957,43 @@ class TestMetrics:
                     np.float64(want).view(np.uint64))
         assert (want_min is None) == (switch == 0 or n == 1)
         assert (want_max is None) == (share == 0.0 or n == 1)
+
+    @pytest.mark.parametrize("nan_step", [9, 10],
+                             ids=["before_the_switch", "after_the_switch"])
+    def test_block_bounds_carry_nan_as_whole_array_ones(self, monkeypatch,
+                                                        nan_step):
+        # 5 robots' distances derived 4 steps a block: the switch at step 10
+        # falls inside the third block, and robot 2's NaN pose makes its
+        # pairs, monitored (1, 2) and (2, 3) among them, NaN at one step,
+        # on either side of the switch
+        monkeypatch.setattr(sim, "PAIR_BLOCK_BYTES", 4 * 24 * 10)
+        rng = np.random.default_rng(23)
+        steps, n, switch = 40, 5, 10
+        poses = rng.normal(scale=2.0, size=(steps, n, 3))
+        poses[nan_step, 1, 0] = np.nan
+        region = np.zeros(steps, dtype=np.int8)
+        region[switch:] = 1
+        monitored = np.zeros(10, dtype=bool)
+        monitored[[0, 4, 9]] = True  # (1, 2), (2, 3) and (4, 5)
+        log = TrajectoryLog(
+            times=np.arange(steps) * 0.01, poses=poses,
+            controls=rng.normal(size=(steps, n, 5)),
+            phi=rng.uniform(size=(steps, n)), region=region,
+            monitored=monitored, switch_step=switch,
+            goal_position=np.zeros(2), time_step=0.01, sensing_radius=2.0)
+        derived = compute_metrics(log)
+        assert vars(log)["distances"] is None  # read by blocks, not kept
+        table = log.distances
+        held = compute_metrics(dataclasses.replace(log, distances=table))
+        want_min = table[:switch].min()
+        want_max = table.max(axis=0)[monitored].max()
+        assert np.isnan(want_min) == (nan_step < switch)
+        assert np.isnan(want_max)
+        for m in (derived, held):
+            assert np.float64(m.min_distance_collision_free).tobytes() == (
+                want_min.tobytes())
+            assert np.float64(m.max_monitored_distance).tobytes() == (
+                want_max.tobytes())
 
 
 class TestDiscretisation:

@@ -4,7 +4,9 @@ The export digests see the log only to nine decimals; this test sees its
 bits. ``run`` logs each step's poses, controls and phi, and ``plain_step``
 states the same step as plain numpy expressions, in the kernel's order of
 operations, from the pose, held headings and sensing mask before it. A
-fused or reordered call that moves any bit fails here by name.
+fused or reordered call that moves any bit fails here by name. The log
+keeps no distances; those it derives from its poses must be, bit for bit,
+the ones the kernel's pair rows held at each step.
 """
 
 import dataclasses
@@ -85,3 +87,23 @@ def test_step_matches_plain_formulas(name):
         held = log.controls[k, :, 2]
     # the accreting run rebuilds its edge list on the way
     assert (mask.sum() > edges) == (cfg.neighbor_mode == "accreting")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_derived_distances_are_the_kernels(name, monkeypatch):
+    # the log keeps no distances: on every logged step, those it derives
+    # from the poses must be the ones the kernel's pair rows held
+    make, steps = CASES[name]
+    cfg = make()
+    kernel_rows = []
+    pairs = sim.StepKernel.pairs
+
+    def recorded(kernel):
+        rows = pairs(kernel)
+        kernel_rows.append(rows[3].copy())
+        return rows
+    monkeypatch.setattr(sim.StepKernel, "pairs", recorded)
+    log = run(dataclasses.replace(cfg, horizon=steps * cfg.time_step))
+    assert vars(log)["distances"] is None
+    assert len(kernel_rows) == log.n_steps
+    assert same_bits(log.distances, kernel_rows)
