@@ -270,14 +270,43 @@ def _text(strings, width=None):
         len(strings), width)
 
 
+def _digits(places):
+    """Every number below 10**places as ``places`` zero-padded ASCII
+    digits, one uint8 row each. Column p is the ten digits, each repeated
+    10**(places - 1 - p) times, tiled 10**p times: uint8 rows, which leave
+    the heap as they found it, where Python strings, one a number, grew it
+    by 0.06 MB (1,000 strings) to 0.74 MB (10,000) a table."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    rows = np.empty((10 ** places, places), np.uint8)
+    for p in range(places):
+        rows[:, p] = np.tile(np.repeat(digits, 10 ** (places - 1 - p)),
+                             10 ** p)
+    return rows
+
+
 # '%.9f' from digit tables: the sign and the integer part in one NUL-padded
 # word, then '.ddd', 'dddd' and 'dd'
 _INT_LIMIT = 1000  # integer parts 0..999: '-999' fills the word
-_INT_WORDS = _text([f"{s}{k}" for s in ("", "-") for k in range(_INT_LIMIT)],
-                   4).view("u4").ravel()
-_MILLIS = _text([f".{k:03d}" for k in range(1000)]).view("u4").ravel()
-_TEN_THOUSANDS = _text([f"{k:04d}" for k in range(10000)]).view("u4").ravel()
-_HUNDREDS = _text([f"{k:02d}" for k in range(100)]).view("u2").ravel()
+
+
+def _int_words():
+    """'k', then '-k', for k = 0.._INT_LIMIT - 1, each NUL-padded to one
+    u4 word: k's three digits shifted left past its leading zeros."""
+    k = np.arange(_INT_LIMIT)
+    zeros = 2 - (k >= 10) - (k >= 100)  # '0' keeps its last digit
+    cols = np.arange(4) + zeros[:, None]
+    words = np.zeros((2, _INT_LIMIT, 4), np.uint8)
+    words[0] = np.where(cols < 3, np.take_along_axis(
+        _digits(3), np.minimum(cols, 2), 1), 0)
+    words[1, :, 0] = ord("-")
+    words[1, :, 1:] = words[0, :, :3]
+    return words.reshape(-1, 4).view("u4").ravel()
+
+
+_INT_WORDS = _int_words()
+_MILLIS = np.insert(_digits(3), 0, ord("."), 1).view("u4").ravel()
+_TEN_THOUSANDS = _digits(4).view("u4").ravel()
+_HUNDREDS = _digits(2).view("u2").ravel()
 # each u4 word's table, the unit of its digit group and its field; the
 # hundreds, a u2 word, end the field
 _GROUPS = ((_INT_WORDS, 10 ** 9, "int"), (_MILLIS, 10 ** 6, "d3"),

@@ -1,6 +1,8 @@
 """Fixed-step closed-loop simulation with runtime monitors and logging."""
 
+import itertools
 import math
+import mmap
 import time as _time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -513,10 +515,23 @@ def _log_rows(rows: int, n: int, filled=()):
     """The log's arrays for ``rows`` steps of n robots: times, poses (a row
     more: row k + 1 receives step k's update), controls, phi and regions.
     The arrays of ``filled``, as returned before, are copied into their
-    first rows."""
-    arrays = (np.empty(rows), np.empty((rows + 1, n, 3)),
-              np.empty((rows, n, 5)), np.empty((rows, n)),
-              np.empty(rows, dtype=np.int8))
+    first rows.
+
+    The arrays are cut, one after another, from one anonymous mapping, whose
+    pages the operating system commits as the rows are written: numpy
+    advises 2 MiB pages for an array of 4 MiB or more, and a log reserves
+    rows up to the horizon that a converging run never writes. The float
+    arrays come first, so every offset is a multiple of 8. The mapping is
+    ``mmap``'s default, shared: a forked child writes into the parent's
+    log."""
+    shapes = ((rows,), (rows + 1, n, 3), (rows, n, 5), (rows, n), (rows,))
+    dtypes = (float,) * 4 + (np.int8,)
+    sizes = [math.prod(s) * np.dtype(d).itemsize
+             for s, d in zip(shapes, dtypes)]
+    mapping = mmap.mmap(-1, sum(sizes))
+    offsets = itertools.accumulate(sizes, initial=0)
+    arrays = tuple(np.frombuffer(mapping, d, math.prod(s), offset).reshape(s)
+                   for s, d, offset in zip(shapes, dtypes, offsets))
     for new, old in zip(arrays, filled):
         new[:len(old)] = old
     return arrays

@@ -43,7 +43,7 @@ HERE = os.path.abspath(__file__)
 
 # array makers that numpy does not dispatch on their arguments
 CREATION = ("array", "asarray", "empty", "zeros", "ones", "full",
-            "triu_indices")
+            "frombuffer", "triu_indices")
 UFUNC_METHODS = ("reduce", "accumulate", "reduceat", "outer", "at")
 METHODS = ("all", "any", "max", "min", "sum", "take", "fill", "copy",
            "reshape", "tolist", "nonzero", "cumsum", "item", "tobytes")
@@ -60,11 +60,14 @@ class CallCounts:
     ``fresh`` those that allocate their result: given no ``out``, neither
     by keyword nor as a positional argument past the ufunc's inputs, and
     ``strided`` those given a multi-dimensional operand or ``out`` that is
-    not C-contiguous, which numpy walks at about twice the cost.
+    not C-contiguous, which numpy walks at about twice the cost, and
+    ``mixed`` those that cast some array operand or ``out`` to the dtype of
+    the loop numpy picks (``ufunc.resolve_dtypes``), as a float row paired
+    with a boolean one does.
     """
 
     TALLIES = ("calls", "where", "helpers", "scalar", "broadcast", "fresh",
-               "strided")
+               "strided", "mixed")
 
     def __init__(self):
         for name in self.TALLIES:
@@ -100,9 +103,39 @@ def _caller():
     return f"{module}.{getattr(code, 'co_qualname', code.co_name)}"
 
 
-def _record(name, kwargs, helper=False, operands=None, nin=None):
+def _operand_dtype(x):
+    """What ``ufunc.resolve_dtypes`` takes for operand ``x``: None for an
+    output numpy allocates, a Python number's type (a weak scalar, which
+    takes its partner's dtype), else a dtype, read with no numpy call that
+    the window would count."""
+    if x is None:
+        return None
+    if type(x) in (int, float, complex):
+        return type(x)
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.dtype
+    return np.dtype(type(x))  # a Python bool
+
+
+def _loop_casts(ufunc, operands, out, kwargs):
+    """Whether the loop numpy picks for a call of ``ufunc`` casts one of its
+    array inputs, the first ``ufunc.nin`` of ``operands``, or outputs, the
+    rest of them or ``out``."""
+    outs = operands[ufunc.nin:] or (out if isinstance(out, tuple) else (out,))
+    given = (*operands[:ufunc.nin], *outs,
+             *(None,) * (ufunc.nout - len(outs)))
+    # dtype= fixes the loop's outputs; rendezsim passes no signature=
+    dtype = kwargs.get("dtype")
+    fixed = {} if dtype is None else {"signature": (
+        (None,) * ufunc.nin + (np.dtype(dtype),) * ufunc.nout)}
+    loop = ufunc.resolve_dtypes(tuple(map(_operand_dtype, given)), **fixed)
+    return any(isinstance(x, np.ndarray) and x.dtype != dtype
+               for x, dtype in zip(given, loop))
+
+
+def _record(name, kwargs, helper=False, operands=None, ufunc=None):
     """Count one call; ``operands`` holds a ufunc call's positional
-    arguments, of which the first ``nin`` are its inputs."""
+    arguments, of which the first ``ufunc.nin`` are its inputs."""
     if not _active:
         return
     function = _caller()
@@ -126,8 +159,10 @@ def _record(name, kwargs, helper=False, operands=None, nin=None):
             counts.broadcast[function, name] += 1
         if any(x.ndim > 1 and not x.flags.c_contiguous for x in arrays):
             counts.strided[function, name] += 1
-        if out is None and len(operands) <= nin:
+        if out is None and len(operands) <= ufunc.nin:
             counts.fresh[function, name] += 1
+        if _loop_casts(ufunc, operands, out, kwargs):
+            counts.mixed[function, name] += 1
 
 
 def _plain(x):
@@ -159,7 +194,7 @@ class Counted(np.ndarray):
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method == "__call__":
-            _record(ufunc.__name__, kwargs, operands=inputs, nin=ufunc.nin)
+            _record(ufunc.__name__, kwargs, operands=inputs, ufunc=ufunc)
         else:
             _record(f"{ufunc.__name__}.{method}", kwargs)
         return _call(getattr(ufunc, method), inputs, kwargs)
@@ -190,7 +225,7 @@ class _CountedUfunc:
 
     def __call__(self, *args, **kwargs):
         _record(self._ufunc.__name__, kwargs, operands=args,
-                nin=self._ufunc.nin)
+                ufunc=self._ufunc)
         return _call(self._ufunc, args, kwargs)
 
     def __getattr__(self, name):

@@ -1,5 +1,7 @@
 import dataclasses
 import gc
+import glob
+import mmap
 import os
 import re
 import runpy
@@ -599,13 +601,73 @@ def traced_peak(call):
 CONCATENATING_EXPORT_PEAK = 1_594_873
 
 
+THP = "/sys/kernel/mm/transparent_hugepage"
+
+
+def huge_pages_unasked() -> bool:
+    """Whether the kernel backs memory with huge pages that no one advised:
+    ``[always]`` for anonymous or shared memory, or ``[force]`` or
+    ``[within_size]`` for the latter, at the PMD size or any smaller
+    one."""
+    paths = glob.glob(os.path.join(THP, "*enabled")) + glob.glob(
+        os.path.join(THP, "hugepages-*kB", "*enabled"))
+    texts = []
+    for path in paths:
+        with open(path) as fh:
+            texts.append(fh.read())
+    return any(f"[{mode}]" in t for t in texts
+               for mode in ("always", "force", "within_size"))
+
+
+def smaps():
+    """This process's mappings as (start, end, {field: kB})."""
+    maps = []
+    with open("/proc/self/smaps") as fh:
+        for line in fh:
+            head, *rest = line.split()
+            if not head.endswith(":"):
+                start, end = (int(x, 16) for x in head.split("-"))
+                maps.append((start, end, {}))
+            elif rest[-1:] == ["kB"]:
+                maps[-1][2][head[:-1]] = int(rest[0])
+    return maps
+
+
 class TestWorkingSets:
     """What the run, the export and the metrics hold at once, on the
     48-robot log, and the export on long logs."""
 
     def test_run_keeps_no_distance_table(self):
+        # tracemalloc counts numpy's allocations but not a mapping, so this
+        # sees a table that numpy allocates, not the log's own arrays
         cfg = sparse48_config()
         assert traced_peak(lambda: run(cfg)) < SPARSE48_TABLE_BYTES
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/smaps")
+                        or huge_pages_unasked(),
+                        reason="needs /proc and huge pages only on advice")
+    def test_run_log_commits_only_written_pages(self):
+        # the reference reserves 80,001 rows and writes 11,414: numpy would
+        # advise huge pages for its arrays of 4 MiB or more, and commit the
+        # written rows 2 MiB at a time
+        log = run(parse_scenario(SCENARIO))
+        assert log.n_steps == 11414
+        page = mmap.PAGESIZE
+        spans, written = [], set()
+        for a in (log.times, log.poses, log.controls, log.phi, log.region):
+            # the array as run() made it, and the rows it wrote: up to the
+            # last step, and one pose row more
+            start = a.base.ctypes.data
+            spans.append((start, start + a.base.nbytes))
+            end = start + a.nbytes + (a[0].nbytes if a is log.poses else 0)
+            written.update(range(start // page, (end - 1) // page + 1))
+        held = [fields for lo, hi, fields in smaps()
+                if any(lo < b and a < hi for a, b in spans)]
+        assert held
+        for fields in held:
+            assert fields["AnonHugePages"] == 0
+            assert fields.get("ShmemPmdMapped", 0) == 0
+        assert sum(f["Rss"] for f in held) * 1024 <= len(written) * page
 
     def test_metrics_make_no_copy_of_the_distances(self, sparse48_log):
         log = deriving(sparse48_log)

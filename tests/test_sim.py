@@ -851,12 +851,14 @@ class TestLogGrowth:
         # step 297
         log = run(dataclasses.replace(_rendezvous(), horizon=1e6))
         assert log.n_steps == 298
-        # the whole log, its one extra pose row aside, within the bound; it
-        # holds no pair-distance table, which is derived when read
+        # the whole log, its one extra pose row aside, within the bound: one
+        # mapping holds every array; the log holds no pair-distance table,
+        # which is derived when read
         assert vars(log)["distances"] is None
-        held = sum(getattr(log, name).base.nbytes
+        mapping = log.times.base.base.obj
+        assert all(getattr(log, name).base.base.obj is mapping
                    for name in self.FIELDS if name != "distances")
-        assert held <= sim.LOG_BYTES + log.poses[0].nbytes
+        assert len(mapping) <= sim.LOG_BYTES + log.poses[0].nbytes
 
 
 class TestMetrics:
