@@ -686,13 +686,16 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
 
     switch = np.flatnonzero(region == 1)
     switch_step = int(switch[0]) if switch.size else None
-    return TrajectoryLog(
+    log = TrajectoryLog(
         times=times, poses=traj["pose"], controls=traj["control"],
-        phi=traj["phi"], region=region, distances=distances,
-        monitored=monitored, events=[], switch_step=switch_step,
-        goal_position=values["goal_position"],
+        phi=traj["phi"], region=region, monitored=monitored, events=[],
+        switch_step=switch_step, goal_position=values["goal_position"],
         goal_heading=values["goal_heading"], time_step=values["time_step"],
         sensing_radius=values["sensing_radius"])
+    # the file's distances, closer to the run's than those of its
+    # 9-decimal poses
+    log.distances = distances
+    return log
 
 
 _PLOT_SCRIPT = '''\

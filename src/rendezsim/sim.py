@@ -60,27 +60,6 @@ class Event:
     detail: str
 
 
-class _Distances:
-    """``TrajectoryLog.distances``: the (S, P) table a log was given, such
-    as a loaded file's, or, given None (the default), the table that
-    ``pair_distances`` derives from the log's poses on first read and the
-    log keeps from then on."""
-
-    def __get__(self, log, owner=None):
-        if log is None:
-            return None  # the field's default
-        held = vars(log)["distances"]
-        if held is None:
-            held = np.empty((log.n_steps, len(log.monitored)))
-            for k0, block in log.distance_blocks():
-                held[k0:k0 + len(block)] = block
-            vars(log)["distances"] = held
-        return held
-
-    def __set__(self, log, value):
-        vars(log)["distances"] = value
-
-
 @dataclass
 class TrajectoryLog:
     """Column-oriented record of a run; everything metrics need lives here.
@@ -90,7 +69,9 @@ class TrajectoryLog:
     pairs connected in the initial graph, whose preservation is claimed.
     A run's log keeps no distances: the export and the metrics read them
     through ``distance_blocks``, and ``distances`` derives the whole table
-    on first read.
+    on first read. Assigning ``distances`` makes the log hold that table
+    instead, as a loaded file's log does; it is no field, so
+    ``dataclasses.replace``, ``repr`` and ``==`` neither read nor copy it.
     """
 
     times: np.ndarray        # (S,)
@@ -99,8 +80,6 @@ class TrajectoryLog:
     phi: np.ndarray          # (S, N)
     region: np.ndarray       # (S,) int8: 0 collision-free, 1 rendezvous
     monitored: np.ndarray    # (P,) bool
-    # (S, P), one column per pair of ``pairs``; None derives it (_Distances)
-    distances: np.ndarray = _Distances()
     events: list = field(default_factory=list)
     switch_step: int | None = None
     goal_position: np.ndarray = None
@@ -122,13 +101,22 @@ class TrajectoryLog:
         """The P index pairs (i, j), i < j, 1-based, built on first read."""
         return upper_pairs(self.n_robots)
 
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """(S, P), one column per pair of ``pairs``, derived on first read
+        and kept."""
+        table = np.empty((self.n_steps, len(self.monitored)))
+        for k0, block in self.distance_blocks():
+            table[k0:k0 + len(block)] = block
+        return table
+
     def distance_blocks(self, steps: int | None = None):
         """The distances ``steps`` steps at a time, as (first step, (k, P)
         array) pairs, each array valid until the next: slices of the table
         the log holds, or else ``pair_distances``' blocks, which keep
         nothing. By default a held table is one block, and derived blocks
         fit ``PAIR_BLOCK_BYTES``."""
-        held = vars(self)["distances"]
+        held = vars(self).get("distances")
         if held is None:
             p = len(self.monitored)
             return pair_distances(self.poses, steps or max(

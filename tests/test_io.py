@@ -326,12 +326,14 @@ def synthetic_log():
     phi[2] = [-1e8, 7.5e9, -0.5, 1.0]
     region = np.zeros(steps, dtype=np.int8)
     region[steps // 2:] = 1
-    return TrajectoryLog(
+    log = TrajectoryLog(
         times=np.arange(steps) * 0.005, poses=poses, controls=controls,
-        phi=phi, region=region, distances=distances,
+        phi=phi, region=region,
         monitored=np.array([True, False, True, False, False, True]),
         switch_step=steps // 2, goal_position=np.array([1.5, -0.25]),
         goal_heading=-0.75, time_step=0.005, sensing_radius=2.0)
+    log.distances = distances
+    return log
 
 
 def random_log(steps, n, switch_step):
@@ -340,13 +342,17 @@ def random_log(steps, n, switch_step):
     pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
     region = np.zeros(steps, dtype=np.int8)
     region[switch_step:] = 1
-    return TrajectoryLog(
-        times=np.arange(steps) * 0.01, poses=rng.normal(size=(steps, n, 3)),
-        controls=rng.normal(size=(steps, n, 5)), phi=rng.uniform(size=(steps, n)),
-        region=region,
-        distances=rng.uniform(0.0, 4.0, size=(steps, len(pairs))),
+    poses = rng.normal(size=(steps, n, 3))
+    controls = rng.normal(size=(steps, n, 5))
+    phi = rng.uniform(size=(steps, n))
+    distances = rng.uniform(0.0, 4.0, size=(steps, len(pairs)))
+    log = TrajectoryLog(
+        times=np.arange(steps) * 0.01, poses=poses, controls=controls,
+        phi=phi, region=region,
         monitored=rng.uniform(size=len(pairs)) < 0.3, switch_step=switch_step,
         goal_position=np.zeros(2), time_step=0.01, sensing_radius=2.0)
+    log.distances = distances
+    return log
 
 
 def oracle_files(log):
@@ -407,13 +413,6 @@ def sparse48_log():
     log = run(sparse48_config())
     assert log.n_steps == 201 and len(log.pairs) == 1128
     return log
-
-
-def deriving(log, **fields):
-    """A copy of ``log``, with ``fields`` replaced, that holds no distance
-    table: it derives its distances from its poses, as a fresh run's log
-    does, whatever read the table of ``log`` before."""
-    return dataclasses.replace(log, distances=None, **fields)
 
 
 def wide_log():
@@ -669,19 +668,30 @@ class TestWorkingSets:
             assert fields.get("ShmemPmdMapped", 0) == 0
         assert sum(f["Rss"] for f in held) * 1024 <= len(written) * page
 
+    def test_replace_derives_no_distance_table(self, sparse48_log):
+        # a copy derives its distances from its own poses when read, and
+        # the source keeps none for it
+        log = dataclasses.replace(sparse48_log)
+        peak = traced_peak(
+            lambda: dataclasses.replace(log, times=log.times[:51]))
+        short = dataclasses.replace(log, times=log.times[:51])
+        assert peak < 0.1 * SPARSE48_TABLE_BYTES
+        assert "distances" not in vars(log)
+        assert "distances" not in vars(short)
+
     def test_metrics_make_no_copy_of_the_distances(self, sparse48_log):
-        log = deriving(sparse48_log)
+        log = dataclasses.replace(sparse48_log)
         peak = traced_peak(lambda: compute_metrics(log))
         assert peak < 0.1 * SPARSE48_TABLE_BYTES
 
     def test_export_holds_one_block(self, tmp_path, sparse48_log):
         # 25 whole steps a block of trajectory.csv, 6 of distances.csv;
         # the logs end on shorter blocks, of 1 and 3 steps
-        short = deriving(sparse48_log, **{
+        short = dataclasses.replace(sparse48_log, **{
             name: getattr(sparse48_log, name)[:51] for name in (
                 "times", "poses", "controls", "phi", "region")})
         peaks = [traced_peak(lambda: export_trajectory(log, str(tmp_path)))
-                 for log in (deriving(sparse48_log), short)]
+                 for log in (dataclasses.replace(sparse48_log), short)]
         assert max(peaks) <= CONCATENATING_EXPORT_PEAK
         assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
 

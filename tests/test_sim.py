@@ -854,7 +854,7 @@ class TestLogGrowth:
         # the whole log, its one extra pose row aside, within the bound: one
         # mapping holds every array; the log holds no pair-distance table,
         # which is derived when read
-        assert vars(log)["distances"] is None
+        assert "distances" not in vars(log)
         mapping = log.times.base.base.obj
         assert all(getattr(log, name).base.base.obj is mapping
                    for name in self.FIELDS if name != "distances")
@@ -869,13 +869,13 @@ class TestMetrics:
         controls = np.zeros((s, n, 5))
         phi = np.zeros((s, n))
         region = np.ones(s, dtype=np.int8)
-        distances = np.zeros((s, 1))
-        return TrajectoryLog(
+        log = TrajectoryLog(
             times=times, poses=poses, controls=controls, phi=phi,
-            region=region, distances=distances,
-            monitored=np.array([True]), events=[], switch_step=0,
-            goal_position=np.zeros(2), goal_heading=0.0, time_step=0.1,
-            sensing_radius=2.0)
+            region=region, monitored=np.array([True]), events=[],
+            switch_step=0, goal_position=np.zeros(2), goal_heading=0.0,
+            time_step=0.1, sensing_radius=2.0)
+        log.distances = np.zeros((s, 1))
+        return log
 
     def test_stationary_converged_log(self):
         m = compute_metrics(self._stationary_log())
@@ -937,14 +937,16 @@ class TestMetrics:
         region = np.zeros(steps, dtype=np.int8)
         if switch is not None:
             region[switch:] = 1
+        poses = rng.normal(size=(steps, n, 3))
+        controls = rng.normal(size=(steps, n, 5))
+        phi = rng.uniform(size=(steps, n))
+        distances = rng.uniform(0.0, 4.0, size=(steps, p))
         log = TrajectoryLog(
-            times=np.arange(steps) * 0.01,
-            poses=rng.normal(size=(steps, n, 3)),
-            controls=rng.normal(size=(steps, n, 5)),
-            phi=rng.uniform(size=(steps, n)), region=region,
-            distances=rng.uniform(0.0, 4.0, size=(steps, p)),
+            times=np.arange(steps) * 0.01, poses=poses, controls=controls,
+            phi=phi, region=region,
             monitored=rng.uniform(size=p) < share, switch_step=switch,
             goal_position=np.zeros(2), time_step=0.01, sensing_radius=2.0)
+        log.distances = distances
         free = log.region == 0
         want_min = (float(log.distances[free].min())
                     if free.any() and p else None)
@@ -984,9 +986,11 @@ class TestMetrics:
             monitored=monitored, switch_step=switch,
             goal_position=np.zeros(2), time_step=0.01, sensing_radius=2.0)
         derived = compute_metrics(log)
-        assert vars(log)["distances"] is None  # read by blocks, not kept
+        assert "distances" not in vars(log)  # read by blocks, not kept
         table = log.distances
-        held = compute_metrics(dataclasses.replace(log, distances=table))
+        holding = dataclasses.replace(log)
+        holding.distances = table
+        held = compute_metrics(holding)
         want_min = table[:switch].min()
         want_max = table.max(axis=0)[monitored].max()
         assert np.isnan(want_min) == (nan_step < switch)
