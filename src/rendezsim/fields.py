@@ -32,32 +32,33 @@ def _logistic(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def logistic_negated(y: np.ndarray, minus_zero: np.ndarray,
+def logistic_negated(work: np.ndarray, halves: tuple, minus_zero: tuple,
                      one: np.ndarray, out: np.ndarray,
-                     nonpositive: np.ndarray, e: np.ndarray,
-                     all_nonpositive: bytes) -> np.ndarray:
-    """logistic(-y) elementwise, overflow-safe as ``_logistic`` is.
+                     nonpositive: bool) -> np.ndarray:
+    """logistic(-y) elementwise, overflow-safe as ``_logistic`` is, of the
+    y that the caller has written into the second half of ``work``, a
+    (2, *y.shape) block; ``halves`` are its two halves.
 
     With e = exp(-|y|) that is 1 / (1 + e) where y <= 0 and e / (1 + e)
-    elsewhere; as e <= 1, the numerator is max(e, [y <= 0]), NaN included.
-    Where every y <= 0 it is one / (one + exp(y)), with neither -|y| nor
-    the maximum. ``minus_zero`` holds -0.0 and ``one``
-    1.0 in y's shape, so that no call takes a scalar operand or broadcasts:
-    -0.0 compares as 0 and lends ``copysign`` its sign, -|y|. The result
-    goes into ``out``, the screen into the boolean ``nonpositive`` and e
-    into ``e``, all of y's shape; ``all_nonpositive`` is the bytes of an
-    all-True boolean array of y's shape, which the screen's bytes equal
-    exactly when every y <= 0.
+    elsewhere. Where the caller has found every y <= 0, ``nonpositive``,
+    it is one / (one + exp(y)), with neither -|y| nor a numerator.
+    Elsewhere the numerator is exp(-max(y, 0)): one ``copysign`` turns
+    (max(y, 0), y) into (-max(y, 0), -|y|) and one exp call takes both.
+    The maximum is ``fmax``, which passes the -0.0 over a NaN y: the
+    numerator is then 1, and the NaN of 1 + e, e's own, is the result, as
+    e / (1 + e) gives it. ``minus_zero`` holds -0.0 in ``work``'s shape
+    and in y's, and ``one`` 1.0 in y's, so that no call takes a scalar
+    operand, broadcasts or casts. The result goes into ``out``.
     """
-    np.less_equal(y, minus_zero, nonpositive)
-    if nonpositive.tobytes() == all_nonpositive:
+    numerator, y = halves
+    if nonpositive:
         np.exp(y, out)
         np.add(one, out, out)
         return np.divide(one, out, out)
-    np.exp(np.copysign(y, minus_zero, e), e)
-    # numpy deprecates a positional output for maximum and minimum alone
-    np.maximum(e, nonpositive, out=out)
-    return np.divide(out, np.add(one, e, e), out)
+    minus_zero_work, minus_zero_row = minus_zero
+    np.fmax(y, minus_zero_row, numerator)
+    np.exp(np.copysign(work, minus_zero_work, work), work)
+    return np.divide(numerator, np.add(one, y, y), out)
 
 
 def sigmoid_gain(width: float, eps: float) -> float:

@@ -8,7 +8,6 @@ with weights that are nonnegative whenever the collision factors are absent.
 """
 
 import math
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,9 +59,13 @@ def exponent_row(exponent: float, size: int) -> np.ndarray:
     on every call. A two-dimensional stride-0 operand is slower. The row is
     float even for an int exponent, such as a ``field_exponent`` of 2 set
     in code: numpy would cast an int row into a buffer of stride 8, and
-    its general power loop then misses the square path by an ulp.
+    its general power loop then misses the square path by an ulp. The
+    row is a view of stride 0 on a one-element array, made directly, as
+    ``np.broadcast_to`` would make it at several times the cost.
     """
-    return np.broadcast_to(np.array(float(exponent)), (size,))
+    row = np.ndarray((size,), float, np.array([float(exponent)]), 0, (0,))
+    row.flags.writeable = False
+    return row
 
 
 class Rows:
@@ -71,7 +74,8 @@ class Rows:
     A run of names, one space-separated string, finds the first rows where
     it occurs, so that one call can take several quantities, repeated or
     reordered as it needs them, as one (k, n) operand. Runs once found are
-    remembered: the layouts are constants, and a kernel binds its views
+    remembered: the layouts are constants, so the classes that use them
+    find their runs once, when they are made, and a kernel binds its views
     once per run.
     """
 
@@ -89,10 +93,27 @@ class Rows:
             self.found[run] = slice(row, row + len(run.split()))
         return self.found[run]
 
-    def view(self, block: np.ndarray, run: str) -> np.ndarray:
-        """The rows of ``run`` in ``block``; one name gives one row."""
+    def index(self, run: str):
+        """The index of the rows of ``run`` in a block: a slice, or the row
+        of a run of one name."""
         at = self.at(run)
-        return block[at] if at.stop - at.start > 1 else block[at.start]
+        return at if at.stop - at.start > 1 else at.start
+
+    def first_rows(self, names, missing: str) -> list:
+        """The first row of each of ``names``, or of ``missing`` for a
+        name that has none."""
+        return [self.at(name if name in self.names else missing).start
+                for name in names]
+
+
+def _found(layouts: dict, views: dict) -> dict:
+    """``views``, each a (layout key, run) pair or one call's tuple of them,
+    with each run replaced by its ``Rows.index`` in ``layouts[key]``."""
+    def index(view):
+        key, run = view
+        return key, layouts[key].index(run)
+    return {name: tuple(map(index, view)) if isinstance(view[0], tuple)
+            else index(view) for name, view in views.items()}
 
 
 class QuotientWork:
@@ -103,7 +124,7 @@ class QuotientWork:
     gamma as G, its gradient as (dgx, dgy), lap_gamma as L, beta as B, its
     gradient as (dbx, dby) and its Hessian as (hxx, hyy, hxy); the rule
     writes dp and h0, and a, am, ap and half hold alpha, alpha - 1, alpha +
-    1 and 1/2. The rows of ``changing`` are the ones that ``load`` writes,
+    1 and 1/2. The rows of ``CHANGING`` are the ones that ``load`` writes,
     or that the step kernel fills. The four powers take flat views of
     their blocks and their exponents as ``exponent_row``s: alpha, 1/alpha,
     1/alpha + 1 and alpha - 1, in ``exponents``.
@@ -124,48 +145,57 @@ class QuotientWork:
     # (x, y, x); then f de (x, y) and f times de reversed
     THIRD = Rows("fx fy dx dy h dex dey dex")
     FE = Rows("fdex fdey fex fey")
+    LAYOUTS = dict(q=INPUTS, p=FIRST, c=SECOND, x=THIRD, fe=FE)
+    CHANGING = slice(6, len(INPUTS.names) - 4)
+    # the rows of each layout that hold a constant of alpha
+    CONSTANTS = tuple((key, name, [i for i, row in enumerate(rows.names)
+                                   if row == name])
+                      for key, rows in LAYOUTS.items()
+                      for name in ("a", "am", "ap", "half")
+                      if name in rows.names)
+    # each view a kernel binds, by attribute: a run of one layout's names,
+    # or one call's operands as a tuple of them
+    VIEWS = _found(LAYOUTS, dict(
+        first=(("q", "a a a a am am dgy dgx G G G G G"),
+               ("q", "B B B B dgx dgy dbx dby dbx dby hxx hyy hxy"),
+               ("p", "ab ab ab ab d0x d0y cry crx gdbx gdby gdxx gdyy "
+                "gdxy")),
+        gamma3=("q", "G G G"), beta3=("q", "B B B"), gamma=("q", "G"),
+        dp=("q", "dp dp dp"), h0=("q", "h0"), a3=("q", "a a a"),
+        ap3=("q", "ap ap ap"), half=("q", "half"),
+        second=(("p", "a a a ab ab ab ab d0x d0y"),
+                ("q", "dp dp dp dgx dgy L L dbx dby"),
+                ("c", "dpa dpa dpa f0x f0y ablx ably d1x d1y")),
+        d1=("c", "d1x d1y"), abl=("c", "ablx ably"),
+        f0_d2=("c", "f0x f0y ablx ably"),
+        gdb_gd=("p", "gdbx gdby gdxx gdyy"), crx=("p", "crx"),
+        cry=("p", "cry"), gdxy=("p", "gdxy"), f_d=("x", "fx fy dx dy"),
+        f=("x", "fx fy"),
+        third=(("c", "am dpa dpa dpa"), ("q", "h0 dgx dgy dgx"),
+               ("x", "h dex dey dex")),
+        de=("x", "dex dey dex"), de_xy=("x", "dex dey"),
+        de_yx=("x", "dey dex"), dbeta3=("q", "dbx dby dbx"),
+        fde=("fe", "fdex fdey"), fe_yx=("fe", "fex fey"),
+        d_h=("x", "dx dy h"), h=("x", "h"),
+        fde_fex=("fe", "fdex fdey fex"), fey=("fe", "fey")))
 
     def __init__(self, alpha: float, n: int):
         self.alpha = alpha
         constants = {"a": alpha, "am": alpha - 1.0, "ap": alpha + 1.0,
                      "half": 0.5}
-        layouts = (self.INPUTS, self.FIRST, self.SECOND, self.THIRD, self.FE)
-        blocks = [np.empty((len(rows.names), n)) for rows in layouts]
-        for rows, block in zip(layouts, blocks):
-            for i, name in enumerate(rows.names):
-                if name in constants:
-                    block[i] = constants[name]
-        self.inputs = blocks[0]
-        q, p, c, x, fe = (partial(rows.view, block)
-                          for rows, block in zip(layouts, blocks))
-        self.changing = slice(6, len(self.INPUTS.names) - 4)
-        self.first = (q("a a a a am am dgy dgx G G G G G"),
-                      q("B B B B dgx dgy dbx dby dbx dby hxx hyy hxy"),
-                      p("ab ab ab ab d0x d0y cry crx gdbx gdby gdxx gdyy "
-                        "gdxy"))
-        self.gamma3, self.beta3 = q("G G G"), q("B B B")
-        self.gamma, self.dp, self.h0 = q("G"), q("dp dp dp"), q("h0")
-        self.a3, self.ap3, self.half = q("a a a"), q("ap ap ap"), q("half")
+        blocks = {key: np.empty((len(rows.names), n))
+                  for key, rows in self.LAYOUTS.items()}
+        for key, name, rows in self.CONSTANTS:
+            blocks[key][rows] = constants[name]
+        self.inputs = blocks["q"]
+        for name, view in self.VIEWS.items():
+            setattr(self, name, tuple(blocks[key][at] for key, at in view)
+                    if isinstance(view[0], tuple)
+                    else blocks[view[0]][view[1]])
         self.s, self.root, self.e, self.ar = (np.empty((3, n))
                                               for _ in range(4))
         self.e2, self.e_row, self.root_row = (self.e[:2], self.e[0],
                                               self.root[0])
-        self.second = (p("a a a ab ab ab ab d0x d0y"),
-                       q("dp dp dp dgx dgy L L dbx dby"),
-                       c("dpa dpa dpa f0x f0y ablx ably d1x d1y"))
-        self.d1, self.abl = c("d1x d1y"), c("ablx ably")
-        self.f0_d2, self.gdb_gd = c("f0x f0y ablx ably"), p(
-            "gdbx gdby gdxx gdyy")
-        self.crx, self.cry, self.gdxy = p("crx"), p("cry"), p("gdxy")
-        self.f_d, self.f = x("fx fy dx dy"), x("fx fy")
-        self.third = (c("am dpa dpa dpa"), q("h0 dgx dgy dgx"),
-                      x("h dex dey dex"))
-        self.de, self.de_xy, self.de_yx = (x("dex dey dex"), x("dex dey"),
-                                           x("dey dex"))
-        self.dbeta3 = q("dbx dby dbx")
-        self.fde, self.fe_yx = fe("fdex fdey"), fe("fex fey")
-        self.d_h, self.h = x("dx dy h"), x("h")
-        self.fde_fex, self.fey = fe("fdex fdey fex"), fe("fey")
         self.hess_rows = np.empty((3, n))
         self.hess = (self.hess_rows[0], self.hess_rows[2], self.hess_rows[1])
         self.phi = np.empty(n)
@@ -308,21 +338,26 @@ class JetKernel:
     """Value, gradient and Hessian of every robot's potential, one pass a step.
 
     Built once per run from the scenario and the (n, n) sensing mask: it
-    holds the followers' sensed edges, which only ``set_mask`` changes, and
-    their factors' constants, which ``drop_avoidance`` switches once. Row 0
-    is the informed robot, whose quotient inputs come from
-    ``fields.leader_terms``. The followers' come from one pass over the
-    edge list: the edge terms of each follower are summed over its segment,
-    and a few calls over whole rows turn the sums into the inputs. One take
-    then spreads every robot's inputs over the rows of a ``QuotientWork``,
-    and one ``_quotient_jet`` call covers all.
+    holds the followers' sensed edges, which only ``set_mask`` changes (a
+    kernel built with no mask has none until ``set_mask`` gives it some),
+    and their factors' constants, which ``drop_avoidance`` switches once.
+    Row 0 is the informed robot, whose quotient inputs come from
+    ``fields.leader_terms``. The followers' come from two passes. The pair
+    pass takes each sensed pair once, on rows of the factors [b, B]: b(d),
+    B(d), their log-derivatives and the edge's slope t and curvature weight
+    w depend on the pair's distance alone, so two followers that sense each
+    other share them. One take spreads them over the directed edges, and
+    the edge pass sums each follower's edge terms over its segment; a few
+    calls over whole rows turn the sums into the inputs. One take then
+    spreads every robot's inputs over the rows of a ``QuotientWork``, and
+    one ``_quotient_jet`` call covers all.
 
     A step's cost is numpy's fixed cost per call, so each call applies one
     ufunc to one C-contiguous block that holds every operand it can take:
     a scalar operand is a row of its partner's shape, independent products
     of one level share a call, a quantity paired with several others is
-    repeated in rows, every temporary has a preallocated row (the edge
-    pass's here, rebuilt with the edge list) and every view is bound once.
+    repeated in rows, every temporary has a preallocated row (the two
+    passes' here, rebuilt with the edge list) and every view is bound once.
     The informed robot's scenario constants (``fields.leader_constants``)
     are computed once. A call returns rows of the kernel, valid until the
     next.
@@ -334,119 +369,162 @@ class JetKernel:
     # and the products of b, B and b
     COMPACT = Rows("gx gy cx cy cxy tx ty ox oy G",
                    "dgx dgy B B dbx dby hxx hyy hxy L Pb PB Pb")
+    # the compact rows that the calls over whole rows take, in their order
+    POST = tuple(map(COMPACT.index, (
+        "ox oy", "dgx dgy", "cx cy", "tx ty", "Pb PB", "PB Pb", "B B",
+        "gx gy", "dbx dby", "hxx hyy", "gx", "gy", "hxy", "hxx hyy hxy",
+        "cx cy cxy", "B")))
+    # lap_gamma, the informed robot's inputs (G to hxy), the sums and the
+    # products
+    LAP = COMPACT.index("L")
+    LEADER = slice(COMPACT.at("G").start, COMPACT.at("L").start)
+    SUMS, PRODUCTS = slice(COMPACT.at("G").stop), COMPACT.at("Pb PB Pb")
+    # the pair pass's rows, one column per sensed pair (a, b), a < b:
+    # -0.0 four times; the gathered distance twice, offset p_a - p_b (x, y)
+    # and its square length; the offset negated; the logistic's work,
+    # max(y, 0) and y = (d - center) gain of [b, B]; the distance floor;
+    # 1 - s and s of [b, B]; t = l1 / d and w = (l2 - t) / d^2; the
+    # log-derivatives c1 (1 - s) and c2 s (1 - s) of [b, B], their sums l1,
+    # a row of no use and l2; l2 - t and d^2; the constants (center, gain,
+    # c1 and c2 of [b, B]); and 1.0 twice. The screen compares (y, the
+    # floor) with (-0.0, the distance) in one call
+    PAIRS = 41
+    # the edge pass's rows, one column per directed edge (i, j): the terms
+    # whose segment sums are ``sums``, in their order (t (p - q_j) (x, y),
+    # w (p - q_j) (x x, y y), w x y, t twice, p - q_j (x, y), |p - q_j|^2),
+    # the factors [b, B, b] and w twice, then w (p - q_j) (x, y) in place;
+    # the spread writes rows 5-14 from these pair rows, p - q_j from the
+    # offset or, 3 rows on, its negation
+    SPREAD = np.array([20, 20, 6, 7, 8, 18, 19, 18, 21, 21])
+    EDGES = 15
+    # the rows of ``pairs`` that the pair rows' take gathers: the distance
+    # twice, the offset and its square length
+    GATHER = np.array([3, 3, 0, 1, 2])
+    # the compact row that each changing row of the quotient's inputs
+    # takes, the row of its name; dp and h0, which the rule writes, any row
+    SPREAD_FROM = np.array(COMPACT.first_rows(
+        QuotientWork.INPUTS.names[QuotientWork.CHANGING], "L"))
 
-    def __init__(self, cfg: ScenarioConfig, mask: np.ndarray, upper: tuple):
+    def __init__(self, cfg: ScenarioConfig, mask: np.ndarray | None,
+                 upper: tuple):
         self.cfg = cfg
         self.leader_const = leader_constants(cfg)
         # row 0's phi comes from the quotient rule. The traced benchmark
         # (rendezbench/run.py) divides by the calls of the scalar navigation
         # function, so a kernel makes one: its value at the goal, 0
         navfunc_leader(cfg.goal_position, cfg, self.leader_const)
-        # (center, gain, c1, c2) of the edge pass's factors [b, B, b]
-        b, c = edge_factors(cfg)
-        self.factors = (b, c, b)
-        n = self.n = len(mask)
+        # (center, gain, c1, c2) of the pair pass's factors [b, B]
+        self.factors = edge_factors(cfg)
+        n = self.n = cfg.n_robots if mask is None else len(mask)
         self.quotient = QuotientWork(cfg.field_exponent, n)
-        rows = self.COMPACT
         # zeros: column 0 of the sums is never written, and the calls over
         # whole rows read it
-        self.compact = np.zeros((len(rows.names), n))
-        view = partial(rows.view, self.compact)
-        self.lap = view("L")
-        self.leader = self.compact[rows.at("G").start:rows.at("L").start, 0]
-        # spread: each changing row of the quotient's inputs takes the
-        # compact row of its name, dp and h0 any row
-        names = QuotientWork.INPUTS.names[self.quotient.changing]
-        source = [rows.at(name if name in rows.names else "L").start
-                  for name in names]
-        self.spread_at = (np.array(source)[:, None] * n + np.arange(n))
-        self.spread = self.quotient.inputs[self.quotient.changing]
-        f = self.compact[:, 1:]
-        self.sums = f[:rows.at("G").stop]
-        self.products = view("Pb PB Pb")[:, 1:]
-        self.post = (view("ox oy"), view("dgx dgy"), view("cx cy"),
-                     view("tx ty"), view("Pb PB"), view("PB Pb"),
-                     view("B B"), view("gx gy"), view("dbx dby"),
-                     view("hxx hyy"), view("gx"), view("gy"), view("hxy"),
-                     view("hxx hyy hxy"), view("cx cy cxy"), view("B"))
+        compact = self.compact = np.zeros((len(self.COMPACT.names), n))
+        self.lap = compact[self.LAP]
+        self.lap[0] = 2.0
+        self.leader = compact[self.LEADER, 0]
+        self.spread_at = np.add.outer(np.multiply(self.SPREAD_FROM, n),
+                                      np.arange(n))
+        self.spread = self.quotient.inputs[QuotientWork.CHANGING]
+        self.sums = compact[self.SUMS, 1:]
+        self.products = compact[self.PRODUCTS, 1:]
+        self.post = tuple(compact[at] for at in self.POST)
         # index of each robot pair {i, j} among the upper pairs (a, b), a < b,
         # in np.triu_indices order, ``upper``: the order of a call's pair
         # columns
-        self.n_pairs = len(upper[0])
-        self.pair_index = np.zeros((n, n), dtype=np.intp)
-        self.pair_index[upper] = self.pair_index.T[upper] = np.arange(
-            self.n_pairs)
-        self.set_mask(mask)
+        p = self.n_pairs = len(upper[0])
+        pair_index = np.zeros((n, n), dtype=np.intp)
+        pair_index[upper] = pair_index.T[upper] = np.arange(p)
+        # the followers' rows of it, flat as a mask's rows 1.. are, and
+        # which of their pairs (i, j) have i > j
+        self.pair_flat = pair_index[1:].reshape(-1)
+        self.lower_flat = np.tri(n, n, -1, dtype=bool)[1:].reshape(-1)
+        self.gather_rows = np.multiply(self.GATHER, p)
+        self.factor_column = np.array([[v] for pair in zip(*self.factors)
+                                       for v in pair])
+        if mask is not None:
+            self.set_mask(mask)
 
     def set_mask(self, mask: np.ndarray) -> None:
-        """Rebuild the edge list from the (n, n) sensing mask.
+        """Rebuild the edge list and the sensed pairs from the (n, n)
+        sensing mask.
 
         The list holds every directed edge (i, j) with mask[i, j] and i >= 1
         in row-major order, so follower i's edges are one segment starting
-        at ``starts[i - 1]``: the edge's upper pair, and the sign that turns
-        that pair's offset p_a - p_b into p_i - p_j. Raises ValueError when a
+        at ``starts[i - 1]``. The sensed pairs are the upper pairs (a, b)
+        with an edge either way, in upper-pair order: a pair that two
+        followers sense is one column of the pair pass, and an edge takes
+        its pair's column, with the offset p_a - p_b for i = a and its
+        negation for i = b, which is p_i - p_j. Raises ValueError when a
         follower senses no one.
         """
         degree = mask[1:].sum(axis=1)
         if not degree.all():
             raise ValueError("follower has no neighbors; the initial graph "
                              "must give every follower at least one parent")
-        self.lap[...] = 2.0 * np.concatenate(([1], degree))
-        rows, cols = np.nonzero(mask[1:])
-        rows += 1
-        pair = self.pair_index[rows, cols]
-        self.starts = np.concatenate(([0], np.cumsum(degree)[:-1]))
-        n_edges = len(rows)
-        p = self.n_pairs
-        # per edge: the terms whose segment sums are ``sums``, in their
-        # order (t (p - q_j) (x, y), w (p - q_j) (x x, y y), w x y, t twice,
-        # p - q_j (x, y), |p - q_j|^2), then the distance three times; the
-        # last six are gathered from the pair rows (x, y, |.|^2, d)
-        edges = self.edges = np.empty((13, n_edges))
-        self.terms, self.gathered = edges[:10], edges[7:]
-        self.gather_at = np.array([pair, pair + p, pair + 2 * p] + [
-            pair + 3 * p] * 3)
+        self.lap[1:] = 2.0 * degree
+        self.starts = np.subtract(np.cumsum(degree), degree)
+        # each edge (i, j) as (i - 1) n + j, its pair, and the pair's column
+        # among the sensed pairs, numbered in ``slot``
+        edge = mask[1:].ravel().nonzero()[0]
+        pair = self.pair_flat.take(edge)
+        slot = np.zeros(self.n_pairs, dtype=np.intp)
+        slot[pair] = 1
+        sensed_pairs = slot.nonzero()[0]
+        u = len(sensed_pairs)
+        slot[sensed_pairs] = np.arange(u)
+        self.gather_at = np.add.outer(self.gather_rows, sensed_pairs)
+        # the spread's pair rows, at the edge's column; edges with i > j
+        # take the negated offset, 3 rows past the offset
+        edge_at = self.edge_at = np.add.outer(np.multiply(self.SPREAD, u),
+                                              slot.take(pair))
+        edge_at[2:4] += np.multiply(self.lower_flat.take(edge), 3 * u)
+        block = self.pair_rows = np.empty((self.PAIRS, u))
+        block[0:4] = -0.0
+        self.minus_zero = (block[0:4].reshape(2, 2, u), block[0:2])
+        self.gathered, self.d, self.dist = block[4:9], block[4:6], block[4]
+        self.offset, self.negated = block[6:8], block[9:11]
+        self.work = block[11:15].reshape(2, 2, u)
+        self.halves = (block[11:13], block[13:15])
+        self.y = block[13:15]
+        block[15] = DISTANCE_FLOOR
+        # one screen: y <= -0.0, and the floor <= the distance
+        self.screened, self.bounds = block[13:16], block[2:5]
+        self.screen = np.empty((3, u), dtype=bool)
+        self.near = self.screen[2]
+        self.all_pass, self.all_near = b"\x01" * (3 * u), b"\x01" * u
+        self.om_s, self.one_minus, self.s = (block[16:20], block[16:18],
+                                             block[18:20])
+        self.t, self.w = block[20], block[21]
+        self.l, self.l2_factors = block[22:26], block[24:26]
+        # l1 (b + B), a row of no use, l2 (b + B)
+        self.summed = block[26:29]
+        self.heads, self.tails = self.l[0:3], self.l[1:4]
+        self.l1, self.l2 = self.summed[0], self.summed[2]
+        self.top, self.square = block[29], block[30]
+        self.constants = block[31:39]
+        self.center, self.gain, self.c = (block[31:33], block[33:35],
+                                          block[35:39])
+        self.constants[...] = self.factor_column
+        self.one = block[39:41]
+        self.one[...] = 1.0
+        edges = self.edges = np.empty((self.EDGES, len(edge)))
+        self.terms, self.from_pairs = edges[:10], edges[5:15]
         self.g, self.curvature, self.xy = edges[0:2], edges[2:4], edges[4]
-        self.t, self.m = edges[5:7], edges[7:9]
-        self.m_y, self.dist_rows, self.d = edges[8], edges[10:12], edges[10:]
-        self.sign = np.tile(np.where(rows < cols, 1.0, -1.0), (2, 1))
-        self.floor = np.full((2, n_edges), DISTANCE_FLOOR)
-        # the factors [b, B, b]: rows of center, gain, c1 and c2, three each,
-        # and c = (c1, c2) times (1 - s, s); rows 0-1 of the log-derivatives
-        # plus rows 1-2 are b's plus B's twice over, with no reversed view
-        self.constants = np.repeat(np.transpose(self.factors).reshape(12, 1),
-                                   n_edges, axis=1)
-        self.center, self.gain, self.c = np.split(self.constants, [3, 6])
-        self.y = np.empty((3, n_edges))
-        self.om_s = np.empty((6, n_edges))
-        self.one_minus, self.s = self.om_s[:3], self.om_s[3:]
-        self.l = np.empty((6, n_edges))
-        self.l2_factors = self.l[3:]
-        self.minus_zero = np.full((3, n_edges), -0.0)
-        self.one = np.ones((3, n_edges))
-        self.logistic = (np.empty((3, n_edges), dtype=bool),
-                         np.empty((3, n_edges)),
-                         np.ones((3, n_edges), dtype=bool).tobytes())
-        # l1 (b + B twice), a row of no use, l2 (b + B twice)
-        self.summed = np.empty((5, n_edges))
-        self.heads, self.tails = self.l[0:5], self.l[1:6]
-        self.l1, self.l2 = self.summed[0:2], self.summed[3:5]
-        # per edge, twice: the floor screen, d^2, l2 - t, w and w (p - q_j)
-        self.near = np.empty((2, n_edges), dtype=bool)
-        self.all_near = np.ones((2, n_edges), dtype=bool).tobytes()
-        self.square, self.top, self.w, self.wm = (np.empty((2, n_edges))
-                                                  for _ in range(4))
-        self.wm_x = self.wm[0]
+        self.t_edges, self.m, self.m_y = edges[5:7], edges[7:9], edges[8]
+        self.factor_rows, self.w_edges = edges[10:13], edges[13:15]
+        self.wm_x = edges[13]
 
     def drop_avoidance(self) -> None:
-        """Write the constant factor 1 into B's rows, which every later edge
-        list keeps: the region switch, which latches. Center +inf and gain 1
-        give s = 1 at every finite distance, and c1 = c2 = -0.0 give
-        log-derivatives of -0.0, so b times 1 and l + -0.0 are b's values
-        bit for bit, by the same calls as with avoidance."""
-        b, _, _ = self.factors
-        self.factors = (b, (math.inf, 1.0, -0.0, -0.0), b)
-        self.constants[1::3] = np.reshape(self.factors[1], (4, 1))
+        """Write the constant factor 1 into B's rows of the pair pass, which
+        every later rebuild keeps: the region switch, which latches. Center
+        +inf and gain 1 give s = 1 at every finite distance, and c1 = c2 =
+        -0.0 give log-derivatives of -0.0, so b times 1 and l + -0.0 are
+        b's values bit for bit, by the same calls as with avoidance."""
+        b, _ = self.factors
+        self.factors = (b, (math.inf, 1.0, -0.0, -0.0))
+        self.factor_column[1::2] = [[v] for v in self.factors[1]]
+        self.constants[1::2] = self.factor_column[1::2]
 
     def __call__(self, position, pairs: np.ndarray):
         """phi, gradient (x, y) and Hessian (xx, xy, yy) of every robot.
@@ -455,9 +533,9 @@ class JetKernel:
         ``pairs`` (4, P) holds the offset p_a - p_b (x, y), its square
         length and the distance of each upper pair (a, b), a < b, in the
         order of np.triu_indices. Follower i gathers only the pairs of its
-        own edges, which keeps the law decentralized. Each edge's b(d) and
-        B(d) are evaluated once and serve both the logged value (the
-        regional potential) and its derivatives, by the formulas of
+        own edges, which keeps the law decentralized. Each sensed pair's
+        b(d) and B(d) are evaluated once and serve both the logged value
+        (the regional potential) and its derivatives, by the formulas of
         ``fields.follower_terms``.
         """
         gamma, (gx, gy), beta, (bx, by), (hxx, hxy, hyy) = leader_terms(
@@ -470,36 +548,45 @@ class JetKernel:
         return phi, grad, hess
 
     def _followers(self, pairs):
-        """Fill columns 1.. of the compact inputs."""
+        """Fill columns 1.. of the compact inputs: the pair pass over the
+        sensed pairs, then the edge pass over the edge list."""
+        # the pair pass: s = logistic(-y) of y = (d - center) gain
         pairs.take(self.gather_at, None, self.gathered, "clip")
-        m = np.multiply(self.m, self.sign, self.m)
+        np.negative(self.offset, self.negated)
         y = np.subtract(self.d, self.center, self.y)
-        y *= self.gain
-        s = logistic_negated(y, self.minus_zero, self.one, self.s,
-                             *self.logistic)
-        np.multiply.reduceat(s, self.starts, axis=-1, out=self.products)
+        np.multiply(y, self.gain, y)
+        # one screen: every y <= 0 and every distance at or above the floor
+        # (none NaN); when it fails, the distances' part says which
+        np.less_equal(self.screened, self.bounds, self.screen)
+        passed = self.screen.tobytes() == self.all_pass
+        near = passed or self.near.tobytes() == self.all_near
+        s = logistic_negated(self.work, self.halves, self.minus_zero,
+                             self.one, self.s, passed)
         np.subtract(self.one, s, self.one_minus)
         np.multiply(self.c, self.om_s, self.l)
         np.multiply(self.l2_factors, self.one_minus, self.l2_factors)
-        # b's and B's terms in either order: + is commutative bit for bit
+        # b's and B's terms: + is commutative bit for bit
         np.add(self.heads, self.tails, self.summed)
-        l1, l2 = self.l1, self.l2
-        # edge slopes l_j / d_j and curvatures, each twice; edges under the
+        # the pair's slope l1 / d and curvature weight; pairs under the
         # floor add none, and a NaN distance takes the masked divides too
-        d2, t, w = self.dist_rows, self.t, self.w
-        top, square = self.top, self.square
-        near = np.greater_equal(d2, self.floor, self.near)
-        np.multiply(d2, d2, square)
-        if near.tobytes() == self.all_near:
-            np.divide(l1, d2, t)
-            np.divide(np.subtract(l2, t, top), square, w)
+        d, t, w, top, square = self.dist, self.t, self.w, self.top, self.square
+        np.multiply(d, d, square)
+        if near:
+            np.divide(self.l1, d, t)
+            np.divide(np.subtract(self.l2, t, top), square, w)
         else:
             t.fill(0.0)
             w.fill(0.0)
-            np.divide(l1, d2, t, where=near)
-            np.divide(np.subtract(l2, t, top), square, w, where=near)
-        np.multiply(t, m, self.g)
-        wm = np.multiply(w, m, self.wm)
+            np.divide(self.l1, d, t, where=self.near)
+            np.divide(np.subtract(self.l2, t, top), square, w,
+                      where=self.near)
+        # the edge pass: each edge's pair results, p - q_j among them
+        self.pair_rows.take(self.edge_at, None, self.from_pairs, "clip")
+        np.multiply.reduceat(self.factor_rows, self.starts, axis=-1,
+                             out=self.products)
+        m = self.m
+        np.multiply(self.t_edges, m, self.g)
+        wm = np.multiply(self.w_edges, m, self.w_edges)
         np.multiply(wm, m, self.curvature)
         np.multiply(self.wm_x, self.m_y, self.xy)
         np.add.reduceat(self.terms, self.starts, axis=-1, out=self.sums)

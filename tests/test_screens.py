@@ -19,7 +19,7 @@ from rendezsim import RegionFlag, run, sim
 from rendezsim.control import ControlWork, control_laws
 from rendezsim.fields import region_of
 from rendezsim import gradients
-from rendezsim.fields import logistic_negated
+from rendezsim.fields import edge_factors, logistic_negated
 from rendezsim.gradients import (DISTANCE_FLOOR, JetKernel, QuotientWork,
                                  _one_robot_jet, _quotient_jet, exponent_row)
 from rendezsim.model import TWO_PI, turn_angles, turn_rows
@@ -229,11 +229,25 @@ class TestQuotientRule:
             assert same_bits(e, e_rows[0])
 
 
-def logistic_before(y, minus_zero, one, out, nonpositive, e,
-                    all_nonpositive):
+def logistic_before(work, halves, minus_zero, one, out, nonpositive):
     """``logistic_negated`` by the formula it replaced, into ``out``."""
-    out[...] = logistic_array_before(-y)
+    out[...] = logistic_array_before(-work[1])
     return out
+
+
+def logistic_negated_before(y, minus_zero, one, out, nonpositive, e,
+                            all_nonpositive):
+    """``logistic_negated`` before its work block: a screen of its own for
+    every y <= 0, and the maximum of e with the boolean screen row, which
+    casts, where the screen fails."""
+    np.less_equal(y, minus_zero, nonpositive)
+    if nonpositive.tobytes() == all_nonpositive:
+        np.exp(y, out)
+        np.add(one, out, out)
+        return np.divide(one, out, out)
+    np.exp(np.copysign(y, minus_zero, e), e)
+    np.maximum(e, nonpositive, out=out)
+    return np.divide(out, np.add(one, e, e), out)
 
 
 class TestLogisticNegated:
@@ -241,17 +255,25 @@ class TestLogisticNegated:
                math.nan, -math.nan]
 
     @staticmethod
-    def negated(z):
+    def negated(z, nonpositive=False):
         y = -np.asarray(z, dtype=float)
-        return logistic_negated(y, np.full(y.shape, -0.0), np.ones(y.shape),
-                                np.empty(y.shape),
-                                np.empty(y.shape, dtype=bool),
-                                np.empty(y.shape),
-                                np.ones(y.shape, dtype=bool).tobytes())
+        work = np.empty((2, *y.shape))
+        work[1] = y
+        minus_zero = np.full(work.shape, -0.0)
+        return logistic_negated(work, tuple(work), (minus_zero, minus_zero[0]),
+                                np.ones(y.shape), np.empty(y.shape),
+                                nonpositive)
+
+    @staticmethod
+    def negated_before(y):
+        return logistic_negated_before(
+            y, np.full(y.shape, -0.0), np.ones(y.shape), np.empty(y.shape),
+            np.empty(y.shape, dtype=bool), np.empty(y.shape),
+            np.ones(y.shape, dtype=bool).tobytes())
 
     @pytest.mark.parametrize("z", SPECIAL)
     def test_special_values(self, z):
-        # alone, and beside a value that sends the row to the other path
+        # alone, and beside a value of the other sign
         for row in ([z], [z, 1.0], [z, -1.0]):
             assert same_bits(self.negated(row),
                              logistic_array_before(np.array(row)))
@@ -261,14 +283,50 @@ class TestLogisticNegated:
         z = np.concatenate([rng.normal(0.0, 20.0, (2, 500)),
                             rng.uniform(-1e-15, 1e-15, (2, 50))], axis=1)
         assert same_bits(self.negated(z), logistic_array_before(z))
-        # every argument >= 0: the screened branch
-        assert same_bits(self.negated(np.abs(z)),
-                         logistic_array_before(np.abs(z)))
+        # every argument >= 0, -0.0 among them: the screened branch and the
+        # general one
+        z = np.abs(z)
+        z[0, :3] = -0.0
+        for nonpositive in (True, False):
+            assert same_bits(self.negated(z, nonpositive),
+                             logistic_array_before(z))
 
     def test_nan_signs(self):
         nan = np.array([math.nan, -math.nan, np.copysign(math.nan, -1.0)])
         for z in (nan, nan[::-1]):
             assert same_bits(self.negated(z), logistic_array_before(z))
+
+    @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
+                                        RegionFlag.RENDEZVOUS])
+    def test_edge_arguments_match_the_form_before(self, region):
+        # the kernel's y = (d - center) gain through both branches against
+        # the screened, casting form before, on the edge inputs: d at each
+        # center (y = -0.0 or +0.0), distances far enough out that exp
+        # underflows to 0 both ways, NaN, and drop_avoidance's B of center
+        # +inf and gain 1, where every y is -inf
+        cfg = small_config()
+        kernel = JetKernel(cfg, ~np.eye(2, dtype=bool), np.triu_indices(2, 1))
+        if region is RegionFlag.RENDEZVOUS:
+            kernel.drop_avoidance()
+        (cb, kb, _, _), (cc, kc, _, _) = kernel.factors
+        assert kernel.factors[0] == edge_factors(cfg)[0]
+        d = np.array([cb, cc, 0.0, 1e-300, 800.0 / abs(kb), 1e3, 1e6,
+                      math.nan, -math.nan, math.inf, 1.3, 0.1])
+        with np.errstate(invalid="ignore"):
+            y = (np.array([d, d]) - np.array([[cb], [cc]])) * np.array(
+                [[kb], [kc]])
+        assert (np.exp(-np.abs(y[np.isfinite(y)])) == 0.0).any()
+        if region is RegionFlag.RENDEZVOUS:
+            assert np.all(y[1][np.isfinite(d)] == -math.inf)
+        else:
+            assert y[0, 0] == 0.0 and y[1, 1] == 0.0
+        # on a row alone, and in the kernel's (2, n) block; the screened
+        # branch too where every y <= 0, as the kernel's screen finds it
+        for rows in (y[:, :1], y[:, 2:3], y[:, 7:8], y[:, 4:5], y):
+            expected = self.negated_before(rows)
+            assert same_bits(self.negated(-rows), expected)
+            if np.all(rows <= -0.0):
+                assert same_bits(self.negated(-rows, True), expected)
 
 
 class TestFollowerDivides:
@@ -360,11 +418,11 @@ class TestFollowerDivides:
                 kernel.set_mask(topo.adjacency)
             kernel(self.CLOSE[0, :2], pairs)
             assert (kernel.s[1] == 1.0).all(), rebuilt
-            l1_b, l2_b = kernel.l[0], kernel.l[3]
+            l1_b, l2_b = kernel.l[0], kernel.l[2]
             assert np.any(np.signbit(l1_b) & (l1_b == 0.0))
             assert np.any(np.signbit(l2_b) & (l2_b == 0.0))
             for summed, b in ((kernel.summed[0], l1_b),
-                              (kernel.summed[3], l2_b)):
+                              (kernel.summed[2], l2_b)):
                 assert same_bits(summed, b), rebuilt
 
 
@@ -388,12 +446,12 @@ class TestKernelLogistic:
         kernel = JetKernel(cfg, mask, upper)
         positive = []
 
-        def spy(y, *rows):
-            positive.append(np.count_nonzero(y > 0.0))
-            return logistic_negated(y, *rows)
+        def spy(work, *rows):
+            positive.append(np.count_nonzero(work[1] > 0.0))
+            return logistic_negated(work, *rows)
         monkeypatch.setattr(gradients, "logistic_negated", spy)
         got = [np.array(x, dtype=float) for x in kernel(*args)]
-        assert positive == [2]  # the pair, once from each side
+        assert positive == [1]  # the pair, once for both its edges
         monkeypatch.setattr(gradients, "logistic_negated", logistic_before)
         expected = [np.array(x, dtype=float) for x in kernel(*args)]
         for a, b in zip(got, expected):

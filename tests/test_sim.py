@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from rendezsim import (RegionFlag, RobotState, ScenarioConfig, Topology,
-                       TrajectoryLog, compute_metrics, gradients,
-                       monitor_invariants, run, seeded_deployment, sim, step)
+                       TrajectoryLog, build_topology, compute_metrics,
+                       gradients, monitor_invariants, run, seeded_deployment,
+                       sim, step)
 from rendezsim.control import compute_control
 from rendezsim.gradients import JetKernel
 from rendezsim.model import normalize_angle
@@ -15,7 +16,7 @@ from rendezsim.sim import AssumptionError, MonitorViolation, fit_decay_rate
 
 from conftest import make_states, small_config
 from oracles import integrate_copy, integrate_pose
-from test_step_cost import _reference, _rendezvous
+from test_step_cost import _dense48, _reference, _rendezvous, _sparse48
 
 
 class TestIntegrator:
@@ -360,9 +361,11 @@ class TestArrayCore:
 
 
 class TestEdgeList:
-    """The followers' pass of the step kernel works on the sensed edges
-    alone: one column per directed edge (i, j), i >= 1, in row-major order,
-    gathered from the upper pairs' offsets and distances."""
+    """The followers' passes of the step kernel work on the sensed edges
+    alone: the pair pass has one column per upper pair (a, b) that some
+    follower senses, gathered from the upper pairs' offsets and distances,
+    and the edge pass one column per directed edge (i, j), i >= 1, in
+    row-major order, which takes its pair's column."""
 
     def test_one_column_per_sensed_edge(self):
         n = 48
@@ -377,10 +380,17 @@ class TestEdgeList:
         kernel = sim.StepKernel(cfg, mask)
         jets = kernel.jets
         edges = mask[1:].sum()
+        a, b = np.triu_indices(n, 1)
+        # a pair is sensed by a follower either way; the leader senses none
+        sensed = ((a > 0) & mask[a, b]) | mask[b, a]
+        a, b = a[sensed], b[sensed]
         assert 0 < edges < n * (n - 1) / 4
-        assert jets.m.shape == jets.dist_rows.shape == jets.w.shape
+        assert len(a) < edges  # pairs that two followers sense, once
+        assert jets.m.shape == jets.t_edges.shape == jets.w_edges.shape
         assert jets.m.shape == (2, edges)
         assert jets.terms.shape == (10, edges)
+        assert jets.d.shape == (2, len(a))
+        assert jets.t.shape == jets.w.shape == (len(a),)
 
         poses = np.array([[*s.position, s.heading] for s in states])
         kernel.poses[...] = poses
@@ -389,11 +399,58 @@ class TestEdgeList:
         kernel.theta_d[...] = poses[:, 2]
         kernel(poses[0, :2].tolist())
         i, j = np.nonzero(mask[1:])
-        gap = poses[i + 1, :2] - poses[j, :2]
+        i += 1
+        gap = poses[i, :2] - poses[j, :2]
         assert np.array_equal(jets.m, gap.T)
-        for d in jets.dist_rows:  # twice, as the edge slopes are
-            assert np.array_equal(d, np.sqrt(gap[:, 0] * gap[:, 0]
-                                             + gap[:, 1] * gap[:, 1]))
+        gx, gy = (poses[a, :2] - poses[b, :2]).T
+        for d in jets.d:  # twice, as the factors [b, B] are
+            assert np.array_equal(d, np.sqrt(gx * gx + gy * gy))
+        # each edge carries its pair's slope and curvature weight, twice;
+        # the weight's rows then hold it times p - q_j
+        column = {pair: c for c, pair in enumerate(zip(a.tolist(),
+                                                       b.tolist()))}
+        of_edge = [column[min(e), max(e)] for e in zip(i.tolist(), j.tolist())]
+        for row in jets.t_edges:
+            assert np.array_equal(row, jets.t[of_edge])
+        assert np.array_equal(jets.w_edges, jets.w[of_edge] * gap.T)
+
+
+    @pytest.mark.parametrize("make", [_reference, _dense48, _sparse48])
+    def test_run_takes_the_initial_graph_from_the_pair_rows(self, make,
+                                                            monkeypatch):
+        # run() builds the initial mask from the upper pairs' distances, not
+        # through graph.build_topology's N x N table: the same edges
+        cfg = make()
+        masks = []
+        set_mask = JetKernel.set_mask
+
+        def record(kernel, mask):
+            masks.append(mask.copy())
+            set_mask(kernel, mask)
+        monkeypatch.setattr(JetKernel, "set_mask", record)
+        run(dataclasses.replace(cfg, horizon=cfg.time_step))
+        assert len(masks) == 1
+        assert np.array_equal(masks[0], sim.initial_topology(cfg).adjacency)
+
+    def test_pair_row_mask_is_build_topologys(self):
+        # pairs at the sensing radius to the bit, and an ulp inside and
+        # outside it, are edges exactly where build_topology says so
+        rng = np.random.default_rng(4)
+        n, radius = 12, 2.0
+        xy = rng.uniform(-3.0, 3.0, (n, 2))
+        # robot 1 at the origin, so that these offsets are exact
+        xy[0] = 0.0
+        xy[1] = (radius, 0.0)
+        xy[2] = (0.0, math.nextafter(radius, 0.0))
+        xy[3] = (-math.nextafter(radius, 3.0), 0.0)
+        xy[4] = (1.2, 1.6)  # about 2, rounded by sqrt(x * x + y * y)
+        states = make_states([(x, y, 0.0) for x, y in xy.tolist()])
+        upper = np.triu_indices(n, 1)
+        work = sim.PairWork(sim._pose_array(states), upper)
+        mask = sim._sensing_mask(sim._offsets(work)[3], upper, n, radius)
+        assert np.array_equal(mask,
+                              build_topology(states, radius).adjacency)
+        assert not mask[0, 1] and mask[0, 2] and not mask[3, 0]
 
 
 def assert_controls_match(got, ref):

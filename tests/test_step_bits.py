@@ -17,7 +17,7 @@ import pytest
 from rendezsim import RegionFlag, run, sim
 from conftest import make_states, small_config
 from oracles import plain_step
-from test_step_cost import _reference, _rendezvous, _sparse48
+from test_step_cost import _dense48, _reference, _rendezvous, _sparse48
 
 
 def _accreting():
@@ -51,7 +51,8 @@ def _exponent(alpha):
 # scenario maker and number of steps checked; the rendezvous run converges
 # at step 297
 CASES = {"reference": (_reference, 300), "rendezvous": (_rendezvous, 297),
-         "sparse48": (_sparse48, 50), "accreting": (_accreting, 200),
+         "sparse48": (_sparse48, 50), "dense48": (_dense48, 50),
+         "accreting": (_accreting, 200),
          "accreting_rendezvous": (_accreting_rendezvous, 150),
          "reference_alpha_2": (_exponent(2.0), 200),
          "reference_alpha_int_2": (_exponent(2), 200),
@@ -107,3 +108,40 @@ def test_derived_distances_are_the_kernels(name, monkeypatch):
     assert "distances" not in vars(log)
     assert len(kernel_rows) == log.n_steps
     assert same_bits(log.distances, kernel_rows)
+
+
+def test_one_way_mask_matches_plain_formulas():
+    # each follower senses robots of lower number only, and no follower
+    # senses it back: every sensed pair is one directed edge, so the pair
+    # pass and the edge pass have one column each per edge. Avoidance is
+    # dropped at step 100 and the edge list rebuilt at step 150
+    n = 7
+    cfg = small_config(
+        n_robots=n, linear_gains=[2.0] + [4.0] * (n - 1),
+        angular_gains=[8.0] * n, initial_states=make_states([
+            (-4.0, -2.0, 0.5), (-4.6, -2.6, -1.0), (-3.6, -2.9, 2.0),
+            (-4.3, -3.5, 0.0), (-3.3, -3.8, -2.5), (-4.0, -4.4, 1.0),
+            (-3.0, -4.6, 3.0)]))
+    mask = np.zeros((n, n), dtype=bool)
+    i = np.arange(1, n)
+    mask[i, i - 1] = True
+    mask[i[1:], i[1:] - 2] = True
+    kernel = sim.StepKernel(cfg, mask)
+    jets = kernel.jets
+    assert jets.edges.shape[1] == jets.pair_rows.shape[1] == mask.sum()
+    kernel.poses[...] = sim._pose_array(cfg.initial_states)
+    kernel.theta_d[...] = kernel.theta
+    region = RegionFlag.COLLISION_FREE
+    for k in range(200):
+        if k == 100:
+            jets.drop_avoidance()
+            region = RegionFlag.RENDEZVOUS
+        if k == 150:
+            jets.set_mask(mask)
+        poses, held = kernel.poses.copy(), kernel.theta_d.copy()
+        kernel.pairs()
+        phi, _ = kernel(kernel.poses[0, :2].tolist())
+        new, controls, plain_phi = plain_step(cfg, mask, poses, held, region)
+        assert same_bits(kernel.poses, new), k
+        assert same_bits(kernel.control_rows, controls), k
+        assert same_bits(phi, plain_phi), k

@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from rendezsim import (ScenarioConfig, parse_scenario, run,
+from rendezsim import (RobotState, ScenarioConfig, parse_scenario, run,
                        seeded_deployment)
 from rendezsim.sim import StepKernel, initial_topology
 from conftest import held_headings
@@ -65,20 +65,28 @@ REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
 # with gamma > 0 compared against a zero row that dp copies first, and
 # turns the heading errors (before: 117 calls, 4 with a scalar operand and
 # 4 allocating; the zero row's copy is a call where dp[...] = 0.0 was none).
-# The casting calls, counted as they stand: logistic_negated's maximum of
-# the float e and the boolean screen, on a step where some y > 0 (sparse48's
-# counted step; not the reference's, where every y <= 0), and turn_angles'
-# difference of its two boolean comparisons as floats, once a turn. The
-# maximum with a boolean row took 1.23 against 0.53 us with a float one on
-# the reference's (3, 25) edge rows, and 3.48 against 2.41 us on dense48's
-# (3, 1039) ones (numpy 2.4.6, timeit best of 5, 2-core x86-64 VM)
+# The casting calls, counted as they stand: turn_angles' difference of its
+# two boolean comparisons as floats, once a turn. The edge factors'
+# logistic cast too, and took a screen of its own of every argument y <= 0:
+# the maximum of the float e and that boolean screen row, on a step where
+# some y > 0 (sparse48's counted step; not the reference's, where every
+# y <= 0). The factors now run once per sensed pair, with one take more (the
+# pair rows', beside their spread to the edges), and one comparison screens
+# every y <= 0 and the distance floor at once: a step where both pass makes
+# one call fewer (reference, rendezvous, accreting, turning and alpha_half:
+# 111, 111, 114, 124 and 118 before), and a step where some y > 0 reads the
+# screen's floor row too and takes the numerator exp(-max(y, 0)) beside
+# exp(-|y|) in one exp call, with no cast (sparse48: 113 calls, 1 casting,
+# before). The dense48 step is a sparse48 step over 1,039 edges and 525
+# sensed pairs, not 193 and 98
 BUDGET = {
-    "reference": (111, 0, 0, 0, 0, 0, 0),
-    "rendezvous": (111, 0, 0, 0, 0, 0, 0),
-    "sparse48": (113, 0, 0, 0, 0, 0, 1),
-    "accreting": (114, 0, 0, 0, 0, 0, 0),
-    "turning": (124, 0, 0, 0, 0, 0, 2),
-    "alpha_half": (118, 1, 0, 0, 0, 0, 1),
+    "reference": (110, 0, 0, 0, 0, 0, 0),
+    "rendezvous": (110, 0, 0, 0, 0, 0, 0),
+    "sparse48": (113, 0, 0, 0, 0, 0, 0),
+    "dense48": (113, 0, 0, 0, 0, 0, 0),
+    "accreting": (113, 0, 0, 0, 0, 0, 0),
+    "turning": (123, 0, 0, 0, 0, 0, 2),
+    "alpha_half": (117, 1, 0, 0, 0, 0, 1),
 }
 # calls of numpy's Python-level helpers per step: np.sinc and np.copyto are
 # met only on steps the screens send to their masked paths, and the
@@ -100,11 +108,9 @@ def _rendezvous():
     return dataclasses.replace(cfg, initial_states=states)
 
 
-def _sparse48():
-    """The sparse48 benchmark scenario with deployment seed 1."""
+def _config48(states):
+    """The 48-robot scenario of the benchmark's generated workloads."""
     n = 48
-    states = seeded_deployment(1, n, np.array([-5.0, -3.0]), 6.0, 0.2,
-                               2.0, 200.0)
     return ScenarioConfig(
         n_robots=n, workspace_radius=200.0, sensing_radius=2.0,
         rendezvous_radius=2.0 * (n - 1) + 1.5, collision_margin=0.4,
@@ -113,6 +119,27 @@ def _sparse48():
         angular_gains=[8.0] * n, goal_position=np.zeros(2),
         goal_heading=0.0, time_step=0.005, horizon=1.0,
         initial_states=states, gradient_floor=1e-6)
+
+
+def _sparse48():
+    """The sparse48 benchmark scenario with deployment seed 1."""
+    return _config48(seeded_deployment(1, 48, np.array([-5.0, -3.0]), 6.0,
+                                       0.2, 2.0, 200.0))
+
+
+def _dense48():
+    """48 robots on a triangular lattice of 8 columns, 0.6 m apart, jittered
+    by up to 5 cm, with uniform headings (seed 1): each senses about 22
+    others, the dense case of the pair pass."""
+    rng = np.random.default_rng(1)
+    row, column = np.divmod(np.arange(48), 8)
+    xy = 0.6 * np.column_stack([column + 0.5 * (row % 2),
+                                row * math.sqrt(3.0) / 2.0])
+    xy += np.array([-5.0, -3.0]) - xy.mean(axis=0)
+    xy += rng.uniform(-0.05, 0.05, xy.shape)
+    headings = rng.uniform(-math.pi, math.pi, 48)
+    return _config48([RobotState(i + 1, p, h) for i, (p, h) in
+                      enumerate(zip(xy, headings.tolist()))])
 
 
 def _accreting():
@@ -129,8 +156,9 @@ def _alpha_half():
 
 
 SCENARIOS = {"reference": (_reference, 100), "rendezvous": (_rendezvous, 100),
-             "sparse48": (_sparse48, 100), "accreting": (_accreting, 100),
-             "turning": (_reference, 19), "alpha_half": (_alpha_half, 100)}
+             "sparse48": (_sparse48, 100), "dense48": (_dense48, 30),
+             "accreting": (_accreting, 100), "turning": (_reference, 19),
+             "alpha_half": (_alpha_half, 100)}
 
 
 def step_counts(cfg, k):
@@ -186,8 +214,17 @@ def test_numpy_helpers_per_step(counted_step):
 # IntegrateWork, in place of one np.full of pi) add two. It made 106, 80 of
 # them helpers, while the heading wrap had a screen of its own (a boolean
 # row and the bytes of an all-True one) and the finiteness check a
-# boolean block beside the pose screen's, which it now writes into
-SETUP_BUDGET = {"reference": (102, 77), "sparse48": (102, 77)}
+# boolean block beside the pose screen's, which it now writes into. It made
+# 102, 77 of them helpers, before the pair pass: the edge list's rebuild
+# (set_mask) made 34 calls where it makes 20, with one block of pair rows
+# and one of edge rows, each constant row written by assignment, for a
+# dozen blocks made by np.empty, np.full, np.ones, np.repeat and np.tile
+# and two all-True screens' bytes; the kernel's own set-up makes 7 calls
+# for 5, with the pair rows' gather rows and the factors' constant column;
+# the quotient rule's stride-0 exponents take one call each, where
+# np.broadcast_to of a 0-d array took two
+SETUP_BUDGET = {"reference": (86, 54), "sparse48": (86, 54),
+                "dense48": (86, 54)}
 
 
 @pytest.mark.parametrize("name", sorted(SETUP_BUDGET))
