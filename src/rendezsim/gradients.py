@@ -8,6 +8,7 @@ with weights that are nonnegative whenever the collision factors are absent.
 """
 
 import math
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,8 +75,7 @@ class Rows:
     A run of names, one space-separated string, finds the first rows where
     it occurs, so that one call can take several quantities, repeated or
     reordered as it needs them, as one (k, n) operand. Runs once found are
-    remembered: the layouts are constants, so the classes that use them
-    find their runs once, when they are made, and a kernel binds its views
+    remembered: the layouts are constants, and a kernel binds its views
     once per run.
     """
 
@@ -93,27 +93,10 @@ class Rows:
             self.found[run] = slice(row, row + len(run.split()))
         return self.found[run]
 
-    def index(self, run: str):
-        """The index of the rows of ``run`` in a block: a slice, or the row
-        of a run of one name."""
+    def view(self, block: np.ndarray, run: str) -> np.ndarray:
+        """The rows of ``run`` in ``block``; one name gives one row."""
         at = self.at(run)
-        return at if at.stop - at.start > 1 else at.start
-
-    def first_rows(self, names, missing: str) -> list:
-        """The first row of each of ``names``, or of ``missing`` for a
-        name that has none."""
-        return [self.at(name if name in self.names else missing).start
-                for name in names]
-
-
-def _found(layouts: dict, views: dict) -> dict:
-    """``views``, each a (layout key, run) pair or one call's tuple of them,
-    with each run replaced by its ``Rows.index`` in ``layouts[key]``."""
-    def index(view):
-        key, run = view
-        return key, layouts[key].index(run)
-    return {name: tuple(map(index, view)) if isinstance(view[0], tuple)
-            else index(view) for name, view in views.items()}
+        return block[at] if at.stop - at.start > 1 else block[at.start]
 
 
 class QuotientWork:
@@ -124,7 +107,7 @@ class QuotientWork:
     gamma as G, its gradient as (dgx, dgy), lap_gamma as L, beta as B, its
     gradient as (dbx, dby) and its Hessian as (hxx, hyy, hxy); the rule
     writes dp and h0, and a, am, ap and half hold alpha, alpha - 1, alpha +
-    1 and 1/2. The rows of ``CHANGING`` are the ones that ``load`` writes,
+    1 and 1/2. The rows of ``changing`` are the ones that ``load`` writes,
     or that the step kernel fills. The four powers take flat views of
     their blocks and their exponents as ``exponent_row``s: alpha, 1/alpha,
     1/alpha + 1 and alpha - 1, in ``exponents``.
@@ -145,57 +128,48 @@ class QuotientWork:
     # (x, y, x); then f de (x, y) and f times de reversed
     THIRD = Rows("fx fy dx dy h dex dey dex")
     FE = Rows("fdex fdey fex fey")
-    LAYOUTS = dict(q=INPUTS, p=FIRST, c=SECOND, x=THIRD, fe=FE)
-    CHANGING = slice(6, len(INPUTS.names) - 4)
-    # the rows of each layout that hold a constant of alpha
-    CONSTANTS = tuple((key, name, [i for i, row in enumerate(rows.names)
-                                   if row == name])
-                      for key, rows in LAYOUTS.items()
-                      for name in ("a", "am", "ap", "half")
-                      if name in rows.names)
-    # each view a kernel binds, by attribute: a run of one layout's names,
-    # or one call's operands as a tuple of them
-    VIEWS = _found(LAYOUTS, dict(
-        first=(("q", "a a a a am am dgy dgx G G G G G"),
-               ("q", "B B B B dgx dgy dbx dby dbx dby hxx hyy hxy"),
-               ("p", "ab ab ab ab d0x d0y cry crx gdbx gdby gdxx gdyy "
-                "gdxy")),
-        gamma3=("q", "G G G"), beta3=("q", "B B B"), gamma=("q", "G"),
-        dp=("q", "dp dp dp"), h0=("q", "h0"), a3=("q", "a a a"),
-        ap3=("q", "ap ap ap"), half=("q", "half"),
-        second=(("p", "a a a ab ab ab ab d0x d0y"),
-                ("q", "dp dp dp dgx dgy L L dbx dby"),
-                ("c", "dpa dpa dpa f0x f0y ablx ably d1x d1y")),
-        d1=("c", "d1x d1y"), abl=("c", "ablx ably"),
-        f0_d2=("c", "f0x f0y ablx ably"),
-        gdb_gd=("p", "gdbx gdby gdxx gdyy"), crx=("p", "crx"),
-        cry=("p", "cry"), gdxy=("p", "gdxy"), f_d=("x", "fx fy dx dy"),
-        f=("x", "fx fy"),
-        third=(("c", "am dpa dpa dpa"), ("q", "h0 dgx dgy dgx"),
-               ("x", "h dex dey dex")),
-        de=("x", "dex dey dex"), de_xy=("x", "dex dey"),
-        de_yx=("x", "dey dex"), dbeta3=("q", "dbx dby dbx"),
-        fde=("fe", "fdex fdey"), fe_yx=("fe", "fex fey"),
-        d_h=("x", "dx dy h"), h=("x", "h"),
-        fde_fex=("fe", "fdex fdey fex"), fey=("fe", "fey")))
 
     def __init__(self, alpha: float, n: int):
         self.alpha = alpha
         constants = {"a": alpha, "am": alpha - 1.0, "ap": alpha + 1.0,
                      "half": 0.5}
-        blocks = {key: np.empty((len(rows.names), n))
-                  for key, rows in self.LAYOUTS.items()}
-        for key, name, rows in self.CONSTANTS:
-            blocks[key][rows] = constants[name]
-        self.inputs = blocks["q"]
-        for name, view in self.VIEWS.items():
-            setattr(self, name, tuple(blocks[key][at] for key, at in view)
-                    if isinstance(view[0], tuple)
-                    else blocks[view[0]][view[1]])
+        layouts = (self.INPUTS, self.FIRST, self.SECOND, self.THIRD, self.FE)
+        blocks = [np.empty((len(rows.names), n)) for rows in layouts]
+        for rows, block in zip(layouts, blocks):
+            for i, name in enumerate(rows.names):
+                if name in constants:
+                    block[i] = constants[name]
+        self.inputs = blocks[0]
+        q, p, c, x, fe = (partial(rows.view, block)
+                          for rows, block in zip(layouts, blocks))
+        self.changing = slice(6, len(self.INPUTS.names) - 4)
+        self.first = (q("a a a a am am dgy dgx G G G G G"),
+                      q("B B B B dgx dgy dbx dby dbx dby hxx hyy hxy"),
+                      p("ab ab ab ab d0x d0y cry crx gdbx gdby gdxx gdyy "
+                        "gdxy"))
+        self.gamma3, self.beta3 = q("G G G"), q("B B B")
+        self.gamma, self.dp, self.h0 = q("G"), q("dp dp dp"), q("h0")
+        self.a3, self.ap3, self.half = q("a a a"), q("ap ap ap"), q("half")
         self.s, self.root, self.e, self.ar = (np.empty((3, n))
                                               for _ in range(4))
         self.e2, self.e_row, self.root_row = (self.e[:2], self.e[0],
                                               self.root[0])
+        self.second = (p("a a a ab ab ab ab d0x d0y"),
+                       q("dp dp dp dgx dgy L L dbx dby"),
+                       c("dpa dpa dpa f0x f0y ablx ably d1x d1y"))
+        self.d1, self.abl = c("d1x d1y"), c("ablx ably")
+        self.f0_d2, self.gdb_gd = c("f0x f0y ablx ably"), p(
+            "gdbx gdby gdxx gdyy")
+        self.crx, self.cry, self.gdxy = p("crx"), p("cry"), p("gdxy")
+        self.f_d, self.f = x("fx fy dx dy"), x("fx fy")
+        self.third = (c("am dpa dpa dpa"), q("h0 dgx dgy dgx"),
+                      x("h dex dey dex"))
+        self.de, self.de_xy, self.de_yx = (x("dex dey dex"), x("dex dey"),
+                                           x("dey dex"))
+        self.dbeta3 = q("dbx dby dbx")
+        self.fde, self.fe_yx = fe("fdex fdey"), fe("fex fey")
+        self.d_h, self.h = x("dx dy h"), x("h")
+        self.fde_fex, self.fey = fe("fdex fdey fex"), fe("fey")
         self.hess_rows = np.empty((3, n))
         self.hess = (self.hess_rows[0], self.hess_rows[2], self.hess_rows[1])
         self.phi = np.empty(n)
@@ -338,9 +312,8 @@ class JetKernel:
     """Value, gradient and Hessian of every robot's potential, one pass a step.
 
     Built once per run from the scenario and the (n, n) sensing mask: it
-    holds the followers' sensed edges, which only ``set_mask`` changes (a
-    kernel built with no mask has none until ``set_mask`` gives it some),
-    and their factors' constants, which ``drop_avoidance`` switches once.
+    holds the followers' sensed edges, which only ``set_mask`` changes, and
+    their factors' constants, which ``drop_avoidance`` switches once.
     Row 0 is the informed robot, whose quotient inputs come from
     ``fields.leader_terms``. The followers' come from two passes. The pair
     pass takes each sensed pair once, on rows of the factors [b, B]: b(d),
@@ -369,44 +342,40 @@ class JetKernel:
     # and the products of b, B and b
     COMPACT = Rows("gx gy cx cy cxy tx ty ox oy G",
                    "dgx dgy B B dbx dby hxx hyy hxy L Pb PB Pb")
-    # the compact rows that the calls over whole rows take, in their order
-    POST = tuple(map(COMPACT.index, (
-        "ox oy", "dgx dgy", "cx cy", "tx ty", "Pb PB", "PB Pb", "B B",
-        "gx gy", "dbx dby", "hxx hyy", "gx", "gy", "hxy", "hxx hyy hxy",
-        "cx cy cxy", "B")))
-    # lap_gamma, the informed robot's inputs (G to hxy), the sums and the
-    # products
-    LAP = COMPACT.index("L")
-    LEADER = slice(COMPACT.at("G").start, COMPACT.at("L").start)
-    SUMS, PRODUCTS = slice(COMPACT.at("G").stop), COMPACT.at("Pb PB Pb")
+    # the rows of a call's ``pairs``: the offset p_a - p_b (x, y), its
+    # square length and the distance
+    PAIR_INPUTS = Rows("ox oy sq d")
     # the pair pass's rows, one column per sensed pair (a, b), a < b:
-    # -0.0 four times; the gathered distance twice, offset p_a - p_b (x, y)
-    # and its square length; the offset negated; the logistic's work,
-    # max(y, 0) and y = (d - center) gain of [b, B]; the distance floor;
-    # 1 - s and s of [b, B]; t = l1 / d and w = (l2 - t) / d^2; the
-    # log-derivatives c1 (1 - s) and c2 s (1 - s) of [b, B], their sums l1,
-    # a row of no use and l2; l2 - t and d^2; the constants (center, gain,
-    # c1 and c2 of [b, B]); and 1.0 twice. The screen compares (y, the
-    # floor) with (-0.0, the distance) in one call
-    PAIRS = 41
+    # -0.0 four times; the distance twice, the offset and its square
+    # length, gathered from ``pairs``; the offset negated (nx, ny); the
+    # logistic's work, max(y, 0) and y = (d - center) gain of [b, B]; the
+    # distance floor; 1 - s and s of [b, B]; t = l1 / d and w = (l2 - t) /
+    # d^2; the log-derivatives c1 (1 - s) and c2 s (1 - s) of [b, B], their
+    # sums l1, a row of no use and l2; l2 - t and d^2; the constants
+    # (center, gain, c1 and c2 of [b, B]); and 1.0 twice. The screen
+    # compares "y_b y_B floor" with "z z d" in one call
+    PAIR = Rows("z z z z d d ox oy sq nx ny m_b m_B y_b y_B floor",
+                "om_b om_B s_b s_B t w l1_b l1_B l2_b l2_B l1 lx l2 top d2",
+                "center_b center_B gain_b gain_B c1_b c1_B c2_b c2_B",
+                "one one")
     # the edge pass's rows, one column per directed edge (i, j): the terms
     # whose segment sums are ``sums``, in their order (t (p - q_j) (x, y),
     # w (p - q_j) (x x, y y), w x y, t twice, p - q_j (x, y), |p - q_j|^2),
-    # the factors [b, B, b] and w twice, then w (p - q_j) (x, y) in place;
-    # the spread writes rows 5-14 from these pair rows, p - q_j from the
-    # offset or, 3 rows on, its negation
-    SPREAD = np.array([20, 20, 6, 7, 8, 18, 19, 18, 21, 21])
-    EDGES = 15
-    # the rows of ``pairs`` that the pair rows' take gathers: the distance
-    # twice, the offset and its square length
-    GATHER = np.array([3, 3, 0, 1, 2])
-    # the compact row that each changing row of the quotient's inputs
-    # takes, the row of its name; dp and h0, which the rule writes, any row
-    SPREAD_FROM = np.array(COMPACT.first_rows(
-        QuotientWork.INPUTS.names[QuotientWork.CHANGING], "L"))
+    # the factors [b, B, b] and w twice, then w (p - q_j) (x, y) in place.
+    # The rows from t on take the pair rows of their names, the offset's
+    # rows the negated offset's for an edge (i, j) with i > j
+    EDGE = Rows("gx gy cx cy cxy",
+                "t t ox oy sq s_b s_B s_b w w")
+    FROM_PAIRS = EDGE.at("t").start
+    SPREAD = np.array([at.start
+                       for at in map(PAIR.at, EDGE.names[FROM_PAIRS:])])
+    NEGATED = PAIR.at("nx").start - PAIR.at("ox").start
+    # the pair rows that the take from ``pairs`` fills, and its rows there
+    GATHERED = "d d ox oy sq"
+    GATHER = np.array([at.start
+                       for at in map(PAIR_INPUTS.at, GATHERED.split())])
 
-    def __init__(self, cfg: ScenarioConfig, mask: np.ndarray | None,
-                 upper: tuple):
+    def __init__(self, cfg: ScenarioConfig, mask: np.ndarray, upper: tuple):
         self.cfg = cfg
         self.leader_const = leader_constants(cfg)
         # row 0's phi comes from the quotient rule. The traced benchmark
@@ -415,20 +384,31 @@ class JetKernel:
         navfunc_leader(cfg.goal_position, cfg, self.leader_const)
         # (center, gain, c1, c2) of the pair pass's factors [b, B]
         self.factors = edge_factors(cfg)
-        n = self.n = cfg.n_robots if mask is None else len(mask)
+        n = self.n = len(mask)
         self.quotient = QuotientWork(cfg.field_exponent, n)
+        rows = self.COMPACT
         # zeros: column 0 of the sums is never written, and the calls over
         # whole rows read it
-        compact = self.compact = np.zeros((len(self.COMPACT.names), n))
-        self.lap = compact[self.LAP]
+        self.compact = np.zeros((len(rows.names), n))
+        view = partial(rows.view, self.compact)
+        self.lap = view("L")
         self.lap[0] = 2.0
-        self.leader = compact[self.LEADER, 0]
-        self.spread_at = np.add.outer(np.multiply(self.SPREAD_FROM, n),
-                                      np.arange(n))
-        self.spread = self.quotient.inputs[QuotientWork.CHANGING]
-        self.sums = compact[self.SUMS, 1:]
-        self.products = compact[self.PRODUCTS, 1:]
-        self.post = tuple(compact[at] for at in self.POST)
+        self.leader = self.compact[rows.at("G").start:rows.at("L").start, 0]
+        # spread: each changing row of the quotient's inputs takes the
+        # compact row of its name, dp and h0 any row
+        names = QuotientWork.INPUTS.names[self.quotient.changing]
+        source = [rows.at(name if name in rows.names else "L").start
+                  for name in names]
+        self.spread_at = (np.array(source)[:, None] * n + np.arange(n))
+        self.spread = self.quotient.inputs[self.quotient.changing]
+        f = self.compact[:, 1:]
+        self.sums = f[:rows.at("G").stop]
+        self.products = view("Pb PB Pb")[:, 1:]
+        self.post = (view("ox oy"), view("dgx dgy"), view("cx cy"),
+                     view("tx ty"), view("Pb PB"), view("PB Pb"),
+                     view("B B"), view("gx gy"), view("dbx dby"),
+                     view("hxx hyy"), view("gx"), view("gy"), view("hxy"),
+                     view("hxx hyy hxy"), view("cx cy cxy"), view("B"))
         # index of each robot pair {i, j} among the upper pairs (a, b), a < b,
         # in np.triu_indices order, ``upper``: the order of a call's pair
         # columns
@@ -440,10 +420,10 @@ class JetKernel:
         self.pair_flat = pair_index[1:].reshape(-1)
         self.lower_flat = np.tri(n, n, -1, dtype=bool)[1:].reshape(-1)
         self.gather_rows = np.multiply(self.GATHER, p)
+        # the constants' column, in the order of their pair rows
         self.factor_column = np.array([[v] for pair in zip(*self.factors)
                                        for v in pair])
-        if mask is not None:
-            self.set_mask(mask)
+        self.set_mask(mask)
 
     def set_mask(self, mask: np.ndarray) -> None:
         """Rebuild the edge list and the sensed pairs from the (n, n)
@@ -475,45 +455,57 @@ class JetKernel:
         slot[sensed_pairs] = np.arange(u)
         self.gather_at = np.add.outer(self.gather_rows, sensed_pairs)
         # the spread's pair rows, at the edge's column; edges with i > j
-        # take the negated offset, 3 rows past the offset
+        # take the negated offset
         edge_at = self.edge_at = np.add.outer(np.multiply(self.SPREAD, u),
                                               slot.take(pair))
-        edge_at[2:4] += np.multiply(self.lower_flat.take(edge), 3 * u)
-        block = self.pair_rows = np.empty((self.PAIRS, u))
-        block[0:4] = -0.0
-        self.minus_zero = (block[0:4].reshape(2, 2, u), block[0:2])
-        self.gathered, self.d, self.dist = block[4:9], block[4:6], block[4]
-        self.offset, self.negated = block[6:8], block[9:11]
-        self.work = block[11:15].reshape(2, 2, u)
-        self.halves = (block[11:13], block[13:15])
-        self.y = block[13:15]
-        block[15] = DISTANCE_FLOOR
+        offset_at = self.EDGE.at("ox oy")
+        edge_at[offset_at.start - self.FROM_PAIRS:
+                offset_at.stop - self.FROM_PAIRS] += np.multiply(
+            self.lower_flat.take(edge), self.NEGATED * u)
+        block = self.pair_rows = np.empty((len(self.PAIR.names), u))
+        view = partial(self.PAIR.view, block)
+        view("z z z z")[...] = -0.0
+        view("floor")[...] = DISTANCE_FLOOR
+        view("one one")[...] = 1.0
+        self.minus_zero = (view("z z z z").reshape(2, 2, u), view("z z"))
+        self.gathered = view(self.GATHERED)
+        self.d, self.dist = view("d d"), view("d")
+        self.offset, self.negated = view("ox oy"), view("nx ny")
+        self.work = view("m_b m_B y_b y_B").reshape(2, 2, u)
+        self.halves = (view("m_b m_B"), view("y_b y_B"))
+        self.y = view("y_b y_B")
         # one screen: y <= -0.0, and the floor <= the distance
-        self.screened, self.bounds = block[13:16], block[2:5]
+        self.screened, self.bounds = view("y_b y_B floor"), view("z z d")
         self.screen = np.empty((3, u), dtype=bool)
         self.near = self.screen[2]
         self.all_pass, self.all_near = b"\x01" * (3 * u), b"\x01" * u
-        self.om_s, self.one_minus, self.s = (block[16:20], block[16:18],
-                                             block[18:20])
-        self.t, self.w = block[20], block[21]
-        self.l, self.l2_factors = block[22:26], block[24:26]
+        self.om_s, self.one_minus, self.s = (view("om_b om_B s_b s_B"),
+                                             view("om_b om_B"),
+                                             view("s_b s_B"))
+        self.t, self.w = view("t"), view("w")
+        self.l = view("l1_b l1_B l2_b l2_B")
+        self.l2_factors = view("l2_b l2_B")
         # l1 (b + B), a row of no use, l2 (b + B)
-        self.summed = block[26:29]
-        self.heads, self.tails = self.l[0:3], self.l[1:4]
-        self.l1, self.l2 = self.summed[0], self.summed[2]
-        self.top, self.square = block[29], block[30]
-        self.constants = block[31:39]
-        self.center, self.gain, self.c = (block[31:33], block[33:35],
-                                          block[35:39])
+        self.summed = view("l1 lx l2")
+        self.heads, self.tails = view("l1_b l1_B l2_b"), view("l1_B l2_b l2_B")
+        self.l1, self.l2 = view("l1"), view("l2")
+        self.top, self.square = view("top"), view("d2")
+        self.constants = view("center_b center_B gain_b gain_B c1_b c1_B "
+                              "c2_b c2_B")
         self.constants[...] = self.factor_column
-        self.one = block[39:41]
-        self.one[...] = 1.0
-        edges = self.edges = np.empty((self.EDGES, len(edge)))
-        self.terms, self.from_pairs = edges[:10], edges[5:15]
-        self.g, self.curvature, self.xy = edges[0:2], edges[2:4], edges[4]
-        self.t_edges, self.m, self.m_y = edges[5:7], edges[7:9], edges[8]
-        self.factor_rows, self.w_edges = edges[10:13], edges[13:15]
-        self.wm_x = edges[13]
+        self.center, self.gain = view("center_b center_B"), view(
+            "gain_b gain_B")
+        self.c = view("c1_b c1_B c2_b c2_B")
+        self.one = view("one one")
+        edges = self.edges = np.empty((len(self.EDGE.names), len(edge)))
+        view = partial(self.EDGE.view, edges)
+        self.terms = view("gx gy cx cy cxy t t ox oy sq")
+        self.from_pairs = edges[self.FROM_PAIRS:]
+        self.g, self.curvature, self.xy = (view("gx gy"), view("cx cy"),
+                                           view("cxy"))
+        self.t_edges, self.m, self.m_y = view("t t"), view("ox oy"), view("oy")
+        self.factor_rows, self.w_edges = view("s_b s_B s_b"), view("w w")
+        self.wm_x = view("w")
 
     def drop_avoidance(self) -> None:
         """Write the constant factor 1 into B's rows of the pair pass, which

@@ -312,12 +312,11 @@ class StepKernel:
     controls as rows (v, omega, theta_d, theta_tilde, theta_d_dot),
     ``by_robot`` as (N, 5); its row ``theta_d`` is the heading held where a
     gradient is below the floor, so set it to the current headings before
-    the first call. Built with no ``mask``, the kernel has no edge list
-    until ``jets.set_mask`` gives it one, which the first call needs.
+    the first call.
     """
 
-    def __init__(self, cfg: ScenarioConfig, mask: np.ndarray | None = None):
-        n = cfg.n_robots if mask is None else len(mask)
+    def __init__(self, cfg: ScenarioConfig, mask: np.ndarray):
+        n = len(mask)
         # one index of the upper pairs, for the pair rows and the edge list
         self.upper = np.triu_indices(n, 1)
         self.jets = JetKernel(cfg, mask, self.upper)
@@ -435,30 +434,10 @@ def initial_topology(cfg: ScenarioConfig) -> Topology:
     informed robot, which every claim of the closed loop assumes.
     """
     topo = build_topology(cfg.initial_states, cfg.sensing_radius)
-    _require_rooted_tree(topo.adjacency)
-    return topo
-
-
-def _require_rooted_tree(adjacency: np.ndarray) -> None:
-    if not has_rooted_spanning_tree(adjacency, root=1):
+    if not has_rooted_spanning_tree(topo.adjacency, root=1):
         raise AssumptionError(
             "initial graph has no spanning tree rooted at the informed robot")
-
-
-def _sensing_mask(dist: np.ndarray, upper: tuple, n: int, radius: float):
-    """The (n, n) sensing mask of the upper pairs ``upper`` at distances
-    ``dist``: both edges of every pair closer than ``radius``, strictly.
-
-    The pair rows' distances are ``graph.build_topology``'s bit for bit,
-    sqrt(x * x + y * y) of p_a - p_b, whose negation p_b - p_a has the
-    same squares, so the mask is that function's adjacency, from P
-    distances where it measures an N x N table.
-    """
-    mask = np.zeros((n, n), dtype=bool)
-    near = np.less(dist, radius)
-    mask[upper] = near
-    mask.T[upper] = near
-    return mask
+    return topo
 
 
 class AccreteWork:
@@ -574,17 +553,11 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     n = cfg.n_robots
     accreting = cfg.neighbor_mode == "accreting"
 
-    kernel = StepKernel(cfg)
+    # the mask stays frozen unless accretion grows it; the initial graph
+    # already holds every pair inside the threshold
+    mask = initial_topology(cfg).adjacency
+    kernel = StepKernel(cfg, mask)
     upper = kernel.upper
-    pose = kernel.poses
-    pose[...] = _pose_array(cfg.initial_states)
-    # the initial sensing graph, ``initial_topology``'s, from the pair rows
-    # of the initial poses; the mask stays frozen unless accretion grows
-    # it, and it already holds every pair inside the threshold
-    mask = _sensing_mask(_offsets(kernel.pair_work)[3], upper, n,
-                         cfg.sensing_radius)
-    _require_rooted_tree(mask)
-    kernel.jets.set_mask(mask)
     threshold = cfg.sensing_radius - cfg.connectivity_buffer
     accretion = AccreteWork(mask, upper, threshold) if accreting else None
     pairs = ()  # the monitors' pair names, made on a step that needs them
@@ -612,7 +585,8 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     events: list[Event] = []
     switch_step = None
     region = RegionFlag.COLLISION_FREE
-    poses[0] = pose
+    pose = kernel.poses
+    poses[0] = pose[...] = _pose_array(cfg.initial_states)
     # no desired heading yet: hold the current one
     kernel.theta_d[...] = kernel.theta
     watched_norms = watched[n_pairs:]

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from rendezsim import (RegionFlag, RobotState, ScenarioConfig, Topology,
-                       TrajectoryLog, build_topology, compute_metrics,
-                       gradients, monitor_invariants, run, seeded_deployment,
-                       sim, step)
+                       TrajectoryLog, compute_metrics, gradients,
+                       monitor_invariants, run, seeded_deployment, sim, step)
 from rendezsim.control import compute_control
 from rendezsim.gradients import JetKernel
 from rendezsim.model import normalize_angle
@@ -16,7 +15,7 @@ from rendezsim.sim import AssumptionError, MonitorViolation, fit_decay_rate
 
 from conftest import make_states, small_config
 from oracles import integrate_copy, integrate_pose
-from test_step_cost import _dense48, _reference, _rendezvous, _sparse48
+from test_step_cost import _reference, _rendezvous
 
 
 class TestIntegrator:
@@ -413,44 +412,6 @@ class TestEdgeList:
         for row in jets.t_edges:
             assert np.array_equal(row, jets.t[of_edge])
         assert np.array_equal(jets.w_edges, jets.w[of_edge] * gap.T)
-
-
-    @pytest.mark.parametrize("make", [_reference, _dense48, _sparse48])
-    def test_run_takes_the_initial_graph_from_the_pair_rows(self, make,
-                                                            monkeypatch):
-        # run() builds the initial mask from the upper pairs' distances, not
-        # through graph.build_topology's N x N table: the same edges
-        cfg = make()
-        masks = []
-        set_mask = JetKernel.set_mask
-
-        def record(kernel, mask):
-            masks.append(mask.copy())
-            set_mask(kernel, mask)
-        monkeypatch.setattr(JetKernel, "set_mask", record)
-        run(dataclasses.replace(cfg, horizon=cfg.time_step))
-        assert len(masks) == 1
-        assert np.array_equal(masks[0], sim.initial_topology(cfg).adjacency)
-
-    def test_pair_row_mask_is_build_topologys(self):
-        # pairs at the sensing radius to the bit, and an ulp inside and
-        # outside it, are edges exactly where build_topology says so
-        rng = np.random.default_rng(4)
-        n, radius = 12, 2.0
-        xy = rng.uniform(-3.0, 3.0, (n, 2))
-        # robot 1 at the origin, so that these offsets are exact
-        xy[0] = 0.0
-        xy[1] = (radius, 0.0)
-        xy[2] = (0.0, math.nextafter(radius, 0.0))
-        xy[3] = (-math.nextafter(radius, 3.0), 0.0)
-        xy[4] = (1.2, 1.6)  # about 2, rounded by sqrt(x * x + y * y)
-        states = make_states([(x, y, 0.0) for x, y in xy.tolist()])
-        upper = np.triu_indices(n, 1)
-        work = sim.PairWork(sim._pose_array(states), upper)
-        mask = sim._sensing_mask(sim._offsets(work)[3], upper, n, radius)
-        assert np.array_equal(mask,
-                              build_topology(states, radius).adjacency)
-        assert not mask[0, 1] and mask[0, 2] and not mask[3, 0]
 
 
 def assert_controls_match(got, ref):
