@@ -299,13 +299,9 @@ def leader_field_eval(position: np.ndarray, cfg: ScenarioConfig) -> FieldEval:
     return FieldEval(value=phi, gradient=grad, hessian=hess)
 
 
-# scalar reference, kept in src/ because rendezbench/tracing.py wraps it
-def follower_field_eval(position: np.ndarray,
-                        neighbor_positions: Sequence[np.ndarray],
-                        region: RegionFlag, cfg: ScenarioConfig) -> FieldEval:
-    """Value, analytic gradient and Hessian for a follower, from one walk
-    over its neighbors (``grad_navfunc_follower``)."""
-    return grad_navfunc_follower(position, neighbor_positions, region, cfg)
+# a follower's value, gradient and Hessian, under the name that ``control``
+# and rendezbench/tracing.py look up
+follower_field_eval = grad_navfunc_follower
 
 
 class JetKernel:
@@ -382,8 +378,6 @@ class JetKernel:
         # (rendezbench/run.py) divides by the calls of the scalar navigation
         # function, so a kernel makes one: its value at the goal, 0
         navfunc_leader(cfg.goal_position, cfg, self.leader_const)
-        # (center, gain, c1, c2) of the pair pass's factors [b, B]
-        self.factors = edge_factors(cfg)
         n = self.n = len(mask)
         self.quotient = QuotientWork(cfg.field_exponent, n)
         rows = self.COMPACT
@@ -420,8 +414,9 @@ class JetKernel:
         self.pair_flat = pair_index[1:].reshape(-1)
         self.lower_flat = np.tri(n, n, -1, dtype=bool)[1:].reshape(-1)
         self.gather_rows = np.multiply(self.GATHER, p)
-        # the constants' column, in the order of their pair rows
-        self.factor_column = np.array([[v] for pair in zip(*self.factors)
+        # the constants' column, in the order of their pair rows: center,
+        # gain, c1 and c2, each of the pair pass's factors [b, B]
+        self.factor_column = np.array([[v] for pair in zip(*edge_factors(cfg))
                                        for v in pair])
         self.set_mask(mask)
 
@@ -508,14 +503,12 @@ class JetKernel:
         self.wm_x = view("w")
 
     def drop_avoidance(self) -> None:
-        """Write the constant factor 1 into B's rows of the pair pass, which
-        every later rebuild keeps: the region switch, which latches. Center
-        +inf and gain 1 give s = 1 at every finite distance, and c1 = c2 =
-        -0.0 give log-derivatives of -0.0, so b times 1 and l + -0.0 are
-        b's values bit for bit, by the same calls as with avoidance."""
-        b, _ = self.factors
-        self.factors = (b, (math.inf, 1.0, -0.0, -0.0))
-        self.factor_column[1::2] = [[v] for v in self.factors[1]]
+        """Write B's constants (+inf, 1, -0.0, -0.0) into ``factor_column``,
+        which every rebuild copies, and the pair rows: the constant factor 1,
+        at the region switch, which latches. Center +inf and gain 1 give s =
+        1 at every finite distance, and c1 = c2 = -0.0 log-derivatives of
+        -0.0, so b times 1 and l + -0.0 are b's values bit for bit."""
+        self.factor_column[1::2] = [[math.inf], [1.0], [-0.0], [-0.0]]
         self.constants[1::2] = self.factor_column[1::2]
 
     def __call__(self, position, pairs: np.ndarray):

@@ -261,13 +261,15 @@ def _meta_lines(log: TrajectoryLog) -> list[str]:
 _WRITE_BYTES = 512 * 1024
 
 
-def _text(strings, width=None):
-    """One NUL-padded uint8 row per string, of ``width`` bytes (default:
-    the longest string's)."""
-    if width is None:
-        width = max([1, *map(len, strings)])
+def _text(strings):
+    """One NUL-padded uint8 row per string, as wide as the longest."""
+    width = max([1, *map(len, strings)])
     return np.array(strings, dtype=f"S{width}").view(np.uint8).reshape(
         len(strings), width)
+
+
+# the texts of regions 0 and 1, the only regions a log holds
+_REGION_TEXT = _text(["0\n", "1\n"])
 
 
 def _digits(places):
@@ -525,9 +527,9 @@ def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
         return _fixed9(log.times[k0:k0 + k])[:, None]
 
     def region(k0, k):
-        values, of_step = np.unique(log.region[k0:k0 + k],
-                                    return_inverse=True)
-        return _text([f"{r}\n" for r in values.tolist()])[of_step][:, None]
+        # the int8 regions as bytes, so that a negative one is out of range
+        # as any other but 0 and 1 is, never a row from the end
+        return _REGION_TEXT[log.region[k0:k0 + k].view(np.uint8)][:, None]
 
     def trajectory_blocks(m):
         for k0 in range(0, steps, m):

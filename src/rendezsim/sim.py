@@ -228,13 +228,12 @@ def _pose_array(states: list[RobotState]) -> np.ndarray:
 
 
 class PairWork:
-    """Preallocated rows of ``_offsets`` on the (N, 3) ``poses``: the upper
-    pairs ``upper``, ``np.triu_indices(N, 1)``, the log's pair order, the
-    (4, P) pair rows, the squares, the gathered endpoint coordinates and the
-    take's index. ``screened`` (2, P + N) is the monitors' screen, the
-    watched values (the distances, then the robots' norms) and their
-    negations; one block holds it and the pair rows, whose distances are
-    its first P values."""
+    """Preallocated rows of ``_offsets`` on the (N, 3) ``poses``: the (4, P)
+    pair rows of the upper pairs ``upper``, ``np.triu_indices(N, 1)``, the
+    log's pair order, and the take's index. ``screened`` (2, P + N) is the
+    monitors' screen, the watched values (the distances, then the robots'
+    norms) and their negations; one block holds it and the pair rows, whose
+    distances are its first P values."""
 
     def __init__(self, poses: np.ndarray, upper: tuple):
         n = len(poses)
@@ -244,24 +243,23 @@ class PairWork:
         p = len(a)
         # (x_a, y_a, x_b, y_b) of each pair, from the flat (N, 3) poses
         self.ends_at = np.array([a, a + 1, b, b + 1])
-        self.ends = np.empty((4, p))
-        self.ends_a, self.ends_b = self.ends[:2], self.ends[2:]
         block = np.empty(5 * p + 2 * n)
         self.pairs = block[:4 * p].reshape(4, p)
         self.screened = block[3 * p:].reshape(2, p + n)
-        self.offsets, self.square = self.pairs[:2], np.empty((2, p))
-        self.square_x, self.square_y = self.square
-        self.length_squared, self.dist = self.pairs[2], self.pairs[3]
+        self.offsets, self.tail = self.pairs[:2], self.pairs[2:]
+        self.length_squared, self.dist = self.tail
 
 
 def _offsets(w: PairWork):
     """Pair rows of the upper pairs of ``w`` as one (4, P) array: the
     offsets p_a - p_b (x, y), their square lengths and the distances,
-    rows of ``w``."""
-    w.poses.take(w.ends_at, None, w.ends, "clip")
-    np.subtract(w.ends_a, w.ends_b, w.offsets)
-    np.multiply(w.offsets, w.offsets, w.square)
-    np.add(w.square_x, w.square_y, w.length_squared)
+    rows of ``w``, made in place from each pair's ends (x_a, y_a, x_b, y_b):
+    rows 0-1 less rows 2-3, squared into rows 2-3, summed into row 2, and
+    its square root into row 3."""
+    w.poses.take(w.ends_at, None, w.pairs, "clip")
+    np.subtract(w.offsets, w.tail, w.offsets)
+    np.multiply(w.offsets, w.offsets, w.tail)
+    np.add(w.length_squared, w.dist, w.length_squared)
     np.sqrt(w.length_squared, w.dist)
     return w.pairs
 

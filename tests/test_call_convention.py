@@ -78,7 +78,7 @@ def test_step_modules_pass_take_outputs_positionally(module):
 
 def test_scan_catches_a_planted_keyword_take():
     source = _source("sim")
-    planted = source + '\nw.poses.take(w.ends_at, out=w.ends, mode="clip")\n'
+    planted = source + '\nw.poses.take(w.ends_at, out=w.pairs, mode="clip")\n'
     line = planted.count("\n")
     assert keyword_takes(planted) == keyword_takes(source) + [line]
 

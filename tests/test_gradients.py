@@ -7,7 +7,7 @@ import pytest
 from rendezsim import RegionFlag, fields
 from rendezsim.fields import (follower_terms, navfunc_follower,
                               navfunc_leader, sigmoid_collision)
-from rendezsim.gradients import (fd_hessian, follower_field_eval,
+from rendezsim.gradients import (Rows, fd_hessian, follower_field_eval,
                                  grad_navfunc_follower, leader_field_eval)
 
 from oracles import (fd_gradient, grad_constraint_follower,
@@ -50,6 +50,15 @@ class TestFdOracles:
     def test_gradient_rejects_non_finite_field(self):
         with pytest.raises(ValueError, match="non-finite"):
             fd_gradient(lambda p: math.inf, np.zeros(2), 1e-5)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-4])
+    def test_hessian_rejects_bad_step(self, h):
+        with pytest.raises(ValueError, match="h must be > 0"):
+            fd_hessian(lambda p: 0.0, np.zeros(2), h)
+
+    def test_hessian_rejects_non_finite_field(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            fd_hessian(lambda p: math.inf, np.zeros(2), 1e-4)
 
     def test_hessian_of_quadratic(self):
         h = fd_hessian(lambda p: float(p @ p), np.array([0.7, -1.2]), 1e-4)
@@ -317,6 +326,9 @@ class TestOneWalk:
     and evaluates b(d) once per edge; a second walk in navfunc_follower
     gives the same value bit for bit."""
 
+    def test_one_follower_evaluation(self):
+        assert follower_field_eval is grad_navfunc_follower
+
     @staticmethod
     def two_walks(p, qs, region, params):
         bundle = grad_navfunc_follower(p, qs, region, params)
@@ -356,3 +368,12 @@ class TestOneWalk:
         avoid = region is RegionFlag.COLLISION_FREE
         assert made == {"sigmoid_connectivity": m,
                         "sigmoid_collision": m if avoid else 0}
+
+
+class TestRows:
+    @pytest.mark.parametrize("run", ["e", "c b", "a c", "b c d a", "ab"])
+    def test_a_run_the_layout_lacks_raises(self, run):
+        rows = Rows("a b c", "d")
+        with pytest.raises(KeyError, match=run):
+            rows.at(run)
+        assert run not in rows.found

@@ -528,6 +528,15 @@ class TestExportFormat:
         assert [rows for rows, fields, _ in blocks if fields == 9] == [
             50] * 4
 
+    @pytest.mark.parametrize("value", [2, -1, 127, -128])
+    def test_region_other_than_0_or_1_is_not_written(self, tmp_path, value):
+        # a run writes only 0 and 1; any other byte has no text, and a
+        # negative one does not take a row from the end
+        log = random_log(steps=5, n=2, switch_step=2)
+        log.region[3] = value
+        with pytest.raises(IndexError):
+            scenario_io.export_trajectory(log, str(tmp_path))
+
     def test_one_robot_writes_no_distance_rows(self, tmp_path):
         self.assert_matches_oracle(random_log(steps=5, n=1, switch_step=2),
                                    tmp_path)

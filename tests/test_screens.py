@@ -308,8 +308,10 @@ class TestLogisticNegated:
         kernel = JetKernel(cfg, ~np.eye(2, dtype=bool), np.triu_indices(2, 1))
         if region is RegionFlag.RENDEZVOUS:
             kernel.drop_avoidance()
-        (cb, kb, _, _), (cc, kc, _, _) = kernel.factors
-        assert kernel.factors[0] == edge_factors(cfg)[0]
+        # the column holds (center, gain, c1, c2), each of [b, B]
+        (cb, cc), (kb, kc) = kernel.factor_column[:4, 0].reshape(2, 2)
+        assert kernel.factor_column[::2, 0].tolist() == list(
+            edge_factors(cfg)[0])
         d = np.array([cb, cc, 0.0, 1e-300, 800.0 / abs(kb), 1e3, 1e6,
                       math.nan, -math.nan, math.inf, 1.3, 0.1])
         with np.errstate(invalid="ignore"):

@@ -359,6 +359,20 @@ class TestArrayCore:
         assert built == []
 
 
+class TestPairWork:
+    def test_one_float_block(self):
+        # the pair rows are computed in place: every float row of a
+        # PairWork, the monitors' screen too, is a view of one block
+        n, p = 5, 10
+        poses = np.zeros((n, 3))
+        work = sim.PairWork(poses, np.triu_indices(n, 1))
+        rows = [v for v in vars(work).values() if isinstance(v, np.ndarray)
+                and v.dtype == float and v is not poses]
+        block = work.pairs.base
+        assert block.shape == (5 * p + 2 * n,)
+        assert all(v.base is block for v in rows)
+
+
 class TestEdgeList:
     """The followers' passes of the step kernel work on the sensed edges
     alone: the pair pass has one column per upper pair (a, b) that some
