@@ -269,16 +269,12 @@ def navfunc_follower(position: np.ndarray,
 
 
 def region_of(leader_position: np.ndarray, cfg: ScenarioConfig,
-              previous: RegionFlag = RegionFlag.COLLISION_FREE,
               const: LeaderConstants | None = None) -> RegionFlag:
-    """Latched region switch driven by the informed robot's goal distance.
-
-    Once the leader has been within the switch distance the flag stays
-    RENDEZVOUS forever, so a later oscillation around the threshold cannot
-    re-activate collision avoidance. ``const`` is ``leader_constants(cfg)``.
+    """The region switch's test: RENDEZVOUS when the informed robot is
+    within the switch distance of the goal, else COLLISION_FREE. It holds
+    no state; ``sim`` latches the switch. ``const`` is
+    ``leader_constants(cfg)``.
     """
-    if previous is RegionFlag.RENDEZVOUS:
-        return RegionFlag.RENDEZVOUS
     if const is None:
         const = leader_constants(cfg)
     if (math.hypot(leader_position[0] - const.goal_x,

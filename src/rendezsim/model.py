@@ -21,8 +21,9 @@ class RegionFlag(Enum):
     """Operating region: collision avoidance active vs. deactivated.
 
     The flag starts as COLLISION_FREE and switches to RENDEZVOUS once the
-    informed robot gets close enough to the goal; the switch is one-way
-    (latched), see fields.region_of.
+    informed robot gets within the switch distance of the goal
+    (fields.region_of). The switch is one-way: ``sim`` latches it, and a
+    run's log records it only as ``TrajectoryLog.switch_step``.
     """
 
     COLLISION_FREE = "collision_free"

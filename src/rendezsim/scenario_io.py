@@ -527,9 +527,7 @@ def export_trajectory(log: TrajectoryLog, out_dir: str) -> tuple[str, str]:
         return _fixed9(log.times[k0:k0 + k])[:, None]
 
     def region(k0, k):
-        # the int8 regions as bytes, so that a negative one is out of range
-        # as any other but 0 and 1 is, never a row from the end
-        return _REGION_TEXT[log.region[k0:k0 + k].view(np.uint8)][:, None]
+        return _REGION_TEXT[log.region[k0:k0 + k]][:, None]
 
     def trajectory_blocks(m):
         for k0 in range(0, steps, m):
@@ -690,7 +688,7 @@ def load_trajectory(log_dir: str) -> TrajectoryLog:
     switch_step = int(switch[0]) if switch.size else None
     log = TrajectoryLog(
         times=times, poses=traj["pose"], controls=traj["control"],
-        phi=traj["phi"], region=region, monitored=monitored, events=[],
+        phi=traj["phi"], monitored=monitored, events=[],
         switch_step=switch_step, goal_position=values["goal_position"],
         goal_heading=values["goal_heading"], time_step=values["time_step"],
         sensing_radius=values["sensing_radius"])

@@ -78,7 +78,6 @@ class TrajectoryLog:
     poses: np.ndarray        # (S, N, 3): x, y, theta
     controls: np.ndarray     # (S, N, 5)
     phi: np.ndarray          # (S, N)
-    region: np.ndarray       # (S,) int8: 0 collision-free, 1 rendezvous
     monitored: np.ndarray    # (P,) bool
     events: list = field(default_factory=list)
     switch_step: int | None = None
@@ -95,6 +94,13 @@ class TrajectoryLog:
     @property
     def n_robots(self) -> int:
         return self.poses.shape[1]
+
+    @property
+    def region(self) -> np.ndarray:
+        """(S,) int8, made on each read from ``switch_step``, the log's one
+        record of the switch: 0 (collision-free) before it, 1 from it."""
+        switch = self.n_steps if self.switch_step is None else self.switch_step
+        return (np.arange(self.n_steps) >= switch).view(np.int8)
 
     @cached_property
     def pairs(self) -> tuple:
@@ -362,8 +368,8 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
     An adapter from states to the step kernel that ``run`` drives; the first
     state is the informed robot. Robot i's controls read only the robots it
     senses, so moving any other robot leaves them unchanged bit for bit.
-    Returns (new states, controls in id order, new region); the region is
-    re-latched from the new leader position.
+    Returns (new states, controls in id order, new region); a RENDEZVOUS
+    region stays, as the switch latches, else is tested at the new pose.
     """
     if topo is None:
         topo = build_topology(states, cfg.sensing_radius)
@@ -383,8 +389,9 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
     new = kernel.poses
     new_states = [s.with_pose(new[i, :2], new[i, 2])
                   for i, s in enumerate(states)]
-    new_region = region_of(new[0, :2], cfg, previous=region)
-    return new_states, controls, new_region
+    if region is RegionFlag.COLLISION_FREE:
+        region = region_of(new[0, :2], cfg)
+    return new_states, controls, region
 
 
 def monitor_invariants(positions: np.ndarray, pair_distances: np.ndarray,
@@ -500,26 +507,22 @@ def _stop_screen(dx: float, dy: float, tolerance: float) -> bool:
 
 
 def _log_rows(rows: int, n: int, filled=()):
-    """The log's arrays for ``rows`` steps of n robots: times, poses (a row
-    more: row k + 1 receives step k's update), controls, phi and regions.
-    The arrays of ``filled``, as returned before, are copied into their
-    first rows.
+    """The log's float arrays for ``rows`` steps of n robots: poses (a row
+    more: row k + 1 receives step k's update), controls and phi. The arrays
+    of ``filled``, as returned before, are copied into their first rows.
 
     The arrays are cut, one after another, from one anonymous mapping, whose
     pages the operating system commits as the rows are written: numpy
     advises 2 MiB pages for an array of 4 MiB or more, and a log reserves
-    rows up to the horizon that a converging run never writes. The float
-    arrays come first, so every offset is a multiple of 8. The mapping is
-    ``mmap``'s default, shared: a forked child writes into the parent's
+    rows up to the horizon that a converging run never writes. The mapping
+    is ``mmap``'s default, shared: a forked child writes into the parent's
     log."""
-    shapes = ((rows,), (rows + 1, n, 3), (rows, n, 5), (rows, n), (rows,))
-    dtypes = (float,) * 4 + (np.int8,)
-    sizes = [math.prod(s) * np.dtype(d).itemsize
-             for s, d in zip(shapes, dtypes)]
+    shapes = ((rows + 1, n, 3), (rows, n, 5), (rows, n))
+    sizes = [8 * math.prod(s) for s in shapes]
     mapping = mmap.mmap(-1, sum(sizes))
     offsets = itertools.accumulate(sizes, initial=0)
-    arrays = tuple(np.frombuffer(mapping, d, math.prod(s), offset).reshape(s)
-                   for s, d, offset in zip(shapes, dtypes, offsets))
+    arrays = tuple(np.frombuffer(mapping, float, math.prod(s), at).reshape(s)
+                   for s, at in zip(shapes, offsets))
     for new, old in zip(arrays, filled):
         new[:len(old)] = old
     return arrays
@@ -532,10 +535,11 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     per run: one array of upper-pair rows (offsets, square lengths and
     distances) feeds the neighbor mask's accretion, the monitors and one
     kernel call, which makes the controls and moves the poses on from the
-    followers' edge list; the log copies the poses and controls, and its
-    distances are derived from the poses when read. The region switch is
-    asked only until it latches, which drops the kernel's collision factor
-    once (``JetKernel.drop_avoidance``). ``monitor_invariants`` runs only
+    followers' edge list; the log copies the poses and controls, and
+    derives its distances from the poses when read. The region switch is
+    asked only until it latches, at ``switch_step``, the log's one record
+    of it, which drops the kernel's collision factor once
+    (``JetKernel.drop_avoidance``). ``monitor_invariants`` runs only
     on a step where some watched value reaches its bound
     (``_monitor_bounds``), so it emits the same events as on every step.
     The log starts at most ``LOG_BYTES`` large and doubles when the run
@@ -575,10 +579,9 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
 
     max_steps = int(round(cfg.horizon / cfg.time_step))
     S = max_steps + 1
-    # a logged step: t, each robot's pose, controls and phi, and the region
-    # byte
-    rows = min(S, max(1024, LOG_BYTES // (8 * (1 + 9 * n) + 1)))
-    times, poses, ctrl, phi, regions = log_rows = _log_rows(rows, n)
+    # a logged step: each robot's pose, controls and phi
+    rows = min(S, max(1024, LOG_BYTES // (72 * n)))
+    poses, ctrl, phi = log_rows = _log_rows(rows, n)
 
     events: list[Event] = []
     switch_step = None
@@ -597,13 +600,12 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     while True:
         if k == rows:  # the log is full: double it, up to the horizon
             rows = min(2 * rows, S)
-            times, poses, ctrl, phi, regions = log_rows = _log_rows(
-                rows, n, log_rows)
+            poses, ctrl, phi = log_rows = _log_rows(rows, n, log_rows)
         t = k * cfg.time_step
         # the informed robot's position as floats, read once a step for the
         # region switch, the kernel and the stop screen
         leader = (float(pose[0, 0]), float(pose[0, 1]))
-        if region is RegionFlag.COLLISION_FREE:  # else latched
+        if switch_step is None:  # else latched
             region = region_of(leader, cfg, const=leader_const)
             if region is RegionFlag.RENDEZVOUS:
                 switch_step = k
@@ -624,8 +626,6 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
         ctrl[k] = kernel.by_robot
         poses[k + 1] = pose
 
-        times[k] = t
-        regions[k] = region is RegionFlag.RENDEZVOUS
         np.negative(watched, negated)
         if np.greater_equal(screened, bounds, reach).tobytes() != unreached:
             pairs = pairs or upper_pairs(n)
@@ -647,9 +647,10 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
         if converged or k > max_steps:
             break
 
+    # bit for bit each step's t = k * time_step
     log = TrajectoryLog(
-        times=times[:k], poses=poses[:k], controls=ctrl[:k], phi=phi[:k],
-        region=regions[:k], monitored=monitored, events=events,
+        times=np.arange(k) * cfg.time_step, poses=poses[:k],
+        controls=ctrl[:k], phi=phi[:k], monitored=monitored, events=events,
         switch_step=switch_step,
         goal_position=cfg.goal_position.copy(), goal_heading=cfg.goal_heading,
         time_step=cfg.time_step, sensing_radius=cfg.sensing_radius,
@@ -686,11 +687,10 @@ def compute_metrics(log: TrajectoryLog, cfg: ScenarioConfig | None = None) -> Me
     off = log.poses[-1, :, 2] - log.goal_heading
     orientation = np.abs(np.remainder(off + np.pi, TWO_PI) - np.pi)
 
-    # the switch latches (run logs it so; load_trajectory rejects a return
-    # to region 0), so the collision-free steps are the ones before the
-    # first region 1. Both bounds are taken a block at a time, and
-    # np.minimum and np.maximum carry a NaN through as min and max do
-    free = int(np.argmax(log.region)) if log.region.any() else log.n_steps
+    # the switch latches, so the collision-free steps are the ones before
+    # switch_step. Both bounds are taken a block at a time, and np.minimum
+    # and np.maximum carry a NaN through as min and max do
+    free = log.n_steps if log.switch_step is None else log.switch_step
     min_cf = max_mon = None
     if (free and len(log.monitored)) or log.monitored.any():
         low, high = np.inf, np.full(len(log.monitored), -np.inf)

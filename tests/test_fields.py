@@ -4,12 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rendezsim import RegionFlag
+from rendezsim import RegionFlag, step
 from rendezsim.fields import (_logistic, edge_factors, follower_terms,
                               leader_constants, leader_terms,
                               navfunc_follower, navfunc_leader, region_of,
                               sigmoid_collision, sigmoid_connectivity,
                               sigmoid_gain)
+
+from conftest import small_config
 
 
 def reference_leader_value(p, goal, goal_heading, eps_nh, alpha, r_work,
@@ -326,10 +328,15 @@ class TestRegionSwitch:
         assert region_of(np.array([1.6, 0.0]),
                          params_s5) is RegionFlag.COLLISION_FREE
 
-    def test_latched_once_triggered(self, params_s5):
-        flag = region_of(np.array([1.4, 0.0]), params_s5)
-        flag = region_of(np.array([1.6, 0.0]), params_s5, previous=flag)
-        assert flag is RegionFlag.RENDEZVOUS
+    def test_latched_once_triggered(self):
+        # the informed robot starts and ends the step beyond the switch
+        # distance, which alone answers COLLISION_FREE; sim latches
+        cfg = small_config()
+        states, _, region = step(cfg.initial_states, RegionFlag.RENDEZVOUS,
+                                 cfg)
+        assert region_of(states[0].position,
+                         cfg) is RegionFlag.COLLISION_FREE
+        assert region is RegionFlag.RENDEZVOUS
 
     def test_threshold_value(self, params_s5):
         assert params_s5.switch_distance == pytest.approx(1.5)

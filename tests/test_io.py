@@ -324,11 +324,9 @@ def synthetic_log():
     # negative and large values
     controls[1, 1] = [1.5e6, -2.75e7, 123456789.125, -987654.5, -1e-9]
     phi[2] = [-1e8, 7.5e9, -0.5, 1.0]
-    region = np.zeros(steps, dtype=np.int8)
-    region[steps // 2:] = 1
     log = TrajectoryLog(
         times=np.arange(steps) * 0.005, poses=poses, controls=controls,
-        phi=phi, region=region,
+        phi=phi,
         monitored=np.array([True, False, True, False, False, True]),
         switch_step=steps // 2, goal_position=np.array([1.5, -0.25]),
         goal_heading=-0.75, time_step=0.005, sensing_radius=2.0)
@@ -340,16 +338,14 @@ def random_log(steps, n, switch_step):
     """Random ``steps`` x ``n`` log whose region flips to 1 at ``switch_step``."""
     rng = np.random.default_rng(11)
     pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-    region = np.zeros(steps, dtype=np.int8)
-    region[switch_step:] = 1
     poses = rng.normal(size=(steps, n, 3))
     controls = rng.normal(size=(steps, n, 5))
     phi = rng.uniform(size=(steps, n))
     distances = rng.uniform(0.0, 4.0, size=(steps, len(pairs)))
     log = TrajectoryLog(
         times=np.arange(steps) * 0.01, poses=poses, controls=controls,
-        phi=phi, region=region,
-        monitored=rng.uniform(size=len(pairs)) < 0.3, switch_step=switch_step,
+        phi=phi, monitored=rng.uniform(size=len(pairs)) < 0.3,
+        switch_step=switch_step,
         goal_position=np.zeros(2), time_step=0.01, sensing_radius=2.0)
     log.distances = distances
     return log
@@ -528,15 +524,6 @@ class TestExportFormat:
         assert [rows for rows, fields, _ in blocks if fields == 9] == [
             50] * 4
 
-    @pytest.mark.parametrize("value", [2, -1, 127, -128])
-    def test_region_other_than_0_or_1_is_not_written(self, tmp_path, value):
-        # a run writes only 0 and 1; any other byte has no text, and a
-        # negative one does not take a row from the end
-        log = random_log(steps=5, n=2, switch_step=2)
-        log.region[3] = value
-        with pytest.raises(IndexError):
-            scenario_io.export_trajectory(log, str(tmp_path))
-
     def test_one_robot_writes_no_distance_rows(self, tmp_path):
         self.assert_matches_oracle(random_log(steps=5, n=1, switch_step=2),
                                    tmp_path)
@@ -662,7 +649,7 @@ class TestWorkingSets:
         assert log.n_steps == 11414
         page = mmap.PAGESIZE
         spans, written = [], set()
-        for a in (log.times, log.poses, log.controls, log.phi, log.region):
+        for a in (log.poses, log.controls, log.phi):
             # the array as run() made it, and the rows it wrote: up to the
             # last step, and one pose row more
             start = a.base.ctypes.data
@@ -698,7 +685,7 @@ class TestWorkingSets:
         # the logs end on shorter blocks, of 1 and 3 steps
         short = dataclasses.replace(sparse48_log, **{
             name: getattr(sparse48_log, name)[:51] for name in (
-                "times", "poses", "controls", "phi", "region")})
+                "times", "poses", "controls", "phi")})
         peaks = [traced_peak(lambda: export_trajectory(log, str(tmp_path)))
                  for log in (dataclasses.replace(sparse48_log), short)]
         assert max(peaks) <= CONCATENATING_EXPORT_PEAK

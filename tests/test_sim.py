@@ -884,12 +884,12 @@ class TestLogGrowth:
         log = run(dataclasses.replace(_rendezvous(), horizon=1e6))
         assert log.n_steps == 298
         # the whole log, its one extra pose row aside, within the bound: one
-        # mapping holds every array; the log holds no pair-distance table,
-        # which is derived when read
+        # mapping holds the poses, controls and phi; the log holds no
+        # pair-distance table, which is derived when read
         assert "distances" not in vars(log)
-        mapping = log.times.base.base.obj
+        mapping = log.poses.base.base.obj
         assert all(getattr(log, name).base.base.obj is mapping
-                   for name in self.FIELDS if name != "distances")
+                   for name in ("poses", "controls", "phi"))
         assert len(mapping) <= sim.LOG_BYTES + log.poses[0].nbytes
 
 
@@ -900,10 +900,9 @@ class TestMetrics:
         poses = np.zeros((s, n, 3))
         controls = np.zeros((s, n, 5))
         phi = np.zeros((s, n))
-        region = np.ones(s, dtype=np.int8)
         log = TrajectoryLog(
             times=times, poses=poses, controls=controls, phi=phi,
-            region=region, monitored=np.array([True]), events=[],
+            monitored=np.array([True]), events=[],
             switch_step=0, goal_position=np.zeros(2), goal_heading=0.0,
             time_step=0.1, sensing_radius=2.0)
         log.distances = np.zeros((s, 1))
@@ -924,7 +923,6 @@ class TestMetrics:
         log.controls = np.zeros((s, 2, 5))
         log.controls[:, 0, 3] = 0.5 * np.exp(-2.0 * times)
         log.phi = np.zeros((s, 2))
-        log.region = np.ones(s, dtype=np.int8)
         log.distances = np.zeros((s, 1))
         m = compute_metrics(log)
         assert m.heading_decay_rate == pytest.approx(2.0, rel=0.01)
@@ -942,7 +940,6 @@ class TestMetrics:
         log.controls = np.zeros((s, 2, 5))
         log.controls[:, 0, 3] = np.where(tilde > 1e-6, tilde, jitter)
         log.phi = np.zeros((s, 2))
-        log.region = (times > 9.0).astype(np.int8)
         log.distances = np.zeros((s, 1))
         log.switch_step = int(np.argmax(times > 9.0))
         m = compute_metrics(log)
@@ -966,17 +963,13 @@ class TestMetrics:
         # the bounds as boolean-mask and fancy-index copies of the log
         rng = np.random.default_rng(19)
         steps, p = 40, n * (n - 1) // 2
-        region = np.zeros(steps, dtype=np.int8)
-        if switch is not None:
-            region[switch:] = 1
         poses = rng.normal(size=(steps, n, 3))
         controls = rng.normal(size=(steps, n, 5))
         phi = rng.uniform(size=(steps, n))
         distances = rng.uniform(0.0, 4.0, size=(steps, p))
         log = TrajectoryLog(
             times=np.arange(steps) * 0.01, poses=poses, controls=controls,
-            phi=phi, region=region,
-            monitored=rng.uniform(size=p) < share, switch_step=switch,
+            phi=phi, monitored=rng.uniform(size=p) < share, switch_step=switch,
             goal_position=np.zeros(2), time_step=0.01, sensing_radius=2.0)
         log.distances = distances
         free = log.region == 0
@@ -1007,15 +1000,13 @@ class TestMetrics:
         steps, n, switch = 40, 5, 10
         poses = rng.normal(scale=2.0, size=(steps, n, 3))
         poses[nan_step, 1, 0] = np.nan
-        region = np.zeros(steps, dtype=np.int8)
-        region[switch:] = 1
         monitored = np.zeros(10, dtype=bool)
         monitored[[0, 4, 9]] = True  # (1, 2), (2, 3) and (4, 5)
         log = TrajectoryLog(
             times=np.arange(steps) * 0.01, poses=poses,
             controls=rng.normal(size=(steps, n, 5)),
-            phi=rng.uniform(size=(steps, n)), region=region,
-            monitored=monitored, switch_step=switch,
+            phi=rng.uniform(size=(steps, n)), monitored=monitored,
+            switch_step=switch,
             goal_position=np.zeros(2), time_step=0.01, sensing_radius=2.0)
         derived = compute_metrics(log)
         assert "distances" not in vars(log)  # read by blocks, not kept

@@ -6,10 +6,13 @@ states the same step as plain numpy expressions, in the kernel's order of
 operations, from the pose, held headings and sensing mask before it. A
 fused or reordered call that moves any bit fails here by name. The log
 keeps no distances; those it derives from its poses must be, bit for bit,
-the ones the kernel's pair rows held at each step.
+the ones the kernel's pair rows held at each step. Nor does it keep times
+or regions: step k's t must be, bit for bit, ``k * time_step``, and its
+region 1 exactly from ``switch_step`` on.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -64,6 +67,23 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def assert_times_and_regions(log, cfg):
+    """Step k's t is Python's k * time_step, and its region, an int8, 1
+    exactly when k >= switch_step, the first step whose informed robot is
+    within the switch distance."""
+    steps = range(log.n_steps)
+    assert same_bits(log.times, [k * cfg.time_step for k in steps])
+    goal_x, goal_y = cfg.goal_position.tolist()
+    inside = [math.hypot(x - goal_x, y - goal_y) < cfg.switch_distance
+              for x, y in log.poses[:, 0, :2].tolist()]
+    switch = inside.index(True) if any(inside) else None
+    assert log.switch_step == switch
+    region = log.region
+    assert region.dtype == np.int8
+    assert region.tolist() == [int(switch is not None and k >= switch)
+                               for k in steps]
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_step_matches_plain_formulas(name):
     make, steps = CASES[name]
@@ -74,20 +94,35 @@ def test_step_matches_plain_formulas(name):
     edges = mask.sum()
     a, b = np.triu_indices(cfg.n_robots, 1)
     threshold = cfg.sensing_radius - cfg.connectivity_buffer
-    regions = {0: RegionFlag.COLLISION_FREE, 1: RegionFlag.RENDEZVOUS}
+    assert_times_and_regions(log, cfg)
+    flags = (RegionFlag.COLLISION_FREE, RegionFlag.RENDEZVOUS)
+    regions = [flags[r] for r in log.region.tolist()]
     held = log.poses[0, :, 2]
     for k in range(steps):
         if cfg.neighbor_mode == "accreting":  # grown as run() grows it
             near = log.distances[k] < threshold
             mask[a[near], b[near]] = mask[b[near], a[near]] = True
         new, controls, phi = plain_step(cfg, mask, log.poses[k], held,
-                                        regions[int(log.region[k])])
+                                        regions[k])
         assert same_bits(log.poses[k + 1], new), k
         assert same_bits(log.controls[k], controls.T), k
         assert same_bits(log.phi[k], phi), k
         held = log.controls[k, :, 2]
     # the accreting run rebuilds its edge list on the way
     assert (mask.sum() > edges) == (cfg.neighbor_mode == "accreting")
+
+
+def test_times_at_an_inexact_step():
+    # 0.003 has no exact binary form: over 1,083 steps, a cumulative sum of
+    # it drifts off k * 0.003, which the log's times must be. The informed
+    # robot crosses the switch distance at step 654
+    cfg = small_config(time_step=0.003, horizon=4.0, initial_states=(
+        make_states([(-1.6, 0.0, 0.0), (-2.2, 0.5, 0.0), (-2.2, -0.5, 0.0)])))
+    log = run(cfg)
+    assert (log.n_steps, log.switch_step) == (1083, 654)
+    assert_times_and_regions(log, cfg)
+    summed = np.cumsum([0.0] + [cfg.time_step] * (log.n_steps - 1))
+    assert not same_bits(log.times, summed)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
