@@ -53,7 +53,7 @@ def compute_control(robot: RobotState,
     w.controls[2] = robot.heading if prev_theta_d is None else prev_theta_d
     hess = ev.hessian.reshape(4, 1)[[0, 1, 3]]  # (xx, xy, yy) as rows
     *controls, grad_norm = (float(row[0]) for row in control_laws(
-        ev.gradient[:, None], hess, w))
+        ev.gradient[[0, 0, 1, 1], None], hess, w))
     return ControlOutput(*controls, phi=ev.value, grad_norm=grad_norm)
 
 
@@ -78,28 +78,32 @@ class ControlWork:
         self.pi = self.turn[0]
         self.controls = np.empty((5, n))
         self.rows = tuple(self.controls)
-        self.headings = self.controls[2:4]
-        self.descent = np.empty((2, n))
-        self.descent_x, self.descent_y = self.descent
-        # sin theta_d, the cosines of theta_d and theta_tilde, |grad|; then
-        # k_v cos theta_tilde and k_v |grad|
+        # theta_d twice, in omega's row, free until omega is due, and its
+        # own; then theta_tilde
+        self.desired, self.angles = self.controls[1:3], self.controls[1:4]
+        # -grad (x, x, y, y)
+        self.descent = np.empty((4, n))
+        self.descent_x, self.descent_y = self.descent[1:3]
+        self.across, self.up = self.descent[:2], self.descent[2:]
+        # sin theta_d twice, cos theta_d twice, cos theta_tilde and |grad|
         self.trig = np.empty((6, n))
-        self.sin_d, self.cos_d, self.cos_tilde, self.grad_norm = self.trig[:4]
-        self.cosines, self.scaled = self.trig[1:3], self.trig[2:4]
-        self.gain_cos, self.gain_norm = self.trig[4:]
-        self.gained = self.trig[4:]
-        # sin_d hxy, sin_d hxx, cos_d hyy, cos_d hxy: rows 0-1 less rows
-        # 2-3 are (sin_d hxy - cos_d hyy, sin_d hxx - cos_d hxy)
+        self.sines, self.cosines = self.trig[:2], self.trig[2:5]
+        self.cos_d, self.scaled = self.trig[2:4], self.trig[4:]
+        self.cos_tilde, self.grad_norm = self.scaled
+        # k_v cos theta_tilde and k_v |grad|
+        self.gained = np.empty((2, n))
+        self.gain_cos, self.gain_norm = self.gained
+        # sin_d hxx, sin_d hxy, cos_d hxy, cos_d hyy: rows 0-1 less rows
+        # 2-3 are (sin_d hxx - cos_d hxy, sin_d hxy - cos_d hyy)
         self.products = np.empty((4, n))
-        self.sd_hxy, self.sd_hxx, self.cd_hyy, self.cd_hxy = self.products
         self.heads, self.tails = self.products[:2], self.products[2:]
-        # those two forms, then the motion direction (sin theta, cos theta)
+        # those two forms, then the motion direction (cos theta, sin theta)
         self.forms, self.motion = np.empty((2, 2, n))
-        self.sin_theta, self.cos_theta = self.motion
-        self.form_y, self.form_x = self.forms
+        self.cos_theta, self.sin_theta = self.motion
+        self.form_x, self.form_y = self.forms
         self.magnitude, self.form, self.turn_rate = np.empty((3, n))
         self.steep, self.inside = np.empty((2, n), dtype=bool)
-        self.all_true = np.ones(n, dtype=bool).tobytes()
+        self.all_true = b"\x01" * n
 
 
 def control_laws(grad, hess, w: ControlWork):
@@ -113,13 +117,15 @@ def control_laws(grad, hess, w: ControlWork):
     the motion, is k_v cos theta_tilde (sin theta_d, -cos theta_d) hess
     (cos theta, sin theta); omega = -k_w theta_tilde + theta_d_dot.
 
-    grad is (x, y) and hess (xx, xy, yy), each component an array over the
-    robots; ``w.theta`` holds wrapped headings. Returns (v, omega, theta_d,
-    theta_tilde, theta_d_dot, grad_norm), rows of ``w``.
+    grad is (x, x, y, y), each component twice, and hess (xx, xy, yy), each
+    component an array over the robots, as one block; ``w.theta`` holds
+    wrapped headings. theta_d is taken twice, so that the sines and cosines
+    of theta_d pair with hess's rows (xx, xy) and (xy, yy) in two calls.
+    Returns (v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm), rows
+    of ``w``.
     """
     theta = w.theta
     v, omega, theta_d, theta_tilde, theta_d_dot = w.rows
-    hxx, hxy, hyy = hess
     # |-grad| is |grad| bit for bit: hypot takes absolute values
     np.negative(grad, w.descent)
     descent_x, descent_y = w.descent_x, w.descent_y
@@ -127,9 +133,10 @@ def control_laws(grad, hess, w: ControlWork):
     # the held heading stays where some norm is at or under the floor, or NaN
     steep = np.greater(grad_norm, w.floor, w.steep)
     if steep.tobytes() == w.all_true:
-        np.arctan2(descent_y, descent_x, theta_d)
+        np.arctan2(w.up, w.across, w.desired)
     else:
         np.arctan2(descent_y, descent_x, theta_d, where=steep)
+        np.positive(theta_d, omega)
     # theta_d is an arctan2 value or a held heading, in [-pi, pi], so
     # theta - theta_d lies in [-2 pi, 2 pi], where one turn is
     # normalize_angle bit for bit; except at -2 pi, which only theta one ulp
@@ -138,20 +145,18 @@ def control_laws(grad, hess, w: ControlWork):
     magnitude = np.abs(theta_tilde, w.magnitude)
     if np.less(magnitude, w.pi, w.inside).tobytes() != w.all_true:
         turn_angles(theta_tilde, theta_tilde, w.turn)
-    np.cos(w.headings, w.cosines)
-    np.multiply(w.k_v, w.scaled, w.gained)
-    np.multiply(w.gain_norm, w.cos_tilde, v)
+    np.sin(w.desired, w.sines)
+    np.cos(w.angles, w.cosines)
     # left^T H right with left = (sin theta_d, -cos theta_d), right the
     # motion direction (cos theta, sin theta): (sin_d hxx - cos_d hxy)
     # cos theta + (sin_d hxy - cos_d hyy) sin theta
-    sin_d, cos_d = np.sin(theta_d, w.sin_d), w.cos_d
-    np.multiply(sin_d, hxy, w.sd_hxy)
-    np.multiply(sin_d, hxx, w.sd_hxx)
-    np.multiply(cos_d, hyy, w.cd_hyy)
-    np.multiply(cos_d, hxy, w.cd_hxy)
+    np.multiply(w.sines, hess[:2], w.heads)
+    np.multiply(w.cos_d, hess[1:], w.tails)
+    np.multiply(w.k_v, w.scaled, w.gained)
+    np.multiply(w.gain_norm, w.cos_tilde, v)
     forms = np.subtract(w.heads, w.tails, w.forms)
-    np.sin(theta, w.sin_theta)
     np.cos(theta, w.cos_theta)
+    np.sin(theta, w.sin_theta)
     np.multiply(forms, w.motion, forms)
     form = np.add(w.form_x, w.form_y, w.form)
     np.multiply(w.gain_cos, form, theta_d_dot)

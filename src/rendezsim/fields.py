@@ -183,7 +183,8 @@ def follower_terms(position: np.ndarray,
 class LeaderConstants(NamedTuple):
     """What ``leader_terms`` and ``region_of`` read of the scenario, as
     floats: the goal, the goal heading's axis a = (cos, sin), the rim
-    factor's logistic gain and the switch distance. A run computes them
+    factor's logistic gain, half the collision margin and the workspace
+    radius, ``dipolar_eps`` and the switch distance. A run computes them
     once; a call given none computes them itself."""
 
     goal_x: float
@@ -191,16 +192,21 @@ class LeaderConstants(NamedTuple):
     axis_x: float
     axis_y: float
     rim_gain: float
+    half_margin: float
+    workspace_radius: float
+    dipolar_eps: float
     switch_distance: float
 
 
 def leader_constants(cfg: ScenarioConfig) -> LeaderConstants:
     """The ``LeaderConstants`` of a scenario."""
     goal_x, goal_y = cfg.goal_position.tolist()
-    _, (_, _, k_c, _) = edge_factors(cfg)
+    _, (half_margin, _, k_c, _) = edge_factors(cfg)
     return LeaderConstants(
         goal_x, goal_y, math.cos(cfg.goal_heading),
-        math.sin(cfg.goal_heading), k_c, cfg.switch_distance)
+        math.sin(cfg.goal_heading), k_c, half_margin,
+        float(cfg.workspace_radius), float(cfg.dipolar_eps),
+        cfg.switch_distance)
 
 
 def leader_terms(position: np.ndarray, cfg: ScenarioConfig,
@@ -216,17 +222,17 @@ def leader_terms(position: np.ndarray, cfg: ScenarioConfig,
     """
     if const is None:
         const = leader_constants(cfg)
-    goal_x, goal_y, ax, ay, k, _ = const
+    goal_x, goal_y, ax, ay, k, half_margin, rim, eps, _ = const
     px, py = float(position[0]), float(position[1])
     rx = px - goal_x
     ry = py - goal_y
     proj = rx * ax + ry * ay
-    dip = cfg.dipolar_eps + proj * proj
+    dip = eps + proj * proj
     # dip has gradient 2 proj a and Hessian 2 a a^T
     dx, dy = 2.0 * proj * ax, 2.0 * proj * ay
     norm = math.hypot(px, py)
-    bnd = sigmoid_collision(cfg.workspace_radius - norm, cfg.collision_margin,
-                            cfg.sigmoid_eps)
+    # sigmoid_collision(rim - norm), with its gain k taken once
+    bnd = _logistic(k * ((rim - norm) - half_margin))
     if norm > 0.0:
         # the rim factor B(R_w - |p|) has gradient -B' u and Hessian
         # B'' u u^T - B' (I - u u^T) / |p|, with u = p / |p|

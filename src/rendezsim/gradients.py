@@ -17,7 +17,8 @@ from .fields import (DISTANCE_FLOOR, FieldEval, edge_factors, follower_terms,
                      leader_constants, leader_terms, logistic_negated,
                      navfunc_leader, potential)
 from .model import RegionFlag, ScenarioConfig
-# not called here: rendezbench/tracing.py wraps these names
+# not called here but for sigmoid_collision: rendezbench/tracing.py wraps
+# these names
 from .fields import (navfunc_follower, sigmoid_collision,  # noqa: F401
                      sigmoid_connectivity)
 
@@ -102,89 +103,92 @@ class Rows:
 class QuotientWork:
     """Every row that ``_quotient_jet`` reads or writes, for n robots.
 
-    Each block's rows are named (``Rows``), each quantity repeated and
-    ordered as the fused calls take it. The rule's inputs are ``inputs``:
-    gamma as G, its gradient as (dgx, dgy), lap_gamma as L, beta as B, its
-    gradient as (dbx, dby) and its Hessian as (hxx, hyy, hxy); the rule
-    writes dp and h0, and a, am, ap and half hold alpha, alpha - 1, alpha +
-    1 and 1/2. The rows of ``changing`` are the ones that ``load`` writes,
-    or that the step kernel fills. The four powers take flat views of
-    their blocks and their exponents as ``exponent_row``s: alpha, 1/alpha,
-    1/alpha + 1 and alpha - 1, in ``exponents``.
+    The rule runs in two stages. The head ``head`` holds one row per
+    quantity: the rule's inputs, in the caller's layout ``inputs`` (the
+    names of its rows), gamma as G, its gradient as (dgx, dgy), lap_gamma
+    as L, beta as B, its gradient as (dbx, dby) and its Hessian as (hxx,
+    hyy, hxy); then ``HEAD``'s rows: gamma^a, gamma^(a - 1), s = gamma^a +
+    beta and its powers s^(1/a) and s^(1/a + 1), and the constants 1, a, a
+    - 1, a + 1, -0.0 and +0.0. The four powers take single rows and their
+    exponents as ``exponent_row``s: alpha, 1/alpha, 1/alpha + 1 and alpha
+    - 1, in ``exponents``. One take spreads the head over ``operands``:
+    the first products' two operand runs ``LEFT`` and ``RIGHT``, aligned,
+    and the second products' run ``SECOND``, each quantity repeated and
+    ordered as the calls take it. Every later row is a row of ``rule``,
+    named ``RULE`` by what it ends up holding.
     """
 
-    INPUTS = Rows("a a a a am am dgy dgx G G G G G",
-                  "B B B B dgx dgy dbx dby dbx dby hxx hyy hxy",
-                  "dp dp dp dgx dgy L L dbx dby h0 dgx dgy dgx",
-                  "ap ap ap half")
-    # the first product's: a B four times, am (dgx, dgy), the cross terms
-    # dgy dbx and dgx dby, gamma (dbx, dby) and gamma times the Hessian;
-    # a three times before them, for the second product
-    FIRST = Rows("a a a ab ab ab ab d0x d0y cry crx gdbx gdby gdxx gdyy gdxy")
-    # the second product's: a dp three times, ab (dgx, dgy), ab L twice and
-    # d0 (dbx, dby); am before them, for the third
-    SECOND = Rows("am dpa dpa dpa f0x f0y ablx ably d1x d1y")
-    # f, the diagonal's numerator (x, y), the off-diagonal's, and de
-    # (x, y, x); then f de (x, y) and f times de reversed
-    THIRD = Rows("fx fy dx dy h dex dey dex")
-    FE = Rows("fdex fdey fex fey")
+    INPUTS = "G dgx dgy B dbx dby hxx hyy hxy L"
+    HEAD = "Ga P2 s root S2 one a am ap m0 z0"
+    # the first products, one per row of RULE: gamma (dbx, dbx, dby, dby);
+    # gamma hess beta (xx, -, yy) with +0.0 between; gamma hxy; dgy dbx;
+    # root; a s^(1/a + 1) four times; (a + 1) root four times; gamma;
+    # ab = a beta four times; (a - 1) dgx, dgx dby and (a - 1) dgy; a
+    # gamma^(a - 1) four times; ab, -0.0 and ab; and (dbx, dby, dby, dbx).
+    # Root, gamma, the signed zeros and grad beta are taken times 1
+    LEFT = ("G G G G G z0 G G dgy root S2 S2 S2 S2 root root root root G "
+            "B B B B dgx dgx dgy P2 P2 P2 P2 B m0 B dbx dby dby dbx")
+    RIGHT = ("dbx dbx dby dby hxx one hyy hxy dbx one a a a a ap ap ap ap "
+             "one a a a a am dby am a a a a a one a one one one one")
+    # the second products' other factors: ab (dgx, dgx, dgy, dgy), (dbx,
+    # a - 1, dby) into (a - 1) dg db and (a - 1) (dgx dby + dgy dbx), a
+    # gamma^(a - 1) (dgx, dgy, dgy, dgx) and ab (L, 1, L)
+    SECOND = "dgx dgx dgy dgy dbx am dby dgx dgy dgy dgx L one L"
+    # the rule's rows, each named by its last value: gamma beta's gradient
+    # and Hessian terms (gb: x, x, y, y; gh: xx, +0.0, yy; ghxy), the
+    # cross term cry, root, e = a s^(1/a + 1) four times, ar = (a + 1) root
+    # four times, phi (first gamma), f, the gradient (x, x, y, y) (first
+    # ab, then the numerator), the Hessian (xx, xy, yy) (first (a - 1) dgx,
+    # dgx dby and (a - 1) dgy), fe, the products f de (x ex, x ey, y ey, y
+    # ex) (first a gamma^(a - 1), then de's sum), ab L (x, -0.0, y), db
+    # (x, y, y, x), and 1/2
+    RULE = Rows("gb gb gb gb gh z gh ghxy cry root e e e e ar ar ar ar",
+                "phi f f f f hxx hxy hyy fe fe fe fe lx m ly db db db db",
+                "half")
 
-    def __init__(self, alpha: float, n: int):
+    def __init__(self, alpha: float, n: int, inputs: str = INPUTS):
         self.alpha = alpha
-        constants = {"a": alpha, "am": alpha - 1.0, "ap": alpha + 1.0,
-                     "half": 0.5}
-        layouts = (self.INPUTS, self.FIRST, self.SECOND, self.THIRD, self.FE)
-        blocks = [np.empty((len(rows.names), n)) for rows in layouts]
-        for rows, block in zip(layouts, blocks):
-            for i, name in enumerate(rows.names):
-                if name in constants:
-                    block[i] = constants[name]
-        self.inputs = blocks[0]
-        q, p, c, x, fe = (partial(rows.view, block)
-                          for rows, block in zip(layouts, blocks))
-        self.changing = slice(6, len(self.INPUTS.names) - 4)
-        self.first = (q("a a a a am am dgy dgx G G G G G"),
-                      q("B B B B dgx dgy dbx dby dbx dby hxx hyy hxy"),
-                      p("ab ab ab ab d0x d0y cry crx gdbx gdby gdxx gdyy "
-                        "gdxy"))
-        self.gamma3, self.beta3 = q("G G G"), q("B B B")
-        self.gamma, self.dp, self.h0 = q("G"), q("dp dp dp"), q("h0")
-        self.a3, self.ap3, self.half = q("a a a"), q("ap ap ap"), q("half")
-        self.s, self.root, self.e, self.ar = (np.empty((3, n))
-                                              for _ in range(4))
-        self.e2, self.e_row, self.root_row = (self.e[:2], self.e[0],
-                                              self.root[0])
-        self.second = (p("a a a ab ab ab ab d0x d0y"),
-                       q("dp dp dp dgx dgy L L dbx dby"),
-                       c("dpa dpa dpa f0x f0y ablx ably d1x d1y"))
-        self.d1, self.abl = c("d1x d1y"), c("ablx ably")
-        self.f0_d2, self.gdb_gd = c("f0x f0y ablx ably"), p(
-            "gdbx gdby gdxx gdyy")
-        self.crx, self.cry, self.gdxy = p("crx"), p("cry"), p("gdxy")
-        self.f_d, self.f = x("fx fy dx dy"), x("fx fy")
-        self.third = (c("am dpa dpa dpa"), q("h0 dgx dgy dgx"),
-                      x("h dex dey dex"))
-        self.de, self.de_xy, self.de_yx = (x("dex dey dex"), x("dex dey"),
-                                           x("dey dex"))
-        self.dbeta3 = q("dbx dby dbx")
-        self.fde, self.fe_yx = fe("fdex fdey"), fe("fex fey")
-        self.d_h, self.h = x("dx dy h"), x("h")
-        self.fde_fex, self.fey = fe("fdex fdey fex"), fe("fey")
-        self.hess_rows = np.empty((3, n))
-        self.hess = (self.hess_rows[0], self.hess_rows[2], self.hess_rows[1])
-        self.phi = np.empty(n)
-        # the powers' bases and results, flat; their exponents as rows
-        flat = 3 * n
-        (self.gamma_flat, self.s_flat, self.root_flat, self.e_flat,
-         self.dp_flat) = (x.reshape(flat, copy=False) for x in (
-             self.gamma3, self.s, self.root, self.e, self.dp))
+        head = self.head_rows = Rows(inputs, self.HEAD)
+        self.head = np.zeros((len(head.names), n))
+        view = partial(head.view, self.head)
+        for name, value in (("one", 1.0), ("a", alpha), ("am", alpha - 1.0),
+                            ("ap", alpha + 1.0), ("m0", -0.0), ("z0", 0.0)):
+            view(name)[...] = value
+        self.gamma, self.beta, self.s = view("G"), view("B"), view("s")
+        self.gamma_a, self.gamma_am = view("Ga"), view("P2")
+        self.root, self.s_power = view("root"), view("S2")
         inv_alpha = 1.0 / alpha
-        self.exponents = tuple(exponent_row(x, flat) for x in (
+        self.exponents = tuple(exponent_row(x, n) for x in (
             alpha, inv_alpha, inv_alpha + 1.0, alpha - 1.0))
         if alpha < 1.0:
-            # dp's mask, gamma > 0, against a zero row, which dp copies
-            self.zero = np.zeros(flat)
-            self.positive = np.empty(flat, dtype=bool)
+            # gamma^(a - 1)'s mask, gamma > 0, against the +0.0 row, which
+            # the power's row copies
+            self.zero, self.positive = view("z0"), np.empty(n, dtype=bool)
+        # the take's index: each operand row takes its head row whole
+        names = " ".join((self.LEFT, self.RIGHT, self.SECOND)).split()
+        self.spread_at = np.array([head.at(name).start for name in names])
+        self.operands = np.empty((len(names), n))
+        r = len(self.LEFT.split())
+        self.left, self.right = self.operands[:r], self.operands[r:2 * r]
+        self.second = self.operands[2 * r:]
+        rows = self.RULE
+        self.rule = np.empty((len(rows.names), n))
+        v = partial(rows.view, self.rule)
+        v("half")[...] = 0.5
+        self.products = self.rule[:r]
+        self.cross = v("cry")
+        self.firsts = v("f f f f hxx hxy hyy fe fe fe fe lx m ly")
+        self.sums, self.addends = (v("hxx hxy hyy fe fe fe fe"),
+                                   v("lx m ly db db db db"))
+        self.differences, self.subtrahends = (v("f f f f hxx hxy hyy"),
+                                              v("gb gb gb gb gh z gh"))
+        self.quotients, self.divisors = v("phi f f f f"), v("root e e e e")
+        self.ar, self.fe = v("ar ar ar ar"), v("fe fe fe fe")
+        self.f = v("f f f f")
+        self.hess, self.diagonal_fe = v("hxx hxy hyy"), v("fe fe fe")
+        self.hxy, self.fe_yx, self.ghxy = v("hxy"), self.fe[3], v("ghxy")
+        self.half, self.e3, self.e_row = v("half"), v("e e e"), v("e")
+        self.phi = v("phi")
 
     def load(self, gamma, dgamma, lap, beta, dbeta, ddbeta):
         """Write the inputs, each a float or an (n,) row: gamma, lap, beta,
@@ -192,68 +196,68 @@ class QuotientWork:
         values = {"G": gamma, "dgx": dgamma[0], "dgy": dgamma[1], "L": lap,
                   "B": beta, "dbx": dbeta[0], "dby": dbeta[1],
                   "hxx": ddbeta[0], "hxy": ddbeta[1], "hyy": ddbeta[2]}
-        for i, name in enumerate(self.INPUTS.names):
-            if name in values:
-                self.inputs[i] = values[name]
+        for name, value in values.items():
+            self.head_rows.view(self.head, name)[...] = value
         return self
 
 
 def _quotient_jet(w: QuotientWork):
     """Value, gradient, Hessian and e of phi = gamma / (gamma^a + beta)^(1/a).
 
-    The inputs are the rows of ``w.inputs``. With
-    e = a * (gamma^a + beta)^(1/a + 1) and N = a beta grad gamma - gamma
-    grad beta: grad phi = N / e, hess phi = (grad N - grad phi grad e^T)
-    / e, a symmetric matrix whose off-diagonal is averaged against
-    rounding. Each call applies one ufunc to a block of rows: products of
+    The inputs are the rows of ``w.head``. With e = a * (gamma^a +
+    beta)^(1/a + 1) and N = a beta grad gamma - gamma grad beta: grad phi =
+    N / e, hess phi = (grad N - grad phi grad e^T) / e, a symmetric matrix
+    whose off-diagonal is averaged against rounding. The powers take one
+    row per robot, then one take spreads the head's rows, whole, over the
+    rows the other calls take. Each call applies one ufunc to a block of rows: products of
     one level go into one call, so the order of operations of each element
-    is that of the formula, and a quantity paired with (x, y) and with
-    (y, x) is held as (x, y, x). Every call passes its output
-    positionally, and the four powers take flat rows and stride-0
-    exponents (``exponent_row``). Returns phi, the gradient (x, y), the
-    Hessian (xx, xy, yy) and e, rows of ``w``.
+    is that of the formula, and a row whose value must pass a call that
+    acts on its neighbours is added -0.0 or less +0.0, which changes no
+    bit. Every call passes its output positionally. Returns phi, the
+    gradient (x, x, y, y), each component twice as ``control.control_laws``
+    takes it, the Hessian (xx, xy, yy) and e, rows of ``w``.
     """
     alpha, inv_alpha, inv_alpha_plus, alpha_minus = w.exponents
-    gamma_flat, s_flat = w.gamma_flat, w.s_flat
-    np.multiply(*w.first)
-    # s = gamma^a + beta, root = s^(1/a) and e = a s^(1/a + 1)
-    np.power(gamma_flat, alpha, s_flat)
-    np.add(w.s, w.beta3, w.s)
-    np.power(s_flat, inv_alpha, w.root_flat)
-    np.power(s_flat, inv_alpha_plus, w.e_flat)
-    root, e = w.root, np.multiply(w.a3, w.e, w.e)
+    gamma = w.gamma
+    np.power(gamma, alpha, w.gamma_a)
     # d(gamma^a)/d(gamma) diverges at gamma = 0 for a < 1, where grad gamma
     # vanishes and so does every term it multiplies: take it as 0 there. For
     # a >= 1 it is finite at 0, where it multiplies grad gamma = 0 all the same
     if w.alpha >= 1.0:
-        np.power(gamma_flat, alpha_minus, w.dp_flat)
+        np.power(gamma, alpha_minus, w.gamma_am)
     else:
-        positive = np.greater(gamma_flat, w.zero, w.positive)
-        np.positive(w.zero, w.dp_flat)
-        np.power(gamma_flat, alpha_minus, w.dp_flat, where=positive)
-    # a dp, ab grad gamma, ab lap and (a - 1) grad gamma * grad beta
-    np.multiply(*w.second)
-    np.add(w.d1, w.abl, w.abl)
-    # f = ab grad gamma - gamma grad beta, and the diagonal's numerator
+        positive = np.greater(gamma, w.zero, w.positive)
+        np.positive(w.zero, w.gamma_am)
+        np.power(gamma, alpha_minus, w.gamma_am, where=positive)
+    # s = gamma^a + beta, root = s^(1/a) and s^(1/a + 1)
+    s = np.add(w.gamma_a, w.beta, w.s)
+    np.power(s, inv_alpha, w.root)
+    np.power(s, inv_alpha_plus, w.s_power)
+    w.head.take(w.spread_at, 0, w.operands, "clip")
+    np.multiply(w.left, w.right, w.products)
+    # dgx dby + dgy dbx, into dgx dby's row
+    np.add(w.hxy, w.cross, w.hxy)
+    # ab grad gamma, (a - 1) dg db, (a - 1) (dgx dby + dgy dbx), a
+    # gamma^(a - 1) (dgx, dgy, dgy, dgx) and ab L
+    np.multiply(w.firsts, w.second, w.firsts)
+    # (a - 1) dg db + ab L, and de's sum a gamma^(a - 1) dg + db
+    np.add(w.sums, w.addends, w.sums)
+    # N = ab grad gamma - gamma grad beta, and the diagonal's numerator
     # less gamma hess beta
-    np.subtract(w.f0_d2, w.gdb_gd, w.f_d)
-    f = np.divide(w.f, w.e2, w.f)
-    np.add(w.crx, w.cry, w.h0)
-    # (a - 1) (gx by + gy bx), and de = (a + 1) root (a dp grad gamma +
-    # grad beta), as (x, y, x)
-    np.multiply(*w.third)
-    de = np.add(w.de, w.dbeta3, w.de)
-    np.multiply(np.multiply(w.ap3, root, w.ar), de, de)
-    np.multiply(f, w.de_xy, w.fde)
-    np.multiply(f, w.de_yx, w.fe_yx)  # fx ey, fy ex
-    np.subtract(w.d_h, w.fde_fex, w.d_h)
-    h = w.h
-    np.subtract(h, w.fey, h)
+    np.subtract(w.differences, w.subtrahends, w.differences)
+    # phi = gamma / root, and f = N / e
+    np.divide(w.quotients, w.divisors, w.quotients)
+    # de = (a + 1) root (a gamma^(a - 1) grad gamma + grad beta), (x, y, y,
+    # x), then f de: (fx ex, fx ey, fy ey, fy ex)
+    fe = np.multiply(w.ar, w.fe, w.fe)
+    np.multiply(w.f, fe, fe)
+    np.subtract(w.hess, w.diagonal_fe, w.hess)
+    h = w.hxy
+    np.subtract(h, w.fe_yx, h)
     np.multiply(w.half, h, h)
-    np.subtract(h, w.gdxy, h)
-    np.divide(w.d_h, e, w.hess_rows)
-    phi = np.divide(w.gamma, w.root_row, w.phi)
-    return phi, f, w.hess, w.e_row
+    np.subtract(h, w.ghxy, h)
+    np.divide(w.hess, w.e3, w.hess)
+    return w.phi, w.f, w.hess, w.e_row
 
 
 def _one_robot_jet(alpha, lap, gamma, dgamma, beta, dbeta, ddbeta):
@@ -261,7 +265,7 @@ def _one_robot_jet(alpha, lap, gamma, dgamma, beta, dbeta, ddbeta):
     kernel's arithmetic: the one column of a ``QuotientWork``."""
     phi, grad, (xx, xy, yy), e = _quotient_jet(QuotientWork(alpha, 1).load(
         gamma, dgamma, lap, beta, dbeta, ddbeta))
-    return (float(phi[0]), grad[:, 0],
+    return (float(phi[0]), grad[::2, 0],
             np.array([[xx[0], xy[0]], [xy[0], yy[0]]]), e[0])
 
 
@@ -317,9 +321,9 @@ class JetKernel:
     w depend on the pair's distance alone, so two followers that sense each
     other share them. One take spreads them over the directed edges, and
     the edge pass sums each follower's edge terms over its segment; a few
-    calls over whole rows turn the sums into the inputs. One take then
-    spreads every robot's inputs over the rows of a ``QuotientWork``, and
-    one ``_quotient_jet`` call covers all.
+    calls over whole rows turn the sums into the inputs, in the head of a
+    ``QuotientWork`` (``compact``), and one ``_quotient_jet`` call covers
+    all.
 
     A step's cost is numpy's fixed cost per call, so each call applies one
     ufunc to one C-contiguous block that holds every operand it can take:
@@ -332,7 +336,8 @@ class JetKernel:
     next.
     """
 
-    # the per-robot inputs before the spread: the followers' segment sums
+    # the per-robot inputs, the head of the quotient rule's rows: the
+    # followers' segment sums
     # (g = sum t_j (p - q_j), the curvature sums (xx, yy) and (xy), sum t_j
     # twice, sum (p - q_j) and gamma), the inputs made from them, lap_gamma
     # and the products of b, B and b
@@ -374,27 +379,26 @@ class JetKernel:
     def __init__(self, cfg: ScenarioConfig, mask: np.ndarray, upper: tuple):
         self.cfg = cfg
         self.leader_const = leader_constants(cfg)
-        # row 0's phi comes from the quotient rule. The traced benchmark
-        # (rendezbench/run.py) divides by the calls of the scalar navigation
-        # function, so a kernel makes one: its value at the goal, 0
+        # row 0's phi comes from the quotient rule, and no step calls a
+        # scalar sigmoid. The traced benchmark (rendezbench/run.py) divides
+        # by the calls of the scalar navigation function and of the
+        # sigmoids, so a kernel makes one of each: the potential at the
+        # goal, 0, and B(d) at the collision margin
         navfunc_leader(cfg.goal_position, cfg, self.leader_const)
+        sigmoid_collision(cfg.collision_margin, cfg.collision_margin,
+                          cfg.sigmoid_eps)
         n = self.n = len(mask)
-        self.quotient = QuotientWork(cfg.field_exponent, n)
         rows = self.COMPACT
-        # zeros: column 0 of the sums is never written, and the calls over
-        # whole rows read it
-        self.compact = np.zeros((len(rows.names), n))
+        # the compact inputs are the quotient rule's head: zeros, as column
+        # 0 of the sums is never written, and the calls over whole rows read
+        # it
+        self.quotient = QuotientWork(cfg.field_exponent, n,
+                                     " ".join(rows.names))
+        self.compact = self.quotient.head
         view = partial(rows.view, self.compact)
         self.lap = view("L")
         self.lap[0] = 2.0
         self.leader = self.compact[rows.at("G").start:rows.at("L").start, 0]
-        # spread: each changing row of the quotient's inputs takes the
-        # compact row of its name, dp and h0 any row
-        names = QuotientWork.INPUTS.names[self.quotient.changing]
-        source = [rows.at(name if name in rows.names else "L").start
-                  for name in names]
-        self.spread_at = (np.array(source)[:, None] * n + np.arange(n))
-        self.spread = self.quotient.inputs[self.quotient.changing]
         f = self.compact[:, 1:]
         self.sums = f[:rows.at("G").stop]
         self.products = view("Pb PB Pb")[:, 1:]
@@ -528,7 +532,6 @@ class JetKernel:
         if self.n > 1:
             self._followers(pairs)
         self.leader[:] = (gamma, gx, gy, beta, beta, bx, by, hxx, hyy, hxy)
-        self.compact.take(self.spread_at, None, self.spread, "clip")
         phi, grad, hess, _ = _quotient_jet(self.quotient)
         return phi, grad, hess
 

@@ -153,34 +153,33 @@ class IntegrateWork:
     """Preallocated rows of ``_integrate_all``, which moves ``poses`` on in
     place with time step dt.
 
-    It holds (dt, dt / 2) and the heading wrap's turn rows
-    (``model.turn_rows``), whose first is pi and third 2 pi, so that no
-    call takes a scalar, the temporaries and the pose columns, bound once,
-    and the pose screen: |poses|, their bounds (inf, inf, pi) per robot,
-    the comparison ``inside`` and the bytes of its all-True value
-    ``all_true``.
+    It holds (dt, dt), (1/2, pi) and 2 pi as rows, so that no call takes a
+    scalar, and the temporaries and the pose rows ``rows`` (x, y, theta),
+    the transpose of the (N, 3) poses, bound once. A ``StepKernel``'s poses
+    are the transpose of a (3, N) block, so that its pose rows are
+    C-contiguous.
     """
 
     def __init__(self, poses: np.ndarray, dt: float):
         n = len(poses)
-        self.poses = poses
-        self.x, self.y, self.theta = poses.T
-        self.steps = np.array([np.full(n, dt), np.full(n, 0.5 * dt)])
-        self.dt, self.turn = self.steps[0], turn_rows(n)
-        self.pi, self.two_pi = self.turn[0], self.turn[2]
-        # dt v and the half turn, then the sine's arguments: pi (h / pi)
-        # and the mid-step heading
-        self.scaled, self.angles = np.empty((2, 2, n))
-        self.chord, self.half = self.scaled
-        self.arg, self.mid = self.angles
+        self.poses, self.rows = poses, poses.T
+        self.theta = self.rows[2]
+        constants = np.empty((5, n))
+        constants[:2], constants[2], constants[3:] = dt, 0.5, [[math.pi],
+                                                             [TWO_PI]]
+        self.steps, self.scales, self.two_pi = (constants[:2],
+                                                constants[2:4], constants[4])
+        # the moves (x, y, theta), the move in y first dt v, the move in
+        # theta dt omega, then the turns dt omega / 2 pi; then the half
+        # turn, the sine's argument pi (turns) and the mid-step heading
+        moves, angles = np.empty((4, n)), np.empty((3, n))
+        self.move_x, self.chord, self.rotation, self.turns = moves
+        self.moves, self.products, self.halved = (moves[:3], moves[1:3],
+                                                  moves[2:])
+        self.half, self.arg, self.mid = angles
+        self.arcs, self.sine_args = angles[:2], angles[1:]
         self.sines = np.empty((2, n))
         self.ratio, self.sin_mid = self.sines
-        self.turns, self.trig, self.heading = np.empty((3, n))
-        self.magnitudes = np.empty((n, 3))
-        self.bounds = np.full((n, 3), np.inf)
-        self.bounds[:, 2] = np.pi
-        self.inside = np.empty((n, 3), dtype=bool)
-        self.all_true = np.ones((n, 3), dtype=bool).tobytes()
 
 
 def _integrate_all(controls, w: IntegrateWork):
@@ -190,40 +189,29 @@ def _integrate_all(controls, w: IntegrateWork):
     v*dt*sinc(omega*dt/2) long and points along the mid-step heading. The
     ratio sin(y)/y is np.sinc's own arithmetic, y = pi (h/pi) for the half
     turn h, done inline; plain sin(h)/h can differ from it in the last
-    bit. Only a step where some y is 0 calls np.sinc, which is exactly 1
-    there (a straight line). Moves the (N, 3) poses of ``w`` on in place;
-    every temporary is a row of ``w``.
-
-    One comparison of |poses| with the bounds (inf, inf, pi) screens the
-    new poses: it passes when every coordinate is finite and every heading
-    inside (-pi, pi), where the wrap would change nothing. Returns whether
-    it passed; where it did not, the headings are wrapped, bit for bit
-    ``model.normalize_angle`` (a non-finite heading comes out NaN), and
-    some pose may be non-finite.
+    bit. One product gives dt v and dt omega, and one more halves dt omega
+    and takes pi times the turns dt omega / 2 pi: halving and doubling are
+    exact above the subnormals, so h and h / pi are (dt / 2) omega and
+    (dt / 2) omega / pi bit for bit. Only a step where some y is 0 calls
+    np.sinc, which is exactly 1 there (a straight line). One sum moves the
+    (N, 3) poses of ``w`` on in place, the headings unwrapped, as x + chord
+    cos(mid), y + chord sin(mid) and theta + dt omega; every temporary is a
+    row of ``w``.
     """
-    pi, theta = w.pi, w.theta
-    np.multiply(w.steps, controls, w.scaled)
-    chord, half = w.chord, w.half
-    turns = np.divide(half, pi, w.turns)
-    y = np.multiply(pi, turns, w.arg)
-    np.add(theta, half, w.mid)
-    np.sin(w.angles, w.sines)  # sin y, in the ratio's row
+    chord, turns, y = w.chord, w.turns, w.arg
+    np.multiply(w.steps, controls, w.products)
+    np.divide(w.rotation, w.two_pi, turns)
+    np.multiply(w.scales, w.halved, w.arcs)
+    np.add(w.theta, w.half, w.mid)
+    np.sin(w.sine_args, w.sines)  # sin y, in the ratio's row
     if np.count_nonzero(y) == len(y):
         ratio = np.divide(w.ratio, y, w.ratio)
     else:
         ratio = np.sinc(turns)
     np.multiply(chord, ratio, chord)
-    trig = w.trig
-    np.add(w.x, np.multiply(chord, np.cos(w.mid, trig), trig), w.x)
-    np.add(w.y, np.multiply(chord, w.sin_mid, trig), w.y)
-    # the heading goes last, wrapped in place: the columns above read it
-    np.add(theta, np.multiply(w.dt, controls[1], w.heading), theta)
-    np.less(np.abs(w.poses, w.magnitudes), w.bounds, w.inside)
-    if w.inside.tobytes() == w.all_true:
-        return True
-    # fmod by 2 pi and one turn leave a heading inside (-pi, pi) as it is
-    turn_angles(np.fmod(theta, w.two_pi, theta), theta, w.turn)
-    return False
+    np.multiply(chord, np.cos(w.mid, w.move_x), w.move_x)
+    np.multiply(chord, w.sin_mid, chord)
+    np.add(w.rows, w.moves, w.rows)
 
 
 def _pose_array(states: list[RobotState]) -> np.ndarray:
@@ -234,24 +222,27 @@ def _pose_array(states: list[RobotState]) -> np.ndarray:
 
 
 class PairWork:
-    """Preallocated rows of ``_offsets`` on the (N, 3) ``poses``: the (4, P)
-    pair rows of the upper pairs ``upper``, ``np.triu_indices(N, 1)``, the
-    log's pair order, and the take's index. ``screened`` (2, P + N) is the
-    monitors' screen, the watched values (the distances, then the robots'
-    norms) and their negations; one block holds it and the pair rows, whose
-    distances are its first P values."""
+    """Preallocated rows of ``_offsets`` on the pose rows ``rows``, the
+    transpose of the (N, 3) ``poses``: the (4, P) pair rows of the upper
+    pairs ``upper``, ``np.triu_indices(N, 1)``, the log's pair order, and
+    the take's index. One block holds them and the
+    rows of the step's screen (``ScreenWork``), ``screened``: the watched
+    values (the distances, then the robots' norms ``norms``), their
+    negations and |poses|; the pair rows' distances are its first P
+    values."""
 
     def __init__(self, poses: np.ndarray, upper: tuple):
         n = len(poses)
-        self.poses = poses
+        self.rows = poses.T
         self.upper = upper
-        a, b = (3 * i for i in self.upper)
+        a, b = upper
         p = len(a)
-        # (x_a, y_a, x_b, y_b) of each pair, from the flat (N, 3) poses
-        self.ends_at = np.array([a, a + 1, b, b + 1])
-        block = np.empty(5 * p + 2 * n)
+        # (x_a, y_a, x_b, y_b) of each pair, from the flat (3, N) pose rows
+        self.ends_at = np.array([a, a + n, b, b + n])
+        block = np.empty(5 * p + 5 * n)
         self.pairs = block[:4 * p].reshape(4, p)
-        self.screened = block[3 * p:].reshape(2, p + n)
+        self.screened = block[3 * p:]
+        self.norms = block[4 * p:4 * p + n]
         self.offsets, self.tail = self.pairs[:2], self.pairs[2:]
         self.length_squared, self.dist = self.tail
 
@@ -262,7 +253,7 @@ def _offsets(w: PairWork):
     rows of ``w``, made in place from each pair's ends (x_a, y_a, x_b, y_b):
     rows 0-1 less rows 2-3, squared into rows 2-3, summed into row 2, and
     its square root into row 3."""
-    w.poses.take(w.ends_at, None, w.pairs, "clip")
+    w.rows.take(w.ends_at, None, w.pairs, "clip")
     np.subtract(w.offsets, w.tail, w.offsets)
     np.multiply(w.offsets, w.offsets, w.tail)
     np.add(w.length_squared, w.dist, w.length_squared)
@@ -300,19 +291,82 @@ def pair_distances(poses: np.ndarray, steps: int):
         yield k0, np.sqrt(dist, dist)
 
 
+class ScreenWork:
+    """Preallocated rows of ``_screen`` on the (N, 3) ``poses`` and the
+    flat ``block`` that holds M watched values of a step (a kernel's pair
+    distances, then its robots' norms), their negations, then |poses|
+    after the step, as rows (|x|, |y|, |theta|): the bounds of the block,
+    the high ones of the watched values ``high``, their low ones negated
+    ``negated_low`` (``_monitor_bounds`` writes both; until then they are
+    NaN, which no value passes) and (inf, inf, pi) for the pose rows, the
+    comparison ``inside``, its two parts and the bytes of their all-True
+    values, and the heading wrap's turn rows (``model.turn_rows``), whose
+    third is 2 pi, so that no call takes a scalar."""
+
+    def __init__(self, poses: np.ndarray, block: np.ndarray):
+        n = len(poses)
+        m = len(block) - 3 * n
+        self.poses, self.rows, self.block = poses, poses.T, block
+        self.theta = self.rows[2]
+        self.watched, self.negated = block[:m].reshape(2, m // 2)
+        self.magnitudes = block[m:].reshape(3, n)
+        self.bounds = np.full(len(block), math.nan)
+        self.high, self.negated_low = self.bounds[:m].reshape(2, m // 2)
+        self.bounds[m:].reshape(3, n)[...] = [[math.inf], [math.inf],
+                                              [math.pi]]
+        self.inside = np.empty(len(block), dtype=bool)
+        self.reached, self.posed = self.inside[:m], self.inside[m:]
+        self.posed_rows = self.posed.reshape(3, n)
+        self.all_true = b"\x01" * len(block)
+        self.none_reached, self.all_posed = self.all_true[:m], self.all_true[m:]
+        self.turn = turn_rows(n)
+
+
+def _screen(w: ScreenWork) -> bool:
+    """The step's one screen: one comparison of the block of ``w`` with its
+    bounds. It passes where every watched value is under its high bound
+    and over its low one, so no monitor can fire (``_monitor_bounds``),
+    and every new pose is finite with its heading inside (-pi, pi), where
+    the wrap would change nothing; the poses of the step before were
+    screened finite, so no watched value is NaN. Returns whether some
+    watched value reached a bound.
+
+    Where a pose fails, the headings are wrapped, bit for bit
+    ``model.normalize_angle`` (an fmod by 2 pi and one turn leave a heading
+    inside (-pi, pi) as it is, and a non-finite one comes out NaN), and
+    NonFiniteState names the first robot whose pose is not finite.
+    """
+    np.negative(w.watched, w.negated)
+    np.abs(w.rows, w.magnitudes)
+    if np.less(w.block, w.bounds, w.inside).tobytes() == w.all_true:
+        return False
+    if w.posed.tobytes() != w.all_posed:
+        theta, poses = w.theta, w.poses
+        turn_angles(np.fmod(theta, w.turn[2], theta), theta, w.turn)
+        finite = np.isfinite(w.rows, w.posed_rows)
+        if finite.tobytes() != w.all_posed:
+            i = int(np.flatnonzero(~finite.all(axis=0))[0])
+            raise NonFiniteState(
+                f"non-finite state after integration: robot {i + 1} at "
+                f"(x, y, theta) = {tuple(poses[i].tolist())}")
+    return w.reached.tobytes() != w.none_reached
+
+
 class StepKernel:
     """One synchronous update of every robot's pose, in place.
 
     Built once per run, it holds every per-run constant and every per-step
     array: the (N, 3) poses it moves on, the field jets (gains, shifts, the
     followers' edge list and the quotient rule's rows, see ``JetKernel``)
-    and the workspaces of ``_offsets``, ``control_laws`` and
-    ``_integrate_all``, each bound to the kernel's own arrays, so that a
-    step makes few views and allocations (``tests/test_step_cost.py``
-    budgets them). ``pairs()`` gives the pair rows of ``poses``' upper
-    pairs ``upper`` (offsets, square lengths, distances); a call makes one
-    jet pass over all rows, one ``control_laws`` call and one
-    ``_integrate_all`` call. ``control_rows`` holds the last call's
+    and the workspaces of ``_offsets``, ``control_laws``,
+    ``_integrate_all`` and ``_screen``, each bound to the kernel's own
+    arrays, so that a step makes few views and allocations
+    (``tests/test_step_cost.py`` budgets them). ``pairs()`` gives the pair
+    rows of ``poses``' upper pairs ``upper`` (offsets, square lengths,
+    distances); a call makes one jet pass over all rows, one
+    ``control_laws`` call, one ``_integrate_all`` call and one ``_screen``
+    call, whose monitor bounds watch the pairs ``monitored``, those of
+    ``mask`` among the upper pairs. ``control_rows`` holds the last call's
     controls as rows (v, omega, theta_d, theta_tilde, theta_d_dot),
     ``by_robot`` as (N, 5); its row ``theta_d`` is the heading held where a
     gradient is below the floor, so set it to the current headings before
@@ -323,17 +377,30 @@ class StepKernel:
         n = len(mask)
         # one index of the upper pairs, for the pair rows and the edge list
         self.upper = np.triu_indices(n, 1)
+        self.monitored = mask[self.upper]
         self.jets = JetKernel(cfg, mask, self.upper)
-        self.poses = np.empty((n, 3))
+        # the poses, the transpose of the pose rows (x, y, theta)
+        self.poses = np.empty((3, n)).T
         self.x, self.y, self.theta = self.poses.T
         self.pair_work = PairWork(self.poses, self.upper)
+        self.norms = self.pair_work.norms
         self.motion = IntegrateWork(self.poses, cfg.time_step)
+        self.screen = ScreenWork(self.poses, self.pair_work.screened)
+        _monitor_bounds(cfg, self.monitored, self.screen.high,
+                        self.screen.negated_low)
         self.laws = ControlWork(self.theta, cfg.linear_gains,
                                 cfg.angular_gains, cfg.gradient_floor)
         self.control_rows = self.laws.controls
         self.speeds = self.control_rows[:2]
         self.by_robot = self.control_rows.T
         self.theta_d = self.control_rows[2]
+
+    def drop_avoidance(self) -> None:
+        """Drop the collision factor (``JetKernel.drop_avoidance``) and lift
+        the collision floor's bound, at the region switch, which latches:
+        no negated distance is under its +inf."""
+        self.jets.drop_avoidance()
+        self.screen.negated_low[:len(self.monitored)] = math.inf
 
     def pairs(self):
         """The (4, P) pair rows of ``poses``' upper pairs (``_offsets``)."""
@@ -342,21 +409,16 @@ class StepKernel:
     def __call__(self, leader):
         """Fill ``control_rows`` and move ``poses`` on by one step, from the
         pair rows of the last ``pairs()`` call; return phi and the gradient
-        norms, rows of the kernel.
+        norms, rows of the kernel, and whether some watched value of the
+        step reached its monitor bound (``_screen``).
 
         ``leader`` is the informed robot's (x, y) as floats."""
+        # the norms of the step's poses, before the move
+        np.hypot(self.x, self.y, self.norms)
         phi, grad, hess = self.jets(leader, self.pair_work.pairs)
         *_, grad_norm = control_laws(grad, hess, self.laws)
-        # a step whose poses pass the pose screen is finite
-        if not _integrate_all(self.speeds, self.motion):
-            poses, motion = self.poses, self.motion
-            finite = np.isfinite(poses, motion.inside)  # the screen's row
-            if finite.tobytes() != motion.all_true:
-                i = int(np.flatnonzero(~finite.all(axis=1))[0])
-                raise NonFiniteState(
-                    f"non-finite state after integration: robot {i + 1} at "
-                    f"(x, y, theta) = {tuple(poses[i].tolist())}")
-        return phi, grad_norm
+        _integrate_all(self.speeds, self.motion)
+        return phi, grad_norm, _screen(self.screen)
 
 
 # scalar reference, kept in src/ because rendezbench/tracing.py wraps it
@@ -375,14 +437,14 @@ def step(states: list[RobotState], region: RegionFlag, cfg: ScenarioConfig,
         topo = build_topology(states, cfg.sensing_radius)
     kernel = StepKernel(cfg, topo.adjacency)
     if region is RegionFlag.RENDEZVOUS:
-        kernel.jets.drop_avoidance()
+        kernel.drop_avoidance()
     kernel.poses[...] = _pose_array(states)
     kernel.theta_d[...] = kernel.theta
     for i, prev in enumerate(prev_theta_d or ()):
         if prev is not None:
             kernel.theta_d[i] = prev
     kernel.pairs()
-    phi, grad_norm = kernel(kernel.poses[0, :2].tolist())
+    phi, grad_norm, _ = kernel(kernel.poses[0, :2].tolist())
     controls = [ControlOutput(*row, p, g) for row, p, g in
                 zip(kernel.by_robot.tolist(), phi.tolist(),
                     grad_norm.tolist())]
@@ -478,32 +540,34 @@ def _accrete_edges(mask: np.ndarray, dist: np.ndarray, upper: tuple,
     return True
 
 
-def _monitor_bounds(cfg: ScenarioConfig, monitored: np.ndarray):
-    """Bounds that the step's pair distances, then robot norms, must reach
-    before ``monitor_invariants`` can emit anything: (high, low).
+def _monitor_bounds(cfg: ScenarioConfig, monitored: np.ndarray,
+                    high: np.ndarray, negated_low: np.ndarray) -> None:
+    """Write the bounds that the step's pair distances, then robot norms,
+    must reach before ``monitor_invariants`` can emit anything: ``high``,
+    and the low ones negated, as -x >= -low exactly when x <= low.
 
     A value at or above its high bound or, while avoidance is active, at or
     below its low bound can fire a monitor: a monitored edge at the sensing
     radius, a pair at the collision floor, a robot at the workspace rim.
     The informed robot's high bound is also the leader band, which is
-    necessary for ``leader_range`` though not sufficient.
+    necessary for ``leader_range`` though not sufficient. The norms have no
+    low bound; the region switch lifts the pairs' (``StepKernel``).
     """
-    n = cfg.n_robots
-    high = np.concatenate((np.where(monitored, cfg.sensing_radius, np.inf),
-                           [min(cfg.workspace_radius, cfg.leader_band)],
-                           np.full(n - 1, cfg.workspace_radius)))
-    low = np.concatenate((np.full(len(monitored), cfg.collision_floor),
-                          np.full(n, -np.inf)))
-    return high, low
+    p = len(monitored)
+    high[:p] = math.inf
+    high[:p][monitored] = cfg.sensing_radius
+    high[p] = min(cfg.workspace_radius, cfg.leader_band)
+    high[p + 1:] = cfg.workspace_radius
+    negated_low[:p] = -cfg.collision_floor
+    negated_low[p:] = math.inf
 
 
-def _stop_screen(dx: float, dy: float, tolerance: float) -> bool:
-    """False only where ``np.hypot(dx, dy) < tolerance`` is False too, with
-    no numpy call: math.hypot differs from np.hypot by an ulp or two, far
-    under the relative margin, and four ulps of the subnormals stand in for
-    it where it rounds away."""
-    return (math.hypot(dx, dy)
-            < tolerance * (1.0 + 1e-12) + 4.0 * math.ulp(0.0))
+def _stop_screen(distance: float, tolerance: float) -> bool:
+    """False only where ``np.hypot(dx, dy) < tolerance`` is False too, for
+    the ``distance`` math.hypot(dx, dy), with no numpy call: math.hypot
+    differs from np.hypot by an ulp or two, far under the relative margin,
+    and four ulps of the subnormals stand in for it where it rounds away."""
+    return distance < tolerance * (1.0 + 1e-12) + 4.0 * math.ulp(0.0)
 
 
 def _log_rows(rows: int, n: int, filled=()):
@@ -538,10 +602,11 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     followers' edge list; the log copies the poses and controls, and
     derives its distances from the poses when read. The region switch is
     asked only until it latches, at ``switch_step``, the log's one record
-    of it, which drops the kernel's collision factor once
-    (``JetKernel.drop_avoidance``). ``monitor_invariants`` runs only
-    on a step where some watched value reaches its bound
-    (``_monitor_bounds``), so it emits the same events as on every step.
+    of it, which drops the kernel's collision factor and the collision
+    floor's bound once (``StepKernel.drop_avoidance``).
+    ``monitor_invariants`` runs only on a step where some watched value
+    reaches its bound (``_screen``), so it emits the same events as on
+    every step.
     The log starts at most ``LOG_BYTES`` large and doubles when the run
     outgrows it, so that its size follows the steps run, not the horizon.
     Raises AssumptionError when the initial graph has no spanning tree
@@ -565,17 +630,8 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     pairs = ()  # the monitors' pair names, made on a step that needs them
     leader_const = kernel.jets.leader_const
     goal_x, goal_y = leader_const.goal_x, leader_const.goal_y
-    monitored = mask[upper]
-    n_pairs = len(monitored)
-    high, low = _monitor_bounds(cfg, monitored)
-    # one comparison screens both bounds: the watched values and their
-    # negations against the high bounds and the negated low ones, as -x >=
-    # -low exactly when x <= low; the switch sets the collision floor's to
-    # +inf, which no negated distance reaches. The watched distances are
-    # the kernel's pair rows' own
-    screened = kernel.pair_work.screened
-    watched, negated = screened
-    bounds = np.array([high, -low])
+    switch_distance = leader_const.switch_distance
+    monitored = kernel.monitored
 
     max_steps = int(round(cfg.horizon / cfg.time_step))
     S = max_steps + 1
@@ -590,11 +646,8 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     poses[0] = pose[...] = _pose_array(cfg.initial_states)
     # no desired heading yet: hold the current one
     kernel.theta_d[...] = kernel.theta
-    watched_norms = watched[n_pairs:]
     dist = kernel.pair_work.dist
     tolerance = cfg.position_tolerance
-    reach = np.empty(screened.shape, dtype=bool)
-    unreached = bytes(reach.size)
 
     k = 0
     while True:
@@ -603,31 +656,28 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
             poses, ctrl, phi = log_rows = _log_rows(rows, n, log_rows)
         t = k * cfg.time_step
         # the informed robot's position as floats, read once a step for the
-        # region switch, the kernel and the stop screen
+        # kernel, and its goal distance for the region switch's test
+        # (fields.region_of) and the stop screen
         leader = (float(pose[0, 0]), float(pose[0, 1]))
-        if switch_step is None:  # else latched
-            region = region_of(leader, cfg, const=leader_const)
-            if region is RegionFlag.RENDEZVOUS:
-                switch_step = k
-                bounds[1, :n_pairs] = np.inf
-                kernel.jets.drop_avoidance()
-                events.append(Event(k, t, "switch", (
-                    "informed robot reached the switch distance" if k
-                    else "collision avoidance off from the start")))
+        goal_distance = math.hypot(leader[0] - goal_x, leader[1] - goal_y)
+        if switch_step is None and goal_distance < switch_distance:
+            switch_step = k  # latched
+            region = RegionFlag.RENDEZVOUS
+            kernel.drop_avoidance()
+            events.append(Event(k, t, "switch", (
+                "informed robot reached the switch distance" if k
+                else "collision avoidance off from the start")))
         kernel.pairs()
         if accreting and _accrete_edges(mask, dist, upper, accretion):
             kernel.jets.set_mask(mask)
-        # step k's norms, before the kernel moves the poses on
-        np.hypot(kernel.x, kernel.y, watched_norms)
         try:
-            phi[k], _ = kernel(leader)
+            phi[k], _, reached = kernel(leader)
         except NonFiniteState as exc:
             raise NonFiniteState(f"{exc}, step {k}, t = {t:.3f} s") from exc
         ctrl[k] = kernel.by_robot
         poses[k + 1] = pose
 
-        np.negative(watched, negated)
-        if np.greater_equal(screened, bounds, reach).tobytes() != unreached:
+        if reached:
             pairs = pairs or upper_pairs(n)
             step_events = monitor_invariants(poses[k, :, :2], dist, pairs,
                                              monitored, region, cfg, k, t)
@@ -639,7 +689,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
         # the informed robot's goal distance screens the vector test, which
         # decides
         converged = (
-            _stop_screen(leader[0] - goal_x, leader[1] - goal_y, tolerance)
+            _stop_screen(goal_distance, tolerance)
             and np.hypot(poses[k, :, 0] - goal_x,
                          poses[k, :, 1] - goal_y).max() < tolerance
             and np.abs(ctrl[k, :, 3]).max() < cfg.heading_tolerance)

@@ -5,7 +5,8 @@ import pytest
 
 from rendezsim import RobotState, ScenarioConfig, Topology
 from rendezsim.control import ControlWork, control_laws
-from rendezsim.sim import IntegrateWork, _integrate_all
+from rendezsim.sim import (IntegrateWork, NonFiniteState, ScreenWork,
+                           _integrate_all, _screen)
 
 
 def make_states(poses):
@@ -15,24 +16,30 @@ def make_states(poses):
 
 
 def held_headings(theta):
-    """(v, omega) rows and a ``sim.IntegrateWork`` of robots at the origin
-    with the 1-d headings ``theta``, which ``sim._integrate_all`` leaves
-    as they are, signed zeros included, where its pose screen passes, and
-    wraps where it fails: v = 0 and omega = -0.0 add -0.0 to each heading,
-    which changes no bit of it."""
+    """(v, omega) rows, a ``sim.IntegrateWork`` and a ``sim.ScreenWork`` of
+    robots at the origin with the 1-d headings ``theta``, watching nothing:
+    one ``sim._integrate_all`` step leaves the headings as they are, signed
+    zeros included, and ``sim._screen`` passes them where they are inside
+    (-pi, pi) and wraps them where they are not: v = 0 and omega = -0.0 add
+    -0.0 to each heading, which changes no bit of it."""
     n = len(theta)
     poses = np.zeros((n, 3))
     poses[:, 2] = theta
     return (np.array([np.zeros(n), np.full(n, -0.0)]),
-            IntegrateWork(poses, 0.005))
+            IntegrateWork(poses, 0.005), ScreenWork(poses, np.empty(3 * n)))
 
 
 def integrator_wrap(theta):
     """The headings ``theta`` after one ``sim._integrate_all`` step of
-    ``held_headings``: its fallback's wrap, or theta where no wrap is
-    due."""
-    controls, work = held_headings(theta)
+    ``held_headings`` and its ``sim._screen``: the screen's wrap, or theta
+    where no wrap is due. A non-finite heading comes out NaN, and the
+    screen's NonFiniteState, raised after the wrap, is caught here."""
+    controls, work, screen = held_headings(theta)
     _integrate_all(controls, work)
+    try:
+        _screen(screen)
+    except NonFiniteState:
+        pass
     return work.theta
 
 
@@ -47,9 +54,9 @@ def one_robot_laws(grad, theta, held=None, hess=((0.0, 0.0), (0.0, 0.0)),
     None."""
     w = ControlWork(np.array([float(theta)]), [k_v], [k_w], floor)
     w.controls[2] = theta if held is None else held
-    xx, xy, _, yy = np.array(hess, dtype=float).reshape(4, 1)
-    rows = control_laws(np.array(grad, dtype=float).reshape(2, 1),
-                        (xx, xy, yy), w)
+    hess = np.array(hess, dtype=float).reshape(4, 1)[[0, 1, 3]]
+    rows = control_laws(np.array(grad, dtype=float)[[0, 0, 1, 1], None],
+                        hess, w)
     return Laws(*(float(row[0]) for row in rows))
 
 

@@ -19,7 +19,9 @@ A count is one of
   screen that compares a boolean row's bytes with a constant is one call.
 
 Indexing, slicing, attribute access and arithmetic on numpy scalars are not
-counted.
+counted. An assignment into an array, ``a[k] = b`` or ``a[:] = (...)``, is
+tallied in a column of its own, ``setitems``, and not among the calls: it
+copies values, as the log's writes do, but makes no numpy call.
 
 An operator (``a > b``, ``a *= 2``) counts only when an operand is a
 ``Counted`` array, that is, an array made inside the window. An operator on
@@ -63,11 +65,12 @@ class CallCounts:
     not C-contiguous, which numpy walks at about twice the cost, and
     ``mixed`` those that cast some array operand or ``out`` to the dtype of
     the loop numpy picks (``ufunc.resolve_dtypes``), as a float row paired
-    with a boolean one does.
+    with a boolean one does. ``setitems`` holds the assignments into arrays,
+    which ``calls`` does not count.
     """
 
     TALLIES = ("calls", "where", "helpers", "scalar", "broadcast", "fresh",
-               "strided", "mixed")
+               "strided", "mixed", "setitems")
 
     def __init__(self):
         for name in self.TALLIES:
@@ -165,6 +168,15 @@ def _record(name, kwargs, helper=False, operands=None, ufunc=None):
             counts.mixed[function, name] += 1
 
 
+def _record_setitem():
+    """Tally one assignment into an array, in ``setitems`` alone."""
+    if not _active:
+        return
+    function = _caller()
+    if function is not None:
+        _active[-1].setitems[function, "ndarray.__setitem__"] += 1
+
+
 def _plain(x):
     if isinstance(x, Counted):
         return x.view(np.ndarray)
@@ -202,6 +214,11 @@ class Counted(np.ndarray):
     def __array_function__(self, func, types, args, kwargs):
         _record(func.__name__, kwargs, helper=True)
         return _call(func, args, kwargs)
+
+    def __setitem__(self, key, value):
+        _record_setitem()
+        np.ndarray.__setitem__(self.view(np.ndarray), _plain(key),
+                               _plain(value))
 
 
 def _method(name):

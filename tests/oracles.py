@@ -22,7 +22,8 @@ from rendezsim.graph import (GraphError, Topology, build_topology,
                              has_rooted_spanning_tree)
 from rendezsim.model import (TWO_PI, RegionFlag, RobotState, ScenarioConfig,
                              outside_workspace)
-from rendezsim.sim import AssumptionError, IntegrateWork, _integrate_all
+from rendezsim.sim import (AssumptionError, IntegrateWork, NonFiniteState,
+                           ScreenWork, _integrate_all, _screen)
 
 Edge = tuple[int, int]
 
@@ -86,9 +87,15 @@ def laplacian(topo: Topology, weights: dict[Edge, float],
 def integrate_copy(poses: np.ndarray, controls: np.ndarray,
                    dt: float) -> np.ndarray:
     """``sim._integrate_all`` on a copy of the (N, 3) poses, with the
-    controls (v, omega) as (2, N) rows held constant over dt."""
+    controls (v, omega) as (2, N) rows held constant over dt, and the
+    heading wrap of ``sim._screen``, which raises NonFiniteState after it
+    where some pose is not finite."""
     work = IntegrateWork(np.array(poses, dtype=float), dt)
     _integrate_all(controls, work)
+    try:
+        _screen(ScreenWork(work.poses, np.empty(work.poses.size)))
+    except NonFiniteState:
+        pass
     return work.poses
 
 

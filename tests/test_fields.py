@@ -126,6 +126,26 @@ class TestEdgeFactors:
         assert c == (0.5 * cfg.collision_margin, -k_c, k_c, -(k_c * k_c))
         assert leader_constants(cfg).rim_gain == k_c
 
+    @pytest.mark.parametrize("name", ["params_s5", "params_fig2"])
+    def test_leader_rim_factor_is_the_sigmoid(self, request, name):
+        # leader_terms takes the rim factor's constants once, from
+        # leader_constants: beta is dip B(R_w - |p|) bit for bit, across
+        # the rim band and deep inside it
+        cfg = request.getfixturevalue(name)
+        goal = cfg.goal_position
+        axis = (math.cos(cfg.goal_heading), math.sin(cfg.goal_heading))
+        for r in np.linspace(0.0, cfg.workspace_radius, 2001).tolist():
+            for angle in (0.3, 2.0, -2.5):
+                p = np.array([r * math.cos(angle), r * math.sin(angle)])
+                _, _, beta, _, _ = leader_terms(p, cfg)
+                px, py = p.tolist()
+                proj = ((px - float(goal[0])) * axis[0]
+                        + (py - float(goal[1])) * axis[1])
+                rim = sigmoid_collision(
+                    cfg.workspace_radius - math.hypot(px, py),
+                    cfg.collision_margin, cfg.sigmoid_eps)
+                assert beta == (cfg.dipolar_eps + proj * proj) * rim
+
 
 class TestScalarParts:
     @staticmethod

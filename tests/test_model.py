@@ -43,8 +43,8 @@ class TestNormalizeAngle:
 
 
 class TestWrapAngles:
-    """The heading wrap of ``sim._integrate_all``: where its pose screen
-    fails, an fmod by 2 pi and one turn, normalize_angle elementwise."""
+    """The heading wrap of the step screen (``sim._screen``): where its pose
+    part fails, an fmod by 2 pi and one turn, normalize_angle elementwise."""
 
     def test_matches_normalize_angle_elementwise(self):
         pi = math.pi

@@ -97,8 +97,8 @@ PI = math.pi
 
 
 class TestWrapAngles:
-    """``sim._integrate_all``'s heading wrap, taken only when its pose
-    screen fails, against the masked form it replaced."""
+    """The step screen's heading wrap (``sim._screen``), taken only when its
+    pose part fails, against the masked form it replaced."""
 
     @pytest.mark.parametrize("theta", [
         # every angle inside (-pi, pi): the screen passes them as they are
@@ -125,20 +125,24 @@ class TestWrapAngles:
         # the wrap writes the poses' heading column in place, a strided
         # row, and leaves x and y as the step moved them
         theta = np.array([0.25, -0.0, 4.0])
-        controls, work = held_headings(theta)
+        controls, work, screen = held_headings(theta)
         assert not work.theta.flags.contiguous
-        assert not sim._integrate_all(controls, work)
+        sim._integrate_all(controls, work)
+        assert not sim._screen(screen)  # it watches nothing
         assert same_bits(work.theta, wrap_angles_before(theta))
         assert same_bits(work.poses[:, :2], np.zeros((3, 2)))
 
     def test_a_screen_failed_on_x_keeps_the_headings(self):
         # the wrap runs on every heading when any coordinate fails the
-        # screen; fmod and the turn leave those inside (-pi, pi) as they are
+        # screen; fmod and the turn leave those inside (-pi, pi) as they
+        # are, and the non-finite x is named after the wrap
         theta = np.array([0.0, -0.0, 1.0, -3.0, math.nextafter(PI, 0.0),
                           math.nextafter(-PI, 0.0), math.ulp(0.0)])
-        controls, work = held_headings(theta)
-        work.x[2] = math.nan
-        assert not sim._integrate_all(controls, work)
+        controls, work, screen = held_headings(theta)
+        sim._integrate_all(controls, work)
+        work.poses[2, 0] = math.nan
+        with pytest.raises(sim.NonFiniteState, match="robot 3 at"):
+            sim._screen(screen)
         assert same_bits(work.theta, theta)
 
 
@@ -192,6 +196,9 @@ class TestQuotientRule:
 
     @staticmethod
     def check(got, expected):
+        # the gradient comes as (x, x, y, y), as control_laws takes it
+        expected = (expected[0], np.repeat(expected[1], 2, axis=0),
+                    *expected[2:])
         for a, b in zip(got[:2] + got[3:], expected[:2] + expected[3:]):
             assert same_bits(a, b)
         for a, b in zip(got[2], expected[2]):
@@ -487,7 +494,7 @@ class TestHeadingError:
         # a zero gradient holds theta_d at the fallback
         work = ControlWork(theta, np.ones(n), np.ones(n), 1e-6)
         work.rows[2][...] = held
-        out = control_laws(np.zeros((2, n)), np.zeros((3, n)), work)
+        out = control_laws(np.zeros((4, n)), np.zeros((3, n)), work)
         assert same_bits(out[2], held)
         assert same_bits(out[3], wrap_angles_before(theta - held))
 
@@ -505,13 +512,15 @@ class TestDesiredHeading:
         held = [1, 2, 4, 5]
         work = ControlWork(theta, k_v, k_w, floor)
         work.rows[2][...] = fallback
-        out = control_laws(grad, hess, work)
+        # control_laws takes the gradient as (x, x, y, y)
+        out = control_laws(np.repeat(grad, 2, axis=0), hess, work)
         assert same_bits(out[2], desired_heading_before(grad, fallback, floor))
         assert same_bits(out[2][held], fallback[held])
         steep = [0, 3]  # no row held: the unmasked arctan2
         work = ControlWork(theta[steep], k_v[steep], k_w[steep], floor)
         work.rows[2][...] = fallback[steep]
-        out = control_laws(grad[:, steep], hess[:, steep], work)
+        out = control_laws(np.repeat(grad[:, steep], 2, axis=0),
+                           hess[:, steep], work)
         assert same_bits(out[2], desired_heading_before(
             grad[:, steep], fallback[steep], floor))
 
@@ -568,14 +577,14 @@ class TestStopTest:
         dx, dy, tol = offset
         with np.errstate(over="ignore"):
             under = np.hypot(dx, dy) < tol
-        assert sim._stop_screen(dx, dy, tol) or not under
+        assert sim._stop_screen(math.hypot(dx, dy), tol) or not under
 
     def test_screen_rejects_offsets_beyond_its_margin(self):
         tol = 0.05
-        assert sim._stop_screen(_nudged(tol, -1), 0.0, tol)
+        assert sim._stop_screen(math.hypot(_nudged(tol, -1), 0.0), tol)
         for dx, dy in ((tol * (1.0 + 1e-11), 0.0), (0.04, 0.04),
                        (math.nan, 0.0), (math.inf, math.nan)):
-            assert not sim._stop_screen(dx, dy, tol)
+            assert not sim._stop_screen(math.hypot(dx, dy), tol)
 
     @staticmethod
     def predicate(log, cfg):
@@ -731,22 +740,26 @@ class TestStrideZeroPower:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.2, 2.0])
     def test_quotient_work_powers_flat_views(self, alpha):
+        # each power takes one flat row of the head per robot quantity,
+        # with its exponent a stride-0 row of the same length
         w = QuotientWork(alpha, 4)
         inv_alpha = 1.0 / alpha
         assert [float(row[0]) for row in w.exponents] == [
             alpha, inv_alpha, inv_alpha + 1.0, alpha - 1.0]
-        for flat, block in ((w.gamma_flat, w.inputs), (w.dp_flat, w.inputs),
-                            (w.s_flat, w.s), (w.root_flat, w.root),
-                            (w.e_flat, w.e)):
-            assert flat.shape == (12,) and np.shares_memory(flat, block)
+        assert all(row.shape == (4,) for row in w.exponents)
+        for flat in (w.gamma, w.gamma_a, w.gamma_am, w.s, w.root,
+                     w.s_power):
+            assert flat.shape == (4,) and flat.flags.c_contiguous
+            assert np.shares_memory(flat, w.head)
 
 
 class TestPoseScreen:
-    """One comparison of |poses| with (inf, inf, pi) stands for the heading
-    wrap's screen and the finiteness check: ``_integrate_all`` says whether
-    every new pose is finite with its heading inside (-pi, pi), and a step
-    whose poses fail it wraps the headings, then raises NonFiniteState
-    naming the first robot with a non-finite pose, as the two checks did."""
+    """One comparison of |poses| with (inf, inf, pi), in the step's one
+    screen (``sim._screen``), stands for the heading wrap's screen and the
+    finiteness check: the screen passes exactly when every new pose is
+    finite with its heading inside (-pi, pi), and a step whose poses fail
+    it wraps the headings, then raises NonFiniteState naming the first
+    robot with a non-finite pose, as the two checks did."""
 
     @pytest.mark.parametrize("ws", [
         [0.3, -2.0, 1.0],              # every heading stays inside
@@ -755,20 +768,34 @@ class TestPoseScreen:
         [math.inf, 0.0, 0.0],          # an infinite turn
     ])
     @pytest.mark.parametrize("vs", [[1.0, -2.0, 0.5], [1.0, math.inf, 0.5]])
-    def test_passes_exactly_when_finite_and_inside(self, ws, vs):
+    def test_passes_exactly_when_finite_and_inside(self, ws, vs,
+                                                   monkeypatch):
         poses = np.array([[0.5, -1.0, 3.1], [-2.0, 1.0, -3.0],
                           [0.0, 0.0, 0.25]])
         dt = 0.1
         work = sim.IntegrateWork(poses.copy(), dt)
+        screen = sim.ScreenWork(work.poses, np.empty(9))
         controls = np.array([vs, ws])
+        # a failed screen takes the wrap's turn, and only a failed one
+        turns = []
+        monkeypatch.setattr(sim, "turn_angles",
+                            lambda *rows: turns.append(rows) or turn_angles(
+                                *rows))
         with np.errstate(invalid="ignore", over="ignore"):
-            passed = sim._integrate_all(controls, work)
+            sim._integrate_all(controls, work)
+            try:
+                sim._screen(screen)
+                raised = False
+            except sim.NonFiniteState:
+                raised = True
             heading = poses[:, 2] + dt * np.array(ws)
             expected = integrate_before(poses, np.array(vs), np.array(ws),
                                         dt)
         assert same_bits(work.poses, expected)
-        assert passed == bool(np.isfinite(expected).all()
-                              and (np.abs(heading) < math.pi).all())
+        finite = bool(np.isfinite(expected).all())
+        assert (not turns) == (
+            finite and bool((np.abs(heading) < math.pi).all()))
+        assert raised == (not finite)
 
     @staticmethod
     def planted_step(planted):

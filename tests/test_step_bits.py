@@ -175,8 +175,60 @@ def test_one_way_mask_matches_plain_formulas():
             jets.set_mask(mask)
         poses, held = kernel.poses.copy(), kernel.theta_d.copy()
         kernel.pairs()
-        phi, _ = kernel(kernel.poses[0, :2].tolist())
+        phi, _, _ = kernel(kernel.poses[0, :2].tolist())
         new, controls, plain_phi = plain_step(cfg, mask, poses, held, region)
         assert same_bits(kernel.poses, new), k
         assert same_bits(kernel.control_rows, controls), k
         assert same_bits(phi, plain_phi), k
+
+
+def _crossing():
+    """Followers 2 and 3 start 3 cm apart, under the collision floor, and
+    follower 2's heading, just under pi, turns past it on step 0: both
+    parts of the step's one screen (``sim._screen``) fail at once, the
+    watched pair distance and the new pose's heading."""
+    return small_config(initial_states=make_states([
+        (-4.0, -2.0, 0.5), (-4.8, -2.5, math.pi - 1e-3),
+        (-4.8, -2.47, 2.0)]))
+
+
+def test_screen_failing_in_both_parts_matches_plain_formulas():
+    cfg = _crossing()
+    steps = 3
+    log = run(dataclasses.replace(cfg, horizon=steps * cfg.time_step))
+    mask = sim.initial_topology(cfg).adjacency
+    monitored = mask[np.triu_indices(cfg.n_robots, 1)]
+    held = log.poses[0, :, 2]
+    events = []
+    for k in range(steps):
+        new, controls, phi = plain_step(cfg, mask, log.poses[k], held,
+                                        RegionFlag.COLLISION_FREE)
+        assert same_bits(log.poses[k + 1], new), k
+        assert same_bits(log.controls[k], controls.T), k
+        assert same_bits(log.phi[k], phi), k
+        held = log.controls[k, :, 2]
+        events += sim.monitor_invariants(
+            log.poses[k, :, :2], log.distances[k], log.pairs, monitored,
+            RegionFlag.COLLISION_FREE, cfg, k, k * cfg.time_step)
+    # the events of monitor_invariants on every step, no more and no fewer
+    assert log.events == events
+    # on step 0 a pair is under the collision floor and follower 2's
+    # heading crosses pi, and comes out wrapped
+    turned = log.poses[0, 1, 2] + cfg.time_step * log.controls[0, 1, 1]
+    assert turned > math.pi
+    assert -math.pi < log.poses[1, 1, 2] < 0.0
+    assert [(e.step, e.kind) for e in log.events if e.step == 0] == [
+        (0, "collision")]
+
+
+def test_non_finite_step_names_the_step_and_t():
+    # follower 2's turn rate overflows on step 1, a step whose pair is
+    # still under the collision floor: the run stops there, naming the
+    # robot, the step and t, before the step's monitors record anything
+    cfg = dataclasses.replace(_crossing(), angular_gains=[8.0, 1e308, 8.0])
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(sim.NonFiniteState) as info:
+        run(cfg)
+    assert str(info.value) == (
+        "non-finite state after integration: robot 2 at (x, y, theta) "
+        "= (nan, nan, nan), step 1, t = 0.005 s")
