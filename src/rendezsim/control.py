@@ -5,11 +5,12 @@ it over all rows, and ``compute_control`` over one robot's column.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .gradients import follower_field_eval, leader_field_eval
+from .gradients import Rows, follower_field_eval, leader_field_eval
 from .model import (RegionFlag, RobotState, ScenarioConfig, turn_angles,
                     turn_rows)
 # not called here: rendezbench/tracing.py wraps these names
@@ -52,61 +53,90 @@ def compute_control(robot: RobotState,
                     cfg.angular_gains[at], cfg.gradient_floor)
     w.controls[2] = robot.heading if prev_theta_d is None else prev_theta_d
     hess = ev.hessian.reshape(4, 1)[[0, 1, 3]]  # (xx, xy, yy) as rows
-    *controls, grad_norm = (float(row[0]) for row in control_laws(
-        ev.gradient[[0, 0, 1, 1], None], hess, w))
+    w.load(ev.gradient[:, None], hess)
+    *controls, grad_norm = (float(row[0]) for row in control_laws(w))
     return ControlOutput(*controls, phi=ev.value, grad_norm=grad_norm)
 
 
 class ControlWork:
-    """The rows of ``control_laws`` over the n headings ``theta``: the gains
-    (the linear ones twice, as (2, n)), the floor as a row, the heading
-    error's turn rows (``model.turn_rows``), whose first is pi, the five
-    result rows ``controls`` (v, omega, theta_d, theta_tilde, theta_d_dot)
-    and the temporaries, with every view bound once; ``all_true`` is the
-    bytes of an all-True boolean row, which a screen's bytes equal exactly
-    when every robot passes it. Row theta_d is the heading held where a
-    gradient is below the floor: set it before the first call."""
+    """The rows of ``control_laws`` over the n headings ``theta``: one (23,
+    n) block, zeros unless given, whose rows ``ROWS`` names, the heading
+    error's turn rows (``model.turn_rows``), whose first is pi, and the
+    temporaries, with every view bound once; ``all_true`` is the bytes of
+    an all-True boolean row, which a screen's bytes equal exactly when every
+    robot passes it. ``controls`` are the rows (v, omega, theta_d,
+    theta_tilde, theta_d_dot); set row theta_d, the heading held where a
+    gradient is below the floor, before the first call. A call reads the
+    descent -grad (y, y, x, x), each component twice, from ``descent``,
+    rows made unless given, the Hessian (yy, xy, xx) from rows ``hess`` and
+    theta from the last two, ``headings``, which its caller writes
+    (``load``, or the step kernel's quotient rule and pair rows' take)."""
+
+    # the first ten rows are the factors of the ten from ct on in one
+    # product: k_v for cos theta_tilde, the Hessian for cos theta (of no
+    # use) and sin theta_d twice, the floor for sin theta (of no use), k_v
+    # for |grad|, zeros for v, omega and theta_d, k_w for theta_tilde. Then
+    # cos theta_d twice, cos theta_tilde, cos theta, sin theta_d twice (the
+    # forms (y, x) after that product), sin theta, |grad| and the controls:
+    # theta_d twice in omega's row until omega is due, theta in the last
+    # two until theta_tilde and theta_d_dot are
+    ROWS = Rows("kv hyy hxy hxx floor kvn z z z kw",
+                "cd cd ct c sd sd s norm v w td tt tdd")
 
     def __init__(self, theta: np.ndarray, linear_gains, angular_gains,
-                 gradient_floor: float):
+                 gradient_floor: float, block: np.ndarray | None = None,
+                 descent: np.ndarray | None = None):
         n = len(theta)
         self.theta = theta
-        self.k_v = np.array([linear_gains] * 2, dtype=float)
-        self.k_w = np.array(angular_gains, dtype=float)
-        self.floor = np.full(n, gradient_floor)
+        rows = self.ROWS
+        if block is None:
+            block = np.zeros((len(rows.names), n))
+        self.descent = np.empty((4, n)) if descent is None else descent
+        self.up, self.across = self.descent[:2], self.descent[2:]
+        self.descent_y, self.descent_x = self.descent[1:3]
+        view = partial(rows.view, block)
+        view("kv")[...] = view("kvn")[...] = linear_gains
+        view("kw")[...] = angular_gains
+        self.floor = view("floor")
+        self.floor[...] = gradient_floor
         self.turn = turn_rows(n)
         self.pi = self.turn[0]
-        self.controls = np.empty((5, n))
+        self.hess, self.headings = view("hyy hxy hxx"), view("tt tdd")
+        self.controls = view("v w td tt tdd")
         self.rows = tuple(self.controls)
-        # theta_d twice, in omega's row, free until omega is due, and its
-        # own; then theta_tilde
-        self.desired, self.angles = self.controls[1:3], self.controls[1:4]
-        # -grad (x, x, y, y)
-        self.descent = np.empty((4, n))
-        self.descent_x, self.descent_y = self.descent[1:3]
-        self.across, self.up = self.descent[:2], self.descent[2:]
-        # sin theta_d twice, cos theta_d twice, cos theta_tilde and |grad|
-        self.trig = np.empty((6, n))
-        self.sines, self.cosines = self.trig[:2], self.trig[2:5]
-        self.cos_d, self.scaled = self.trig[2:4], self.trig[4:]
-        self.cos_tilde, self.grad_norm = self.scaled
-        # k_v cos theta_tilde and k_v |grad|
-        self.gained = np.empty((2, n))
-        self.gain_cos, self.gain_norm = self.gained
-        # sin_d hxx, sin_d hxy, cos_d hxy, cos_d hyy: rows 0-1 less rows
-        # 2-3 are (sin_d hxx - cos_d hxy, sin_d hxy - cos_d hyy)
-        self.products = np.empty((4, n))
-        self.heads, self.tails = self.products[:2], self.products[2:]
-        # those two forms, then the motion direction (cos theta, sin theta)
-        self.forms, self.motion = np.empty((2, 2, n))
-        self.cos_theta, self.sin_theta = self.motion
-        self.form_x, self.form_y = self.forms
-        self.magnitude, self.form, self.turn_rate = np.empty((3, n))
+        self.desired, self.sine_args = view("w td"), view("w td tt")
+        self.cosine_args = view("w td tt tdd")
+        self.sines, self.cosines = view("sd sd s"), view("cd cd ct c")
+        self.cos_tilde, self.grad_norm = view("ct"), view("norm")
+        # one product: the ten rows from ct on times the first ten, into
+        # (k_v cos theta_tilde, -, sin_d hxy, sin_d hxx, -, k_v |grad|, -,
+        # -, -, k_w theta_tilde); then cos_d (hyy, hxy), then (cos theta
+        # fx, fy sin theta), fy = sin_d hxy - cos_d hyy and fx = sin_d hxx -
+        # cos_d hxy in the rows of sin_d; and |theta_tilde|
+        self.level, self.factors = view(
+            "ct c sd sd s norm v w td tt"), block[:rows.at("cd").start]
+        self.products = np.empty((15, n))
+        self.level_out = self.products[:10]
+        self.gain_cos, self.gain_norm = self.products[0], self.products[5]
+        self.turn_rate, self.heads = self.products[9], self.products[2:4]
+        self.cos_d, self.hess_yx = view("cd cd"), view("hyy hxy")
+        self.tails, self.forms = self.products[10:12], view("sd sd")
+        self.cos_form, self.form_sin = view("c sd"), view("sd s")
+        self.motion, self.magnitude = self.products[12:14], self.products[14]
+        self.form_x, self.form_y = self.motion
         self.steep, self.inside = np.empty((2, n), dtype=bool)
         self.all_true = b"\x01" * n
 
+    def load(self, grad, hess):
+        """Write the gradient (x, y) as the descent (y, y, x, x), the
+        Hessian (xx, xy, yy) as rows (yy, xy, xx) and theta into the
+        heading rows, for a call outside the step kernel."""
+        self.descent[...] = np.negative(grad)[[1, 1, 0, 0]]
+        self.hess[...] = hess[::-1]
+        self.headings[...] = self.theta
 
-def control_laws(grad, hess, w: ControlWork):
+
+def control_laws(w: ControlWork):
     """The control laws, for every robot of ``w`` at once, elementwise.
 
     theta_d is the heading of -grad, held where |grad| is at or below the
@@ -117,49 +147,42 @@ def control_laws(grad, hess, w: ControlWork):
     the motion, is k_v cos theta_tilde (sin theta_d, -cos theta_d) hess
     (cos theta, sin theta); omega = -k_w theta_tilde + theta_d_dot.
 
-    grad is (x, x, y, y), each component twice, and hess (xx, xy, yy), each
-    component an array over the robots, as one block; ``w.theta`` holds
-    wrapped headings. theta_d is taken twice, so that the sines and cosines
-    of theta_d pair with hess's rows (xx, xy) and (xy, yy) in two calls.
-    Returns (v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm), rows
-    of ``w``.
+    theta_d is taken twice, so that one sine call gives sin theta_d twice
+    and sin theta, before theta_tilde takes a heading row, and one cosine
+    call cos theta_d twice, cos theta_tilde and cos theta. Products of one
+    level are one call over rows ten, or two, apart; a product is
+    commutative bit for bit. Returns (v, omega, theta_d, theta_tilde,
+    theta_d_dot, grad_norm), rows of ``w``.
     """
-    theta = w.theta
     v, omega, theta_d, theta_tilde, theta_d_dot = w.rows
     # |-grad| is |grad| bit for bit: hypot takes absolute values
-    np.negative(grad, w.descent)
-    descent_x, descent_y = w.descent_x, w.descent_y
-    grad_norm = np.hypot(descent_x, descent_y, w.grad_norm)
+    grad_norm = np.hypot(w.descent_x, w.descent_y, w.grad_norm)
     # the held heading stays where some norm is at or under the floor, or NaN
     steep = np.greater(grad_norm, w.floor, w.steep)
     if steep.tobytes() == w.all_true:
         np.arctan2(w.up, w.across, w.desired)
     else:
-        np.arctan2(descent_y, descent_x, theta_d, where=steep)
+        np.arctan2(w.descent_y, w.descent_x, theta_d, where=steep)
         np.positive(theta_d, omega)
+    np.sin(w.sine_args, w.sines)
     # theta_d is an arctan2 value or a held heading, in [-pi, pi], so
     # theta - theta_d lies in [-2 pi, 2 pi], where one turn is
     # normalize_angle bit for bit; except at -2 pi, which only theta one ulp
     # above -pi and theta_d = pi reach, and which turns to +0.0, not -0.0
-    np.subtract(theta, theta_d, theta_tilde)
+    np.subtract(theta_d_dot, theta_d, theta_tilde)
     magnitude = np.abs(theta_tilde, w.magnitude)
     if np.less(magnitude, w.pi, w.inside).tobytes() != w.all_true:
         turn_angles(theta_tilde, theta_tilde, w.turn)
-    np.sin(w.desired, w.sines)
-    np.cos(w.angles, w.cosines)
+    np.cos(w.cosine_args, w.cosines)
+    np.multiply(w.level, w.factors, w.level_out)
+    np.multiply(w.cos_d, w.hess_yx, w.tails)
     # left^T H right with left = (sin theta_d, -cos theta_d), right the
     # motion direction (cos theta, sin theta): (sin_d hxx - cos_d hxy)
     # cos theta + (sin_d hxy - cos_d hyy) sin theta
-    np.multiply(w.sines, hess[:2], w.heads)
-    np.multiply(w.cos_d, hess[1:], w.tails)
-    np.multiply(w.k_v, w.scaled, w.gained)
+    np.subtract(w.heads, w.tails, w.forms)
+    np.multiply(w.cos_form, w.form_sin, w.motion)
     np.multiply(w.gain_norm, w.cos_tilde, v)
-    forms = np.subtract(w.heads, w.tails, w.forms)
-    np.cos(theta, w.cos_theta)
-    np.sin(theta, w.sin_theta)
-    np.multiply(forms, w.motion, forms)
-    form = np.add(w.form_x, w.form_y, w.form)
+    form = np.add(w.form_x, w.form_y, theta_d_dot)
     np.multiply(w.gain_cos, form, theta_d_dot)
-    np.subtract(theta_d_dot, np.multiply(w.k_w, theta_tilde, w.turn_rate),
-                omega)
+    np.subtract(theta_d_dot, w.turn_rate, omega)
     return v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm

@@ -109,50 +109,56 @@ class QuotientWork:
     as L, beta as B, its gradient as (dbx, dby) and its Hessian as (hxx,
     hyy, hxy); then ``HEAD``'s rows: gamma^a, gamma^(a - 1), s = gamma^a +
     beta and its powers s^(1/a) and s^(1/a + 1), and the constants 1, a, a
-    - 1, a + 1, -0.0 and +0.0. The four powers take single rows and their
-    exponents as ``exponent_row``s: alpha, 1/alpha, 1/alpha + 1 and alpha
-    - 1, in ``exponents``. One take spreads the head over ``operands``:
-    the first products' two operand runs ``LEFT`` and ``RIGHT``, aligned,
-    and the second products' run ``SECOND``, each quantity repeated and
-    ordered as the calls take it. Every later row is a row of ``rule``,
-    named ``RULE`` by what it ends up holding.
+    - 1, a + 1, -a, -0.0 and +0.0. The four powers take single rows and
+    their exponents as ``exponent_row``s: alpha, 1/alpha, 1/alpha + 1 and
+    alpha - 1, in ``exponents``. One take spreads the head over
+    ``operands``: the first products' two operand runs ``LEFT`` and
+    ``RIGHT``, aligned, and the second products' run ``SECOND``, each
+    quantity repeated and ordered as the calls take it. Every later row is
+    a row of ``rule``, named ``RULE`` by what it ends up holding. The
+    Hessian's last call writes into ``out``, three rows (yy, xy, xx) that
+    the caller may hold (``control.ControlWork``'s), by default the rule's.
     """
 
     INPUTS = "G dgx dgy B dbx dby hxx hyy hxy L"
-    HEAD = "Ga P2 s root S2 one a am ap m0 z0"
-    # the first products, one per row of RULE: gamma (dbx, dbx, dby, dby);
-    # gamma hess beta (xx, -, yy) with +0.0 between; gamma hxy; dgy dbx;
-    # root; a s^(1/a + 1) four times; (a + 1) root four times; gamma;
-    # ab = a beta four times; (a - 1) dgx, dgx dby and (a - 1) dgy; a
-    # gamma^(a - 1) four times; ab, -0.0 and ab; and (dbx, dby, dby, dbx).
-    # Root, gamma, the signed zeros and grad beta are taken times 1
-    LEFT = ("G G G G G z0 G G dgy root S2 S2 S2 S2 root root root root G "
-            "B B B B dgx dgx dgy P2 P2 P2 P2 B m0 B dbx dby dby dbx")
-    RIGHT = ("dbx dbx dby dby hxx one hyy hxy dbx one a a a a ap ap ap ap "
-             "one a a a a am dby am a a a a a one a one one one one")
-    # the second products' other factors: ab (dgx, dgx, dgy, dgy), (dbx,
-    # a - 1, dby) into (a - 1) dg db and (a - 1) (dgx dby + dgy dbx), a
+    HEAD = "Ga P2 s root S2 one a am ap ma m0 z0"
+    # the first products, one per row of RULE: gamma (dby, dby, dbx, dbx);
+    # gamma hess beta (yy, -, xx) with +0.0 between; gamma hxy; dgy dbx;
+    # root; -a s^(1/a + 1) four times and a s^(1/a + 1) three times; (a +
+    # 1) root four times; gamma; ab = a beta four times; dgy (a - 1), dgx
+    # dby and dgx (a - 1); a gamma^(a - 1) four times; ab, -0.0 and ab; and
+    # (dbx, dby, dby, dbx). Root, gamma, the signed zeros and grad beta are
+    # taken times 1
+    LEFT = ("G G G G G z0 G G dgy root S2 S2 S2 S2 S2 S2 S2 root root root "
+            "root G B B B B dgy dgx dgx P2 P2 P2 P2 B m0 B dbx dby dby dbx")
+    RIGHT = ("dby dby dbx dbx hyy one hxx hxy dbx one ma ma ma ma a a a ap ap "
+             "ap ap one a a a a am dby am a a a a a one a one one one one")
+    # the second products' other factors: ab (dgy, dgy, dgx, dgx), (dby,
+    # a - 1, dbx) into (a - 1) dg db and (a - 1) (dgx dby + dgy dbx), a
     # gamma^(a - 1) (dgx, dgy, dgy, dgx) and ab (L, 1, L)
-    SECOND = "dgx dgx dgy dgy dbx am dby dgx dgy dgy dgx L one L"
+    SECOND = "dgy dgy dgx dgx dby am dbx dgx dgy dgy dgx L one L"
     # the rule's rows, each named by its last value: gamma beta's gradient
-    # and Hessian terms (gb: x, x, y, y; gh: xx, +0.0, yy; ghxy), the
-    # cross term cry, root, e = a s^(1/a + 1) four times, ar = (a + 1) root
-    # four times, phi (first gamma), f, the gradient (x, x, y, y) (first
-    # ab, then the numerator), the Hessian (xx, xy, yy) (first (a - 1) dgx,
-    # dgx dby and (a - 1) dgy), fe, the products f de (x ex, x ey, y ey, y
-    # ex) (first a gamma^(a - 1), then de's sum), ab L (x, -0.0, y), db
+    # and Hessian terms (gb: y, y, x, x; gh: yy, +0.0, xx; ghxy), the
+    # cross term cry, root, -e = -a s^(1/a + 1) four times, e three times,
+    # ar = (a + 1) root four times, phi (first gamma), the descent f = -grad
+    # (y, y, x, x) (first ab, then the numerator, gamma grad beta - ab grad
+    # gamma before its negation), the Hessian (yy, xy, xx) (first dgy (a -
+    # 1), dgx dby and dgx (a - 1)), fe, the products f de (y ex, y ey, x ey,
+    # x ex) (first a gamma^(a - 1), then de's sum), ab L (y, -0.0, x), db
     # (x, y, y, x), and 1/2
-    RULE = Rows("gb gb gb gb gh z gh ghxy cry root e e e e ar ar ar ar",
-                "phi f f f f hxx hxy hyy fe fe fe fe lx m ly db db db db",
-                "half")
+    RULE = Rows("gb gb gb gb gh z gh ghxy cry root en en en en e e e",
+                "ar ar ar ar phi f f f f hyy hxy hxx fe fe fe fe ly m lx",
+                "db db db db half")
 
-    def __init__(self, alpha: float, n: int, inputs: str = INPUTS):
+    def __init__(self, alpha: float, n: int, inputs: str = INPUTS,
+                 out: np.ndarray | None = None):
         self.alpha = alpha
         head = self.head_rows = Rows(inputs, self.HEAD)
         self.head = np.zeros((len(head.names), n))
         view = partial(head.view, self.head)
         for name, value in (("one", 1.0), ("a", alpha), ("am", alpha - 1.0),
-                            ("ap", alpha + 1.0), ("m0", -0.0), ("z0", 0.0)):
+                            ("ap", alpha + 1.0), ("ma", -alpha),
+                            ("m0", -0.0), ("z0", 0.0)):
             view(name)[...] = value
         self.gamma, self.beta, self.s = view("G"), view("B"), view("s")
         self.gamma_a, self.gamma_am = view("Ga"), view("P2")
@@ -177,16 +183,18 @@ class QuotientWork:
         v("half")[...] = 0.5
         self.products = self.rule[:r]
         self.cross = v("cry")
-        self.firsts = v("f f f f hxx hxy hyy fe fe fe fe lx m ly")
-        self.sums, self.addends = (v("hxx hxy hyy fe fe fe fe"),
-                                   v("lx m ly db db db db"))
-        self.differences, self.subtrahends = (v("f f f f hxx hxy hyy"),
+        self.firsts = v("f f f f hyy hxy hxx fe fe fe fe ly m lx")
+        self.sums, self.addends = (v("hyy hxy hxx fe fe fe fe"),
+                                   v("ly m lx db db db db"))
+        self.differences, self.subtrahends = (v("f f f f hyy hxy hxx"),
                                               v("gb gb gb gb gh z gh"))
-        self.quotients, self.divisors = v("phi f f f f"), v("root e e e e")
+        self.quotients, self.divisors = (v("phi f f f f"),
+                                         v("root en en en en"))
         self.ar, self.fe = v("ar ar ar ar"), v("fe fe fe fe")
         self.f = v("f f f f")
-        self.hess, self.diagonal_fe = v("hxx hxy hyy"), v("fe fe fe")
-        self.hxy, self.fe_yx, self.ghxy = v("hxy"), self.fe[3], v("ghxy")
+        self.hess, self.diagonal_fe = v("hyy hxy hxx"), self.fe[1:]
+        self.out = self.hess if out is None else out
+        self.hxy, self.fe_yx, self.ghxy = v("hxy"), self.fe[0], v("ghxy")
         self.half, self.e3, self.e_row = v("half"), v("e e e"), v("e")
         self.phi = v("phi")
 
@@ -202,20 +210,24 @@ class QuotientWork:
 
 
 def _quotient_jet(w: QuotientWork):
-    """Value, gradient, Hessian and e of phi = gamma / (gamma^a + beta)^(1/a).
+    """Value, descent, Hessian and e of phi = gamma / (gamma^a + beta)^(1/a).
 
     The inputs are the rows of ``w.head``. With e = a * (gamma^a +
     beta)^(1/a + 1) and N = a beta grad gamma - gamma grad beta: grad phi =
     N / e, hess phi = (grad N - grad phi grad e^T) / e, a symmetric matrix
-    whose off-diagonal is averaged against rounding. The powers take one
-    row per robot, then one take spreads the head's rows, whole, over the
-    rows the other calls take. Each call applies one ufunc to a block of rows: products of
-    one level go into one call, so the order of operations of each element
-    is that of the formula, and a row whose value must pass a call that
-    acts on its neighbours is added -0.0 or less +0.0, which changes no
-    bit. Every call passes its output positionally. Returns phi, the
-    gradient (x, x, y, y), each component twice as ``control.control_laws``
-    takes it, the Hessian (xx, xy, yy) and e, rows of ``w``.
+    whose off-diagonal is averaged against rounding. The descent -grad phi
+    is N / (-e), bit for bit -(N / e) as division's sign is its operands',
+    so the Hessian adds (-grad phi) grad e^T where it subtracted grad phi
+    grad e^T, which is the same subtraction. The powers take one row per
+    robot, then one take spreads the head's rows, whole, over the rows the
+    other calls take. Each call applies one ufunc to a block of rows:
+    products of one level go into one call, so the order of operations of
+    each element is that of the formula, and a row whose value must pass a
+    call that acts on its neighbours is added -0.0 or less +0.0, which
+    changes no bit. Every call passes its output positionally. Returns phi,
+    the descent (y, y, x, x), each component twice as
+    ``control.control_laws`` takes it, the Hessian (yy, xy, xx), in
+    ``w.out``, and e, rows of ``w``.
     """
     alpha, inv_alpha, inv_alpha_plus, alpha_minus = w.exponents
     gamma = w.gamma
@@ -245,27 +257,28 @@ def _quotient_jet(w: QuotientWork):
     # N = ab grad gamma - gamma grad beta, and the diagonal's numerator
     # less gamma hess beta
     np.subtract(w.differences, w.subtrahends, w.differences)
-    # phi = gamma / root, and f = N / e
+    # phi = gamma / root, and f = N / (-e), the descent
     np.divide(w.quotients, w.divisors, w.quotients)
     # de = (a + 1) root (a gamma^(a - 1) grad gamma + grad beta), (x, y, y,
-    # x), then f de: (fx ex, fx ey, fy ey, fy ex)
+    # x), then f de: (fy ex, fy ey, fx ey, fx ex)
     fe = np.multiply(w.ar, w.fe, w.fe)
     np.multiply(w.f, fe, fe)
-    np.subtract(w.hess, w.diagonal_fe, w.hess)
+    np.add(w.hess, w.diagonal_fe, w.hess)
     h = w.hxy
-    np.subtract(h, w.fe_yx, h)
+    np.add(h, w.fe_yx, h)
     np.multiply(w.half, h, h)
     np.subtract(h, w.ghxy, h)
-    np.divide(w.hess, w.e3, w.hess)
-    return w.phi, w.f, w.hess, w.e_row
+    np.divide(w.hess, w.e3, w.out)
+    return w.phi, w.f, w.out, w.e_row
 
 
 def _one_robot_jet(alpha, lap, gamma, dgamma, beta, dbeta, ddbeta):
     """phi, gradient (2,), Hessian (2, 2) and e of one robot, by the step
-    kernel's arithmetic: the one column of a ``QuotientWork``."""
-    phi, grad, (xx, xy, yy), e = _quotient_jet(QuotientWork(alpha, 1).load(
-        gamma, dgamma, lap, beta, dbeta, ddbeta))
-    return (float(phi[0]), grad[::2, 0],
+    kernel's arithmetic: the one column of a ``QuotientWork``, its descent
+    negated, which is exact."""
+    phi, descent, (yy, xy, xx), e = _quotient_jet(QuotientWork(
+        alpha, 1).load(gamma, dgamma, lap, beta, dbeta, ddbeta))
+    return (float(phi[0]), -descent[[2, 0], 0],
             np.array([[xx[0], xy[0]], [xy[0], yy[0]]]), e[0])
 
 
@@ -320,10 +333,10 @@ class JetKernel:
     B(d), their log-derivatives and the edge's slope t and curvature weight
     w depend on the pair's distance alone, so two followers that sense each
     other share them. One take spreads them over the directed edges, and
-    the edge pass sums each follower's edge terms over its segment; a few
-    calls over whole rows turn the sums into the inputs, in the head of a
-    ``QuotientWork`` (``compact``), and one ``_quotient_jet`` call covers
-    all.
+    the edge pass sums each follower's edge terms over its segment; a take
+    and four calls over whole rows turn the sums into the inputs, in the
+    head of a ``QuotientWork`` (``compact``), and one ``_quotient_jet``
+    call covers all.
 
     A step's cost is numpy's fixed cost per call, so each call applies one
     ufunc to one C-contiguous block that holds every operand it can take:
@@ -336,13 +349,23 @@ class JetKernel:
     next.
     """
 
-    # the per-robot inputs, the head of the quotient rule's rows: the
-    # followers' segment sums
-    # (g = sum t_j (p - q_j), the curvature sums (xx, yy) and (xy), sum t_j
-    # twice, sum (p - q_j) and gamma), the inputs made from them, lap_gamma
-    # and the products of b, B and b
-    COMPACT = Rows("gx gy cx cy cxy tx ty ox oy G",
-                   "dgx dgy B B dbx dby hxx hyy hxy L Pb PB Pb")
+    # the followers' segment sums, one row each (g = sum t_j (p - q_j), the
+    # curvature sums (xx, yy) and (xy), sum t_j twice, sum (p - q_j) and
+    # gamma), and the products of b and of B
+    RAW = Rows("gx gy cx cy cxy tx ty ox oy G", "Pb PB")
+    # the per-robot inputs, the head of the quotient rule's rows, each named
+    # by its last value: the post pass's operands, which one take copies
+    # from RAW's rows of ``SOURCES`` into rows 0 to dby (there g, until its
+    # product); then the Hessian's sums (xx, yy, xy) and lap_gamma. Four calls over
+    # whole rows make the inputs: 2 sum (p - q_j) (as a sum of two,
+    # exactly) beside c + t, then beta five times beside g g^T, then g g^T
+    # + curvature, then beta (g, g g^T + curvature), into g's rows
+    COMPACT = Rows("Pb Pb Pb Pb Pb gx gy gx ox oy cx cy b b b b B gxx gyy gxy",
+                   "G dgx dgy ctx cty cxy dbx dby hxx hyy hxy L")
+    SOURCES = ("Pb Pb Pb Pb Pb gx gy gx ox oy cx cy PB PB PB PB PB gx gy gy "
+               "G ox oy tx ty cxy gx gy")
+    # the informed robot's column, from beta to the Hessian
+    LEADER = "B gxx gyy gxy G dgx dgy ctx cty cxy dbx dby hxx hyy hxy"
     # the rows of a call's ``pairs``: the offset p_a - p_b (x, y), its
     # square length and the distance
     PAIR_INPUTS = Rows("ox oy sq d")
@@ -362,11 +385,11 @@ class JetKernel:
     # the edge pass's rows, one column per directed edge (i, j): the terms
     # whose segment sums are ``sums``, in their order (t (p - q_j) (x, y),
     # w (p - q_j) (x x, y y), w x y, t twice, p - q_j (x, y), |p - q_j|^2),
-    # the factors [b, B, b] and w twice, then w (p - q_j) (x, y) in place.
+    # the factors [b, B] and w twice, then w (p - q_j) (x, y) in place.
     # The rows from t on take the pair rows of their names, the offset's
     # rows the negated offset's for an edge (i, j) with i > j
     EDGE = Rows("gx gy cx cy cxy",
-                "t t ox oy sq s_b s_B s_b w w")
+                "t t ox oy sq s_b s_B w w")
     FROM_PAIRS = EDGE.at("t").start
     SPREAD = np.array([at.start
                        for at in map(PAIR.at, EDGE.names[FROM_PAIRS:])])
@@ -376,7 +399,8 @@ class JetKernel:
     GATHER = np.array([at.start
                        for at in map(PAIR_INPUTS.at, GATHERED.split())])
 
-    def __init__(self, cfg: ScenarioConfig, mask: np.ndarray, upper: tuple):
+    def __init__(self, cfg: ScenarioConfig, mask: np.ndarray, upper: tuple,
+                 hess: np.ndarray | None = None):
         self.cfg = cfg
         self.leader_const = leader_constants(cfg)
         # row 0's phi comes from the quotient rule, and no step calls a
@@ -389,24 +413,28 @@ class JetKernel:
                           cfg.sigmoid_eps)
         n = self.n = len(mask)
         rows = self.COMPACT
-        # the compact inputs are the quotient rule's head: zeros, as column
-        # 0 of the sums is never written, and the calls over whole rows read
-        # it
+        # the segment sums and products: zeros, as column 0 is never
+        # written, and the calls over whole rows read it
+        self.raw = np.zeros((len(self.RAW.names), n))
+        self.sums = self.raw[:self.RAW.at("G").stop, 1:]
+        self.products = self.raw[self.RAW.at("Pb PB"), 1:]
+        self.post_at = np.array([self.RAW.at(name).start
+                                 for name in self.SOURCES.split()])
+        # the compact inputs are the quotient rule's head, its Hessian's
+        # last call writes into ``hess`` when given
         self.quotient = QuotientWork(cfg.field_exponent, n,
-                                     " ".join(rows.names))
+                                     " ".join(rows.names), hess)
         self.compact = self.quotient.head
         view = partial(rows.view, self.compact)
         self.lap = view("L")
         self.lap[0] = 2.0
-        self.leader = self.compact[rows.at("G").start:rows.at("L").start, 0]
-        f = self.compact[:, 1:]
-        self.sums = f[:rows.at("G").stop]
-        self.products = view("Pb PB Pb")[:, 1:]
-        self.post = (view("ox oy"), view("dgx dgy"), view("cx cy"),
-                     view("tx ty"), view("Pb PB"), view("PB Pb"),
-                     view("B B"), view("gx gy"), view("dbx dby"),
-                     view("hxx hyy"), view("gx"), view("gy"), view("hxy"),
-                     view("hxx hyy hxy"), view("cx cy cxy"), view("B"))
+        self.leader = view(self.LEADER)[:, 0]
+        self.post = (self.compact[:rows.at("dbx dby").stop],
+                     view("ox oy cx cy"), view("dgx dgy ctx cty"),
+                     view("Pb Pb Pb Pb Pb gx gy gx"),
+                     view("b b b b B gxx gyy gxy"), view("gxx gyy gxy"),
+                     view("ctx cty cxy"), view("hxx hyy hxy"),
+                     view("b b b b B"), view("dbx dby hxx hyy hxy"))
         # index of each robot pair {i, j} among the upper pairs (a, b), a < b,
         # in np.triu_indices order, ``upper``: the order of a call's pair
         # columns
@@ -503,7 +531,7 @@ class JetKernel:
         self.g, self.curvature, self.xy = (view("gx gy"), view("cx cy"),
                                            view("cxy"))
         self.t_edges, self.m, self.m_y = view("t t"), view("ox oy"), view("oy")
-        self.factor_rows, self.w_edges = view("s_b s_B s_b"), view("w w")
+        self.factor_rows, self.w_edges = view("s_b s_B"), view("w w")
         self.wm_x = view("w")
 
     def drop_avoidance(self) -> None:
@@ -516,7 +544,8 @@ class JetKernel:
         self.constants[1::2] = self.factor_column[1::2]
 
     def __call__(self, position, pairs: np.ndarray):
-        """phi, gradient (x, y) and Hessian (xx, xy, yy) of every robot.
+        """phi, descent -grad (y, y, x, x) and Hessian (yy, xy, xx) of every
+        robot, the Hessian in the rows given at construction, if any.
 
         ``position`` is the informed robot's (x, y), best as floats;
         ``pairs`` (4, P) holds the offset p_a - p_b (x, y), its square
@@ -531,9 +560,11 @@ class JetKernel:
             position, self.cfg, self.leader_const)
         if self.n > 1:
             self._followers(pairs)
-        self.leader[:] = (gamma, gx, gy, beta, beta, bx, by, hxx, hyy, hxy)
-        phi, grad, hess, _ = _quotient_jet(self.quotient)
-        return phi, grad, hess
+        # the rows of g g^T, c + t and cxy are the followers' alone
+        self.leader[:] = (beta, 0.0, 0.0, 0.0, gamma, gx, gy, 0.0, 0.0, 0.0,
+                          bx, by, hxx, hyy, hxy)
+        phi, descent, hess, _ = _quotient_jet(self.quotient)
+        return phi, descent, hess
 
     def _followers(self, pairs):
         """Fill columns 1.. of the compact inputs: the pair pass over the
@@ -578,17 +609,14 @@ class JetKernel:
         np.multiply(wm, m, self.curvature)
         np.multiply(self.wm_x, self.m_y, self.xy)
         np.add.reduceat(self.terms, self.starts, axis=-1, out=self.sums)
-        # over whole rows, the quotient inputs: 2 sum (p - q_j) (as a sum of
-        # two, exactly), beta (b's product times B's), beta g and beta (g
-        # g^T + curvature)
-        (offsets, dgamma, curv, slopes, heads, tails, beta, g, dbeta, diag,
-         g_x, g_y, xy, hess, curv_xy, beta0) = self.post
-        np.add(offsets, offsets, dgamma)
-        np.add(curv, slopes, curv)
-        np.multiply(heads, tails, beta)
-        np.multiply(beta, g, dbeta)
-        np.multiply(g, g, diag)
-        np.multiply(g_x, g_y, xy)
-        np.add(hess, curv_xy, hess)
-        np.multiply(diag, beta, diag)
-        np.multiply(xy, beta0, xy)
+        # over whole rows, the quotient inputs: one take lays the sums out,
+        # then 2 sum (p - q_j) (as a sum of two, exactly) and c + t, beta
+        # (b's product times B's) five times and g g^T, g g^T + curvature,
+        # and beta (g, g g^T + curvature)
+        (taken, offsets, dgamma, heads, beta, gg, curvature, hess, betas,
+         scaled) = self.post
+        self.raw.take(self.post_at, 0, taken, "clip")
+        np.add(offsets, dgamma, dgamma)
+        np.multiply(heads, beta, beta)
+        np.add(gg, curvature, hess)
+        np.multiply(betas, scaled, scaled)

@@ -171,15 +171,19 @@ class IntegrateWork:
                                                 constants[2:4], constants[4])
         # the moves (x, y, theta), the move in y first dt v, the move in
         # theta dt omega, then the turns dt omega / 2 pi; then the half
-        # turn, the sine's argument pi (turns) and the mid-step heading
-        moves, angles = np.empty((4, n)), np.empty((3, n))
-        self.move_x, self.chord, self.rotation, self.turns = moves
+        # turn, the sine's argument pi (turns) and the mid-step heading; and
+        # cos(mid), sin y, then the ratio and the chord in its row, and
+        # sin(mid)
+        moves, angles, trig = np.empty((3, 4, n))
+        self.dt_v, self.rotation, self.turns = moves[1:]
         self.moves, self.products, self.halved = (moves[:3], moves[1:3],
                                                   moves[2:])
-        self.half, self.arg, self.mid = angles
-        self.arcs, self.sine_args = angles[:2], angles[1:]
-        self.sines = np.empty((2, n))
-        self.ratio, self.sin_mid = self.sines
+        self.planar = moves[:2]
+        self.half, self.arg, self.mid = angles[:3]
+        self.arcs, self.sine_args = angles[:2], angles[1:3]
+        self.cos_mid, self.ratio = trig[:2]
+        self.sines, self.chord_cos, self.chord_sin = (trig[1:3], trig[:2],
+                                                      trig[1:3])
 
 
 def _integrate_all(controls, w: IntegrateWork):
@@ -193,12 +197,13 @@ def _integrate_all(controls, w: IntegrateWork):
     and takes pi times the turns dt omega / 2 pi: halving and doubling are
     exact above the subnormals, so h and h / pi are (dt / 2) omega and
     (dt / 2) omega / pi bit for bit. Only a step where some y is 0 calls
-    np.sinc, which is exactly 1 there (a straight line). One sum moves the
-    (N, 3) poses of ``w`` on in place, the headings unwrapped, as x + chord
-    cos(mid), y + chord sin(mid) and theta + dt omega; every temporary is a
-    row of ``w``.
+    np.sinc, which is exactly 1 there (a straight line). The chord sits
+    between cos(mid) and sin(mid), so one product of rows one apart gives
+    both moves. One sum moves the (N, 3) poses of ``w`` on in place, the
+    headings unwrapped, as x + chord cos(mid), y + chord sin(mid) and theta
+    + dt omega; every temporary is a row of ``w``.
     """
-    chord, turns, y = w.chord, w.turns, w.arg
+    turns, y = w.turns, w.arg
     np.multiply(w.steps, controls, w.products)
     np.divide(w.rotation, w.two_pi, turns)
     np.multiply(w.scales, w.halved, w.arcs)
@@ -208,9 +213,9 @@ def _integrate_all(controls, w: IntegrateWork):
         ratio = np.divide(w.ratio, y, w.ratio)
     else:
         ratio = np.sinc(turns)
-    np.multiply(chord, ratio, chord)
-    np.multiply(chord, np.cos(w.mid, w.move_x), w.move_x)
-    np.multiply(chord, w.sin_mid, chord)
+    np.multiply(w.dt_v, ratio, w.ratio)
+    np.cos(w.mid, w.cos_mid)
+    np.multiply(w.chord_sin, w.chord_cos, w.planar)
     np.add(w.rows, w.moves, w.rows)
 
 
@@ -223,23 +228,32 @@ def _pose_array(states: list[RobotState]) -> np.ndarray:
 
 class PairWork:
     """Preallocated rows of ``_offsets`` on the pose rows ``rows``, the
-    transpose of the (N, 3) ``poses``: the (4, P) pair rows of the upper
-    pairs ``upper``, ``np.triu_indices(N, 1)``, the log's pair order, and
-    the take's index. One block holds them and the
-    rows of the step's screen (``ScreenWork``), ``screened``: the watched
-    values (the distances, then the robots' norms ``norms``), their
-    negations and |poses|; the pair rows' distances are its first P
-    values."""
+    transpose of the (N, 3) ``poses``: the headings twice, ``headings``,
+    and the (4, P) pair rows of the upper pairs ``upper``,
+    ``np.triu_indices(N, 1)``, the log's pair order, and the take's index.
+    One flat ``block``, made unless given, holds them and the rows of the
+    step's screen (``ScreenWork``), ``screened``: the watched values (the
+    distances, then the robots' norms ``norms``), their negations and
+    |poses|; the pair rows' distances are its first P values. A step
+    kernel's block starts with the last two rows of its ``ControlWork``,
+    which take the headings so."""
 
-    def __init__(self, poses: np.ndarray, upper: tuple):
+    def __init__(self, poses: np.ndarray, upper: tuple,
+                 block: np.ndarray | None = None):
         n = len(poses)
         self.rows = poses.T
         self.upper = upper
         a, b = upper
         p = len(a)
-        # (x_a, y_a, x_b, y_b) of each pair, from the flat (3, N) pose rows
-        self.ends_at = np.array([a, a + n, b, b + n])
-        block = np.empty(5 * p + 5 * n)
+        # theta twice, then (x_a, y_a, x_b, y_b) of each pair, from the flat
+        # (3, N) pose rows
+        theta = np.arange(2 * n, 3 * n)
+        self.ends_at = np.concatenate((theta, theta, a, a + n, b, b + n))
+        if block is None:
+            block = np.empty(5 * p + 7 * n)
+        self.taken = block[:2 * n + 4 * p]
+        self.headings = block[:2 * n].reshape(2, n)
+        block = block[2 * n:]
         self.pairs = block[:4 * p].reshape(4, p)
         self.screened = block[3 * p:]
         self.norms = block[4 * p:4 * p + n]
@@ -252,8 +266,9 @@ def _offsets(w: PairWork):
     offsets p_a - p_b (x, y), their square lengths and the distances,
     rows of ``w``, made in place from each pair's ends (x_a, y_a, x_b, y_b):
     rows 0-1 less rows 2-3, squared into rows 2-3, summed into row 2, and
-    its square root into row 3."""
-    w.rows.take(w.ends_at, None, w.pairs, "clip")
+    its square root into row 3. The take that gathers the ends copies the
+    headings twice into ``w.headings`` too."""
+    w.rows.take(w.ends_at, None, w.taken, "clip")
     np.subtract(w.offsets, w.tail, w.offsets)
     np.multiply(w.offsets, w.offsets, w.tail)
     np.add(w.length_squared, w.dist, w.length_squared)
@@ -378,18 +393,28 @@ class StepKernel:
         # one index of the upper pairs, for the pair rows and the edge list
         self.upper = np.triu_indices(n, 1)
         self.monitored = mask[self.upper]
-        self.jets = JetKernel(cfg, mask, self.upper)
         # the poses, the transpose of the pose rows (x, y, theta)
         self.poses = np.empty((3, n)).T
         self.x, self.y, self.theta = self.poses.T
-        self.pair_work = PairWork(self.poses, self.upper)
+        # one block: the control laws' rows, whose Hessian rows the
+        # quotient rule writes and whose last two, the headings, begin the
+        # pair rows' block, which their take fills
+        rows = ControlWork.ROWS
+        laws, p = len(rows.names), len(self.upper[0])
+        block = np.zeros(laws * n + 5 * p + 5 * n)
+        laws_block = block[:laws * n].reshape(laws, n)
+        self.jets = JetKernel(cfg, mask, self.upper,
+                              rows.view(laws_block, "hyy hxy hxx"))
+        self.laws = ControlWork(self.theta, cfg.linear_gains,
+                                cfg.angular_gains, cfg.gradient_floor,
+                                laws_block, self.jets.quotient.f)
+        self.pair_work = PairWork(self.poses, self.upper,
+                                  block[(laws - 2) * n:])
         self.norms = self.pair_work.norms
         self.motion = IntegrateWork(self.poses, cfg.time_step)
         self.screen = ScreenWork(self.poses, self.pair_work.screened)
         _monitor_bounds(cfg, self.monitored, self.screen.high,
                         self.screen.negated_low)
-        self.laws = ControlWork(self.theta, cfg.linear_gains,
-                                cfg.angular_gains, cfg.gradient_floor)
         self.control_rows = self.laws.controls
         self.speeds = self.control_rows[:2]
         self.by_robot = self.control_rows.T
@@ -415,8 +440,8 @@ class StepKernel:
         ``leader`` is the informed robot's (x, y) as floats."""
         # the norms of the step's poses, before the move
         np.hypot(self.x, self.y, self.norms)
-        phi, grad, hess = self.jets(leader, self.pair_work.pairs)
-        *_, grad_norm = control_laws(grad, hess, self.laws)
+        phi, _, _ = self.jets(leader, self.pair_work.pairs)
+        *_, grad_norm = control_laws(self.laws)
         _integrate_all(self.speeds, self.motion)
         return phi, grad_norm, _screen(self.screen)
 
@@ -562,12 +587,13 @@ def _monitor_bounds(cfg: ScenarioConfig, monitored: np.ndarray,
     negated_low[p:] = math.inf
 
 
-def _stop_screen(distance: float, tolerance: float) -> bool:
-    """False only where ``np.hypot(dx, dy) < tolerance`` is False too, for
-    the ``distance`` math.hypot(dx, dy), with no numpy call: math.hypot
-    differs from np.hypot by an ulp or two, far under the relative margin,
-    and four ulps of the subnormals stand in for it where it rounds away."""
-    return distance < tolerance * (1.0 + 1e-12) + 4.0 * math.ulp(0.0)
+def _stop_bound(tolerance: float) -> float:
+    """The stop screen's bound: a ``distance`` math.hypot(dx, dy) under it
+    is False only where ``np.hypot(dx, dy) < tolerance`` is False too, with
+    no numpy call: math.hypot differs from np.hypot by an ulp or two, far
+    under the relative margin, and four ulps of the subnormals stand in for
+    it where it rounds away."""
+    return tolerance * (1.0 + 1e-12) + 4.0 * math.ulp(0.0)
 
 
 def _log_rows(rows: int, n: int, filled=()):
@@ -648,13 +674,13 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
     kernel.theta_d[...] = kernel.theta
     dist = kernel.pair_work.dist
     tolerance = cfg.position_tolerance
+    stop_bound = _stop_bound(tolerance)
 
     k = 0
     while True:
         if k == rows:  # the log is full: double it, up to the horizon
             rows = min(2 * rows, S)
             poses, ctrl, phi = log_rows = _log_rows(rows, n, log_rows)
-        t = k * cfg.time_step
         # the informed robot's position as floats, read once a step for the
         # kernel, and its goal distance for the region switch's test
         # (fields.region_of) and the stop screen
@@ -664,7 +690,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
             switch_step = k  # latched
             region = RegionFlag.RENDEZVOUS
             kernel.drop_avoidance()
-            events.append(Event(k, t, "switch", (
+            events.append(Event(k, k * cfg.time_step, "switch", (
                 "informed robot reached the switch distance" if k
                 else "collision avoidance off from the start")))
         kernel.pairs()
@@ -673,14 +699,16 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
         try:
             phi[k], _, reached = kernel(leader)
         except NonFiniteState as exc:
-            raise NonFiniteState(f"{exc}, step {k}, t = {t:.3f} s") from exc
+            raise NonFiniteState(
+                f"{exc}, step {k}, t = {k * cfg.time_step:.3f} s") from exc
         ctrl[k] = kernel.by_robot
         poses[k + 1] = pose
 
         if reached:
             pairs = pairs or upper_pairs(n)
             step_events = monitor_invariants(poses[k, :, :2], dist, pairs,
-                                             monitored, region, cfg, k, t)
+                                             monitored, region, cfg, k,
+                                             k * cfg.time_step)
             events.extend(step_events)
             if strict and step_events:
                 raise MonitorViolation(
@@ -689,7 +717,7 @@ def run(cfg: ScenarioConfig, strict: bool = False) -> TrajectoryLog:
         # the informed robot's goal distance screens the vector test, which
         # decides
         converged = (
-            _stop_screen(goal_distance, tolerance)
+            goal_distance < stop_bound
             and np.hypot(poses[k, :, 0] - goal_x,
                          poses[k, :, 1] - goal_y).max() < tolerance
             and np.abs(ctrl[k, :, 3]).max() < cfg.heading_tolerance)

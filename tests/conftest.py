@@ -55,8 +55,8 @@ def one_robot_laws(grad, theta, held=None, hess=((0.0, 0.0), (0.0, 0.0)),
     w = ControlWork(np.array([float(theta)]), [k_v], [k_w], floor)
     w.controls[2] = theta if held is None else held
     hess = np.array(hess, dtype=float).reshape(4, 1)[[0, 1, 3]]
-    rows = control_laws(np.array(grad, dtype=float)[[0, 0, 1, 1], None],
-                        hess, w)
+    w.load(np.array(grad, dtype=float)[:, None], hess)
+    rows = control_laws(w)
     return Laws(*(float(row[0]) for row in rows))
 
 

@@ -15,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from rendezsim.fields import (DISTANCE_FLOOR, follower_terms, leader_terms,
-                              sigmoid_gain)
+from rendezsim.fields import DISTANCE_FLOOR, follower_terms, sigmoid_gain
 from rendezsim.gradients import ScalarField, leader_field_eval
 from rendezsim.graph import (GraphError, Topology, build_topology,
                              has_rooted_spanning_tree)
@@ -159,6 +158,49 @@ def _edge_factor(d, center, gain, c1, c2):
     return s, c1 * (1.0 - s), (c2 * s) * (1.0 - s)
 
 
+def _logistic(z):
+    """1 / (1 + exp(-z)), as exp(z) / (1 + exp(z)) for z < 0."""
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    ez = math.exp(z)
+    return ez / (1.0 + ez)
+
+
+def plain_leader_terms(cfg: ScenarioConfig, p):
+    """The informed robot's quotient inputs from their formulas, with the
+    scenario's numbers and no constants of ``fields``: gamma = |p - goal|^2
+    and its gradient 2 (p - goal); beta = dip B(R_w - |p|), dip = eps +
+    (a . (p - goal))^2 with a the goal heading's axis, whose gradient is 2
+    proj a and Hessian 2 a a^T, and the rim factor B(d) = logistic(k (d -
+    margin/2)), k = sigmoid_gain(margin, sigmoid_eps), whose gradient in p
+    is -B' u and Hessian B'' u u^T - B' (I - u u^T) / |p|, u = p / |p|;
+    beta's gradient and Hessian (xx, xy, yy) by the product rule. Floats,
+    in the order of operations of ``fields.leader_terms``."""
+    px, py = float(p[0]), float(p[1])
+    rx = px - float(cfg.goal_position[0])
+    ry = py - float(cfg.goal_position[1])
+    ax, ay = math.cos(cfg.goal_heading), math.sin(cfg.goal_heading)
+    k = sigmoid_gain(cfg.collision_margin, cfg.sigmoid_eps)
+    proj = rx * ax + ry * ay
+    dip = float(cfg.dipolar_eps) + proj * proj
+    dx, dy = 2.0 * proj * ax, 2.0 * proj * ay
+    norm = math.hypot(px, py)
+    rim = _logistic(k * ((float(cfg.workspace_radius) - norm)
+                         - 0.5 * cfg.collision_margin))
+    nx = ny = nxx = nxy = nyy = 0.0
+    if norm > 0.0:
+        s1 = k * rim * (1.0 - rim)  # B'
+        t = s1 / norm
+        w = (k * s1 * (1.0 - 2.0 * rim) + t) / (norm * norm)
+        nx, ny = -t * px, -t * py
+        nxx, nxy, nyy = w * px * px - t, w * px * py, w * py * py - t
+    return (rx * rx + ry * ry, (2.0 * rx, 2.0 * ry), dip * rim,
+            (rim * dx + dip * nx, rim * dy + dip * ny),
+            (2.0 * rim * ax * ax + 2.0 * dx * nx + dip * nxx,
+             2.0 * rim * ax * ay + dx * ny + dy * nx + dip * nxy,
+             2.0 * rim * ay * ay + 2.0 * dy * ny + dip * nyy))
+
+
 def plain_step(cfg: ScenarioConfig, mask: np.ndarray, poses: np.ndarray,
                held: np.ndarray, region: RegionFlag):
     """One step of every robot, stated as plain numpy expressions.
@@ -177,7 +219,7 @@ def plain_step(cfg: ScenarioConfig, mask: np.ndarray, poses: np.ndarray,
     alpha = cfg.field_exponent
     gamma, dgx, dgy, beta, dbx, dby, hxx, hxy, hyy = np.empty((9, n))
     lap = np.empty(n)
-    g0, dg0, b0, db0, ddb0 = leader_terms(poses[0, :2], cfg)
+    g0, dg0, b0, db0, ddb0 = plain_leader_terms(cfg, poses[0, :2])
     gamma[0], (dgx[0], dgy[0]), beta[0], (dbx[0], dby[0]) = g0, dg0, b0, db0
     hxx[0], hxy[0], hyy[0] = ddb0
     lap[0] = 2.0

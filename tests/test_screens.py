@@ -67,6 +67,14 @@ def quotient_jet_before(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta):
     return gamma / root, f, (diag[0], hxy, diag[1]), e
 
 
+def descent_before(alpha, gamma, dgamma, beta, dbeta):
+    """-grad phi as the quotient rule states it, N / (-e): bit for bit
+    -(N / e), a NaN's sign included, which negating N / e flips."""
+    s = gamma ** alpha + beta
+    e = alpha * s ** (1.0 / alpha + 1.0)
+    return (alpha * beta * dgamma - gamma * dbeta) / -e
+
+
 def logistic_array_before(z):
     """The step's logistic before the screen, of z = -y."""
     ez = np.exp(-np.abs(z))
@@ -195,10 +203,11 @@ class TestQuotientRule:
                 rng.normal(size=(3, n)))
 
     @staticmethod
-    def check(got, expected):
-        # the gradient comes as (x, x, y, y), as control_laws takes it
-        expected = (expected[0], np.repeat(expected[1], 2, axis=0),
-                    *expected[2:])
+    def check(got, expected, descent):
+        # the descent comes as (y, y, x, x) and the Hessian as (yy, xy,
+        # xx), as control_laws takes them
+        expected = (expected[0], np.repeat(descent[::-1], 2, axis=0),
+                    expected[2][::-1], expected[3])
         for a, b in zip(got[:2] + got[3:], expected[:2] + expected[3:]):
             assert same_bits(a, b)
         for a, b in zip(got[2], expected[2]):
@@ -214,7 +223,8 @@ class TestQuotientRule:
                       dbeta[:, cols], ddbeta[:, cols])
             got = _quotient_jet(QuotientWork(alpha, len(inputs[0])).load(
                 *inputs))
-            self.check(got, quotient_jet_before(alpha, *inputs))
+            self.check(got, quotient_jet_before(alpha, *inputs),
+                       descent_before(alpha, *inputs[:2], *inputs[3:5]))
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 2.0, 3.0])
     def test_one_robot_takes_floats(self, alpha):
@@ -231,7 +241,11 @@ class TestQuotientRule:
                 alpha, gamma[cols], dgamma[:, cols], lap[cols], beta[cols],
                 dbeta[:, cols], ddbeta[:, cols])
             assert same_bits(phi, phi_rows[0])
-            assert same_bits(grad, f[:, 0])
+            # the gradient is the descent negated: N / e, but for the sign
+            # of a NaN
+            assert same_bits(grad, -descent_before(
+                alpha, gamma[cols], dgamma[:, cols], beta[cols],
+                dbeta[:, cols])[:, 0])
             assert same_bits(hess, [[xx[0], xy[0]], [xy[0], yy[0]]])
             assert same_bits(e, e_rows[0])
 
@@ -494,7 +508,8 @@ class TestHeadingError:
         # a zero gradient holds theta_d at the fallback
         work = ControlWork(theta, np.ones(n), np.ones(n), 1e-6)
         work.rows[2][...] = held
-        out = control_laws(np.zeros((4, n)), np.zeros((3, n)), work)
+        work.load(np.zeros((2, n)), np.zeros((3, n)))
+        out = control_laws(work)
         assert same_bits(out[2], held)
         assert same_bits(out[3], wrap_angles_before(theta - held))
 
@@ -512,15 +527,15 @@ class TestDesiredHeading:
         held = [1, 2, 4, 5]
         work = ControlWork(theta, k_v, k_w, floor)
         work.rows[2][...] = fallback
-        # control_laws takes the gradient as (x, x, y, y)
-        out = control_laws(np.repeat(grad, 2, axis=0), hess, work)
+        work.load(grad, hess)
+        out = control_laws(work)
         assert same_bits(out[2], desired_heading_before(grad, fallback, floor))
         assert same_bits(out[2][held], fallback[held])
         steep = [0, 3]  # no row held: the unmasked arctan2
         work = ControlWork(theta[steep], k_v[steep], k_w[steep], floor)
         work.rows[2][...] = fallback[steep]
-        out = control_laws(np.repeat(grad[:, steep], 2, axis=0),
-                           hess[:, steep], work)
+        work.load(grad[:, steep], hess[:, steep])
+        out = control_laws(work)
         assert same_bits(out[2], desired_heading_before(
             grad[:, steep], fallback[steep], floor))
 
@@ -577,14 +592,15 @@ class TestStopTest:
         dx, dy, tol = offset
         with np.errstate(over="ignore"):
             under = np.hypot(dx, dy) < tol
-        assert sim._stop_screen(math.hypot(dx, dy), tol) or not under
+        assert math.hypot(dx, dy) < sim._stop_bound(tol) or not under
 
     def test_screen_rejects_offsets_beyond_its_margin(self):
         tol = 0.05
-        assert sim._stop_screen(math.hypot(_nudged(tol, -1), 0.0), tol)
+        bound = sim._stop_bound(tol)
+        assert math.hypot(_nudged(tol, -1), 0.0) < bound
         for dx, dy in ((tol * (1.0 + 1e-11), 0.0), (0.04, 0.04),
                        (math.nan, 0.0), (math.inf, math.nan)):
-            assert not sim._stop_screen(math.hypot(dx, dy), tol)
+            assert not math.hypot(dx, dy) < bound
 
     @staticmethod
     def predicate(log, cfg):

@@ -336,9 +336,9 @@ class TestArrayCore:
         rows = []
         laws = sim.control_laws
 
-        def count(grad, hess, work):
+        def count(work):
             rows.append(len(work.theta))
-            return laws(grad, hess, work)
+            return laws(work)
 
         def refuse(*args, **kwargs):
             raise AssertionError("per-robot control path called")
@@ -362,15 +362,16 @@ class TestArrayCore:
 class TestPairWork:
     def test_one_float_block(self):
         # the pair rows are computed in place: every float row of a
-        # PairWork, the step screen's too (the norms, the negations and
-        # |poses|), is a view of one block
+        # PairWork, the headings its take copies twice and the step
+        # screen's rows too (the norms, the negations and |poses|), is a
+        # view of one block
         n, p = 5, 10
         poses = np.zeros((n, 3))
         work = sim.PairWork(poses, np.triu_indices(n, 1))
         rows = [v for v in vars(work).values() if isinstance(v, np.ndarray)
                 and v.dtype == float and not np.shares_memory(v, poses)]
         block = work.pairs.base
-        assert block.shape == (5 * p + 5 * n,)
+        assert block.shape == (5 * p + 7 * n,)
         assert all(v.base is block for v in rows)
 
 
@@ -520,12 +521,13 @@ class TestKernelRowZero:
             p = self._spot(rng, spot)
             kernel.poses[:, :2] = p + rng.uniform(-1.2, 1.2, (n, 2))
             kernel.poses[0, :2] = p
-            phi, grad, (xx, xy, yy) = kernel.jets(p.tolist(), kernel.pairs())
+            phi, descent, (yy, xy, xx) = kernel.jets(p.tolist(),
+                                                     kernel.pairs())
             ref = gradients.leader_field_eval(p, cfg)
             assert np.float64(ref.value).tobytes() == phi[0].tobytes(), spot
-            # the kernel's gradient is (x, x, y, y)
-            assert grad[:, 0].tobytes() == ref.gradient[[0, 0, 1, 1]].tobytes(
-            ), spot
+            # the kernel's descent is -grad (y, y, x, x); negation is exact
+            assert np.negative(descent[:, 0]).tobytes() == ref.gradient[
+                [1, 1, 0, 0]].tobytes(), spot
             assert np.array([[xx[0], xy[0]], [xy[0], yy[0]]]).tobytes() == (
                 ref.hessian.tobytes()), spot
 
@@ -537,8 +539,8 @@ class TestKernelRowZero:
         norms = []
         laws = sim.control_laws
 
-        def record(grad, hess, work):
-            rows = laws(grad, hess, work)
+        def record(work):
+            rows = laws(work)
             norms.append(rows[-1][0])
             return rows
 

@@ -42,6 +42,19 @@ def _accreting_rendezvous():
         neighbor_mode="accreting")
 
 
+def _goal_near_rim():
+    """The informed robot starts on its goal, 0.6 m inside the rim of a
+    6 m workspace: its gradient is 0, so its desired heading is held on
+    every step (the masked arctan2), while the followers' are not; and its
+    rim factor B(R_w - |p|), exactly 1 with zero derivatives everywhere the
+    other cases go, is not, so beta's rim terms reach the Hessian. The run
+    latches at step 0 and converges at step 127."""
+    return small_config(
+        workspace_radius=6.0, rendezvous_radius=3.0, sensing_radius=1.2,
+        goal_position=np.array([-4.9, -2.2]), initial_states=make_states([
+            (-4.9, -2.2, 0.5), (-4.3, -2.8, -1.0), (-4.2, -1.7, 2.0)]))
+
+
 def _exponent(alpha):
     """The reference with field exponent alpha. The oracle's ** takes
     numpy's square and sqrt for the exponents 2 and 1/2, which alpha = 2
@@ -52,11 +65,17 @@ def _exponent(alpha):
 
 
 # scenario maker and number of steps checked; the rendezvous run converges
-# at step 297
+# at step 297. The paths the step forks on: every case's step 0 is a first
+# step, whose headings the pair rows' take copies as on every step; the
+# crossing case below and every case but the two accreting ones turn a
+# heading past pi and wrap it, and check the step after; accreting_rendezvous is straight on every step (its informed robot
+# keeps y = 0 and theta = 0, so omega = 0 and np.sinc takes the chord);
+# goal_near_rim holds a desired heading on every step
 CASES = {"reference": (_reference, 300), "rendezvous": (_rendezvous, 297),
          "sparse48": (_sparse48, 50), "dense48": (_dense48, 50),
          "accreting": (_accreting, 200),
          "accreting_rendezvous": (_accreting_rendezvous, 150),
+         "goal_near_rim": (_goal_near_rim, 100),
          "reference_alpha_2": (_exponent(2.0), 200),
          "reference_alpha_int_2": (_exponent(2), 200),
          "reference_alpha_0.5": (_exponent(0.5), 200)}

@@ -97,15 +97,38 @@ REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
 # (sim._screen, with the step's norms: seven calls before, the monitors'
 # screen in run() and the pose screen in the integrator, five after). A
 # turning step fails the pose part: it reads the bytes of each part of the
-# screen, two calls more than the wrap and finiteness check made before
+# screen, two calls more than the wrap and finiteness check made before.
+# Ten calls fewer on every step (reference, rendezvous, sparse48, dense48,
+# accreting, turning and alpha_half: 97, 97, 100, 100, 100, 112 and 104
+# before), with the per-robot stages sharing calls across their old
+# boundaries: the followers' post pass takes its operands in one take and
+# makes the inputs in four calls (9 before); the quotient rule divides its
+# numerator by -e, so the control laws take the descent with no negation;
+# the pair rows' take copies the headings into the laws' rows, so that the
+# laws' one sine and one cosine call take sin theta and cos theta too (two
+# calls before); the laws' Hessian products, both gains and k_w
+# theta_tilde are one product of rows ten apart (three calls before); and
+# the integrator's chord sits between cos(mid) and sin(mid), one product
+# for both moves (two before). The followers' post pass, the control laws,
+# the quotient rule, the integrator, the pair rows, the step's screen, the
+# logistic and the kernel's norms made 30, 23, 19, 12, 5, 4, 3 and 1 calls
+# of a reference step before
 BUDGET = {
-    "reference": (97, 0, 0, 0, 0, 0, 0, 4),
-    "rendezvous": (97, 0, 0, 0, 0, 0, 0, 4),
-    "sparse48": (100, 0, 0, 0, 0, 0, 0, 4),
-    "dense48": (100, 0, 0, 0, 0, 0, 0, 4),
-    "accreting": (100, 0, 0, 0, 0, 0, 0, 4),
-    "turning": (112, 0, 0, 0, 0, 0, 2, 4),
-    "alpha_half": (104, 1, 0, 0, 0, 0, 1, 4),
+    "reference": (87, 0, 0, 0, 0, 0, 0, 4),
+    "rendezvous": (87, 0, 0, 0, 0, 0, 0, 4),
+    "sparse48": (90, 0, 0, 0, 0, 0, 0, 4),
+    "dense48": (90, 0, 0, 0, 0, 0, 0, 4),
+    "accreting": (90, 0, 0, 0, 0, 0, 0, 4),
+    "turning": (102, 0, 0, 0, 0, 0, 2, 4),
+    "alpha_half": (94, 1, 0, 0, 0, 0, 1, 4),
+}
+# the reference step's calls by the function that makes them, so that a
+# change shows which stage it moved; they sum to its budget
+PER_FUNCTION = {
+    "gradients.JetKernel._followers": 26, "gradients._quotient_jet": 19,
+    "control.control_laws": 18, "sim._integrate_all": 11,
+    "sim._offsets": 5, "sim._screen": 4, "fields.logistic_negated": 3,
+    "sim.StepKernel.__call__": 1,
 }
 # calls of numpy's Python-level helpers per step: np.sinc and np.copyto are
 # met only on steps the screens send to their masked paths, and the
@@ -219,6 +242,11 @@ def test_calls_per_step_within_budget(counted_step):
         counts.setitems.items())
 
 
+def test_reference_calls_per_function():
+    assert sum(PER_FUNCTION.values()) == BUDGET["reference"][0]
+    assert dict(counted("reference").per_function()) == PER_FUNCTION
+
+
 def test_numpy_helpers_per_step(counted_step):
     _, counts = counted_step
     for helper, budget in HELPERS.items():
@@ -253,9 +281,15 @@ def test_numpy_helpers_per_step(counted_step):
 # pose screen made its bounds with np.full and its all-True bytes with
 # np.ones, and the control laws theirs too: the all-True bytes are now
 # bytes objects, the step screen's bounds are written by assignment, and
-# the quotient rule's take takes whole rows of its head by their numbers
-SETUP_BUDGET = {"reference": (65, 40), "sparse48": (65, 40),
-                "dense48": (65, 40)}
+# the quotient rule's take takes whole rows of its head by their numbers.
+# It made 65, 40 of them helpers, while the control laws' gains, floor,
+# results and temporaries were eleven arrays and the integrator's rows
+# four: the laws' rows are now one block with the pair rows', made by the
+# kernel's one np.zeros, beside four arrays of temporaries, the
+# integrator's two, and the followers' sums a block of their own, with the
+# post pass's take index
+SETUP_BUDGET = {"reference": (60, 33), "sparse48": (60, 33),
+                "dense48": (60, 33)}
 
 
 @pytest.mark.parametrize("name", sorted(SETUP_BUDGET))
