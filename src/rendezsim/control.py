@@ -67,19 +67,14 @@ class ControlWork:
     robot passes it. ``controls`` are the rows (v, omega, theta_d,
     theta_tilde, theta_d_dot); set row theta_d, the heading held where a
     gradient is below the floor, before the first call. A call reads the
-    descent -grad (y, y, x, x), each component twice, from ``descent``,
-    rows made unless given, the Hessian (yy, xy, xx) from rows ``hess`` and
-    theta from the last two, ``headings``, which its caller writes
-    (``load``, or the step kernel's quotient rule and pair rows' take)."""
+    descent -grad (y, y, x, x) from ``descent``, rows made unless given,
+    the Hessian (yy, xy, xx) from rows ``hess`` and theta from
+    ``headings``, which its caller writes (``load``, or the step kernel)."""
 
     # the first ten rows are the factors of the ten from ct on in one
-    # product: k_v for cos theta_tilde, the Hessian for cos theta (of no
-    # use) and sin theta_d twice, the floor for sin theta (of no use), k_v
-    # for |grad|, zeros for v, omega and theta_d, k_w for theta_tilde. Then
-    # cos theta_d twice, cos theta_tilde, cos theta, sin theta_d twice (the
-    # forms (y, x) after that product), sin theta, |grad| and the controls:
-    # theta_d twice in omega's row until omega is due, theta in the last
-    # two until theta_tilde and theta_d_dot are
+    # product (z for products of no use); sd holds sin theta_d, then the
+    # forms (y, x); omega's row holds theta_d until omega is due, and the
+    # last two rows theta until theta_tilde and theta_d_dot are
     ROWS = Rows("kv hyy hxy hxx floor kvn z z z kw",
                 "cd cd ct c sd sd s norm v w td tt tdd")
 
@@ -108,11 +103,8 @@ class ControlWork:
         self.cosine_args = view("w td tt tdd")
         self.sines, self.cosines = view("sd sd s"), view("cd cd ct c")
         self.cos_tilde, self.grad_norm = view("ct"), view("norm")
-        # one product: the ten rows from ct on times the first ten, into
-        # (k_v cos theta_tilde, -, sin_d hxy, sin_d hxx, -, k_v |grad|, -,
-        # -, -, k_w theta_tilde); then cos_d (hyy, hxy), then (cos theta
-        # fx, fy sin theta), fy = sin_d hxy - cos_d hyy and fx = sin_d hxx -
-        # cos_d hxy in the rows of sin_d; and |theta_tilde|
+        # the products: the first level's ten, then cos_d (hyy, hxy), then
+        # (cos theta fx, fy sin theta); and |theta_tilde|
         self.level, self.factors = view(
             "ct c sd sd s norm v w td tt"), block[:rows.at("cd").start]
         self.products = np.empty((15, n))

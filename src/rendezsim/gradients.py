@@ -116,19 +116,13 @@ class QuotientWork:
     ``RIGHT``, aligned, and the second products' run ``SECOND``, each
     quantity repeated and ordered as the calls take it. Every later row is
     a row of ``rule``, named ``RULE`` by what it ends up holding. The
-    Hessian's last call writes into ``out``, three rows (yy, xy, xx) that
-    the caller may hold (``control.ControlWork``'s), by default the rule's.
+    Hessian's last call writes into the rows ``out``, by default the rule's.
     """
 
     INPUTS = "G dgx dgy B dbx dby hxx hyy hxy L"
     HEAD = "Ga P2 s root S2 one a am ap ma m0 z0"
-    # the first products, one per row of RULE: gamma (dby, dby, dbx, dbx);
-    # gamma hess beta (yy, -, xx) with +0.0 between; gamma hxy; dgy dbx;
-    # root; -a s^(1/a + 1) four times and a s^(1/a + 1) three times; (a +
-    # 1) root four times; gamma; ab = a beta four times; dgy (a - 1), dgx
-    # dby and dgx (a - 1); a gamma^(a - 1) four times; ab, -0.0 and ab; and
-    # (dbx, dby, dby, dbx). Root, gamma, the signed zeros and grad beta are
-    # taken times 1
+    # the first products, one per row of RULE; root, gamma, the signed
+    # zeros and grad beta are taken times 1
     LEFT = ("G G G G G z0 G G dgy root S2 S2 S2 S2 S2 S2 S2 root root root "
             "root G B B B B dgy dgx dgx P2 P2 P2 P2 B m0 B dbx dby dby dbx")
     RIGHT = ("dby dby dbx dbx hyy one hxx hxy dbx one ma ma ma ma a a a ap ap "
@@ -137,15 +131,11 @@ class QuotientWork:
     # a - 1, dbx) into (a - 1) dg db and (a - 1) (dgx dby + dgy dbx), a
     # gamma^(a - 1) (dgx, dgy, dgy, dgx) and ab (L, 1, L)
     SECOND = "dgy dgy dgx dgx dby am dbx dgx dgy dgy dgx L one L"
-    # the rule's rows, each named by its last value: gamma beta's gradient
-    # and Hessian terms (gb: y, y, x, x; gh: yy, +0.0, xx; ghxy), the
-    # cross term cry, root, -e = -a s^(1/a + 1) four times, e three times,
-    # ar = (a + 1) root four times, phi (first gamma), the descent f = -grad
-    # (y, y, x, x) (first ab, then the numerator, gamma grad beta - ab grad
-    # gamma before its negation), the Hessian (yy, xy, xx) (first dgy (a -
-    # 1), dgx dby and dgx (a - 1)), fe, the products f de (y ex, y ey, x ey,
-    # x ex) (first a gamma^(a - 1), then de's sum), ab L (y, -0.0, x), db
-    # (x, y, y, x), and 1/2
+    # the rule's rows, each named by its last value: gamma grad beta (y, y,
+    # x, x) and gamma hess beta (yy, +0.0, xx; xy), the cross term, root,
+    # -e four times, e three times, (a + 1) root four times, phi, the
+    # descent f (y, y, x, x), the Hessian (yy, xy, xx), f de (y ex, y ey, x
+    # ey, x ex), ab L (y, -0.0, x), db (x, y, y, x), and 1/2
     RULE = Rows("gb gb gb gb gh z gh ghxy cry root en en en en e e e",
                 "ar ar ar ar phi f f f f hyy hxy hxx fe fe fe fe ly m lx",
                 "db db db db half")
@@ -216,9 +206,8 @@ def _quotient_jet(w: QuotientWork):
     beta)^(1/a + 1) and N = a beta grad gamma - gamma grad beta: grad phi =
     N / e, hess phi = (grad N - grad phi grad e^T) / e, a symmetric matrix
     whose off-diagonal is averaged against rounding. The descent -grad phi
-    is N / (-e), bit for bit -(N / e) as division's sign is its operands',
-    so the Hessian adds (-grad phi) grad e^T where it subtracted grad phi
-    grad e^T, which is the same subtraction. The powers take one row per
+    is N / (-e), which is -(N / e) bit for bit but for a NaN's sign, so the
+    Hessian adds (-grad phi) grad e^T. The powers take one row per
     robot, then one take spreads the head's rows, whole, over the rows the
     other calls take. Each call applies one ufunc to a block of rows:
     products of one level go into one call, so the order of operations of
@@ -275,7 +264,7 @@ def _quotient_jet(w: QuotientWork):
 def _one_robot_jet(alpha, lap, gamma, dgamma, beta, dbeta, ddbeta):
     """phi, gradient (2,), Hessian (2, 2) and e of one robot, by the step
     kernel's arithmetic: the one column of a ``QuotientWork``, its descent
-    negated, which is exact."""
+    negated, exact but for a NaN's sign bit."""
     phi, descent, (yy, xy, xx), e = _quotient_jet(QuotientWork(
         alpha, 1).load(gamma, dgamma, lap, beta, dbeta, ddbeta))
     return (float(phi[0]), -descent[[2, 0], 0],
@@ -354,12 +343,8 @@ class JetKernel:
     # gamma), and the products of b and of B
     RAW = Rows("gx gy cx cy cxy tx ty ox oy G", "Pb PB")
     # the per-robot inputs, the head of the quotient rule's rows, each named
-    # by its last value: the post pass's operands, which one take copies
-    # from RAW's rows of ``SOURCES`` into rows 0 to dby (there g, until its
-    # product); then the Hessian's sums (xx, yy, xy) and lap_gamma. Four calls over
-    # whole rows make the inputs: 2 sum (p - q_j) (as a sum of two,
-    # exactly) beside c + t, then beta five times beside g g^T, then g g^T
-    # + curvature, then beta (g, g g^T + curvature), into g's rows
+    # by its last value; one take copies RAW's rows ``SOURCES`` into the
+    # rows up to dby, the post pass's operands
     COMPACT = Rows("Pb Pb Pb Pb Pb gx gy gx ox oy cx cy b b b b B gxx gyy gxy",
                    "G dgx dgy ctx cty cxy dbx dby hxx hyy hxy L")
     SOURCES = ("Pb Pb Pb Pb Pb gx gy gx ox oy cx cy PB PB PB PB PB gx gy gy "
@@ -400,7 +385,7 @@ class JetKernel:
                        for at in map(PAIR_INPUTS.at, GATHERED.split())])
 
     def __init__(self, cfg: ScenarioConfig, mask: np.ndarray, upper: tuple,
-                 hess: np.ndarray | None = None):
+                 hess: np.ndarray):
         self.cfg = cfg
         self.leader_const = leader_constants(cfg)
         # row 0's phi comes from the quotient rule, and no step calls a
@@ -420,8 +405,8 @@ class JetKernel:
         self.products = self.raw[self.RAW.at("Pb PB"), 1:]
         self.post_at = np.array([self.RAW.at(name).start
                                  for name in self.SOURCES.split()])
-        # the compact inputs are the quotient rule's head, its Hessian's
-        # last call writes into ``hess`` when given
+        # the compact inputs are the quotient rule's head; its Hessian's
+        # last call writes into the (3, n) rows ``hess``
         self.quotient = QuotientWork(cfg.field_exponent, n,
                                      " ".join(rows.names), hess)
         self.compact = self.quotient.head
@@ -545,7 +530,7 @@ class JetKernel:
 
     def __call__(self, position, pairs: np.ndarray):
         """phi, descent -grad (y, y, x, x) and Hessian (yy, xy, xx) of every
-        robot, the Hessian in the rows given at construction, if any.
+        robot, the Hessian in the rows given at construction.
 
         ``position`` is the informed robot's (x, y), best as floats;
         ``pairs`` (4, P) holds the offset p_a - p_b (x, y), its square
@@ -609,10 +594,9 @@ class JetKernel:
         np.multiply(wm, m, self.curvature)
         np.multiply(self.wm_x, self.m_y, self.xy)
         np.add.reduceat(self.terms, self.starts, axis=-1, out=self.sums)
-        # over whole rows, the quotient inputs: one take lays the sums out,
-        # then 2 sum (p - q_j) (as a sum of two, exactly) and c + t, beta
-        # (b's product times B's) five times and g g^T, g g^T + curvature,
-        # and beta (g, g g^T + curvature)
+        # over whole rows, the quotient inputs: 2 sum (p - q_j) (as a sum of
+        # two, exactly) and c + t, beta (b's product times B's) five times
+        # and g g^T, g g^T + curvature, and beta (g, g g^T + curvature)
         (taken, offsets, dgamma, heads, beta, gg, curvature, hess, betas,
          scaled) = self.post
         self.raw.take(self.post_at, 0, taken, "clip")

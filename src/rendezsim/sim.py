@@ -169,11 +169,9 @@ class IntegrateWork:
                                                              [TWO_PI]]
         self.steps, self.scales, self.two_pi = (constants[:2],
                                                 constants[2:4], constants[4])
-        # the moves (x, y, theta), the move in y first dt v, the move in
-        # theta dt omega, then the turns dt omega / 2 pi; then the half
-        # turn, the sine's argument pi (turns) and the mid-step heading; and
-        # cos(mid), sin y, then the ratio and the chord in its row, and
-        # sin(mid)
+        # the moves (x, y, theta), y's first dt v, then the turns dt omega
+        # / 2 pi; the half turn, pi (turns) and the mid-step heading; and
+        # cos(mid), sin y (then the ratio and the chord) and sin(mid)
         moves, angles, trig = np.empty((3, 4, n))
         self.dt_v, self.rotation, self.turns = moves[1:]
         self.moves, self.products, self.halved = (moves[:3], moves[1:3],
@@ -198,10 +196,9 @@ def _integrate_all(controls, w: IntegrateWork):
     exact above the subnormals, so h and h / pi are (dt / 2) omega and
     (dt / 2) omega / pi bit for bit. Only a step where some y is 0 calls
     np.sinc, which is exactly 1 there (a straight line). The chord sits
-    between cos(mid) and sin(mid), so one product of rows one apart gives
-    both moves. One sum moves the (N, 3) poses of ``w`` on in place, the
-    headings unwrapped, as x + chord cos(mid), y + chord sin(mid) and theta
-    + dt omega; every temporary is a row of ``w``.
+    between cos(mid) and sin(mid), so one product gives both moves. One
+    sum moves the (N, 3) poses of ``w`` on in place, the headings
+    unwrapped; every temporary is a row of ``w``.
     """
     turns, y = w.turns, w.arg
     np.multiply(w.steps, controls, w.products)
@@ -228,32 +225,25 @@ def _pose_array(states: list[RobotState]) -> np.ndarray:
 
 class PairWork:
     """Preallocated rows of ``_offsets`` on the pose rows ``rows``, the
-    transpose of the (N, 3) ``poses``: the headings twice, ``headings``,
-    and the (4, P) pair rows of the upper pairs ``upper``,
-    ``np.triu_indices(N, 1)``, the log's pair order, and the take's index.
-    One flat ``block``, made unless given, holds them and the rows of the
-    step's screen (``ScreenWork``), ``screened``: the watched values (the
-    distances, then the robots' norms ``norms``), their negations and
-    |poses|; the pair rows' distances are its first P values. A step
-    kernel's block starts with the last two rows of its ``ControlWork``,
-    which take the headings so."""
+    transpose of the (N, 3) ``poses``: the (4, P) pair rows of the upper
+    pairs ``upper``, ``np.triu_indices(N, 1)``, the log's pair order, and
+    the take's index. The flat ``block`` holds, in order, the values of the
+    flat pose rows at ``lead``, which the take copies too, the pair rows
+    and the rows of the step's screen (``ScreenWork``), ``screened``: the
+    watched values (the distances, then the robots' norms ``norms``),
+    their negations and |poses|; so it takes len(lead) + 5P + 5N floats."""
 
-    def __init__(self, poses: np.ndarray, upper: tuple,
-                 block: np.ndarray | None = None):
+    def __init__(self, poses: np.ndarray, upper: tuple, block: np.ndarray,
+                 lead: np.ndarray):
         n = len(poses)
         self.rows = poses.T
         self.upper = upper
         a, b = upper
         p = len(a)
-        # theta twice, then (x_a, y_a, x_b, y_b) of each pair, from the flat
-        # (3, N) pose rows
-        theta = np.arange(2 * n, 3 * n)
-        self.ends_at = np.concatenate((theta, theta, a, a + n, b, b + n))
-        if block is None:
-            block = np.empty(5 * p + 7 * n)
-        self.taken = block[:2 * n + 4 * p]
-        self.headings = block[:2 * n].reshape(2, n)
-        block = block[2 * n:]
+        # then (x_a, y_a, x_b, y_b) of each pair, from the flat (3, N) rows
+        self.ends_at = np.concatenate((lead, a, a + n, b, b + n))
+        self.taken = block[:len(lead) + 4 * p]
+        block = block[len(lead):]
         self.pairs = block[:4 * p].reshape(4, p)
         self.screened = block[3 * p:]
         self.norms = block[4 * p:4 * p + n]
@@ -267,7 +257,7 @@ def _offsets(w: PairWork):
     rows of ``w``, made in place from each pair's ends (x_a, y_a, x_b, y_b):
     rows 0-1 less rows 2-3, squared into rows 2-3, summed into row 2, and
     its square root into row 3. The take that gathers the ends copies the
-    headings twice into ``w.headings`` too."""
+    lead values of ``w`` too."""
     w.rows.take(w.ends_at, None, w.taken, "clip")
     np.subtract(w.offsets, w.tail, w.offsets)
     np.multiply(w.offsets, w.offsets, w.tail)
@@ -396,9 +386,9 @@ class StepKernel:
         # the poses, the transpose of the pose rows (x, y, theta)
         self.poses = np.empty((3, n)).T
         self.x, self.y, self.theta = self.poses.T
-        # one block: the control laws' rows, whose Hessian rows the
-        # quotient rule writes and whose last two, the headings, begin the
-        # pair rows' block, which their take fills
+        # one block: the control laws' rows, then the pair rows'. The
+        # quotient rule writes the laws' Hessian rows, and the pair rows'
+        # take theta twice into the laws' heading rows, ROWS' last two
         rows = ControlWork.ROWS
         laws, p = len(rows.names), len(self.upper[0])
         block = np.zeros(laws * n + 5 * p + 5 * n)
@@ -408,8 +398,10 @@ class StepKernel:
         self.laws = ControlWork(self.theta, cfg.linear_gains,
                                 cfg.angular_gains, cfg.gradient_floor,
                                 laws_block, self.jets.quotient.f)
+        theta = np.arange(2 * n, 3 * n)
         self.pair_work = PairWork(self.poses, self.upper,
-                                  block[(laws - 2) * n:])
+                                  block[rows.at("tt tdd").start * n:],
+                                  np.concatenate((theta, theta)))
         self.norms = self.pair_work.norms
         self.motion = IntegrateWork(self.poses, cfg.time_step)
         self.screen = ScreenWork(self.poses, self.pair_work.screened)
@@ -433,7 +425,8 @@ class StepKernel:
 
     def __call__(self, leader):
         """Fill ``control_rows`` and move ``poses`` on by one step, from the
-        pair rows of the last ``pairs()`` call; return phi and the gradient
+        pair rows and the headings of the last ``pairs()`` call, so the
+        poses must not change in between; return phi and the gradient
         norms, rows of the kernel, and whether some watched value of the
         step reached its monitor bound (``_screen``).
 

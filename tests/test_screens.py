@@ -67,12 +67,27 @@ def quotient_jet_before(alpha, gamma, dgamma, lap_gamma, beta, dbeta, ddbeta):
     return gamma / root, f, (diag[0], hxy, diag[1]), e
 
 
-def descent_before(alpha, gamma, dgamma, beta, dbeta):
-    """-grad phi as the quotient rule states it, N / (-e): bit for bit
-    -(N / e), a NaN's sign included, which negating N / e flips."""
-    s = gamma ** alpha + beta
-    e = alpha * s ** (1.0 / alpha + 1.0)
-    return (alpha * beta * dgamma - gamma * dbeta) / -e
+def negated_but_nan_signs(descent, grad):
+    """Whether ``descent`` is ``grad`` negated, bit for bit where ``grad``
+    is a number, and NaN where it is NaN: the kernel's descent is N / (-e),
+    and a NaN's sign bit there may differ from that of -(N / e)."""
+    grad = np.asarray(grad)
+    nan = np.isnan(grad)
+    return (np.array_equal(np.isnan(descent), nan)
+            and same_bits(np.negative(descent)[~nan], grad[~nan]))
+
+
+def jet_kernel(cfg, mask, upper):
+    """A JetKernel whose Hessian rows are its own."""
+    return JetKernel(cfg, mask, upper, np.empty((3, len(mask))))
+
+
+def pair_rows(poses, upper):
+    """The pair rows of ``poses``' pairs ``upper``, by a PairWork whose take
+    copies no lead values."""
+    n, p = len(poses), len(upper[0])
+    return sim._offsets(sim.PairWork(poses, upper, np.empty(5 * p + 5 * n),
+                                     np.arange(0)))
 
 
 def logistic_array_before(z):
@@ -203,14 +218,14 @@ class TestQuotientRule:
                 rng.normal(size=(3, n)))
 
     @staticmethod
-    def check(got, expected, descent):
-        # the descent comes as (y, y, x, x) and the Hessian as (yy, xy,
-        # xx), as control_laws takes them
-        expected = (expected[0], np.repeat(descent[::-1], 2, axis=0),
-                    expected[2][::-1], expected[3])
-        for a, b in zip(got[:2] + got[3:], expected[:2] + expected[3:]):
-            assert same_bits(a, b)
-        for a, b in zip(got[2], expected[2]):
+    def check(got, expected):
+        # the descent -grad comes as (y, y, x, x) and the Hessian as (yy,
+        # xy, xx), as control_laws takes them
+        phi, descent, hess, e = got
+        assert negated_but_nan_signs(descent,
+                                     np.repeat(expected[1][::-1], 2, axis=0))
+        for a, b in zip((phi, e, *hess), (expected[0], expected[3],
+                                          *expected[2][::-1])):
             assert same_bits(a, b)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 2.0, 3.0])
@@ -223,8 +238,7 @@ class TestQuotientRule:
                       dbeta[:, cols], ddbeta[:, cols])
             got = _quotient_jet(QuotientWork(alpha, len(inputs[0])).load(
                 *inputs))
-            self.check(got, quotient_jet_before(alpha, *inputs),
-                       descent_before(alpha, *inputs[:2], *inputs[3:5]))
+            self.check(got, quotient_jet_before(alpha, *inputs))
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 2.0, 3.0])
     def test_one_robot_takes_floats(self, alpha):
@@ -241,11 +255,8 @@ class TestQuotientRule:
                 alpha, gamma[cols], dgamma[:, cols], lap[cols], beta[cols],
                 dbeta[:, cols], ddbeta[:, cols])
             assert same_bits(phi, phi_rows[0])
-            # the gradient is the descent negated: N / e, but for the sign
-            # of a NaN
-            assert same_bits(grad, -descent_before(
-                alpha, gamma[cols], dgamma[:, cols], beta[cols],
-                dbeta[:, cols])[:, 0])
+            # the gradient is the kernel's descent negated
+            assert negated_but_nan_signs(-grad, f[:, 0])
             assert same_bits(hess, [[xx[0], xy[0]], [xy[0], yy[0]]])
             assert same_bits(e, e_rows[0])
 
@@ -326,7 +337,7 @@ class TestLogisticNegated:
         # underflows to 0 both ways, NaN, and drop_avoidance's B of center
         # +inf and gain 1, where every y is -inf
         cfg = small_config()
-        kernel = JetKernel(cfg, ~np.eye(2, dtype=bool), np.triu_indices(2, 1))
+        kernel = jet_kernel(cfg, ~np.eye(2, dtype=bool), np.triu_indices(2, 1))
         if region is RegionFlag.RENDEZVOUS:
             kernel.drop_avoidance()
         # the column holds (center, gain, c1, c2), each of [b, B]
@@ -368,15 +379,15 @@ class TestFollowerDivides:
         cfg = small_config(
             n_robots=n, linear_gains=[1.0] * n, angular_gains=[1.0] * n,
             initial_states=make_states(poses.tolist()))
-        work = sim.PairWork(poses, np.triu_indices(n, 1))
-        return cfg, mask, poses, sim._offsets(work), work.upper
+        upper = np.triu_indices(n, 1)
+        return cfg, mask, poses, pair_rows(poses, upper), upper
 
     @pytest.mark.parametrize("region", [RegionFlag.COLLISION_FREE,
                                         RegionFlag.RENDEZVOUS])
     @pytest.mark.parametrize("bad", [1e-10, 0.0, math.nan])
     def test_unaffected_followers_match(self, region, bad):
         cfg, mask, poses, pairs, upper = self._kernel_inputs()
-        kernel = JetKernel(cfg, mask, upper)
+        kernel = jet_kernel(cfg, mask, upper)
         if region is RegionFlag.RENDEZVOUS:
             kernel.drop_avoidance()
         plain = [np.array(x, dtype=float) for x in
@@ -433,8 +444,8 @@ class TestFollowerDivides:
         # edge list rebuilt after the switch keeps it
         cfg, topo = self._close_inputs()
         upper = np.triu_indices(len(self.CLOSE), 1)
-        kernel = JetKernel(cfg, topo.adjacency, upper)
-        pairs = sim._offsets(sim.PairWork(self.CLOSE, upper))
+        kernel = jet_kernel(cfg, topo.adjacency, upper)
+        pairs = pair_rows(self.CLOSE, upper)
         kernel.drop_avoidance()
         for rebuilt in (False, True):
             if rebuilt:
@@ -463,10 +474,10 @@ class TestKernelLogistic:
             n_robots=n, linear_gains=[1.0] * n,
             angular_gains=[1.0] * n, initial_states=make_states(poses))
         upper = np.triu_indices(n, 1)
-        pairs = sim._offsets(sim.PairWork(poses, upper))
+        pairs = pair_rows(poses, upper)
         assert pairs[3].min() < 0.5 * cfg.collision_margin
         args = (poses[0, :2].tolist(), pairs)
-        kernel = JetKernel(cfg, mask, upper)
+        kernel = jet_kernel(cfg, mask, upper)
         positive = []
 
         def spy(work, *rows):

@@ -361,18 +361,21 @@ class TestArrayCore:
 
 class TestPairWork:
     def test_one_float_block(self):
-        # the pair rows are computed in place: every float row of a
-        # PairWork, the headings its take copies twice and the step
-        # screen's rows too (the norms, the negations and |poses|), is a
-        # view of one block
-        n, p = 5, 10
-        poses = np.zeros((n, 3))
-        work = sim.PairWork(poses, np.triu_indices(n, 1))
+        # the pair rows are computed in place: every float row of a step
+        # kernel's PairWork, the step screen's rows too (the norms, the
+        # negations and |poses|), is a view of one block, which begins
+        # with the control laws' rows, the headings the take copies last
+        cfg = small_config()
+        kernel = sim.StepKernel(cfg, sim.initial_topology(cfg).adjacency)
+        work = kernel.pair_work
+        n, p = len(kernel.poses), len(work.upper[0])
         rows = [v for v in vars(work).values() if isinstance(v, np.ndarray)
-                and v.dtype == float and not np.shares_memory(v, poses)]
+                and v.dtype == float and not np.shares_memory(v, work.rows)]
         block = work.pairs.base
-        assert block.shape == (5 * p + 7 * n,)
+        laws = kernel.laws.hess.base
+        assert laws is block and block.shape == (23 * n + 5 * p + 5 * n,)
         assert all(v.base is block for v in rows)
+        assert np.shares_memory(kernel.laws.headings, work.taken)
 
 
 class TestEdgeList:

@@ -33,86 +33,22 @@ REFERENCE = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios",
 # informed robot's quotient inputs into the kernel's column (one tuple) and
 # the log's phi, controls and poses, four copies that the calls' total does
 # not see.
-# Before the exact screens each of the three steps made 8
-# where= calls, and 154, 147 and 154 calls in all. Before every operand
-# became an array of its partner's shape each step made 25 scalar-operand
-# calls and 15 broadcasting ones; the last 4 were the quotient rule's four
-# powers, until their exponents became stride-0 rows
-# (gradients.exponent_row), and the accreting step's threshold, until
-# _accrete_edges compared with a row. Before the step's workspaces the
-# three steps allocated 90, 90 and 92 results, and 4 until the quotient
-# rule's three ** became np.power calls into rows and the stop screen's
-# np.hypot on floats became math.hypot, which took one call off each step
-# too (114, 114, 116 and 117 before). Before the fused row blocks the
-# three steps made 136, 133 and 138 calls, 10, 8 and 10 of them on column
-# slices or reversed rows. Each screen compares a boolean row's bytes with
-# a constant, one counted tobytes call as np.count_nonzero was, and one
-# screen of |poses| against (inf, inf, pi) replaced the heading wrap's
-# screen and the finiteness check, two calls fewer (113, 113, 115 and 116
-# before). The accreting step follows its mask's growth and adds
-# _accrete_edges' screen of pairs near but not yet edges: two comparisons
-# with preallocated rows and their bytes (before: the threshold screen,
-# a scalar operand that allocated, and two all()). The rendezvous step
-# makes the avoiding step's calls: the switch writes the constant factor 1
-# into the collision factor's rows once (JetKernel.drop_avoidance), which
-# the edge pass's sum and product still take, no step call takes the
-# region, and the monitors' screen still compares its two rows; it made
-# 111 calls when both forked on the region. The turning step is a
-# reference step that turns the heading errors and wraps a heading:
-# model.turn_angles twice and the wrap's fmod, with every bound, 2 pi and
-# comparison a row of model.turn_rows (before: 7 scalar-operand and 6
-# allocating calls, in as many calls). It made 127 calls while the wrap
-# screened the headings again after the pose screen had failed (|theta|,
-# its comparison with pi and their bytes); the pose screen alone now sends
-# a step to the wrap. The alpha_half step runs the
-# quotient rule's masked power of field exponent 1/2, its one where= call,
-# with gamma > 0 compared against a zero row that dp copies first, and
-# turns the heading errors (before: 117 calls, 4 with a scalar operand and
-# 4 allocating; the zero row's copy is a call where dp[...] = 0.0 was none).
-# The casting calls, counted as they stand: turn_angles' difference of its
-# two boolean comparisons as floats, once a turn. The edge factors'
-# logistic cast too, and took a screen of its own of every argument y <= 0:
-# the maximum of the float e and that boolean screen row, on a step where
-# some y > 0 (sparse48's counted step; not the reference's, where every
-# y <= 0). The factors now run once per sensed pair, with one take more (the
-# pair rows', beside their spread to the edges), and one comparison screens
-# every y <= 0 and the distance floor at once: a step where both pass makes
-# one call fewer (reference, rendezvous, accreting, turning and alpha_half:
-# 111, 111, 114, 124 and 118 before), and a step where some y > 0 reads the
-# screen's floor row too and takes the numerator exp(-max(y, 0)) beside
-# exp(-|y|) in one exp call, with no cast (sparse48: 113 calls, 1 casting,
-# before). The dense48 step is a sparse48 step over 1,039 edges and 525
-# sensed pairs, not 193 and 98. Thirteen calls fewer on each step but the
-# turning one, eleven fewer there (reference, rendezvous, sparse48,
-# dense48, accreting, turning and alpha_half: 110, 110, 113, 113, 113, 123
-# and 117 before): the quotient rule takes its four powers on one row per
-# robot, then one take spreads every operand, and its products, sums and
-# differences of one level share a call (the kernel's take and 24 calls
-# before, 19 with its own take after); the control laws take theta_d
-# twice, so that its sines and cosines meet the Hessian in two products,
-# after one sine and one cosine call (25 before, 23 after); the
-# integrator takes dt omega once and moves x, y and theta in one sum over
-# the pose rows (18 before, 12 after); and one comparison of one block
-# screens the new poses and the monitors' watched values at once
-# (sim._screen, with the step's norms: seven calls before, the monitors'
-# screen in run() and the pose screen in the integrator, five after). A
-# turning step fails the pose part: it reads the bytes of each part of the
-# screen, two calls more than the wrap and finiteness check made before.
-# Ten calls fewer on every step (reference, rendezvous, sparse48, dense48,
-# accreting, turning and alpha_half: 97, 97, 100, 100, 100, 112 and 104
-# before), with the per-robot stages sharing calls across their old
-# boundaries: the followers' post pass takes its operands in one take and
-# makes the inputs in four calls (9 before); the quotient rule divides its
-# numerator by -e, so the control laws take the descent with no negation;
-# the pair rows' take copies the headings into the laws' rows, so that the
-# laws' one sine and one cosine call take sin theta and cos theta too (two
-# calls before); the laws' Hessian products, both gains and k_w
-# theta_tilde are one product of rows ten apart (three calls before); and
-# the integrator's chord sits between cos(mid) and sin(mid), one product
-# for both moves (two before). The followers' post pass, the control laws,
-# the quotient rule, the integrator, the pair rows, the step's screen, the
-# logistic and the kernel's norms made 30, 23, 19, 12, 5, 4, 3 and 1 calls
-# of a reference step before
+# Each screen compares a boolean row's bytes with a constant, one counted
+# tobytes call. The rendezvous step makes the avoiding step's calls: the
+# switch writes the constant factor 1 into the collision factor's rows once
+# (JetKernel.drop_avoidance), and no step call takes the region. The
+# accreting step adds _accrete_edges' screen of the pairs near but not yet
+# edges. The turning step is a reference step that turns the heading errors
+# and wraps a heading: model.turn_angles twice, the wrap's fmod, and the
+# bytes of each part of the step's screen; its casting calls are
+# turn_angles' difference of two boolean comparisons as floats, once a
+# turn. The alpha_half step runs the quotient rule's masked power of field
+# exponent 1/2, its one where= call, with gamma > 0 compared against a zero
+# row that the power's row copies first, and turns the heading errors. On
+# the sparse48 and dense48 steps some logistic argument y > 0, so the
+# logistic reads the screen's floor row and takes exp(-max(y, 0)) beside
+# exp(-|y|) in one call; dense48's step is sparse48's over 1,039 edges and
+# 525 sensed pairs, not 193 and 98
 BUDGET = {
     "reference": (87, 0, 0, 0, 0, 0, 0, 4),
     "rendezvous": (87, 0, 0, 0, 0, 0, 0, 4),
@@ -258,38 +194,9 @@ def test_numpy_helpers_per_step(counted_step):
 # numpy calls of the step kernel's set-up, StepKernel(cfg, mask), the fixed
 # cost a run pays before its first step: (total, dispatched helpers and
 # array makers), and np.triu_indices once, for the pair rows and the edge
-# list both. It does not grow with the robot count. It made 105 calls, 79
-# of them helpers, when the two each computed the upper pairs; the heading
-# turn's rows (model.turn_rows, two np.empty each in ControlWork and
-# IntegrateWork, in place of one np.full of pi) add two. It made 106, 80 of
-# them helpers, while the heading wrap had a screen of its own (a boolean
-# row and the bytes of an all-True one) and the finiteness check a
-# boolean block beside the pose screen's, which it now writes into. It made
-# 102, 77 of them helpers, before the pair pass: the edge list's rebuild
-# (set_mask) made 34 calls where it makes 20, with one block of pair rows
-# and one of edge rows, each constant row written by assignment, for a
-# dozen blocks made by np.empty, np.full, np.ones, np.repeat and np.tile
-# and two all-True screens' bytes; the kernel's own set-up makes 8 calls
-# for 5, with the flags of the lower pairs, the pair rows' gather rows and
-# the factors' constant column;
-# the quotient rule's stride-0 exponents take one call each, where
-# np.broadcast_to of a 0-d array took two. It made 87, 55 of them helpers,
-# while the pair rows' take filled a block of ends and their squares had a
-# block of their own, one np.empty each. It made 85, 53 of them helpers,
-# while the quotient rule had five blocks, each with its own views, and the
-# kernel spread its inputs with an index of its own, one per element, the
-# pose screen made its bounds with np.full and its all-True bytes with
-# np.ones, and the control laws theirs too: the all-True bytes are now
-# bytes objects, the step screen's bounds are written by assignment, and
-# the quotient rule's take takes whole rows of its head by their numbers.
-# It made 65, 40 of them helpers, while the control laws' gains, floor,
-# results and temporaries were eleven arrays and the integrator's rows
-# four: the laws' rows are now one block with the pair rows', made by the
-# kernel's one np.zeros, beside four arrays of temporaries, the
-# integrator's two, and the followers' sums a block of their own, with the
-# post pass's take index
-SETUP_BUDGET = {"reference": (60, 33), "sparse48": (60, 33),
-                "dense48": (60, 33)}
+# list both. It does not grow with the robot count
+SETUP_BUDGET = {"reference": (57, 31), "sparse48": (57, 31),
+                "dense48": (57, 31)}
 
 
 @pytest.mark.parametrize("name", sorted(SETUP_BUDGET))
