@@ -10,7 +10,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gradients import Rows, follower_field_eval, leader_field_eval
+from .gradients import (Rows, bind, follower_field_eval,
+                        leader_field_eval)
 from .model import (RegionFlag, RobotState, ScenarioConfig, turn_angles,
                     turn_rows)
 # not called here: rendezbench/tracing.py wraps these names
@@ -59,17 +60,19 @@ def compute_control(robot: RobotState,
 
 
 class ControlWork:
-    """The rows of ``control_laws`` over the n headings ``theta``: one (23,
-    n) block, zeros unless given, whose rows ``ROWS`` names, the heading
-    error's turn rows (``model.turn_rows``), whose first is pi, and the
-    temporaries, with every view bound once; ``all_true`` is the bytes of
-    an all-True boolean row, which a screen's bytes equal exactly when every
-    robot passes it. ``controls`` are the rows (v, omega, theta_d,
-    theta_tilde, theta_d_dot); set row theta_d, the heading held where a
-    gradient is below the floor, before the first call. A call reads the
-    descent -grad (y, y, x, x) from ``descent``, rows made unless given,
-    the Hessian (yy, xy, xx) from rows ``hess`` and theta from
-    ``headings``, which its caller writes (``load``, or the step kernel)."""
+    """The rows of ``control_laws`` over the n headings ``theta``, and its
+    calls, bound once: one (23, n) ``block``, zeros unless given, whose rows
+    ``ROWS`` names, the heading error's turn rows (``model.turn_rows``),
+    whose first is pi, the products and the screens' boolean rows;
+    ``all_true`` is the bytes of an all-True boolean row, which a screen's
+    bytes equal exactly when every robot passes it. ``controls`` are the
+    rows (v, omega, theta_d, theta_tilde, theta_d_dot); set row theta_d,
+    the heading held where a gradient is below the floor, before the first
+    call. A call reads the descent -grad (y, y, x, x) from ``descent``, rows
+    made unless given, the Hessian (yy, xy, xx) from rows "hyy hxy hxx" and
+    theta from rows "tt tdd", which its caller writes (``load``, or the step
+    kernel). The calls run in three segments, split by the steep gradient's
+    screen and the heading error's."""
 
     # the first ten rows are the factors of the ten from ct on in one
     # product (z for products of no use); sd holds sin theta_d, then the
@@ -86,46 +89,57 @@ class ControlWork:
         rows = self.ROWS
         if block is None:
             block = np.zeros((len(rows.names), n))
-        self.descent = np.empty((4, n)) if descent is None else descent
-        self.up, self.across = self.descent[:2], self.descent[2:]
-        self.descent_y, self.descent_x = self.descent[1:3]
-        view = partial(rows.view, block)
-        view("kv")[...] = view("kvn")[...] = linear_gains
-        view("kw")[...] = angular_gains
-        self.floor = view("floor")
-        self.floor[...] = gradient_floor
+        self.block = block
+        d = self.descent = np.empty((4, n)) if descent is None else descent
+        v = partial(rows.view, block)
+        v("kv")[...] = v("kvn")[...] = linear_gains
+        v("kw")[...] = angular_gains
+        v("floor")[...] = gradient_floor
         self.turn = turn_rows(n)
-        self.pi = self.turn[0]
-        self.hess, self.headings = view("hyy hxy hxx"), view("tt tdd")
-        self.controls = view("v w td tt tdd")
-        self.rows = tuple(self.controls)
-        self.desired, self.sine_args = view("w td"), view("w td tt")
-        self.cosine_args = view("w td tt tdd")
-        self.sines, self.cosines = view("sd sd s"), view("cd cd ct c")
-        self.cos_tilde, self.grad_norm = view("ct"), view("norm")
+        self.controls = v("v w td tt tdd")
+        self.result = (*self.controls, v("norm"))
         # the products: the first level's ten, then cos_d (hyy, hxy), then
         # (cos theta fx, fy sin theta); and |theta_tilde|
-        self.level, self.factors = view(
-            "ct c sd sd s norm v w td tt"), block[:rows.at("cd").start]
-        self.products = np.empty((15, n))
-        self.level_out = self.products[:10]
-        self.gain_cos, self.gain_norm = self.products[0], self.products[5]
-        self.turn_rate, self.heads = self.products[9], self.products[2:4]
-        self.cos_d, self.hess_yx = view("cd cd"), view("hyy hxy")
-        self.tails, self.forms = self.products[10:12], view("sd sd")
-        self.cos_form, self.form_sin = view("c sd"), view("sd s")
-        self.motion, self.magnitude = self.products[12:14], self.products[14]
-        self.form_x, self.form_y = self.motion
+        products = np.empty((15, n))
         self.steep, self.inside = np.empty((2, n), dtype=bool)
         self.all_true = b"\x01" * n
+        # the masked arctan2's rows: (y, x), theta_d and omega
+        self.held = d[1], d[2], v("td"), v("w")
+        self.to_steep = bind(
+            # |-grad| is |grad| bit for bit: hypot takes absolute values
+            (np.hypot, d[2], d[1], v("norm")),
+            (np.greater, v("norm"), v("floor"), self.steep))
+        # theta_d twice where every gradient is steep, then sin theta_d
+        # twice and sin theta, before theta_tilde takes a heading row
+        self.to_turn = bind(
+            (np.arctan2, d[:2], d[2:], v("w td")),
+            (np.sin, v("w td tt"), v("sd sd s")),
+            (np.subtract, v("tdd"), v("td"), v("tt")),
+            (np.abs, v("tt"), products[14]),
+            (np.less, products[14], self.turn[0], self.inside))
+        # cos theta_d twice, cos theta_tilde and cos theta; left^T H right
+        # with left = (sin theta_d, -cos theta_d), right the motion direction
+        # (cos theta, sin theta): (sin_d hxx - cos_d hxy) cos theta + (sin_d
+        # hxy - cos_d hyy) sin theta
+        self.from_turn = bind(
+            (np.cos, v("w td tt tdd"), v("cd cd ct c")),
+            (np.multiply, v("ct c sd sd s norm v w td tt"),
+             block[:rows.at("cd").start], products[:10]),
+            (np.multiply, v("cd cd"), v("hyy hxy"), products[10:12]),
+            (np.subtract, products[2:4], products[10:12], v("sd sd")),
+            (np.multiply, v("c sd"), v("sd s"), products[12:14]),
+            (np.multiply, products[5], v("ct"), v("v")),
+            (np.add, products[12], products[13], v("tdd")),
+            (np.multiply, products[0], v("tdd"), v("tdd")),
+            (np.subtract, v("tdd"), products[9], v("w")))
 
     def load(self, grad, hess):
         """Write the gradient (x, y) as the descent (y, y, x, x), the
         Hessian (xx, xy, yy) as rows (yy, xy, xx) and theta into the
         heading rows, for a call outside the step kernel."""
         self.descent[...] = np.negative(grad)[[1, 1, 0, 0]]
-        self.hess[...] = hess[::-1]
-        self.headings[...] = self.theta
+        self.ROWS.view(self.block, "hyy hxy hxx")[...] = hess[::-1]
+        self.ROWS.view(self.block, "tt tdd")[...] = self.theta
 
 
 def control_laws(w: ControlWork):
@@ -143,38 +157,27 @@ def control_laws(w: ControlWork):
     and sin theta, before theta_tilde takes a heading row, and one cosine
     call cos theta_d twice, cos theta_tilde and cos theta. Products of one
     level are one call over rows ten, or two, apart; a product is
-    commutative bit for bit. Returns (v, omega, theta_d, theta_tilde,
-    theta_d_dot, grad_norm), rows of ``w``.
+    commutative bit for bit. The calls are bound in ``w``. Returns (v,
+    omega, theta_d, theta_tilde, theta_d_dot, grad_norm), rows of ``w``.
     """
-    v, omega, theta_d, theta_tilde, theta_d_dot = w.rows
-    # |-grad| is |grad| bit for bit: hypot takes absolute values
-    grad_norm = np.hypot(w.descent_x, w.descent_y, w.grad_norm)
+    for call, args in w.to_steep:
+        call(*args)
     # the held heading stays where some norm is at or under the floor, or NaN
-    steep = np.greater(grad_norm, w.floor, w.steep)
-    if steep.tobytes() == w.all_true:
-        np.arctan2(w.up, w.across, w.desired)
-    else:
-        np.arctan2(w.descent_y, w.descent_x, theta_d, where=steep)
+    calls = w.to_turn
+    if w.steep.tobytes() != w.all_true:
+        descent_y, descent_x, theta_d, omega = w.held
+        np.arctan2(descent_y, descent_x, theta_d, where=w.steep)
         np.positive(theta_d, omega)
-    np.sin(w.sine_args, w.sines)
+        calls = calls[1:]
+    for call, args in calls:
+        call(*args)
     # theta_d is an arctan2 value or a held heading, in [-pi, pi], so
     # theta - theta_d lies in [-2 pi, 2 pi], where one turn is
     # normalize_angle bit for bit; except at -2 pi, which only theta one ulp
     # above -pi and theta_d = pi reach, and which turns to +0.0, not -0.0
-    np.subtract(theta_d_dot, theta_d, theta_tilde)
-    magnitude = np.abs(theta_tilde, w.magnitude)
-    if np.less(magnitude, w.pi, w.inside).tobytes() != w.all_true:
+    if w.inside.tobytes() != w.all_true:
+        theta_tilde = w.controls[3]
         turn_angles(theta_tilde, theta_tilde, w.turn)
-    np.cos(w.cosine_args, w.cosines)
-    np.multiply(w.level, w.factors, w.level_out)
-    np.multiply(w.cos_d, w.hess_yx, w.tails)
-    # left^T H right with left = (sin theta_d, -cos theta_d), right the
-    # motion direction (cos theta, sin theta): (sin_d hxx - cos_d hxy)
-    # cos theta + (sin_d hxy - cos_d hyy) sin theta
-    np.subtract(w.heads, w.tails, w.forms)
-    np.multiply(w.cos_form, w.form_sin, w.motion)
-    np.multiply(w.gain_norm, w.cos_tilde, v)
-    form = np.add(w.form_x, w.form_y, theta_d_dot)
-    np.multiply(w.gain_cos, form, theta_d_dot)
-    np.subtract(theta_d_dot, w.turn_rate, omega)
-    return v, omega, theta_d, theta_tilde, theta_d_dot, grad_norm
+    for call, args in w.from_turn:
+        call(*args)
+    return w.result

@@ -233,17 +233,18 @@ def leader_terms(position: np.ndarray, cfg: ScenarioConfig,
     norm = math.hypot(px, py)
     # sigmoid_collision(rim - norm), with its gain k taken once
     bnd = _logistic(k * ((rim - norm) - half_margin))
-    if norm > 0.0:
+    square = norm * norm
+    if square > 0.0:
         # the rim factor B(R_w - |p|) has gradient -B' u and Hessian
         # B'' u u^T - B' (I - u u^T) / |p|, with u = p / |p|
         s1 = k * bnd * (1.0 - bnd)
         t = s1 / norm
-        w = (k * s1 * (1.0 - 2.0 * bnd) + t) / (norm * norm)
+        w = (k * s1 * (1.0 - 2.0 * bnd) + t) / square
         nx, ny = -t * px, -t * py
         nxx, nxy, nyy = w * px * px - t, w * px * py, w * py * py - t
     else:
-        # rim direction undefined at the workspace center; the factor is
-        # saturated there anyway
+        # rim direction undefined at the workspace center, and |p|^2 zero
+        # within 1.5e-154 of it; the factor is saturated there anyway
         nx = ny = nxx = nxy = nyy = 0.0
     dbeta = (bnd * dx + dip * nx, bnd * dy + dip * ny)
     ddbeta = (2.0 * bnd * ax * ax + 2.0 * dx * nx + dip * nxx,

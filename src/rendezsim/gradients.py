@@ -76,7 +76,7 @@ class Rows:
     A run of names, one space-separated string, finds the first rows where
     it occurs, so that one call can take several quantities, repeated or
     reordered as it needs them, as one (k, n) operand. Runs once found are
-    remembered: the layouts are constants, and a kernel binds its views
+    remembered: the layouts are constants, and a stage binds its calls' rows
     once per run.
     """
 
@@ -100,27 +100,41 @@ class Rows:
         return block[at] if at.stop - at.start > 1 else block[at.start]
 
 
+def bind(*entries) -> tuple:
+    """A stage's calls, each entry (callable, operand, ..., output) in the
+    order they run, as the (callable, args) pairs that the stage runs with
+    ``for call, args in calls: call(*args)``. An output goes positionally,
+    as does a take's axis, output and mode."""
+    return tuple((call, tuple(args)) for call, *args in entries)
+
+
 class QuotientWork:
-    """Every row that ``_quotient_jet`` reads or writes, for n robots.
+    """Every row that ``_quotient_jet`` reads or writes, for n robots, and
+    its calls, bound once.
 
     The rule runs in two stages. The head ``head`` holds one row per
-    quantity: the rule's inputs, in the caller's layout ``inputs`` (the
-    names of its rows), gamma as G, its gradient as (dgx, dgy), lap_gamma
-    as L, beta as B, its gradient as (dbx, dby) and its Hessian as (hxx,
-    hyy, hxy); then ``HEAD``'s rows: gamma^a, gamma^(a - 1), s = gamma^a +
-    beta and its powers s^(1/a) and s^(1/a + 1), and the constants 1, a, a
-    - 1, a + 1, -a, -0.0 and +0.0. The four powers take single rows and
-    their exponents as ``exponent_row``s: alpha, 1/alpha, 1/alpha + 1 and
-    alpha - 1, in ``exponents``. One take spreads the head over
-    ``operands``: the first products' two operand runs ``LEFT`` and
-    ``RIGHT``, aligned, and the second products' run ``SECOND``, each
-    quantity repeated and ordered as the calls take it. Every later row is
-    a row of ``rule``, named ``RULE`` by what it ends up holding. The
-    Hessian's last call writes into the rows ``out``, by default the rule's.
+    quantity, named by ``HEAD``: the step kernel's compact rows
+    (``JetKernel.COMPACT``), among them the rule's inputs, gamma as G, its
+    gradient as (dgx, dgy), lap_gamma as L, beta as B, its gradient as (dbx,
+    dby) and its Hessian as (hxx, hyy, hxy); then gamma^a, gamma^(a - 1), s
+    = gamma^a + beta and its powers s^(1/a) and s^(1/a + 1), and the
+    constants 1, a, a - 1, a + 1, -a, -0.0 and +0.0. The four powers take
+    single rows and their exponents as ``exponent_row``s: alpha, alpha - 1,
+    1/alpha and 1/alpha + 1. One take spreads the head over operand rows:
+    the first products' two operand runs ``LEFT`` and ``RIGHT``, aligned,
+    and the second products' run ``SECOND``, each quantity repeated and
+    ordered as the calls take it. Every later row is a row of the rule's
+    block, named ``RULE`` by what it ends up holding. The Hessian's last
+    call writes into the rows ``out``, by default the rule's. ``jet`` holds
+    the rows that ``_quotient_jet`` returns.
     """
 
-    INPUTS = "G dgx dgy B dbx dby hxx hyy hxy L"
-    HEAD = "Ga P2 s root S2 one a am ap ma m0 z0"
+    # the post pass's operands up to dby, then the rule's inputs, as the
+    # step kernel lays them out (JetKernel.COMPACT), then the powers and
+    # the constants
+    HEAD = Rows("Pb Pb Pb Pb Pb gx gy gx ox oy cx cy b b b b B gxx gyy gxy",
+                "G dgx dgy ctx cty cxy dbx dby hxx hyy hxy L",
+                "Ga P2 s root S2 one a am ap ma m0 z0")
     # the first products, one per row of RULE; root, gamma, the signed
     # zeros and grad beta are taken times 1
     LEFT = ("G G G G G z0 G G dgy root S2 S2 S2 S2 S2 S2 S2 root root root "
@@ -131,6 +145,9 @@ class QuotientWork:
     # a - 1, dbx) into (a - 1) dg db and (a - 1) (dgx dby + dgy dbx), a
     # gamma^(a - 1) (dgx, dgy, dgy, dgx) and ab (L, 1, L)
     SECOND = "dgy dgy dgx dgx dby am dbx dgx dgy dgy dgx L one L"
+    # the take's index: each operand row takes its head row whole
+    SPREAD = np.array([at.start for at in map(
+        HEAD.at, " ".join((LEFT, RIGHT, SECOND)).split())])
     # the rule's rows, each named by its last value: gamma grad beta (y, y,
     # x, x) and gamma hess beta (yy, +0.0, xx; xy), the cross term, root,
     # -e four times, e three times, (a + 1) root four times, phi, the
@@ -140,53 +157,69 @@ class QuotientWork:
                 "ar ar ar ar phi f f f f hyy hxy hxx fe fe fe fe ly m lx",
                 "db db db db half")
 
-    def __init__(self, alpha: float, n: int, inputs: str = INPUTS,
-                 out: np.ndarray | None = None):
-        self.alpha = alpha
-        head = self.head_rows = Rows(inputs, self.HEAD)
-        self.head = np.zeros((len(head.names), n))
-        view = partial(head.view, self.head)
+    def __init__(self, alpha: float, n: int, out: np.ndarray | None = None):
+        self.head = np.zeros((len(self.HEAD.names), n))
+        h = partial(self.HEAD.view, self.head)
         for name, value in (("one", 1.0), ("a", alpha), ("am", alpha - 1.0),
                             ("ap", alpha + 1.0), ("ma", -alpha),
                             ("m0", -0.0), ("z0", 0.0)):
-            view(name)[...] = value
-        self.gamma, self.beta, self.s = view("G"), view("B"), view("s")
-        self.gamma_a, self.gamma_am = view("Ga"), view("P2")
-        self.root, self.s_power = view("root"), view("S2")
+            h(name)[...] = value
+        operands = np.empty((len(self.SPREAD), n))
+        k = len(self.LEFT.split())
+        rule = np.empty((len(self.RULE.names), n))
+        r = partial(self.RULE.view, rule)
+        r("half")[...] = 0.5
+        out = r("hyy hxy hxx") if out is None else out
         inv_alpha = 1.0 / alpha
-        self.exponents = tuple(exponent_row(x, n) for x in (
-            alpha, inv_alpha, inv_alpha + 1.0, alpha - 1.0))
-        if alpha < 1.0:
-            # gamma^(a - 1)'s mask, gamma > 0, against the +0.0 row, which
-            # the power's row copies
-            self.zero, self.positive = view("z0"), np.empty(n, dtype=bool)
-        # the take's index: each operand row takes its head row whole
-        names = " ".join((self.LEFT, self.RIGHT, self.SECOND)).split()
-        self.spread_at = np.array([head.at(name).start for name in names])
-        self.operands = np.empty((len(names), n))
-        r = len(self.LEFT.split())
-        self.left, self.right = self.operands[:r], self.operands[r:2 * r]
-        self.second = self.operands[2 * r:]
-        rows = self.RULE
-        self.rule = np.empty((len(rows.names), n))
-        v = partial(rows.view, self.rule)
-        v("half")[...] = 0.5
-        self.products = self.rule[:r]
-        self.cross = v("cry")
-        self.firsts = v("f f f f hyy hxy hxx fe fe fe fe ly m lx")
-        self.sums, self.addends = (v("hyy hxy hxx fe fe fe fe"),
-                                   v("ly m lx db db db db"))
-        self.differences, self.subtrahends = (v("f f f f hyy hxy hxx"),
-                                              v("gb gb gb gb gh z gh"))
-        self.quotients, self.divisors = (v("phi f f f f"),
-                                         v("root en en en en"))
-        self.ar, self.fe = v("ar ar ar ar"), v("fe fe fe fe")
-        self.f = v("f f f f")
-        self.hess, self.diagonal_fe = v("hyy hxy hxx"), self.fe[1:]
-        self.out = self.hess if out is None else out
-        self.hxy, self.fe_yx, self.ghxy = v("hxy"), self.fe[0], v("ghxy")
-        self.half, self.e3, self.e_row = v("half"), v("e e e"), v("e")
-        self.phi = v("phi")
+        power, power_am, root, root_plus = (exponent_row(x, n) for x in (
+            alpha, alpha - 1.0, inv_alpha, inv_alpha + 1.0))
+        # d(gamma^a)/d(gamma) diverges at gamma = 0 for a < 1, where grad
+        # gamma vanishes and so does every term it multiplies: take it as 0
+        # there, masked by gamma > 0 against the +0.0 row, which the power's
+        # row copies first. For a >= 1 it is finite at 0, where it multiplies
+        # grad gamma = 0 all the same
+        if alpha >= 1.0:
+            gamma_am = ((np.power, h("G"), power_am, h("P2")),)
+        else:
+            positive = np.empty(n, dtype=bool)
+            gamma_am = ((np.greater, h("G"), h("z0"), positive),
+                        (np.positive, h("z0"), h("P2")),
+                        (partial(np.power, where=positive), h("G"), power_am,
+                         h("P2")))
+        firsts = r("f f f f hyy hxy hxx fe fe fe fe ly m lx")
+        sums, quotients = r("hyy hxy hxx fe fe fe fe"), r("phi f f f f")
+        numerators, hess = r("f f f f hyy hxy hxx"), r("hyy hxy hxx")
+        fe, hxy = r("fe fe fe fe"), r("hxy")
+        self.calls = bind(
+            (np.power, h("G"), power, h("Ga")), *gamma_am,
+            # s = gamma^a + beta, root = s^(1/a) and s^(1/a + 1)
+            (np.add, h("Ga"), h("B"), h("s")),
+            (np.power, h("s"), root, h("root")),
+            (np.power, h("s"), root_plus, h("S2")),
+            (self.head.take, self.SPREAD, 0, operands, "clip"),
+            (np.multiply, operands[:k], operands[k:2 * k], rule[:k]),
+            # dgx dby + dgy dbx, into dgx dby's row
+            (np.add, hxy, r("cry"), hxy),
+            # ab grad gamma, (a - 1) dg db, (a - 1) (dgx dby + dgy dbx), a
+            # gamma^(a - 1) (dgx, dgy, dgy, dgx) and ab L
+            (np.multiply, firsts, operands[2 * k:], firsts),
+            # (a - 1) dg db + ab L, and de's sum a gamma^(a - 1) dg + db
+            (np.add, sums, r("ly m lx db db db db"), sums),
+            # N = ab grad gamma - gamma grad beta, and the diagonal's
+            # numerator less gamma hess beta
+            (np.subtract, numerators, r("gb gb gb gb gh z gh"), numerators),
+            # phi = gamma / root, and f = N / (-e), the descent
+            (np.divide, quotients, r("root en en en en"), quotients),
+            # de = (a + 1) root (a gamma^(a - 1) grad gamma + grad beta), (x,
+            # y, y, x), then f de: (fy ex, fy ey, fx ey, fx ex)
+            (np.multiply, r("ar ar ar ar"), fe, fe),
+            (np.multiply, r("f f f f"), fe, fe),
+            (np.add, hess, fe[1:], hess),
+            (np.add, hxy, fe[0], hxy),
+            (np.multiply, r("half"), hxy, hxy),
+            (np.subtract, hxy, r("ghxy"), hxy),
+            (np.divide, hess, r("e e e"), out))
+        self.jet = r("phi"), r("f f f f"), out, r("e")
 
     def load(self, gamma, dgamma, lap, beta, dbeta, ddbeta):
         """Write the inputs, each a float or an (n,) row: gamma, lap, beta,
@@ -195,7 +228,7 @@ class QuotientWork:
                   "B": beta, "dbx": dbeta[0], "dby": dbeta[1],
                   "hxx": ddbeta[0], "hxy": ddbeta[1], "hyy": ddbeta[2]}
         for name, value in values.items():
-            self.head_rows.view(self.head, name)[...] = value
+            self.HEAD.view(self.head, name)[...] = value
         return self
 
 
@@ -213,52 +246,14 @@ def _quotient_jet(w: QuotientWork):
     products of one level go into one call, so the order of operations of
     each element is that of the formula, and a row whose value must pass a
     call that acts on its neighbours is added -0.0 or less +0.0, which
-    changes no bit. Every call passes its output positionally. Returns phi,
-    the descent (y, y, x, x), each component twice as
-    ``control.control_laws`` takes it, the Hessian (yy, xy, xx), in
-    ``w.out``, and e, rows of ``w``.
+    changes no bit. The calls are bound in ``w.calls``. Returns phi, the
+    descent (y, y, x, x), each component twice as ``control.control_laws``
+    takes it, the Hessian (yy, xy, xx), in ``w``'s ``out``, and e, rows of
+    ``w``.
     """
-    alpha, inv_alpha, inv_alpha_plus, alpha_minus = w.exponents
-    gamma = w.gamma
-    np.power(gamma, alpha, w.gamma_a)
-    # d(gamma^a)/d(gamma) diverges at gamma = 0 for a < 1, where grad gamma
-    # vanishes and so does every term it multiplies: take it as 0 there. For
-    # a >= 1 it is finite at 0, where it multiplies grad gamma = 0 all the same
-    if w.alpha >= 1.0:
-        np.power(gamma, alpha_minus, w.gamma_am)
-    else:
-        positive = np.greater(gamma, w.zero, w.positive)
-        np.positive(w.zero, w.gamma_am)
-        np.power(gamma, alpha_minus, w.gamma_am, where=positive)
-    # s = gamma^a + beta, root = s^(1/a) and s^(1/a + 1)
-    s = np.add(w.gamma_a, w.beta, w.s)
-    np.power(s, inv_alpha, w.root)
-    np.power(s, inv_alpha_plus, w.s_power)
-    w.head.take(w.spread_at, 0, w.operands, "clip")
-    np.multiply(w.left, w.right, w.products)
-    # dgx dby + dgy dbx, into dgx dby's row
-    np.add(w.hxy, w.cross, w.hxy)
-    # ab grad gamma, (a - 1) dg db, (a - 1) (dgx dby + dgy dbx), a
-    # gamma^(a - 1) (dgx, dgy, dgy, dgx) and ab L
-    np.multiply(w.firsts, w.second, w.firsts)
-    # (a - 1) dg db + ab L, and de's sum a gamma^(a - 1) dg + db
-    np.add(w.sums, w.addends, w.sums)
-    # N = ab grad gamma - gamma grad beta, and the diagonal's numerator
-    # less gamma hess beta
-    np.subtract(w.differences, w.subtrahends, w.differences)
-    # phi = gamma / root, and f = N / (-e), the descent
-    np.divide(w.quotients, w.divisors, w.quotients)
-    # de = (a + 1) root (a gamma^(a - 1) grad gamma + grad beta), (x, y, y,
-    # x), then f de: (fy ex, fy ey, fx ey, fx ex)
-    fe = np.multiply(w.ar, w.fe, w.fe)
-    np.multiply(w.f, fe, fe)
-    np.add(w.hess, w.diagonal_fe, w.hess)
-    h = w.hxy
-    np.add(h, w.fe_yx, h)
-    np.multiply(w.half, h, h)
-    np.subtract(h, w.ghxy, h)
-    np.divide(w.hess, w.e3, w.out)
-    return w.phi, w.f, w.out, w.e_row
+    for call, args in w.calls:
+        call(*args)
+    return w.jet
 
 
 def _one_robot_jet(alpha, lap, gamma, dgamma, beta, dbeta, ddbeta):
@@ -313,9 +308,10 @@ follower_field_eval = grad_navfunc_follower
 class JetKernel:
     """Value, gradient and Hessian of every robot's potential, one pass a step.
 
-    Built once per run from the scenario and the (n, n) sensing mask: it
-    holds the followers' sensed edges, which only ``set_mask`` changes, and
-    their factors' constants, which ``drop_avoidance`` switches once.
+    Built once per run from the scenario, the (n, n) sensing mask and the
+    (4, P) pair rows ``pairs`` that each call reads: it holds the
+    followers' sensed edges, which only ``set_mask`` changes, and their
+    factors' constants, which ``drop_avoidance`` switches once.
     Row 0 is the informed robot, whose quotient inputs come from
     ``fields.leader_terms``. The followers' come from two passes. The pair
     pass takes each sensed pair once, on rows of the factors [b, B]: b(d),
@@ -323,19 +319,20 @@ class JetKernel:
     w depend on the pair's distance alone, so two followers that sense each
     other share them. One take spreads them over the directed edges, and
     the edge pass sums each follower's edge terms over its segment; a take
-    and four calls over whole rows turn the sums into the inputs, in the
-    head of a ``QuotientWork`` (``compact``), and one ``_quotient_jet``
+    and four calls over whole rows, the post pass, turn the sums into the
+    inputs, in the head of a ``QuotientWork``, and one ``_quotient_jet``
     call covers all.
 
     A step's cost is numpy's fixed cost per call, so each call applies one
     ufunc to one C-contiguous block that holds every operand it can take:
     a scalar operand is a row of its partner's shape, independent products
     of one level share a call, a quantity paired with several others is
-    repeated in rows, every temporary has a preallocated row (the two
-    passes' here, rebuilt with the edge list) and every view is bound once.
-    The informed robot's scenario constants (``fields.leader_constants``)
-    are computed once. A call returns rows of the kernel, valid until the
-    next.
+    repeated in rows, and every temporary has a preallocated row (the two
+    passes' here, rebuilt with the edge list). The passes' calls are bound
+    once, by ``set_mask``, in three segments that the logistic and the
+    distance floor's screen split. The informed robot's scenario constants
+    (``fields.leader_constants``) are computed once. A call returns rows of
+    the kernel, valid until the next.
     """
 
     # the followers' segment sums, one row each (g = sum t_j (p - q_j), the
@@ -345,14 +342,14 @@ class JetKernel:
     # the per-robot inputs, the head of the quotient rule's rows, each named
     # by its last value; one take copies RAW's rows ``SOURCES`` into the
     # rows up to dby, the post pass's operands
-    COMPACT = Rows("Pb Pb Pb Pb Pb gx gy gx ox oy cx cy b b b b B gxx gyy gxy",
-                   "G dgx dgy ctx cty cxy dbx dby hxx hyy hxy L")
+    COMPACT = QuotientWork.HEAD
     SOURCES = ("Pb Pb Pb Pb Pb gx gy gx ox oy cx cy PB PB PB PB PB gx gy gy "
                "G ox oy tx ty cxy gx gy")
+    POST_AT = np.array([at.start for at in map(RAW.at, SOURCES.split())])
     # the informed robot's column, from beta to the Hessian
     LEADER = "B gxx gyy gxy G dgx dgy ctx cty cxy dbx dby hxx hyy hxy"
-    # the rows of a call's ``pairs``: the offset p_a - p_b (x, y), its
-    # square length and the distance
+    # the rows of ``pairs``: the offset p_a - p_b (x, y), its square length
+    # and the distance
     PAIR_INPUTS = Rows("ox oy sq d")
     # the pair pass's rows, one column per sensed pair (a, b), a < b:
     # -0.0 four times; the distance twice, the offset and its square
@@ -368,11 +365,11 @@ class JetKernel:
                 "center_b center_B gain_b gain_B c1_b c1_B c2_b c2_B",
                 "one one")
     # the edge pass's rows, one column per directed edge (i, j): the terms
-    # whose segment sums are ``sums``, in their order (t (p - q_j) (x, y),
-    # w (p - q_j) (x x, y y), w x y, t twice, p - q_j (x, y), |p - q_j|^2),
-    # the factors [b, B] and w twice, then w (p - q_j) (x, y) in place.
-    # The rows from t on take the pair rows of their names, the offset's
-    # rows the negated offset's for an edge (i, j) with i > j
+    # whose segment sums are RAW's up to G, in their order (t (p - q_j) (x,
+    # y), w (p - q_j) (x x, y y), w x y, t twice, p - q_j (x, y), |p -
+    # q_j|^2), the factors [b, B] and w twice, then w (p - q_j) (x, y) in
+    # place. The rows from t on take the pair rows of their names, the
+    # offset's rows the negated offset's for an edge (i, j) with i > j
     EDGE = Rows("gx gy cx cy cxy",
                 "t t ox oy sq s_b s_B w w")
     FROM_PAIRS = EDGE.at("t").start
@@ -385,7 +382,7 @@ class JetKernel:
                        for at in map(PAIR_INPUTS.at, GATHERED.split())])
 
     def __init__(self, cfg: ScenarioConfig, mask: np.ndarray, upper: tuple,
-                 hess: np.ndarray):
+                 pairs: np.ndarray, hess: np.ndarray):
         self.cfg = cfg
         self.leader_const = leader_constants(cfg)
         # row 0's phi comes from the quotient rule, and no step calls a
@@ -397,31 +394,19 @@ class JetKernel:
         sigmoid_collision(cfg.collision_margin, cfg.collision_margin,
                           cfg.sigmoid_eps)
         n = self.n = len(mask)
-        rows = self.COMPACT
+        self.pairs = pairs
         # the segment sums and products: zeros, as column 0 is never
         # written, and the calls over whole rows read it
         self.raw = np.zeros((len(self.RAW.names), n))
-        self.sums = self.raw[:self.RAW.at("G").stop, 1:]
-        self.products = self.raw[self.RAW.at("Pb PB"), 1:]
-        self.post_at = np.array([self.RAW.at(name).start
-                                 for name in self.SOURCES.split()])
         # the compact inputs are the quotient rule's head; its Hessian's
         # last call writes into the (3, n) rows ``hess``
-        self.quotient = QuotientWork(cfg.field_exponent, n,
-                                     " ".join(rows.names), hess)
-        self.compact = self.quotient.head
-        view = partial(rows.view, self.compact)
+        self.quotient = QuotientWork(cfg.field_exponent, n, hess)
+        view = partial(self.COMPACT.view, self.quotient.head)
         self.lap = view("L")
         self.lap[0] = 2.0
         self.leader = view(self.LEADER)[:, 0]
-        self.post = (self.compact[:rows.at("dbx dby").stop],
-                     view("ox oy cx cy"), view("dgx dgy ctx cty"),
-                     view("Pb Pb Pb Pb Pb gx gy gx"),
-                     view("b b b b B gxx gyy gxy"), view("gxx gyy gxy"),
-                     view("ctx cty cxy"), view("hxx hyy hxy"),
-                     view("b b b b B"), view("dbx dby hxx hyy hxy"))
         # index of each robot pair {i, j} among the upper pairs (a, b), a < b,
-        # in np.triu_indices order, ``upper``: the order of a call's pair
+        # in np.triu_indices order, ``upper``: the order of ``pairs``'
         # columns
         p = self.n_pairs = len(upper[0])
         pair_index = np.zeros((n, n), dtype=np.intp)
@@ -439,7 +424,7 @@ class JetKernel:
 
     def set_mask(self, mask: np.ndarray) -> None:
         """Rebuild the edge list and the sensed pairs from the (n, n)
-        sensing mask.
+        sensing mask, and bind the passes' calls on them.
 
         The list holds every directed edge (i, j) with mask[i, j] and i >= 1
         in row-major order, so follower i's edges are one segment starting
@@ -447,7 +432,8 @@ class JetKernel:
         with an edge either way, in upper-pair order: a pair that two
         followers sense is one column of the pair pass, and an edge takes
         its pair's column, with the offset p_a - p_b for i = a and its
-        negation for i = b, which is p_i - p_j. Raises ValueError when a
+        negation for i = b, which is p_i - p_j but for the sign of a zero,
+        where two robots share a coordinate. Raises ValueError when a
         follower senses no one.
         """
         degree = mask[1:].sum(axis=1)
@@ -455,7 +441,7 @@ class JetKernel:
             raise ValueError("follower has no neighbors; the initial graph "
                              "must give every follower at least one parent")
         self.lap[1:] = 2.0 * degree
-        self.starts = np.subtract(np.cumsum(degree), degree)
+        starts = np.subtract(np.cumsum(degree), degree)
         # each edge (i, j) as (i - 1) n + j, its pair, and the pair's column
         # among the sensed pairs, numbered in ``slot``
         edge = mask[1:].ravel().nonzero()[0]
@@ -465,59 +451,83 @@ class JetKernel:
         sensed_pairs = slot.nonzero()[0]
         u = len(sensed_pairs)
         slot[sensed_pairs] = np.arange(u)
-        self.gather_at = np.add.outer(self.gather_rows, sensed_pairs)
+        gather_at = np.add.outer(self.gather_rows, sensed_pairs)
         # the spread's pair rows, at the edge's column; edges with i > j
         # take the negated offset
-        edge_at = self.edge_at = np.add.outer(np.multiply(self.SPREAD, u),
-                                              slot.take(pair))
+        edge_at = np.add.outer(np.multiply(self.SPREAD, u), slot.take(pair))
         offset_at = self.EDGE.at("ox oy")
         edge_at[offset_at.start - self.FROM_PAIRS:
                 offset_at.stop - self.FROM_PAIRS] += np.multiply(
             self.lower_flat.take(edge), self.NEGATED * u)
         block = self.pair_rows = np.empty((len(self.PAIR.names), u))
-        view = partial(self.PAIR.view, block)
-        view("z z z z")[...] = -0.0
-        view("floor")[...] = DISTANCE_FLOOR
-        view("one one")[...] = 1.0
-        self.minus_zero = (view("z z z z").reshape(2, 2, u), view("z z"))
-        self.gathered = view(self.GATHERED)
-        self.d, self.dist = view("d d"), view("d")
-        self.offset, self.negated = view("ox oy"), view("nx ny")
-        self.work = view("m_b m_B y_b y_B").reshape(2, 2, u)
-        self.halves = (view("m_b m_B"), view("y_b y_B"))
-        self.y = view("y_b y_B")
-        # one screen: y <= -0.0, and the floor <= the distance
-        self.screened, self.bounds = view("y_b y_B floor"), view("z z d")
-        self.screen = np.empty((3, u), dtype=bool)
-        self.near = self.screen[2]
-        self.all_pass, self.all_near = b"\x01" * (3 * u), b"\x01" * u
-        self.om_s, self.one_minus, self.s = (view("om_b om_B s_b s_B"),
-                                             view("om_b om_B"),
-                                             view("s_b s_B"))
-        self.t, self.w = view("t"), view("w")
-        self.l = view("l1_b l1_B l2_b l2_B")
-        self.l2_factors = view("l2_b l2_B")
-        # l1 (b + B), a row of no use, l2 (b + B)
-        self.summed = view("l1 lx l2")
-        self.heads, self.tails = view("l1_b l1_B l2_b"), view("l1_B l2_b l2_B")
-        self.l1, self.l2 = view("l1"), view("l2")
-        self.top, self.square = view("top"), view("d2")
-        self.constants = view("center_b center_B gain_b gain_B c1_b c1_B "
-                              "c2_b c2_B")
+        p = partial(self.PAIR.view, block)
+        p("z z z z")[...] = -0.0
+        p("floor")[...] = DISTANCE_FLOOR
+        p("one one")[...] = 1.0
+        self.constants = p("center_b center_B gain_b gain_B c1_b c1_B "
+                           "c2_b c2_B")
         self.constants[...] = self.factor_column
-        self.center, self.gain = view("center_b center_B"), view(
-            "gain_b gain_B")
-        self.c = view("c1_b c1_B c2_b c2_B")
-        self.one = view("one one")
+        # one screen: y <= -0.0, and the floor <= the distance
+        screen = self.screen = np.empty((3, u), dtype=bool)
+        self.near = screen[2]
+        self.all_pass, self.all_near = b"\x01" * (3 * u), b"\x01" * u
+        # fields.logistic_negated's rows, and those of the divides that the
+        # floor masks where some pair is under it
+        self.logistic = (p("m_b m_B y_b y_B").reshape(2, 2, u),
+                         (p("m_b m_B"), p("y_b y_B")),
+                         (p("z z z z").reshape(2, 2, u), p("z z")),
+                         p("one one"), p("s_b s_B"))
+        self.floored = (p("l1"), p("d"), p("t"), p("l2"), p("top"), p("d2"),
+                        p("w"))
         edges = self.edges = np.empty((len(self.EDGE.names), len(edge)))
-        view = partial(self.EDGE.view, edges)
-        self.terms = view("gx gy cx cy cxy t t ox oy sq")
-        self.from_pairs = edges[self.FROM_PAIRS:]
-        self.g, self.curvature, self.xy = (view("gx gy"), view("cx cy"),
-                                           view("cxy"))
-        self.t_edges, self.m, self.m_y = view("t t"), view("ox oy"), view("oy")
-        self.factor_rows, self.w_edges = view("s_b s_B"), view("w w")
-        self.wm_x = view("w")
+        e = partial(self.EDGE.view, edges)
+        raw = self.raw
+        sums = raw[:self.RAW.at("G").stop, 1:]
+        products = raw[self.RAW.at("Pb PB"), 1:]
+        c = partial(self.COMPACT.view, self.quotient.head)
+        dgamma, beta = c("dgx dgy ctx cty"), c("b b b b B gxx gyy gxy")
+        scaled, y = c("dbx dby hxx hyy hxy"), p("y_b y_B")
+        # the pair pass to its screen: s = logistic(-y) of y = (d - center)
+        # gain
+        self.to_screen = bind(
+            (self.pairs.take, gather_at, None, p(self.GATHERED), "clip"),
+            (np.negative, p("ox oy"), p("nx ny")),
+            (np.subtract, p("d d"), p("center_b center_B"), y),
+            (np.multiply, y, p("gain_b gain_B"), y),
+            (np.less_equal, p("y_b y_B floor"), p("z z d"), screen))
+        # after the logistic: the log-derivatives, and b's and B's terms
+        # summed (+ is commutative bit for bit), and d^2
+        self.to_floor = bind(
+            (np.subtract, p("one one"), p("s_b s_B"), p("om_b om_B")),
+            (np.multiply, p("c1_b c1_B c2_b c2_B"), p("om_b om_B s_b s_B"),
+             p("l1_b l1_B l2_b l2_B")),
+            (np.multiply, p("l2_b l2_B"), p("om_b om_B"), p("l2_b l2_B")),
+            (np.add, p("l1_b l1_B l2_b"), p("l1_B l2_b l2_B"), p("l1 lx l2")),
+            (np.multiply, p("d"), p("d"), p("d2")))
+        # the pair's slope l1 / d and curvature weight, which the floor
+        # masks; then the edge pass: each edge's pair results, p - q_j among
+        # them, and its segment sums; then the post pass, over whole rows:
+        # 2 sum (p - q_j) (as a sum of two, exactly) and c + t, beta (b's
+        # product times B's) five times and g g^T, g g^T + curvature, and
+        # beta (g, g g^T + curvature)
+        self.from_floor = bind(
+            (np.divide, p("l1"), p("d"), p("t")),
+            (np.subtract, p("l2"), p("t"), p("top")),
+            (np.divide, p("top"), p("d2"), p("w")),
+            (block.take, edge_at, None, edges[self.FROM_PAIRS:], "clip"),
+            (np.multiply.reduceat, e("s_b s_B"), starts, -1, None, products),
+            (np.multiply, e("t t"), e("ox oy"), e("gx gy")),
+            (np.multiply, e("w w"), e("ox oy"), e("w w")),
+            (np.multiply, e("w w"), e("ox oy"), e("cx cy")),
+            (np.multiply, e("w"), e("oy"), e("cxy")),
+            (np.add.reduceat, e("gx gy cx cy cxy t t ox oy sq"), starts, -1,
+             None, sums),
+            (raw.take, self.POST_AT, 0,
+             self.quotient.head[:self.COMPACT.at("dbx dby").stop], "clip"),
+            (np.add, c("ox oy cx cy"), dgamma, dgamma),
+            (np.multiply, c("Pb Pb Pb Pb Pb gx gy gx"), beta, beta),
+            (np.add, c("gxx gyy gxy"), c("ctx cty cxy"), c("hxx hyy hxy")),
+            (np.multiply, c("b b b b B"), scaled, scaled))
 
     def drop_avoidance(self) -> None:
         """Write B's constants (+inf, 1, -0.0, -0.0) into ``factor_column``,
@@ -528,79 +538,51 @@ class JetKernel:
         self.factor_column[1::2] = [[math.inf], [1.0], [-0.0], [-0.0]]
         self.constants[1::2] = self.factor_column[1::2]
 
-    def __call__(self, position, pairs: np.ndarray):
+    def __call__(self, position):
         """phi, descent -grad (y, y, x, x) and Hessian (yy, xy, xx) of every
         robot, the Hessian in the rows given at construction.
 
-        ``position`` is the informed robot's (x, y), best as floats;
-        ``pairs`` (4, P) holds the offset p_a - p_b (x, y), its square
-        length and the distance of each upper pair (a, b), a < b, in the
-        order of np.triu_indices. Follower i gathers only the pairs of its
-        own edges, which keeps the law decentralized. Each sensed pair's
-        b(d) and B(d) are evaluated once and serve both the logged value
-        (the regional potential) and its derivatives, by the formulas of
-        ``fields.follower_terms``.
+        ``position`` is the informed robot's (x, y), best as floats; the
+        pair rows given at construction hold the offset p_a - p_b (x, y),
+        its square length and the distance of each upper pair (a, b), a <
+        b, in the order of np.triu_indices. Follower i gathers only the
+        pairs of its own edges, which keeps the law decentralized. Each
+        sensed pair's b(d) and B(d) are evaluated once and serve both the
+        logged value (the regional potential) and its derivatives, by the
+        formulas of ``fields.follower_terms``.
         """
         gamma, (gx, gy), beta, (bx, by), (hxx, hxy, hyy) = leader_terms(
             position, self.cfg, self.leader_const)
         if self.n > 1:
-            self._followers(pairs)
+            self._followers()
         # the rows of g g^T, c + t and cxy are the followers' alone
         self.leader[:] = (beta, 0.0, 0.0, 0.0, gamma, gx, gy, 0.0, 0.0, 0.0,
                           bx, by, hxx, hyy, hxy)
         phi, descent, hess, _ = _quotient_jet(self.quotient)
         return phi, descent, hess
 
-    def _followers(self, pairs):
+    def _followers(self):
         """Fill columns 1.. of the compact inputs: the pair pass over the
-        sensed pairs, then the edge pass over the edge list."""
-        # the pair pass: s = logistic(-y) of y = (d - center) gain
-        pairs.take(self.gather_at, None, self.gathered, "clip")
-        np.negative(self.offset, self.negated)
-        y = np.subtract(self.d, self.center, self.y)
-        np.multiply(y, self.gain, y)
+        sensed pairs, then the edge pass over the edge list and the post
+        pass."""
+        for call, args in self.to_screen:
+            call(*args)
         # one screen: every y <= 0 and every distance at or above the floor
         # (none NaN); when it fails, the distances' part says which
-        np.less_equal(self.screened, self.bounds, self.screen)
         passed = self.screen.tobytes() == self.all_pass
         near = passed or self.near.tobytes() == self.all_near
-        s = logistic_negated(self.work, self.halves, self.minus_zero,
-                             self.one, self.s, passed)
-        np.subtract(self.one, s, self.one_minus)
-        np.multiply(self.c, self.om_s, self.l)
-        np.multiply(self.l2_factors, self.one_minus, self.l2_factors)
-        # b's and B's terms: + is commutative bit for bit
-        np.add(self.heads, self.tails, self.summed)
-        # the pair's slope l1 / d and curvature weight; pairs under the
-        # floor add none, and a NaN distance takes the masked divides too
-        d, t, w, top, square = self.dist, self.t, self.w, self.top, self.square
-        np.multiply(d, d, square)
-        if near:
-            np.divide(self.l1, d, t)
-            np.divide(np.subtract(self.l2, t, top), square, w)
-        else:
+        logistic_negated(*self.logistic, passed)
+        for call, args in self.to_floor:
+            call(*args)
+        calls = self.from_floor
+        if not near:
+            # pairs under the floor add no slope or curvature, and a NaN
+            # distance takes the masked divides too
+            l1, d, t, l2, top, square, w = self.floored
             t.fill(0.0)
             w.fill(0.0)
-            np.divide(self.l1, d, t, where=self.near)
-            np.divide(np.subtract(self.l2, t, top), square, w,
-                      where=self.near)
-        # the edge pass: each edge's pair results, p - q_j among them
-        self.pair_rows.take(self.edge_at, None, self.from_pairs, "clip")
-        np.multiply.reduceat(self.factor_rows, self.starts, axis=-1,
-                             out=self.products)
-        m = self.m
-        np.multiply(self.t_edges, m, self.g)
-        wm = np.multiply(self.w_edges, m, self.w_edges)
-        np.multiply(wm, m, self.curvature)
-        np.multiply(self.wm_x, self.m_y, self.xy)
-        np.add.reduceat(self.terms, self.starts, axis=-1, out=self.sums)
-        # over whole rows, the quotient inputs: 2 sum (p - q_j) (as a sum of
-        # two, exactly) and c + t, beta (b's product times B's) five times
-        # and g g^T, g g^T + curvature, and beta (g, g g^T + curvature)
-        (taken, offsets, dgamma, heads, beta, gg, curvature, hess, betas,
-         scaled) = self.post
-        self.raw.take(self.post_at, 0, taken, "clip")
-        np.add(offsets, dgamma, dgamma)
-        np.multiply(heads, beta, beta)
-        np.add(gg, curvature, hess)
-        np.multiply(betas, scaled, scaled)
+            np.divide(l1, d, t, where=self.near)
+            np.divide(np.subtract(l2, t, top), square, w, where=self.near)
+            calls = calls[3:]
+        for call, args in calls:
+            call(*args)

@@ -5,13 +5,13 @@ import math
 import mmap
 import time as _time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .control import ControlOutput, ControlWork, control_laws
 from .fields import region_of
-from .gradients import JetKernel
+from .gradients import JetKernel, bind
 from .graph import Topology, build_topology, has_rooted_spanning_tree
 from .model import (TWO_PI, RegionFlag, RobotState, ScenarioConfig,
                     outside_workspace, turn_angles, turn_rows,
@@ -150,70 +150,71 @@ class Metrics:
 
 
 class IntegrateWork:
-    """Preallocated rows of ``_integrate_all``, which moves ``poses`` on in
-    place with time step dt.
+    """Preallocated rows and bound calls of ``_integrate_all``, which moves
+    ``poses`` on in place with time step dt and the controls (v, omega),
+    the (2, N) rows ``controls``.
 
     It holds (dt, dt), (1/2, pi) and 2 pi as rows, so that no call takes a
-    scalar, and the temporaries and the pose rows ``rows`` (x, y, theta),
-    the transpose of the (N, 3) poses, bound once. A ``StepKernel``'s poses
-    are the transpose of a (3, N) block, so that its pose rows are
-    C-contiguous.
+    scalar, and the temporaries. A ``StepKernel``'s poses are the transpose
+    of a (3, N) block, so that its pose rows are C-contiguous. The calls
+    run in two segments, ``arc`` and ``chord``, split by the arc's screen
+    of the half turns ``arg``.
     """
 
-    def __init__(self, poses: np.ndarray, dt: float):
+    def __init__(self, poses: np.ndarray, dt: float, controls: np.ndarray):
         n = len(poses)
-        self.poses, self.rows = poses, poses.T
-        self.theta = self.rows[2]
+        self.poses = poses
+        rows = poses.T
         constants = np.empty((5, n))
         constants[:2], constants[2], constants[3:] = dt, 0.5, [[math.pi],
                                                              [TWO_PI]]
-        self.steps, self.scales, self.two_pi = (constants[:2],
-                                                constants[2:4], constants[4])
         # the moves (x, y, theta), y's first dt v, then the turns dt omega
         # / 2 pi; the half turn, pi (turns) and the mid-step heading; and
         # cos(mid), sin y (then the ratio and the chord) and sin(mid)
         moves, angles, trig = np.empty((3, 4, n))
-        self.dt_v, self.rotation, self.turns = moves[1:]
-        self.moves, self.products, self.halved = (moves[:3], moves[1:3],
-                                                  moves[2:])
-        self.planar = moves[:2]
-        self.half, self.arg, self.mid = angles[:3]
-        self.arcs, self.sine_args = angles[:2], angles[1:3]
-        self.cos_mid, self.ratio = trig[:2]
-        self.sines, self.chord_cos, self.chord_sin = (trig[1:3], trig[:2],
-                                                      trig[1:3])
+        self.arg = angles[1]
+        # np.sinc's operands: dt v, the turns and the ratio's row
+        self.sinc_rows = moves[1], moves[3], trig[1]
+        self.arc = bind(
+            (np.multiply, constants[:2], controls, moves[1:3]),
+            (np.divide, moves[2], constants[4], moves[3]),
+            (np.multiply, constants[2:4], moves[2:], angles[:2]),
+            (np.add, rows[2], angles[0], angles[2]),
+            (np.sin, angles[1:3], trig[1:3]))  # sin y, in the ratio's row
+        self.chord = bind(
+            (np.divide, trig[1], angles[1], trig[1]),
+            (np.multiply, moves[1], trig[1], trig[1]),
+            (np.cos, angles[2], trig[0]),
+            (np.multiply, trig[1:3], trig[:2], moves[:2]),
+            (np.add, rows, moves[:3], rows))
 
 
-def _integrate_all(controls, w: IntegrateWork):
+def _integrate_all(w: IntegrateWork):
     """Exact step: with v and omega held over dt each path is a circular arc.
 
-    ``controls`` holds (v, omega) as (2, N) rows. The chord is
-    v*dt*sinc(omega*dt/2) long and points along the mid-step heading. The
-    ratio sin(y)/y is np.sinc's own arithmetic, y = pi (h/pi) for the half
-    turn h, done inline; plain sin(h)/h can differ from it in the last
-    bit. One product gives dt v and dt omega, and one more halves dt omega
-    and takes pi times the turns dt omega / 2 pi: halving and doubling are
-    exact above the subnormals, so h and h / pi are (dt / 2) omega and
-    (dt / 2) omega / pi bit for bit. Only a step where some y is 0 calls
-    np.sinc, which is exactly 1 there (a straight line). The chord sits
-    between cos(mid) and sin(mid), so one product gives both moves. One
-    sum moves the (N, 3) poses of ``w`` on in place, the headings
-    unwrapped; every temporary is a row of ``w``.
+    The chord is v*dt*sinc(omega*dt/2) long and points along the mid-step
+    heading. The ratio sin(y)/y is np.sinc's own arithmetic, y = pi (h/pi)
+    for the half turn h, done inline; plain sin(h)/h can differ from it in
+    the last bit. One product gives dt v and dt omega, and one more halves
+    dt omega and takes pi times the turns dt omega / 2 pi: halving and
+    doubling are exact above the subnormals, so h and h / pi are (dt / 2)
+    omega and (dt / 2) omega / pi bit for bit. Only a step where some y is
+    0 calls np.sinc, which is exactly 1 there (a straight line). The chord
+    sits between cos(mid) and sin(mid), so one product gives both moves.
+    One sum moves the (N, 3) poses of ``w`` on in place, the headings
+    unwrapped; every temporary is a row of ``w``, and the calls are bound
+    there.
     """
-    turns, y = w.turns, w.arg
-    np.multiply(w.steps, controls, w.products)
-    np.divide(w.rotation, w.two_pi, turns)
-    np.multiply(w.scales, w.halved, w.arcs)
-    np.add(w.theta, w.half, w.mid)
-    np.sin(w.sine_args, w.sines)  # sin y, in the ratio's row
-    if np.count_nonzero(y) == len(y):
-        ratio = np.divide(w.ratio, y, w.ratio)
-    else:
-        ratio = np.sinc(turns)
-    np.multiply(w.dt_v, ratio, w.ratio)
-    np.cos(w.mid, w.cos_mid)
-    np.multiply(w.chord_sin, w.chord_cos, w.planar)
-    np.add(w.rows, w.moves, w.rows)
+    for call, args in w.arc:
+        call(*args)
+    y = w.arg
+    calls = w.chord
+    if np.count_nonzero(y) != len(y):
+        dt_v, turns, ratio = w.sinc_rows
+        np.multiply(dt_v, np.sinc(turns), ratio)
+        calls = calls[2:]
+    for call, args in calls:
+        call(*args)
 
 
 def _pose_array(states: list[RobotState]) -> np.ndarray:
@@ -224,45 +225,48 @@ def _pose_array(states: list[RobotState]) -> np.ndarray:
 
 
 class PairWork:
-    """Preallocated rows of ``_offsets`` on the pose rows ``rows``, the
-    transpose of the (N, 3) ``poses``: the (4, P) pair rows of the upper
-    pairs ``upper``, ``np.triu_indices(N, 1)``, the log's pair order, and
-    the take's index. The flat ``block`` holds, in order, the values of the
-    flat pose rows at ``lead``, which the take copies too, the pair rows
-    and the rows of the step's screen (``ScreenWork``), ``screened``: the
-    watched values (the distances, then the robots' norms ``norms``),
-    their negations and |poses|; so it takes len(lead) + 5P + 5N floats."""
+    """Preallocated rows and bound calls of ``_offsets`` on the (N, 3)
+    ``poses``: the (4, P) pair rows ``pairs`` of the upper pairs ``upper``,
+    ``np.triu_indices(N, 1)``, the log's pair order, named by
+    ``JetKernel.PAIR_INPUTS``. The flat ``block`` holds, in order, the
+    values of the flat pose rows at ``lead``, which the take copies too,
+    the pair rows and the rows of the step's screen (``ScreenWork``),
+    ``screened``: the watched values (the distances, then the robots' norms
+    ``norms``), their negations and |poses|; so it takes len(lead) + 5P +
+    5N floats."""
 
     def __init__(self, poses: np.ndarray, upper: tuple, block: np.ndarray,
                  lead: np.ndarray):
         n = len(poses)
-        self.rows = poses.T
-        self.upper = upper
         a, b = upper
         p = len(a)
         # then (x_a, y_a, x_b, y_b) of each pair, from the flat (3, N) rows
-        self.ends_at = np.concatenate((lead, a, a + n, b, b + n))
-        self.taken = block[:len(lead) + 4 * p]
+        ends_at = np.concatenate((lead, a, a + n, b, b + n))
+        taken = block[:len(lead) + 4 * p]
         block = block[len(lead):]
         self.pairs = block[:4 * p].reshape(4, p)
         self.screened = block[3 * p:]
         self.norms = block[4 * p:4 * p + n]
-        self.offsets, self.tail = self.pairs[:2], self.pairs[2:]
-        self.length_squared, self.dist = self.tail
+        v = partial(JetKernel.PAIR_INPUTS.view, self.pairs)
+        self.dist = v("d")
+        # the ends' rows 0-1 less rows 2-3, squared into rows 2-3, summed
+        # into row 2, and its square root into row 3
+        self.calls = bind(
+            (poses.T.take, ends_at, None, taken, "clip"),
+            (np.subtract, v("ox oy"), v("sq d"), v("ox oy")),
+            (np.multiply, v("ox oy"), v("ox oy"), v("sq d")),
+            (np.add, v("sq"), v("d"), v("sq")),
+            (np.sqrt, v("sq"), v("d")))
 
 
 def _offsets(w: PairWork):
     """Pair rows of the upper pairs of ``w`` as one (4, P) array: the
     offsets p_a - p_b (x, y), their square lengths and the distances,
-    rows of ``w``, made in place from each pair's ends (x_a, y_a, x_b, y_b):
-    rows 0-1 less rows 2-3, squared into rows 2-3, summed into row 2, and
-    its square root into row 3. The take that gathers the ends copies the
+    rows of ``w``, made in place from each pair's ends (x_a, y_a, x_b, y_b)
+    by the calls bound there. The take that gathers the ends copies the
     lead values of ``w`` too."""
-    w.rows.take(w.ends_at, None, w.taken, "clip")
-    np.subtract(w.offsets, w.tail, w.offsets)
-    np.multiply(w.offsets, w.offsets, w.tail)
-    np.add(w.length_squared, w.dist, w.length_squared)
-    np.sqrt(w.length_squared, w.dist)
+    for call, args in w.calls:
+        call(*args)
     return w.pairs
 
 
@@ -393,22 +397,22 @@ class StepKernel:
         laws, p = len(rows.names), len(self.upper[0])
         block = np.zeros(laws * n + 5 * p + 5 * n)
         laws_block = block[:laws * n].reshape(laws, n)
-        self.jets = JetKernel(cfg, mask, self.upper,
-                              rows.view(laws_block, "hyy hxy hxx"))
-        self.laws = ControlWork(self.theta, cfg.linear_gains,
-                                cfg.angular_gains, cfg.gradient_floor,
-                                laws_block, self.jets.quotient.f)
         theta = np.arange(2 * n, 3 * n)
         self.pair_work = PairWork(self.poses, self.upper,
                                   block[rows.at("tt tdd").start * n:],
                                   np.concatenate((theta, theta)))
+        self.jets = JetKernel(cfg, mask, self.upper, self.pair_work.pairs,
+                              rows.view(laws_block, "hyy hxy hxx"))
+        self.laws = ControlWork(self.theta, cfg.linear_gains,
+                                cfg.angular_gains, cfg.gradient_floor,
+                                laws_block, self.jets.quotient.jet[1])
         self.norms = self.pair_work.norms
-        self.motion = IntegrateWork(self.poses, cfg.time_step)
+        self.control_rows = self.laws.controls
+        self.motion = IntegrateWork(self.poses, cfg.time_step,
+                                    self.control_rows[:2])
         self.screen = ScreenWork(self.poses, self.pair_work.screened)
         _monitor_bounds(cfg, self.monitored, self.screen.high,
                         self.screen.negated_low)
-        self.control_rows = self.laws.controls
-        self.speeds = self.control_rows[:2]
         self.by_robot = self.control_rows.T
         self.theta_d = self.control_rows[2]
 
@@ -433,9 +437,9 @@ class StepKernel:
         ``leader`` is the informed robot's (x, y) as floats."""
         # the norms of the step's poses, before the move
         np.hypot(self.x, self.y, self.norms)
-        phi, _, _ = self.jets(leader, self.pair_work.pairs)
+        phi, _, _ = self.jets(leader)
         *_, grad_norm = control_laws(self.laws)
-        _integrate_all(self.speeds, self.motion)
+        _integrate_all(self.motion)
         return phi, grad_norm, _screen(self.screen)
 
 

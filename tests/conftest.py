@@ -16,17 +16,19 @@ def make_states(poses):
 
 
 def held_headings(theta):
-    """(v, omega) rows, a ``sim.IntegrateWork`` and a ``sim.ScreenWork`` of
-    robots at the origin with the 1-d headings ``theta``, watching nothing:
-    one ``sim._integrate_all`` step leaves the headings as they are, signed
-    zeros included, and ``sim._screen`` passes them where they are inside
-    (-pi, pi) and wraps them where they are not: v = 0 and omega = -0.0 add
-    -0.0 to each heading, which changes no bit of it."""
+    """(v, omega) rows, a ``sim.IntegrateWork`` on them and a
+    ``sim.ScreenWork`` of robots at the origin with the 1-d headings
+    ``theta``, watching nothing: one ``sim._integrate_all`` step leaves the
+    headings as they are, signed zeros included, and ``sim._screen`` passes
+    them where they are inside (-pi, pi) and wraps them where they are not:
+    v = 0 and omega = -0.0 add -0.0 to each heading, which changes no bit
+    of it."""
     n = len(theta)
     poses = np.zeros((n, 3))
     poses[:, 2] = theta
-    return (np.array([np.zeros(n), np.full(n, -0.0)]),
-            IntegrateWork(poses, 0.005), ScreenWork(poses, np.empty(3 * n)))
+    controls = np.array([np.zeros(n), np.full(n, -0.0)])
+    return (controls, IntegrateWork(poses, 0.005, controls),
+            ScreenWork(poses, np.empty(3 * n)))
 
 
 def integrator_wrap(theta):
@@ -35,12 +37,33 @@ def integrator_wrap(theta):
     where no wrap is due. A non-finite heading comes out NaN, and the
     screen's NonFiniteState, raised after the wrap, is caught here."""
     controls, work, screen = held_headings(theta)
-    _integrate_all(controls, work)
+    _integrate_all(work)
     try:
         _screen(screen)
     except NonFiniteState:
         pass
-    return work.theta
+    return work.poses[:, 2]
+
+
+def bound_calls(kernel):
+    """The bound calls of a ``sim.StepKernel``'s stages, as (attribute,
+    callable, args): every list of (callable, args) pairs that its pair
+    rows, jets, quotient rule, control laws and integrator hold."""
+    for work in (kernel.pair_work, kernel.jets, kernel.jets.quotient,
+                 kernel.laws, kernel.motion):
+        for name, value in vars(work).items():
+            if isinstance(value, tuple) and value and all(
+                    isinstance(entry, tuple) and len(entry) == 2
+                    and callable(entry[0]) and isinstance(entry[1], tuple)
+                    for entry in value):
+                for call, args in value:
+                    yield name, call, args
+
+
+def written(call, args):
+    """The rows that a bound call writes: a take's output, its third
+    argument, or any other call's last."""
+    return args[2] if getattr(call, "__name__", None) == "take" else args[-1]
 
 
 Laws = namedtuple("Laws", "v omega theta_d theta_tilde theta_d_dot grad_norm")

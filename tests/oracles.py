@@ -89,8 +89,8 @@ def integrate_copy(poses: np.ndarray, controls: np.ndarray,
     controls (v, omega) as (2, N) rows held constant over dt, and the
     heading wrap of ``sim._screen``, which raises NonFiniteState after it
     where some pose is not finite."""
-    work = IntegrateWork(np.array(poses, dtype=float), dt)
-    _integrate_all(controls, work)
+    work = IntegrateWork(np.array(poses, dtype=float), dt, controls)
+    _integrate_all(work)
     try:
         _screen(ScreenWork(work.poses, np.empty(work.poses.size)))
     except NonFiniteState:
@@ -188,7 +188,7 @@ def plain_leader_terms(cfg: ScenarioConfig, p):
     rim = _logistic(k * ((float(cfg.workspace_radius) - norm)
                          - 0.5 * cfg.collision_margin))
     nx = ny = nxx = nxy = nyy = 0.0
-    if norm > 0.0:
+    if norm * norm > 0.0:  # none where |p|^2 is 0
         s1 = k * rim * (1.0 - rim)  # B'
         t = s1 / norm
         w = (k * s1 * (1.0 - 2.0 * rim) + t) / (norm * norm)
@@ -227,7 +227,12 @@ def plain_step(cfg: ScenarioConfig, mask: np.ndarray, poses: np.ndarray,
         i, j = np.nonzero(mask[1:])
         i += 1
         starts = np.flatnonzero(np.diff(np.concatenate(([-1], i))))
-        mx, my = x[i] - x[j], y[i] - y[j]
+        # p_i - p_j as the kernel takes it: its pair's offset p_a - p_b, a
+        # < b, negated where i > j, whose zeros may differ in sign from p_i -
+        # p_j's where two robots share a coordinate
+        a, b = np.minimum(i, j), np.maximum(i, j)
+        mx, my = x[a] - x[b], y[a] - y[b]
+        mx[i > j], my[i > j] = -mx[i > j], -my[i > j]
         d = np.sqrt(mx * mx + my * my)
         eps = cfg.sigmoid_eps
         k_b = sigmoid_gain(cfg.connectivity_buffer, eps)

@@ -9,6 +9,7 @@ are held to the forms they replaced here too.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -77,9 +78,10 @@ def negated_but_nan_signs(descent, grad):
             and same_bits(np.negative(descent)[~nan], grad[~nan]))
 
 
-def jet_kernel(cfg, mask, upper):
-    """A JetKernel whose Hessian rows are its own."""
-    return JetKernel(cfg, mask, upper, np.empty((3, len(mask))))
+def jet_kernel(cfg, mask, upper, pairs):
+    """A JetKernel on the pair rows ``pairs`` whose Hessian rows are its
+    own."""
+    return JetKernel(cfg, mask, upper, pairs, np.empty((3, len(mask))))
 
 
 def pair_rows(poses, upper):
@@ -149,10 +151,10 @@ class TestWrapAngles:
         # row, and leaves x and y as the step moved them
         theta = np.array([0.25, -0.0, 4.0])
         controls, work, screen = held_headings(theta)
-        assert not work.theta.flags.contiguous
-        sim._integrate_all(controls, work)
+        assert not work.poses[:, 2].flags.contiguous
+        sim._integrate_all(work)
         assert not sim._screen(screen)  # it watches nothing
-        assert same_bits(work.theta, wrap_angles_before(theta))
+        assert same_bits(work.poses[:, 2], wrap_angles_before(theta))
         assert same_bits(work.poses[:, :2], np.zeros((3, 2)))
 
     def test_a_screen_failed_on_x_keeps_the_headings(self):
@@ -162,11 +164,11 @@ class TestWrapAngles:
         theta = np.array([0.0, -0.0, 1.0, -3.0, math.nextafter(PI, 0.0),
                           math.nextafter(-PI, 0.0), math.ulp(0.0)])
         controls, work, screen = held_headings(theta)
-        sim._integrate_all(controls, work)
+        sim._integrate_all(work)
         work.poses[2, 0] = math.nan
         with pytest.raises(sim.NonFiniteState, match="robot 3 at"):
             sim._screen(screen)
-        assert same_bits(work.theta, theta)
+        assert same_bits(work.poses[:, 2], theta)
 
 
 class TestIntegrateInline:
@@ -337,7 +339,8 @@ class TestLogisticNegated:
         # underflows to 0 both ways, NaN, and drop_avoidance's B of center
         # +inf and gain 1, where every y is -inf
         cfg = small_config()
-        kernel = jet_kernel(cfg, ~np.eye(2, dtype=bool), np.triu_indices(2, 1))
+        kernel = jet_kernel(cfg, ~np.eye(2, dtype=bool), np.triu_indices(2, 1),
+                            np.empty((4, 1)))
         if region is RegionFlag.RENDEZVOUS:
             kernel.drop_avoidance()
         # the column holds (center, gain, c1, c2), each of [b, B]
@@ -387,19 +390,17 @@ class TestFollowerDivides:
     @pytest.mark.parametrize("bad", [1e-10, 0.0, math.nan])
     def test_unaffected_followers_match(self, region, bad):
         cfg, mask, poses, pairs, upper = self._kernel_inputs()
-        kernel = jet_kernel(cfg, mask, upper)
+        kernel = jet_kernel(cfg, mask, upper, pairs)
         if region is RegionFlag.RENDEZVOUS:
             kernel.drop_avoidance()
-        plain = [np.array(x, dtype=float) for x in
-                 kernel(poses[0, :2], pairs)]
-        # pair (a, b) of one sensed edge gets the bad distance
+        plain = [np.array(x, dtype=float) for x in kernel(poses[0, :2])]
+        # pair (a, b) of one sensed edge gets the bad distance, in the pair
+        # rows the kernel reads
         pair = int(np.flatnonzero(mask[upper] | mask.T[upper])[-1])
         a, b = upper[0][pair], upper[1][pair]
-        pairs = pairs.copy()
         pairs[:, pair] = (bad / math.sqrt(2.0), bad / math.sqrt(2.0),
                           bad * bad, bad)
-        masked = [np.array(x, dtype=float) for x in
-                  kernel(poses[0, :2], pairs)]
+        masked = [np.array(x, dtype=float) for x in kernel(poses[0, :2])]
         touched = {i for i, j in ((a, b), (b, a)) if mask[i, j]}
         keep = [c for c in range(len(mask)) if c not in touched]
         assert touched and len(keep) > 2
@@ -444,19 +445,19 @@ class TestFollowerDivides:
         # edge list rebuilt after the switch keeps it
         cfg, topo = self._close_inputs()
         upper = np.triu_indices(len(self.CLOSE), 1)
-        kernel = jet_kernel(cfg, topo.adjacency, upper)
-        pairs = pair_rows(self.CLOSE, upper)
+        kernel = jet_kernel(cfg, topo.adjacency, upper,
+                            pair_rows(self.CLOSE, upper))
         kernel.drop_avoidance()
         for rebuilt in (False, True):
             if rebuilt:
                 kernel.set_mask(topo.adjacency)
-            kernel(self.CLOSE[0, :2], pairs)
-            assert (kernel.s[1] == 1.0).all(), rebuilt
-            l1_b, l2_b = kernel.l[0], kernel.l[2]
+            kernel(self.CLOSE[0, :2])
+            row = partial(JetKernel.PAIR.view, kernel.pair_rows)
+            assert (row("s_B") == 1.0).all(), rebuilt
+            l1_b, l2_b = row("l1_b"), row("l2_b")
             assert np.any(np.signbit(l1_b) & (l1_b == 0.0))
             assert np.any(np.signbit(l2_b) & (l2_b == 0.0))
-            for summed, b in ((kernel.summed[0], l1_b),
-                              (kernel.summed[2], l2_b)):
+            for summed, b in ((row("l1"), l1_b), (row("l2"), l2_b)):
                 assert same_bits(summed, b), rebuilt
 
 
@@ -476,8 +477,8 @@ class TestKernelLogistic:
         upper = np.triu_indices(n, 1)
         pairs = pair_rows(poses, upper)
         assert pairs[3].min() < 0.5 * cfg.collision_margin
-        args = (poses[0, :2].tolist(), pairs)
-        kernel = jet_kernel(cfg, mask, upper)
+        args = (poses[0, :2].tolist(),)
+        kernel = jet_kernel(cfg, mask, upper, pairs)
         positive = []
 
         def spy(work, *rows):
@@ -518,7 +519,7 @@ class TestHeadingError:
         n = len(theta)
         # a zero gradient holds theta_d at the fallback
         work = ControlWork(theta, np.ones(n), np.ones(n), 1e-6)
-        work.rows[2][...] = held
+        work.controls[2][...] = held
         work.load(np.zeros((2, n)), np.zeros((3, n)))
         out = control_laws(work)
         assert same_bits(out[2], held)
@@ -537,14 +538,14 @@ class TestDesiredHeading:
         k_v, k_w = np.full(6, 2.0), np.full(6, 8.0)
         held = [1, 2, 4, 5]
         work = ControlWork(theta, k_v, k_w, floor)
-        work.rows[2][...] = fallback
+        work.controls[2][...] = fallback
         work.load(grad, hess)
         out = control_laws(work)
         assert same_bits(out[2], desired_heading_before(grad, fallback, floor))
         assert same_bits(out[2][held], fallback[held])
         steep = [0, 3]  # no row held: the unmasked arctan2
         work = ControlWork(theta[steep], k_v[steep], k_w[steep], floor)
-        work.rows[2][...] = fallback[steep]
+        work.controls[2][...] = fallback[steep]
         work.load(grad[:, steep], hess[:, steep])
         out = control_laws(work)
         assert same_bits(out[2], desired_heading_before(
@@ -724,6 +725,13 @@ def _power_exponents():
     return sorted(exponents)
 
 
+def powers(w):
+    """The (base, exponent, out) of each power call of the quotient rule
+    ``w``, in the order of its calls, the masked one included."""
+    return [args for call, args in w.calls
+            if getattr(call, "func", call) is np.power]
+
+
 class TestStrideZeroPower:
     """The quotient rule's powers take their exponents as stride-0 rows
     (``exponent_row``): bit for bit the power with a scalar exponent, the
@@ -763,21 +771,25 @@ class TestStrideZeroPower:
                              np.power(x, exponent_row(2.0, x.size),
                                       np.empty(x.size)))
         w = QuotientWork(2, 4)
-        assert [float(row[0]) for row in w.exponents] == [2.0, 0.5, 1.5, 1.0]
+        assert [float(args[1][0]) for args in powers(w)] == [
+            2.0, 1.0, 0.5, 1.5]
 
     @pytest.mark.parametrize("alpha", [0.5, 1.2, 2.0])
     def test_quotient_work_powers_flat_views(self, alpha):
         # each power takes one flat row of the head per robot quantity,
-        # with its exponent a stride-0 row of the same length
+        # with its exponent a stride-0 row of the same length: gamma into
+        # gamma^a and gamma^(a - 1), s into s^(1/a) and s^(1/a + 1)
         w = QuotientWork(alpha, 4)
         inv_alpha = 1.0 / alpha
-        assert [float(row[0]) for row in w.exponents] == [
-            alpha, inv_alpha, inv_alpha + 1.0, alpha - 1.0]
-        assert all(row.shape == (4,) for row in w.exponents)
-        for flat in (w.gamma, w.gamma_a, w.gamma_am, w.s, w.root,
-                     w.s_power):
-            assert flat.shape == (4,) and flat.flags.c_contiguous
-            assert np.shares_memory(flat, w.head)
+        assert [float(args[1][0]) for args in powers(w)] == [
+            alpha, alpha - 1.0, inv_alpha, inv_alpha + 1.0]
+        row = partial(QuotientWork.HEAD.view, w.head)
+        for (base, exponent, out), names in zip(powers(w), (
+                ("G", "Ga"), ("G", "P2"), ("s", "root"), ("s", "S2"))):
+            assert exponent.shape == (4,) and exponent.strides == (0,)
+            for flat, name in zip((base, out), names):
+                assert flat.shape == (4,) and flat.flags.c_contiguous
+                assert np.shares_memory(flat, row(name))
 
 
 class TestPoseScreen:
@@ -800,16 +812,15 @@ class TestPoseScreen:
         poses = np.array([[0.5, -1.0, 3.1], [-2.0, 1.0, -3.0],
                           [0.0, 0.0, 0.25]])
         dt = 0.1
-        work = sim.IntegrateWork(poses.copy(), dt)
+        work = sim.IntegrateWork(poses.copy(), dt, np.array([vs, ws]))
         screen = sim.ScreenWork(work.poses, np.empty(9))
-        controls = np.array([vs, ws])
         # a failed screen takes the wrap's turn, and only a failed one
         turns = []
         monkeypatch.setattr(sim, "turn_angles",
                             lambda *rows: turns.append(rows) or turn_angles(
                                 *rows))
         with np.errstate(invalid="ignore", over="ignore"):
-            sim._integrate_all(controls, work)
+            sim._integrate_all(work)
             try:
                 sim._screen(screen)
                 raised = False

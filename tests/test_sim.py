@@ -8,7 +8,7 @@ import pytest
 from rendezsim import (RegionFlag, RobotState, ScenarioConfig, Topology,
                        TrajectoryLog, compute_metrics, gradients,
                        monitor_invariants, run, seeded_deployment, sim, step)
-from rendezsim.control import compute_control
+from rendezsim.control import ControlWork, compute_control
 from rendezsim.gradients import JetKernel
 from rendezsim.model import normalize_angle
 from rendezsim.sim import AssumptionError, MonitorViolation, fit_decay_rate
@@ -368,14 +368,19 @@ class TestPairWork:
         cfg = small_config()
         kernel = sim.StepKernel(cfg, sim.initial_topology(cfg).adjacency)
         work = kernel.pair_work
-        n, p = len(kernel.poses), len(work.upper[0])
-        rows = [v for v in vars(work).values() if isinstance(v, np.ndarray)
-                and v.dtype == float and not np.shares_memory(v, work.rows)]
+        n, p = len(kernel.poses), len(kernel.upper[0])
+        # its rows and its calls' operands, but for the pose rows
+        operands = [*vars(work).values(),
+                    *(x for _, args in work.calls for x in args)]
+        rows = [v for v in operands if isinstance(v, np.ndarray)
+                and v.dtype == float and not np.shares_memory(v, kernel.poses)]
         block = work.pairs.base
-        laws = kernel.laws.hess.base
+        laws = kernel.laws.block.base
         assert laws is block and block.shape == (23 * n + 5 * p + 5 * n,)
         assert all(v.base is block for v in rows)
-        assert np.shares_memory(kernel.laws.headings, work.taken)
+        taken = work.calls[0][1][2]  # the take's output
+        assert np.shares_memory(
+            ControlWork.ROWS.view(kernel.laws.block, "tt tdd"), taken)
 
 
 class TestEdgeList:
@@ -404,11 +409,13 @@ class TestEdgeList:
         a, b = a[sensed], b[sensed]
         assert 0 < edges < n * (n - 1) / 4
         assert len(a) < edges  # pairs that two followers sense, once
-        assert jets.m.shape == jets.t_edges.shape == jets.w_edges.shape
-        assert jets.m.shape == (2, edges)
-        assert jets.terms.shape == (10, edges)
-        assert jets.d.shape == (2, len(a))
-        assert jets.t.shape == jets.w.shape == (len(a),)
+        edge = functools.partial(JetKernel.EDGE.view, jets.edges)
+        pair = functools.partial(JetKernel.PAIR.view, jets.pair_rows)
+        assert edge("ox oy").shape == edge("t t").shape == edge("w w").shape
+        assert edge("ox oy").shape == (2, edges)
+        assert edge("gx gy cx cy cxy t t ox oy sq").shape == (10, edges)
+        assert pair("d d").shape == (2, len(a))
+        assert pair("t").shape == pair("w").shape == (len(a),)
 
         poses = np.array([[*s.position, s.heading] for s in states])
         kernel.poses[...] = poses
@@ -419,18 +426,18 @@ class TestEdgeList:
         i, j = np.nonzero(mask[1:])
         i += 1
         gap = poses[i, :2] - poses[j, :2]
-        assert np.array_equal(jets.m, gap.T)
+        assert np.array_equal(edge("ox oy"), gap.T)
         gx, gy = (poses[a, :2] - poses[b, :2]).T
-        for d in jets.d:  # twice, as the factors [b, B] are
+        for d in pair("d d"):  # twice, as the factors [b, B] are
             assert np.array_equal(d, np.sqrt(gx * gx + gy * gy))
         # each edge carries its pair's slope and curvature weight, twice;
         # the weight's rows then hold it times p - q_j
         column = {pair: c for c, pair in enumerate(zip(a.tolist(),
                                                        b.tolist()))}
         of_edge = [column[min(e), max(e)] for e in zip(i.tolist(), j.tolist())]
-        for row in jets.t_edges:
-            assert np.array_equal(row, jets.t[of_edge])
-        assert np.array_equal(jets.w_edges, jets.w[of_edge] * gap.T)
+        for row in edge("t t"):
+            assert np.array_equal(row, pair("t")[of_edge])
+        assert np.array_equal(edge("w w"), pair("w")[of_edge] * gap.T)
 
 
 def assert_controls_match(got, ref):
@@ -524,8 +531,8 @@ class TestKernelRowZero:
             p = self._spot(rng, spot)
             kernel.poses[:, :2] = p + rng.uniform(-1.2, 1.2, (n, 2))
             kernel.poses[0, :2] = p
-            phi, descent, (yy, xy, xx) = kernel.jets(p.tolist(),
-                                                     kernel.pairs())
+            kernel.pairs()
+            phi, descent, (yy, xy, xx) = kernel.jets(p.tolist())
             ref = gradients.leader_field_eval(p, cfg)
             assert np.float64(ref.value).tobytes() == phi[0].tobytes(), spot
             # the kernel's descent is -grad (y, y, x, x); negation is exact
@@ -673,7 +680,7 @@ class TestAccretion:
 
         def rebuild(kernel, mask):
             set_mask(kernel, mask)
-            widths.append(kernel.terms.shape[1])
+            widths.append(kernel.edges.shape[1])
         monkeypatch.setattr(sim, "_accrete_edges", record)
         monkeypatch.setattr(JetKernel, "set_mask", rebuild)
         cfg = self._cfg("accreting")

@@ -13,12 +13,15 @@ region 1 exactly from ``switch_step`` on.
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from rendezsim import RegionFlag, run, sim
-from conftest import make_states, small_config
+from rendezsim import RegionFlag, RobotState, Topology, run, sim
+from conftest import bound_calls, make_states, small_config, written
 from oracles import plain_step
 from test_step_cost import _dense48, _reference, _rendezvous, _sparse48
 
@@ -64,13 +67,40 @@ def _exponent(alpha):
     return lambda: dataclasses.replace(_reference(), field_exponent=alpha)
 
 
+def _shared_coordinate():
+    """The informed robot on its goal at the origin and a follower 1 m out
+    along x, heading just under pi (a drawn scenario's, reduced): the two
+    share y = 0, so the follower's offset from the informed robot, its
+    pair's offset negated, has y = -0.0 where p_i - p_j has +0.0, and its
+    desired heading comes out pi, not -pi."""
+    return small_config(
+        n_robots=2, workspace_radius=6.0, rendezvous_radius=3.0,
+        collision_margin=0.5, connectivity_buffer=0.5, field_exponent=0.5,
+        dipolar_eps=0.01, linear_gains=[1.0, 1.0], angular_gains=[4.0, 4.0],
+        initial_states=make_states([(0.0, 0.0, 0.0),
+                                    (1.0, 0.0, math.pi - 1e-3)]))
+
+
+def _subnormal_goal():
+    """``_shared_coordinate`` with the goal and the informed robot 5e-324 m
+    from the workspace centre, where |p|^2 underflows to 0 (a drawn
+    scenario's, reduced): the rim factor's terms are the centre's zeros,
+    where they divided by zero."""
+    goal = np.array([5e-324, 0.0])
+    return dataclasses.replace(
+        _shared_coordinate(), goal_position=goal, initial_states=make_states(
+            [(*goal, 0.0), (1.0, 0.3, math.pi - 1e-3)]))
+
+
 # scenario maker and number of steps checked; the rendezvous run converges
 # at step 297. The paths the step forks on: every case's step 0 is a first
 # step, whose headings the pair rows' take copies as on every step; the
 # crossing case below and every case but the two accreting ones turn a
-# heading past pi and wrap it, and check the step after; accreting_rendezvous is straight on every step (its informed robot
-# keeps y = 0 and theta = 0, so omega = 0 and np.sinc takes the chord);
-# goal_near_rim holds a desired heading on every step
+# heading past pi and wrap it, and check the step after;
+# accreting_rendezvous is straight on every step (its informed robot keeps
+# y = 0 and theta = 0, so omega = 0 and np.sinc takes the chord);
+# goal_near_rim holds a desired heading on every step. The last two are
+# failures of the drawn scenarios below, reduced
 CASES = {"reference": (_reference, 300), "rendezvous": (_rendezvous, 297),
          "sparse48": (_sparse48, 50), "dense48": (_dense48, 50),
          "accreting": (_accreting, 200),
@@ -78,7 +108,9 @@ CASES = {"reference": (_reference, 300), "rendezvous": (_rendezvous, 297),
          "goal_near_rim": (_goal_near_rim, 100),
          "reference_alpha_2": (_exponent(2.0), 200),
          "reference_alpha_int_2": (_exponent(2), 200),
-         "reference_alpha_0.5": (_exponent(0.5), 200)}
+         "reference_alpha_0.5": (_exponent(0.5), 200),
+         "shared_coordinate": (_shared_coordinate, 60),
+         "subnormal_goal": (_subnormal_goal, 60)}
 
 
 def same_bits(a, b):
@@ -103,21 +135,17 @@ def assert_times_and_regions(log, cfg):
                                for k in steps]
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_step_matches_plain_formulas(name):
-    make, steps = CASES[name]
-    cfg = make()
-    log = run(dataclasses.replace(cfg, horizon=steps * cfg.time_step))
-    assert log.n_steps == steps + 1
-    mask = sim.initial_topology(cfg).adjacency
-    edges = mask.sum()
+def assert_steps_match(cfg, log, mask):
+    """Every step of ``log``, a run of ``cfg`` from the sensing ``mask``,
+    against ``plain_step`` from the step's pose, held headings and mask, bit
+    for bit. In accreting mode the mask, which this changes in place, grows
+    as run() grows it."""
     a, b = np.triu_indices(cfg.n_robots, 1)
     threshold = cfg.sensing_radius - cfg.connectivity_buffer
-    assert_times_and_regions(log, cfg)
     flags = (RegionFlag.COLLISION_FREE, RegionFlag.RENDEZVOUS)
     regions = [flags[r] for r in log.region.tolist()]
     held = log.poses[0, :, 2]
-    for k in range(steps):
+    for k in range(log.n_steps - 1):
         if cfg.neighbor_mode == "accreting":  # grown as run() grows it
             near = log.distances[k] < threshold
             mask[a[near], b[near]] = mask[b[near], a[near]] = True
@@ -127,8 +155,166 @@ def test_step_matches_plain_formulas(name):
         assert same_bits(log.controls[k], controls.T), k
         assert same_bits(log.phi[k], phi), k
         held = log.controls[k, :, 2]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_step_matches_plain_formulas(name):
+    make, steps = CASES[name]
+    cfg = make()
+    log = run(dataclasses.replace(cfg, horizon=steps * cfg.time_step))
+    assert log.n_steps == steps + 1
+    mask = sim.initial_topology(cfg).adjacency
+    edges = mask.sum()
+    assert_times_and_regions(log, cfg)
+    assert_steps_match(cfg, log, mask)
     # the accreting run rebuilds its edge list on the way
     assert (mask.sum() > edges) == (cfg.neighbor_mode == "accreting")
+
+
+# the drawn scenarios' ranges: robots, field exponents, sensing radius (m),
+# collision margin and connectivity buffer, each (m), dipolar eps, linear
+# and angular gains, per robot; and the least distance between two robots
+# at the start (m), the steps of a run and the examples of the test
+DRAWN_ROBOTS = (2, 12)
+DRAWN_EXPONENTS = (0.5, 0.8, 1.0, 1.2, 2.0, 3.0)
+DRAWN_SENSING = (1.5, 3.0)
+DRAWN_MARGINS = (0.2, 0.5)
+DRAWN_DIPOLAR = (0.01, 0.5)
+DRAWN_GAINS = ((1.0, 5.0), (4.0, 10.0))
+DRAWN_SEPARATION = 0.6
+DRAWN_STEPS = 60
+DRAWN_EXAMPLES = 40
+
+
+def _unit(angle):
+    return np.array([math.cos(angle), math.sin(angle)])
+
+
+@st.composite
+def drawn_scenarios(draw):
+    """A scenario of the ranges above and whether its mask is one-way.
+
+    The goal sits 0.3-1 m inside the workspace rim (half the draws) or
+    anywhere inside 0.9 of its radius; the switch distance is 1 m; the
+    informed robot starts inside it (the run latches at step 0), 1-20 mm
+    outside it facing the goal (the run crosses it on the way), or 0.5-3
+    m outside it. The followers are placed one at a time, each 0.6 m to
+    0.9 R from a robot placed before it, so that the initial graph has a
+    spanning tree rooted at the informed robot, and each at least
+    ``DRAWN_SEPARATION`` from every other and 5 cm inside the rim. A
+    robot's heading is uniform, or, for one in four, just under pi, to
+    wrap on the way. The mode is frozen or accreting, and a one-way mask
+    keeps the initial graph's edges (i, j) with j < i only.
+    """
+    n = draw(st.integers(*DRAWN_ROBOTS))
+    sensing = draw(st.floats(*DRAWN_SENSING))
+    rendezvous = sensing * (n - 1) + 1.0
+    workspace = 2.0 * rendezvous
+    bearing = draw(st.floats(-math.pi, math.pi))
+    if draw(st.booleans()):
+        goal = (workspace - draw(st.floats(0.3, 1.0))) * _unit(bearing)
+    else:
+        goal = draw(st.floats(0.0, 0.9 * workspace)) * _unit(bearing)
+    start = draw(st.sampled_from(("inside", "crossing", "far")))
+    reach = {"inside": (0.0, 0.9), "crossing": (1.001, 1.02),
+             "far": (1.5, 4.0)}[start]
+    # away from the goal, toward the workspace's centre
+    away = bearing + math.pi + draw(st.floats(-0.5 * math.pi, 0.5 * math.pi))
+    placed = [goal + draw(st.floats(*reach)) * _unit(away)]
+    headings = [away + math.pi if start == "crossing" else
+                draw(st.floats(-math.pi, math.pi))]
+    for _ in range(n - 1):
+        for _attempt in range(20):
+            parent = placed[draw(st.integers(0, len(placed) - 1))]
+            p = parent + draw(st.floats(
+                DRAWN_SEPARATION, 0.9 * sensing)) * _unit(
+                draw(st.floats(-math.pi, math.pi)))
+            if (np.hypot(*p) < workspace - 0.05 and min(
+                    np.hypot(*(p - q)) for q in placed) >= DRAWN_SEPARATION):
+                break
+        else:
+            assume(False)
+        placed.append(p)
+        headings.append(math.pi - 1e-3 if draw(st.integers(0, 3)) == 0
+                        else draw(st.floats(-math.pi, math.pi)))
+    headings = [math.remainder(h, 2.0 * math.pi) for h in headings]
+    (low, high), (low_w, high_w) = DRAWN_GAINS
+    cfg = small_config(
+        n_robots=n, workspace_radius=workspace, sensing_radius=sensing,
+        rendezvous_radius=rendezvous,
+        collision_margin=draw(st.floats(*DRAWN_MARGINS)),
+        connectivity_buffer=draw(st.floats(*DRAWN_MARGINS)),
+        dipolar_eps=draw(st.sampled_from(DRAWN_DIPOLAR)),
+        field_exponent=draw(st.sampled_from(DRAWN_EXPONENTS)),
+        linear_gains=draw(st.lists(st.floats(low, high), min_size=n,
+                                   max_size=n)),
+        angular_gains=draw(st.lists(st.floats(low_w, high_w), min_size=n,
+                                    max_size=n)),
+        goal_position=goal, goal_heading=draw(st.floats(-math.pi, math.pi)),
+        horizon=DRAWN_STEPS * 0.005,
+        neighbor_mode=draw(st.sampled_from(("frozen", "accreting"))),
+        initial_states=[RobotState(i + 1, p, h) for i, (p, h) in
+                        enumerate(zip(placed, headings))])
+    return cfg, draw(st.booleans())
+
+
+@settings(max_examples=DRAWN_EXAMPLES, derandomize=True, database=None,
+          deadline=None)
+@given(drawn_scenarios())
+def test_drawn_scenarios_match_plain_formulas(drawn):
+    # the kernel against the plain formulas on drawn scenarios; a failure
+    # found here becomes a named entry of CASES
+    cfg, one_way = drawn
+    try:
+        mask = sim.initial_topology(cfg).adjacency
+    except sim.AssumptionError:
+        assume(False)
+    if one_way:
+        mask &= np.tri(cfg.n_robots, k=-1, dtype=bool)
+    with mock.patch.object(sim, "initial_topology",
+                           return_value=Topology(mask.copy())):
+        log = run(cfg)
+    assert log.n_steps == DRAWN_STEPS + 1
+    assert_times_and_regions(log, cfg)
+    assert_steps_match(cfg, log, mask)
+
+
+@pytest.mark.parametrize("name", ["reference", "sparse48",
+                                  "reference_alpha_0.5"])
+def test_poisoned_scratch_step(name):
+    # every row that a bound call writes, the logistic's and the step
+    # screen's rows too, holds NaN before the first step of one of two
+    # kernels, whose inputs (poses, held headings) and constants are
+    # their own: a call that reads a row before the step writes it shows
+    # here, where stale values of a step before can pass for fresh ones
+    cfg = CASES[name][0]()
+    mask = sim.initial_topology(cfg).adjacency
+    kernels = [sim.StepKernel(cfg, mask.copy()) for _ in range(2)]
+    for kernel in kernels:
+        kernel.poses[...] = sim._pose_array(cfg.initial_states)
+        kernel.theta_d[...] = kernel.theta
+    poisoned = kernels[1]
+    inputs = poisoned.poses.copy(), poisoned.theta_d.copy()
+    scratch = [written(call, args) for _, call, args in bound_calls(poisoned)]
+    scratch += [poisoned.jets.logistic[0], poisoned.jets.logistic[-1],
+                poisoned.pair_work.screened]
+    for rows in scratch:
+        if rows.dtype == float:
+            rows[...] = math.nan
+    poisoned.poses[...], poisoned.theta_d[...] = inputs
+    steps = []
+    for kernel in kernels:
+        kernel.pairs()
+        phi, grad_norm, reached = kernel(kernel.poses[0, :2].tolist())
+        steps.append((kernel.poses.copy(), kernel.control_rows.copy(),
+                      phi.copy(), grad_norm.copy(), reached))
+    (poses, controls, phi, grad_norm, reached), poisoned_step = steps
+    assert np.isfinite(poses).all() and np.isfinite(controls).all()
+    assert same_bits(poisoned_step[0], poses)
+    assert same_bits(poisoned_step[1], controls)
+    assert same_bits(poisoned_step[2], phi)
+    assert same_bits(poisoned_step[3], grad_norm)
+    assert poisoned_step[4] == reached
 
 
 def test_times_at_an_inexact_step():
